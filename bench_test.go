@@ -339,50 +339,6 @@ func BenchmarkSimWithDynamics(b *testing.B) {
 	}
 }
 
-// benchAsyncBackoff is the backoff field-validation harness (ROADMAP
-// item): min consensus on the COMPLETE graph at 10³ agents — the
-// high-degree regime where busy-rejection probability is largest and
-// the fixed 512µs ladder was never tuned — under either backoff policy.
-// It reports ProperSteps/sec (useful throughput) and the busy-rejection
-// counts the controller feeds on; EXPERIMENTS.md's appendix records the
-// measured comparison and the tuned rejectionRateShift.
-func benchAsyncBackoff(b *testing.B, fixed bool) {
-	g := Complete(1000)
-	vals := rand.New(rand.NewSource(11)).Perm(4000)[:1000]
-	var props, rejs, ops int
-	b.ResetTimer()
-	start := time.Now()
-	for i := 0; i < b.N; i++ {
-		o := DefaultAsyncOptions(int64(i) + 1)
-		o.Timeout = 60 * time.Second
-		o.MaxOps = 5_000_000
-		// The backoff study isolates contention: keep the link table
-		// static instead of re-rolling 5·10⁵ edges every 16 initiations.
-		o.RefreshEvery = 1 << 30
-		o.FixedBackoff = fixed
-		res, err := SimulateAsync[int](NewMin(), g, vals, o)
-		if err != nil || !res.Converged {
-			b.Fatal("async run failed")
-		}
-		props += res.ProperSteps
-		rejs += res.Rejections
-		ops += res.Ops
-	}
-	elapsed := time.Since(start).Seconds()
-	b.ReportMetric(float64(props)/elapsed, "propersteps/s")
-	b.ReportMetric(float64(rejs)/float64(b.N), "rejections/run")
-	b.ReportMetric(float64(ops)/float64(b.N), "ops/run")
-}
-
-// BenchmarkAsyncBackoffAIMDComplete1k measures the adaptive AIMD
-// controller on K1000.
-func BenchmarkAsyncBackoffAIMDComplete1k(b *testing.B) { benchAsyncBackoff(b, false) }
-
-// BenchmarkAsyncBackoffFixedComplete1k measures the legacy fixed
-// doubling ladder on the same system — the baseline the AIMD controller
-// replaced.
-func BenchmarkAsyncBackoffFixedComplete1k(b *testing.B) { benchAsyncBackoff(b, true) }
-
 // BenchmarkSweepGrid measures the batched scenario-grid runner in steady
 // state: one persistent Runner (warm workers — pool, trackers, matcher
 // scratch, arenas survive between cells AND between grids) executes the
@@ -456,19 +412,6 @@ func BenchmarkEnginePairwiseComplete32(b *testing.B) {
 			Options{Seed: int64(i), StopOnConverged: true, MaxRounds: 100_000, Mode: PairwiseMode})
 		if err != nil || !res.Converged {
 			b.Fatal("run failed")
-		}
-	}
-}
-
-// BenchmarkAsyncRuntimeMin measures the goroutine-per-agent runtime.
-func BenchmarkAsyncRuntimeMin(b *testing.B) {
-	g := Ring(16)
-	vals := rand.New(rand.NewSource(3)).Perm(64)[:16]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := SimulateAsync[int](NewMin(), g, vals, DefaultAsyncOptions(int64(i)))
-		if err != nil || !res.Converged {
-			b.Fatal("async run failed")
 		}
 	}
 }
@@ -622,7 +565,7 @@ func BenchmarkAblationGreedyVsPartialMin(b *testing.B) {
 	}
 }
 
-// --- Sched runtime: E20's sharded engine measured directly ---
+// --- Async engine: E20's sharded scheduler measured directly ---
 
 // BenchmarkSchedExchange1e4 pins the sharded scheduler's per-exchange
 // allocation contract at N = 8192 (min over Hypercube(13), 60·N
@@ -645,10 +588,10 @@ func BenchmarkSchedExchange1e4(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		o := DefaultSchedOptions(int64(i + 1))
+		o := DefaultAsyncOptions(int64(i + 1))
 		o.MaxOps = 60 * n
 		o.Timeout = 2 * time.Minute
-		res, err := SimulateSched[int](NewMin(), g, vals, o)
+		res, err := SimulateAsync[int](NewMin(), g, vals, o)
 		if err != nil || !res.Converged {
 			b.Fatalf("sched run failed: %v", err)
 		}
@@ -676,10 +619,10 @@ func BenchmarkSchedScale(b *testing.B) {
 			var elapsed time.Duration
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				o := DefaultSchedOptions(20)
+				o := DefaultAsyncOptions(20)
 				o.MaxOps = 60 * n
 				o.Timeout = 2 * time.Minute
-				res, err := SimulateSched[int](NewMin(), g, vals, o)
+				res, err := SimulateAsync[int](NewMin(), g, vals, o)
 				if err != nil || !res.Converged {
 					b.Fatalf("sched run failed: %v", err)
 				}

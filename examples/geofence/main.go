@@ -6,7 +6,7 @@
 // communicate only when within radio range, so the interaction graph
 // changes every step (random-waypoint mobility).
 //
-// The run is repeated on the asynchronous goroutine-per-agent runtime to
+// The run is repeated on the asynchronous message-passing runtime to
 // show the same algorithm working without any round structure.
 //
 // Run with:

@@ -7,16 +7,15 @@ import (
 
 // Faults is the asynchronous-runtime half of the dynamism model: faults
 // injected at the EXCHANGE layer rather than the round loop, because the
-// async runtime has no rounds. internal/runtime consumes this through
-// runtime.Options.Faults; a nil Faults leaves the runtime untouched
-// (pinned bit-identical by the GOMAXPROCS(1) async golden test).
+// async runtime has no rounds. internal/sched consumes this through
+// sched.Options.Faults; a nil Faults injects nothing.
 //
 // Loss models a request dropped in transit: the initiation is spent (it
 // counts against MaxOps and Result.Lost) but no exchange happens — the
 // initiator moves on exactly as if the link had been down, which is the
 // classic fire-and-forget reading of loss in a gossip protocol. Delay
 // models transit latency: the initiator waits a uniform (0, DelayMax]
-// before its request is delivered, serving its own inbox meanwhile so
+// before its request is delivered, serving its own mailbox meanwhile so
 // delays never deadlock the protocol. Both draw from the initiating
 // agent's own seeded stream, so fault decisions are reproducible
 // per-agent even though the global interleaving is scheduler-dependent

@@ -1,6 +1,6 @@
 // Package engine is the shared core of the two execution engines — the
 // round-based simulator (internal/sim) and the asynchronous message-passing
-// runtime (internal/runtime).
+// scheduler (internal/sched).
 //
 // Both engines realize the same execution model (Chandy & Charpentier,
 // ICDCS 2007, §2.1): agents transitions interleave with environment
@@ -9,7 +9,7 @@
 // conservation law f(S) = S* (§3.2) and the monotone descent of the
 // variant h (§3.5). Before this package existed those monitors, the
 // convergence detector, and the deterministic seeding discipline were
-// implemented twice and had started to diverge; sim and runtime now build
+// implemented twice and had started to diverge; sim and sched now build
 // on the primitives here:
 //
 //   - Monitor: conservation-law checking, variant-descent checking, and
@@ -18,8 +18,8 @@
 //   - Convergence: the target S* = f(S(0)) and first-reach detection;
 //   - Seeder: deterministic per-group child seeds drawn from the master
 //     stream in group order (so results are independent of goroutine
-//     scheduling), plus the per-agent and environment seed derivations the
-//     asynchronous runtime uses;
+//     scheduling), plus the per-agent seed derivation the asynchronous
+//     scheduler uses;
 //   - Pool: a persistent worker pool sized to GOMAXPROCS that replaces the
 //     goroutine-per-group-per-round pattern, engaging only above a
 //     group-count threshold so small systems run serially and
@@ -265,11 +265,7 @@ func (s *Seeder) Master() *rand.Rand { return s.master }
 // are independent of which worker executes the group and when.
 func (s *Seeder) GroupSeed() int64 { return s.master.Int63() }
 
-// AgentSeed derives the per-agent stream seed the asynchronous runtime
-// gives each agent goroutine (7919 is prime, so agent streams are spread
+// AgentSeed derives the per-agent stream seed the asynchronous scheduler
+// keys each agent's events on (7919 is prime, so agent streams are spread
 // across the seed space).
 func AgentSeed(base int64, agent int) int64 { return base + int64(agent)*7919 }
-
-// EnvSeed derives the asynchronous runtime's environment (link-churn)
-// stream seed from the run seed.
-func EnvSeed(base int64) int64 { return base ^ 0x5eed }

@@ -188,15 +188,12 @@ func TestSeederMatchesRawStream(t *testing.T) {
 	}
 }
 
-func TestAgentAndEnvSeedsAreStable(t *testing.T) {
-	// These derivations are part of the reproducibility contract shared
-	// with the asynchronous runtime: changing them silently reseeds every
+func TestAgentSeedsAreStable(t *testing.T) {
+	// This derivation is part of the reproducibility contract shared with
+	// the asynchronous scheduler: changing it silently reseeds every
 	// recorded run.
 	if got := AgentSeed(10, 3); got != 10+3*7919 {
 		t.Errorf("AgentSeed(10, 3) = %d", got)
-	}
-	if got := EnvSeed(10); got != 10^0x5eed {
-		t.Errorf("EnvSeed(10) = %d", got)
 	}
 	seen := map[int64]bool{}
 	for a := 0; a < 64; a++ {

@@ -1,4 +1,4 @@
-package runtime
+package sched
 
 import (
 	"testing"
@@ -30,7 +30,7 @@ func TestAIMDWindowRisesAndCaps(t *testing.T) {
 
 // TestAIMDAdditiveDecreaseKeepsMemory: after a burst of rejections, one
 // success must shrink the window additively (keep contention memory),
-// not reset it to zero the way the old ladder did; sustained success
+// not reset it to zero; sustained success
 // must drain it to zero.
 func TestAIMDAdditiveDecreaseKeepsMemory(t *testing.T) {
 	var b AIMD

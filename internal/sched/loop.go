@@ -9,7 +9,6 @@ import (
 	"repro/internal/graph"
 	ms "repro/internal/multiset"
 	"repro/internal/obs"
-	"repro/internal/runtime"
 )
 
 // outcome is what the finishing worker does with a processed agent.
@@ -44,6 +43,7 @@ func ticks(d time.Duration) int64 {
 func (r *run[T]) worker(w int) {
 	rng := engine.NewFastRand(r.opts.Seed)
 	own := &r.shards[w]
+	victim := w // the shard this worker last stole from
 	for {
 		if r.stop.Load() {
 			break
@@ -54,7 +54,7 @@ func (r *run[T]) worker(w int) {
 		}
 		r.maybeCheckQuiescence()
 
-		a, ok := r.next(own, w)
+		a, ok := r.next(own, w, &victim)
 		if !ok {
 			if !r.sleep(own) {
 				break
@@ -72,34 +72,33 @@ func (r *run[T]) worker(w int) {
 // next claims one runnable agent for worker w, or reports none. Every
 // flag transition happens under the claimed agent's home shard lock —
 // one agent per steal, so a thief never moves scheduling state out from
-// under its home lock.
-func (r *run[T]) next(own *shard[T], w int) (int32, bool) {
+// under its home lock. *victim is the shard w last stole from.
+func (r *run[T]) next(own *shard[T], w int, victim *int) (int32, bool) {
 	now := r.vnow.Load()
 	own.mu.Lock()
-	if len(own.deferred) > 0 && own.deferred[0].due <= now {
-		e, _ := own.heapPop()
-		r.flags[e.agent] = r.flags[e.agent]&^flagDeferred | flagRunning
-		own.mu.Unlock()
-		return e.agent, true
-	}
-	if a, ok := own.rqPop(); ok {
-		r.opts.Probe.Add(obs.CounterSchedDepthSum, int64(own.rqLen))
-		r.flags[a] = r.flags[a]&^flagQueued | flagRunning
+	if a, ok := r.claimReadyLocked(own, now); ok {
 		own.mu.Unlock()
 		return a, true
 	}
 	own.mu.Unlock()
 
-	// Steal: a deterministic round-robin sweep starting one shard up.
+	// Steal: a round-robin sweep starting one shard past the last victim,
+	// taking due deferrals as well as queued agents. With more workers
+	// than CPUs the Go scheduler may leave a worker unscheduled for a
+	// whole run; a sweep that always started at the same shard, or that
+	// skipped deferrals, would starve that worker's agents.
 	if !r.opts.NoSteal {
 		P := len(r.shards)
-		for i := 1; i < P; i++ {
-			v := &r.shards[(w+i)%P]
+		for i := 1; i <= P; i++ {
+			s := (*victim + i) % P
+			if s == w {
+				continue
+			}
+			v := &r.shards[s]
 			v.mu.Lock()
-			if a, ok := v.rqPop(); ok {
-				r.opts.Probe.Add(obs.CounterSchedDepthSum, int64(v.rqLen))
-				r.flags[a] = r.flags[a]&^flagQueued | flagRunning
+			if a, ok := r.claimReadyLocked(v, now); ok {
 				v.mu.Unlock()
+				*victim = s
 				r.steals.Add(1)
 				r.opts.Probe.Add(obs.CounterSchedSteals, 1)
 				return a, true
@@ -115,15 +114,58 @@ func (r *run[T]) next(own *shard[T], w int) (int32, bool) {
 	// system where every agent waits on a deadline has no initiations to
 	// move time forward.
 	own.mu.Lock()
-	if len(own.deferred) > 0 {
+	for len(own.deferred) > 0 {
 		e, _ := own.heapPop()
-		r.flags[e.agent] = r.flags[e.agent]&^flagDeferred | flagRunning
-		own.mu.Unlock()
-		r.advance(e.due)
-		return e.agent, true
+		if r.claimLocked(e.agent, flagDeferred) {
+			own.mu.Unlock()
+			r.advance(e.due)
+			return e.agent, true
+		}
 	}
 	own.mu.Unlock()
 	return 0, false
+}
+
+// claimReadyLocked claims one of sh's agents that may run at virtual
+// time now: due deferrals first, then the run queue. The caller holds
+// sh.mu.
+//
+//det:hotpath
+func (r *run[T]) claimReadyLocked(sh *shard[T], now int64) (int32, bool) {
+	for len(sh.deferred) > 0 && sh.deferred[0].due <= now {
+		e, _ := sh.heapPop()
+		if r.claimLocked(e.agent, flagDeferred) {
+			return e.agent, true
+		}
+	}
+	for {
+		a, ok := sh.rqPop()
+		if !ok {
+			return 0, false
+		}
+		r.opts.Probe.Add(obs.CounterSchedDepthSum, int64(sh.rqLen))
+		if r.claimLocked(a, flagQueued) {
+			return a, true
+		}
+	}
+}
+
+// claimLocked marks agent a, just popped from the container its flag
+// from names (flagQueued or flagDeferred), as running. An agent can sit
+// in its run queue and its deferred heap at once — a message woke it
+// while it was deferred — so the second pop may find another worker
+// already running it: the pop then becomes a repoll for that worker and
+// claimLocked reports false. The caller holds a's home shard lock.
+//
+//det:hotpath
+func (r *run[T]) claimLocked(a int32, from uint8) bool {
+	f := r.flags[a] &^ from
+	if f&flagRunning != 0 {
+		r.flags[a] = f | flagRepoll
+		return false
+	}
+	r.flags[a] = f | flagRunning
+	return true
 }
 
 // sleep blocks the worker until new work can exist for it. Returns false
@@ -213,10 +255,7 @@ func (r *run[T]) enqueueLocked(sh *shard[T], a int32) {
 	sh.sleeping = false
 	sh.mu.Unlock()
 	if wake {
-		select {
-		case sh.wake <- struct{}{}:
-		default:
-		}
+		sh.signal()
 	} else if depth > 1 && !r.opts.NoSteal && r.sleepers.Load() > 0 {
 		r.wakeThief()
 	}
@@ -232,10 +271,7 @@ func (r *run[T]) wakeThief() {
 		sh.sleeping = false
 		sh.mu.Unlock()
 		if wake {
-			select {
-			case sh.wake <- struct{}{}:
-			default:
-			}
+			sh.signal()
 			return
 		}
 	}
@@ -267,8 +303,7 @@ func (r *run[T]) process(a int32, rng *engine.FastRand) {
 		// Mid-exchange: the reply will re-enqueue us.
 	case r.sendTo[a] >= 0:
 		// A delayed request is pending; the agent stays receptive until
-		// the send tick, then commits its CURRENT state (the goroutine
-		// runtime's delay loop has the same capture point).
+		// the send tick, then commits its CURRENT state.
 		if now := r.vnow.Load(); now >= r.sendDue[a] {
 			to := r.sendTo[a]
 			r.sendTo[a] = -1
@@ -303,20 +338,33 @@ func (r *run[T]) finish(sh *shard[T], a int32, out outcome, due int64) {
 			out = outRequeue
 		}
 	}
+	pushed := false
 	switch out {
 	case outRequeue:
 		if f&flagQueued == 0 {
 			f |= flagQueued
 			sh.rqPush(a)
+			pushed = true
 		}
 	case outDefer:
 		if f&flagDeferred == 0 {
 			f |= flagDeferred
 			sh.heapPush(deferEntry{due: due, agent: a})
+			pushed = true
 		}
 	}
 	r.flags[a] = f
+	// A thief finishing a stolen agent pushes onto the agent's home
+	// shard, whose worker may be asleep; a deferral not yet due is run
+	// only by its home worker, so without this wake it could wait forever.
+	wake := pushed && sh.sleeping
+	if wake {
+		sh.sleeping = false
+	}
 	sh.mu.Unlock()
+	if wake {
+		sh.signal()
+	}
 	if f&(flagQueued|flagDeferred) == 0 {
 		if r.runnable.Add(-1) == 0 {
 			r.halt()
@@ -359,10 +407,8 @@ func (r *run[T]) handle(a int32, m message[T], rng *engine.FastRand) {
 		r.awaiting[a] = false
 		r.rejections.Add(1)
 		r.opts.Probe.Add(obs.CounterExchBusy, 1)
-		// Admission control: the AIMD window (runtime.AIMD — the same
-		// controller the goroutine runtime parks a timer on) becomes a
-		// virtual-tick deadline before which this agent may serve but
-		// not re-initiate.
+		// Admission control: the AIMD window becomes a virtual-tick
+		// deadline before which this agent may serve but not re-initiate.
 		window := r.backoff[a].OnRejected()
 		r.reseed(a, rng)
 		jitter := 1 + rng.Int63n(ticks(window))
@@ -449,10 +495,9 @@ func (r *run[T]) initiate(a int32, rng *engine.FastRand) (outcome, int64) {
 // maybeCheckQuiescence runs the rate-limited convergence check: only
 // when some agent adopted since the last check AND at least CheckEvery
 // initiations have passed since it. Checks stay event-driven and
-// op-bounded — never more than one per adoption, the PR 2 sleep-poll
-// lesson — but a 10⁵-agent run does not pay an O(N log N) board snapshot
-// per event the way the goroutine runtime's per-nudge detector could
-// afford to at 10³.
+// op-bounded — never more than one per adoption, never on a wall-clock
+// schedule — and a 10⁵-agent run does not pay an O(N log N) board
+// snapshot per adoption.
 func (r *run[T]) maybeCheckQuiescence() {
 	ad := r.adoptions.Load()
 	if ad == r.checkedAdopt.Load() {
@@ -519,10 +564,7 @@ func (r *run[T]) barrier() {
 		sh.sleeping = false
 		sh.mu.Unlock()
 		if wake {
-			select {
-			case sh.wake <- struct{}{}:
-			default:
-			}
+			sh.signal()
 		}
 	}
 	for sp.parked+sp.exited < len(r.shards)-1 && !r.stop.Load() {
@@ -613,7 +655,7 @@ func (r *run[T]) applyGrowth(gr graph.Growth) {
 		r.sendTo = append(r.sendTo, -1)
 		r.sendDue = append(r.sendDue, 0)
 		r.actDue = append(r.actDue, 0)
-		r.backoff = append(r.backoff, runtime.AIMD{})
+		r.backoff = append(r.backoff, AIMD{})
 	}
 	board := make([]boardSlot[T], n)
 	for i := 0; i < n0; i++ {

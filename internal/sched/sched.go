@@ -1,8 +1,36 @@
-// Package sched is the scale realization of the paper's §4.5 remark: the
-// same asynchronous push-pull/busy-guard exchange protocol as
-// internal/runtime, executed by a sharded event-loop actor scheduler
-// instead of one goroutine per agent, so 10⁵–10⁶ agents cost P worker
-// goroutines and zero per-exchange allocations.
+// Package sched is the asynchronous realization of the paper's §4.5
+// remark that the step relation "can be easily implemented by
+// asynchronous message passing": agents gossip whenever they like over
+// whatever links the environment currently allows, with no round
+// structure, and the conservation law plus variant descent still carry
+// the system to f(S(0)). A sharded event-loop actor scheduler executes
+// the protocol, so 10⁵–10⁶ agents cost P worker goroutines and zero
+// per-exchange allocations.
+//
+// Protocol (push-pull gossip with a busy guard):
+//
+//   - an initiating agent picks a random neighbour whose link is up and
+//     sends it its state;
+//   - the partner — unless it is itself awaiting a reply, or crashed —
+//     computes PairStep(initiator, partner), adopts its half and replies
+//     with the initiator's half, so the pair transition is atomic at the
+//     partner; a busy partner replies "busy" and nothing changes;
+//   - the initiator admits no other exchange while its half is in flight
+//     (its mailbox drains to busy replies), so two agents initiating at
+//     each other can never deadlock and every completed exchange is
+//     exactly a PairStep of the problem — a D-step;
+//   - a busy-rejected initiator backs off before re-initiating, serving
+//     its mailbox meanwhile. Without the backoff the system can
+//     phase-lock into a busy storm — every agent perpetually
+//     mid-initiate, every request answered busy. The window is adaptive:
+//     each agent derives it from its observed rejection rate with an AIMD
+//     controller (backoff.go).
+//
+// The global multiset passes through transient states where one half has
+// been adopted and the other is in flight, so conservation and variant
+// descent are asserted at quiescence — via the same engine.Monitor the
+// round-based engine uses — against authoritative states gathered after
+// every worker has stopped.
 //
 // Architecture:
 //
@@ -16,27 +44,13 @@
 //     every scheduling-flag mutation happens under the agent's home
 //     shard lock).
 //
-//   - Time is virtual: the global initiation counter. The goroutine
-//     runtime parks a busy-rejected agent on a timer; here the same AIMD
-//     controller (runtime.AIMD — multiplicative increase on rejection,
-//     additive decrease on success, rejection-rate-scaled ceiling) is
-//     ADMISSION CONTROL: the rejected agent is pushed on its home
-//     deferred heap with a deadline in virtual ticks and the worker moves
-//     on. A worker with no due or queued work fast-forwards its earliest
+//   - Time is virtual: the global initiation counter. The AIMD window is
+//     ADMISSION CONTROL: a rejected agent is pushed on its home deferred
+//     heap with a deadline in virtual ticks and the worker moves on. A
+//     worker with no due or queued work fast-forwards its earliest
 //     deferral rather than sleeping, so deadlines shape interleaving
-//     without ever costing wall-clock and a run on a dead-quiet system
+//     without ever costing wall-clock, and a run on a dead-quiet system
 //     terminates immediately.
-//
-//   - The protocol and its semantic contract are unchanged: requests
-//     carry the initiator's state; a partner that is not itself awaiting
-//     a reply computes PairStep, adopts its half and replies with the
-//     other (the pair transition is atomic at the partner); an awaiting
-//     or crashed partner replies busy; the initiator admits no other
-//     exchange while its half is in flight (its mailbox drains to busy
-//     replies), so every completed exchange is exactly a D-step.
-//     Conservation and variant descent are asserted at quiescence via the
-//     shared engine.Monitor, against authoritative states gathered after
-//     every worker has stopped.
 //
 //   - Determinism keys on stable agent identity, never on workers or
 //     scheduling: every event that draws randomness (an initiation, a
@@ -45,9 +59,8 @@
 //     O(1) reseeds, no per-agent generator state beyond a counter. With
 //     Workers=1 the whole run — pops, steals (none), deferrals,
 //     convergence checks — is a pure function of the seed, which is the
-//     semantic pin: the 1-worker golden plays the same role GOMAXPROCS(1)
-//     plays for the goroutine runtime, and it is byte-stable across steal
-//     settings because stealing cannot occur with one shard.
+//     replay pin the 1-worker golden holds; it is byte-stable across
+//     steal settings because stealing cannot occur with one shard.
 //
 //   - Dynamics run at EPOCH SAFEPOINTS: every OpsPerEpoch initiations the
 //     crossing worker requests a stop-the-world pause, all workers park
@@ -58,18 +71,17 @@
 //     whose exchange half is in flight is DEFERRED until the reply is
 //     adopted, so the pair transition is never torn by a fault.
 //
-// Divergence from the goroutine runtime, by design: link availability is
-// a per-initiation Bernoulli draw on the initiator's stream rather than a
-// globally refreshed link table (an O(E) refresh every 16 initiations
-// does not scale to 10⁶ edges), and a system with no runnable agent —
-// islands, everyone crashed, budget drained — terminates immediately
-// instead of waiting out the wall-clock timeout.
+// Link availability is a per-initiation Bernoulli draw on the
+// initiator's stream (an O(E) link-table refresh does not scale to 10⁶
+// edges), and a system with no runnable agent — islands, everyone
+// crashed, budget drained — terminates immediately instead of waiting
+// out the wall-clock timeout.
 package sched
 
 import (
 	"errors"
 	"fmt"
-	stdruntime "runtime"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -81,7 +93,6 @@ import (
 	"repro/internal/graph"
 	ms "repro/internal/multiset"
 	"repro/internal/obs"
-	"repro/internal/runtime"
 )
 
 // Options configures a sharded-scheduler run. The zero value of every
@@ -133,12 +144,60 @@ type Options struct {
 	Probe *obs.Probe
 }
 
+// Result reports an asynchronous run.
+type Result[T any] struct {
+	// Converged reports whether the final multiset equals the target.
+	Converged bool
+	// Ops counts initiated exchanges (including busy rejections).
+	Ops int
+	// ProperSteps counts exchanges that changed the initiator's state.
+	ProperSteps int
+	// Violations lists monitor failures asserted at quiescence (the
+	// conservation law f(S) = S*, the net descent of the variant h, and
+	// frozen-state conservation under a dynamics schedule); empty on a
+	// correct run.
+	Violations []string
+	// Final holds the final (positional) agent states.
+	Final []T
+	// Target is f(S(0)), extended by any scheduled joiners.
+	Target ms.Multiset[T]
+	// QuiescenceChecks counts how many times the quiescence detector
+	// examined the observation board. Checks are adoption-gated — at most
+	// one per adoption, never on a wall-clock schedule — so this is
+	// bounded by the number of adoptions (at most 2·Ops), never by run
+	// duration.
+	QuiescenceChecks int
+	// Rejections counts busy-rejected initiations — the contention signal
+	// the AIMD backoff feeds on (Rejections ≤ Ops − ProperSteps).
+	Rejections int
+	// Lost counts initiated exchanges whose request was dropped in
+	// transit by the fault layer (0 when Options.Faults is nil).
+	Lost int
+	// Elapsed is the wall-clock duration of the run, stamped via the
+	// sanctioned obs clock so throughput is derivable without benchmark
+	// scaffolding.
+	Elapsed time.Duration
+	// Steals counts agents idle workers claimed from other shards.
+	Steals int
+	// Dynamics reports what a dynamics schedule actually did (crashes,
+	// recoveries, joins, amnesiac resets); nil when no schedule ran.
+	Dynamics *dynamics.Report
+}
+
+// ProperStepsPerSec derives the throughput figure the E20 scaling table
+// reports: proper steps per wall-clock second, 0 when Elapsed is zero
+// (a run that converged before its clock ticked, or a hand-built Result).
+func (r *Result[T]) ProperStepsPerSec() float64 {
+	if r.Elapsed <= 0 {
+		return 0
+	}
+	return float64(r.ProperSteps) / r.Elapsed.Seconds()
+}
+
 // Run executes problem p over graph g from the given initial states on
 // the sharded event-loop scheduler until the observed state multiset
 // equals the (possibly join-extended) target or a budget is exhausted.
-// It returns the same Result type as the goroutine runtime so the two
-// async engines are directly comparable.
-func Run[T any](p core.Problem[T], g *graph.Graph, initial []T, opts Options) (*runtime.Result[T], error) {
+func Run[T any](p core.Problem[T], g *graph.Graph, initial []T, opts Options) (*Result[T], error) {
 	clk := obs.NewWallClock()
 	start := clk.Now()
 
@@ -157,7 +216,7 @@ func Run[T any](p core.Problem[T], g *graph.Graph, initial []T, opts Options) (*
 		return nil, fmt.Errorf("sched: %d initial states for %d agents", len(initial), n)
 	}
 	if opts.Workers <= 0 {
-		opts.Workers = stdruntime.GOMAXPROCS(0)
+		opts.Workers = runtime.GOMAXPROCS(0)
 	}
 	if opts.Workers > n {
 		opts.Workers = n
@@ -199,7 +258,7 @@ func Run[T any](p core.Problem[T], g *graph.Graph, initial []T, opts Options) (*
 	initialM := ms.New(cmp, initial[:n]...)
 	mon := engine.NewMonitor(p, initialM, 0)
 	conv := engine.NewConvergence(p.Equal, mon.Target())
-	res := &runtime.Result[T]{Target: mon.Target()}
+	res := &Result[T]{Target: mon.Target()}
 	if opts.Dynamics == nil && conv.Observe(0, initialM) {
 		res.Converged = true
 		res.Final = append([]T(nil), initial...)
@@ -236,6 +295,7 @@ func Run[T any](p core.Problem[T], g *graph.Graph, initial []T, opts Options) (*
 		}(w)
 	}
 	wg.Wait()
+	r.settle()
 
 	res.Final = r.states
 	res.Ops = int(r.ops.Load())
@@ -311,7 +371,7 @@ type run[T any] struct {
 	sendTo       []int32 // delayed request's target (-1 = none)
 	sendDue      []int64
 	actDue       []int64 // admission deadline in virtual ticks
-	backoff      []runtime.AIMD
+	backoff      []AIMD
 	rings        []ring
 
 	// CSR neighbour lists, rebuilt at join safepoints.
@@ -384,7 +444,7 @@ func (r *run[T]) setup(n int) {
 	r.sendTo = make([]int32, n)
 	r.sendDue = make([]int64, n)
 	r.actDue = make([]int64, n)
-	r.backoff = make([]runtime.AIMD, n)
+	r.backoff = make([]AIMD, n)
 	r.board = make([]boardSlot[T], n)
 	r.viewBuf = make([]T, 0, n)
 	for a := 0; a < n; a++ {
@@ -537,15 +597,32 @@ func (r *run[T]) halt() {
 		sh.sleeping = false
 		sh.mu.Unlock()
 		if wake {
-			select {
-			case sh.wake <- struct{}{}:
-			default:
-			}
+			sh.signal()
 		}
 	}
 	r.sp.mu.Lock()
 	r.sp.cond.Broadcast()
 	r.sp.mu.Unlock()
+}
+
+// settle completes the exchanges a halt cut short, once every worker has
+// stopped. An OK reply still in its initiator's mailbox carries one half
+// of a pair transition whose other half the partner has already adopted,
+// so the initiator adopts it here; unserved requests and busy replies
+// changed no state and are dropped.
+func (r *run[T]) settle() {
+	for a := range r.rings {
+		sh := r.home(int32(a))
+		for {
+			m, ok := popMsg(&r.rings[a], sh.slab)
+			if !ok {
+				break
+			}
+			if m.kind == msgReplyOK {
+				r.handle(int32(a), m, nil) // adopting a reply draws nothing
+			}
+		}
+	}
 }
 
 // post publishes agent a's newly adopted state on the observation board.

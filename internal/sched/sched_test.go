@@ -1,15 +1,16 @@
 package sched
 
 import (
+	"math"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/dynamics"
 	"repro/internal/graph"
 	ms "repro/internal/multiset"
 	"repro/internal/obs"
 	"repro/internal/problems"
-	"repro/internal/runtime"
 )
 
 func topts() Options {
@@ -43,6 +44,15 @@ func TestSchedMin(t *testing.T) {
 	if res.ProperStepsPerSec() <= 0 {
 		t.Error("ProperStepsPerSec not derivable")
 	}
+	// Quiescence checks are adoption-gated, at most two adoptions per
+	// exchange: a detector polling on wall-clock time would break this
+	// op-derived bound on a slow machine.
+	if res.QuiescenceChecks == 0 {
+		t.Error("no quiescence checks recorded on a converging run")
+	}
+	if limit := 2*res.Ops + 1; res.QuiescenceChecks > limit {
+		t.Errorf("QuiescenceChecks = %d exceeds the adoption bound %d (ops=%d)", res.QuiescenceChecks, limit, res.Ops)
+	}
 }
 
 func TestSchedSumConservesTotal(t *testing.T) {
@@ -66,38 +76,110 @@ func TestSchedSumConservesTotal(t *testing.T) {
 	}
 }
 
-func TestSchedMatchesGoroutineRuntimeVerdicts(t *testing.T) {
-	// The two async engines realize the same protocol; on the same inputs
-	// both must converge to the same multiset (schedules differ, results
-	// may not).
-	g := graph.Hypercube(4)
-	vals := make([]int, g.N())
-	for i := range vals {
-		vals[i] = (i*7)%31 + 1
-	}
-	want := 1 // min of vals is at i with (i*7)%31==0 → value 1
-	res, err := Run[int](problems.NewMin(), g, vals, topts())
+// converged runs p and fails the test unless the run converged with a
+// clean monitor.
+func converged[T any](t *testing.T, p core.Problem[T], g *graph.Graph, initial []T, o Options) *Result[T] {
+	t.Helper()
+	res, err := Run(p, g, initial, o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Converged {
-		t.Fatalf("sched did not converge: %v", res.Final)
+		t.Fatalf("did not converge: final=%v after %d ops", res.Final, res.Ops)
 	}
-	for _, v := range res.Final {
+	if len(res.Violations) != 0 {
+		t.Fatalf("violations: %v", res.Violations)
+	}
+	return res
+}
+
+// allEqual fails the test unless every final state is want.
+func allEqual[T comparable](t *testing.T, final []T, want T) {
+	t.Helper()
+	for _, v := range final {
 		if v != want {
-			t.Fatalf("sched final = %v, want all %d", res.Final, want)
+			t.Fatalf("final = %v, want all %v", final, want)
 		}
 	}
-	rres, err := runtime.Run[int](problems.NewMin(), g, vals, runtime.Options{Seed: 1, Timeout: 20 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rres.Converged {
-		t.Fatalf("goroutine runtime did not converge: %v", rres.Final)
-	}
-	if !ms.OfInts(res.Final...).Equal(ms.OfInts(rres.Final...)) {
-		t.Errorf("engines disagree: sched %v vs goroutine %v", res.Final, rres.Final)
-	}
+}
+
+// TestSchedProblems runs the library's problem families through the
+// async protocol on the topologies their §4 assumptions name, with and
+// without link churn: whatever the interleaving, the final states must be
+// the problem's answer.
+func TestSchedProblems(t *testing.T) {
+	t.Run("min/hypercube", func(t *testing.T) {
+		g := graph.Hypercube(4)
+		vals := make([]int, g.N())
+		for i := range vals {
+			vals[i] = (i*7)%31 + 1
+		}
+		allEqual(t, converged(t, problems.NewMin(), g, vals, topts()).Final, 1)
+	})
+	t.Run("min/seeds", func(t *testing.T) {
+		for seed := int64(0); seed < 5; seed++ {
+			o := topts()
+			o.Seed = seed
+			allEqual(t, converged(t, problems.NewMin(), graph.Complete(6), []int{8, 3, 9, 5, 4, 7}, o).Final, 3)
+		}
+	})
+	t.Run("min/churn", func(t *testing.T) {
+		o := topts()
+		o.LinkUpProbability = 0.3
+		allEqual(t, converged(t, problems.NewMin(), graph.Ring(8), []int{9, 4, 7, 1, 8, 2, 6, 5}, o).Final, 1)
+	})
+	t.Run("sum/churn", func(t *testing.T) {
+		o := topts()
+		o.LinkUpProbability = 0.5
+		res := converged(t, problems.NewSum(), graph.Complete(5), []int{4, 1, 6, 2, 7}, o)
+		if !ms.OfInts(res.Final...).Equal(ms.OfInts(20, 0, 0, 0, 0)) {
+			t.Errorf("final = %v, want {20,0,0,0,0}", res.Final)
+		}
+	})
+	t.Run("average", func(t *testing.T) {
+		res := converged(t, problems.NewAverage(1e-6), graph.Complete(5), []float64{1, 2, 3, 4, 10}, topts())
+		for _, v := range res.Final {
+			if math.Abs(v-4) > 1e-5 {
+				t.Errorf("final value %g far from mean 4", v)
+			}
+		}
+	})
+	t.Run("sorting", func(t *testing.T) {
+		vals := []int{4, 1, 3, 0, 2}
+		p, err := problems.NewSorting(vals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := converged(t, p, graph.Line(5), problems.InitialItems(vals), topts())
+		for i, it := range res.Final {
+			if it.Index != i || it.Value != i {
+				t.Errorf("final[%d] = %v", i, it)
+			}
+		}
+	})
+	t.Run("hull", func(t *testing.T) {
+		pts := problems.Fig2Configuration()
+		converged(t, problems.NewHull(pts), graph.Ring(len(pts)), problems.InitialHulls(pts), topts())
+	})
+	t.Run("minpair", func(t *testing.T) {
+		res := converged(t, problems.NewMinPair(4, 10), graph.Complete(4), problems.InitialPairs([]int{3, 5, 3, 7}), topts())
+		allEqual(t, res.Final, problems.Pair{X: 3, Y: 5})
+	})
+	t.Run("setunion", func(t *testing.T) {
+		init := make([]problems.Set, 6)
+		for i := range init {
+			init[i] = problems.SetOf(i)
+		}
+		res := converged(t, problems.NewSetUnion(), graph.Ring(6), init, topts())
+		allEqual(t, res.Final, problems.SetOf(0, 1, 2, 3, 4, 5))
+	})
+	t.Run("range", func(t *testing.T) {
+		res := converged(t, problems.NewRange(16), graph.Complete(5), problems.InitialTuples([]int{9, 4, 7, 1, 8}), topts())
+		allEqual(t, res.Final, problems.Tuple[int, int]{A: 1, B: 9})
+	})
+	t.Run("gcd", func(t *testing.T) {
+		allEqual(t, converged(t, problems.NewGCD(), graph.Line(5), []int{12, 18, 30, 48, 6}, topts()).Final, 6)
+	})
 }
 
 // resultKey is the deterministic skeleton of a Result: everything except
@@ -109,7 +191,7 @@ type resultKey struct {
 	final                         string
 }
 
-func key(t *testing.T, res *runtime.Result[int]) resultKey {
+func key(t *testing.T, res *Result[int]) resultKey {
 	t.Helper()
 	fin := ""
 	for _, v := range res.Final {
@@ -125,8 +207,7 @@ func key(t *testing.T, res *runtime.Result[int]) resultKey {
 // TestSchedGoldenSingleWorker pins the determinism contract: with
 // Workers=1 the whole run is a pure function of the seed — byte-stable
 // across repetitions, across steal settings (no second shard to steal
-// from), and across probe attachment. This is the sched analogue of the
-// goroutine runtime's GOMAXPROCS(1) golden.
+// from), and across probe attachment.
 func TestSchedGoldenSingleWorker(t *testing.T) {
 	g := graph.Ring(12)
 	vals := []int{9, 4, 7, 1, 8, 2, 6, 5, 11, 3, 10, 12}
@@ -182,7 +263,10 @@ func TestSchedStealNoLostWakeup(t *testing.T) {
 			Seed:    seed,
 			Workers: 8, // one agent per shard: every exchange crosses shards
 			Timeout: 20 * time.Second,
-			MaxOps:  5000,
+			// Generous: with more workers than CPUs, a worker the Go
+			// scheduler parks mid-event holds its agent for a whole
+			// scheduling quantum, longer than a few thousand ops take.
+			MaxOps: 100_000,
 		}
 		start := time.Now()
 		res, err := Run[int](problems.NewMin(), g, vals, o)
@@ -246,6 +330,41 @@ func TestSchedFaults(t *testing.T) {
 	}
 }
 
+// TestSchedHaltSettlesInFlightExchanges: a wall-clock halt lands while
+// exchanges are in flight. A partner that already adopted its half of a
+// sum transfer has moved mass; unless the initiator adopts the reply
+// still in its mailbox, the finals lose it. Conservation at quiescence
+// must hold however the run is cut.
+func TestSchedHaltSettlesInFlightExchanges(t *testing.T) {
+	const n = 512
+	g := graph.Complete(n)
+	vals := make([]int, n)
+	total := 0
+	for i := range vals {
+		vals[i] = 1 + i%7
+		total += vals[i]
+	}
+	for seed := int64(0); seed < 5; seed++ {
+		res, err := Run[int](problems.NewSum(), g, vals, Options{
+			Seed: seed, Workers: 2, Timeout: time.Millisecond, MaxOps: 1 << 30,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Converged {
+			continue // finished before the halt: nothing to settle
+		}
+		sum := 0
+		for _, v := range res.Final {
+			sum += v
+		}
+		if sum != total || len(res.Violations) != 0 {
+			t.Fatalf("seed %d: halted run tore an exchange: final sum %d, want %d; violations %v",
+				seed, sum, total, res.Violations)
+		}
+	}
+}
+
 func TestSchedIslandsTerminateByBudget(t *testing.T) {
 	// Two disconnected islands: the global multiset can never reach the
 	// whole-system target, so the run must wind down on its op budget —
@@ -288,13 +407,15 @@ func TestSchedValidation(t *testing.T) {
 	if _, err := Run[int](problems.NewMin(), graph.Line(0), nil, topts()); err == nil {
 		t.Error("accepted empty system")
 	}
-	o := topts()
-	o.Faults = &dynamics.Faults{LossP: 1.5}
-	if _, err := Run[int](problems.NewMin(), g, []int{1, 2, 3, 4}, o); err == nil {
-		t.Error("accepted invalid faults")
+	for _, f := range []dynamics.Faults{{LossP: 1}, {LossP: 1.5}, {LossP: -0.5}, {DelayMax: -time.Second}} {
+		o := topts()
+		o.Faults = &f
+		if _, err := Run[int](problems.NewMin(), g, []int{1, 2, 3, 4}, o); err == nil {
+			t.Errorf("accepted invalid faults %+v", f)
+		}
 	}
 	// A join scheduled past the op budget can never be admitted.
-	o = topts()
+	o := topts()
 	o.Dynamics = dynamics.NewSchedule(dynamics.Join(1, "ring", 100))
 	o.OpsPerEpoch = 10
 	o.MaxOps = 50

@@ -55,6 +55,16 @@ type shard[T any] struct {
 	wake     chan struct{}
 }
 
+// signal hands the shard's worker its wake token. The caller has just
+// cleared sleeping under mu; the channel holds one token, and one pending
+// token is enough.
+func (s *shard[T]) signal() {
+	select {
+	case s.wake <- struct{}{}:
+	default:
+	}
+}
+
 // rqPush appends a to the run queue. Caller holds mu.
 //
 //det:hotpath

@@ -11,12 +11,7 @@
 # round: the partitioned matcher's buffers are engine-owned and reused
 # and PairStep is allocation-free, so a 4096-agent run sits near 710
 # allocs/op, almost all setup — a regression to even one allocation per
-# matched pair would add ~65k and fail loudly. BenchmarkAsyncRuntimeMin
-# pins the asynchronous runtime after the reusable-reply-channel and
-# receptive-backoff fixes: it runs near 500 allocs/op (scheduling-noisy),
-# and the budget of 1200 is far below the ~4000 allocs/op the
-# per-exchange-channel implementation cost, so a regression to
-# O(exchanges) allocation fails loudly. BenchmarkSweepGrid pins the
+# matched pair would add ~65k and fail loudly. BenchmarkSweepGrid pins the
 # scenario-grid runner's warm-engine contract: one persistent Runner
 # executes a 24-cell pairwise grid per op, so steady-state cells pay only
 # per-run bookkeeping (~40 allocs/cell — Result, probe, env masks,
@@ -63,8 +58,9 @@
 # same fixed-cost set). A regression that allocates per phase sample
 # adds hundreds per op (32 rounds × 7+ phase brackets) and fails loudly.
 #
-# BenchmarkSchedExchange1e4 pins the sharded actor scheduler's
-# per-exchange allocation contract: an 8192-agent hypercube min cell with
+# BenchmarkSchedExchange1e4 pins the asynchronous engine (the sharded
+# actor scheduler behind SimulateAsync) and its per-exchange allocation
+# contract: an 8192-agent hypercube min cell with
 # a 60·N (~500k) initiation budget runs to convergence in ~73 allocs/op —
 # exclusively setup (shard structs, mailbox slab, CSR arrays, run
 # queues); the event loop's push/pop/steal/defer hot path is
@@ -74,11 +70,12 @@
 # fails loudly.
 #
 # Benchmarks run one iteration with a fixed seed, so allocs/op is a stable
-# budget number for the simulator and a bounded-noise one for the runtime.
+# budget number for the simulator and a bounded-noise one for the
+# multi-worker scheduler.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-out=$(go test -run '^$' -bench 'BenchmarkSimComponentRing64$|BenchmarkSimPairwiseSharded4k$|BenchmarkAsyncRuntimeMin$|BenchmarkSweepGrid$|BenchmarkSimWithDynamics$|BenchmarkSimPairwiseDelta1e5$|BenchmarkJoinSplice$|BenchmarkSimRoundProbed$|BenchmarkSchedExchange1e4$' -benchtime=1x -benchmem .)
+out=$(go test -run '^$' -bench 'BenchmarkSimComponentRing64$|BenchmarkSimPairwiseSharded4k$|BenchmarkSweepGrid$|BenchmarkSimWithDynamics$|BenchmarkSimPairwiseDelta1e5$|BenchmarkJoinSplice$|BenchmarkSimRoundProbed$|BenchmarkSchedExchange1e4$' -benchtime=1x -benchmem .)
 echo "$out"
 
 fail=0
@@ -110,7 +107,6 @@ check() {
 
 check BenchmarkSimComponentRing64 1600
 check BenchmarkSimPairwiseSharded4k 1500
-check BenchmarkAsyncRuntimeMin 1200
 check BenchmarkSweepGrid 1200
 check BenchmarkSimWithDynamics 1600
 check BenchmarkSimPairwiseDelta1e5 400

@@ -25,10 +25,10 @@
 //   - Engines: a round-based simulator matching the paper's execution
 //     model exactly (with built-in runtime verification of the
 //     conservation law and the D-step discipline), and an asynchronous
-//     goroutine-per-agent message-passing runtime. Both are built on one
-//     shared engine core (monitors, convergence detection, deterministic
-//     seeding, worker pool) with an allocation-free round hot path; see
-//     DESIGN.md for the architecture.
+//     message-passing runtime that multiplexes every agent onto a few
+//     sharded event loops. Both are built on one shared engine core
+//     (monitors, convergence detection, deterministic seeding) with
+//     allocation-free hot paths; see DESIGN.md for the architecture.
 //   - Checkers: machine verification of idempotence, super-idempotence,
 //     the local-to-global properties, and exhaustive model checking of
 //     the paper's proof obligations on small instances.
@@ -48,7 +48,6 @@ package selfsim
 
 import (
 	"math/rand"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/env"
@@ -58,7 +57,6 @@ import (
 	"repro/internal/mc"
 	ms "repro/internal/multiset"
 	"repro/internal/problems"
-	"repro/internal/runtime"
 	"repro/internal/sched"
 	"repro/internal/sim"
 )
@@ -273,39 +271,34 @@ func Simulate[T any](p Problem[T], e Environment, initial []T, opts Options) (*R
 }
 
 // AsyncOptions configures an asynchronous message-passing run.
-type AsyncOptions = runtime.Options
+type AsyncOptions = sched.Options
 
 // AsyncResult reports an asynchronous run.
-type AsyncResult[T any] = runtime.Result[T]
+type AsyncResult[T any] = sched.Result[T]
 
-// SimulateAsync runs the goroutine-per-agent message-passing runtime over
-// graph g (links churned internally per opts).
+// SimulateAsync runs the asynchronous push-pull protocol for problem p
+// over graph g (links churned per initiation per opts) on the sharded
+// event-loop actor scheduler: P worker goroutines multiplex all N
+// agents, so 10⁵–10⁶-agent systems are feasible, and Workers: 1 replays
+// a run exactly from its seed.
 func SimulateAsync[T any](p Problem[T], g *Graph, initial []T, opts AsyncOptions) (*AsyncResult[T], error) {
-	return runtime.Run(p, g, initial, opts)
-}
-
-// DefaultAsyncOptions returns sensible asynchronous defaults: static
-// links, 10s timeout.
-func DefaultAsyncOptions(seed int64) AsyncOptions {
-	return AsyncOptions{Seed: seed, LinkUpProbability: 1, Timeout: 10 * time.Second}
-}
-
-// SchedOptions configures a sharded event-loop scheduler run.
-type SchedOptions = sched.Options
-
-// SimulateSched runs the same asynchronous push-pull protocol as
-// SimulateAsync on the sharded event-loop actor scheduler: P worker
-// goroutines multiplex all N agents, so 10⁵–10⁶-agent systems are
-// feasible. Returns the same AsyncResult as SimulateAsync, so the two
-// engines are directly comparable.
-func SimulateSched[T any](p Problem[T], g *Graph, initial []T, opts SchedOptions) (*AsyncResult[T], error) {
 	return sched.Run(p, g, initial, opts)
 }
 
-// DefaultSchedOptions returns sensible scheduler defaults: one worker
+// DefaultAsyncOptions returns sensible asynchronous defaults: one worker
 // per core, static links, stealing on.
-func DefaultSchedOptions(seed int64) SchedOptions {
-	return SchedOptions{Seed: seed, LinkUpProbability: 1}
+func DefaultAsyncOptions(seed int64) AsyncOptions {
+	return AsyncOptions{Seed: seed, LinkUpProbability: 1}
+}
+
+// SchedOptions is another name for AsyncOptions, kept for existing
+// callers.
+type SchedOptions = AsyncOptions
+
+// SimulateSched is another name for SimulateAsync, kept for existing
+// callers.
+func SimulateSched[T any](p Problem[T], g *Graph, initial []T, opts SchedOptions) (*AsyncResult[T], error) {
+	return SimulateAsync(p, g, initial, opts)
 }
 
 // --- Checkers (the §3 conditions as library calls) ---

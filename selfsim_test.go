@@ -131,6 +131,20 @@ func TestPublicAsync(t *testing.T) {
 	if err != nil || !res.Converged {
 		t.Fatalf("async: %v", err)
 	}
+	// One worker replays a run exactly from its seed.
+	replay := func() *AsyncResult[int] {
+		o := DefaultAsyncOptions(1)
+		o.Workers = 1
+		r, err := SimulateAsync[int](NewMin(), Complete(6), []int{8, 3, 9, 5, 4, 7}, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	a, b := replay(), replay()
+	if a.Ops != b.Ops || a.ProperSteps != b.ProperSteps || a.Rejections != b.Rejections {
+		t.Errorf("1-worker async run not replayable: %+v vs %+v", a, b)
+	}
 }
 
 func TestPublicCheckers(t *testing.T) {
