@@ -15,66 +15,6 @@ import (
 // signals, quiescence detection, fault tolerance, and independence from
 // scheduling policy — across worker counts and oversubscribed hosts.
 
-// TestSchedEdgelessStopsAtBudget: an impossible goal (isolated vertices,
-// no edge anywhere) must wind down without converging and without
-// overrunning its op budget.
-func TestSchedEdgelessStopsAtBudget(t *testing.T) {
-	g, err := graph.New("islands", 4, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := topts()
-	o.MaxOps = 50
-	o.Timeout = 2 * time.Second
-	res, err := Run[int](problems.NewMin(), g, []int{3, 1, 2, 4}, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Converged {
-		t.Error("converged without any edges")
-	}
-	if res.Ops > o.MaxOps {
-		t.Errorf("ops %d exceeded budget %d", res.Ops, o.MaxOps)
-	}
-	if !ms.OfInts(res.Final...).Equal(ms.OfInts(3, 1, 2, 4)) {
-		t.Errorf("isolated agents moved: final %v", res.Final)
-	}
-}
-
-// TestSchedBudgetStopsWithoutProgress: on two disjoint edges the global
-// minimum can never spread everywhere, yet every agent keeps a live
-// partner, so the run must spend its whole op budget and stop on it —
-// promptly, not on the wall-clock timeout.
-func TestSchedBudgetStopsWithoutProgress(t *testing.T) {
-	g, err := graph.New("two-pairs", 4, []graph.Edge{{A: 0, B: 1}, {A: 2, B: 3}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := topts()
-	o.MaxOps = 200
-	o.Timeout = 30 * time.Second // long: the test must NOT need it
-	start := time.Now()
-	res, err := Run[int](problems.NewMin(), g, []int{4, 3, 2, 1}, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Converged {
-		t.Error("disconnected system cannot converge globally")
-	}
-	if res.Ops != o.MaxOps {
-		t.Errorf("stopped after %d ops, budget is %d", res.Ops, o.MaxOps)
-	}
-	if el := time.Since(start); el > 5*time.Second {
-		t.Errorf("budget stop took %v — not woken by the budget signal", el)
-	}
-	// The budget is global: under load one pair's worker may spend all of
-	// it before the other pair is scheduled, so only conservation of the
-	// pairs' multiset is pinned, not local settling.
-	if len(res.Violations) != 0 {
-		t.Errorf("violations: %v", res.Violations)
-	}
-}
-
 // TestSchedQuiescenceLatency: convergence must be detected promptly after
 // the last adoption. The run takes a handful of exchanges, so its wall
 // time must be nowhere near the 20s safety-net timeout.
@@ -190,28 +130,6 @@ func TestSchedWorkerCountsAgree(t *testing.T) {
 	}
 }
 
-// TestSchedFaultsHeavyLoss: message loss and delay must never threaten
-// correctness — a lost request changes no state and a delayed one
-// executes the same atomic PairStep later — so min under heavy injected
-// loss still converges with zero violations, just more slowly.
-func TestSchedFaultsHeavyLoss(t *testing.T) {
-	g := graph.Complete(12)
-	vals := make([]int, 12)
-	for i := range vals {
-		vals[i] = 40 - 3*i
-	}
-	o := topts()
-	o.Faults = &dynamics.Faults{LossP: 0.4, DelayMax: 50 * time.Microsecond}
-	res := converged(t, problems.NewMin(), g, vals, o)
-	allEqual(t, res.Final, 7)
-	if res.Lost == 0 {
-		t.Error("LossP=0.4 run recorded zero lost requests")
-	}
-	if res.Lost > res.Ops {
-		t.Errorf("Lost = %d exceeds Ops = %d", res.Lost, res.Ops)
-	}
-}
-
 // TestSchedSumConservesUnderFaults: sum is the problem a torn exchange
 // would visibly corrupt — a dropped half destroys mass. Under loss and
 // delay the final multiset must still be exactly {total, 0, …, 0}.
@@ -251,7 +169,7 @@ func TestSchedDelayWithoutLoss(t *testing.T) {
 func TestSchedFaultsValidation(t *testing.T) {
 	g := graph.Ring(4)
 	vals := []int{3, 1, 2, 4}
-	for _, f := range []dynamics.Faults{{LossP: 1}, {LossP: -0.5}, {DelayMax: -time.Second}} {
+	for _, f := range []dynamics.Faults{{LossP: 1}, {LossP: 1.5}, {LossP: -0.5}, {DelayMax: -time.Second}} {
 		o := topts()
 		o.Faults = &f
 		if _, err := Run[int](problems.NewMin(), g, vals, o); err == nil {

@@ -43,7 +43,6 @@ func ticks(d time.Duration) int64 {
 func (r *run[T]) worker(w int) {
 	rng := engine.NewFastRand(r.opts.Seed)
 	own := &r.shards[w]
-	victim := w // the shard this worker last stole from
 	for {
 		if r.stop.Load() {
 			break
@@ -54,7 +53,7 @@ func (r *run[T]) worker(w int) {
 		}
 		r.maybeCheckQuiescence()
 
-		a, ok := r.next(own, w, &victim)
+		a, ok := r.next(own, w)
 		if !ok {
 			if !r.sleep(own) {
 				break
@@ -72,33 +71,31 @@ func (r *run[T]) worker(w int) {
 // next claims one runnable agent for worker w, or reports none. Every
 // flag transition happens under the claimed agent's home shard lock —
 // one agent per steal, so a thief never moves scheduling state out from
-// under its home lock. *victim is the shard w last stole from.
-func (r *run[T]) next(own *shard[T], w int, victim *int) (int32, bool) {
+// under its home lock.
+func (r *run[T]) next(own *shard[T], w int) (int32, bool) {
 	now := r.vnow.Load()
 	own.mu.Lock()
-	if a, ok := r.claimReadyLocked(own, now); ok {
+	for len(own.deferred) > 0 && own.deferred[0].due <= now {
+		e, _ := own.heapPop()
+		if r.claimLocked(e.agent, flagDeferred) {
+			own.mu.Unlock()
+			return e.agent, true
+		}
+	}
+	if a, ok := r.claimQueuedLocked(own); ok {
 		own.mu.Unlock()
 		return a, true
 	}
 	own.mu.Unlock()
 
-	// Steal: a round-robin sweep starting one shard past the last victim,
-	// taking due deferrals as well as queued agents. With more workers
-	// than CPUs the Go scheduler may leave a worker unscheduled for a
-	// whole run; a sweep that always started at the same shard, or that
-	// skipped deferrals, would starve that worker's agents.
+	// Steal: a deterministic round-robin sweep starting one shard up.
 	if !r.opts.NoSteal {
 		P := len(r.shards)
-		for i := 1; i <= P; i++ {
-			s := (*victim + i) % P
-			if s == w {
-				continue
-			}
-			v := &r.shards[s]
+		for i := 1; i < P; i++ {
+			v := &r.shards[(w+i)%P]
 			v.mu.Lock()
-			if a, ok := r.claimReadyLocked(v, now); ok {
+			if a, ok := r.claimQueuedLocked(v); ok {
 				v.mu.Unlock()
-				*victim = s
 				r.steals.Add(1)
 				r.opts.Probe.Add(obs.CounterSchedSteals, 1)
 				return a, true
@@ -126,18 +123,11 @@ func (r *run[T]) next(own *shard[T], w int, victim *int) (int32, bool) {
 	return 0, false
 }
 
-// claimReadyLocked claims one of sh's agents that may run at virtual
-// time now: due deferrals first, then the run queue. The caller holds
-// sh.mu.
+// claimQueuedLocked claims the first agent on sh's run queue that no
+// other worker is running. The caller holds sh.mu.
 //
 //det:hotpath
-func (r *run[T]) claimReadyLocked(sh *shard[T], now int64) (int32, bool) {
-	for len(sh.deferred) > 0 && sh.deferred[0].due <= now {
-		e, _ := sh.heapPop()
-		if r.claimLocked(e.agent, flagDeferred) {
-			return e.agent, true
-		}
-	}
+func (r *run[T]) claimQueuedLocked(sh *shard[T]) (int32, bool) {
 	for {
 		a, ok := sh.rqPop()
 		if !ok {
@@ -355,8 +345,8 @@ func (r *run[T]) finish(sh *shard[T], a int32, out outcome, due int64) {
 	}
 	r.flags[a] = f
 	// A thief finishing a stolen agent pushes onto the agent's home
-	// shard, whose worker may be asleep; a deferral not yet due is run
-	// only by its home worker, so without this wake it could wait forever.
+	// shard, whose worker may be asleep; thieves never take deferrals, so
+	// without this wake a deferred agent could wait forever.
 	wake := pushed && sh.sleeping
 	if wake {
 		sh.sleeping = false

@@ -48,6 +48,7 @@ package selfsim
 
 import (
 	"math/rand"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/env"
@@ -286,9 +287,9 @@ func SimulateAsync[T any](p Problem[T], g *Graph, initial []T, opts AsyncOptions
 }
 
 // DefaultAsyncOptions returns sensible asynchronous defaults: one worker
-// per core, static links, stealing on.
+// per core, static links, stealing on, 10s timeout.
 func DefaultAsyncOptions(seed int64) AsyncOptions {
-	return AsyncOptions{Seed: seed, LinkUpProbability: 1}
+	return AsyncOptions{Seed: seed, LinkUpProbability: 1, Timeout: 10 * time.Second}
 }
 
 // SchedOptions is another name for AsyncOptions, kept for existing
