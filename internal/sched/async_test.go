@@ -1,56 +1,46 @@
 package sched
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
 
-	"repro/internal/dynamics"
 	"repro/internal/graph"
 	ms "repro/internal/multiset"
 	"repro/internal/problems"
 )
 
-// These tests pin the asynchronous protocol's contracts — termination
-// signals, quiescence detection, fault tolerance, and independence from
-// scheduling policy — across worker counts and oversubscribed hosts.
+// These tests pin the asynchronous protocol's contracts — quiescence
+// detection, counter ordering, and independence from scheduling policy —
+// across worker counts and oversubscribed hosts.
 
-// TestSchedQuiescenceLatency: convergence must be detected promptly after
-// the last adoption. The run takes a handful of exchanges, so its wall
-// time must be nowhere near the 20s safety-net timeout.
-func TestSchedQuiescenceLatency(t *testing.T) {
-	start := time.Now()
-	res, err := Run[int](problems.NewMin(), graph.Ring(4), []int{3, 1, 2, 4}, topts())
-	el := time.Since(start)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged {
-		t.Fatalf("did not converge: %v", res.Final)
-	}
-	if el > 2*time.Second {
-		t.Errorf("quiescence took %v — detector is not event-driven", el)
-	}
-}
-
-// TestSchedQuiescenceIsEventDriven: the adoption bound on quiescence
-// checks (at most one per adoption, two adoptions per exchange) must hold
-// whatever the worker count, with CheckEvery at its most eager setting.
+// TestSchedQuiescenceIsEventDriven: convergence is detected promptly
+// after the last adoption, and the adoption bound on quiescence checks (at
+// most one per adoption, two adoptions per exchange) holds whatever the
+// worker count, with CheckEvery at its most eager setting. A detector
+// polling on wall-clock time would break the bound on a slow machine.
 func TestSchedQuiescenceIsEventDriven(t *testing.T) {
 	g := graph.Complete(10)
 	vals := []int{19, 4, 17, 11, 8, 12, 6, 15, 10, 13}
 	for _, w := range []int{1, 2, 4} {
-		o := topts()
-		o.Workers = w
-		o.CheckEvery = 1
-		res := converged(t, problems.NewMin(), g, vals, o)
-		if res.QuiescenceChecks == 0 {
-			t.Errorf("workers=%d: no quiescence checks recorded on a converging run", w)
-		}
-		if limit := 2*res.Ops + 1; res.QuiescenceChecks > limit {
-			t.Errorf("workers=%d: QuiescenceChecks = %d exceeds the adoption bound %d (ops=%d)",
-				w, res.QuiescenceChecks, limit, res.Ops)
-		}
+		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
+			o := topts()
+			o.Workers = w
+			o.CheckEvery = 1
+			start := time.Now()
+			res := converged(t, problems.NewMin(), g, vals, o)
+			if el := time.Since(start); el > 2*time.Second {
+				t.Errorf("quiescence took %v, near the %v safety-net timeout", el, o.Timeout)
+			}
+			if res.QuiescenceChecks == 0 {
+				t.Error("no quiescence checks recorded on a converging run")
+			}
+			if limit := 2*res.Ops + 1; res.QuiescenceChecks > limit {
+				t.Errorf("QuiescenceChecks = %d exceeds the adoption bound %d (ops=%d)",
+					res.QuiescenceChecks, limit, res.Ops)
+			}
+		})
 	}
 }
 
@@ -127,59 +117,5 @@ func TestSchedWorkerCountsAgree(t *testing.T) {
 			o.NoSteal = noSteal
 			allEqual(t, converged(t, problems.NewMin(), g, vals, o).Final, 3)
 		}
-	}
-}
-
-// TestSchedSumConservesUnderFaults: sum is the problem a torn exchange
-// would visibly corrupt — a dropped half destroys mass. Under loss and
-// delay the final multiset must still be exactly {total, 0, …, 0}.
-func TestSchedSumConservesUnderFaults(t *testing.T) {
-	g := graph.Complete(6)
-	vals := []int{3, 1, 5, 2, 7, 4} // total 22
-	for seed := int64(0); seed < 3; seed++ {
-		o := topts()
-		o.Seed = seed
-		o.Workers = 2
-		o.Faults = &dynamics.Faults{LossP: 0.3, DelayMax: 40 * time.Microsecond}
-		res := converged(t, problems.NewSum(), g, vals, o)
-		if !ms.OfInts(res.Final...).Equal(ms.OfInts(22, 0, 0, 0, 0, 0)) {
-			t.Errorf("seed %d: final = %v, want {22,0,0,0,0,0}", seed, res.Final)
-		}
-		if res.Lost == 0 {
-			t.Errorf("seed %d: LossP=0.3 lost no messages", seed)
-		}
-	}
-}
-
-// TestSchedDelayWithoutLoss: delivery delay alone reorders exchanges but
-// drops none, so the run converges with Lost pinned at zero.
-func TestSchedDelayWithoutLoss(t *testing.T) {
-	o := topts()
-	o.Workers = 2
-	o.Faults = &dynamics.Faults{DelayMax: 100 * time.Microsecond}
-	res := converged(t, problems.NewMin(), graph.Ring(10), []int{9, 4, 7, 1, 8, 2, 6, 5, 3, 10}, o)
-	allEqual(t, res.Final, 1)
-	if res.Lost != 0 {
-		t.Errorf("delay-only faults lost %d requests", res.Lost)
-	}
-}
-
-// TestSchedFaultsValidation: malformed fault specs fail the run before
-// any agent starts, and a nil or zero spec is accepted.
-func TestSchedFaultsValidation(t *testing.T) {
-	g := graph.Ring(4)
-	vals := []int{3, 1, 2, 4}
-	for _, f := range []dynamics.Faults{{LossP: 1}, {LossP: 1.5}, {LossP: -0.5}, {DelayMax: -time.Second}} {
-		o := topts()
-		o.Faults = &f
-		if _, err := Run[int](problems.NewMin(), g, vals, o); err == nil {
-			t.Errorf("Faults%+v: expected an error", f)
-		}
-	}
-	o := topts()
-	o.Faults = &dynamics.Faults{}
-	res := converged(t, problems.NewMin(), g, vals, o)
-	if res.Lost != 0 {
-		t.Errorf("zero fault spec lost %d requests", res.Lost)
 	}
 }

@@ -49,22 +49,30 @@ func TestSchedMin(t *testing.T) {
 func TestSchedSumConservesTotal(t *testing.T) {
 	// Sum over the complete graph: the paper's §4.2 assumption. The final
 	// multiset must be exactly {total, 0, …, 0} — conservation at
-	// quiescence despite transiently inconsistent views.
+	// quiescence despite transiently inconsistent views. A torn exchange
+	// would visibly destroy mass, so the same must hold under message
+	// loss and delay.
 	g := graph.Complete(6)
 	vals := []int{3, 1, 5, 2, 7, 4} // total 22
-	res, err := Run[int](problems.NewSum(), g, vals, topts())
-	if err != nil {
-		t.Fatal(err)
+	run := func(t *testing.T, o Options) *Result[int] {
+		res := converged(t, problems.NewSum(), g, vals, o)
+		if !ms.OfInts(res.Final...).Equal(ms.OfInts(22, 0, 0, 0, 0, 0)) {
+			t.Errorf("final = %v, want {22,0,0,0,0,0}", res.Final)
+		}
+		return res
 	}
-	if !res.Converged {
-		t.Fatalf("sum did not converge: %v", res.Final)
-	}
-	if !ms.OfInts(res.Final...).Equal(ms.OfInts(22, 0, 0, 0, 0, 0)) {
-		t.Errorf("final = %v, want {22,0,0,0,0,0}", res.Final)
-	}
-	if len(res.Violations) != 0 {
-		t.Errorf("violations: %v", res.Violations)
-	}
+	t.Run("clean", func(t *testing.T) { run(t, topts()) })
+	t.Run("faults", func(t *testing.T) {
+		for seed := int64(0); seed < 3; seed++ {
+			o := topts()
+			o.Seed = seed
+			o.Workers = 2
+			o.Faults = &dynamics.Faults{LossP: 0.3, DelayMax: 40 * time.Microsecond}
+			if res := run(t, o); res.Lost == 0 {
+				t.Errorf("seed %d: LossP=0.3 lost no messages", seed)
+			}
+		}
+	})
 }
 
 // converged runs p and fails the test unless the run converged with a
@@ -297,29 +305,40 @@ func TestSchedStealsHappen(t *testing.T) {
 	}
 }
 
+// TestSchedFaults: loss and delay never threaten correctness — a lost
+// request changes no state and a delayed one executes the same atomic
+// PairStep later — so min still converges with zero violations. Only
+// loss spends initiations on nothing.
 func TestSchedFaults(t *testing.T) {
 	g := graph.Ring(8)
 	vals := []int{9, 4, 7, 1, 8, 2, 6, 5}
-	o := topts()
-	o.Faults = &dynamics.Faults{LossP: 0.3, DelayMax: 80 * time.Microsecond}
-	o.Seed = 5
-	res, err := Run[int](problems.NewMin(), g, vals, o)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name   string
+		faults dynamics.Faults
+		lossy  bool
+	}{
+		{"loss+delay", dynamics.Faults{LossP: 0.3, DelayMax: 80 * time.Microsecond}, true},
+		{"delay", dynamics.Faults{DelayMax: 100 * time.Microsecond}, false},
+		{"zero", dynamics.Faults{}, false},
 	}
-	if !res.Converged {
-		t.Fatalf("did not converge under loss+delay: %v (ops=%d lost=%d)", res.Final, res.Ops, res.Lost)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			o := topts()
+			o.Faults = &c.faults
+			o.Seed = 5
+			res := converged(t, problems.NewMin(), g, vals, o)
+			allEqual(t, res.Final, 1)
+			if c.lossy && res.Lost == 0 {
+				t.Error("lossy faults lost no messages")
+			}
+			if !c.lossy && res.Lost != 0 {
+				t.Errorf("lost %d requests without loss", res.Lost)
+			}
+			if res.Lost > res.Ops {
+				t.Errorf("Lost = %d exceeds Ops = %d", res.Lost, res.Ops)
+			}
+		})
 	}
-	if res.Lost == 0 {
-		t.Error("LossP=0.3 lost no messages")
-	}
-	if res.Lost > res.Ops {
-		t.Errorf("Lost = %d exceeds Ops = %d", res.Lost, res.Ops)
-	}
-	if len(res.Violations) != 0 {
-		t.Errorf("violations under faults: %v", res.Violations)
-	}
-	allEqual(t, res.Final, 1)
 }
 
 // TestSchedHaltSettlesInFlightExchanges: a wall-clock halt lands while
@@ -432,6 +451,13 @@ func TestSchedValidation(t *testing.T) {
 	}
 	if _, err := Run[int](problems.NewMin(), graph.Line(0), nil, topts()); err == nil {
 		t.Error("accepted empty system")
+	}
+	for _, f := range []dynamics.Faults{{LossP: 1}, {LossP: 1.5}, {LossP: -0.5}, {DelayMax: -time.Second}} {
+		o := topts()
+		o.Faults = &f
+		if _, err := Run[int](problems.NewMin(), g, []int{1, 2, 3, 4}, o); err == nil {
+			t.Errorf("accepted invalid faults %+v", f)
+		}
 	}
 	// A join scheduled past the op budget can never be admitted.
 	o := topts()
