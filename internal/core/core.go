@@ -106,13 +106,13 @@ func (f intoFuncAdapter[T]) ApplyInto(dst []T, x ms.Multiset[T]) []T { return f.
 
 // SuperIdempotentFunction is an optional marker a Function carries to
 // assert the §3.4 structural condition f(X ∪ Y) = f(f(X) ∪ Y). The
-// sharded monitor reduction (engine.Monitor.ObserveRoundSharded) checks
+// sharded monitor reduction (engine.Monitor.ObserveRound) checks
 // conservation through per-shard partial images f(S_i) — an equality
 // that holds exactly when f is super-idempotent — so it takes the
 // partial-image path only for marked functions and falls back to
 // evaluating f on the merged global snapshot otherwise. Marking a
-// function that is NOT super-idempotent makes the sharded conservation
-// verdict diverge from the unsharded one; problems should mark f only
+// function that is NOT super-idempotent makes the multi-shard
+// conservation verdict diverge from the one-shard one; problems should mark f only
 // when the property is established (the checkers in this package, the E9
 // classification).
 type SuperIdempotentFunction interface {

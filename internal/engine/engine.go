@@ -52,11 +52,15 @@ type Monitor[T any] struct {
 	// core.IntoFunction fast path, so the conservation check allocates
 	// nothing in steady state.
 	fBuf []T
-	// Sharded-observation scratch (see ObserveRoundSharded): per-shard f
-	// images, their backing buffers, and the merger that reduces them.
+	// Partial-image scratch (see ObserveRound): per-shard f images, their
+	// backing buffers, the merger that reduces them, and the per-shard
+	// evaluation handed to the pool — built once in Reset, reading the
+	// shard set ObserveRound binds to shards before each fan-out.
 	partials    []ms.Multiset[T]
 	partialBufs [][]T
 	partialMrg  *ms.Merger[T]
+	partialFn   func(worker, i int)
+	shards      *Shards[T]
 }
 
 // NewMonitor builds a Monitor for problem p from the initial state
@@ -81,36 +85,62 @@ func (m *Monitor[T]) Reset(p core.Problem[T], initial ms.Multiset[T], hEps float
 	m.lastH = m.h.Value(initial)
 	m.violations = nil
 	m.partialMrg = nil // f (and hence cmp) may have changed with the problem
+	if m.partialFn == nil {
+		m.partialFn = func(_, i int) {
+			m.partials[i], m.partialBufs[i] = core.ApplyInto(m.f, m.partialBufs[i], m.shards.ShardView(i))
+		}
+	}
 }
 
 // Target returns the goal multiset S* = f(S(0)).
 func (m *Monitor[T]) Target() ms.Multiset[T] { return m.target }
 
-// ObserveRound checks the global state after a round: the conservation law
-// f(S) = S* and the monotone descent of h relative to the previous
-// observation. It returns the current h value. f is evaluated through the
-// core.ApplyInto fast path into a monitor-owned buffer, so for functions
-// that provide it the check allocates nothing.
-func (m *Monitor[T]) ObserveRound(round int, now ms.Multiset[T]) float64 {
+// ObserveRound checks the global state after a round: the conservation
+// law f(S) = S* and the monotone descent of h relative to the previous
+// observation. It returns the current h value. global must be the current
+// sh.View(); it is passed in so engines that already took this round's
+// snapshot (for convergence detection) do not pay for a second merge.
+//
+// With more than one shard, the conservation check evaluates f through
+// per-shard partial images f(S_i), computed concurrently on the pool into
+// per-shard reusable buffers, and reduces them as f(f(S_1) ∪ … ∪ f(S_P))
+// — equal to f(S) exactly when f is super-idempotent (§3.4), the
+// structural condition every problem this repository ships satisfies.
+// The partial-image path is taken only when f carries the
+// core.SuperIdempotentFunction marker; an unmarked f — a user-defined
+// problem whose f may be merely idempotent, the §4.3/§4.5 negative
+// examples — is evaluated on the global view, as is every f when there is
+// one shard (f(S_1) IS f(S)), so monitor verdicts never depend on the
+// shard count. f is evaluated through the core.ApplyInto fast path into
+// monitor-owned buffers, so for functions that provide it the check
+// allocates nothing.
+//
+//det:hotpath
+func (m *Monitor[T]) ObserveRound(round int, global ms.Multiset[T], sh *Shards[T], pool *Pool) float64 {
 	var fx ms.Multiset[T]
-	fx, m.fBuf = core.ApplyInto(m.f, m.fBuf, now)
-	return m.judge(round, fx, now)
-}
-
-// judge is the verdict tail shared by ObserveRound and
-// ObserveRoundSharded: the conservation verdict on the (already
-// evaluated) f image fx, and the descent check of h on the global state —
-// one copy, so the sharded and unsharded monitors cannot drift apart in
-// message format or slack handling.
-func (m *Monitor[T]) judge(round int, fx, global ms.Multiset[T]) float64 {
+	if p := sh.P(); p == 1 || !core.IsSuperIdempotent(m.f) {
+		fx, m.fBuf = core.ApplyInto(m.f, m.fBuf, global)
+	} else {
+		if cap(m.partials) < p {
+			//lint:ignore hotalloc grows once to the shard count, which is fixed for the run; every later round reuses it
+			m.partials = make([]ms.Multiset[T], p)
+			//lint:ignore hotalloc grows once with partials, see above
+			m.partialBufs = make([][]T, p)
+		}
+		m.partials = m.partials[:p]
+		m.shards = sh
+		pool.DoAll(p, m.partialFn)
+		if m.partialMrg == nil {
+			m.partialMrg = ms.NewMerger(global.Cmp())
+		}
+		fx, m.fBuf = core.ApplyInto(m.f, m.fBuf, m.partialMrg.Union(m.partials...))
+	}
 	if !m.equal(fx, m.target) {
-		m.violations = append(m.violations,
-			fmt.Sprintf("round %d: conservation law violated: f(S) ≠ S*", round))
+		m.AddViolation("round %d: conservation law violated: f(S) ≠ S*", round)
 	}
 	nowH := m.h.Value(global)
 	if nowH > m.lastH+m.hEps {
-		m.violations = append(m.violations,
-			fmt.Sprintf("round %d: variant increased %g → %g", round, m.lastH, nowH))
+		m.AddViolation("round %d: variant increased %g → %g", round, m.lastH, nowH)
 	}
 	m.lastH = nowH
 	return nowH

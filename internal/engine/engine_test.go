@@ -77,6 +77,12 @@ func TestPoolCloseWithoutUse(t *testing.T) {
 	p.Close() // must not panic or leak
 }
 
+// observeOneShard runs ObserveRound over a one-shard layout of vals.
+func observeOneShard(m *Monitor[int], round int, vals ...int) float64 {
+	sh := NewShards(ms.OrderedCmp[int](), vals, 1)
+	return m.ObserveRound(round, sh.View(), sh, NewPool(1, 1))
+}
+
 func TestMonitorCleanRound(t *testing.T) {
 	p := problems.NewMin()
 	initial := ms.OfInts(3, 1, 2)
@@ -84,7 +90,7 @@ func TestMonitorCleanRound(t *testing.T) {
 	if !m.Target().Equal(ms.OfInts(1, 1, 1)) {
 		t.Fatalf("target = %v, want {1, 1, 1}", m.Target())
 	}
-	h := m.ObserveRound(0, ms.OfInts(1, 1, 2))
+	h := observeOneShard(m, 0, 1, 1, 2)
 	if len(m.Violations()) != 0 {
 		t.Fatalf("clean round produced violations: %v", m.Violations())
 	}
@@ -96,7 +102,7 @@ func TestMonitorCleanRound(t *testing.T) {
 func TestMonitorFlagsConservationAndDescent(t *testing.T) {
 	p := problems.NewMin()
 	m := NewMonitor[int](p, ms.OfInts(3, 1, 2), 0)
-	m.ObserveRound(0, ms.OfInts(5, 5, 5)) // f changed AND h grew
+	observeOneShard(m, 0, 5, 5, 5) // f changed AND h grew
 	v := m.Violations()
 	if len(v) != 2 {
 		t.Fatalf("violations = %v, want conservation + variant", v)

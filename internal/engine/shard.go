@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"repro/internal/core"
 	ms "repro/internal/multiset"
 	"repro/internal/obs"
 )
@@ -37,6 +36,8 @@ type Shards[T any] struct {
 	views  []ms.Multiset[T]
 	merger *ms.Merger[T]
 	probe  *obs.Probe
+	// flushFn is Flush's per-shard repair, built once in Reset.
+	flushFn func(worker, i int)
 }
 
 // SetProbe attaches (or, with nil, detaches) an observability probe
@@ -48,36 +49,8 @@ func (s *Shards[T]) SetProbe(probe *obs.Probe) { s.probe = probe }
 // NewShards builds a sharded snapshot of the given positional states
 // split into p contiguous blocks (p is clamped to [1, len(states)]).
 func NewShards[T any](cmp ms.Cmp[T], states []T, p int) *Shards[T] {
-	n := len(states)
-	if p < 1 {
-		p = 1
-	}
-	if p > n && n > 0 {
-		p = n
-	}
-	bs := (n + p - 1) / p
-	if bs < 1 {
-		bs = 1
-	}
-	s := &Shards[T]{
-		cmp:       cmp,
-		blockSize: bs,
-		trackers:  make([]*ms.Tracker[T], p),
-		olds:      make([][]T, p),
-		news:      make([][]T, p),
-		views:     make([]ms.Multiset[T], p),
-		merger:    ms.NewMerger(cmp),
-	}
-	for i := 0; i < p; i++ {
-		lo, hi := i*bs, (i+1)*bs
-		if lo > n {
-			lo = n
-		}
-		if hi > n {
-			hi = n
-		}
-		s.trackers[i] = ms.NewTracker(cmp, states[lo:hi])
-	}
+	s := &Shards[T]{}
+	s.Reset(cmp, states, p)
 	return s
 }
 
@@ -112,6 +85,15 @@ func (s *Shards[T]) Reset(cmp ms.Cmp[T], states []T, p int) {
 		s.merger = ms.NewMerger(cmp)
 	} else {
 		s.merger.Reset(cmp)
+	}
+	if s.flushFn == nil {
+		// Built once: it captures only s, so Flush hands the pool the same
+		// func value every round instead of allocating a closure per call.
+		s.flushFn = func(_, i int) {
+			s.trackers[i].Replace(s.olds[i], s.news[i])
+			s.olds[i] = s.olds[i][:0]
+			s.news[i] = s.news[i][:0]
+		}
 	}
 	for i := 0; i < p; i++ {
 		lo, hi := i*bs, (i+1)*bs
@@ -174,6 +156,8 @@ func (s *Shards[T]) Stage(agent int, oldV, newV T) {
 // the staging buffers. The per-shard repairs are independent (disjoint
 // trackers, disjoint staging), so they fan out across the pool; results
 // do not depend on scheduling.
+//
+//det:hotpath
 func (s *Shards[T]) Flush(pool *Pool) {
 	if s.probe != nil {
 		staged := 0
@@ -183,11 +167,7 @@ func (s *Shards[T]) Flush(pool *Pool) {
 		s.probe.Add(obs.CounterShardFlushes, 1)
 		s.probe.Add(obs.CounterStagedDeltas, int64(staged))
 	}
-	pool.DoAll(len(s.trackers), func(_, i int) {
-		s.trackers[i].Replace(s.olds[i], s.news[i])
-		s.olds[i] = s.olds[i][:0]
-		s.news[i] = s.news[i][:0]
-	})
+	pool.DoAll(len(s.trackers), s.flushFn)
 }
 
 // ShardView returns shard i's current multiset as a zero-copy view,
@@ -195,9 +175,16 @@ func (s *Shards[T]) Flush(pool *Pool) {
 func (s *Shards[T]) ShardView(i int) ms.Multiset[T] { return s.trackers[i].View() }
 
 // View merges the shard views into the global state multiset — the
-// P-way ∪ of the paper, into a buffer reused across rounds. The view is
-// invalidated by the next View or Flush call.
+// P-way ∪ of the paper, into a buffer reused across rounds. With one
+// shard there is nothing to merge and the view is that shard's own
+// zero-copy view. The view is invalidated by the next View, Flush, or
+// Append call.
+//
+//det:hotpath
 func (s *Shards[T]) View() ms.Multiset[T] {
+	if len(s.trackers) == 1 {
+		return s.trackers[0].View()
+	}
 	if s.probe != nil {
 		s.probe.Add(obs.CounterShardMerges, 1)
 	}
@@ -214,49 +201,4 @@ func (s *Shards[T]) Len() int {
 		n += t.Len()
 	}
 	return n
-}
-
-// ObserveRoundSharded is the shard-aware reduction of ObserveRound: the
-// conservation check evaluates f through per-shard partial images
-// f(S_i), computed concurrently on the pool into per-shard reusable
-// buffers, and reduces them at round end as f(f(S_1) ∪ … ∪ f(S_P)) —
-// equal to f(S) exactly when f is super-idempotent (§3.4), which is the
-// structural condition every problem this repository ships already
-// satisfies (and the engine-equivalence golden tests verify the verdicts
-// match the unsharded monitor bit for bit). The partial-image path is
-// taken only when f carries the core.SuperIdempotentFunction marker; an
-// unmarked f — a user-defined problem whose f may be merely idempotent,
-// the §4.3/§4.5 negative examples — falls back to evaluating f on the
-// merged global snapshot, so monitor verdicts never depend on the state
-// layout. The variant h and the returned value are computed on the
-// merged global view, exactly as in ObserveRound.
-//
-// global must be the current sh.View(); it is passed in so engines that
-// already merged this round's snapshot (for convergence detection) do
-// not pay for a second merge.
-func (m *Monitor[T]) ObserveRoundSharded(round int, global ms.Multiset[T], sh *Shards[T], pool *Pool) float64 {
-	if !core.IsSuperIdempotent(m.f) {
-		return m.ObserveRound(round, global)
-	}
-	p := sh.P()
-	if cap(m.partials) < p {
-		m.partials = make([]ms.Multiset[T], p)
-		m.partialBufs = make([][]T, p)
-	}
-	partials := m.partials[:p]
-	pool.DoAll(p, func(_, i int) {
-		partials[i], m.partialBufs[i] = core.ApplyInto(m.f, m.partialBufs[i], sh.ShardView(i))
-	})
-	var fx ms.Multiset[T]
-	if p == 1 {
-		// One shard: f(S_1) IS f(S); skip the (idempotent) outer apply.
-		fx = partials[0]
-	} else {
-		if m.partialMrg == nil {
-			m.partialMrg = ms.NewMerger(global.Cmp())
-		}
-		merged := m.partialMrg.Union(partials...)
-		fx, m.fBuf = core.ApplyInto(m.f, m.fBuf, merged)
-	}
-	return m.judge(round, fx, global)
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -82,9 +83,10 @@ func TestShardsOwnerCoversAllAgents(t *testing.T) {
 	}
 }
 
-// TestObserveRoundShardedMatchesUnsharded: the sharded monitor reduction
-// must produce the same h values and the same (absence of) violations as
-// the unsharded ObserveRound across the super-idempotent problems.
+// TestObserveRoundShardedMatchesUnsharded: the partial-image monitor
+// reduction over P shards must produce the same h values and the same
+// (absence of) violations as a monitor over one shard, which evaluates f
+// on the global view, across a run of valid steps.
 func TestObserveRoundShardedMatchesUnsharded(t *testing.T) {
 	pool := NewPool(4, 1)
 	defer pool.Close()
@@ -97,23 +99,24 @@ func TestObserveRoundShardedMatchesUnsharded(t *testing.T) {
 	}
 	for _, p := range []int{1, 3, 8} {
 		sh := NewShards(cmp, states, p)
-		tr := ms.NewTracker(cmp, states)
+		one := NewShards(cmp, states, 1)
 		monSharded := NewMonitor[int](pr, sh.View(), 0)
-		monPlain := NewMonitor[int](pr, tr.View(), 0)
+		monPlain := NewMonitor[int](pr, one.View(), 0)
 		work := append([]int(nil), states...)
 		for round := 0; round < 8; round++ {
 			// A valid D-step: a random pair adopts its minimum.
 			a, b := rng.Intn(len(work)), rng.Intn(len(work))
 			if a != b && work[a] != work[b] {
 				m := min(work[a], work[b])
-				sh.Stage(a, work[a], m)
-				sh.Stage(b, work[b], m)
-				tr.Replace([]int{work[a], work[b]}, []int{m, m})
+				for _, x := range [...]*Shards[int]{sh, one} {
+					x.Stage(a, work[a], m)
+					x.Stage(b, work[b], m)
+					x.Flush(pool)
+				}
 				work[a], work[b] = m, m
-				sh.Flush(pool)
 			}
-			hS := monSharded.ObserveRoundSharded(round, sh.View(), sh, pool)
-			hP := monPlain.ObserveRound(round, tr.View())
+			hS := monSharded.ObserveRound(round, sh.View(), sh, pool)
+			hP := monPlain.ObserveRound(round, one.View(), one, pool)
 			if hS != hP {
 				t.Fatalf("p=%d round %d: sharded h %g != plain h %g", p, round, hS, hP)
 			}
@@ -134,11 +137,16 @@ func TestObserveRoundShardedDetectsViolation(t *testing.T) {
 	states := []int{4, 7, 2, 9, 5, 1}
 	sh := NewShards(pr.Cmp(), states, 3)
 	mon := NewMonitor[int](pr, sh.View(), 0)
-	sh.Stage(2, 2, 3) // losing the value 2 changes the global minimum: f(S) ≠ S*
+	// Agent 5 (last shard) holds the only 1, the global minimum; losing it
+	// changes f(S).
+	sh.Stage(5, 1, 3)
 	sh.Flush(pool)
-	mon.ObserveRoundSharded(0, sh.View(), sh, pool)
-	if len(mon.Violations()) == 0 {
-		t.Fatal("conservation violation not detected through sharded reduction")
+	if fx, _ := core.ApplyInto(pr.F(), nil, sh.View()); pr.Equal(fx, mon.Target()) {
+		t.Fatal("test setup: the staged delta must break conservation")
+	}
+	mon.ObserveRound(0, sh.View(), sh, pool)
+	if v := mon.Violations(); len(v) == 0 || !strings.Contains(v[0], "conservation law violated") {
+		t.Fatalf("conservation violation not detected through sharded reduction: %v", v)
 	}
 }
 
@@ -164,10 +172,11 @@ func TestObserveRoundShardedUnmarkedFallsBack(t *testing.T) {
 	}
 	states := []int{1, 2, 3}
 	sh := NewShards(p.Cmp(), states, 2) // blocks {1,2} and {3}
+	one := NewShards(p.Cmp(), states, 1)
 	monSharded := NewMonitor[int](p, sh.View(), 0)
-	monPlain := NewMonitor[int](p, ms.New(p.Cmp(), states...), 0)
-	hS := monSharded.ObserveRoundSharded(0, sh.View(), sh, pool)
-	hP := monPlain.ObserveRound(0, ms.New(p.Cmp(), states...))
+	monPlain := NewMonitor[int](p, one.View(), 0)
+	hS := monSharded.ObserveRound(0, sh.View(), sh, pool)
+	hP := monPlain.ObserveRound(0, one.View(), one, pool)
 	if hS != hP {
 		t.Errorf("sharded h %g != plain h %g", hS, hP)
 	}

@@ -1216,7 +1216,7 @@ func E15Scaling(cfg Config) Section {
 			Mode:     c.mode,
 			InitSeed: int64(n), // the pre-sweep E15 drew initial values from seed n
 			Opts: sim.Options{Seed: 1, StopOnConverged: true, MaxRounds: 200_000, Mode: c.mode,
-				Shards: 4 /* force the sharded layout; results are layout-invariant */},
+				Shards: 4 /* force four shards; results do not depend on the shard count */},
 		})
 		runtime.ReadMemStats(&m1)
 		if err != nil || !cr.Converged || cr.Violations != 0 {
@@ -1228,8 +1228,8 @@ func E15Scaling(cfg Config) Section {
 		t.AddRowf(c.family, n, c.mode.String(), c.avail, cr.Round,
 			cr.Duration.Round(time.Millisecond).String(), allocs, allocs/uint64(cr.Rounds))
 	}
-	b.WriteString("Minimum consensus at scale, sharded state layout (P = 4 shards; results\n" +
-		"are bit-identical to the single-tracker engine — pinned by the sharded\n" +
+	b.WriteString("Minimum consensus at scale, state split into P = 4 shards (results are\n" +
+		"bit-identical for every shard count, P = 1 included — pinned by the sharded\n" +
 		"golden equivalence tests, for the pairwise rows with the partitioned\n" +
 		"matcher included), all cells executed on one warm sweep worker. One\n" +
 		"seed per cell; wall-clock and alloc columns are environment-dependent\n" +

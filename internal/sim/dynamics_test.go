@@ -73,7 +73,6 @@ func TestDynamicsDeterministicAcrossLayouts(t *testing.T) {
 			for _, tweak := range []func(*Options){
 				func(o *Options) { o.Shards = 1 },
 				func(o *Options) { o.Shards = 4 },
-				func(o *Options) { o.Shards = -1 },
 				func(o *Options) { o.ParallelThreshold = 1; o.Shards = 3 },
 				func(o *Options) { o.MatchBlocks = 0 },
 			} {

@@ -36,11 +36,11 @@
 // the asynchronous runtime via internal/engine.
 //
 // The round loop is allocation-free in steady state: the global state
-// multiset is maintained incrementally by a multiset.Tracker (repaired
-// after each proper group step instead of re-sorted from scratch), the
-// partition is derived into reusable scratch (graph.ComponentsInto), and
-// all matching and group buffers are engine-owned and reused across
-// rounds.
+// multiset is kept in an engine.Shards — per-shard multiset.Trackers whose
+// changed members are staged during the round and repaired once at its
+// end instead of re-sorted from scratch — the partition is derived into
+// reusable scratch (graph.ComponentsInto), and all matching and group
+// buffers are engine-owned and reused across rounds.
 package sim
 
 import (
@@ -98,10 +98,10 @@ func (m Mode) String() string {
 const DefaultParallelThreshold = 32
 
 // DefaultShardThreshold is the agent count at which Options.Shards == 0
-// switches the engine to the sharded state layout (GOMAXPROCS shards).
-// Below it the single-tracker layout is cheaper: the per-group
-// incremental repair already costs O(n) and sharding would only add merge
-// overhead. Results are bit-identical in both layouts.
+// splits the state into GOMAXPROCS shards; below it the state is one
+// shard. A small system's once-per-round repair is cheap, and more shards
+// would only add merge overhead. Results are bit-identical for every shard
+// count.
 const DefaultShardThreshold = 1 << 14
 
 // DefaultMatchBlockAgents is the agent-block size of the pairwise
@@ -139,16 +139,15 @@ type Options struct {
 	// persistent worker pool. 0 means the default; negative forces serial
 	// execution of group steps. Results are identical either way.
 	ParallelThreshold int
-	// Shards selects the sharded state layout: the agent array is split
+	// Shards sets the shard count P of the state: the agent array is split
 	// into P contiguous shards, each owning its own multiset tracker with
 	// deltas staged per round, and the global snapshot for the monitors is
-	// a P-way merge of the shard views (see engine.Shards). 0 means auto —
-	// sharding engages with GOMAXPROCS shards once the system has at least
-	// DefaultShardThreshold agents; > 0 forces that many shards (clamped to
-	// the agent count); negative forces the single-tracker layout. Results
-	// are bit-identical in every layout — the conservation law S_{B∪C} =
-	// S_B ∪ S_C holds for any partition of the agent multiset, which is
-	// exactly the paper's license to shard.
+	// a P-way merge of the shard views (see engine.Shards). 0 or negative
+	// means auto — one shard below DefaultShardThreshold agents, GOMAXPROCS
+	// shards at or above it; > 0 forces that many shards (clamped to the
+	// agent count). Results are bit-identical for every P — the
+	// conservation law S_{B∪C} = S_B ∪ S_C holds for any partition of the
+	// agent multiset, which is exactly the paper's license to shard.
 	Shards int
 	// MatchBlocks configures the pairwise matcher's partition: the agent
 	// array is split into that many contiguous blocks; each block computes
@@ -276,11 +275,9 @@ type runner[T any] struct {
 	conv   *engine.Convergence[T]
 	seeder *engine.Seeder
 	pool   *engine.Pool
-	// Exactly one of tracker (single-tracker layout) and shards (sharded
-	// layout) is non-nil during a run; see Options.Shards. Both point into
-	// the Scratch's caches, which persist across runs.
-	tracker *ms.Tracker[T]
-	shards  *engine.Shards[T]
+	// shards holds the state multiset (see Options.Shards); it points into
+	// the Scratch's cache, which persists across runs.
+	shards *engine.Shards[T]
 
 	states []T
 	res    *Result[T]
@@ -325,13 +322,10 @@ type runner[T any] struct {
 	// Membership state, populated only when the schedule joins agents or
 	// wakes them amnesiacally: the full initial-state array (founding
 	// population followed by joiners in join order — joiner values and
-	// amnesiac resets both read it positionally), the growth-touched id
-	// scratch folded into the round's changed-id stream, and the
-	// amnesiac-reset repair batch.
+	// amnesiac resets both read it positionally) and the growth-touched id
+	// scratch folded into the round's changed-id stream.
 	initVals     []T
 	growE, growA []int
-	amOlds       []T
-	amNews       []T
 }
 
 // matcherKey identifies a cached PairMatcher: the matching it draws is a
@@ -348,7 +342,7 @@ const maxCachedMatchers = 64
 
 // Scratch is the borrowed warm-engine state RunWith executes against: a
 // RunContext (persistent worker pool, per-worker streams) plus every
-// engine-owned buffer a run reuses — the state tracker or shard set, the
+// engine-owned buffer a run reuses — the state shard set, the
 // monitor's evaluation buffers, the group/pair job arenas, the component
 // scratch, and a cache of pairwise matchers keyed by (graph, blocks).
 //
@@ -364,7 +358,6 @@ type Scratch[T any] struct {
 	r  runner[T]
 
 	// Warm caches the runner binds per run.
-	tracker  *ms.Tracker[T]
 	shards   *engine.Shards[T]
 	matchers map[matcherKey]*engine.PairMatcher
 	dyn      *dynamics.Applier
@@ -469,32 +462,17 @@ func RunWith[T any](sc *Scratch[T], p core.Problem[T], e env.Environment, initia
 	// CLEAR any probe a previous run on this warm scratch attached.
 	r.obs = opts.Probe
 	r.pool.SetProbe(opts.Probe)
-	r.tracker, r.shards = nil, nil
-	switch shardCount := resolveShards(opts.Shards, g.N()); {
-	case shardCount > 0:
-		if sc.shards == nil {
-			sc.shards = engine.NewShards(r.cmp, r.states, shardCount)
-		} else {
-			sc.shards.Reset(r.cmp, r.states, shardCount)
-		}
-		r.shards = sc.shards
-	default:
-		if sc.tracker == nil {
-			sc.tracker = ms.NewTracker(r.cmp, r.states)
-		} else {
-			sc.tracker.Reset(r.cmp, r.states)
-		}
-		r.tracker = sc.tracker
-	}
-	if sc.shards != nil {
-		// Rebound even when this run uses the single-tracker layout, so a
-		// stale probe from a previous sharded run never outlives its run.
-		sc.shards.SetProbe(opts.Probe)
-	}
-	if r.mon == nil {
-		r.mon = engine.NewMonitor(p, r.snapshot(), opts.HEps)
+	if shardCount := resolveShards(opts.Shards, g.N()); sc.shards == nil {
+		sc.shards = engine.NewShards(r.cmp, r.states, shardCount)
 	} else {
-		r.mon.Reset(p, r.snapshot(), opts.HEps)
+		sc.shards.Reset(r.cmp, r.states, shardCount)
+	}
+	r.shards = sc.shards
+	r.shards.SetProbe(opts.Probe)
+	if r.mon == nil {
+		r.mon = engine.NewMonitor(p, r.shards.View(), opts.HEps)
+	} else {
+		r.mon.Reset(p, r.shards.View(), opts.HEps)
 	}
 	r.conv = engine.NewConvergence(p.Equal, r.mon.Target())
 	r.res = &Result[T]{Target: r.mon.Target(), Probe: env.NewFairnessProbe(g.M())}
@@ -563,7 +541,7 @@ func RunWith[T any](sc *Scratch[T], p core.Problem[T], e env.Environment, initia
 	}
 
 	res := r.res
-	if r.conv.Observe(0, r.snapshot()) {
+	if r.conv.Observe(0, r.shards.View()) {
 		res.Converged = true
 	}
 
@@ -664,20 +642,13 @@ func RunWith[T any](sc *Scratch[T], p core.Problem[T], e env.Environment, initia
 		}
 
 		// Global monitors: conservation law and variant descent, on the
-		// incrementally maintained snapshot. The sharded layout first
-		// applies the round's staged deltas (one parallel repair per
-		// shard) and then reduces the per-shard views.
-		var now ms.Multiset[T]
-		var nowH float64
+		// incrementally maintained snapshot — the round's staged deltas are
+		// applied first (one parallel repair per shard), then the per-shard
+		// views are reduced.
 		r.obs.Begin(obs.PhaseMonitor)
-		if r.shards != nil {
-			r.shards.Flush(r.pool)
-			now = r.shards.View()
-			nowH = r.mon.ObserveRoundSharded(round, now, r.shards, r.pool)
-		} else {
-			now = r.tracker.View()
-			nowH = r.mon.ObserveRound(round, now)
-		}
+		r.shards.Flush(r.pool)
+		now := r.shards.View()
+		nowH := r.mon.ObserveRound(round, now, r.shards, r.pool)
 		r.obs.End(obs.PhaseMonitor)
 		if opts.RecordH {
 			res.HTrace = append(res.HTrace, nowH)
@@ -739,22 +710,15 @@ func resolveMatchBlocks(opt, n int) int {
 	}
 }
 
-// resolveShards maps Options.Shards to a shard count for n agents: 0 when
-// the single-tracker layout should be used, otherwise the number of
-// shards for the sharded layout.
+// resolveShards maps Options.Shards to a shard count for n agents.
 func resolveShards(opt, n int) int {
 	switch {
-	case opt < 0:
-		return 0
 	case opt > 0:
-		if opt > n {
-			return n
-		}
-		return opt
+		return min(opt, n)
 	case n >= DefaultShardThreshold:
 		return goruntime.GOMAXPROCS(0)
 	default:
-		return 0
+		return 1
 	}
 }
 
@@ -776,32 +740,13 @@ func (r *runner[T]) curOverlayA() []int {
 	return r.dyn.OverlayAgents()
 }
 
-// snapshot returns the current global state multiset as a zero-copy view,
-// invalidated by the next state mutation (or, in the sharded layout, the
-// next snapshot call).
-func (r *runner[T]) snapshot() ms.Multiset[T] {
-	if r.shards != nil {
-		return r.shards.View()
-	}
-	return r.tracker.View()
-}
-
-// applyDelta repairs the incremental snapshot after a group step (olds
-// and news are parallel slices along members). The single-tracker layout
-// repairs immediately, and only when the GROUP multiset changed — the
-// caller's `changed` — because a multiset-preserving permutation of the
-// group leaves the global multiset intact. The sharded layout must be
-// called for every executed step regardless: a permutation that crosses
+// applyDelta stages a group step's changes for the end-of-round repair
+// (olds and news are parallel slices along members). It must be called
+// for every executed step, proper or not: a permutation that crosses
 // shard boundaries (a swap stutter) changes the per-shard multisets even
 // though the group multiset is unchanged, so each member whose own value
 // changed is staged with its owning shard.
-func (r *runner[T]) applyDelta(members []int, olds, news []T, changed bool) {
-	if r.shards == nil {
-		if changed {
-			r.tracker.Replace(olds, news)
-		}
-		return
-	}
+func (r *runner[T]) applyDelta(members []int, olds, news []T) {
 	for i, a := range members {
 		if r.cmp(olds[i], news[i]) != 0 {
 			r.shards.Stage(a, olds[i], news[i])
@@ -823,11 +768,7 @@ func (r *runner[T]) applyGrowth(gr graph.Growth, round int) {
 	r.res.Probe.Grow(r.g.M(), round)
 	joined := r.initVals[gr.FirstAgent : gr.FirstAgent+gr.NewAgents]
 	r.states = append(r.states, joined...)
-	if r.shards != nil {
-		r.shards.Append(joined)
-	} else {
-		r.tracker.Append(joined)
-	}
+	r.shards.Append(joined)
 	var zero T
 	for len(r.frozenVals) < r.g.N() {
 		r.frozenVals = append(r.frozenVals, zero)
@@ -843,7 +784,7 @@ func (r *runner[T]) applyGrowth(gr graph.Growth, round int) {
 	r.conv.Retarget(r.mon.Target())
 	r.res.Target = r.mon.Target()
 	r.res.Converged = false
-	r.mon.RebaseVariant(r.snapshot())
+	r.mon.RebaseVariant(r.shards.View())
 	// Feed the structural delta into this round's changed-id stream and
 	// drop the cached partition — growth touched it.
 	r.growE = append(append(r.growE, gr.NewEdgeIDs...), gr.RetiredEdgeIDs...)
@@ -854,60 +795,39 @@ func (r *runner[T]) applyGrowth(gr graph.Growth, round int) {
 }
 
 // applyAmnesia resets every agent woken this round to its initial state
-// and repairs the incremental snapshot accordingly. The sharded layout
-// stages and flushes immediately so the round's own group steps still
-// stage each agent at most once per flush; the single-tracker layout
-// batches one Replace. The variant baseline is rebased because the reset
-// is a sanctioned discontinuity — the conservation law is deliberately
-// NOT touched, so the monitor reports exactly the violations §3.4
-// predicts for non-super-idempotent f.
+// and repairs the incremental snapshot accordingly: the resets are staged
+// and flushed immediately so the round's own group steps still stage each
+// agent at most once per flush. The variant baseline is rebased because
+// the reset is a sanctioned discontinuity — the conservation law is
+// deliberately NOT touched, so the monitor reports exactly the violations
+// §3.4 predicts for non-super-idempotent f.
 func (r *runner[T]) applyAmnesia(woken []int) {
-	r.amOlds, r.amNews = r.amOlds[:0], r.amNews[:0]
 	changed := false
 	for _, a := range woken {
 		if r.cmp(r.states[a], r.initVals[a]) == 0 {
 			continue // the frozen state IS the initial state: nothing to repair
 		}
 		changed = true
-		if r.shards != nil {
-			r.shards.Stage(a, r.states[a], r.initVals[a])
-		} else {
-			r.amOlds = append(r.amOlds, r.states[a])
-			r.amNews = append(r.amNews, r.initVals[a])
-		}
+		r.shards.Stage(a, r.states[a], r.initVals[a])
 		r.states[a] = r.initVals[a]
 	}
 	if !changed {
 		return
 	}
-	if r.shards != nil {
-		r.shards.Flush(r.pool)
-	} else {
-		r.tracker.Replace(r.amOlds, r.amNews)
-	}
-	r.mon.RebaseVariant(r.snapshot())
+	r.shards.Flush(r.pool)
+	r.mon.RebaseVariant(r.shards.View())
 }
 
-// classifyStep compares a group's before and after states as multisets.
-// proper reports a change under the problem's equality (tolerance-aware
-// for geometry) — these count as group steps; changed reports any change
-// under the total order cmp — these must repair the incremental snapshot
-// even when tolerance calls them stutters, because the positional states
-// did change. It sorts scratch copies and compares zero-copy views, so the
-// hot path allocates nothing.
-func (r *runner[T]) classifyStep(before, after []T) (proper, changed bool) {
+// classifyStep reports whether a group step was proper: its before and
+// after states differ as multisets under the problem's equality
+// (tolerance-aware for geometry). It sorts scratch copies and compares
+// zero-copy views, so the hot path allocates nothing.
+func (r *runner[T]) classifyStep(before, after []T) bool {
 	r.sortA = append(r.sortA[:0], before...)
 	r.sortB = append(r.sortB[:0], after...)
 	slices.SortFunc(r.sortA, r.cmp)
 	slices.SortFunc(r.sortB, r.cmp)
-	for i := range r.sortA {
-		if r.cmp(r.sortA[i], r.sortB[i]) != 0 {
-			changed = true
-			break
-		}
-	}
-	proper = !r.p.Equal(ms.View(r.cmp, r.sortA), ms.View(r.cmp, r.sortB))
-	return proper, changed
+	return !r.p.Equal(ms.View(r.cmp, r.sortA), ms.View(r.cmp, r.sortB))
 }
 
 // stepComponents runs one ComponentMode round: every connected component
@@ -967,12 +887,11 @@ func (r *runner[T]) stepComponents(es env.State, exact bool) int {
 				r.mon.AddViolation("group %v: %v", j.members, v)
 			}
 		}
-		proper, changed := r.classifyStep(j.before, j.after)
-		if proper {
+		if r.classifyStep(j.before, j.after) {
 			r.res.GroupSteps++
 			r.res.Messages += 2 * (len(j.members) - 1)
 		}
-		r.applyDelta(j.members, j.before, j.after, changed)
+		r.applyDelta(j.members, j.before, j.after)
 		for idx, a := range j.members {
 			r.states[a] = j.after[idx]
 		}
@@ -990,7 +909,7 @@ func (r *runner[T]) stepComponents(es env.State, exact bool) int {
 // executes one PairStep on a private stream seeded in matching order,
 // exactly as component groups do. Master-stream consumption is one draw
 // for the matching seed plus one child-seed draw per matched pair,
-// independent of the state layout and the pool, so results are
+// independent of the shard count and the pool, so results are
 // bit-identical for every Shards/ParallelThreshold/GOMAXPROCS
 // combination.
 func (r *runner[T]) stepPairs(es env.State, rng *rand.Rand, exact bool) int {
@@ -1029,12 +948,11 @@ func (r *runner[T]) stepPairs(es env.State, rng *rand.Rand, exact bool) int {
 		r.pairOld[0], r.pairOld[1] = j.oldA, j.oldB
 		r.pairNew[0], r.pairNew[1] = j.newA, j.newB
 		r.pairMembers[0], r.pairMembers[1] = j.a, j.b
-		proper, changed := r.classifyStep(r.pairOld[:], r.pairNew[:])
-		if proper {
+		if r.classifyStep(r.pairOld[:], r.pairNew[:]) {
 			r.res.GroupSteps++
 			r.res.Messages += 2
 		}
-		r.applyDelta(r.pairMembers[:], r.pairOld[:], r.pairNew[:], changed)
+		r.applyDelta(r.pairMembers[:], r.pairOld[:], r.pairNew[:])
 		r.states[j.a], r.states[j.b] = j.newA, j.newB
 	}
 	r.obs.End(obs.PhaseGroupStep)

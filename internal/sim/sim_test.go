@@ -804,7 +804,7 @@ func TestSoakAllProblems(t *testing.T) {
 }
 
 // TestAutoShardingLargeRing: above DefaultShardThreshold agents the
-// engine auto-engages the sharded state layout (Options.Shards == 0) and
+// engine auto-splits the state into GOMAXPROCS shards (Options.Shards == 0) and
 // a large-N run stays correct end to end — this is the paper's
 // conservation-law license to shard exercised at scale.
 func TestAutoShardingLargeRing(t *testing.T) {
@@ -837,10 +837,9 @@ func TestAutoShardingLargeRing(t *testing.T) {
 
 // swapMin is Min with a PairStep that sometimes returns the pair SWAPPED
 // — a multiset-preserving positional permutation, i.e. a legal stutter
-// of D. It exists to pin a sharded-layout regression: such a permutation
-// leaves the GROUP multiset unchanged (so the single-tracker layout has
-// nothing to repair) but still changes the PER-SHARD multisets when the
-// pair crosses a shard boundary, so the sharded layout must stage it.
+// of D. It exists to pin a sharded-state regression: such a permutation
+// leaves the GROUP multiset unchanged but still changes the PER-SHARD
+// multisets when the pair crosses a shard boundary, so it must be staged.
 type swapMin struct{ *problems.Min }
 
 func (s swapMin) PairStep(a, b int, rng *rand.Rand) (int, int) {

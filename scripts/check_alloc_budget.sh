@@ -4,10 +4,10 @@
 # BenchmarkSimComponentRing64 pins the round-based engine's zero-alloc
 # round loop. Its allocs/op is one GroupStep copy per executed group step
 # (the Problem API returns a fresh after-state so callers can never alias
-# internal scratch) plus one-time setup; the budget of 1600 sits ~15%
-# above the ~1374 the fixed seed produces after the PR 3 re-baseline (the
-# sparse-churn environment changed the fixed-seed trajectory, not the
-# per-step cost). BenchmarkSimPairwiseSharded4k pins the sharded pairwise
+# internal scratch) plus one-time setup; the budget of 1600 sits ~13%
+# above the ~1416 the fixed seed produces (the one-shard engine.Shards
+# set-up costs ~20 more one-time allocs than the bare tracker it
+# replaced; the per-step cost is unchanged). BenchmarkSimPairwiseSharded4k pins the sharded pairwise
 # round: the partitioned matcher's buffers are engine-owned and reused
 # and PairStep is allocation-free, so a 4096-agent run sits near 710
 # allocs/op, almost all setup — a regression to even one allocation per
@@ -23,7 +23,7 @@
 # BenchmarkSimWithDynamics is BenchmarkSimComponentRing64 with an EMPTY
 # dynamics schedule attached and shares its 1600 budget: the dynamics
 # hook (per-round Begin/EndRound + frozen check) must add ~0 allocs/round
-# — the fixed seed measures ~1384 vs ~1377 plain, the difference being
+# — the fixed seed measures ~1420 vs ~1416 plain, the difference being
 # one-time applier setup. A regression that allocates per round (mask
 # copies, per-event garbage) multiplies the number and fails loudly.
 #
@@ -31,12 +31,14 @@
 # path: 64 post-warmup pairwise rounds at N = 10⁵ on a warm sweep worker
 # (availability 0.999, so ~0.1% of edges flip per round and the
 # usable-edge delta index absorbs them incrementally). The fixed seed
-# measures ~256 allocs/op — exclusively per-run bookkeeping (Result,
+# measures ~101 allocs/op — exclusively per-run bookkeeping (Result,
 # probe, environment, initial/final state copies); the 64 delta-indexed
-# rounds themselves are allocation-free. The budget of 400 sits ~55%
-# above that: a regression that allocates even once per round adds 64
-# and fails, and one that re-pays any O(N) or O(E) buffer per round
-# blows through it by orders of magnitude.
+# rounds themselves are allocation-free (the shard flush and the
+# monitor's partial-image fan-out hand the pool prebuilt funcs, and
+# detlint's hotalloc check keeps closures out of both). The budget of
+# 150 sits ~50% above that: a regression that allocates even once per
+# round adds 64 and fails, and one that re-pays any O(N) or O(E) buffer
+# per round blows through it by orders of magnitude.
 #
 # BenchmarkJoinSplice pins the growable-population attachment path: a
 # warm worker runs a Ring(4096) pairwise cell that splices 8 agents in
@@ -45,18 +47,19 @@
 # ring splice, the extended cached partition, matcher/mask/tracker
 # growth, and the joiners' identity-keyed seeder substreams — all of
 # which must be O(joined subgraph + changed edges). The fixed seed
-# measures ~267 allocs/op; the budget of 400 sits ~50% above, so a
+# measures ~204 allocs/op; the budget of 400 sits ~2× above, so a
 # regression that allocates per agent (4096 would blow through it) or
 # per round after the splice fails loudly.
 #
 # BenchmarkSimRoundProbed is the same warm pairwise delta cell at
 # N = 10⁵ (32 rounds/op) with an observability probe ATTACHED, and it
-# shares the 400 budget: the probe's hot path (BeginRound/Begin/End/Add
+# shares the 150 budget: the probe's hot path (BeginRound/Begin/End/Add
 # and the counter increments inside the pool, shards, and round loop)
 # must be allocation-free, so probes-on allocs/op equals the unprobed
-# per-run bookkeeping (~165 measured — fewer rounds than Delta1e5's 64,
-# same fixed-cost set). A regression that allocates per phase sample
-# adds hundreds per op (32 rounds × 7+ phase brackets) and fails loudly.
+# per-run bookkeeping (~101 measured — the same fixed-cost set as
+# Delta1e5). A regression that allocates once per round adds 32, and
+# one that allocates per phase sample adds hundreds per op (32 rounds ×
+# 7+ phase brackets); both fail.
 #
 # BenchmarkSchedExchange1e4 pins the asynchronous engine (the sharded
 # actor scheduler behind SimulateAsync) and its per-exchange allocation
@@ -109,8 +112,8 @@ check BenchmarkSimComponentRing64 1600
 check BenchmarkSimPairwiseSharded4k 1500
 check BenchmarkSweepGrid 1200
 check BenchmarkSimWithDynamics 1600
-check BenchmarkSimPairwiseDelta1e5 400
+check BenchmarkSimPairwiseDelta1e5 150
 check BenchmarkJoinSplice 400
-check BenchmarkSimRoundProbed 400
+check BenchmarkSimRoundProbed 150
 check BenchmarkSchedExchange1e4 400
 exit $fail
