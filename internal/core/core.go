@@ -105,16 +105,12 @@ type intoFuncAdapter[T any] struct {
 func (f intoFuncAdapter[T]) ApplyInto(dst []T, x ms.Multiset[T]) []T { return f.applyInto(dst, x) }
 
 // SuperIdempotentFunction is an optional marker a Function carries to
-// assert the §3.4 structural condition f(X ∪ Y) = f(f(X) ∪ Y). The
-// sharded monitor reduction (engine.Monitor.ObserveRound) checks
-// conservation through per-shard partial images f(S_i) — an equality
-// that holds exactly when f is super-idempotent — so it takes the
-// partial-image path only for marked functions and falls back to
-// evaluating f on the merged global snapshot otherwise. Marking a
-// function that is NOT super-idempotent makes the multi-shard
-// conservation verdict diverge from the one-shard one; problems should mark f only
-// when the property is established (the checkers in this package, the E9
-// classification).
+// record the §3.4 structural condition f(X ∪ Y) = f(f(X) ∪ Y) — the
+// classification the checkers in this package and experiment E9
+// establish. It is documentation a caller can query (IsSuperIdempotent);
+// no engine path depends on it: the monitors always evaluate f on the
+// global state, so verdicts are the same for marked and unmarked f.
+// Problems should mark f only when the property is established.
 type SuperIdempotentFunction interface {
 	// SuperIdempotentF is a marker method; it carries no behavior.
 	SuperIdempotentF()
@@ -143,6 +139,27 @@ func (superFunc[T]) SuperIdempotentF() {}
 type superIntoFunc[T any] struct{ IntoFunction[T] }
 
 func (superIntoFunc[T]) SuperIdempotentF() {}
+
+// StutterOnEqual is an optional marker a Problem carries to promise that
+// a group whose members all hold cmp-equal states can only stutter:
+// GroupStep and PairStep then return their input unchanged and draw no
+// randomness. Consensus problems whose step moves every member to a
+// combination of the group's values (min, max, gcd) satisfy it. The
+// round engine uses the promise to skip such groups — a skipped group is
+// exactly the stutter the step would have produced, and its child seed is
+// still drawn, so results do not depend on the marker. A problem must not
+// carry it when an all-equal group can still change (sum, average, the
+// geometry problems).
+type StutterOnEqual interface {
+	// StutterOnEqual is a marker method; it carries no behavior.
+	StutterOnEqual()
+}
+
+// IsStutterOnEqual reports whether p carries the StutterOnEqual marker.
+func IsStutterOnEqual[T any](p Problem[T]) bool {
+	_, ok := p.(StutterOnEqual)
+	return ok
+}
 
 // Variant is the paper's variant (objective) function h over group states
 // (§3.5). Its range must be well-founded for the order >; integer-valued

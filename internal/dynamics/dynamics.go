@@ -64,6 +64,7 @@ package dynamics
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/bitset"
 	"repro/internal/engine"
@@ -482,21 +483,41 @@ func (e crashRandom) fire(a *Applier, _ int) {
 		}
 		return
 	}
-	// Exact uniform sampling without replacement: pick the r-th live
-	// agent by rank, k times. One draw per pick, deterministic given
-	// (seed, round) and the live set; O(k·n) only at event rounds.
+	// Exact uniform sampling without replacement: pick the r-th agent by
+	// rank among the live agents not yet picked, k times. One draw per
+	// pick, deterministic given (seed, round) and the live set. All k
+	// draws come first; each rank is shifted past the earlier picks at or
+	// below it (ascending) to give its rank in the original live order,
+	// O(k²) in all. One scan then maps the sorted ranks to agents, and the
+	// agents crash in pick order.
+	picks, sorted := a.pickRanks[:0], a.pickSorted[:0]
 	for picked := 0; picked < e.k; picked++ {
 		r := a.rng.Intn(liveCount - picked)
-		for ag := 0; ag < n; ag++ {
-			if a.live[ag] {
-				if r == 0 {
-					a.crash(ag)
-					break
-				}
-				r--
+		for _, s := range sorted {
+			if s > r {
+				break
 			}
+			r++
 		}
+		picks = append(picks, r)
+		i, _ := slices.BinarySearch(sorted, r)
+		sorted = slices.Insert(sorted, i, r)
 	}
+	agents := a.pickAgents[:0]
+	for ag, rank := 0, 0; ag < n && len(agents) < len(sorted); ag++ {
+		if !a.live[ag] {
+			continue
+		}
+		if rank == sorted[len(agents)] {
+			agents = append(agents, ag)
+		}
+		rank++
+	}
+	for _, r := range picks {
+		i, _ := slices.BinarySearch(sorted, r)
+		a.crash(agents[i])
+	}
+	a.pickRanks, a.pickSorted, a.pickAgents = picks, sorted, agents
 }
 func (e crashRandom) String() string { return fmt.Sprintf("crash-random(%d)", e.k) }
 
@@ -552,6 +573,10 @@ type Applier struct {
 	justCrashed []int // agents crashed by the current BeginRound
 	justWoken   []int // agents woken by the current BeginRound
 	wakeScratch []int
+
+	// CrashRandom scratch: the picks' ranks in the original live order,
+	// in pick order and ascending, and the agents of the ascending ranks.
+	pickRanks, pickSorted, pickAgents []int
 
 	// Population growth: remaining scheduled joiners, the amnesiac
 	// policy flag, and the growth substream base (negative-tag sibling of

@@ -2,10 +2,13 @@ package dynamics
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/env"
 	"repro/internal/graph"
 )
@@ -283,6 +286,78 @@ func TestCrashRandomExactCount(t *testing.T) {
 		}
 		a.EndRound()
 	}
+
+	// The one-pass sampler must crash exactly the agents, in exactly the
+	// order, of the rank walk it replaced (crashRandomReference), over
+	// random live sets and counts — including k ≥ live and k = live − 1.
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 300; trial++ {
+		n := 3 + rng.Intn(120)
+		var dead []int
+		for ag := 0; ag < n; ag++ {
+			if rng.Intn(3) == 0 {
+				dead = append(dead, ag)
+			}
+		}
+		k := 1 + rng.Intn(n+4)
+		rules := []Rule{At(1, CrashRandom(k))}
+		if len(dead) > 0 {
+			rules = append(rules, At(0, CrashAgents(dead...)))
+		}
+		g := graph.Ring(n)
+		a := NewSchedule(rules...).NewApplier(g, rng.Int63())
+		es := env.AllUp(g)
+		a.BeginRound(0, es)
+		a.EndRound()
+		want := crashRandomReference(slices.Clone(a.live), k, engine.NewFastRand(engine.SubSeed(a.base, 1)))
+		crashesBefore := a.Report().Crashes
+		a.BeginRound(1, es)
+		if got := a.JustCrashed(); !slices.Equal(got, want) {
+			t.Fatalf("trial %d (n=%d, %d dead, k=%d): crashed %v, rank walk crashes %v", trial, n, len(dead), k, got, want)
+		}
+		if got := a.Report().Crashes - crashesBefore; got != len(want) {
+			t.Fatalf("trial %d: report counts %d crashes, want %d", trial, got, len(want))
+		}
+		if !slices.IsSorted(a.Frozen()) {
+			t.Fatalf("trial %d: frozen list %v not ascending", trial, a.Frozen())
+		}
+		a.EndRound()
+	}
+}
+
+// crashRandomReference is CrashRandom's original O(k·n) sampler: each
+// pick draws a rank among the agents still live and walks the live set to
+// it. It returns the crashed agents in crash order.
+func crashRandomReference(live []bool, k int, rng *engine.FastRand) []int {
+	liveCount := 0
+	for _, l := range live {
+		if l {
+			liveCount++
+		}
+	}
+	var out []int
+	if liveCount <= k {
+		for ag, l := range live {
+			if l {
+				out = append(out, ag)
+			}
+		}
+		return out
+	}
+	for picked := 0; picked < k; picked++ {
+		r := rng.Intn(liveCount - picked)
+		for ag := range live {
+			if live[ag] {
+				if r == 0 {
+					live[ag] = false
+					out = append(out, ag)
+					break
+				}
+				r--
+			}
+		}
+	}
+	return out
 }
 
 // TestRandomCrashesRecover: the random process both crashes and wakes

@@ -52,15 +52,6 @@ type Monitor[T any] struct {
 	// core.IntoFunction fast path, so the conservation check allocates
 	// nothing in steady state.
 	fBuf []T
-	// Partial-image scratch (see ObserveRound): per-shard f images, their
-	// backing buffers, the merger that reduces them, and the per-shard
-	// evaluation handed to the pool — built once in Reset, reading the
-	// shard set ObserveRound binds to shards before each fan-out.
-	partials    []ms.Multiset[T]
-	partialBufs [][]T
-	partialMrg  *ms.Merger[T]
-	partialFn   func(worker, i int)
-	shards      *Shards[T]
 }
 
 // NewMonitor builds a Monitor for problem p from the initial state
@@ -73,23 +64,16 @@ func NewMonitor[T any](p core.Problem[T], initial ms.Multiset[T], hEps float64) 
 }
 
 // Reset rebinds the monitor to a new run — problem p, initial state
-// multiset, slack — keeping the per-round evaluation buffers (fBuf, the
-// sharded partial-image scratch) warm, so a monitor reused across the
-// cells of a scenario sweep re-pays none of its steady-state scratch.
-// The target multiset and the violations slice are deliberately NOT
-// reused: both are retained by callers through Result, so each run gets
-// fresh storage for them.
+// multiset, slack — keeping the per-round evaluation buffer fBuf warm, so
+// a monitor reused across the cells of a scenario sweep re-pays none of
+// its steady-state scratch. The target multiset and the violations slice
+// are deliberately NOT reused: both are retained by callers through
+// Result, so each run gets fresh storage for them.
 func (m *Monitor[T]) Reset(p core.Problem[T], initial ms.Multiset[T], hEps float64) {
 	m.f, m.h, m.equal, m.hEps = p.F(), p.H(), p.Equal, hEps
 	m.target = m.f.Apply(initial)
 	m.lastH = m.h.Value(initial)
 	m.violations = nil
-	m.partialMrg = nil // f (and hence cmp) may have changed with the problem
-	if m.partialFn == nil {
-		m.partialFn = func(_, i int) {
-			m.partials[i], m.partialBufs[i] = core.ApplyInto(m.f, m.partialBufs[i], m.shards.ShardView(i))
-		}
-	}
 }
 
 // Target returns the goal multiset S* = f(S(0)).
@@ -97,44 +81,18 @@ func (m *Monitor[T]) Target() ms.Multiset[T] { return m.target }
 
 // ObserveRound checks the global state after a round: the conservation
 // law f(S) = S* and the monotone descent of h relative to the previous
-// observation. It returns the current h value. global must be the current
-// sh.View(); it is passed in so engines that already took this round's
-// snapshot (for convergence detection) do not pay for a second merge.
-//
-// With more than one shard, the conservation check evaluates f through
-// per-shard partial images f(S_i), computed concurrently on the pool into
-// per-shard reusable buffers, and reduces them as f(f(S_1) ∪ … ∪ f(S_P))
-// — equal to f(S) exactly when f is super-idempotent (§3.4), the
-// structural condition every problem this repository ships satisfies.
-// The partial-image path is taken only when f carries the
-// core.SuperIdempotentFunction marker; an unmarked f — a user-defined
-// problem whose f may be merely idempotent, the §4.3/§4.5 negative
-// examples — is evaluated on the global view, as is every f when there is
-// one shard (f(S_1) IS f(S)), so monitor verdicts never depend on the
-// shard count. f is evaluated through the core.ApplyInto fast path into
-// monitor-owned buffers, so for functions that provide it the check
-// allocates nothing.
+// observation. It returns the current h value. global is the current
+// global state multiset (a sharded engine passes its merged Shards.View,
+// which it needs anyway for convergence detection), so f and h always see
+// the whole state and verdicts never depend on the shard layout or on
+// whether f carries the super-idempotence marker. f is evaluated through
+// the core.ApplyInto fast path into a monitor-owned buffer, so for
+// functions that provide it the check allocates nothing.
 //
 //det:hotpath
-func (m *Monitor[T]) ObserveRound(round int, global ms.Multiset[T], sh *Shards[T], pool *Pool) float64 {
+func (m *Monitor[T]) ObserveRound(round int, global ms.Multiset[T]) float64 {
 	var fx ms.Multiset[T]
-	if p := sh.P(); p == 1 || !core.IsSuperIdempotent(m.f) {
-		fx, m.fBuf = core.ApplyInto(m.f, m.fBuf, global)
-	} else {
-		if cap(m.partials) < p {
-			//lint:ignore hotalloc grows once to the shard count, which is fixed for the run; every later round reuses it
-			m.partials = make([]ms.Multiset[T], p)
-			//lint:ignore hotalloc grows once with partials, see above
-			m.partialBufs = make([][]T, p)
-		}
-		m.partials = m.partials[:p]
-		m.shards = sh
-		pool.DoAll(p, m.partialFn)
-		if m.partialMrg == nil {
-			m.partialMrg = ms.NewMerger(global.Cmp())
-		}
-		fx, m.fBuf = core.ApplyInto(m.f, m.fBuf, m.partialMrg.Union(m.partials...))
-	}
+	fx, m.fBuf = core.ApplyInto(m.f, m.fBuf, global)
 	if !m.equal(fx, m.target) {
 		m.AddViolation("round %d: conservation law violated: f(S) ≠ S*", round)
 	}

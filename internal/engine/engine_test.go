@@ -79,8 +79,7 @@ func TestPoolCloseWithoutUse(t *testing.T) {
 
 // observeOneShard runs ObserveRound over a one-shard layout of vals.
 func observeOneShard(m *Monitor[int], round int, vals ...int) float64 {
-	sh := NewShards(ms.OrderedCmp[int](), vals, 1)
-	return m.ObserveRound(round, sh.View(), sh, NewPool(1, 1))
+	return m.ObserveRound(round, NewShards(ms.OrderedCmp[int](), vals, 1).View())
 }
 
 func TestMonitorCleanRound(t *testing.T) {

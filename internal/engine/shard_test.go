@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -83,53 +85,85 @@ func TestShardsOwnerCoversAllAgents(t *testing.T) {
 	}
 }
 
-// TestObserveRoundShardedMatchesUnsharded: the partial-image monitor
-// reduction over P shards must produce the same h values and the same
-// (absence of) violations as a monitor over one shard, which evaluates f
-// on the global view, across a run of valid steps.
+// secondSmallestProblem overrides Min's f with the §4.3 negative example:
+// idempotent but NOT super-idempotent (and therefore unmarked).
+type secondSmallestProblem struct{ *problems.Min }
+
+func (secondSmallestProblem) F() core.Function[int] { return problems.SecondSmallestF() }
+
+// TestObserveRoundShardedMatchesUnsharded: a monitor fed the merged view
+// of P shards must produce the same h values and the same violations as a
+// monitor fed a one-shard view, for super-idempotent (marked) and merely
+// idempotent (unmarked) f alike, across a run of random min-adoption pair
+// steps. The unchanged-state case is the one a per-shard partial-image
+// reduction would get wrong for the unmarked f: S = {1,2,3} split {1,2} |
+// {3} gives f(f({1,2}) ∪ f({3})) = f({2,2,3}) = {3,3,3} ≠ f(S) = {2,2,2}.
 func TestObserveRoundShardedMatchesUnsharded(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	random := make([]int, 24)
+	for i := range random {
+		random[i] = rng.Intn(50)
+	}
+	unmarked := secondSmallestProblem{problems.NewMin()}
+	if core.IsSuperIdempotent(unmarked.F()) {
+		t.Fatal("second-smallest must not carry the super-idempotence marker")
+	}
+	cases := []struct {
+		name    string
+		p       core.Problem[int]
+		states  []int
+		shards  []int
+		rounds  int
+		stepped bool // each round makes one random min-adoption pair step
+		clean   bool // no violation expected
+	}{
+		{"min", problems.NewMin(), random, []int{1, 3, 8}, 8, true, true},
+		{"second-smallest-unchanged", unmarked, []int{1, 2, 3}, []int{2}, 1, false, true},
+		{"second-smallest-stepped", unmarked, random, []int{3, 8}, 8, true, false},
+	}
 	pool := NewPool(4, 1)
 	defer pool.Close()
-	rng := rand.New(rand.NewSource(23))
-	pr := problems.NewMin()
-	cmp := pr.Cmp()
-	states := make([]int, 24)
-	for i := range states {
-		states[i] = rng.Intn(50)
-	}
-	for _, p := range []int{1, 3, 8} {
-		sh := NewShards(cmp, states, p)
-		one := NewShards(cmp, states, 1)
-		monSharded := NewMonitor[int](pr, sh.View(), 0)
-		monPlain := NewMonitor[int](pr, one.View(), 0)
-		work := append([]int(nil), states...)
-		for round := 0; round < 8; round++ {
-			// A valid D-step: a random pair adopts its minimum.
-			a, b := rng.Intn(len(work)), rng.Intn(len(work))
-			if a != b && work[a] != work[b] {
-				m := min(work[a], work[b])
-				for _, x := range [...]*Shards[int]{sh, one} {
-					x.Stage(a, work[a], m)
-					x.Stage(b, work[b], m)
-					x.Flush(pool)
+	for _, c := range cases {
+		for _, p := range c.shards {
+			t.Run(fmt.Sprintf("%s/p=%d", c.name, p), func(t *testing.T) {
+				cmp := c.p.Cmp()
+				sh := NewShards(cmp, c.states, p)
+				one := NewShards(cmp, c.states, 1)
+				monSharded := NewMonitor(c.p, sh.View(), 0)
+				monPlain := NewMonitor(c.p, one.View(), 0)
+				work := append([]int(nil), c.states...)
+				stepRng := rand.New(rand.NewSource(int64(p)))
+				for round := 0; round < c.rounds; round++ {
+					a, b := stepRng.Intn(len(work)), stepRng.Intn(len(work))
+					if c.stepped && a != b && work[a] != work[b] {
+						m := min(work[a], work[b])
+						for _, x := range [...]*Shards[int]{sh, one} {
+							x.Stage(a, work[a], m)
+							x.Stage(b, work[b], m)
+							x.Flush(pool)
+						}
+						work[a], work[b] = m, m
+					}
+					hS := monSharded.ObserveRound(round, sh.View())
+					hP := monPlain.ObserveRound(round, one.View())
+					if hS != hP {
+						t.Fatalf("round %d: sharded h %g != plain h %g", round, hS, hP)
+					}
 				}
-				work[a], work[b] = m, m
-			}
-			hS := monSharded.ObserveRound(round, sh.View(), sh, pool)
-			hP := monPlain.ObserveRound(round, one.View(), one, pool)
-			if hS != hP {
-				t.Fatalf("p=%d round %d: sharded h %g != plain h %g", p, round, hS, hP)
-			}
-		}
-		if len(monSharded.Violations()) != 0 || len(monPlain.Violations()) != 0 {
-			t.Fatalf("p=%d: violations sharded=%v plain=%v", p,
-				monSharded.Violations(), monPlain.Violations())
+				vS, vP := monSharded.Violations(), monPlain.Violations()
+				if !slices.Equal(vS, vP) {
+					t.Fatalf("layout-dependent verdicts: sharded %v, plain %v", vS, vP)
+				}
+				if c.clean && len(vS) != 0 {
+					t.Fatalf("violations on a valid run: %v", vS)
+				}
+			})
 		}
 	}
 }
 
 // TestObserveRoundShardedDetectsViolation: breaking conservation in one
-// shard must be caught by the reduced check.
+// shard must be caught by the check on the merged view.
 func TestObserveRoundShardedDetectsViolation(t *testing.T) {
 	pool := NewPool(1, 1)
 	defer pool.Close()
@@ -144,53 +178,15 @@ func TestObserveRoundShardedDetectsViolation(t *testing.T) {
 	if fx, _ := core.ApplyInto(pr.F(), nil, sh.View()); pr.Equal(fx, mon.Target()) {
 		t.Fatal("test setup: the staged delta must break conservation")
 	}
-	mon.ObserveRound(0, sh.View(), sh, pool)
+	mon.ObserveRound(0, sh.View())
 	if v := mon.Violations(); len(v) == 0 || !strings.Contains(v[0], "conservation law violated") {
 		t.Fatalf("conservation violation not detected through sharded reduction: %v", v)
 	}
 }
 
-// secondSmallestProblem overrides Min's f with the §4.3 negative example:
-// idempotent but NOT super-idempotent (and therefore unmarked).
-type secondSmallestProblem struct{ *problems.Min }
-
-func (secondSmallestProblem) F() core.Function[int] { return problems.SecondSmallestF() }
-
-// TestObserveRoundShardedUnmarkedFallsBack: for a function without the
-// super-idempotence marker, the sharded observation must fall back to
-// evaluating f on the merged global snapshot — the partial-image
-// reduction f(f(S_1) ∪ f(S_2)) is simply wrong for such f and would
-// report a spurious conservation violation here (S = {1,2,3} split
-// {1,2} | {3}: f(f({1,2}) ∪ f({3})) = f({2,2,3}) = {3,3,3} ≠ f(S) =
-// {2,2,2}), so verdicts would depend on the state layout.
-func TestObserveRoundShardedUnmarkedFallsBack(t *testing.T) {
-	pool := NewPool(1, 1)
-	defer pool.Close()
-	p := secondSmallestProblem{problems.NewMin()}
-	if core.IsSuperIdempotent(p.F()) {
-		t.Fatal("second-smallest must not carry the super-idempotence marker")
-	}
-	states := []int{1, 2, 3}
-	sh := NewShards(p.Cmp(), states, 2) // blocks {1,2} and {3}
-	one := NewShards(p.Cmp(), states, 1)
-	monSharded := NewMonitor[int](p, sh.View(), 0)
-	monPlain := NewMonitor[int](p, one.View(), 0)
-	hS := monSharded.ObserveRound(0, sh.View(), sh, pool)
-	hP := monPlain.ObserveRound(0, one.View(), one, pool)
-	if hS != hP {
-		t.Errorf("sharded h %g != plain h %g", hS, hP)
-	}
-	if v := monSharded.Violations(); len(v) != 0 {
-		t.Errorf("layout-dependent verdict: sharded monitor reported %v on an unchanged state", v)
-	}
-	if v := monPlain.Violations(); len(v) != 0 {
-		t.Errorf("plain monitor reported %v on an unchanged state", v)
-	}
-}
-
 // TestMarkedFunctionsCarryMarker: the problems the engines run are
-// super-idempotent (machine-checked by E9) and must be marked so the
-// sharded reduction actually engages.
+// super-idempotent (machine-checked by E9) and carry the marker that
+// records it; the negative examples do not.
 func TestMarkedFunctionsCarryMarker(t *testing.T) {
 	if !core.IsSuperIdempotent(problems.MinF()) || !core.IsSuperIdempotent(problems.SumF()) ||
 		!core.IsSuperIdempotent(problems.GCDF()) || !core.IsSuperIdempotent(problems.SortF()) ||

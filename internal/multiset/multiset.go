@@ -357,12 +357,12 @@ func (t *Tracker[T]) Replace(olds, news []T) {
 			sort.Search(len(t.elems), func(j int) bool { return t.cmp(t.elems[j], v) >= 0 }))
 	}
 
-	// Single merge pass: copy surviving elements, skip removed indices,
-	// emit inserted values at their positions. Index comparisons only — no
-	// further cmp calls.
+	// Single merge pass: bulk-copy each run of surviving elements up to
+	// the next edit index, skip removed indices, emit inserted values at
+	// their positions. Index comparisons only — no further cmp calls.
 	out := t.mergeBuf[:0]
 	ri, ni := 0, 0
-	for i := 0; i <= len(t.elems); i++ {
+	for i := 0; ; {
 		for ni < len(t.insPos) && t.insPos[ni] == i {
 			out = append(out, t.newBuf[ni])
 			ni++
@@ -372,9 +372,18 @@ func (t *Tracker[T]) Replace(olds, news []T) {
 		}
 		if ri < len(t.remIdx) && t.remIdx[ri] == i {
 			ri++
+			i++
 			continue
 		}
-		out = append(out, t.elems[i])
+		next := len(t.elems)
+		if ri < len(t.remIdx) {
+			next = t.remIdx[ri]
+		}
+		if ni < len(t.insPos) {
+			next = min(next, t.insPos[ni])
+		}
+		out = append(out, t.elems[i:next]...)
+		i = next
 	}
 	t.mergeBuf = t.elems[:0]
 	t.elems = out

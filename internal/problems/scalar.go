@@ -40,6 +40,11 @@ func (*Min) Requirement() core.Requirement { return core.AnyConnected }
 // Equal implements core.Problem.
 func (*Min) Equal(a, b ms.Multiset[int]) bool { return eqExact(a, b) }
 
+// StutterOnEqual implements core.StutterOnEqual: a group whose members
+// all hold the minimum keeps it, and Partial draws only for members above
+// the minimum.
+func (*Min) StutterOnEqual() {}
+
 // MinF is the paper's f for §4.1: all values become the minimum.
 // f({3,5,3,7}) = {3,3,3,3}. It carries the core.IntoFunction fast path so
 // the engines' per-round conservation check can evaluate f without
@@ -139,6 +144,9 @@ func (*Max) Requirement() core.Requirement { return core.AnyConnected }
 
 // Equal implements core.Problem.
 func (*Max) Equal(a, b ms.Multiset[int]) bool { return eqExact(a, b) }
+
+// StutterOnEqual implements core.StutterOnEqual: max(x, …, x) = x.
+func (*Max) StutterOnEqual() {}
 
 // MaxF is f for the maximum: all values become the maximum.
 func MaxF() core.Function[int] {
@@ -423,6 +431,9 @@ func (*GCD) Requirement() core.Requirement { return core.AnyConnected }
 
 // Equal implements core.Problem.
 func (*GCD) Equal(a, b ms.Multiset[int]) bool { return eqExact(a, b) }
+
+// StutterOnEqual implements core.StutterOnEqual: gcd(x, …, x) = x.
+func (*GCD) StutterOnEqual() {}
 
 func gcd2(a, b int) int {
 	for b != 0 {

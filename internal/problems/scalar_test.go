@@ -3,6 +3,7 @@ package problems
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -352,5 +353,81 @@ func TestAverageVariantIsPairwiseSquares(t *testing.T) {
 	}
 	if got := h.Value(ms.OfFloats(2, 2, 2)); got != 0 {
 		t.Errorf("h(consensus) = %g", got)
+	}
+}
+
+// TestStutterOnEqualMarker: exactly min (greedy and Partial), max and gcd
+// carry core.StutterOnEqual, and every marked problem keeps its promise:
+// on a group of k copies of one state, PairStep and GroupStep return the
+// input unchanged without drawing from the stream.
+func TestStutterOnEqualMarker(t *testing.T) {
+	sorting, err := NewSorting([]int{2, 0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type markerCase struct {
+		name string
+		p    any // a core.Problem[T]
+		want bool
+	}
+	cases := []markerCase{
+		{"min", NewMin(), true},
+		{"partial-min", &Min{Partial: true}, true},
+		{"max", NewMax(1000), true},
+		{"gcd", NewGCD(), true},
+		{"sum", NewSum(), false},
+		{"average", NewAverage(1e-9), false},
+		{"hull", NewHull(nil), false},
+		{"range", NewRange(1000), false},
+		{"min-pair", NewMinPair(4, 100), false},
+		{"k-smallest", NewKSmallest(3, 4, 100), false},
+		{"sorting", sorting, false},
+		{"set-union", NewSetUnion(), false},
+	}
+	// Every registered family is in the table, under its registry name,
+	// with the marker the table expects.
+	for _, d := range Catalog() {
+		i := slices.IndexFunc(cases, func(c markerCase) bool { return c.name == d.Name })
+		if i < 0 {
+			t.Fatalf("registered problem %q has no expectation", d.Name)
+		}
+		if got := core.IsStutterOnEqual(d.New(16)); got != cases[i].want {
+			t.Errorf("registered %q: carries StutterOnEqual = %v, want %v", d.Name, got, cases[i].want)
+		}
+	}
+
+	rng := rand.New(rand.NewSource(41))
+	for _, c := range cases {
+		if _, got := c.p.(core.StutterOnEqual); got != c.want {
+			t.Errorf("%s: carries StutterOnEqual = %v, want %v", c.name, got, c.want)
+		}
+		if !c.want {
+			continue
+		}
+		p := c.p.(core.Problem[int])
+		for trial := 0; trial < 200; trial++ {
+			x := 1 + rng.Intn(999)
+			seed := rng.Int63()
+			stream, fresh := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+			if a, b := p.PairStep(x, x, stream); a != x || b != x {
+				t.Fatalf("%s: PairStep(%d, %d) = (%d, %d)", c.name, x, x, a, b)
+			}
+			group := make([]int, 1+rng.Intn(6))
+			for i := range group {
+				group[i] = x
+			}
+			out := p.GroupStep(group, stream)
+			if len(out) != len(group) {
+				t.Fatalf("%s: GroupStep(%v) returned %d states", c.name, group, len(out))
+			}
+			for i, v := range out {
+				if v != x || group[i] != x {
+					t.Fatalf("%s: GroupStep(%v) = %v", c.name, group, out)
+				}
+			}
+			if stream.Int63() != fresh.Int63() {
+				t.Fatalf("%s: an equal-state step consumed the stream", c.name)
+			}
+		}
 	}
 }

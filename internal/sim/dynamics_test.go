@@ -21,7 +21,7 @@ import (
 // satellite contract that the dynamics hook is invisible until a
 // schedule actually does something.
 func TestEngineEquivalenceGoldenEmptyDynamics(t *testing.T) {
-	runGoldenCases(t, func(o *Options) { o.Dynamics = dynamics.NewSchedule() })
+	runGoldenCases(t, variant{opts: func(o *Options) { o.Dynamics = dynamics.NewSchedule() }})
 }
 
 // dynamicsOpts is the dynamics-heavy configuration the determinism

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"os"
 	goruntime "runtime"
+	"slices"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/env"
 	"repro/internal/geom"
 	"repro/internal/graph"
@@ -38,17 +40,44 @@ import (
 
 type goldenCase struct {
 	name string
-	run  func(seed int64, tweak func(*Options)) (string, error)
+	run  func(seed int64, tweak variant) (string, error)
 }
 
-// tweaked applies an optional Options mutation — used by the parallel
-// variant of the golden test to force the worker pool on without touching
-// anything that affects results.
-func tweaked(opts Options, tweak func(*Options)) Options {
-	if tweak != nil {
-		tweak(&opts)
+// variant is how a golden re-run differs from the reference run, in ways
+// that must not change any result.
+type variant struct {
+	// opts mutates the run's Options (nil: none): forcing the worker pool
+	// on, sharding, attaching a probe or an empty dynamics schedule.
+	opts func(*Options)
+	// hideStutter runs the case's problem behind stutterHidden, so groups
+	// that can only stutter step in full instead of being skipped; hid,
+	// when non-nil, records that a marker was actually hidden.
+	hideStutter bool
+	hid         *bool
+}
+
+// tweaked applies the variant's Options mutation, if any.
+func tweaked(opts Options, tweak variant) Options {
+	if tweak.opts != nil {
+		tweak.opts(&opts)
 	}
 	return opts
+}
+
+// stutterHidden embeds a problem's interface, which promotes every
+// core.Problem method but not the core.StutterOnEqual marker.
+type stutterHidden[T any] struct{ core.Problem[T] }
+
+// problemFor returns p, or p with its core.StutterOnEqual marker hidden
+// when the variant asks for it.
+func problemFor[T any](p core.Problem[T], tweak variant) core.Problem[T] {
+	if !tweak.hideStutter {
+		return p
+	}
+	if tweak.hid != nil && core.IsStutterOnEqual(p) {
+		*tweak.hid = true
+	}
+	return stutterHidden[T]{p}
 }
 
 // summarize renders every Result field the equivalence contract covers.
@@ -70,35 +99,35 @@ func goldenCases() []goldenCase {
 		return vals
 	}
 	return []goldenCase{
-		{"min/ring16/churn0.5", func(seed int64, tweak func(*Options)) (string, error) {
-			return summarize(Run[int](problems.NewMin(), env.NewEdgeChurn(graph.Ring(16), 0.5),
+		{"min/ring16/churn0.5", func(seed int64, tweak variant) (string, error) {
+			return summarize(Run[int](problemFor[int](problems.NewMin(), tweak), env.NewEdgeChurn(graph.Ring(16), 0.5),
 				intVals(16, 3), tweaked(Options{Seed: seed, StopOnConverged: true, CheckSteps: true, MaxRounds: 10_000}, tweak)))
 		}},
-		{"min/complete12/partitioner", func(seed int64, tweak func(*Options)) (string, error) {
-			return summarize(Run[int](problems.NewMin(), env.NewPartitioner(graph.Complete(12), 3, 5, 20),
+		{"min/complete12/partitioner", func(seed int64, tweak variant) (string, error) {
+			return summarize(Run[int](problemFor[int](problems.NewMin(), tweak), env.NewPartitioner(graph.Complete(12), 3, 5, 20),
 				intVals(12, 5), tweaked(Options{Seed: seed, StopOnConverged: true, MaxRounds: 10_000}, tweak)))
 		}},
-		{"min/complete8/adversary-feedback", func(seed int64, tweak func(*Options)) (string, error) {
-			return summarize(Run[int](problems.NewMin(), env.NewAdversary(graph.Complete(8), 0.9, 6),
+		{"min/complete8/adversary-feedback", func(seed int64, tweak variant) (string, error) {
+			return summarize(Run[int](problemFor[int](problems.NewMin(), tweak), env.NewAdversary(graph.Complete(8), 0.9, 6),
 				intVals(8, 7), tweaked(Options{Seed: seed, StopOnConverged: true, AdversaryFeedback: true, MaxRounds: 10_000}, tweak)))
 		}},
-		{"partialmin/ring12/powerloss", func(seed int64, tweak func(*Options)) (string, error) {
-			return summarize(Run[int](&problems.Min{Partial: true}, env.NewPowerLoss(graph.Ring(12), 0.3),
+		{"partialmin/ring12/powerloss", func(seed int64, tweak variant) (string, error) {
+			return summarize(Run[int](problemFor[int](&problems.Min{Partial: true}, tweak), env.NewPowerLoss(graph.Ring(12), 0.3),
 				intVals(12, 9), tweaked(Options{Seed: seed, StopOnConverged: true, MaxRounds: 60_000}, tweak)))
 		}},
-		{"sum/complete10/pairwise", func(seed int64, tweak func(*Options)) (string, error) {
+		{"sum/complete10/pairwise", func(seed int64, tweak variant) (string, error) {
 			return summarize(Run[int](problems.NewSum(), env.NewEdgeChurn(graph.Complete(10), 0.7),
 				intVals(10, 11), tweaked(Options{Seed: seed, StopOnConverged: true, CheckSteps: true, Mode: PairwiseMode, MaxRounds: 10_000}, tweak)))
 		}},
-		{"gcd/star9/roundrobin", func(seed int64, tweak func(*Options)) (string, error) {
+		{"gcd/star9/roundrobin", func(seed int64, tweak variant) (string, error) {
 			vals := intVals(9, 13)
 			for i := range vals {
 				vals[i] = (vals[i] + 1) * 6
 			}
-			return summarize(Run[int](problems.NewGCD(), env.NewRoundRobin(graph.Star(9)),
+			return summarize(Run[int](problemFor[int](problems.NewGCD(), tweak), env.NewRoundRobin(graph.Star(9)),
 				vals, tweaked(Options{Seed: seed, StopOnConverged: true, MaxRounds: 10_000}, tweak)))
 		}},
-		{"sorting/line8/pairwise", func(seed int64, tweak func(*Options)) (string, error) {
+		{"sorting/line8/pairwise", func(seed int64, tweak variant) (string, error) {
 			vals := []int{7, 2, 5, 0, 6, 1, 4, 3}
 			p, err := problems.NewSorting(vals)
 			if err != nil {
@@ -107,7 +136,7 @@ func goldenCases() []goldenCase {
 			return summarize(Run[problems.Item](p, env.NewEdgeChurn(graph.Line(8), 0.8),
 				problems.InitialItems(vals), tweaked(Options{Seed: seed, StopOnConverged: true, Mode: PairwiseMode, MaxRounds: 100_000}, tweak)))
 		}},
-		{"sorting/complete8/component", func(seed int64, tweak func(*Options)) (string, error) {
+		{"sorting/complete8/component", func(seed int64, tweak variant) (string, error) {
 			vals := []int{7, 2, 5, 0, 6, 1, 4, 3}
 			p, err := problems.NewSorting(vals)
 			if err != nil {
@@ -116,34 +145,34 @@ func goldenCases() []goldenCase {
 			return summarize(Run[problems.Item](p, env.NewEdgeChurn(graph.Complete(8), 0.6),
 				problems.InitialItems(vals), tweaked(Options{Seed: seed, StopOnConverged: true, CheckSteps: true, MaxRounds: 100_000}, tweak)))
 		}},
-		{"minpair/complete6/churn0.6", func(seed int64, tweak func(*Options)) (string, error) {
+		{"minpair/complete6/churn0.6", func(seed int64, tweak variant) (string, error) {
 			vals := []int{5, 2, 4, 1, 3, 0}
 			return summarize(Run[problems.Pair](problems.NewMinPair(6, 8), env.NewEdgeChurn(graph.Complete(6), 0.6),
 				problems.InitialPairs(vals), tweaked(Options{Seed: seed, StopOnConverged: true, MaxRounds: 10_000}, tweak)))
 		}},
-		{"hull/ring6/churn0.5", func(seed int64, tweak func(*Options)) (string, error) {
+		{"hull/ring6/churn0.5", func(seed int64, tweak variant) (string, error) {
 			pts := []geom.Point{{X: 0, Y: 0}, {X: 4, Y: 1}, {X: 2, Y: 5}, {X: 6, Y: 3}, {X: 1, Y: 4}, {X: 5, Y: 5}}
 			return summarize(Run[problems.HullState](problems.NewHull(pts), env.NewEdgeChurn(graph.Ring(6), 0.5),
 				problems.InitialHulls(pts), tweaked(Options{Seed: seed, StopOnConverged: true, HEps: 1e-9, MaxRounds: 10_000}, tweak)))
 		}},
-		{"min/ring64/pairwise-blocks4", func(seed int64, tweak func(*Options)) (string, error) {
+		{"min/ring64/pairwise-blocks4", func(seed int64, tweak variant) (string, error) {
 			// MatchBlocks 4 forces the partitioned matcher's boundary
 			// reconciliation on a small system, so the golden matrix pins
 			// the interior/boundary split across every layout variant.
-			return summarize(Run[int](problems.NewMin(), env.NewEdgeChurn(graph.Ring(64), 0.6),
+			return summarize(Run[int](problemFor[int](problems.NewMin(), tweak), env.NewEdgeChurn(graph.Ring(64), 0.6),
 				intVals(64, 19), tweaked(Options{Seed: seed, StopOnConverged: true, CheckSteps: true, Mode: PairwiseMode, MatchBlocks: 4, MaxRounds: 100_000}, tweak)))
 		}},
-		{"sum/complete24/pairwise-blocks3", func(seed int64, tweak func(*Options)) (string, error) {
+		{"sum/complete24/pairwise-blocks3", func(seed int64, tweak variant) (string, error) {
 			// Complete graph: most edges are boundary edges, so the
 			// sequential reconciliation pass carries the round.
 			return summarize(Run[int](problems.NewSum(), env.NewEdgeChurn(graph.Complete(24), 0.7),
 				intVals(24, 21), tweaked(Options{Seed: seed, StopOnConverged: true, Mode: PairwiseMode, MatchBlocks: 3, MaxRounds: 10_000}, tweak)))
 		}},
-		{"min/ring16/no-stop-stability", func(seed int64, tweak func(*Options)) (string, error) {
+		{"min/ring16/no-stop-stability", func(seed int64, tweak variant) (string, error) {
 			// StopOnConverged off: the run continues to MaxRounds and the
 			// goal state must be stable (spec (4)); exercises the full-length
 			// round loop and snapshot maintenance after convergence.
-			return summarize(Run[int](problems.NewMin(), env.NewEdgeChurn(graph.Ring(16), 0.8),
+			return summarize(Run[int](problemFor[int](problems.NewMin(), tweak), env.NewEdgeChurn(graph.Ring(16), 0.8),
 				intVals(16, 17), tweaked(Options{Seed: seed, MaxRounds: 120}, tweak)))
 		}},
 	}
@@ -198,7 +227,7 @@ func TestEngineEquivalenceGolden(t *testing.T) {
 		fmt.Println("var engineGoldens = map[string]string{")
 		for _, c := range goldenCases() {
 			for _, s := range seeds {
-				got, err := c.run(s, nil)
+				got, err := c.run(s, variant{})
 				if err != nil {
 					t.Fatalf("%s/seed%d: %v", c.name, s, err)
 				}
@@ -208,7 +237,7 @@ func TestEngineEquivalenceGolden(t *testing.T) {
 		fmt.Println("}")
 		return
 	}
-	runGoldenCases(t, nil)
+	runGoldenCases(t, variant{})
 }
 
 // TestEngineEquivalenceGoldenParallel re-runs every golden cell with the
@@ -220,37 +249,91 @@ func TestEngineEquivalenceGolden(t *testing.T) {
 func TestEngineEquivalenceGoldenParallel(t *testing.T) {
 	old := goruntime.GOMAXPROCS(4)
 	defer goruntime.GOMAXPROCS(old)
-	runGoldenCases(t, func(o *Options) { o.ParallelThreshold = 1 })
+	runGoldenCases(t, variant{opts: func(o *Options) { o.ParallelThreshold = 1 }})
 }
 
 // TestEngineEquivalenceGoldenSharded re-runs every golden cell with the
 // sharded state layout forced on, for P ∈ {1, 4, GOMAXPROCS}. The shard
-// trackers plus P-way merged snapshot (and the sharded monitor reduction
-// f(f(S_1) ∪ … ∪ f(S_P))) must reproduce the seed engine bit for bit —
+// trackers plus P-way merged snapshot must reproduce the seed engine bit
+// for bit —
 // the conservation law holds for any partition of the agent multiset, so
 // the partition into shards cannot be observable in results.
 func TestEngineEquivalenceGoldenSharded(t *testing.T) {
 	for _, p := range []int{1, 4, goruntime.GOMAXPROCS(0)} {
 		t.Run(fmt.Sprintf("shards=%d", p), func(t *testing.T) {
-			runGoldenCases(t, func(o *Options) { o.Shards = p })
+			runGoldenCases(t, variant{opts: func(o *Options) { o.Shards = p }})
 		})
 	}
 }
 
 // TestEngineEquivalenceGoldenShardedParallel forces sharding AND the
-// worker pool on together — shard repairs, group steps, and the per-shard
-// f partial images all fan out, and results must still match the
-// sequential seed engine exactly.
+// worker pool on together — shard repairs and group steps both fan out,
+// and results must still match the sequential seed engine exactly.
 func TestEngineEquivalenceGoldenShardedParallel(t *testing.T) {
 	old := goruntime.GOMAXPROCS(4)
 	defer goruntime.GOMAXPROCS(old)
-	runGoldenCases(t, func(o *Options) {
+	runGoldenCases(t, variant{opts: func(o *Options) {
 		o.Shards = 3 // deliberately not a divisor of any case's agent count
 		o.ParallelThreshold = 1
-	})
+	}})
 }
 
-func runGoldenCases(t *testing.T, tweak func(*Options)) {
+// TestEngineEquivalenceGoldenStutterHidden re-runs every golden cell whose
+// problem carries core.StutterOnEqual with the marker hidden, so every
+// group steps in full instead of equal-state groups being skipped. The
+// skip must be invisible: both runs match the recorded golden and report
+// the same per-round RoundInfo stream.
+func TestEngineEquivalenceGoldenStutterHidden(t *testing.T) {
+	marked := []string{
+		"min/ring16/churn0.5", // component mode with CheckSteps
+		"min/complete12/partitioner",
+		"min/complete8/adversary-feedback",
+		"partialmin/ring12/powerloss",
+		"gcd/star9/roundrobin",
+		"min/ring64/pairwise-blocks4", // pairwise with CheckSteps
+		"min/ring16/no-stop-stability",
+	}
+	record := func(dst *[]RoundInfo) func(*Options) {
+		return func(o *Options) { o.OnRound = func(ri RoundInfo) { *dst = append(*dst, ri) } }
+	}
+	found := 0
+	for _, c := range goldenCases() {
+		if !slices.Contains(marked, c.name) {
+			continue
+		}
+		found++
+		for _, s := range []int64{1, 2, 3} {
+			key := fmt.Sprintf("%s/seed%d", c.name, s)
+			t.Run(key, func(t *testing.T) {
+				var skipped, full []RoundInfo
+				hid := false
+				gotSkipped, err := c.run(s, variant{opts: record(&skipped)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				gotFull, err := c.run(s, variant{opts: record(&full), hideStutter: true, hid: &hid})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !hid {
+					t.Fatal("the case's problem does not carry core.StutterOnEqual")
+				}
+				want := engineGoldens[key]
+				if gotSkipped != want || gotFull != want {
+					t.Errorf("diverged from the golden\nmarked: %s\nhidden: %s\n  want: %s", gotSkipped, gotFull, want)
+				}
+				if !slices.Equal(skipped, full) {
+					t.Errorf("RoundInfo streams differ\nmarked: %v\nhidden: %v", skipped, full)
+				}
+			})
+		}
+	}
+	if found != len(marked) {
+		t.Fatalf("found %d of the %d marked cells", found, len(marked))
+	}
+}
+
+func runGoldenCases(t *testing.T, tweak variant) {
 	t.Helper()
 	for _, c := range goldenCases() {
 		for _, s := range []int64{1, 2, 3} {

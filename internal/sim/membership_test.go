@@ -55,14 +55,14 @@ func joinGoldenCases() []goldenCase {
 		return vals
 	}
 	return []goldenCase{
-		{"min/ring12+join4ring/churn0.8", func(seed int64, tweak func(*Options)) (string, error) {
+		{"min/ring12+join4ring/churn0.8", func(seed int64, tweak variant) (string, error) {
 			// Ring splice: 12 founding agents, 4 join at round 6 — the run
 			// must reconverge to the 16-agent minimum.
 			sched := dynamics.NewSchedule(dynamics.Join(4, "ring", 6))
 			return summarizeDyn(Run[int](problems.NewMin(), env.NewEdgeChurn(graph.Ring(12), 0.8),
 				intVals(16, 3), tweaked(Options{Seed: seed, StopOnConverged: true, CheckSteps: true, MaxRounds: 10_000, Dynamics: sched}, tweak)))
 		}},
-		{"min/complete10+join3pref/pairwise", func(seed int64, tweak func(*Options)) (string, error) {
+		{"min/complete10+join3pref/pairwise", func(seed int64, tweak variant) (string, error) {
 			// Preferential attachment under the partitioned pairwise
 			// matcher: the matcher's buckets grow mid-run. Min, not sum —
 			// §4.2 gives sum's pairwise gossip a complete-graph
@@ -71,7 +71,7 @@ func joinGoldenCases() []goldenCase {
 			return summarizeDyn(Run[int](problems.NewMin(), env.NewEdgeChurn(graph.Complete(10), 0.7),
 				intVals(13, 11), tweaked(Options{Seed: seed, StopOnConverged: true, CheckSteps: true, Mode: PairwiseMode, MaxRounds: 10_000, Dynamics: sched}, tweak)))
 		}},
-		{"gcd/hypercube8+join8cube/static", func(seed int64, tweak func(*Options)) (string, error) {
+		{"gcd/hypercube8+join8cube/static", func(seed int64, tweak variant) (string, error) {
 			// Hypercube dimension fill: 8 joiners complete Hypercube(4).
 			sched := dynamics.NewSchedule(dynamics.Join(8, "hypercube", 3))
 			vals := intVals(16, 13)
@@ -81,7 +81,7 @@ func joinGoldenCases() []goldenCase {
 			return summarizeDyn(Run[int](problems.NewGCD(), env.NewStatic(graph.Hypercube(3)),
 				vals, tweaked(Options{Seed: seed, StopOnConverged: true, CheckSteps: true, MaxRounds: 10_000, Dynamics: sched}, tweak)))
 		}},
-		{"min/ring16+join2ring+amnesiacflap/churn0.9", func(seed int64, tweak func(*Options)) (string, error) {
+		{"min/ring16+join2ring+amnesiacflap/churn0.9", func(seed int64, tweak variant) (string, error) {
 			// Joins AND amnesiac rejoins in one run: agents crash at round
 			// 2, re-enter amnesiac at 4, and 2 agents join at 6 — min is
 			// super-idempotent, so conservation must survive all of it
@@ -97,7 +97,7 @@ func joinGoldenCases() []goldenCase {
 			return summarizeDyn(Run[int](problems.NewMin(), env.NewEdgeChurn(graph.Ring(16), 0.9),
 				intVals(18, 7), tweaked(Options{Seed: seed, StopOnConverged: true, CheckSteps: true, MaxRounds: 10_000, Dynamics: sched}, tweak)))
 		}},
-		{"min/ring12/amnesiacflap/pairwise", func(seed int64, tweak func(*Options)) (string, error) {
+		{"min/ring12/amnesiacflap/pairwise", func(seed int64, tweak variant) (string, error) {
 			// §3.4 positive case: min is insensitive to re-introduced
 			// initial values, so amnesiac re-entry preserves the
 			// conservation law — viol=0 is pinned. Pairwise on a ring:
@@ -107,7 +107,7 @@ func joinGoldenCases() []goldenCase {
 			return summarizeDyn(Run[int](problems.NewMin(), env.NewEdgeChurn(graph.Ring(12), 0.8),
 				intVals(12, 5), tweaked(Options{Seed: seed, StopOnConverged: true, CheckSteps: true, Mode: PairwiseMode, MaxRounds: 10_000, Dynamics: amnesiacFlap(3, 2, 7)}, tweak)))
 		}},
-		{"sum/complete12/amnesiacflap-violations", func(seed int64, tweak func(*Options)) (string, error) {
+		{"sum/complete12/amnesiacflap-violations", func(seed int64, tweak variant) (string, error) {
 			// §3.4 negative case: sum is NOT insensitive to re-introduced
 			// values — an amnesiac reset duplicates or destroys absorbed
 			// mass, and the monitor must DETECT it (viol > 0 is pinned).
@@ -116,7 +116,7 @@ func joinGoldenCases() []goldenCase {
 			return summarizeDyn(Run[int](problems.NewSum(), env.NewEdgeChurn(graph.Complete(12), 0.8),
 				intVals(12, 9), tweaked(Options{Seed: seed, StopOnConverged: true, Mode: PairwiseMode, MaxRounds: 60, Dynamics: amnesiacFlap(3, 2, 7)}, tweak)))
 		}},
-		{"min/ring24+join4ring/pairwise-blocks3", func(seed int64, tweak func(*Options)) (string, error) {
+		{"min/ring24+join4ring/pairwise-blocks3", func(seed int64, tweak variant) (string, error) {
 			// Fixed MatchBlocks with a ring splice: the boundary
 			// reconciliation schedule gains pairs mid-run.
 			sched := dynamics.NewSchedule(dynamics.Join(4, "ring", 7))
@@ -152,7 +152,7 @@ var joinGoldens = map[string]string{
 	"min/ring24+join4ring/pairwise-blocks3/seed3": "conv=true round=29 rounds=29 steps=68 msgs=136 viol=0 final=[5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5] dyn={Crashes:0 Recoveries:0 Heals:0 LastHealRound:-1 MaskedEdgeRounds:0 FrozenAgentRounds:0 Joins:4 AmnesiacResets:0}",
 }
 
-func runJoinGoldenCases(t *testing.T, tweak func(*Options)) {
+func runJoinGoldenCases(t *testing.T, tweak variant) {
 	t.Helper()
 	for _, c := range joinGoldenCases() {
 		for _, s := range []int64{1, 2, 3} {
@@ -179,7 +179,7 @@ func TestMembershipGolden(t *testing.T) {
 		fmt.Println("var joinGoldens = map[string]string{")
 		for _, c := range joinGoldenCases() {
 			for _, s := range []int64{1, 2, 3} {
-				got, err := c.run(s, nil)
+				got, err := c.run(s, variant{})
 				if err != nil {
 					t.Fatalf("%s/seed%d: %v", c.name, s, err)
 				}
@@ -189,7 +189,7 @@ func TestMembershipGolden(t *testing.T) {
 		fmt.Println("}")
 		return
 	}
-	runJoinGoldenCases(t, nil)
+	runJoinGoldenCases(t, variant{})
 }
 
 // TestMembershipGoldenParallel forces the worker pool on: join rounds
@@ -197,7 +197,7 @@ func TestMembershipGolden(t *testing.T) {
 func TestMembershipGoldenParallel(t *testing.T) {
 	old := goruntime.GOMAXPROCS(4)
 	defer goruntime.GOMAXPROCS(old)
-	runJoinGoldenCases(t, func(o *Options) { o.ParallelThreshold = 1 })
+	runJoinGoldenCases(t, variant{opts: func(o *Options) { o.ParallelThreshold = 1 }})
 }
 
 // TestMembershipGoldenSharded replays the join matrix under the sharded
@@ -206,7 +206,7 @@ func TestMembershipGoldenParallel(t *testing.T) {
 func TestMembershipGoldenSharded(t *testing.T) {
 	for _, p := range []int{-1, 1, 4, goruntime.GOMAXPROCS(0)} {
 		t.Run(fmt.Sprintf("shards=%d", p), func(t *testing.T) {
-			runJoinGoldenCases(t, func(o *Options) { o.Shards = p })
+			runJoinGoldenCases(t, variant{opts: func(o *Options) { o.Shards = p }})
 		})
 	}
 }
@@ -216,10 +216,10 @@ func TestMembershipGoldenSharded(t *testing.T) {
 func TestMembershipGoldenShardedParallel(t *testing.T) {
 	old := goruntime.GOMAXPROCS(4)
 	defer goruntime.GOMAXPROCS(old)
-	runJoinGoldenCases(t, func(o *Options) {
+	runJoinGoldenCases(t, variant{opts: func(o *Options) {
 		o.Shards = 3
 		o.ParallelThreshold = 1
-	})
+	}})
 }
 
 // TestEngineEquivalenceGoldenDormantMembership is the dormant-schedule
@@ -228,7 +228,7 @@ func TestMembershipGoldenShardedParallel(t *testing.T) {
 // byte-identical — the membership machinery is invisible until a rule
 // actually does something.
 func TestEngineEquivalenceGoldenDormantMembership(t *testing.T) {
-	runGoldenCases(t, func(o *Options) { o.Dynamics = dynamics.NewSchedule(dynamics.AmnesiacRejoin()) })
+	runGoldenCases(t, variant{opts: func(o *Options) { o.Dynamics = dynamics.NewSchedule(dynamics.AmnesiacRejoin()) }})
 }
 
 // TestJoinRetargetsConvergence: a joiner carrying a NEW global minimum

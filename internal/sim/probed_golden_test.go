@@ -87,7 +87,7 @@ func TestEngineEquivalenceGoldenProbed(t *testing.T) {
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
 			tweak, collect := withProbe(v.base)
-			runGoldenCases(t, tweak)
+			runGoldenCases(t, variant{opts: tweak})
 			requireEngaged(t, collect())
 		})
 	}
@@ -108,7 +108,7 @@ func TestMembershipGoldenProbed(t *testing.T) {
 					o.ParallelThreshold = 1
 				}
 			})
-			runJoinGoldenCases(t, tweak)
+			runJoinGoldenCases(t, variant{opts: tweak})
 			requireEngaged(t, collect())
 		})
 	}
@@ -119,6 +119,6 @@ func TestMembershipGoldenProbed(t *testing.T) {
 // hook and the observability hook stack without perturbing results.
 func TestEngineEquivalenceGoldenProbedDynamics(t *testing.T) {
 	tweak, collect := withProbe(func(o *Options) { o.Dynamics = dynamics.NewSchedule() })
-	runGoldenCases(t, tweak)
+	runGoldenCases(t, variant{opts: tweak})
 	requireEngaged(t, collect())
 }

@@ -207,7 +207,8 @@ type RoundInfo struct {
 	// Round is the round just executed (0-based).
 	Round int
 	// ActiveGroups is the number of groups (components or matched pairs)
-	// that could act this round.
+	// that could act this round, counting groups the engine skipped
+	// because they could only stutter.
 	ActiveGroups int
 	// ProperSteps is how many of them changed state.
 	ProperSteps int
@@ -265,6 +266,9 @@ type runner[T any] struct {
 	g    *graph.Graph
 	opts Options
 	cmp  ms.Cmp[T]
+	// stutterOnEqual caches core.IsStutterOnEqual(p) for the run: groups
+	// whose members all hold cmp-equal states skip the step pipeline.
+	stutterOnEqual bool
 
 	// obs is the run's observability probe (nil = off). Named obs, not
 	// probe: Result.Probe is the pre-existing env.FairnessProbe.
@@ -445,6 +449,7 @@ func RunWith[T any](sc *Scratch[T], p core.Problem[T], e env.Environment, initia
 	r := &sc.r
 	r.rc = sc.rc
 	r.p, r.e, r.g, r.opts, r.cmp = p, e, g, opts, p.Cmp()
+	r.stutterOnEqual = core.IsStutterOnEqual(p)
 	r.states = append(r.states[:0], initial[:g.N()]...)
 	r.initVals = r.initVals[:0]
 	if joiners > 0 || (opts.Dynamics != nil && opts.Dynamics.Amnesiac()) {
@@ -648,7 +653,7 @@ func RunWith[T any](sc *Scratch[T], p core.Problem[T], e env.Environment, initia
 		r.obs.Begin(obs.PhaseMonitor)
 		r.shards.Flush(r.pool)
 		now := r.shards.View()
-		nowH := r.mon.ObserveRound(round, now, r.shards, r.pool)
+		nowH := r.mon.ObserveRound(round, now)
 		r.obs.End(obs.PhaseMonitor)
 		if opts.RecordH {
 			res.HTrace = append(res.HTrace, nowH)
@@ -833,7 +838,10 @@ func (r *runner[T]) classifyStep(before, after []T) bool {
 // stepComponents runs one ComponentMode round: every connected component
 // of up agents executes one group step; the worker pool runs components
 // concurrently when the round is large enough (groups are disjoint, so
-// writes never overlap).
+// writes never overlap). Under a core.StutterOnEqual problem a component
+// whose members all hold equal states is counted and draws its seed but
+// is not stepped: its step would be a stutter. The return value counts
+// every component of up agents, stepped or not.
 func (r *runner[T]) stepComponents(es env.State, exact bool) int {
 	// Quiescent-round memo: when the changed-id stream proves no mask
 	// entry moved since the previous round, the partition is byte-for-byte
@@ -854,6 +862,7 @@ func (r *runner[T]) stepComponents(es env.State, exact bool) int {
 	r.obs.Begin(obs.PhaseGroupStep)
 	r.jobs = r.jobs[:0]
 	arena := r.beforeArena[:0]
+	active := 0
 	for _, comp := range comps {
 		// Disabled agents form singleton components that take no action;
 		// any component containing a down agent is necessarily that
@@ -861,17 +870,24 @@ func (r *runner[T]) stepComponents(es env.State, exact bool) int {
 		if len(comp) == 1 && !es.AgentUp.IsZero() && !es.AgentUp.Get(comp[0]) {
 			continue
 		}
+		active++
+		// Deterministic per-group randomness independent of worker
+		// scheduling: child seeds are drawn from the master stream in group
+		// order (groups are deterministically ordered by smallest member).
+		// The draw happens even for a group that is then skipped, so the
+		// master-stream positions never depend on which groups step.
+		seed := r.seeder.GroupSeed()
+		if r.stutterOnEqual && r.allEqual(comp) {
+			continue // can only stutter: nothing to step, verify or stage
+		}
 		start := len(arena)
 		for _, a := range comp {
 			arena = append(arena, r.states[a])
 		}
-		// Deterministic per-group randomness independent of worker
-		// scheduling: child seeds are drawn from the master stream in group
-		// order (groups are deterministically ordered by smallest member).
 		r.jobs = append(r.jobs, groupJob[T]{
 			members: comp,
 			before:  arena[start:len(arena):len(arena)],
-			seed:    r.seeder.GroupSeed(),
+			seed:    seed,
 		})
 	}
 	r.beforeArena = arena[:0]
@@ -897,7 +913,20 @@ func (r *runner[T]) stepComponents(es env.State, exact bool) int {
 		}
 	}
 	r.obs.End(obs.PhaseGroupStep)
-	return len(r.jobs)
+	return active
+}
+
+// allEqual reports whether every member of a group holds a state cmp-equal
+// to the first member's — under a core.StutterOnEqual problem, a group
+// that can only stutter.
+func (r *runner[T]) allEqual(members []int) bool {
+	first := r.states[members[0]]
+	for _, a := range members[1:] {
+		if r.cmp(first, r.states[a]) != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // stepPairs runs one PairwiseMode round: the round's changed-id stream
@@ -907,11 +936,13 @@ func (r *runner[T]) stepComponents(es env.State, exact bool) int {
 // matchings fan out across the pool, level-scheduled boundary pairs
 // complete maximality — see engine.PairMatcher), then each matched pair
 // executes one PairStep on a private stream seeded in matching order,
-// exactly as component groups do. Master-stream consumption is one draw
-// for the matching seed plus one child-seed draw per matched pair,
-// independent of the shard count and the pool, so results are
-// bit-identical for every Shards/ParallelThreshold/GOMAXPROCS
-// combination.
+// exactly as component groups do (an equal-state pair of a
+// core.StutterOnEqual problem is skipped after its seed draw, as in
+// stepComponents). Master-stream consumption is one draw for the matching
+// seed plus one child-seed draw per matched pair, independent of the
+// shard count, the pool and the marker, so results are bit-identical for
+// every Shards/ParallelThreshold/GOMAXPROCS combination. The return value
+// is the matched-pair count.
 func (r *runner[T]) stepPairs(es env.State, rng *rand.Rand, exact bool) int {
 	r.obs.Begin(obs.PhaseMatcherUpdate)
 	r.matcher.Update(es.EdgeUp, es.AgentUp, r.touchedE, r.touchedA, exact)
@@ -927,10 +958,18 @@ func (r *runner[T]) stepPairs(es env.State, rng *rand.Rand, exact bool) int {
 	r.pairJobs = r.pairJobs[:0]
 	for _, id := range matched {
 		e := r.matcher.Edge(id)
+		// Every matched pair draws its child seed in matching order; an
+		// equal-state pair of a core.StutterOnEqual problem can only
+		// stutter and then gets no job at all.
+		seed := r.seeder.GroupSeed()
+		oldA, oldB := r.states[e.A], r.states[e.B]
+		if r.stutterOnEqual && r.cmp(oldA, oldB) == 0 {
+			continue
+		}
 		r.pairJobs = append(r.pairJobs, pairJob[T]{
 			a: e.A, b: e.B,
-			oldA: r.states[e.A], oldB: r.states[e.B],
-			seed: r.seeder.GroupSeed(),
+			oldA: oldA, oldB: oldB,
+			seed: seed,
 		})
 	}
 
@@ -956,7 +995,7 @@ func (r *runner[T]) stepPairs(es env.State, rng *rand.Rand, exact bool) int {
 		r.states[j.a], r.states[j.b] = j.newA, j.newB
 	}
 	r.obs.End(obs.PhaseGroupStep)
-	return len(r.pairJobs)
+	return len(matched)
 }
 
 // Converges is a convenience wrapper for tests and experiments: it runs

@@ -4,12 +4,13 @@
 # BenchmarkSimComponentRing64 pins the round-based engine's zero-alloc
 # round loop. Its allocs/op is one GroupStep copy per executed group step
 # (the Problem API returns a fresh after-state so callers can never alias
-# internal scratch) plus one-time setup; the budget of 1600 sits ~13%
-# above the ~1416 the fixed seed produces (the one-shard engine.Shards
-# set-up costs ~20 more one-time allocs than the bare tracker it
-# replaced; the per-step cost is unchanged). BenchmarkSimPairwiseSharded4k pins the sharded pairwise
+# internal scratch) plus one-time setup. Min carries core.StutterOnEqual,
+# so components whose members all hold one value (singletons included)
+# are skipped without a step or a copy: the fixed seed measures ~226,
+# down from ~1416 when every component stepped. The budget stays at
+# 1600. BenchmarkSimPairwiseSharded4k pins the sharded pairwise
 # round: the partitioned matcher's buffers are engine-owned and reused
-# and PairStep is allocation-free, so a 4096-agent run sits near 710
+# and PairStep is allocation-free, so a 4096-agent run sits near 735
 # allocs/op, almost all setup — a regression to even one allocation per
 # matched pair would add ~65k and fail loudly. BenchmarkSweepGrid pins the
 # scenario-grid runner's warm-engine contract: one persistent Runner
@@ -23,7 +24,7 @@
 # BenchmarkSimWithDynamics is BenchmarkSimComponentRing64 with an EMPTY
 # dynamics schedule attached and shares its 1600 budget: the dynamics
 # hook (per-round Begin/EndRound + frozen check) must add ~0 allocs/round
-# — the fixed seed measures ~1420 vs ~1416 plain, the difference being
+# — the fixed seed measures ~233 vs ~226 plain, the difference being
 # one-time applier setup. A regression that allocates per round (mask
 # copies, per-event garbage) multiplies the number and fails loudly.
 #
@@ -31,12 +32,12 @@
 # path: 64 post-warmup pairwise rounds at N = 10⁵ on a warm sweep worker
 # (availability 0.999, so ~0.1% of edges flip per round and the
 # usable-edge delta index absorbs them incrementally). The fixed seed
-# measures ~101 allocs/op — exclusively per-run bookkeeping (Result,
+# measures ~42 allocs/op — exclusively per-run bookkeeping (Result,
 # probe, environment, initial/final state copies); the 64 delta-indexed
-# rounds themselves are allocation-free (the shard flush and the
-# monitor's partial-image fan-out hand the pool prebuilt funcs, and
+# rounds themselves are allocation-free (the shard flush hands the pool
+# a prebuilt func, the monitor evaluates f into one reused buffer, and
 # detlint's hotalloc check keeps closures out of both). The budget of
-# 150 sits ~50% above that: a regression that allocates even once per
+# 150 (set when the bookkeeping measured ~101) stays: a regression that allocates even once per
 # round adds 64 and fails, and one that re-pays any O(N) or O(E) buffer
 # per round blows through it by orders of magnitude.
 #
@@ -47,7 +48,7 @@
 # ring splice, the extended cached partition, matcher/mask/tracker
 # growth, and the joiners' identity-keyed seeder substreams — all of
 # which must be O(joined subgraph + changed edges). The fixed seed
-# measures ~204 allocs/op; the budget of 400 sits ~2× above, so a
+# measures ~167 allocs/op; the budget of 400 sits ~2× above, so a
 # regression that allocates per agent (4096 would blow through it) or
 # per round after the splice fails loudly.
 #
@@ -56,7 +57,7 @@
 # shares the 150 budget: the probe's hot path (BeginRound/Begin/End/Add
 # and the counter increments inside the pool, shards, and round loop)
 # must be allocation-free, so probes-on allocs/op equals the unprobed
-# per-run bookkeeping (~101 measured — the same fixed-cost set as
+# per-run bookkeeping (~41 measured — the same fixed-cost set as
 # Delta1e5). A regression that allocates once per round adds 32, and
 # one that allocates per phase sample adds hundreds per op (32 rounds ×
 # 7+ phase brackets); both fail.
