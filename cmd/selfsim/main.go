@@ -49,7 +49,11 @@ func main() {
 	}
 	opts := sim.Options{
 		Seed: *seed, StopOnConverged: true, MaxRounds: *maxRounds,
-		CheckSteps: true, RecordH: *verbose, HEps: 1e-9,
+		CheckSteps: true, HEps: 1e-9,
+	}
+	var hTrace []float64 // the global variant h after every round, under -v
+	if *verbose {
+		opts.OnRound = func(ri sim.RoundInfo) { hTrace = append(hTrace, ri.H) }
 	}
 	if *mode == "pairwise" {
 		opts.Mode = sim.PairwiseMode
@@ -62,43 +66,43 @@ func main() {
 	switch *problem {
 	case "min":
 		res, err := sim.Run[int](problems.NewMin(), e, vals, opts)
-		report(res, err, *verbose)
+		report(res, err, *verbose, hTrace)
 	case "max":
 		res, err := sim.Run[int](problems.NewMax(4**n+1), e, vals, opts)
-		report(res, err, *verbose)
+		report(res, err, *verbose, hTrace)
 	case "sum":
 		res, err := sim.Run[int](problems.NewSum(), e, vals, opts)
-		report(res, err, *verbose)
+		report(res, err, *verbose, hTrace)
 	case "gcd":
 		for i := range vals {
 			vals[i] = (vals[i] + 1) * 3
 		}
 		res, err := sim.Run[int](problems.NewGCD(), e, vals, opts)
-		report(res, err, *verbose)
+		report(res, err, *verbose, hTrace)
 	case "average":
 		fv := make([]float64, *n)
 		for i, v := range vals {
 			fv[i] = float64(v)
 		}
 		res, err := sim.Run[float64](problems.NewAverage(1e-9), e, fv, opts)
-		report(res, err, *verbose)
+		report(res, err, *verbose, hTrace)
 	case "minpair":
 		res, err := sim.Run[problems.Pair](problems.NewMinPair(*n, 4**n+1), e, problems.InitialPairs(vals), opts)
-		report(res, err, *verbose)
+		report(res, err, *verbose, hTrace)
 	case "sort":
 		sp, err := problems.NewSorting(vals)
 		if err != nil {
 			fail(err)
 		}
 		res, err := sim.Run[problems.Item](sp, e, problems.InitialItems(vals), opts)
-		report(res, err, *verbose)
+		report(res, err, *verbose, hTrace)
 	case "hull":
 		pts := make([]geom.Point, *n)
 		for i := range pts {
 			pts[i] = geom.Point{X: rng.Float64() * 10, Y: rng.Float64() * 10}
 		}
 		res, err := sim.Run[problems.HullState](problems.NewHull(pts), e, problems.InitialHulls(pts), opts)
-		report(res, err, *verbose)
+		report(res, err, *verbose, hTrace)
 	default:
 		fail(fmt.Errorf("unknown problem %q", *problem))
 	}
@@ -151,7 +155,7 @@ func buildEnv(name string, g *graph.Graph, p float64) (env.Environment, error) {
 	}
 }
 
-func report[T any](res *sim.Result[T], err error, verbose bool) {
+func report[T any](res *sim.Result[T], err error, verbose bool, hTrace []float64) {
 	if err != nil {
 		fail(err)
 	}
@@ -166,7 +170,7 @@ func report[T any](res *sim.Result[T], err error, verbose bool) {
 	fmt.Printf("target:       %s\n", truncate(fmt.Sprint(res.Target), 100))
 	fmt.Printf("final states: %s\n", truncate(fmt.Sprint(res.Final), 100))
 	if verbose {
-		fmt.Printf("h trajectory: %v\n", res.HTrace)
+		fmt.Printf("h trajectory: %v\n", hTrace)
 	}
 	if !res.Converged || len(res.Violations) > 0 {
 		os.Exit(1)

@@ -26,6 +26,24 @@ func ExampleSimulate() {
 	// final: [1 1 1 1 1 1 1 1]
 }
 
+// OnRound is the per-round outlet: here it collects the quickstart run's
+// trajectory of the variant h, which never increases.
+func ExampleRoundInfo() {
+	var hTrace []float64
+	_, err := selfsim.Simulate[int](selfsim.NewMin(), selfsim.EdgeChurn(selfsim.Ring(8), 0.3),
+		[]int{9, 4, 7, 1, 8, 2, 6, 5},
+		selfsim.Options{
+			Seed: 1, StopOnConverged: true, CheckSteps: true,
+			OnRound: func(ri selfsim.RoundInfo) { hTrace = append(hTrace, ri.H) },
+		})
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println("h trajectory:", hTrace)
+	// Output:
+	// h trajectory: [42 36 27 26 26 20 19 14 14 14 8]
+}
+
 // Non-consensus: one agent collects the sum (§4.2).
 func ExampleNewSum() {
 	res, err := selfsim.Simulate[int](selfsim.NewSum(),

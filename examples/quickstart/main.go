@@ -23,12 +23,13 @@ func main() {
 	g := selfsim.Ring(len(values))
 	environment := selfsim.EdgeChurn(g, 0.3) // each link up 30% of rounds
 
+	var hTrace []float64 // the global variant h after every round
 	res, err := selfsim.Simulate[int](selfsim.NewMin(), environment, values,
 		selfsim.Options{
 			Seed:            1,
 			StopOnConverged: true,
 			CheckSteps:      true, // verify every step is a valid D-step
-			RecordH:         true,
+			OnRound:         func(ri selfsim.RoundInfo) { hTrace = append(hTrace, ri.H) },
 		})
 	if err != nil {
 		log.Fatal(err)
@@ -39,7 +40,7 @@ func main() {
 	fmt.Printf("converged:      %v after %d rounds\n", res.Converged, res.Round)
 	fmt.Printf("final states:   %v\n", res.Final)
 	fmt.Printf("messages:       %d\n", res.Messages)
-	fmt.Printf("h trajectory:   %v\n", res.HTrace)
+	fmt.Printf("h trajectory:   %v\n", hTrace)
 
 	// The same system under a benign environment: one round.
 	fast, err := selfsim.Simulate[int](selfsim.NewMin(), selfsim.Static(g), values,

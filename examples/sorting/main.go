@@ -29,13 +29,14 @@ func main() {
 	g := selfsim.Line(len(values)) // §4.4: the line suffices
 	environment := selfsim.Adversary(g, 0.7, 8)
 
+	var hTrace []float64 // the objective h after every round
 	res, err := selfsim.Simulate[selfsim.Item](problem, environment,
 		selfsim.InitialItems(values),
 		selfsim.Options{
 			Seed:            3,
 			StopOnConverged: true,
 			Mode:            selfsim.PairwiseMode, // adjacent swaps only
-			RecordH:         true,
+			OnRound:         func(ri selfsim.RoundInfo) { hTrace = append(hTrace, ri.H) },
 			CheckSteps:      true,
 		})
 	if err != nil {
@@ -46,10 +47,10 @@ func main() {
 	fmt.Printf("sorted after %d rounds under a 70%%-cut adversary\n\n", res.Round)
 
 	fmt.Println("objective h = Σ (position − desired position)², every ~10 rounds:")
-	for i := 0; i < len(res.HTrace); i += 10 {
-		fmt.Printf("  round %3d: h = %g\n", i, res.HTrace[i])
+	for i := 0; i < len(hTrace); i += 10 {
+		fmt.Printf("  round %3d: h = %g\n", i, hTrace[i])
 	}
-	fmt.Printf("  round %3d: h = %g\n\n", len(res.HTrace)-1, res.HTrace[len(res.HTrace)-1])
+	fmt.Printf("  round %3d: h = %g\n\n", len(hTrace)-1, hTrace[len(hTrace)-1])
 
 	final := make([]int, len(values))
 	for _, it := range res.Final {

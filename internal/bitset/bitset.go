@@ -12,7 +12,7 @@
 //     one word test per 64 entries), and
 //   - round-over-round change detection is a word-wise XOR that yields
 //     exactly the flipped ids — the primitive the usable-edge delta
-//     index and the O(changes) fairness probe are built on.
+//     index and the fairness probe's Observe are built on.
 //
 // The zero value Set{} is "absent": Len() == 0 and IsZero() reports
 // true. Call sites that accepted a nil []bool to mean "everything up"

@@ -12,10 +12,11 @@
 // implemented twice and had started to diverge; sim and sched now build
 // on the primitives here:
 //
-//   - Monitor: conservation-law checking, variant-descent checking, and
-//     D-step verification (the proof obligation "R implements D" of §3.7)
-//     with the violation-reporting format both engines share;
-//   - Convergence: the target S* = f(S(0)) and first-reach detection;
+//   - Monitor: the run's one judge against the target S* = f(S(0)) —
+//     conservation-law checking, variant-descent checking, first-reach
+//     detection, and D-step verification (the proof obligation "R
+//     implements D" of §3.7), with the violation-reporting format both
+//     engines share;
 //   - Seeder: deterministic per-group child seeds drawn from the master
 //     stream in group order (so results are independent of goroutine
 //     scheduling), plus the per-agent seed derivation the asynchronous
@@ -34,10 +35,11 @@ import (
 	ms "repro/internal/multiset"
 )
 
-// Monitor watches one run of either engine for violations of the paper's
-// two global invariants and verifies individual steps against the relation
-// D. It is NOT safe for concurrent use; engines observe from their
-// coordinating goroutine.
+// Monitor judges one run of either engine against its target S*: it
+// watches for violations of the paper's two global invariants, records
+// the first observation that reaches S*, and verifies individual steps
+// against the relation D. It is NOT safe for concurrent use; engines
+// observe from their coordinating goroutine.
 type Monitor[T any] struct {
 	f     core.Function[T]
 	h     core.Variant[T]
@@ -48,6 +50,11 @@ type Monitor[T any] struct {
 	target     ms.Multiset[T]
 	lastH      float64
 	violations []string
+	// reached records whether an observation has reached the target since
+	// the last Reset or AdmitJoin, and reachRound the index it was
+	// recorded at; the record is sticky until a join clears it.
+	reached    bool
+	reachRound int
 	// fBuf backs the per-round f evaluation when f provides the
 	// core.IntoFunction fast path, so the conservation check allocates
 	// nothing in steady state.
@@ -55,8 +62,9 @@ type Monitor[T any] struct {
 }
 
 // NewMonitor builds a Monitor for problem p from the initial state
-// multiset: the target S* = f(S(0)) is fixed here, and the variant
-// baseline is h(S(0)).
+// multiset: the target S* = f(S(0)) is fixed here, the variant baseline
+// is h(S(0)), and an initial state that already equals S* is recorded as
+// reached at index 0.
 func NewMonitor[T any](p core.Problem[T], initial ms.Multiset[T], hEps float64) *Monitor[T] {
 	m := &Monitor[T]{}
 	m.Reset(p, initial, hEps)
@@ -74,14 +82,27 @@ func (m *Monitor[T]) Reset(p core.Problem[T], initial ms.Multiset[T], hEps float
 	m.target = m.f.Apply(initial)
 	m.lastH = m.h.Value(initial)
 	m.violations = nil
+	m.reached, m.reachRound = m.equal(initial, m.target), 0
 }
 
-// Target returns the goal multiset S* = f(S(0)).
+// Target returns the goal multiset S* = f(S(0)) (extended by AdmitJoin).
 func (m *Monitor[T]) Target() ms.Multiset[T] { return m.target }
+
+// Reached reports whether now equals the target, without recording
+// anything — the stateless probe used by pollers.
+func (m *Monitor[T]) Reached(now ms.Multiset[T]) bool { return m.equal(now, m.target) }
+
+// FirstReach returns the index recorded at the first observation that
+// reached the target — 0 for an initial state already there, round+1 for
+// ObserveRound(round, ·) — and whether any observation has reached it
+// since the last Reset or AdmitJoin.
+func (m *Monitor[T]) FirstReach() (round int, ok bool) { return m.reachRound, m.reached }
 
 // ObserveRound checks the global state after a round: the conservation
 // law f(S) = S* and the monotone descent of h relative to the previous
-// observation. It returns the current h value. global is the current
+// observation. The first observation equal to S* is recorded as reached
+// at round+1 (the number of rounds executed) and never moved afterwards.
+// It returns the current h value. global is the current
 // global state multiset (a sharded engine passes its merged Shards.View,
 // which it needs anyway for convergence detection), so f and h always see
 // the whole state and verdicts never depend on the shard layout or on
@@ -101,49 +122,37 @@ func (m *Monitor[T]) ObserveRound(round int, global ms.Multiset[T]) float64 {
 		m.AddViolation("round %d: variant increased %g → %g", round, m.lastH, nowH)
 	}
 	m.lastH = nowH
+	if !m.reached && m.equal(global, m.target) {
+		m.reached, m.reachRound = true, round+1
+	}
 	return nowH
 }
 
-// ObserveQuiescence checks the conservation law and the net variant
-// descent once, against the final state of a run whose intermediate states
-// are not observable (the asynchronous runtime: the global multiset passes
-// through transient states while a pair exchange is in flight, so the
-// invariants are asserted at quiescence).
-func (m *Monitor[T]) ObserveQuiescence(final ms.Multiset[T]) {
-	var fx ms.Multiset[T]
-	fx, m.fBuf = core.ApplyInto(m.f, m.fBuf, final)
-	if !m.equal(fx, m.target) {
-		m.violations = append(m.violations,
-			"quiescence: conservation law violated: f(S) ≠ S*")
-	}
-	if nowH := m.h.Value(final); nowH > m.lastH+m.hEps {
-		m.violations = append(m.violations,
-			fmt.Sprintf("quiescence: variant increased %g → %g", m.lastH, nowH))
-	}
-}
-
-// AdmitJoin extends the conservation target for a sanctioned population
-// growth: target' = f(target ∪ joined) = f(f(S(0)) ∪ joined). When f is
-// super-idempotent this is EXACTLY f(S(0) ∪ joined) by §3.4
+// AdmitJoin re-aims the run at the grown population; now is the state
+// with the joiners applied. It extends the conservation target for the
+// sanctioned growth: target' = f(target ∪ joined) = f(f(S(0)) ∪ joined).
+// When f is super-idempotent this is EXACTLY f(S(0) ∪ joined) by §3.4
 // (f(f(X) ∪ Y) = f(X ∪ Y)) — the target a fresh run over the whole
 // population would fix — so admitting joiners against the already-reduced
-// target never masks or manufactures a violation. The variant baseline is
-// NOT touched here; callers rebase it (RebaseVariant) after the join is
-// applied to the state, since new input may legitimately raise h.
-func (m *Monitor[T]) AdmitJoin(joined []T) {
-	if len(joined) == 0 {
-		return
+// target never masks or manufactures a violation. It clears the
+// first-reach record, since the run must (re)reach the NEW target, and
+// rebases the variant baseline to h(now), since fresh input may
+// legitimately raise h.
+func (m *Monitor[T]) AdmitJoin(joined []T, now ms.Multiset[T]) {
+	if len(joined) > 0 {
+		y := ms.New(m.target.Cmp(), joined...)
+		m.target = m.f.Apply(m.target.Union(y))
 	}
-	y := ms.New(m.target.Cmp(), joined...)
-	m.target = m.f.Apply(m.target.Union(y))
+	m.reached, m.reachRound = false, 0
+	m.lastH = m.h.Value(now)
 }
 
-// RebaseVariant resets the variant baseline to h(now). Sanctioned
-// discontinuities — a join injecting fresh input, an amnesiac rejoin
-// resetting an agent to its initial state — may raise h without any agent
-// taking an illegal step; callers invoke this at such rounds so the
-// descent check resumes from the post-discontinuity value instead of
-// reporting the jump as a violation.
+// RebaseVariant resets the variant baseline to h(now). A sanctioned
+// discontinuity — an amnesiac rejoin resetting an agent to its initial
+// state — may raise h without any agent taking an illegal step; callers
+// invoke this at such rounds so the descent check resumes from the
+// post-discontinuity value instead of reporting the jump as a violation.
+// (A join rebases through AdmitJoin.)
 func (m *Monitor[T]) RebaseVariant(now ms.Multiset[T]) { m.lastH = m.h.Value(now) }
 
 // CheckFrozen verifies the dynamics layer's frozen-state contract: a
@@ -176,54 +185,6 @@ func (m *Monitor[T]) AddViolation(format string, args ...any) {
 
 // Violations returns the violations recorded so far (nil on a clean run).
 func (m *Monitor[T]) Violations() []string { return m.violations }
-
-// Convergence detects the first time a run's state multiset reaches the
-// target S*.
-type Convergence[T any] struct {
-	equal     func(a, b ms.Multiset[T]) bool
-	target    ms.Multiset[T]
-	converged bool
-	round     int
-}
-
-// NewConvergence builds a detector for the given target under the given
-// multiset equality.
-func NewConvergence[T any](equal func(a, b ms.Multiset[T]) bool, target ms.Multiset[T]) *Convergence[T] {
-	return &Convergence[T]{equal: equal, target: target}
-}
-
-// Reached reports whether now equals the target, without recording
-// anything — the stateless probe used by pollers.
-func (c *Convergence[T]) Reached(now ms.Multiset[T]) bool { return c.equal(now, c.target) }
-
-// Observe records the state after `rounds` rounds (or operations) and
-// returns true exactly when this observation is the first to reach the
-// target.
-func (c *Convergence[T]) Observe(rounds int, now ms.Multiset[T]) bool {
-	if c.converged || !c.equal(now, c.target) {
-		return false
-	}
-	c.converged = true
-	c.round = rounds
-	return true
-}
-
-// Retarget rebinds the detector to a new target and clears any earlier
-// first-reach record — the population-growth path: a join changes
-// S* = f(S(0) ∪ joined), so the run must (re)reach the NEW target and
-// Round reports the first reach of the final population's target.
-func (c *Convergence[T]) Retarget(target ms.Multiset[T]) {
-	c.target = target
-	c.converged = false
-	c.round = 0
-}
-
-// Converged reports whether any observation reached the target.
-func (c *Convergence[T]) Converged() bool { return c.converged }
-
-// Round returns the observation index recorded at first reach (0 when the
-// target was never reached).
-func (c *Convergence[T]) Round() int { return c.round }
 
 // Seeder derives all of a run's randomness from one master seed so runs
 // are reproducible bit for bit regardless of scheduling.

@@ -3,6 +3,7 @@ package engine
 import (
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -98,6 +99,10 @@ func TestMonitorCleanRound(t *testing.T) {
 	}
 }
 
+// TestMonitorFlagsConservationAndDescent: a bad round is flagged with
+// both messages, and a final-state observation (the async engine's one
+// ObserveRound, at its epoch index) passes when clean and is flagged when
+// it does not conserve.
 func TestMonitorFlagsConservationAndDescent(t *testing.T) {
 	p := problems.NewMin()
 	m := NewMonitor[int](p, ms.OfInts(3, 1, 2), 0)
@@ -112,18 +117,21 @@ func TestMonitorFlagsConservationAndDescent(t *testing.T) {
 	if !strings.Contains(v[1], "round 0: variant increased") {
 		t.Errorf("variant message = %q", v[1])
 	}
-}
 
-func TestMonitorQuiescence(t *testing.T) {
-	p := problems.NewMin()
-	m := NewMonitor[int](p, ms.OfInts(3, 1, 2), 0)
-	m.ObserveQuiescence(ms.OfInts(1, 1, 1))
-	if len(m.Violations()) != 0 {
-		t.Fatalf("clean quiescence produced violations: %v", m.Violations())
-	}
-	m.ObserveQuiescence(ms.OfInts(2, 2, 2))
-	if len(m.Violations()) == 0 {
-		t.Fatal("non-conserving quiescence not flagged")
+	for _, tc := range []struct {
+		final []int
+		want  int
+	}{
+		{[]int{1, 1, 1}, 0}, // clean final view
+		{[]int{2, 2, 2}, 1}, // f(S) ≠ S*; h(S) = 6 ≤ h(S(0))
+	} {
+		m := NewMonitor[int](p, ms.OfInts(3, 1, 2), 0)
+		m.ObserveRound(7, ms.OfInts(tc.final...))
+		if v := m.Violations(); len(v) != tc.want {
+			t.Errorf("final %v: violations = %v, want %d", tc.final, v, tc.want)
+		} else if tc.want > 0 && !strings.Contains(v[0], "round 7: conservation law violated") {
+			t.Errorf("final %v: message = %q", tc.final, v[0])
+		}
 	}
 }
 
@@ -160,26 +168,80 @@ func TestMonitorVerifyStep(t *testing.T) {
 	}
 }
 
-func TestConvergenceFirstReach(t *testing.T) {
-	eq := func(a, b ms.Multiset[int]) bool { return a.Equal(b) }
-	c := NewConvergence(eq, ms.OfInts(1, 1))
-	if c.Observe(0, ms.OfInts(2, 1)) || c.Converged() {
-		t.Fatal("converged before reaching target")
+// TestMonitorFirstReach pins the monitor's first-reach record: Reset
+// records an initial state already at S* at index 0, ObserveRound records
+// the first reach once at round+1 and later rounds never move it, Reached
+// probes without recording, and AdmitJoin clears the record, extends the
+// target and rebases h so a join that raises h is not a violation.
+func TestMonitorFirstReach(t *testing.T) {
+	p := problems.NewMin()
+	type obs struct {
+		round int
+		state []int
 	}
-	if !c.Reached(ms.OfInts(1, 1)) {
-		t.Fatal("Reached is a stateless probe and must report true")
-	}
-	if c.Converged() {
-		t.Fatal("Reached must not record convergence")
-	}
-	if !c.Observe(5, ms.OfInts(1, 1)) {
-		t.Fatal("first reach not reported")
-	}
-	if c.Observe(6, ms.OfInts(1, 1)) {
-		t.Fatal("second reach reported as first")
-	}
-	if c.Round() != 5 {
-		t.Fatalf("Round = %d, want 5", c.Round())
+	for _, tc := range []struct {
+		name    string
+		initial []int
+		rounds  []obs
+		probe   []int // Reached(probe) must be true and record nothing
+		join    []int // admitted after the rounds (nil = no join)
+		after   []obs // observed after the join
+		want    int
+		wantOK  bool
+		target  []int
+	}{
+		{name: "initial reach", initial: []int{1, 1}, want: 0, wantOK: true, target: []int{1, 1}},
+		{name: "never reached", initial: []int{2, 1},
+			rounds: []obs{{0, []int{2, 1}}, {1, []int{2, 1}}}, target: []int{1, 1}},
+		{name: "first reach sticky", initial: []int{2, 1},
+			rounds: []obs{{3, []int{2, 1}}, {4, []int{1, 1}}, {5, []int{1, 1}}},
+			want:   5, wantOK: true, target: []int{1, 1}},
+		{name: "probe records nothing", initial: []int{2, 1},
+			probe: []int{1, 1}, rounds: []obs{{0, []int{2, 1}}}, target: []int{1, 1}},
+		{name: "join clears and extends", initial: []int{2, 1},
+			rounds: []obs{{0, []int{1, 1}}}, join: []int{0},
+			target: []int{0, 0, 0}},
+		{name: "join then reach", initial: []int{2, 1},
+			rounds: []obs{{0, []int{1, 1}}}, join: []int{0},
+			after: []obs{{1, []int{0, 1, 1}}, {2, []int{0, 0, 0}}},
+			want:  3, wantOK: true, target: []int{0, 0, 0}},
+		{name: "join raising h", initial: []int{1, 1},
+			join:   []int{9},
+			after:  []obs{{0, []int{1, 1, 9}}},
+			target: []int{1, 1, 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := NewMonitor[int](p, ms.OfInts(tc.initial...), 0)
+			if tc.probe != nil && !m.Reached(ms.OfInts(tc.probe...)) {
+				t.Fatal("Reached must report a state equal to the target")
+			}
+			state := tc.initial
+			for _, o := range tc.rounds {
+				m.ObserveRound(o.round, ms.OfInts(o.state...))
+				state = o.state
+			}
+			if tc.join != nil {
+				if _, ok := m.FirstReach(); !ok {
+					t.Fatal("expected a reach before the join")
+				}
+				m.AdmitJoin(tc.join, ms.OfInts(append(slices.Clone(state), tc.join...)...))
+				if _, ok := m.FirstReach(); ok {
+					t.Fatal("AdmitJoin must clear the first-reach record")
+				}
+			}
+			for _, o := range tc.after {
+				m.ObserveRound(o.round, ms.OfInts(o.state...))
+			}
+			if got, ok := m.FirstReach(); got != tc.want || ok != tc.wantOK {
+				t.Errorf("FirstReach = (%d, %v), want (%d, %v)", got, ok, tc.want, tc.wantOK)
+			}
+			if !m.Target().Equal(ms.OfInts(tc.target...)) {
+				t.Errorf("target = %v, want %v", m.Target(), tc.target)
+			}
+			if v := m.Violations(); len(v) != 0 {
+				t.Errorf("violations = %v, want none", v)
+			}
+		})
 	}
 }
 

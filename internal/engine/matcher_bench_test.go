@@ -15,8 +15,7 @@ import (
 //	go test ./internal/engine -run '^$' -bench 'MatcherUpdate(Quiescent|Rescan)1e5' -benchmem
 //
 // Quiescent sits in the nanoseconds (two empty range loops); the rescan
-// walks all E edges. The same contrast drives the FairnessProbe
-// (ObserveDelta vs Observe, internal/env) and the component-partition
+// walks all E edges. The same contrast drives the component-partition
 // memo (internal/sim), so this pair stands in for the whole round path.
 
 func benchMatcher1e5() (*PairMatcher, bitset.Set, bitset.Set) {

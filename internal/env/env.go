@@ -858,12 +858,10 @@ func (e *Mobile) Step(_ int, rng *rand.Rand) State {
 // experiments report it as such.
 //
 // The probe is transition-based: it stores the previous round's mask and
-// updates per-edge statistics only where the mask changed. Observe finds
-// the changes itself with a word-level XOR scan (O(M/64 + flips) per
-// round); ObserveDelta takes the caller's changed-id list and is O(flips)
-// — the path the simulation engine uses when the environment reports
-// exact deltas. Up-time and gap figures are reconstructed lazily at query
-// time from run boundaries, so steady state costs nothing per edge.
+// updates per-edge statistics only where the mask changed, which Observe
+// finds with a word-level XOR scan (O(M/64 + flips) per round). Up-time
+// and gap figures are reconstructed lazily at query time from run
+// boundaries, so steady state costs nothing per edge.
 type FairnessProbe struct {
 	rounds int
 	prev   bitset.Set // up-ness as of the last observed round
@@ -889,29 +887,8 @@ func NewFairnessProbe(m int) *FairnessProbe {
 		maxGap:    make([]int, m),
 		// Worst-case diff capacity up front: the round-1 full diff (every
 		// up edge flips from the all-clear initial state) must not grow
-		// the scratch by repeated doubling — warm sweep cells build a
-		// fresh probe per run, so that growth would recur per cell.
+		// the scratch by repeated doubling.
 		diffScratch: make([]int, 0, m),
-	}
-}
-
-// Grow extends the probe to m edges. New edges are treated as born down
-// at the given round: their first up-transition measures the gap since
-// birth, not since round 0, and their up-fraction denominator remains the
-// full observation window (a late joiner that is always up still shows a
-// sub-1 fraction — the probe reports what was observed, not what was
-// possible).
-func (p *FairnessProbe) Grow(m, round int) {
-	old := p.prev.Len()
-	if m <= old {
-		return
-	}
-	p.prev = p.prev.Resized(m, false)
-	for id := old; id < m; id++ {
-		p.accUp = append(p.accUp, 0)
-		p.runStart = append(p.runStart, 0)
-		p.lastUpEnd = append(p.lastUpEnd, round)
-		p.maxGap = append(p.maxGap, 0)
 	}
 }
 
@@ -948,23 +925,6 @@ func (p *FairnessProbe) Observe(s State) {
 		p.transition(id, s.EdgeUp.Get(id), r)
 	}
 	p.prev.Copy(s.EdgeUp)
-}
-
-// ObserveDelta records one environment state given the caller's list of
-// edge ids that may have changed since the previous observed state. The
-// list may include ids that did not actually change; it must not omit any
-// that did.
-//det:hotpath
-func (p *FairnessProbe) ObserveDelta(s State, touchedEdges []int) {
-	p.rounds++
-	r := p.rounds
-	for _, id := range touchedEdges {
-		nowUp := s.EdgeUp.IsZero() || s.EdgeUp.Get(id)
-		if nowUp != p.prev.Get(id) {
-			p.transition(id, nowUp, r)
-			p.prev.SetTo(id, nowUp)
-		}
-	}
 }
 
 // Rounds returns how many states were observed.

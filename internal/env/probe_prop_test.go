@@ -10,9 +10,8 @@ import (
 
 // boolProbe is the pre-bitset reference: it retains the full []bool
 // mask history and answers every FairnessProbe query by a naive O(rounds)
-// scan. The bitset probe's word-diff Observe and the O(changes)
-// ObserveDelta must both agree with it exactly — same fractions, same gap
-// semantics (gaps measured between consecutive up-round indices, the
+// scan. The bitset probe's word-diff Observe must agree with it exactly —
+// same fractions, same gap semantics (gaps measured between consecutive up-round indices, the
 // still-open gap folded in), same starvation verdicts.
 type boolProbe struct {
 	m       int
@@ -70,26 +69,24 @@ func (p *boolProbe) starved(id int) bool {
 	return true
 }
 
-// TestFairnessProbeMatchesBoolReference drives three probes — word-diff
-// Observe, O(changes) ObserveDelta, and the []bool reference — over the
-// same mask sequences (random masks with occasional absent rounds, plus
-// the starvation-prone sticky Markov model) on the golden-matrix seeds,
-// comparing every accessor for every edge at several checkpoints. The
-// ObserveDelta touched lists are deliberately padded with unchanged ids:
-// supersets must be harmless.
+// TestFairnessProbeMatchesBoolReference drives the word-diff Observe probe
+// and the []bool reference over the same mask sequences (random masks
+// with occasional absent rounds, plus the starvation-prone sticky Markov
+// model) on the golden-matrix seeds, comparing every accessor for every
+// edge at several checkpoints.
 func TestFairnessProbeMatchesBoolReference(t *testing.T) {
 	g := graph.Torus(4, 5)
 	m := g.M()
 	checkpoints := map[int]bool{1: true, 7: true, 50: true, 120: true}
 
-	check := func(t *testing.T, round int, full, delta *FairnessProbe, ref *boolProbe) {
+	check := func(t *testing.T, round int, p *FairnessProbe, ref *boolProbe) {
 		t.Helper()
 		for id := 0; id < m; id++ {
-			if a, b, c := full.UpFraction(id), delta.UpFraction(id), ref.upFraction(id); a != c || b != c {
-				t.Fatalf("round %d edge %d: UpFraction full=%v delta=%v ref=%v", round, id, a, b, c)
+			if a, c := p.UpFraction(id), ref.upFraction(id); a != c {
+				t.Fatalf("round %d edge %d: UpFraction probe=%v ref=%v", round, id, a, c)
 			}
-			if a, b, c := full.MaxGap(id), delta.MaxGap(id), ref.maxGap(id); a != c || b != c {
-				t.Fatalf("round %d edge %d: MaxGap full=%v delta=%v ref=%v", round, id, a, b, c)
+			if a, c := p.MaxGap(id), ref.maxGap(id); a != c {
+				t.Fatalf("round %d edge %d: MaxGap probe=%v ref=%v", round, id, a, c)
 			}
 		}
 		want := map[int]bool{}
@@ -98,25 +95,22 @@ func TestFairnessProbeMatchesBoolReference(t *testing.T) {
 				want[id] = true
 			}
 		}
-		for _, p := range []*FairnessProbe{full, delta} {
-			got := p.Starved()
-			if len(got) != len(want) {
-				t.Fatalf("round %d: Starved() = %v, want %d ids", round, got, len(want))
-			}
-			for _, id := range got {
-				if !want[id] {
-					t.Fatalf("round %d: Starved() reports %d, reference disagrees", round, id)
-				}
+		got := p.Starved()
+		if len(got) != len(want) {
+			t.Fatalf("round %d: Starved() = %v, want %d ids", round, got, len(want))
+		}
+		for _, id := range got {
+			if !want[id] {
+				t.Fatalf("round %d: Starved() reports %d, reference disagrees", round, id)
 			}
 		}
 	}
 
 	for _, seed := range []int64{1, 2, 3} {
 		rng := rand.New(rand.NewSource(seed))
-		full, delta := NewFairnessProbe(m), NewFairnessProbe(m)
+		probe := NewFairnessProbe(m)
 		ref := &boolProbe{m: m}
-		prev := make([]bool, m) // probe initial state: all down
-		var touched []int
+		prev := make([]bool, m) // the previous round's mask; initially all down
 		for round := 1; round <= 120; round++ {
 			var mask []bool
 			switch rng.Intn(5) {
@@ -135,27 +129,19 @@ func TestFairnessProbeMatchesBoolReference(t *testing.T) {
 					mask[i] = rng.Float64() < 0.6 && (i != 0 || round > 90)
 				}
 			}
-			touched = touched[:0]
 			for id := 0; id < m; id++ {
-				nowUp := mask == nil || mask[id]
-				if nowUp != prev[id] {
-					touched = append(touched, id)
-				}
-				prev[id] = nowUp
+				prev[id] = mask == nil || mask[id]
 			}
-			touched = append(touched, rng.Intn(m), rng.Intn(m)) // superset padding
 
-			s := State{EdgeUp: bitset.FromBools(mask)}
-			full.Observe(s)
-			delta.ObserveDelta(s, touched)
+			probe.Observe(State{EdgeUp: bitset.FromBools(mask)})
 			ref.observe(mask)
-			if full.Rounds() != round || delta.Rounds() != round {
-				t.Fatalf("round accounting: full=%d delta=%d want %d", full.Rounds(), delta.Rounds(), round)
+			if probe.Rounds() != round {
+				t.Fatalf("round accounting: probe=%d want %d", probe.Rounds(), round)
 			}
 			if checkpoints[round] {
-				check(t, round, full, delta, ref)
+				check(t, round, probe, ref)
 			}
 		}
-		check(t, 120, full, delta, ref)
+		check(t, 120, probe, ref)
 	}
 }

@@ -1261,11 +1261,10 @@ func E15Scaling(cfg Config) Section {
 // availability — the sparse regime where ~0.1% of edges flip per round —
 // on one warm sweep worker, recording wall-clock/round and heap
 // allocs/round. The usable-edge delta index (engine.PairMatcher.Update
-// fed by the environment's flip lists and the dynamics overlay logs),
-// the bitset masks, and the O(changes) fairness probe make index
-// maintenance proportional to changes, so allocs/round must stay FLAT
-// from 10⁴ to 10⁶ (heap traffic tracks changes and per-run bookkeeping,
-// never agents or edges) while ns/round grows only with the matching
+// fed by the environment's flip lists and the dynamics overlay logs)
+// and the bitset masks make index maintenance proportional to changes,
+// so allocs/round must stay FLAT from 10⁴ to 10⁶ (heap traffic tracks
+// changes and per-run bookkeeping, never agents or edges) while ns/round grows only with the matching
 // draw itself — the algorithm's per-round O(usable edges) work, not an
 // artifact of the harness. The quiescent extreme is pinned separately by
 // the matcher benchmarks (a zero-change Update is ~10⁵× cheaper than the

@@ -21,7 +21,7 @@ const (
 	// the frozen-state check, and end-of-round overlay release.
 	PhaseDynamics
 	// PhaseTouched is touched-set assembly: collecting flipped edges and
-	// agents and feeding the fairness probe.
+	// agents into the round's changed-id stream.
 	PhaseTouched
 	// PhaseMatcherUpdate is the usable-edge delta index repair inside
 	// PairMatcher.Update (pairwise mode only).

@@ -105,17 +105,13 @@ func TestSchedCountersBounded(t *testing.T) {
 }
 
 // TestSchedWorkerCountsAgree: min's target is interleaving-independent,
-// so every worker count and steal setting must land on the same final
-// multiset.
+// so every worker count must land on the same final multiset.
 func TestSchedWorkerCountsAgree(t *testing.T) {
 	g := graph.Complete(6)
 	vals := []int{8, 3, 9, 5, 4, 7}
 	for _, w := range []int{1, 2, 3, 6} {
-		for _, noSteal := range []bool{false, true} {
-			o := topts()
-			o.Workers = w
-			o.NoSteal = noSteal
-			allEqual(t, converged(t, problems.NewMin(), g, vals, o).Final, 3)
-		}
+		o := topts()
+		o.Workers = w
+		allEqual(t, converged(t, problems.NewMin(), g, vals, o).Final, 3)
 	}
 }

@@ -89,19 +89,17 @@ func (r *run[T]) next(own *shard[T], w int) (int32, bool) {
 	own.mu.Unlock()
 
 	// Steal: a deterministic round-robin sweep starting one shard up.
-	if !r.opts.NoSteal {
-		P := len(r.shards)
-		for i := 1; i < P; i++ {
-			v := &r.shards[(w+i)%P]
-			v.mu.Lock()
-			if a, ok := r.claimQueuedLocked(v); ok {
-				v.mu.Unlock()
-				r.steals.Add(1)
-				r.opts.Probe.Add(obs.CounterSchedSteals, 1)
-				return a, true
-			}
+	P := len(r.shards)
+	for i := 1; i < P; i++ {
+		v := &r.shards[(w+i)%P]
+		v.mu.Lock()
+		if a, ok := r.claimQueuedLocked(v); ok {
 			v.mu.Unlock()
+			r.steals.Add(1)
+			r.opts.Probe.Add(obs.CounterSchedSteals, 1)
+			return a, true
 		}
+		v.mu.Unlock()
 	}
 
 	// Fast-forward: nothing is ready anywhere this worker may look, so
@@ -246,7 +244,7 @@ func (r *run[T]) enqueueLocked(sh *shard[T], a int32) {
 	sh.mu.Unlock()
 	if wake {
 		sh.signal()
-	} else if depth > 1 && !r.opts.NoSteal && r.sleepers.Load() > 0 {
+	} else if depth > 1 && r.sleepers.Load() > 0 {
 		r.wakeThief()
 	}
 }
@@ -516,7 +514,7 @@ func (r *run[T]) maybeCheckQuiescence() {
 		sl.mu.Unlock()
 	}
 	slices.SortFunc(r.viewBuf, r.cmp)
-	if r.conv.Reached(ms.View(r.cmp, r.viewBuf)) {
+	if r.mon.Reached(ms.View(r.cmp, r.viewBuf)) {
 		if r.ap != nil && r.ap.PendingJoins() {
 			return // joins outstanding: the target will still move
 		}
@@ -627,8 +625,8 @@ func (r *run[T]) applyEpoch(e int) {
 // applyGrowth extends every run structure for joiners arriving at a
 // safepoint: states and board, the scheduling arrays, the last shard's
 // block (the engine.Shards append rule), CSR and mailboxes (degrees may
-// change anywhere), and the shared monitor/convergence targets — the sim
-// applyGrowth protocol on the sched runtime.
+// change anywhere), and the shared monitor's target — the sim applyGrowth
+// protocol on the sched runtime.
 func (r *run[T]) applyGrowth(gr graph.Growth) {
 	n0 := len(r.states)
 	joined := r.initVals[gr.FirstAgent : gr.FirstAgent+gr.NewAgents]
@@ -666,9 +664,7 @@ func (r *run[T]) applyGrowth(gr graph.Growth) {
 	// the joiners (exact for super-idempotent f, §3.4), convergence
 	// restarts against it, and the variant baseline restarts from the
 	// grown state — fresh input may legitimately raise h.
-	r.mon.AdmitJoin(joined)
-	r.conv.Retarget(r.mon.Target())
-	r.mon.RebaseVariant(ms.New(r.cmp, r.states...))
+	r.mon.AdmitJoin(joined, ms.New(r.cmp, r.states...))
 
 	for a := n0; a < n; a++ {
 		last.mu.Lock()

@@ -59,8 +59,8 @@
 //     O(1) reseeds, no per-agent generator state beyond a counter. With
 //     Workers=1 the whole run — pops, steals (none), deferrals,
 //     convergence checks — is a pure function of the seed, which is the
-//     replay pin the 1-worker golden holds; it is byte-stable across
-//     steal settings because stealing cannot occur with one shard.
+//     replay pin the 1-worker golden holds (with one shard there is
+//     nothing to steal).
 //
 //   - Dynamics run at EPOCH SAFEPOINTS: every OpsPerEpoch initiations the
 //     crossing worker requests a stop-the-world pause, all workers park
@@ -126,10 +126,6 @@ type Options struct {
 	// OpsPerEpoch is the epoch length in initiations (default N): the
 	// sched analogue of a round for Dynamics schedules.
 	OpsPerEpoch int
-	// NoSteal disables work stealing (a worker then only drains its own
-	// shard). Scheduling policy only: with Workers=1 results are
-	// byte-identical either way, which the golden pins.
-	NoSteal bool
 	// CheckEvery rate-limits quiescence checks: the board is re-examined
 	// only after at least CheckEvery initiations since the last check
 	// (default max(64, N/2)), and only when some agent adopted since.
@@ -257,9 +253,8 @@ func Run[T any](p core.Problem[T], g *graph.Graph, initial []T, opts Options) (*
 	cmp := p.Cmp()
 	initialM := ms.New(cmp, initial[:n]...)
 	mon := engine.NewMonitor(p, initialM, 0)
-	conv := engine.NewConvergence(p.Equal, mon.Target())
 	res := &Result[T]{Target: mon.Target()}
-	if opts.Dynamics == nil && conv.Observe(0, initialM) {
+	if _, reached := mon.FirstReach(); reached && opts.Dynamics == nil {
 		res.Converged = true
 		res.Final = append([]T(nil), initial...)
 		res.Elapsed = time.Duration(clk.Now() - start)
@@ -272,7 +267,6 @@ func Run[T any](p core.Problem[T], g *graph.Graph, initial []T, opts Options) (*
 		cmp:      cmp,
 		opts:     opts,
 		mon:      mon,
-		conv:     conv,
 		initVals: initial,
 	}
 	r.setup(n)
@@ -305,9 +299,14 @@ func Run[T any](p core.Problem[T], g *graph.Graph, initial []T, opts Options) (*
 	res.Steals = int(r.steals.Load())
 	res.QuiescenceChecks = int(r.checks.Load())
 	res.Target = mon.Target()
+	// Conservation and net variant descent are judged once, on the final
+	// state, at the epoch index CheckFrozen uses. Converged is whether that
+	// state equals the target — never the monitor's sticky first-reach
+	// record, which Reset may have set before dynamics moved the state.
 	finalM := ms.New(cmp, r.states...)
-	res.Converged = conv.Observe(res.Ops, finalM)
-	mon.ObserveQuiescence(finalM)
+	epoch := res.Ops / opts.OpsPerEpoch
+	res.Converged = mon.Reached(finalM)
+	mon.ObserveRound(epoch, finalM)
 	if r.ap != nil {
 		// Frozen-state conservation: agents crashed at quiescence must
 		// hold exactly the state recorded when they froze.
@@ -317,7 +316,7 @@ func Run[T any](p core.Problem[T], g *graph.Graph, initial []T, opts Options) (*
 				frozen = append(frozen, a)
 			}
 		}
-		mon.CheckFrozen(int(r.ops.Load())/opts.OpsPerEpoch, cmp, frozen, r.frozenVals, r.states)
+		mon.CheckFrozen(epoch, cmp, frozen, r.frozenVals, r.states)
 		rep := r.ap.Report()
 		res.Dynamics = &rep
 	}
@@ -348,9 +347,8 @@ type run[T any] struct {
 	cmp  func(a, b T) int
 	opts Options
 
-	mon  *engine.Monitor[T]
-	conv *engine.Convergence[T]
-	ap   *dynamics.Applier
+	mon *engine.Monitor[T]
+	ap  *dynamics.Applier
 
 	shards    []shard[T]
 	blockSize int // founding block size: agent a homes on shard min(a/blockSize, P-1)

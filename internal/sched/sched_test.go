@@ -205,15 +205,13 @@ func key(t *testing.T, res *Result[int]) resultKey {
 
 // TestSchedGoldenSingleWorker pins the determinism contract: with
 // Workers=1 the whole run is a pure function of the seed — byte-stable
-// across repetitions, across steal settings (no second shard to steal
-// from), and across probe attachment.
+// across repetitions and across probe attachment.
 func TestSchedGoldenSingleWorker(t *testing.T) {
 	g := graph.Ring(12)
 	vals := []int{9, 4, 7, 1, 8, 2, 6, 5, 11, 3, 10, 12}
-	run := func(noSteal bool, probe *obs.Probe) resultKey {
+	run := func(probe *obs.Probe) resultKey {
 		o := topts()
 		o.Workers = 1
-		o.NoSteal = noSteal
 		o.Probe = probe
 		res, err := Run[int](problems.NewMin(), g, append([]int(nil), vals...), o)
 		if err != nil {
@@ -225,7 +223,7 @@ func TestSchedGoldenSingleWorker(t *testing.T) {
 		return key(t, res)
 	}
 
-	base := run(false, nil)
+	base := run(nil)
 	// The golden: pinned values, not just self-consistency. If a change
 	// moves these on purpose (protocol or seeding change), re-pin and say
 	// so in the commit.
@@ -233,14 +231,11 @@ func TestSchedGoldenSingleWorker(t *testing.T) {
 		t.Errorf("1-worker golden moved: ops=%d proper=%d final=%q (expected ops=129 proper=11 final=BBBBBBBBBBBB)",
 			base.ops, base.proper, base.final)
 	}
-	if again := run(false, nil); again != base {
+	if again := run(nil); again != base {
 		t.Errorf("1-worker run not reproducible: %+v vs %+v", again, base)
 	}
-	if noSteal := run(true, nil); noSteal != base {
-		t.Errorf("NoSteal changed a 1-worker run: %+v vs %+v", noSteal, base)
-	}
 	probe := obs.NewProbe(obs.Config{})
-	if probed := run(false, probe); probed != base {
+	if probed := run(probe); probed != base {
 		t.Errorf("attaching a probe changed a 1-worker run: %+v vs %+v", probed, base)
 	}
 	rep := probe.Report()

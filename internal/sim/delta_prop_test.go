@@ -23,8 +23,7 @@ type deltaBlind struct{ env.Environment }
 // contract (the matcher-level half is internal/engine's
 // TestUsableIndexIncrementalMatchesRebuild): complete runs through the
 // incremental path — env flip lists plus the dynamics Applier's overlay
-// logs feeding matcher.Update, probe.ObserveDelta, and the quiescent
-// component memo — must be bit-identical to the same runs with the delta
+// logs feeding matcher.Update and the quiescent component memo — must be bit-identical to the same runs with the delta
 // stream hidden, across environment kind × dynamics schedule
 // (partition/heal, crash/recover, burst) × mode × MatchBlocks.
 func TestDeltaStreamMatchesDeltaBlind(t *testing.T) {
@@ -59,7 +58,7 @@ func TestDeltaStreamMatchesDeltaBlind(t *testing.T) {
 							}
 							opts := Options{
 								Seed: 7, Mode: mode, MatchBlocks: blocks,
-								MaxRounds: 400, CheckSteps: true, RecordH: true,
+								MaxRounds: 400, CheckSteps: true,
 								Dynamics: mkd(),
 							}
 							run := func(e env.Environment) string {

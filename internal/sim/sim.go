@@ -31,9 +31,12 @@
 // checks that every executed group step is a D-step (proof obligation
 // "R implements D" of §3.7), and it always monitors the conservation law
 // f(S) = S* (§3.2) and the monotone descent of the variant h on the global
-// state. Violations are recorded in the Result and fail tests. The
-// monitors, convergence detection, and seeding discipline are shared with
-// the asynchronous runtime via internal/engine.
+// state, recording the first round at which the state reaches the target.
+// Violations are recorded in the Result and fail tests. The monitor (the
+// run's one judge, convergence included) and the seeding discipline are
+// shared with the asynchronous runtime via internal/engine.
+// Options.OnRound is the one per-round outlet for progress (h, step
+// counts).
 //
 // The round loop is allocation-free in steady state: the global state
 // multiset is kept in an engine.Shards — per-shard multiset.Trackers whose
@@ -55,7 +58,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/env"
 	"repro/internal/graph"
-	"repro/internal/logic"
 	ms "repro/internal/multiset"
 	"repro/internal/obs"
 )
@@ -128,8 +130,6 @@ type Options struct {
 	// HEps is the strict-decrease slack for D-step checking (0 for exact
 	// integer variants; geometry problems pass a small tolerance).
 	HEps float64
-	// RecordH records the global h value after every round.
-	RecordH bool
 	// StopOnConverged stops as soon as the state multiset equals the
 	// target f(S(0)). When false the run continues to MaxRounds,
 	// verifying stability of the goal state (spec (4)).
@@ -164,16 +164,18 @@ type Options struct {
 	// every GOMAXPROCS. Ignored outside PairwiseMode.
 	MatchBlocks int
 	// OnRound, when non-nil, is called after every round with live
-	// progress — used by examples and the experiment harness to trace
-	// runs without retaining full traces.
+	// progress — the engine's one per-round outlet: examples, the CLI and
+	// the experiment harness collect what they need of it (an h
+	// trajectory, per-round step counts) without the engine retaining
+	// traces.
 	OnRound func(RoundInfo)
 	// Dynamics, when non-nil, applies a scripted fault-and-dynamism
 	// schedule on top of the environment: agent crash/recover (a crashed
 	// agent's state is frozen and it is excluded from groups and
 	// matchings), partition/heal windows, and churn bursts — see
 	// internal/dynamics. The schedule's masks are overlaid between the
-	// environment step and group formation each round (the FairnessProbe
-	// observes the EFFECTIVE masks), its randomness comes from
+	// environment step and group formation each round (groups form over
+	// the EFFECTIVE masks), its randomness comes from
 	// engine.SubSeed substreams of (Seed, round) — never from the master
 	// stream — so results are bit-identical for every Shards, MatchBlocks,
 	// ParallelThreshold, and GOMAXPROCS, and the frozen-state conservation
@@ -238,17 +240,10 @@ type Result[T any] struct {
 	Messages int
 	// Violations lists monitor failures (empty on a correct run).
 	Violations []string
-	// HTrace is the per-round global h (when Options.RecordH).
-	HTrace []float64
 	// Final holds the final agent states (positional).
 	Final []T
-	// Target is f(S(0)).
+	// Target is f(S(0)), extended by every join the run admitted.
 	Target ms.Multiset[T]
-	// Probe reports the empirical fairness of the environment over the
-	// run — whether assumption (2) actually held. With Options.Dynamics
-	// set it measures the EFFECTIVE masks (environment composed with the
-	// dynamics overlay) — what the agents actually experienced.
-	Probe *env.FairnessProbe
 	// Dynamics reports what the dynamics schedule did (nil when
 	// Options.Dynamics was nil): crash/recover counts, heal rounds for
 	// reconvergence metrics, masked-edge totals.
@@ -256,7 +251,7 @@ type Result[T any] struct {
 }
 
 // runner holds the engine state of a run: the shared engine-core pieces
-// (monitor, convergence, seeder, pool) plus every scratch buffer the round
+// (monitor, seeder, pool) plus every scratch buffer the round
 // loop reuses so that steady-state rounds allocate nothing. A runner lives
 // inside a Scratch and survives from one run to the next — RunWith rebinds
 // the per-run fields and hands the warm buffers straight to the next run.
@@ -270,13 +265,11 @@ type runner[T any] struct {
 	// whose members all hold cmp-equal states skip the step pipeline.
 	stutterOnEqual bool
 
-	// obs is the run's observability probe (nil = off). Named obs, not
-	// probe: Result.Probe is the pre-existing env.FairnessProbe.
+	// obs is the run's observability probe (nil = off).
 	obs *obs.Probe
 
 	rc     *engine.RunContext
 	mon    *engine.Monitor[T]
-	conv   *engine.Convergence[T]
 	seeder *engine.Seeder
 	pool   *engine.Pool
 	// shards holds the state multiset (see Options.Shards); it points into
@@ -479,8 +472,7 @@ func RunWith[T any](sc *Scratch[T], p core.Problem[T], e env.Environment, initia
 	} else {
 		r.mon.Reset(p, r.shards.View(), opts.HEps)
 	}
-	r.conv = engine.NewConvergence(p.Equal, r.mon.Target())
-	r.res = &Result[T]{Target: r.mon.Target(), Probe: env.NewFairnessProbe(g.M())}
+	r.res = &Result[T]{}
 	if r.stepFn == nil {
 		// Built once per Scratch: the closures capture the runner, whose
 		// per-run fields are rebound above, so they serve every run.
@@ -546,14 +538,11 @@ func RunWith[T any](sc *Scratch[T], p core.Problem[T], e env.Environment, initia
 	}
 
 	res := r.res
-	if r.conv.Observe(0, r.shards.View()) {
-		res.Converged = true
-	}
 
 	// Delta-capable environments report which mask entries each Step may
 	// have changed; the engine folds those ids with the dynamics overlay
-	// logs into one changed-id stream that drives the fairness probe, the
-	// matcher's usable-edge index, and the quiescent-partition reuse —
+	// logs into one changed-id stream that drives the matcher's usable-edge
+	// index and the quiescent-partition reuse —
 	// keeping steady-state round overhead proportional to what changed.
 	delta, _ := e.(env.DeltaEnvironment)
 	r.compsValid = false
@@ -565,18 +554,18 @@ func RunWith[T any](sc *Scratch[T], p core.Problem[T], e env.Environment, initia
 	for ; round < maxRounds; round++ {
 		// A converged run with joins still pending keeps going: the join
 		// retargets convergence to the final population's S*.
-		if res.Converged && opts.StopOnConverged && (r.dyn == nil || !r.dyn.PendingJoins()) {
+		if _, converged := r.mon.FirstReach(); converged && opts.StopOnConverged && (r.dyn == nil || !r.dyn.PendingJoins()) {
 			break
 		}
 		r.obs.BeginRound(round)
 		// Population growth first — joiners participate in the very round
 		// they arrive: the graph attaches them, the environment, matcher,
-		// probe, and state snapshot grow in place, and the conservation
-		// target is extended per §3.4 (f(f(X) ∪ Y) = f(X ∪ Y)).
+		// and state snapshot grow in place, and the conservation target is
+		// extended per §3.4 (f(f(X) ∪ Y) = f(X ∪ Y)).
 		if r.dyn != nil {
 			r.obs.Begin(obs.PhaseDynamics)
 			if gr, ok := r.dyn.GrowthFor(round); ok {
-				r.applyGrowth(gr, round)
+				r.applyGrowth(gr)
 			}
 			r.obs.End(obs.PhaseDynamics)
 		}
@@ -585,7 +574,7 @@ func RunWith[T any](sc *Scratch[T], p core.Problem[T], e env.Environment, initia
 		// agents on top of whatever the environment produced (writing
 		// false to exactly the suppressed up-entries; EndRound below
 		// undoes exactly those writes before the environment's next
-		// Step). The probe therefore observes the effective masks.
+		// Step). Groups therefore form over the effective masks.
 		r.obs.Begin(obs.PhaseEnvStep)
 		es := e.Step(round, rng)
 		exact := false
@@ -622,11 +611,6 @@ func RunWith[T any](sc *Scratch[T], p core.Problem[T], e env.Environment, initia
 			r.touchedA = append(append(append(append(r.touchedA, envA...), r.prevOverlayA...), r.curOverlayA()...), r.growA...)
 		}
 		r.growE, r.growA = r.growE[:0], r.growA[:0]
-		if exact {
-			res.Probe.ObserveDelta(es, r.touchedE)
-		} else {
-			res.Probe.Observe(es)
-		}
 		if r.obs != nil {
 			r.obs.Add(obs.CounterTouchedEdges, int64(len(r.touchedE)))
 			r.obs.Add(obs.CounterTouchedAgents, int64(len(r.touchedA)))
@@ -646,18 +630,14 @@ func RunWith[T any](sc *Scratch[T], p core.Problem[T], e env.Environment, initia
 			r.obs.Add(obs.CounterGroups, int64(activeGroups))
 		}
 
-		// Global monitors: conservation law and variant descent, on the
-		// incrementally maintained snapshot — the round's staged deltas are
-		// applied first (one parallel repair per shard), then the per-shard
-		// views are reduced.
+		// Global monitors: conservation law, variant descent and first
+		// reach of the target, on the incrementally maintained snapshot —
+		// the round's staged deltas are applied first (one parallel repair
+		// per shard), then the per-shard views are reduced.
 		r.obs.Begin(obs.PhaseMonitor)
 		r.shards.Flush(r.pool)
-		now := r.shards.View()
-		nowH := r.mon.ObserveRound(round, now)
+		nowH := r.mon.ObserveRound(round, r.shards.View())
 		r.obs.End(obs.PhaseMonitor)
-		if opts.RecordH {
-			res.HTrace = append(res.HTrace, nowH)
-		}
 
 		if r.dyn != nil {
 			r.obs.Begin(obs.PhaseDynamics)
@@ -674,22 +654,21 @@ func RunWith[T any](sc *Scratch[T], p core.Problem[T], e env.Environment, initia
 			r.obs.End(obs.PhaseDynamics)
 		}
 
-		if r.conv.Observe(round+1, now) {
-			res.Converged = true
-			res.Round = round + 1
-		}
 		if opts.OnRound != nil {
+			_, converged := r.mon.FirstReach()
 			opts.OnRound(RoundInfo{
 				Round: round, ActiveGroups: activeGroups,
 				ProperSteps: res.GroupSteps - stepsBefore,
-				H:           nowH, Converged: res.Converged,
+				H:           nowH, Converged: converged,
 			})
 		}
 	}
 	res.Rounds = round
+	res.Round, res.Converged = r.mon.FirstReach()
 	if !res.Converged {
 		res.Round = round
 	}
+	res.Target = r.mon.Target()
 	// The state buffer is scratch-owned and will be overwritten by the
 	// next run; the Result gets its own copy (same one-allocation cost the
 	// single-use path always paid for its initial-state copy).
@@ -761,16 +740,15 @@ func (r *runner[T]) applyDelta(members []int, olds, news []T) {
 
 // applyGrowth threads one round's population growth through every layer
 // that was sized to the old population: the environment's masks, the
-// fairness probe, the positional state array and its incremental
-// snapshot (appended, never rebuilt — last-shard rule), the pairwise
-// matcher's buckets, the conservation target (§3.4), the convergence
-// detector, and the variant baseline. The graph itself already grew —
+// positional state array and its incremental snapshot (appended, never
+// rebuilt — last-shard rule), the pairwise matcher's buckets, and the
+// monitor's target (§3.4), first-reach record and variant baseline. The
+// graph itself already grew —
 // the applier's GrowthFor mutated it through the incremental attachment
 // paths — so this is purely the engine-side catch-up, O(growth), not
 // O(population).
-func (r *runner[T]) applyGrowth(gr graph.Growth, round int) {
+func (r *runner[T]) applyGrowth(gr graph.Growth) {
 	r.e.(env.Growable).Grow() // guaranteed Growable by the RunWith gate
-	r.res.Probe.Grow(r.g.M(), round)
 	joined := r.initVals[gr.FirstAgent : gr.FirstAgent+gr.NewAgents]
 	r.states = append(r.states, joined...)
 	r.shards.Append(joined)
@@ -785,11 +763,7 @@ func (r *runner[T]) applyGrowth(gr graph.Growth, round int) {
 	// the joiners' values (exact for super-idempotent f), convergence
 	// restarts against the new target, and the variant baseline restarts
 	// from the grown state (fresh input may legitimately raise h).
-	r.mon.AdmitJoin(joined)
-	r.conv.Retarget(r.mon.Target())
-	r.res.Target = r.mon.Target()
-	r.res.Converged = false
-	r.mon.RebaseVariant(r.shards.View())
+	r.mon.AdmitJoin(joined, r.shards.View())
 	// Feed the structural delta into this round's changed-id stream and
 	// drop the cached partition — growth touched it.
 	r.growE = append(append(r.growE, gr.NewEdgeIDs...), gr.RetiredEdgeIDs...)
@@ -1008,23 +982,6 @@ func Converges[T any](p core.Problem[T], e env.Environment, initial []T, opts Op
 	}
 	if len(res.Violations) > 0 {
 		return res, fmt.Errorf("sim: %d monitor violations; first: %s", len(res.Violations), res.Violations[0])
-	}
-	return res, nil
-}
-
-// TraceH runs with RecordH and returns the h trajectory alongside the
-// result, ensuring the trace is monotone non-increasing (the global
-// reading of the improvement discipline) — a logic.Monotone check
-// packaged for experiments.
-func TraceH[T any](p core.Problem[T], e env.Environment, initial []T, opts Options) (*Result[T], error) {
-	opts.RecordH = true
-	res, err := Run(p, e, initial, opts)
-	if err != nil {
-		return nil, err
-	}
-	tr := logic.Trace[float64](res.HTrace)
-	if i := logic.MonotoneViolation(tr, func(v float64) float64 { return v }); i >= 0 {
-		return res, fmt.Errorf("sim: h trace increased at round %d", i)
 	}
 	return res, nil
 }

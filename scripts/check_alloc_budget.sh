@@ -6,25 +6,25 @@
 # (the Problem API returns a fresh after-state so callers can never alias
 # internal scratch) plus one-time setup. Min carries core.StutterOnEqual,
 # so components whose members all hold one value (singletons included)
-# are skipped without a step or a copy: the fixed seed measures ~226,
+# are skipped without a step or a copy: the fixed seed measures ~218,
 # down from ~1416 when every component stepped. The budget stays at
 # 1600. BenchmarkSimPairwiseSharded4k pins the sharded pairwise
 # round: the partitioned matcher's buffers are engine-owned and reused
-# and PairStep is allocation-free, so a 4096-agent run sits near 735
+# and PairStep is allocation-free, so a 4096-agent run sits near 726
 # allocs/op, almost all setup — a regression to even one allocation per
 # matched pair would add ~65k and fail loudly. BenchmarkSweepGrid pins the
 # scenario-grid runner's warm-engine contract: one persistent Runner
 # executes a 24-cell pairwise grid per op, so steady-state cells pay only
-# per-run bookkeeping (~40 allocs/cell — Result, probe, env masks,
-# final-state copy; ~978 allocs/op measured after the bitset-mask
-# migration, budget 1200, far below the several-thousand a grid whose
+# per-run bookkeeping (~32 allocs/cell — Result, env masks, final-state
+# copy; ~762 allocs/op measured once sim stopped building a fairness
+# probe per run, budget 1200, far below the several-thousand a grid whose
 # cells re-paid engine set-up — tracker, matcher, pool, seeder source —
 # would cost).
 #
 # BenchmarkSimWithDynamics is BenchmarkSimComponentRing64 with an EMPTY
 # dynamics schedule attached and shares its 1600 budget: the dynamics
 # hook (per-round Begin/EndRound + frozen check) must add ~0 allocs/round
-# — the fixed seed measures ~233 vs ~226 plain, the difference being
+# — the fixed seed measures ~224 vs ~218 plain, the difference being
 # one-time applier setup. A regression that allocates per round (mask
 # copies, per-event garbage) multiplies the number and fails loudly.
 #
@@ -32,8 +32,8 @@
 # path: 64 post-warmup pairwise rounds at N = 10⁵ on a warm sweep worker
 # (availability 0.999, so ~0.1% of edges flip per round and the
 # usable-edge delta index absorbs them incrementally). The fixed seed
-# measures ~42 allocs/op — exclusively per-run bookkeeping (Result,
-# probe, environment, initial/final state copies); the 64 delta-indexed
+# measures ~33 allocs/op — exclusively per-run bookkeeping (Result,
+# environment, initial/final state copies); the 64 delta-indexed
 # rounds themselves are allocation-free (the shard flush hands the pool
 # a prebuilt func, the monitor evaluates f into one reused buffer, and
 # detlint's hotalloc check keeps closures out of both). The budget of
@@ -48,7 +48,7 @@
 # ring splice, the extended cached partition, matcher/mask/tracker
 # growth, and the joiners' identity-keyed seeder substreams — all of
 # which must be O(joined subgraph + changed edges). The fixed seed
-# measures ~167 allocs/op; the budget of 400 sits ~2× above, so a
+# measures ~153 allocs/op; the budget of 400 sits ~2.5× above, so a
 # regression that allocates per agent (4096 would blow through it) or
 # per round after the splice fails loudly.
 #
@@ -57,7 +57,7 @@
 # shares the 150 budget: the probe's hot path (BeginRound/Begin/End/Add
 # and the counter increments inside the pool, shards, and round loop)
 # must be allocation-free, so probes-on allocs/op equals the unprobed
-# per-run bookkeeping (~41 measured — the same fixed-cost set as
+# per-run bookkeeping (~32 measured — the same fixed-cost set as
 # Delta1e5). A regression that allocates once per round adds 32, and
 # one that allocates per phase sample adds hundreds per op (32 rounds ×
 # 7+ phase brackets); both fail.
@@ -65,7 +65,7 @@
 # BenchmarkSchedExchange1e4 pins the asynchronous engine (the sharded
 # actor scheduler behind SimulateAsync) and its per-exchange allocation
 # contract: an 8192-agent hypercube min cell with
-# a 60·N (~500k) initiation budget runs to convergence in ~73 allocs/op —
+# a 60·N (~500k) initiation budget runs to convergence in ~77 allocs/op —
 # exclusively setup (shard structs, mailbox slab, CSR arrays, run
 # queues); the event loop's push/pop/steal/defer hot path is
 # allocation-free by the detlint hotalloc contract. The budget of 400

@@ -249,6 +249,9 @@ type Options = sim.Options
 // Result reports a simulation run.
 type Result[T any] = sim.Result[T]
 
+// RoundInfo is the per-round progress report Options.OnRound receives.
+type RoundInfo = sim.RoundInfo
+
 // Mode selects component-wide or pairwise-gossip steps.
 type Mode = sim.Mode
 
