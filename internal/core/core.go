@@ -161,6 +161,21 @@ func IsStutterOnEqual[T any](p Problem[T]) bool {
 	return ok
 }
 
+// Consensus is an optional declaration a Problem carries when its f is a
+// consensus of the bag's extremes: f(x) is |x| copies of
+// Consensus(min x, max x), and the problem's Equal is cmp equality. Both
+// global properties then reduce to statistics an engine can read without
+// materializing the bag — f(S) = S* exactly when |S| = |S*| and
+// Consensus(min S, max S) = c*, and S = S* exactly when additionally
+// min S = max S = c* — which is what the monitor's O(P) path checks. Min
+// returns lo and Max returns hi. A problem whose f is not a function of
+// the extremes (gcd, sum, sorting, hull) must not carry it.
+type Consensus[T any] interface {
+	// Consensus returns the common value f gives a bag whose least and
+	// greatest states are lo and hi.
+	Consensus(lo, hi T) T
+}
+
 // Variant is the paper's variant (objective) function h over group states
 // (§3.5). Its range must be well-founded for the order >; integer-valued
 // variants are represented exactly in float64 far beyond the sizes used
@@ -196,6 +211,41 @@ func SummationVariant[T any](name string, ha func(T) float64) Variant[T] {
 		x.ForEach(func(v T) { total += ha(v) })
 		return total
 	}}
+}
+
+// Additive is the optional exact form of a summation variant whose
+// per-agent terms are integers: h(X) = Σ_{x∈X} Term(x), accumulated in
+// int64. An engine can then maintain h under a state change old → new by
+// adding Term(new) − Term(old), without revisiting the bag.
+type Additive[T any] interface {
+	Variant[T]
+	// Term is one agent's contribution ha(x) to h.
+	Term(x T) int64
+}
+
+// IntSummationVariant builds a summation-form variant (equation (8)) with
+// integer per-agent terms. It implements Additive, and its Value is the
+// float64 of the int64 sum — bit-identical to SummationVariant over the
+// same terms as long as every partial sum stays below 2⁵³ in magnitude,
+// where float accumulation of integers is exact. Variants whose sums can
+// pass that range (KSmallest's cascade) stay SummationVariants.
+func IntSummationVariant[T any](name string, ha func(T) int64) Variant[T] {
+	return intSumVariant[T]{name: name, term: ha}
+}
+
+type intSumVariant[T any] struct {
+	name string
+	term func(T) int64
+}
+
+func (v intSumVariant[T]) Name() string   { return v.name }
+func (v intSumVariant[T]) Term(x T) int64 { return v.term(x) }
+func (v intSumVariant[T]) Value(x ms.Multiset[T]) float64 {
+	var total int64
+	for i := 0; i < x.Len(); i++ {
+		total += v.term(x.At(i))
+	}
+	return float64(total)
 }
 
 // Requirement describes the environment assumption Q a problem needs, per

@@ -16,7 +16,10 @@
 //     conservation-law checking, variant-descent checking, first-reach
 //     detection, and D-step verification (the proof obligation "R
 //     implements D" of §3.7), with the violation-reporting format both
-//     engines share;
+//     engines share. For a problem that declares core.Consensus with a
+//     core.Additive variant it judges a round in O(P + changes) from the
+//     shards' extremes and a running h; every other problem is judged on
+//     the merged global view;
 //   - Seeder: deterministic per-group child seeds drawn from the master
 //     stream in group order (so results are independent of goroutine
 //     scheduling), plus the per-agent seed derivation the asynchronous
@@ -40,6 +43,15 @@ import (
 // the first observation that reaches S*, and verifies individual steps
 // against the relation D. It is NOT safe for concurrent use; engines
 // observe from their coordinating goroutine.
+//
+// ObserveRound takes one of two exact paths, chosen by the problem's
+// declarations alone. The consensus path — p declares core.Consensus and
+// p.H() is core.Additive — reads n, min and max from the P shard
+// trackers and reports a running h that Stage keeps current, so a round
+// costs O(P + changes) and nothing is merged or filled. Every other
+// problem takes the full path: f and h are evaluated on the merged
+// global view. Both paths give identical verdicts, h values and first
+// reaches; the tests keep the full path as the consensus path's oracle.
 type Monitor[T any] struct {
 	f     core.Function[T]
 	h     core.Variant[T]
@@ -55,10 +67,17 @@ type Monitor[T any] struct {
 	// recorded at; the record is sticky until a join clears it.
 	reached    bool
 	reachRound int
-	// fBuf backs the per-round f evaluation when f provides the
-	// core.IntoFunction fast path, so the conservation check allocates
-	// nothing in steady state.
+	// fBuf backs the full path's per-round f evaluation when f provides
+	// the core.IntoFunction fast path, so the conservation check allocates
+	// nothing in steady state. The consensus path never grows it.
 	fBuf []T
+	// cons and add are set together exactly on the consensus path, and
+	// hSum is the running Σ Term — h of the state the caller's shards
+	// hold, kept current by Stage and resynced from a full view by Reset,
+	// AdmitJoin, RebaseVariant and SyncVariant.
+	cons core.Consensus[T]
+	add  core.Additive[T]
+	hSum int64
 }
 
 // NewMonitor builds a Monitor for problem p from the initial state
@@ -79,14 +98,48 @@ func NewMonitor[T any](p core.Problem[T], initial ms.Multiset[T], hEps float64) 
 // Result, so each run gets fresh storage for them.
 func (m *Monitor[T]) Reset(p core.Problem[T], initial ms.Multiset[T], hEps float64) {
 	m.f, m.h, m.equal, m.hEps = p.F(), p.H(), p.Equal, hEps
+	m.cons, m.add = nil, nil
+	if c, ok := p.(core.Consensus[T]); ok {
+		if a, ok := m.h.(core.Additive[T]); ok {
+			m.cons, m.add = c, a
+		}
+	}
 	m.target = m.f.Apply(initial)
-	m.lastH = m.h.Value(initial)
+	m.lastH = m.resyncH(initial)
 	m.violations = nil
 	m.reached, m.reachRound = m.equal(initial, m.target), 0
 }
 
+// resyncH returns h(now), first recomputing the consensus path's running
+// sum from the full view.
+func (m *Monitor[T]) resyncH(now ms.Multiset[T]) float64 {
+	if m.add == nil {
+		return m.h.Value(now)
+	}
+	m.hSum = 0
+	for i := 0; i < now.Len(); i++ {
+		m.hSum += m.add.Term(now.At(i))
+	}
+	return float64(m.hSum)
+}
+
 // Target returns the goal multiset S* = f(S(0)) (extended by AdmitJoin).
 func (m *Monitor[T]) Target() ms.Multiset[T] { return m.target }
+
+// ConsensusTarget reports S* as |S*| copies of c* when the monitor is on
+// the consensus path (ok true; c is the zero value when |S*| = 0). A
+// state then equals S* exactly when it has |S*| members and every one is
+// cmp-equal to c*, which a poller can decide by scanning the states
+// without sorting them. On the full path ok is false.
+func (m *Monitor[T]) ConsensusTarget() (c T, n int, ok bool) {
+	if m.cons == nil {
+		return c, 0, false
+	}
+	if n = m.target.Len(); n > 0 {
+		c = m.target.At(0)
+	}
+	return c, n, true
+}
 
 // Reached reports whether now equals the target, without recording
 // anything — the stateless probe used by pollers.
@@ -98,34 +151,64 @@ func (m *Monitor[T]) Reached(now ms.Multiset[T]) bool { return m.equal(now, m.ta
 // since the last Reset or AdmitJoin.
 func (m *Monitor[T]) FirstReach() (round int, ok bool) { return m.reachRound, m.reached }
 
-// ObserveRound checks the global state after a round: the conservation
-// law f(S) = S* and the monotone descent of h relative to the previous
-// observation. The first observation equal to S* is recorded as reached
-// at round+1 (the number of rounds executed) and never moved afterwards.
-// It returns the current h value. global is the current
-// global state multiset (a sharded engine passes its merged Shards.View,
-// which it needs anyway for convergence detection), so f and h always see
-// the whole state and verdicts never depend on the shard layout or on
-// whether f carries the super-idempotence marker. f is evaluated through
-// the core.ApplyInto fast path into a monitor-owned buffer, so for
-// functions that provide it the check allocates nothing.
+// ObserveRound checks the global state s holds after a round — called
+// after s.Flush — against the conservation law f(S) = S* and the
+// monotone descent of h relative to the previous observation. The first
+// observation equal to S* is recorded as reached at round+1 (the number
+// of rounds executed) and never moved afterwards. It returns the current
+// h value.
+//
+// On the consensus path the round is judged from s.Extremes in O(P):
+// f(S) = S* iff |S| = |S*| and Consensus(min S, max S) = c*, and S = S*
+// iff in addition min S = max S = c*; h is the running sum Stage keeps,
+// so the caller must have staged every change s flushed (or resynced h
+// through SyncVariant). On the full path f and h are evaluated on the
+// merged s.View — f through the core.ApplyInto fast path into a
+// monitor-owned buffer, so for functions that provide it the check
+// allocates nothing. Either way verdicts never depend on the shard
+// layout or on whether f carries the super-idempotence marker.
 //
 //det:hotpath
-func (m *Monitor[T]) ObserveRound(round int, global ms.Multiset[T]) float64 {
-	var fx ms.Multiset[T]
-	fx, m.fBuf = core.ApplyInto(m.f, m.fBuf, global)
-	if !m.equal(fx, m.target) {
+func (m *Monitor[T]) ObserveRound(round int, s *Shards[T]) float64 {
+	var conserved, reached bool
+	var nowH float64
+	if c, want, ok := m.ConsensusTarget(); ok {
+		n, lo, hi := s.Extremes()
+		cmp := m.target.Cmp()
+		conserved = n == want && (n == 0 || cmp(m.cons.Consensus(lo, hi), c) == 0)
+		reached = n == want && (n == 0 || cmp(lo, c) == 0 && cmp(hi, c) == 0)
+		nowH = float64(m.hSum)
+	} else {
+		global := s.View()
+		var fx ms.Multiset[T]
+		fx, m.fBuf = core.ApplyInto(m.f, m.fBuf, global)
+		conserved = m.equal(fx, m.target)
+		nowH = m.h.Value(global)
+		reached = !m.reached && m.equal(global, m.target)
+	}
+	if !conserved {
 		m.AddViolation("round %d: conservation law violated: f(S) ≠ S*", round)
 	}
-	nowH := m.h.Value(global)
 	if nowH > m.lastH+m.hEps {
 		m.AddViolation("round %d: variant increased %g → %g", round, m.lastH, nowH)
 	}
 	m.lastH = nowH
-	if !m.reached && m.equal(global, m.target) {
+	if reached && !m.reached {
 		m.reached, m.reachRound = true, round+1
 	}
 	return nowH
+}
+
+// Stage records that one agent's state changed old → new, keeping the
+// consensus path's running h current; on the full path, which evaluates
+// h afresh every round, it does nothing. An engine stages here every
+// change it stages into the Shards it hands to ObserveRound.
+//
+//det:hotpath
+func (m *Monitor[T]) Stage(oldV, newV T) {
+	if m.add != nil {
+		m.hSum += m.add.Term(newV) - m.add.Term(oldV)
+	}
 }
 
 // AdmitJoin re-aims the run at the grown population; now is the state
@@ -144,7 +227,7 @@ func (m *Monitor[T]) AdmitJoin(joined []T, now ms.Multiset[T]) {
 		m.target = m.f.Apply(m.target.Union(y))
 	}
 	m.reached, m.reachRound = false, 0
-	m.lastH = m.h.Value(now)
+	m.lastH = m.resyncH(now)
 }
 
 // RebaseVariant resets the variant baseline to h(now). A sanctioned
@@ -153,7 +236,18 @@ func (m *Monitor[T]) AdmitJoin(joined []T, now ms.Multiset[T]) {
 // invoke this at such rounds so the descent check resumes from the
 // post-discontinuity value instead of reporting the jump as a violation.
 // (A join rebases through AdmitJoin.)
-func (m *Monitor[T]) RebaseVariant(now ms.Multiset[T]) { m.lastH = m.h.Value(now) }
+func (m *Monitor[T]) RebaseVariant(now ms.Multiset[T]) { m.lastH = m.resyncH(now) }
+
+// SyncVariant sets the h the next ObserveRound reports to h(now) without
+// moving the descent baseline. An engine that does not stage its changes
+// through Stage — sched, which judges only its final state — calls it
+// before that observation, so the descent check compares the real h(now)
+// against the baseline.
+func (m *Monitor[T]) SyncVariant(now ms.Multiset[T]) {
+	if m.add != nil {
+		m.resyncH(now)
+	}
+}
 
 // CheckFrozen verifies the dynamics layer's frozen-state contract: a
 // crashed agent "executes no actions and does not change state", so for

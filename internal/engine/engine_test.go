@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/core"
 	ms "repro/internal/multiset"
 	"repro/internal/problems"
 )
@@ -78,9 +79,13 @@ func TestPoolCloseWithoutUse(t *testing.T) {
 	p.Close() // must not panic or leak
 }
 
-// observeOneShard runs ObserveRound over a one-shard layout of vals.
+// observeOneShard runs ObserveRound over a one-shard layout of vals, an
+// arbitrary state no Stage call led to, so h is synced from it first (as
+// sched does for its final state).
 func observeOneShard(m *Monitor[int], round int, vals ...int) float64 {
-	return m.ObserveRound(round, NewShards(ms.OrderedCmp[int](), vals, 1).View())
+	s := NewShards(ms.OrderedCmp[int](), vals, 1)
+	m.SyncVariant(s.View())
+	return m.ObserveRound(round, s)
 }
 
 func TestMonitorCleanRound(t *testing.T) {
@@ -126,7 +131,7 @@ func TestMonitorFlagsConservationAndDescent(t *testing.T) {
 		{[]int{2, 2, 2}, 1}, // f(S) ≠ S*; h(S) = 6 ≤ h(S(0))
 	} {
 		m := NewMonitor[int](p, ms.OfInts(3, 1, 2), 0)
-		m.ObserveRound(7, ms.OfInts(tc.final...))
+		observeOneShard(m, 7, tc.final...)
 		if v := m.Violations(); len(v) != tc.want {
 			t.Errorf("final %v: violations = %v, want %d", tc.final, v, tc.want)
 		} else if tc.want > 0 && !strings.Contains(v[0], "round 7: conservation law violated") {
@@ -217,7 +222,7 @@ func TestMonitorFirstReach(t *testing.T) {
 			}
 			state := tc.initial
 			for _, o := range tc.rounds {
-				m.ObserveRound(o.round, ms.OfInts(o.state...))
+				observeOneShard(m, o.round, o.state...)
 				state = o.state
 			}
 			if tc.join != nil {
@@ -230,7 +235,7 @@ func TestMonitorFirstReach(t *testing.T) {
 				}
 			}
 			for _, o := range tc.after {
-				m.ObserveRound(o.round, ms.OfInts(o.state...))
+				observeOneShard(m, o.round, o.state...)
 			}
 			if got, ok := m.FirstReach(); got != tc.want || ok != tc.wantOK {
 				t.Errorf("FirstReach = (%d, %v), want (%d, %v)", got, ok, tc.want, tc.wantOK)
@@ -240,6 +245,135 @@ func TestMonitorFirstReach(t *testing.T) {
 			}
 			if v := m.Violations(); len(v) != 0 {
 				t.Errorf("violations = %v, want none", v)
+			}
+		})
+	}
+}
+
+// consensusHidden embeds a problem's interface, which promotes every
+// core.Problem method but not the core.Consensus declaration, so a
+// Monitor built over it takes the full path.
+type consensusHidden struct{ core.Problem[int] }
+
+// TestMonitorConsensusPathMatchesFullPath drives a consensus-path monitor
+// and a full-path one (the same problem with the declaration hidden)
+// through the same Shards mutations, fault injections included. Round by
+// round both must report identical violation strings, h values and
+// first reaches; the full path is the oracle.
+func TestMonitorConsensusPathMatchesFullPath(t *testing.T) {
+	type delta struct{ agent, v int }
+	type round struct {
+		stage  []delta
+		rebase bool  // amnesia: the round's stages are flushed and h rebased
+		append []int // appended WITHOUT AdmitJoin; h is synced, the count breaks
+		join   []int // appended and admitted through AdmitJoin
+	}
+	initial := []int{5, 3, 8, 3, 6, 4, 7, 9} // c* = 3, |S*| = 8
+	for _, tc := range []struct {
+		name   string
+		rounds []round
+		want   []string // substrings of the violations, in order
+		reach  int      // FirstReach round, -1 for none
+	}{
+		{name: "staged value below c*",
+			rounds: []round{{stage: []delta{{0, 1}}}, {}},
+			want:   []string{"round 0: conservation", "round 1: conservation"}, reach: -1},
+		{name: "append without AdmitJoin breaks the count",
+			rounds: []round{{append: []int{3}}},
+			want:   []string{"round 0: conservation", "round 0: variant increased 45 → 48"}, reach: -1},
+		{name: "h-raising delta",
+			rounds: []round{{stage: []delta{{0, 3}}}, {stage: []delta{{2, 9}}}},
+			want:   []string{"round 1: variant increased 43 → 44"}, reach: -1},
+		{name: "first reach",
+			rounds: []round{
+				{stage: []delta{{0, 3}, {2, 3}, {4, 3}}},
+				{stage: []delta{{5, 3}, {6, 3}, {7, 3}}},
+				{}},
+			reach: 2},
+		{name: "amnesia rebase",
+			rounds: []round{
+				{stage: []delta{{0, 3}, {2, 3}, {4, 3}, {5, 3}, {6, 3}, {7, 3}}},
+				{stage: []delta{{2, 8}, {6, 7}}, rebase: true},
+				{stage: []delta{{2, 3}}}},
+			reach: 1},
+		{name: "join",
+			rounds: []round{
+				{stage: []delta{{0, 3}, {2, 3}, {4, 3}, {5, 3}, {6, 3}, {7, 3}}},
+				{join: []int{1, 2}},
+				{stage: []delta{{0, 1}, {1, 1}, {2, 1}, {3, 1}, {4, 1}, {5, 1}, {6, 1}, {7, 1}, {9, 1}}}},
+			reach: 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pool := NewPool(1, 1)
+			defer pool.Close()
+			p := problems.NewMin()
+			states := slices.Clone(initial)
+			sh := NewShards(p.Cmp(), states, 2)
+			fast := NewMonitor[int](p, sh.View(), 0)
+			full := NewMonitor[int](consensusHidden{p}, sh.View(), 0)
+			if _, _, ok := fast.ConsensusTarget(); !ok {
+				t.Fatal("min's monitor is not on the consensus path")
+			}
+			if _, _, ok := full.ConsensusTarget(); ok {
+				t.Fatal("the hidden declaration still selects the consensus path")
+			}
+			mons := [...]*Monitor[int]{fast, full}
+			for r, rd := range tc.rounds {
+				for _, d := range rd.stage {
+					sh.Stage(d.agent, states[d.agent], d.v)
+					for _, m := range mons {
+						m.Stage(states[d.agent], d.v)
+					}
+					states[d.agent] = d.v
+				}
+				sh.Flush(pool)
+				for _, m := range mons {
+					if rd.rebase {
+						m.RebaseVariant(sh.View())
+					}
+				}
+				if rd.append != nil {
+					states = append(states, rd.append...)
+					sh.Append(rd.append)
+					for _, m := range mons {
+						m.SyncVariant(sh.View())
+					}
+				}
+				if rd.join != nil {
+					states = append(states, rd.join...)
+					sh.Append(rd.join)
+					for _, m := range mons {
+						m.AdmitJoin(rd.join, sh.View())
+					}
+				}
+				hF, hS := fast.ObserveRound(r, sh), full.ObserveRound(r, sh)
+				if hF != hS {
+					t.Fatalf("round %d: consensus h %g != full h %g", r, hF, hS)
+				}
+				if vF, vS := fast.Violations(), full.Violations(); !slices.Equal(vF, vS) {
+					t.Fatalf("round %d: violations differ\nconsensus: %q\nfull:      %q", r, vF, vS)
+				}
+				rF, okF := fast.FirstReach()
+				rS, okS := full.FirstReach()
+				if rF != rS || okF != okS {
+					t.Fatalf("round %d: FirstReach consensus (%d, %v) != full (%d, %v)", r, rF, okF, rS, okS)
+				}
+			}
+			v := fast.Violations()
+			if len(v) != len(tc.want) {
+				t.Fatalf("violations = %q, want %d matching %q", v, len(tc.want), tc.want)
+			}
+			for i, w := range tc.want {
+				if !strings.Contains(v[i], w) {
+					t.Errorf("violation %d = %q, want it to contain %q", i, v[i], w)
+				}
+			}
+			got, ok := fast.FirstReach()
+			if !ok {
+				got = -1
+			}
+			if got != tc.reach {
+				t.Errorf("FirstReach = %d, want %d", got, tc.reach)
 			}
 		})
 	}
@@ -299,5 +433,53 @@ func TestFastRandDeterministicReseed(t *testing.T) {
 		if v := f.Float64(); v < 0 || v >= 1 {
 			t.Fatalf("Float64 = %g", v)
 		}
+	}
+}
+
+// BenchmarkObserveRoundConsensus1e6 is the monitor phase of a
+// near-converged 10⁶-agent round on the consensus path: per op, ~1k
+// staged deltas (agents flipping between two values above the minimum,
+// half up and half down, so h never rises and the run stays clean), one P=2 Flush and one ObserveRound. The check
+// itself is O(P) and merges nothing; what remains is Flush's per-shard
+// repair. scripts/check_alloc_budget.sh pins it at 0 allocs/op.
+func BenchmarkObserveRoundConsensus1e6(b *testing.B) {
+	const n, k = 1_000_000, 1024
+	states := make([]int, n)
+	for i := range states {
+		states[i] = 10 + i%2
+	}
+	states[n/2] = 1 // the minimum, held by one agent that never moves
+	p := problems.NewMin()
+	// A one-worker pool repairs the two shards in turn: handing work to
+	// parked pool workers measured 1 alloc/op inside the runtime when
+	// other test binaries competed for the CPUs, noise that says nothing
+	// about the monitor and would make a 0 budget flaky.
+	pool := NewPool(1, 1)
+	defer pool.Close()
+	sh := NewShards(p.Cmp(), states, 2)
+	m := NewMonitor[int](p, sh.View(), 0)
+	if _, _, ok := m.ConsensusTarget(); !ok {
+		b.Fatal("min's monitor is not on the consensus path")
+	}
+	round := func(r int) {
+		for j := 0; j < k; j++ {
+			a := j*(n/k) + j%2                // n/k is even: alternates a 10 and an 11
+			old, v := states[a], 21-states[a] // 10 ↔ 11
+			sh.Stage(a, old, v)
+			m.Stage(old, v)
+			states[a] = v
+		}
+		sh.Flush(pool)
+		m.ObserveRound(r, sh)
+	}
+	round(0) // grows the staging buffers and tracker scratch once
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round(i + 1)
+	}
+	b.StopTimer()
+	if v := m.Violations(); len(v) != 0 {
+		b.Fatalf("violations on a clean run: %q", v[0])
 	}
 }

@@ -174,11 +174,37 @@ func (s *Shards[T]) Flush(pool *Pool) {
 // invalidated by the next Flush.
 func (s *Shards[T]) ShardView(i int) ms.Multiset[T] { return s.trackers[i].View() }
 
+// Extremes reports the tracked population size and the least and
+// greatest state across all shards, read from the sorted ends of each
+// shard tracker in O(P) without merging anything. lo and hi are zero
+// values when n = 0.
+//
+//det:hotpath
+func (s *Shards[T]) Extremes() (n int, lo, hi T) {
+	for _, t := range s.trackers {
+		v := t.View()
+		k := v.Len()
+		if k == 0 {
+			continue
+		}
+		if first := v.At(0); n == 0 || s.cmp(first, lo) < 0 {
+			lo = first
+		}
+		if last := v.At(k - 1); n == 0 || s.cmp(last, hi) > 0 {
+			hi = last
+		}
+		n += k
+	}
+	return n, lo, hi
+}
+
 // View merges the shard views into the global state multiset — the
 // P-way ∪ of the paper, into a buffer reused across rounds. With one
 // shard there is nothing to merge and the view is that shard's own
 // zero-copy view. The view is invalidated by the next View, Flush, or
-// Append call.
+// Append call. It is what the monitor's full path, set-up, joins and
+// amnesia rebases read; the monitor's consensus path reads Extremes
+// instead and never merges.
 //
 //det:hotpath
 func (s *Shards[T]) View() ms.Multiset[T] {

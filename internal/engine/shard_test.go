@@ -86,8 +86,10 @@ func TestShardsOwnerCoversAllAgents(t *testing.T) {
 }
 
 // secondSmallestProblem overrides Min's f with the §4.3 negative example:
-// idempotent but NOT super-idempotent (and therefore unmarked).
-type secondSmallestProblem struct{ *problems.Min }
+// idempotent but NOT super-idempotent (and therefore unmarked). Embedding
+// the problem interface drops Min's core.Consensus declaration, which
+// the overridden f does not satisfy.
+type secondSmallestProblem struct{ core.Problem[int] }
 
 func (secondSmallestProblem) F() core.Function[int] { return problems.SecondSmallestF() }
 
@@ -142,10 +144,14 @@ func TestObserveRoundShardedMatchesUnsharded(t *testing.T) {
 							x.Stage(b, work[b], m)
 							x.Flush(pool)
 						}
+						for _, mon := range [...]*Monitor[int]{monSharded, monPlain} {
+							mon.Stage(work[a], m)
+							mon.Stage(work[b], m)
+						}
 						work[a], work[b] = m, m
 					}
-					hS := monSharded.ObserveRound(round, sh.View())
-					hP := monPlain.ObserveRound(round, one.View())
+					hS := monSharded.ObserveRound(round, sh)
+					hP := monPlain.ObserveRound(round, one)
 					if hS != hP {
 						t.Fatalf("round %d: sharded h %g != plain h %g", round, hS, hP)
 					}
@@ -178,7 +184,8 @@ func TestObserveRoundShardedDetectsViolation(t *testing.T) {
 	if fx, _ := core.ApplyInto(pr.F(), nil, sh.View()); pr.Equal(fx, mon.Target()) {
 		t.Fatal("test setup: the staged delta must break conservation")
 	}
-	mon.ObserveRound(0, sh.View())
+	mon.Stage(1, 3)
+	mon.ObserveRound(0, sh)
 	if v := mon.Violations(); len(v) == 0 || !strings.Contains(v[0], "conservation law violated") {
 		t.Fatalf("conservation violation not detected through sharded reduction: %v", v)
 	}

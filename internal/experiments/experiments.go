@@ -1375,18 +1375,20 @@ func E18RoundCost(cfg Config) Section {
 	b.WriteString("\nAllocs/round is flat from 10⁴ to 10⁶ agents: the round loop touches\n" +
 		"reused buffers only, and the delta index absorbs the ~0.1% of edges\n" +
 		"that flip per round in O(changes) — the masks' word-level diff yields\n" +
-		"exactly the flipped ids, the matcher reexamines only those edges'\n" +
-		"buckets, and the fairness probe advances only touched trackers.\n" +
+		"exactly the flipped ids, and the matcher reexamines only those edges'\n" +
+		"buckets.\n" +
 		"Ns/round grows with N because a pairwise round genuinely draws a\n" +
 		"random maximal matching over every usable edge — the algorithm's own\n" +
 		"work, which the tree-ordered parallel reconciliation fans out across\n" +
 		"blocks without changing a single drawn bit.\n")
 	b.WriteString("\nThe ns_per_phase columns come from the observability probe\n" +
-		"(internal/obs) attached to each measured run: the O(N)-per-round work\n" +
-		"— `step` (group steps over matched pairs) and `monitor` (shard flush,\n" +
-		"merged snapshot, conservation check) — carries the round, `match` (the\n" +
-		"matching draw over usable edges) sits next, and the O(changes) phases\n" +
-		"(`env`, `update`) stay orders of magnitude below them, which is the\n" +
+		"(internal/obs) attached to each measured run: the algorithm's own\n" +
+		"per-round work — `step` (group steps over matched pairs) and `match`\n" +
+		"(the matching draw over usable edges) — carries the round. `monitor`\n" +
+		"is the shard flush plus, min being a consensus problem, an O(P) check\n" +
+		"of the shards' size, minimum and maximum against S* with a running h:\n" +
+		"no merged snapshot and no image of f. The O(changes) phases (`env`,\n" +
+		"`update`) stay orders of magnitude below the round, which is the\n" +
 		"delta index's contribution in one row. Attaching the probe changes no\n" +
 		"result bytes. Aggregate timing across the measured cells:\n\n")
 	b.WriteString(probe.Report().PhaseTable().String())

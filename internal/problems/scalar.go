@@ -45,6 +45,9 @@ func (*Min) Equal(a, b ms.Multiset[int]) bool { return eqExact(a, b) }
 // the minimum.
 func (*Min) StutterOnEqual() {}
 
+// Consensus implements core.Consensus: f gives every agent the minimum.
+func (*Min) Consensus(lo, _ int) int { return lo }
+
 // MinF is the paper's f for §4.1: all values become the minimum.
 // f({3,5,3,7}) = {3,3,3,3}. It carries the core.IntoFunction fast path so
 // the engines' per-round conservation check can evaluate f without
@@ -69,7 +72,7 @@ func (*Min) F() core.Function[int] { return MinF() }
 
 // H implements core.Problem: h(S) = Σ xa.
 func (*Min) H() core.Variant[int] {
-	return core.SummationVariant[int]("Σx", func(v int) float64 { return float64(v) })
+	return core.IntSummationVariant[int]("Σx", func(v int) int64 { return int64(v) })
 }
 
 // GroupStep implements core.Problem: every member adopts the group
@@ -148,6 +151,9 @@ func (*Max) Equal(a, b ms.Multiset[int]) bool { return eqExact(a, b) }
 // StutterOnEqual implements core.StutterOnEqual: max(x, …, x) = x.
 func (*Max) StutterOnEqual() {}
 
+// Consensus implements core.Consensus: f gives every agent the maximum.
+func (*Max) Consensus(_, hi int) int { return hi }
+
 // MaxF is f for the maximum: all values become the maximum.
 func MaxF() core.Function[int] {
 	return core.MarkSuperIdempotent[int](core.FuncOfInto("max",
@@ -170,7 +176,7 @@ func (*Max) F() core.Function[int] { return MaxF() }
 // H implements core.Problem: h(S) = Σ (Bound − xa).
 func (p *Max) H() core.Variant[int] {
 	bound := p.Bound
-	return core.SummationVariant[int]("Σ(B−x)", func(v int) float64 { return float64(bound - v) })
+	return core.IntSummationVariant[int]("Σ(B−x)", func(v int) int64 { return int64(bound - v) })
 }
 
 // GroupStep implements core.Problem.
@@ -467,7 +473,7 @@ func (*GCD) F() core.Function[int] { return GCDF() }
 
 // H implements core.Problem: h(S) = Σ xa.
 func (*GCD) H() core.Variant[int] {
-	return core.SummationVariant[int]("Σx", func(v int) float64 { return float64(v) })
+	return core.IntSummationVariant[int]("Σx", func(v int) int64 { return int64(v) })
 }
 
 // GroupStep implements core.Problem: everyone adopts the group gcd.

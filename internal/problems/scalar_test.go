@@ -431,3 +431,80 @@ func TestStutterOnEqualMarker(t *testing.T) {
 		}
 	}
 }
+
+// TestConsensusDeclaration: exactly min (greedy and Partial) and max
+// declare core.Consensus, and the declaration is exact: on random bags —
+// empty ones, duplicates and negative values included — |x| copies of
+// Consensus(min x, max x) is f(x), through Apply and ApplyInto alike.
+func TestConsensusDeclaration(t *testing.T) {
+	want := map[string]bool{"min": true, "partial-min": true, "max": true}
+	for _, d := range Catalog() {
+		if _, got := d.New(16).(core.Consensus[int]); got != want[d.Name] {
+			t.Errorf("registered %q: declares Consensus = %v, want %v", d.Name, got, want[d.Name])
+		}
+	}
+	rng := rand.New(rand.NewSource(43))
+	for _, p := range []core.Problem[int]{NewMin(), &Min{Partial: true}, NewMax(1000)} {
+		c := p.(core.Consensus[int])
+		var buf []int
+		for trial := 0; trial < 500; trial++ {
+			vals := make([]int, rng.Intn(8))
+			for i := range vals {
+				vals[i] = rng.Intn(21) - 10
+			}
+			x := ms.OfInts(vals...)
+			var cons []int
+			if lo, ok := x.Min(); ok {
+				hi, _ := x.Max()
+				for range vals {
+					cons = append(cons, c.Consensus(lo, hi))
+				}
+			}
+			var fx ms.Multiset[int]
+			fx, buf = core.ApplyInto(p.F(), buf, x)
+			if !fx.Equal(ms.OfInts(cons...)) || !p.F().Apply(x).Equal(fx) {
+				t.Fatalf("%s: f(%v) = %v, Consensus copies = %v", p.Name(), x, fx, cons)
+			}
+		}
+	}
+}
+
+// TestIntSummationVariants: min's Σx, max's Σ(B−x) and gcd's Σx are
+// core.Additive, and their int64 Value is bit-identical to the float
+// SummationVariant over the same terms on random bags with partial sums
+// below 2⁵³.
+func TestIntSummationVariants(t *testing.T) {
+	const bound = 1 << 40
+	cases := []struct {
+		name string
+		h    core.Variant[int]
+		old  func(int) float64
+	}{
+		{"min", NewMin().H(), func(v int) float64 { return float64(v) }},
+		{"max", NewMax(bound).H(), func(v int) float64 { return float64(bound - v) }},
+		{"gcd", NewGCD().H(), func(v int) float64 { return float64(v) }},
+	}
+	rng := rand.New(rand.NewSource(47))
+	for _, c := range cases {
+		add, ok := c.h.(core.Additive[int])
+		if !ok {
+			t.Fatalf("%s: variant %q is not core.Additive", c.name, c.h.Name())
+		}
+		old := core.SummationVariant[int](c.h.Name(), c.old)
+		for trial := 0; trial < 500; trial++ {
+			vals := make([]int, rng.Intn(40))
+			for i := range vals {
+				vals[i] = rng.Intn(1<<41) - 1<<40
+			}
+			x := ms.OfInts(vals...)
+			if got, w := c.h.Value(x), old.Value(x); math.Float64bits(got) != math.Float64bits(w) {
+				t.Fatalf("%s: Value(%v) = %v, float summation = %v", c.name, x, got, w)
+			}
+			for _, v := range vals {
+				if float64(add.Term(v)) != c.old(v) {
+					t.Fatalf("%s: Term(%d) = %d, want %g", c.name, v, add.Term(v), c.old(v))
+				}
+			}
+		}
+	}
+}

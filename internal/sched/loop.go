@@ -484,8 +484,8 @@ func (r *run[T]) initiate(a int32, rng *engine.FastRand) (outcome, int64) {
 // when some agent adopted since the last check AND at least CheckEvery
 // initiations have passed since it. Checks stay event-driven and
 // op-bounded — never more than one per adoption, never on a wall-clock
-// schedule — and a 10⁵-agent run does not pay an O(N log N) board
-// snapshot per adoption.
+// schedule — and a 10⁵-agent run does not pay a board scan per
+// adoption.
 func (r *run[T]) maybeCheckQuiescence() {
 	ad := r.adoptions.Load()
 	if ad == r.checkedAdopt.Load() {
@@ -506,6 +506,36 @@ func (r *run[T]) maybeCheckQuiescence() {
 	r.lastCheckOps.Store(r.ops.Load())
 	r.checks.Add(1)
 
+	if r.boardReached() {
+		if r.ap != nil && r.ap.PendingJoins() {
+			return // joins outstanding: the target will still move
+		}
+		r.halt()
+	}
+}
+
+// boardReached reports whether the board equals the target. For a
+// consensus problem S* is |S*| copies of c*, so the board is scanned slot
+// by slot under its lock and the scan stops at the first slot ≠ c*;
+// any other problem copies the board under the slot locks and sorts it
+// for the monitor's multiset comparison. Both verdicts are the
+// monitor's Reached on the same snapshot.
+func (r *run[T]) boardReached() bool {
+	if c, n, ok := r.mon.ConsensusTarget(); ok {
+		if len(r.board) != n {
+			return false
+		}
+		for i := range r.board {
+			sl := &r.board[i]
+			sl.mu.Lock()
+			eq := r.cmp(sl.v, c) == 0
+			sl.mu.Unlock()
+			if !eq {
+				return false
+			}
+		}
+		return true
+	}
 	r.viewBuf = r.viewBuf[:0]
 	for i := range r.board {
 		sl := &r.board[i]
@@ -514,12 +544,7 @@ func (r *run[T]) maybeCheckQuiescence() {
 		sl.mu.Unlock()
 	}
 	slices.SortFunc(r.viewBuf, r.cmp)
-	if r.mon.Reached(ms.View(r.cmp, r.viewBuf)) {
-		if r.ap != nil && r.ap.PendingJoins() {
-			return // joins outstanding: the target will still move
-		}
-		r.halt()
-	}
+	return r.mon.Reached(ms.View(r.cmp, r.viewBuf))
 }
 
 // barrier parks the calling worker for a dynamics safepoint. The first
@@ -653,7 +678,6 @@ func (r *run[T]) applyGrowth(gr graph.Growth) {
 		board[a].v = r.states[a]
 	}
 	r.board = board
-	r.viewBuf = slices.Grow(r.viewBuf[:0], n)
 
 	last := &r.shards[len(r.shards)-1]
 	last.hi = n

@@ -303,10 +303,14 @@ func Run[T any](p core.Problem[T], g *graph.Graph, initial []T, opts Options) (*
 	// state, at the epoch index CheckFrozen uses. Converged is whether that
 	// state equals the target — never the monitor's sticky first-reach
 	// record, which Reset may have set before dynamics moved the state.
-	finalM := ms.New(cmp, r.states...)
+	// The final state is handed over as a one-shard layout, as sim does
+	// below its shard threshold; sched stages no changes through the
+	// monitor, so h is synced from that state first.
+	final := engine.NewShards(cmp, r.states, 1)
 	epoch := res.Ops / opts.OpsPerEpoch
-	res.Converged = mon.Reached(finalM)
-	mon.ObserveRound(epoch, finalM)
+	res.Converged = mon.Reached(final.View())
+	mon.SyncVariant(final.View())
+	mon.ObserveRound(epoch, final)
 	if r.ap != nil {
 		// Frozen-state conservation: agents crashed at quiescence must
 		// hold exactly the state recorded when they froze.
@@ -408,7 +412,7 @@ type run[T any] struct {
 	checkedAdopt atomic.Int64 // adoptions count consumed by the last check
 	lastCheckOps atomic.Int64
 	checkMu      sync.Mutex
-	viewBuf      []T
+	viewBuf      []T // board copy for a non-consensus problem's check
 
 	// Stop machinery and the safepoint barrier.
 	stop     atomic.Bool
@@ -444,7 +448,6 @@ func (r *run[T]) setup(n int) {
 	r.actDue = make([]int64, n)
 	r.backoff = make([]AIMD, n)
 	r.board = make([]boardSlot[T], n)
-	r.viewBuf = make([]T, 0, n)
 	for a := 0; a < n; a++ {
 		r.seedBase[a] = engine.AgentSeed(r.opts.Seed, a)
 		r.sendTo[a] = -1

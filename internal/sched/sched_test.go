@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -241,6 +242,59 @@ func TestSchedGoldenSingleWorker(t *testing.T) {
 	rep := probe.Report()
 	if rep.Counters[obs.CounterSchedEnqueues] == 0 {
 		t.Error("probe recorded no sched enqueues")
+	}
+}
+
+// consensusHidden embeds a problem's interface, which promotes every
+// core.Problem method but not the core.Consensus declaration, so the
+// quiescence check copies and sorts the board instead of scanning it.
+type consensusHidden struct{ core.Problem[int] }
+
+// TestSchedConsensusHidden: with Workers=1 a run is a pure function of
+// the seed, so the consensus board scan must reproduce the copy-and-sort
+// check exactly — the same halts, hence the same ops, QuiescenceChecks,
+// final state and violations — for min and max, with and without a
+// join-and-amnesiac-flap schedule.
+func TestSchedConsensusHidden(t *testing.T) {
+	initial := make([]int, 18)
+	for i := range initial {
+		initial[i] = 7 + (i*5)%23
+	}
+	initial[9], initial[16], initial[17] = 2, 1, 3
+	for _, p := range []core.Problem[int]{problems.NewMin(), problems.NewMax(64)} {
+		for _, dyn := range []bool{false, true} {
+			run := func(p core.Problem[int]) (resultKey, []string) {
+				o := topts()
+				o.Workers = 1
+				n := 16
+				if dyn {
+					o.OpsPerEpoch = 48
+					o.Dynamics = dynamics.NewSchedule(
+						dynamics.At(2, dynamics.CrashRandom(3)),
+						dynamics.At(4, dynamics.RecoverAll()),
+						dynamics.Join(2, "ring", 6),
+						dynamics.AmnesiacRejoin(),
+					)
+					n = 18
+				}
+				res, err := Run[int](p, graph.Ring(16), append([]int(nil), initial[:n]...), o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !res.Converged {
+					t.Fatalf("%s (dynamics %v) did not converge: %v", p.Name(), dyn, res.Final)
+				}
+				return key(t, res), res.Violations
+			}
+			marked, mv := run(p)
+			hidden, hv := run(consensusHidden{p})
+			if marked != hidden || !slices.Equal(mv, hv) {
+				t.Errorf("%s (dynamics %v): board scan %+v %q != copy-and-sort %+v %q", p.Name(), dyn, marked, mv, hidden, hv)
+			}
+			if marked.checks == 0 {
+				t.Errorf("%s (dynamics %v): no quiescence check ran", p.Name(), dyn)
+			}
+		}
 	}
 }
 

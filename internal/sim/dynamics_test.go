@@ -2,9 +2,13 @@ package sim
 
 import (
 	"fmt"
+	"math/rand"
 	goruntime "runtime"
+	"slices"
+	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/dynamics"
 	"repro/internal/engine"
 	"repro/internal/env"
@@ -198,6 +202,84 @@ func TestDynamicsWarmReuseMatchesCold(t *testing.T) {
 		if ws != cs || *warm.Dynamics != *cold.Dynamics {
 			t.Fatalf("seed %d: warm run diverged from cold\nwarm: %s %+v\ncold: %s %+v",
 				seed, ws, *warm.Dynamics, cs, *cold.Dynamics)
+		}
+	}
+}
+
+// leakyMin is min with a faulty pair step: a pair whose values sum to 0
+// mod 5 drops one agent below the pair minimum (breaking conservation),
+// and one summing to 1 mod 5 raises an agent above both (raising h). Its
+// core.Consensus and core.StutterOnEqual declarations are Min's.
+type leakyMin struct{ *problems.Min }
+
+func (p leakyMin) PairStep(a, b int, rng *rand.Rand) (int, int) {
+	switch m := min(a, b); (a + b) % 5 {
+	case 0:
+		return m - 1, m
+	case 1:
+		return m, a + b
+	}
+	return p.Min.PairStep(a, b, rng)
+}
+
+// TestDynamicsConsensusHidden replays the dynamics determinism config
+// (crashes, a partition cycle and a churn burst, in both modes) and a
+// faulty-step min run with the core.Consensus declaration hidden, on one
+// shard and three. The consensus path and the full path must agree on
+// every Result field — violation strings included, which the faulty run
+// produces in both conservation and variant form — and on every
+// RoundInfo.
+func TestDynamicsConsensusHidden(t *testing.T) {
+	vals := make([]int, 48)
+	for i := range vals {
+		vals[i] = (i*37 + 11) % 192
+	}
+	type cell struct {
+		name string
+		p    core.Problem[int]
+		opts Options
+	}
+	var cells []cell
+	for _, mode := range []Mode{ComponentMode, PairwiseMode} {
+		cells = append(cells, cell{"dynamics/" + mode.String(), problems.NewMin(), Options{
+			Seed: 5, Mode: mode, StopOnConverged: true, MaxRounds: 60_000,
+			CheckSteps: true, Dynamics: dynamicsSchedule(),
+		}})
+	}
+	cells = append(cells, cell{"leaky-min", leakyMin{problems.NewMin()}, Options{
+		Seed: 7, Mode: PairwiseMode, MaxRounds: 40, CheckSteps: true,
+	}})
+	for _, c := range cells {
+		for _, shards := range []int{1, 3} {
+			t.Run(fmt.Sprintf("%s/shards=%d", c.name, shards), func(t *testing.T) {
+				run := func(tweak variant) (string, []RoundInfo) {
+					var infos []RoundInfo
+					o := c.opts
+					o.Shards = shards
+					o.OnRound = func(ri RoundInfo) { infos = append(infos, ri) }
+					res, err := Run[int](problemFor(c.p, tweak), env.NewEdgeChurn(graph.Ring(48), 0.8), vals, o)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sum, _ := summarize(res, nil)
+					return fmt.Sprintf("%s dyn=%+v target=%v viol=%q", sum, res.Dynamics, res.Target, res.Violations), infos
+				}
+				hid := false
+				marked, markedInfos := run(variant{})
+				hidden, hiddenInfos := run(variant{hideConsensus: true, hid: &hid})
+				if !hid {
+					t.Fatal("the cell's problem does not declare core.Consensus")
+				}
+				if marked != hidden {
+					t.Errorf("results differ\nmarked: %s\nhidden: %s", marked, hidden)
+				}
+				if !slices.Equal(markedInfos, hiddenInfos) {
+					t.Errorf("RoundInfo streams differ\nmarked: %v\nhidden: %v", markedInfos, hiddenInfos)
+				}
+				if c.name == "leaky-min" && (!strings.Contains(marked, "conservation law violated") || !strings.Contains(marked, "variant increased")) {
+					t.Errorf("the faulty run must report both violation kinds: %s", marked)
+				}
+			})
 		}
 	}
 }

@@ -49,11 +49,15 @@ type variant struct {
 	// opts mutates the run's Options (nil: none): forcing the worker pool
 	// on, sharding, attaching a probe or an empty dynamics schedule.
 	opts func(*Options)
-	// hideStutter runs the case's problem behind stutterHidden, so groups
-	// that can only stutter step in full instead of being skipped; hid,
-	// when non-nil, records that a marker was actually hidden.
-	hideStutter bool
-	hid         *bool
+	// hideStutter runs the case's problem with every optional declaration
+	// hidden, the core.StutterOnEqual marker included, so groups that can
+	// only stutter step in full instead of being skipped; hideConsensus
+	// hides only its core.Consensus declaration, so the monitor judges
+	// every round on the merged view instead of the shards' extremes. hid,
+	// when non-nil, records that a declaration was actually hidden.
+	hideStutter   bool
+	hideConsensus bool
+	hid           *bool
 }
 
 // tweaked applies the variant's Options mutation, if any.
@@ -64,20 +68,35 @@ func tweaked(opts Options, tweak variant) Options {
 	return opts
 }
 
-// stutterHidden embeds a problem's interface, which promotes every
-// core.Problem method but not the core.StutterOnEqual marker.
-type stutterHidden[T any] struct{ core.Problem[T] }
+// declsHidden embeds a problem's interface, which promotes every
+// core.Problem method but none of the optional declarations
+// (core.StutterOnEqual, core.Consensus).
+type declsHidden[T any] struct{ core.Problem[T] }
 
-// problemFor returns p, or p with its core.StutterOnEqual marker hidden
-// when the variant asks for it.
+// stutterKept re-declares core.StutterOnEqual on declsHidden: only the
+// consensus declaration is hidden.
+type stutterKept[T any] struct{ declsHidden[T] }
+
+func (stutterKept[T]) StutterOnEqual() {}
+
+// problemFor returns p, or p with the declarations the variant names
+// hidden.
 func problemFor[T any](p core.Problem[T], tweak variant) core.Problem[T] {
-	if !tweak.hideStutter {
+	_, consensus := p.(core.Consensus[T])
+	stutter := core.IsStutterOnEqual(p)
+	var out core.Problem[T]
+	switch {
+	case tweak.hideStutter && stutter, tweak.hideConsensus && consensus && !stutter:
+		out = declsHidden[T]{p}
+	case tweak.hideConsensus && consensus:
+		out = stutterKept[T]{declsHidden[T]{p}}
+	default:
 		return p
 	}
-	if tweak.hid != nil && core.IsStutterOnEqual(p) {
+	if tweak.hid != nil {
 		*tweak.hid = true
 	}
-	return stutterHidden[T]{p}
+	return out
 }
 
 // summarize renders every Result field the equivalence contract covers.
@@ -330,6 +349,76 @@ func TestEngineEquivalenceGoldenStutterHidden(t *testing.T) {
 	}
 	if found != len(marked) {
 		t.Fatalf("found %d of the %d marked cells", found, len(marked))
+	}
+}
+
+// TestEngineEquivalenceGoldenConsensusHidden replays every golden cell
+// whose problem declares core.Consensus — in the equivalence and the
+// membership matrices, one shard and three — with the declaration
+// hidden, so the monitor judges every round on the merged view instead
+// of the shards' extremes and its running h. Both runs must match the
+// recorded golden and report the same per-round RoundInfo stream, whose
+// H is the monitor's h.
+func TestEngineEquivalenceGoldenConsensusHidden(t *testing.T) {
+	consensus := []string{
+		"min/ring16/churn0.5",
+		"min/complete12/partitioner",
+		"min/complete8/adversary-feedback",
+		"partialmin/ring12/powerloss",
+		"min/ring64/pairwise-blocks4",
+		"min/ring16/no-stop-stability",
+		"min/ring12+join4ring/churn0.8",
+		"min/complete10+join3pref/pairwise",
+		"min/ring16+join2ring+amnesiacflap/churn0.9", // amnesia rebase and join
+		"min/ring12/amnesiacflap/pairwise",
+		"min/ring24+join4ring/pairwise-blocks3",
+	}
+	record := func(dst *[]RoundInfo, shards int) func(*Options) {
+		return func(o *Options) {
+			o.Shards = shards
+			o.OnRound = func(ri RoundInfo) { *dst = append(*dst, ri) }
+		}
+	}
+	found := 0
+	for _, m := range []struct {
+		cases   []goldenCase
+		goldens map[string]string
+	}{{goldenCases(), engineGoldens}, {joinGoldenCases(), joinGoldens}} {
+		for _, c := range m.cases {
+			if !slices.Contains(consensus, c.name) {
+				continue
+			}
+			found++
+			for _, s := range []int64{1, 2, 3} {
+				for _, shards := range []int{1, 3} {
+					key := fmt.Sprintf("%s/seed%d", c.name, s)
+					t.Run(fmt.Sprintf("%s/shards=%d", key, shards), func(t *testing.T) {
+						var marked, hidden []RoundInfo
+						hid := false
+						gotMarked, err := c.run(s, variant{opts: record(&marked, shards)})
+						if err != nil {
+							t.Fatal(err)
+						}
+						gotHidden, err := c.run(s, variant{opts: record(&hidden, shards), hideConsensus: true, hid: &hid})
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !hid {
+							t.Fatal("the case's problem does not declare core.Consensus")
+						}
+						if want := m.goldens[key]; gotMarked != want || gotHidden != want {
+							t.Errorf("diverged from the golden\nmarked: %s\nhidden: %s\n  want: %s", gotMarked, gotHidden, want)
+						}
+						if !slices.Equal(marked, hidden) {
+							t.Errorf("RoundInfo streams differ\nmarked: %v\nhidden: %v", marked, hidden)
+						}
+					})
+				}
+			}
+		}
+	}
+	if found != len(consensus) {
+		t.Fatalf("found %d of the %d consensus cells", found, len(consensus))
 	}
 }
 

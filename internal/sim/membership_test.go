@@ -59,7 +59,7 @@ func joinGoldenCases() []goldenCase {
 			// Ring splice: 12 founding agents, 4 join at round 6 — the run
 			// must reconverge to the 16-agent minimum.
 			sched := dynamics.NewSchedule(dynamics.Join(4, "ring", 6))
-			return summarizeDyn(Run[int](problems.NewMin(), env.NewEdgeChurn(graph.Ring(12), 0.8),
+			return summarizeDyn(Run[int](problemFor[int](problems.NewMin(), tweak), env.NewEdgeChurn(graph.Ring(12), 0.8),
 				intVals(16, 3), tweaked(Options{Seed: seed, StopOnConverged: true, CheckSteps: true, MaxRounds: 10_000, Dynamics: sched}, tweak)))
 		}},
 		{"min/complete10+join3pref/pairwise", func(seed int64, tweak variant) (string, error) {
@@ -68,7 +68,7 @@ func joinGoldenCases() []goldenCase {
 			// §4.2 gives sum's pairwise gossip a complete-graph
 			// requirement, and preferential attachment is not complete.
 			sched := dynamics.NewSchedule(dynamics.Join(3, "pref", 4))
-			return summarizeDyn(Run[int](problems.NewMin(), env.NewEdgeChurn(graph.Complete(10), 0.7),
+			return summarizeDyn(Run[int](problemFor[int](problems.NewMin(), tweak), env.NewEdgeChurn(graph.Complete(10), 0.7),
 				intVals(13, 11), tweaked(Options{Seed: seed, StopOnConverged: true, CheckSteps: true, Mode: PairwiseMode, MaxRounds: 10_000, Dynamics: sched}, tweak)))
 		}},
 		{"gcd/hypercube8+join8cube/static", func(seed int64, tweak variant) (string, error) {
@@ -78,7 +78,7 @@ func joinGoldenCases() []goldenCase {
 			for i := range vals {
 				vals[i] = (vals[i] + 1) * 6
 			}
-			return summarizeDyn(Run[int](problems.NewGCD(), env.NewStatic(graph.Hypercube(3)),
+			return summarizeDyn(Run[int](problemFor[int](problems.NewGCD(), tweak), env.NewStatic(graph.Hypercube(3)),
 				vals, tweaked(Options{Seed: seed, StopOnConverged: true, CheckSteps: true, MaxRounds: 10_000, Dynamics: sched}, tweak)))
 		}},
 		{"min/ring16+join2ring+amnesiacflap/churn0.9", func(seed int64, tweak variant) (string, error) {
@@ -94,7 +94,7 @@ func joinGoldenCases() []goldenCase {
 				dynamics.Join(2, "ring", 6),
 				dynamics.AmnesiacRejoin(),
 			)
-			return summarizeDyn(Run[int](problems.NewMin(), env.NewEdgeChurn(graph.Ring(16), 0.9),
+			return summarizeDyn(Run[int](problemFor[int](problems.NewMin(), tweak), env.NewEdgeChurn(graph.Ring(16), 0.9),
 				intVals(18, 7), tweaked(Options{Seed: seed, StopOnConverged: true, CheckSteps: true, MaxRounds: 10_000, Dynamics: sched}, tweak)))
 		}},
 		{"min/ring12/amnesiacflap/pairwise", func(seed int64, tweak variant) (string, error) {
@@ -104,7 +104,7 @@ func joinGoldenCases() []goldenCase {
 			// convergence is slow enough (O(n) rounds) that the flap at
 			// rounds 2–7 fires mid-run instead of after an immediate
 			// component-mode convergence.
-			return summarizeDyn(Run[int](problems.NewMin(), env.NewEdgeChurn(graph.Ring(12), 0.8),
+			return summarizeDyn(Run[int](problemFor[int](problems.NewMin(), tweak), env.NewEdgeChurn(graph.Ring(12), 0.8),
 				intVals(12, 5), tweaked(Options{Seed: seed, StopOnConverged: true, CheckSteps: true, Mode: PairwiseMode, MaxRounds: 10_000, Dynamics: amnesiacFlap(3, 2, 7)}, tweak)))
 		}},
 		{"sum/complete12/amnesiacflap-violations", func(seed int64, tweak variant) (string, error) {
@@ -113,14 +113,14 @@ func joinGoldenCases() []goldenCase {
 			// mass, and the monitor must DETECT it (viol > 0 is pinned).
 			// MaxRounds is small because the run can never reach its (now
 			// unreachable) target.
-			return summarizeDyn(Run[int](problems.NewSum(), env.NewEdgeChurn(graph.Complete(12), 0.8),
+			return summarizeDyn(Run[int](problemFor[int](problems.NewSum(), tweak), env.NewEdgeChurn(graph.Complete(12), 0.8),
 				intVals(12, 9), tweaked(Options{Seed: seed, StopOnConverged: true, Mode: PairwiseMode, MaxRounds: 60, Dynamics: amnesiacFlap(3, 2, 7)}, tweak)))
 		}},
 		{"min/ring24+join4ring/pairwise-blocks3", func(seed int64, tweak variant) (string, error) {
 			// Fixed MatchBlocks with a ring splice: the boundary
 			// reconciliation schedule gains pairs mid-run.
 			sched := dynamics.NewSchedule(dynamics.Join(4, "ring", 7))
-			return summarizeDyn(Run[int](problems.NewMin(), env.NewEdgeChurn(graph.Ring(24), 0.7),
+			return summarizeDyn(Run[int](problemFor[int](problems.NewMin(), tweak), env.NewEdgeChurn(graph.Ring(24), 0.7),
 				intVals(28, 19), tweaked(Options{Seed: seed, StopOnConverged: true, CheckSteps: true, Mode: PairwiseMode, MatchBlocks: 3, MaxRounds: 100_000, Dynamics: sched}, tweak)))
 		}},
 	}

@@ -141,8 +141,9 @@ type Options struct {
 	ParallelThreshold int
 	// Shards sets the shard count P of the state: the agent array is split
 	// into P contiguous shards, each owning its own multiset tracker with
-	// deltas staged per round, and the global snapshot for the monitors is
-	// a P-way merge of the shard views (see engine.Shards). 0 or negative
+	// deltas staged per round; the monitor reads the shards' extremes for
+	// a consensus problem and a P-way merge of the shard views otherwise
+	// (see engine.Shards and engine.Monitor). 0 or negative
 	// means auto — one shard below DefaultShardThreshold agents, GOMAXPROCS
 	// shards at or above it; > 0 forces that many shards (clamped to the
 	// agent count). Results are bit-identical for every P — the
@@ -633,10 +634,11 @@ func RunWith[T any](sc *Scratch[T], p core.Problem[T], e env.Environment, initia
 		// Global monitors: conservation law, variant descent and first
 		// reach of the target, on the incrementally maintained snapshot —
 		// the round's staged deltas are applied first (one parallel repair
-		// per shard), then the per-shard views are reduced.
+		// per shard), then the monitor judges the shards (in O(P) for a
+		// consensus problem, on the merged view otherwise).
 		r.obs.Begin(obs.PhaseMonitor)
 		r.shards.Flush(r.pool)
-		nowH := r.mon.ObserveRound(round, r.shards.View())
+		nowH := r.mon.ObserveRound(round, r.shards)
 		r.obs.End(obs.PhaseMonitor)
 
 		if r.dyn != nil {
@@ -733,9 +735,17 @@ func (r *runner[T]) curOverlayA() []int {
 func (r *runner[T]) applyDelta(members []int, olds, news []T) {
 	for i, a := range members {
 		if r.cmp(olds[i], news[i]) != 0 {
-			r.shards.Stage(a, olds[i], news[i])
+			r.stage(a, olds[i], news[i])
 		}
 	}
+}
+
+// stage records one agent's state change old → new with both consumers
+// of a round's deltas: the owning shard, repaired at the next Flush, and
+// the monitor's running h.
+func (r *runner[T]) stage(a int, oldV, newV T) {
+	r.shards.Stage(a, oldV, newV)
+	r.mon.Stage(oldV, newV)
 }
 
 // applyGrowth threads one round's population growth through every layer
@@ -787,7 +797,7 @@ func (r *runner[T]) applyAmnesia(woken []int) {
 			continue // the frozen state IS the initial state: nothing to repair
 		}
 		changed = true
-		r.shards.Stage(a, r.states[a], r.initVals[a])
+		r.stage(a, r.states[a], r.initVals[a])
 		r.states[a] = r.initVals[a]
 	}
 	if !changed {

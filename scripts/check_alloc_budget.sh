@@ -35,7 +35,8 @@
 # measures ~33 allocs/op — exclusively per-run bookkeeping (Result,
 # environment, initial/final state copies); the 64 delta-indexed
 # rounds themselves are allocation-free (the shard flush hands the pool
-# a prebuilt func, the monitor evaluates f into one reused buffer, and
+# a prebuilt func, the monitor judges min's rounds from the shards'
+# extremes and a running h without merging or evaluating f, and
 # detlint's hotalloc check keeps closures out of both). The budget of
 # 150 (set when the bookkeeping measured ~101) stays: a regression that allocates even once per
 # round adds 64 and fails, and one that re-pays any O(N) or O(E) buffer
@@ -62,6 +63,14 @@
 # one that allocates per phase sample adds hundreds per op (32 rounds ×
 # 7+ phase brackets); both fail.
 #
+# BenchmarkObserveRoundConsensus1e6 (internal/engine) pins the monitor
+# phase of a near-converged 10⁶-agent round on the consensus path: ~1k
+# staged deltas, one P=2 flush and one ObserveRound per op. The check
+# reads n, min and max from the shard trackers in O(P) and h from a
+# running int64 sum, so it never grows a merge buffer or an f image, and
+# the flush reuses its staging and scratch buffers: 0 allocs/op, and the
+# budget is 0 — any allocation here is a regression.
+#
 # BenchmarkSchedExchange1e4 pins the asynchronous engine (the sharded
 # actor scheduler behind SimulateAsync) and its per-exchange allocation
 # contract: an 8192-agent hypercube min cell with
@@ -79,7 +88,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-out=$(go test -run '^$' -bench 'BenchmarkSimComponentRing64$|BenchmarkSimPairwiseSharded4k$|BenchmarkSweepGrid$|BenchmarkSimWithDynamics$|BenchmarkSimPairwiseDelta1e5$|BenchmarkJoinSplice$|BenchmarkSimRoundProbed$|BenchmarkSchedExchange1e4$' -benchtime=1x -benchmem .)
+out=$(go test -run '^$' -bench 'BenchmarkSimComponentRing64$|BenchmarkSimPairwiseSharded4k$|BenchmarkSweepGrid$|BenchmarkSimWithDynamics$|BenchmarkSimPairwiseDelta1e5$|BenchmarkJoinSplice$|BenchmarkSimRoundProbed$|BenchmarkSchedExchange1e4$|BenchmarkObserveRoundConsensus1e6$' -benchtime=1x -benchmem . ./internal/engine)
 echo "$out"
 
 fail=0
@@ -117,4 +126,5 @@ check BenchmarkSimPairwiseDelta1e5 150
 check BenchmarkJoinSplice 400
 check BenchmarkSimRoundProbed 150
 check BenchmarkSchedExchange1e4 400
+check BenchmarkObserveRoundConsensus1e6 0
 exit $fail
