@@ -146,8 +146,10 @@ func (superIntoFunc[T]) SuperIdempotentF() {}
 // randomness. Consensus problems whose step moves every member to a
 // combination of the group's values (min, max, gcd) satisfy it. The
 // round engine uses the promise to skip such groups — a skipped group is
-// exactly the stutter the step would have produced, and its child seed is
-// still drawn, so results do not depend on the marker. A problem must not
+// exactly the stutter the step would have produced, and every group's
+// step stream is keyed on the group itself, so skipping one shifts no
+// other group's draws and results do not depend on the marker. A
+// problem must not
 // carry it when an all-equal group can still change (sum, average, the
 // geometry problems).
 type StutterOnEqual interface {

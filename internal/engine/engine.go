@@ -20,10 +20,11 @@
 //     core.Additive variant it judges a round in O(P + changes) from the
 //     shards' extremes and a running h; every other problem is judged on
 //     the merged global view;
-//   - Seeder: deterministic per-group child seeds drawn from the master
-//     stream in group order (so results are independent of goroutine
-//     scheduling), plus the per-agent seed derivation the asynchronous
-//     scheduler uses;
+//   - Seeder and GroupSeed: the run's master stream (environment and
+//     matching draws), per-group step seeds keyed on (run seed, round,
+//     smallest member) so results are independent of goroutine
+//     scheduling and of which groups step, plus the per-agent seed
+//     derivation the asynchronous scheduler uses;
 //   - Pool: a persistent worker pool sized to GOMAXPROCS that replaces the
 //     goroutine-per-group-per-round pattern, engaging only above a
 //     group-count threshold so small systems run serially and
@@ -280,8 +281,8 @@ func (m *Monitor[T]) AddViolation(format string, args ...any) {
 // Violations returns the violations recorded so far (nil on a clean run).
 func (m *Monitor[T]) Violations() []string { return m.violations }
 
-// Seeder derives all of a run's randomness from one master seed so runs
-// are reproducible bit for bit regardless of scheduling.
+// Seeder owns a run's master stream, so runs are reproducible bit for bit
+// regardless of scheduling.
 type Seeder struct {
 	master *rand.Rand
 }
@@ -299,14 +300,37 @@ func NewSeeder(seed int64) *Seeder {
 // engine executes thousands of sweep cells back to back.
 func (s *Seeder) Reset(seed int64) { s.master.Seed(seed) }
 
-// Master returns the master stream: environment transitions, matchings,
-// and group-seed draws all consume from it in a deterministic order.
+// Master returns the master stream: environment transitions and each
+// round's matching seed consume from it in a deterministic order. Group
+// steps never do — each runs on a keyed stream (GroupSeed).
 func (s *Seeder) Master() *rand.Rand { return s.master }
 
-// GroupSeed draws the child seed for the next group in group order. Each
-// group's step runs on a private stream seeded from this value, so results
-// are independent of which worker executes the group and when.
-func (s *Seeder) GroupSeed() int64 { return s.master.Int63() }
+// groupTag separates the group-step substream family from every other
+// use of SubSeed on the same run seed: sweep cells use small indices and
+// dynamics its own tag, so without it a group's seed could equal a
+// dynamics per-round seed. (The first SHA-256 initial hash word: an
+// arbitrary large constant.)
+const groupTag = 0x6a09_e667
+
+// GroupSeed is the seed of the private step stream of the group whose
+// smallest member is member, in round round of the run seeded runSeed.
+// The seed is keyed on the group's identity, not drawn in group order
+// from the master stream — the counter-based discipline of Salmon et al.,
+// "Parallel Random Numbers: As Easy as 1, 2, 3" (SC 2011) — so a group's
+// randomness does not depend on which other groups exist, which of them
+// step or are skipped, or which worker runs it. The groups of one round
+// are disjoint, so their smallest members, and their streams, are
+// distinct.
+func GroupSeed(runSeed int64, round, member int) int64 {
+	return SubSeed(GroupRoundSeed(runSeed, round), member)
+}
+
+// GroupRoundSeed is GroupSeed's per-round base: GroupSeed(s, r, m) ==
+// SubSeed(GroupRoundSeed(s, r), m), so an engine that steps many groups
+// in one round derives it once per round.
+func GroupRoundSeed(runSeed int64, round int) int64 {
+	return SubSeed(SubSeed(runSeed, groupTag), round)
+}
 
 // AgentSeed derives the per-agent stream seed the asynchronous scheduler
 // keys each agent's events on (7919 is prime, so agent streams are spread

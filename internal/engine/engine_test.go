@@ -379,12 +379,57 @@ func TestMonitorConsensusPathMatchesFullPath(t *testing.T) {
 	}
 }
 
+// TestSeederMatchesRawStream: the master stream, fresh or Reset after
+// use, is exactly the stdlib stream of its seed.
 func TestSeederMatchesRawStream(t *testing.T) {
 	s := NewSeeder(42)
-	want := rand.New(rand.NewSource(42))
-	for i := 0; i < 100; i++ {
-		if got, w := s.GroupSeed(), want.Int63(); got != w {
-			t.Fatalf("draw %d: GroupSeed = %d, want %d", i, got, w)
+	check := func(seed int64) {
+		t.Helper()
+		want := rand.New(rand.NewSource(seed))
+		for i := 0; i < 100; i++ {
+			if got, w := s.Master().Int63(), want.Int63(); got != w {
+				t.Fatalf("seed %d, draw %d: Master = %d, want %d", seed, i, got, w)
+			}
+		}
+	}
+	check(42)
+	s.Reset(7)
+	check(7)
+	s.Reset(42)
+	check(42)
+}
+
+// TestGroupSeedKeyed: a group's seed is a pure function of (run seed,
+// round, smallest member), factors through GroupRoundSeed, is distinct
+// over a round × member grid, and never equals a dynamics per-round seed
+// SubSeed(SubSeed(seed, tag), round) of the same run — the group family
+// is tagged apart from it.
+func TestGroupSeedKeyed(t *testing.T) {
+	const dynamicsTag = 0x00d1_fa57 // internal/dynamics' seedTag
+	for _, run := range []int64{0, 1, 42, -7} {
+		seen := make(map[int64]bool, 64*1024)
+		for round := 0; round < 64; round++ {
+			seen[SubSeed(SubSeed(run, dynamicsTag), round)] = true
+		}
+		dynamicsSeeds := len(seen)
+		for round := 0; round < 64; round++ {
+			base := GroupRoundSeed(run, round)
+			for member := 0; member < 1024; member++ {
+				got := GroupSeed(run, round, member)
+				if again := GroupSeed(run, round, member); again != got {
+					t.Fatalf("run %d: GroupSeed(%d, %d) not pure: %d then %d", run, round, member, got, again)
+				}
+				if via := SubSeed(base, member); via != got {
+					t.Fatalf("run %d: GroupSeed(%d, %d) = %d, SubSeed(GroupRoundSeed) = %d", run, round, member, got, via)
+				}
+				if seen[got] {
+					t.Fatalf("run %d: GroupSeed(%d, %d) = %d repeats a group or dynamics seed", run, round, member, got)
+				}
+				seen[got] = true
+			}
+		}
+		if len(seen) != dynamicsSeeds+64*1024 {
+			t.Fatalf("run %d: %d distinct seeds, want %d", run, len(seen), dynamicsSeeds+64*1024)
 		}
 	}
 }

@@ -5,11 +5,12 @@ import "math/rand"
 // splitmixSource is a rand.Source64 with O(1) reseeding: SplitMix64
 // (Steele, Lea & Flood, OOPSLA 2014), the generator Java's
 // SplittableRandom and xoshiro's seeder use. The engines reseed a stream
-// once per GROUP PER ROUND (the determinism discipline: every group
-// steps on a private stream seeded in group order), and pairwise rounds
-// at 10⁵ agents have ~5·10⁴ groups — math/rand's default lagged-Fibonacci
-// source pays an O(607) state rebuild per Seed, which profiling shows is
-// >90% of such rounds, while SplitMix64 seeds by assignment.
+// once per GROUP PER ROUND (the determinism discipline: every group steps
+// on a private stream keyed on its identity, see GroupSeed), and
+// pairwise rounds at 10⁵ agents have ~5·10⁴ groups — math/rand's default
+// lagged-Fibonacci source pays an O(607) state rebuild per Seed, which
+// profiling shows is >90% of such rounds, while SplitMix64 seeds by
+// assignment.
 type splitmixSource struct{ state uint64 }
 
 func (s *splitmixSource) Seed(seed int64) { s.state = uint64(seed) }

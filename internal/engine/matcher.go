@@ -71,9 +71,11 @@ type PairMatcher struct {
 	bucketIDs  [][]int // static ascending edge ids per bucket (shared with part)
 
 	// Per-bucket scratch (parallel writers touch only their own index):
-	// the materialized+shuffled usable ids, then the bucket's matched ids.
-	work  [][]int
-	found [][]int
+	// the materialized+shuffled usable ids, the bucket's kept matched ids,
+	// and its count of claimed pairs (kept or not).
+	work   [][]int
+	found  [][]int
+	claims []int
 	// rands[i] is bucket i's reusable substream. FastRand so the
 	// per-round reseed is O(1) — with stdlib sources the O(607) rebuild
 	// per Seed would grow linearly in the bucket count (see fastrand.go).
@@ -88,6 +90,7 @@ type PairMatcher struct {
 	// Current-round inputs, stashed so the fan-out closures (built once)
 	// capture no per-round state and the pool fan-out allocates nothing.
 	curSeed  int64
+	curKeep  func(a, b int) bool
 	curLevel []int
 	blockFn  func(worker, b int)
 	pairFn   func(worker, i int)
@@ -116,6 +119,7 @@ func NewPairMatcher(g *graph.Graph, blocks int) *PairMatcher {
 		bucketIDs:  make([][]int, nb),
 		work:       make([][]int, nb),
 		found:      make([][]int, nb),
+		claims:     make([]int, nb),
 		rands:      make([]*FastRand, nb),
 	}
 	for b := 0; b < part.Blocks; b++ {
@@ -131,8 +135,8 @@ func NewPairMatcher(g *graph.Graph, blocks int) *PairMatcher {
 			m.bucketPos[id] = int32(pos)
 		}
 	}
-	m.blockFn = func(_, b int) { m.matchBucket(b, m.curSeed) }
-	m.pairFn = func(_, i int) { m.matchBucket(m.part.Blocks+m.curLevel[i], m.curSeed) }
+	m.blockFn = func(_, b int) { m.matchBucket(b, m.curSeed, m.curKeep) }
+	m.pairFn = func(_, i int) { m.matchBucket(m.part.Blocks+m.curLevel[i], m.curSeed, m.curKeep) }
 	return m
 }
 
@@ -212,6 +216,7 @@ func (m *PairMatcher) Grow() {
 		m.bucketIDs = append(m.bucketIDs, nil)
 		m.work = append(m.work, nil)
 		m.found = append(m.found, nil)
+		m.claims = append(m.claims, 0)
 		m.rands = append(m.rands, nil)
 	}
 	// Refresh every bucket's id-list alias (partition appends may have
@@ -288,39 +293,53 @@ func (m *PairMatcher) rebuild(edgeUp, agentUp bitset.Set) {
 
 // matchBucket materializes bucket b's usable edge ids (ascending, by
 // word-skip scan of the index), shuffles them on the bucket substream,
-// and claims greedily against the global matched set. Interior buckets
-// of distinct blocks touch disjoint agents; boundary-pair buckets are
-// only run concurrently within one schedule level, whose pairs are
-// block-disjoint by construction — so concurrent matchBucket calls never
-// race.
+// and claims greedily against the global matched set. A claimed pair is
+// recorded in found[b] only when keep (nil keeps every pair) accepts it;
+// the claim itself never depends on keep, so the matching does not
+// either. Interior buckets of distinct blocks touch disjoint agents;
+// boundary-pair buckets are only run concurrently within one schedule
+// level, whose pairs are block-disjoint by construction — so concurrent
+// matchBucket calls never race. The claim count is kept in a local and
+// stored once: incrementing the shared per-bucket slice inside the loop
+// would make concurrent buckets false-share its cache lines.
 //det:hotpath
-func (m *PairMatcher) matchBucket(b int, seed int64) {
+func (m *PairMatcher) matchBucket(b int, seed int64, keep func(a, b int) bool) {
 	ids := m.bucketBits[b].AppendSelected(m.work[b][:0], m.bucketIDs[b])
 	rng := m.stream(b, seed)
 	//lint:ignore hotalloc the swap closure captures only ids and never escapes Shuffle, so it stays on the stack; the alloc budget benchmarks pin this path at 0 allocs/round
 	rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
 	found := m.found[b][:0]
+	claims := 0
 	for _, id := range ids {
 		e := m.edges[id]
 		if m.matched[e.A] || m.matched[e.B] {
 			continue
 		}
 		m.matched[e.A], m.matched[e.B] = true, true
-		found = append(found, id)
+		claims++
+		if keep == nil || keep(e.A, e.B) {
+			found = append(found, id)
+		}
 	}
 	m.work[b] = ids
 	m.found[b] = found
+	m.claims[b] = claims
 }
 
 // Match computes the round's maximal matching over the edges currently
-// marked usable by the index (call Update first each round) and returns
-// the matched edge ids in a deterministic order (block 0's pairs, block
-// 1's, …, then boundary pair 0's, pair 1's, …). The returned slice
-// aliases matcher-owned scratch and is valid until the next Match call.
-// seed should be one draw from the engine's master stream; pool
-// parallelizes the per-block pass and each boundary level (results are
-// identical for every pool size).
-func (m *PairMatcher) Match(seed int64, pool *Pool) []int {
+// marked usable by the index (call Update first each round). It returns
+// the matched edge ids whose endpoints keep accepts (nil keeps every
+// pair), in a deterministic order (block 0's pairs, block 1's, …, then
+// boundary pair 0's, pair 1's, …), and the number of pairs matched, kept
+// or not. keep filters only what is returned: every usable edge claims
+// exactly as without it, so the matching, matched and Matched are the
+// same for every keep. keep is called concurrently from the pool's
+// workers and must only read. The returned slice aliases matcher-owned
+// scratch and is valid until the next Match call. seed should be one
+// draw from the engine's master stream; pool parallelizes the per-block
+// pass and each boundary level (results are identical for every pool
+// size).
+func (m *PairMatcher) Match(seed int64, pool *Pool, keep func(a, b int) bool) (ids []int, matched int) {
 	if !m.primed {
 		panic("engine.PairMatcher: Match before Update")
 	}
@@ -328,33 +347,31 @@ func (m *PairMatcher) Match(seed int64, pool *Pool) []int {
 		m.matched[i] = false
 	}
 	blocks := m.part.Blocks
+	m.curSeed, m.curKeep = seed, keep
 	if blocks == 1 {
-		m.matchBucket(0, seed)
+		m.matchBucket(0, seed, keep)
 	} else {
-		m.curSeed = seed
 		pool.DoAll(blocks, m.blockFn)
 	}
 
 	// Boundary reconciliation, one level at a time. The DoAll barrier
 	// between levels publishes every claim a level made before the next
 	// level's pairs read the matched set.
-	if len(m.part.Levels) > 0 {
-		m.curSeed = seed
-		for _, level := range m.part.Levels {
-			if len(level) == 1 {
-				m.matchBucket(blocks+level[0], seed)
-				continue
-			}
-			m.curLevel = level
-			pool.DoAll(len(level), m.pairFn)
+	for _, level := range m.part.Levels {
+		if len(level) == 1 {
+			m.matchBucket(blocks+level[0], seed, keep)
+			continue
 		}
+		m.curLevel = level
+		pool.DoAll(len(level), m.pairFn)
 	}
 
 	out := m.out[:0]
 	nb := blocks + len(m.part.Pairs)
 	for b := 0; b < nb; b++ {
 		out = append(out, m.found[b]...)
+		matched += m.claims[b]
 	}
 	m.out = out
-	return out
+	return out, matched
 }

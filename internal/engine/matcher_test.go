@@ -31,7 +31,8 @@ func randomMasks(g *graph.Graph, rng *rand.Rand) (edgeUp, agentUp []bool) {
 // Match — the unprimed path every caller without a change stream uses.
 func match(m *PairMatcher, edgeUp, agentUp []bool, seed int64, pool *Pool) []int {
 	m.Update(bitset.FromBools(edgeUp), bitset.FromBools(agentUp), nil, nil, false)
-	return m.Match(seed, pool)
+	ids, _ := m.Match(seed, pool, nil)
+	return ids
 }
 
 // TestPairMatcherValidMaximal: on random graphs, masks, blocks, and
@@ -148,11 +149,11 @@ func TestPairMatcherAllocFree(t *testing.T) {
 	touched := []int{0, 1, 2}
 	seed := int64(0)
 	m.Update(edgeUp, bitset.Set{}, nil, nil, false)
-	m.Match(seed, pool) // warm-up growth
+	m.Match(seed, pool, nil) // warm-up growth
 	allocs := testing.AllocsPerRun(50, func() {
 		seed++
 		m.Update(edgeUp, bitset.Set{}, nil, nil, false)
-		m.Match(seed, pool)
+		m.Match(seed, pool, nil)
 	})
 	if allocs != 0 {
 		t.Errorf("warm rescan Update+Match allocated %.0f times per run", allocs)
@@ -161,9 +162,75 @@ func TestPairMatcherAllocFree(t *testing.T) {
 		seed++
 		edgeUp.SetTo(0, seed%2 == 0)
 		m.Update(edgeUp, bitset.Set{}, touched, nil, true)
-		m.Match(seed, pool)
+		m.Match(seed, pool, nil)
 	})
 	if allocs != 0 {
 		t.Errorf("warm delta Update+Match allocated %.0f times per run", allocs)
+	}
+}
+
+// TestPairMatcherKeepFilter pins Match's filter contract: with a keep
+// predicate, the returned ids are exactly the subsequence of the
+// unfiltered Match whose pairs keep accepts, while the matched count and
+// Matched(agent) are identical — the filter never changes which pairs
+// claim, so a matcher that skipped the claim for a filtered pair would
+// fail here.
+func TestPairMatcherKeepFilter(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	for _, poolSize := range []int{1, 4} {
+		pool := NewPool(poolSize, 1)
+		for trial := 0; trial < 40; trial++ {
+			g := graph.ErdosRenyi(2+rng.Intn(60), 0.05+0.3*rng.Float64(), rng)
+			label := make([]int, g.N())
+			for i := range label {
+				label[i] = rng.Intn(3)
+			}
+			keeps := []struct {
+				name string
+				keep func(a, b int) bool
+			}{
+				{"never", func(int, int) bool { return false }},
+				{"always", func(int, int) bool { return true }},
+				{"labels-differ", func(a, b int) bool { return label[a] != label[b] }},
+				{"odd-sum", func(a, b int) bool { return (a+b)%2 == 1 }},
+			}
+			for _, blocks := range []int{1, 3, 8} {
+				m := NewPairMatcher(g, blocks)
+				for round := 0; round < 3; round++ {
+					edgeUp, agentUp := randomMasks(g, rng)
+					seed := rng.Int63()
+					all := slices.Clone(match(m, edgeUp, agentUp, seed, pool))
+					_, wantMatched := m.Match(seed, pool, nil)
+					claimed := make([]bool, g.N())
+					for a := range claimed {
+						claimed[a] = m.Matched(a)
+					}
+					if wantMatched != len(all) {
+						t.Fatalf("pool=%d trial %d blocks=%d: unfiltered matched = %d, %d ids", poolSize, trial, blocks, wantMatched, len(all))
+					}
+					for _, k := range keeps {
+						var want []int
+						for _, id := range all {
+							if e := g.Edge(id); k.keep(e.A, e.B) {
+								want = append(want, id)
+							}
+						}
+						got, matched := m.Match(seed, pool, k.keep)
+						if !slices.Equal(got, want) {
+							t.Fatalf("pool=%d trial %d blocks=%d keep=%s: ids %v, want %v", poolSize, trial, blocks, k.name, got, want)
+						}
+						if matched != wantMatched {
+							t.Fatalf("pool=%d trial %d blocks=%d keep=%s: matched = %d, want %d", poolSize, trial, blocks, k.name, matched, wantMatched)
+						}
+						for a := range claimed {
+							if m.Matched(a) != claimed[a] {
+								t.Fatalf("pool=%d trial %d blocks=%d keep=%s: Matched(%d) = %v, want %v", poolSize, trial, blocks, k.name, a, m.Matched(a), claimed[a])
+							}
+						}
+					}
+				}
+			}
+		}
+		pool.Close()
 	}
 }

@@ -108,7 +108,9 @@ func TestUsableIndexIncrementalMatchesRebuild(t *testing.T) {
 						}
 					}
 					seed := master.Int63()
-					if got, want := inc.Match(seed, pool), ref.Match(seed, pool); !slices.Equal(got, want) {
+					got, _ := inc.Match(seed, pool, nil)
+					want, _ := ref.Match(seed, pool, nil)
+					if !slices.Equal(got, want) {
 						t.Fatalf("%s overlay=%v blocks=%d round %d: incremental matching %v != rebuild %v",
 							sc.name, overlay, blocks, round, got, want)
 					}

@@ -1382,11 +1382,14 @@ func E18RoundCost(cfg Config) Section {
 		"work, which the tree-ordered parallel reconciliation fans out across\n" +
 		"blocks without changing a single drawn bit.\n")
 	b.WriteString("\nThe ns_per_phase columns come from the observability probe\n" +
-		"(internal/obs) attached to each measured run: the algorithm's own\n" +
-		"per-round work — `step` (group steps over matched pairs) and `match`\n" +
-		"(the matching draw over usable edges) — carries the round. `monitor`\n" +
-		"is the shard flush plus, min being a consensus problem, an O(P) check\n" +
-		"of the shards' size, minimum and maximum against S* with a running h:\n" +
+		"(internal/obs) attached to each measured run: `match` (the matching\n" +
+		"draw over usable edges) is the algorithm's own per-round work and\n" +
+		"carries the round. Min being a core.StutterOnEqual problem, the\n" +
+		"equal-state compare runs inside the matcher's claim loop and times\n" +
+		"under `match`, so `step` costs O(pairs that can change), not O(N).\n" +
+		"`monitor` is the shard flush plus, min being a consensus problem, an\n" +
+		"O(P) check of the shards' size, minimum and maximum against S* with a\n" +
+		"running h:\n" +
 		"no merged snapshot and no image of f. The O(changes) phases (`env`,\n" +
 		"`update`) stay orders of magnitude below the round, which is the\n" +
 		"delta index's contribution in one row. Attaching the probe changes no\n" +

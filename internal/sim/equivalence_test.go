@@ -31,6 +31,13 @@ import (
 // partitioned matcher with per-pair child seeds (engine.PairMatcher),
 // and the per-group worker streams are engine.FastRand (O(1) reseed) —
 // after verifying that every cell still converges with zero violations.
+// Re-recorded once more for keyed group seeds: every group's step stream
+// is keyed on (run seed, round, smallest member) (engine.GroupSeed)
+// instead of drawn from the master stream in group order, and the
+// matcher drops the equal-state pairs of a core.StutterOnEqual problem
+// inside its claim loop. Every cell still converges with zero
+// violations, and its rounds-to-converge distribution over 200 seeds
+// matches the previous engine's.
 //
 // Regenerate (only when an INTENTIONAL behavior change is made) with:
 //
@@ -58,6 +65,10 @@ type variant struct {
 	hideStutter   bool
 	hideConsensus bool
 	hid           *bool
+	// wrap, when non-nil, is a func(core.Problem[T]) core.Problem[T]
+	// applied to the case's problem after any hiding: an instrument that
+	// observes the steps without changing any result.
+	wrap any
 }
 
 // tweaked applies the variant's Options mutation, if any.
@@ -79,24 +90,27 @@ type stutterKept[T any] struct{ declsHidden[T] }
 
 func (stutterKept[T]) StutterOnEqual() {}
 
-// problemFor returns p, or p with the declarations the variant names
-// hidden.
+// problemFor returns p, with the declarations the variant names hidden
+// and its instrument, if any, wrapped around it.
 func problemFor[T any](p core.Problem[T], tweak variant) core.Problem[T] {
 	_, consensus := p.(core.Consensus[T])
 	stutter := core.IsStutterOnEqual(p)
-	var out core.Problem[T]
+	hidden := true
 	switch {
 	case tweak.hideStutter && stutter, tweak.hideConsensus && consensus && !stutter:
-		out = declsHidden[T]{p}
+		p = declsHidden[T]{p}
 	case tweak.hideConsensus && consensus:
-		out = stutterKept[T]{declsHidden[T]{p}}
+		p = stutterKept[T]{declsHidden[T]{p}}
 	default:
-		return p
+		hidden = false
 	}
-	if tweak.hid != nil {
+	if hidden && tweak.hid != nil {
 		*tweak.hid = true
 	}
-	return out
+	if wrap, ok := tweak.wrap.(func(core.Problem[T]) core.Problem[T]); ok {
+		p = wrap(p)
+	}
+	return p
 }
 
 // summarize renders every Result field the equivalence contract covers.
@@ -199,27 +213,27 @@ func goldenCases() []goldenCase {
 
 // engineGoldens maps "case/seed" to the seed-engine summary.
 var engineGoldens = map[string]string{
-	"min/ring16/churn0.5/seed1":              "conv=true round=7 rounds=7 steps=13 msgs=70 viol=0 final=[2 2 2 2 2 2 2 2 2 2 2 2 2 2 2 2]",
-	"min/ring16/churn0.5/seed2":              "conv=true round=7 rounds=7 steps=13 msgs=72 viol=0 final=[2 2 2 2 2 2 2 2 2 2 2 2 2 2 2 2]",
-	"min/ring16/churn0.5/seed3":              "conv=true round=12 rounds=12 steps=19 msgs=88 viol=0 final=[2 2 2 2 2 2 2 2 2 2 2 2 2 2 2 2]",
+	"min/ring16/churn0.5/seed1":              "conv=true round=6 rounds=6 steps=13 msgs=78 viol=0 final=[2 2 2 2 2 2 2 2 2 2 2 2 2 2 2 2]",
+	"min/ring16/churn0.5/seed2":              "conv=true round=8 rounds=8 steps=18 msgs=88 viol=0 final=[2 2 2 2 2 2 2 2 2 2 2 2 2 2 2 2]",
+	"min/ring16/churn0.5/seed3":              "conv=true round=12 rounds=12 steps=14 msgs=74 viol=0 final=[2 2 2 2 2 2 2 2 2 2 2 2 2 2 2 2]",
 	"min/complete12/partitioner/seed1":       "conv=true round=1 rounds=1 steps=1 msgs=22 viol=0 final=[6 6 6 6 6 6 6 6 6 6 6 6]",
 	"min/complete12/partitioner/seed2":       "conv=true round=1 rounds=1 steps=1 msgs=22 viol=0 final=[6 6 6 6 6 6 6 6 6 6 6 6]",
 	"min/complete12/partitioner/seed3":       "conv=true round=1 rounds=1 steps=1 msgs=22 viol=0 final=[6 6 6 6 6 6 6 6 6 6 6 6]",
 	"min/complete8/adversary-feedback/seed1": "conv=true round=7 rounds=7 steps=3 msgs=20 viol=0 final=[9 9 9 9 9 9 9 9]",
 	"min/complete8/adversary-feedback/seed2": "conv=true round=7 rounds=7 steps=3 msgs=20 viol=0 final=[9 9 9 9 9 9 9 9]",
 	"min/complete8/adversary-feedback/seed3": "conv=true round=7 rounds=7 steps=2 msgs=20 viol=0 final=[9 9 9 9 9 9 9 9]",
-	"partialmin/ring12/powerloss/seed1":      "conv=true round=11 rounds=11 steps=12 msgs=86 viol=0 final=[10 10 10 10 10 10 10 10 10 10 10 10]",
-	"partialmin/ring12/powerloss/seed2":      "conv=true round=8 rounds=8 steps=12 msgs=72 viol=0 final=[10 10 10 10 10 10 10 10 10 10 10 10]",
-	"partialmin/ring12/powerloss/seed3":      "conv=true round=9 rounds=9 steps=6 msgs=64 viol=0 final=[10 10 10 10 10 10 10 10 10 10 10 10]",
-	"sum/complete10/pairwise/seed1":          "conv=true round=7 rounds=7 steps=9 msgs=18 viol=0 final=[325 0 0 0 0 0 0 0 0 0]",
-	"sum/complete10/pairwise/seed2":          "conv=true round=21 rounds=21 steps=9 msgs=18 viol=0 final=[325 0 0 0 0 0 0 0 0 0]",
-	"sum/complete10/pairwise/seed3":          "conv=true round=35 rounds=35 steps=9 msgs=18 viol=0 final=[325 0 0 0 0 0 0 0 0 0]",
+	"partialmin/ring12/powerloss/seed1":      "conv=true round=8 rounds=8 steps=9 msgs=64 viol=0 final=[10 10 10 10 10 10 10 10 10 10 10 10]",
+	"partialmin/ring12/powerloss/seed2":      "conv=true round=12 rounds=12 steps=12 msgs=90 viol=0 final=[10 10 10 10 10 10 10 10 10 10 10 10]",
+	"partialmin/ring12/powerloss/seed3":      "conv=true round=7 rounds=7 steps=6 msgs=64 viol=0 final=[10 10 10 10 10 10 10 10 10 10 10 10]",
+	"sum/complete10/pairwise/seed1":          "conv=true round=13 rounds=13 steps=9 msgs=18 viol=0 final=[325 0 0 0 0 0 0 0 0 0]",
+	"sum/complete10/pairwise/seed2":          "conv=true round=11 rounds=11 steps=9 msgs=18 viol=0 final=[325 0 0 0 0 0 0 0 0 0]",
+	"sum/complete10/pairwise/seed3":          "conv=true round=18 rounds=18 steps=9 msgs=18 viol=0 final=[325 0 0 0 0 0 0 0 0 0]",
 	"gcd/star9/roundrobin/seed1":             "conv=true round=8 rounds=8 steps=8 msgs=16 viol=0 final=[6 6 6 6 6 6 6 6 6]",
 	"gcd/star9/roundrobin/seed2":             "conv=true round=8 rounds=8 steps=8 msgs=16 viol=0 final=[6 6 6 6 6 6 6 6 6]",
 	"gcd/star9/roundrobin/seed3":             "conv=true round=8 rounds=8 steps=8 msgs=16 viol=0 final=[6 6 6 6 6 6 6 6 6]",
-	"sorting/line8/pairwise/seed1":           "conv=true round=32 rounds=32 steps=17 msgs=34 viol=0 final=[0:0 1:1 2:2 3:3 4:4 5:5 6:6 7:7]",
-	"sorting/line8/pairwise/seed2":           "conv=true round=19 rounds=19 steps=17 msgs=34 viol=0 final=[0:0 1:1 2:2 3:3 4:4 5:5 6:6 7:7]",
-	"sorting/line8/pairwise/seed3":           "conv=true round=14 rounds=14 steps=17 msgs=34 viol=0 final=[0:0 1:1 2:2 3:3 4:4 5:5 6:6 7:7]",
+	"sorting/line8/pairwise/seed1":           "conv=true round=19 rounds=19 steps=17 msgs=34 viol=0 final=[0:0 1:1 2:2 3:3 4:4 5:5 6:6 7:7]",
+	"sorting/line8/pairwise/seed2":           "conv=true round=10 rounds=10 steps=17 msgs=34 viol=0 final=[0:0 1:1 2:2 3:3 4:4 5:5 6:6 7:7]",
+	"sorting/line8/pairwise/seed3":           "conv=true round=23 rounds=23 steps=17 msgs=34 viol=0 final=[0:0 1:1 2:2 3:3 4:4 5:5 6:6 7:7]",
 	"sorting/complete8/component/seed1":      "conv=true round=1 rounds=1 steps=1 msgs=14 viol=0 final=[0:0 1:1 2:2 3:3 4:4 5:5 6:6 7:7]",
 	"sorting/complete8/component/seed2":      "conv=true round=1 rounds=1 steps=1 msgs=14 viol=0 final=[0:0 1:1 2:2 3:3 4:4 5:5 6:6 7:7]",
 	"sorting/complete8/component/seed3":      "conv=true round=1 rounds=1 steps=1 msgs=14 viol=0 final=[0:0 1:1 2:2 3:3 4:4 5:5 6:6 7:7]",
@@ -227,17 +241,17 @@ var engineGoldens = map[string]string{
 	"minpair/complete6/churn0.6/seed2":       "conv=true round=1 rounds=1 steps=1 msgs=10 viol=0 final=[(0, 1) (0, 1) (0, 1) (0, 1) (0, 1) (0, 1)]",
 	"minpair/complete6/churn0.6/seed3":       "conv=true round=1 rounds=1 steps=1 msgs=10 viol=0 final=[(0, 1) (0, 1) (0, 1) (0, 1) (0, 1) (0, 1)]",
 	"hull/ring6/churn0.5/seed1":              "conv=true round=1 rounds=1 steps=1 msgs=10 viol=0 final=[agent@(0, 0) hull|6| agent@(4, 1) hull|6| agent@(2, 5) hull|6| agent@(6, 3) hull|6| agent@(1, 4) hull|6| agent@(5, 5) hull|6|]",
-	"hull/ring6/churn0.5/seed2":              "conv=true round=2 rounds=2 steps=3 msgs=16 viol=0 final=[agent@(0, 0) hull|6| agent@(4, 1) hull|6| agent@(2, 5) hull|6| agent@(6, 3) hull|6| agent@(1, 4) hull|6| agent@(5, 5) hull|6|]",
-	"hull/ring6/churn0.5/seed3":              "conv=true round=3 rounds=3 steps=3 msgs=22 viol=0 final=[agent@(0, 0) hull|6| agent@(4, 1) hull|6| agent@(2, 5) hull|6| agent@(6, 3) hull|6| agent@(1, 4) hull|6| agent@(5, 5) hull|6|]",
-	"min/ring64/pairwise-blocks4/seed1":      "conv=true round=111 rounds=111 steps=218 msgs=436 viol=0 final=[1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1]",
-	"min/ring64/pairwise-blocks4/seed2":      "conv=true round=94 rounds=94 steps=225 msgs=450 viol=0 final=[1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1]",
-	"min/ring64/pairwise-blocks4/seed3":      "conv=true round=76 rounds=76 steps=212 msgs=424 viol=0 final=[1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1]",
-	"sum/complete24/pairwise-blocks3/seed1":  "conv=true round=346 rounds=346 steps=23 msgs=46 viol=0 final=[1380 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0]",
-	"sum/complete24/pairwise-blocks3/seed2":  "conv=true round=775 rounds=775 steps=23 msgs=46 viol=0 final=[1380 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0]",
-	"sum/complete24/pairwise-blocks3/seed3":  "conv=true round=521 rounds=521 steps=23 msgs=46 viol=0 final=[1380 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0]",
+	"hull/ring6/churn0.5/seed2":              "conv=true round=4 rounds=4 steps=6 msgs=22 viol=0 final=[agent@(0, 0) hull|6| agent@(4, 1) hull|6| agent@(2, 5) hull|6| agent@(6, 3) hull|6| agent@(1, 4) hull|6| agent@(5, 5) hull|6|]",
+	"hull/ring6/churn0.5/seed3":              "conv=true round=4 rounds=4 steps=3 msgs=22 viol=0 final=[agent@(0, 0) hull|6| agent@(4, 1) hull|6| agent@(2, 5) hull|6| agent@(6, 3) hull|6| agent@(1, 4) hull|6| agent@(5, 5) hull|6|]",
+	"min/ring64/pairwise-blocks4/seed1":      "conv=true round=94 rounds=94 steps=223 msgs=446 viol=0 final=[1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1]",
+	"min/ring64/pairwise-blocks4/seed2":      "conv=true round=78 rounds=78 steps=210 msgs=420 viol=0 final=[1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1]",
+	"min/ring64/pairwise-blocks4/seed3":      "conv=true round=90 rounds=90 steps=202 msgs=404 viol=0 final=[1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1]",
+	"sum/complete24/pairwise-blocks3/seed1":  "conv=true round=1861 rounds=1861 steps=23 msgs=46 viol=0 final=[1380 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0]",
+	"sum/complete24/pairwise-blocks3/seed2":  "conv=true round=31 rounds=31 steps=23 msgs=46 viol=0 final=[1380 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0]",
+	"sum/complete24/pairwise-blocks3/seed3":  "conv=true round=109 rounds=109 steps=23 msgs=46 viol=0 final=[1380 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0]",
 	"min/ring16/no-stop-stability/seed1":     "conv=true round=1 rounds=120 steps=1 msgs=30 viol=0 final=[1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1]",
-	"min/ring16/no-stop-stability/seed2":     "conv=true round=2 rounds=120 steps=3 msgs=56 viol=0 final=[1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1]",
-	"min/ring16/no-stop-stability/seed3":     "conv=true round=4 rounds=120 steps=6 msgs=58 viol=0 final=[1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1]",
+	"min/ring16/no-stop-stability/seed2":     "conv=true round=2 rounds=120 steps=3 msgs=44 viol=0 final=[1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1]",
+	"min/ring16/no-stop-stability/seed3":     "conv=true round=2 rounds=120 steps=3 msgs=46 viol=0 final=[1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1]",
 }
 
 func TestEngineEquivalenceGolden(t *testing.T) {
@@ -262,8 +276,8 @@ func TestEngineEquivalenceGolden(t *testing.T) {
 // TestEngineEquivalenceGoldenParallel re-runs every golden cell with the
 // worker pool forced on (threshold 1) and enough worker slots to actually
 // interleave even on a single-CPU machine. Results must STILL match the
-// sequential seed engine bit for bit: per-group child seeds are drawn in
-// group order from the master stream, so scheduling cannot leak into
+// sequential seed engine bit for bit: every group steps on a stream keyed
+// on (run seed, round, smallest member), so scheduling cannot leak into
 // results.
 func TestEngineEquivalenceGoldenParallel(t *testing.T) {
 	old := goruntime.GOMAXPROCS(4)

@@ -129,27 +129,27 @@ func joinGoldenCases() []goldenCase {
 // joinGoldens maps "case/seed" to the pinned summary of the join-laden
 // reference runs.
 var joinGoldens = map[string]string{
-	"min/ring12+join4ring/churn0.8/seed1": "conv=true round=9 rounds=9 steps=5 msgs=76 viol=0 final=[2 2 2 2 2 2 2 2 2 2 2 2 2 2 2 2] dyn={Crashes:0 Recoveries:0 Heals:0 LastHealRound:-1 MaskedEdgeRounds:0 FrozenAgentRounds:0 Joins:4 AmnesiacResets:0}",
-	"min/ring12+join4ring/churn0.8/seed2": "conv=true round=8 rounds=8 steps=5 msgs=100 viol=0 final=[2 2 2 2 2 2 2 2 2 2 2 2 2 2 2 2] dyn={Crashes:0 Recoveries:0 Heals:0 LastHealRound:-1 MaskedEdgeRounds:0 FrozenAgentRounds:0 Joins:4 AmnesiacResets:0}",
-	"min/ring12+join4ring/churn0.8/seed3": "conv=true round=8 rounds=8 steps=3 msgs=62 viol=0 final=[2 2 2 2 2 2 2 2 2 2 2 2 2 2 2 2] dyn={Crashes:0 Recoveries:0 Heals:0 LastHealRound:-1 MaskedEdgeRounds:0 FrozenAgentRounds:0 Joins:4 AmnesiacResets:0}",
-	"min/complete10+join3pref/pairwise/seed1": "conv=true round=6 rounds=6 steps=18 msgs=36 viol=0 final=[4 4 4 4 4 4 4 4 4 4 4 4 4] dyn={Crashes:0 Recoveries:0 Heals:0 LastHealRound:-1 MaskedEdgeRounds:0 FrozenAgentRounds:0 Joins:3 AmnesiacResets:0}",
-	"min/complete10+join3pref/pairwise/seed2": "conv=true round=10 rounds=10 steps=20 msgs=40 viol=0 final=[4 4 4 4 4 4 4 4 4 4 4 4 4] dyn={Crashes:0 Recoveries:0 Heals:0 LastHealRound:-1 MaskedEdgeRounds:0 FrozenAgentRounds:0 Joins:3 AmnesiacResets:0}",
-	"min/complete10+join3pref/pairwise/seed3": "conv=true round=6 rounds=6 steps=19 msgs=38 viol=0 final=[4 4 4 4 4 4 4 4 4 4 4 4 4] dyn={Crashes:0 Recoveries:0 Heals:0 LastHealRound:-1 MaskedEdgeRounds:0 FrozenAgentRounds:0 Joins:3 AmnesiacResets:0}",
-	"gcd/hypercube8+join8cube/static/seed1": "conv=true round=4 rounds=4 steps=2 msgs=44 viol=0 final=[6 6 6 6 6 6 6 6 6 6 6 6 6 6 6 6] dyn={Crashes:0 Recoveries:0 Heals:0 LastHealRound:-1 MaskedEdgeRounds:0 FrozenAgentRounds:0 Joins:8 AmnesiacResets:0}",
-	"gcd/hypercube8+join8cube/static/seed2": "conv=true round=4 rounds=4 steps=2 msgs=44 viol=0 final=[6 6 6 6 6 6 6 6 6 6 6 6 6 6 6 6] dyn={Crashes:0 Recoveries:0 Heals:0 LastHealRound:-1 MaskedEdgeRounds:0 FrozenAgentRounds:0 Joins:8 AmnesiacResets:0}",
-	"gcd/hypercube8+join8cube/static/seed3": "conv=true round=4 rounds=4 steps=2 msgs=44 viol=0 final=[6 6 6 6 6 6 6 6 6 6 6 6 6 6 6 6] dyn={Crashes:0 Recoveries:0 Heals:0 LastHealRound:-1 MaskedEdgeRounds:0 FrozenAgentRounds:0 Joins:8 AmnesiacResets:0}",
-	"min/ring16+join2ring+amnesiacflap/churn0.9/seed1": "conv=true round=7 rounds=7 steps=3 msgs=54 viol=0 final=[9 9 9 9 9 9 9 9 9 9 9 9 9 9 9 9 9 9] dyn={Crashes:3 Recoveries:3 Heals:0 LastHealRound:-1 MaskedEdgeRounds:0 FrozenAgentRounds:6 Joins:2 AmnesiacResets:3}",
+	"min/ring12+join4ring/churn0.8/seed1":              "conv=true round=9 rounds=9 steps=5 msgs=76 viol=0 final=[2 2 2 2 2 2 2 2 2 2 2 2 2 2 2 2] dyn={Crashes:0 Recoveries:0 Heals:0 LastHealRound:-1 MaskedEdgeRounds:0 FrozenAgentRounds:0 Joins:4 AmnesiacResets:0}",
+	"min/ring12+join4ring/churn0.8/seed2":              "conv=true round=11 rounds=11 steps=7 msgs=92 viol=0 final=[2 2 2 2 2 2 2 2 2 2 2 2 2 2 2 2] dyn={Crashes:0 Recoveries:0 Heals:0 LastHealRound:-1 MaskedEdgeRounds:0 FrozenAgentRounds:0 Joins:4 AmnesiacResets:0}",
+	"min/ring12+join4ring/churn0.8/seed3":              "conv=true round=12 rounds=12 steps=8 msgs=72 viol=0 final=[2 2 2 2 2 2 2 2 2 2 2 2 2 2 2 2] dyn={Crashes:0 Recoveries:0 Heals:0 LastHealRound:-1 MaskedEdgeRounds:0 FrozenAgentRounds:0 Joins:4 AmnesiacResets:0}",
+	"min/complete10+join3pref/pairwise/seed1":          "conv=true round=6 rounds=6 steps=19 msgs=38 viol=0 final=[4 4 4 4 4 4 4 4 4 4 4 4 4] dyn={Crashes:0 Recoveries:0 Heals:0 LastHealRound:-1 MaskedEdgeRounds:0 FrozenAgentRounds:0 Joins:3 AmnesiacResets:0}",
+	"min/complete10+join3pref/pairwise/seed2":          "conv=true round=8 rounds=8 steps=19 msgs=38 viol=0 final=[4 4 4 4 4 4 4 4 4 4 4 4 4] dyn={Crashes:0 Recoveries:0 Heals:0 LastHealRound:-1 MaskedEdgeRounds:0 FrozenAgentRounds:0 Joins:3 AmnesiacResets:0}",
+	"min/complete10+join3pref/pairwise/seed3":          "conv=true round=15 rounds=15 steps=20 msgs=40 viol=0 final=[4 4 4 4 4 4 4 4 4 4 4 4 4] dyn={Crashes:0 Recoveries:0 Heals:0 LastHealRound:-1 MaskedEdgeRounds:0 FrozenAgentRounds:0 Joins:3 AmnesiacResets:0}",
+	"gcd/hypercube8+join8cube/static/seed1":            "conv=true round=4 rounds=4 steps=2 msgs=44 viol=0 final=[6 6 6 6 6 6 6 6 6 6 6 6 6 6 6 6] dyn={Crashes:0 Recoveries:0 Heals:0 LastHealRound:-1 MaskedEdgeRounds:0 FrozenAgentRounds:0 Joins:8 AmnesiacResets:0}",
+	"gcd/hypercube8+join8cube/static/seed2":            "conv=true round=4 rounds=4 steps=2 msgs=44 viol=0 final=[6 6 6 6 6 6 6 6 6 6 6 6 6 6 6 6] dyn={Crashes:0 Recoveries:0 Heals:0 LastHealRound:-1 MaskedEdgeRounds:0 FrozenAgentRounds:0 Joins:8 AmnesiacResets:0}",
+	"gcd/hypercube8+join8cube/static/seed3":            "conv=true round=4 rounds=4 steps=2 msgs=44 viol=0 final=[6 6 6 6 6 6 6 6 6 6 6 6 6 6 6 6] dyn={Crashes:0 Recoveries:0 Heals:0 LastHealRound:-1 MaskedEdgeRounds:0 FrozenAgentRounds:0 Joins:8 AmnesiacResets:0}",
+	"min/ring16+join2ring+amnesiacflap/churn0.9/seed1": "conv=true round=7 rounds=7 steps=3 msgs=94 viol=0 final=[9 9 9 9 9 9 9 9 9 9 9 9 9 9 9 9 9 9] dyn={Crashes:3 Recoveries:3 Heals:0 LastHealRound:-1 MaskedEdgeRounds:0 FrozenAgentRounds:6 Joins:2 AmnesiacResets:3}",
 	"min/ring16+join2ring+amnesiacflap/churn0.9/seed2": "conv=true round=7 rounds=7 steps=4 msgs=122 viol=0 final=[9 9 9 9 9 9 9 9 9 9 9 9 9 9 9 9 9 9] dyn={Crashes:3 Recoveries:3 Heals:0 LastHealRound:-1 MaskedEdgeRounds:0 FrozenAgentRounds:6 Joins:2 AmnesiacResets:3}",
-	"min/ring16+join2ring+amnesiacflap/churn0.9/seed3": "conv=true round=7 rounds=7 steps=3 msgs=92 viol=0 final=[9 9 9 9 9 9 9 9 9 9 9 9 9 9 9 9 9 9] dyn={Crashes:3 Recoveries:3 Heals:0 LastHealRound:-1 MaskedEdgeRounds:0 FrozenAgentRounds:6 Joins:2 AmnesiacResets:3}",
-	"min/ring12/amnesiacflap/pairwise/seed1": "conv=true round=16 rounds=16 steps=21 msgs=42 viol=0 final=[6 6 6 6 6 6 6 6 6 6 6 6] dyn={Crashes:3 Recoveries:3 Heals:0 LastHealRound:-1 MaskedEdgeRounds:0 FrozenAgentRounds:15 Joins:0 AmnesiacResets:3}",
-	"min/ring12/amnesiacflap/pairwise/seed2": "conv=true round=15 rounds=15 steps=20 msgs=40 viol=0 final=[6 6 6 6 6 6 6 6 6 6 6 6] dyn={Crashes:3 Recoveries:3 Heals:0 LastHealRound:-1 MaskedEdgeRounds:0 FrozenAgentRounds:15 Joins:0 AmnesiacResets:3}",
-	"min/ring12/amnesiacflap/pairwise/seed3": "conv=true round=10 rounds=10 steps=19 msgs=38 viol=0 final=[6 6 6 6 6 6 6 6 6 6 6 6] dyn={Crashes:3 Recoveries:3 Heals:0 LastHealRound:-1 MaskedEdgeRounds:0 FrozenAgentRounds:15 Joins:0 AmnesiacResets:3}",
-	"sum/complete12/amnesiacflap-violations/seed1": "conv=false round=60 rounds=60 steps=14 msgs=28 viol=53 final=[235 0 0 0 0 0 0 0 0 0 0 0] dyn={Crashes:3 Recoveries:3 Heals:0 LastHealRound:-1 MaskedEdgeRounds:0 FrozenAgentRounds:15 Joins:0 AmnesiacResets:3}",
-	"sum/complete12/amnesiacflap-violations/seed2": "conv=false round=60 rounds=60 steps=12 msgs=24 viol=53 final=[169 0 0 0 0 0 0 0 0 0 0 0] dyn={Crashes:3 Recoveries:3 Heals:0 LastHealRound:-1 MaskedEdgeRounds:0 FrozenAgentRounds:15 Joins:0 AmnesiacResets:3}",
-	"sum/complete12/amnesiacflap-violations/seed3": "conv=false round=60 rounds=60 steps=12 msgs=24 viol=53 final=[128 0 0 0 0 0 0 0 0 0 0 0] dyn={Crashes:3 Recoveries:3 Heals:0 LastHealRound:-1 MaskedEdgeRounds:0 FrozenAgentRounds:15 Joins:0 AmnesiacResets:3}",
-	"min/ring24+join4ring/pairwise-blocks3/seed1": "conv=true round=23 rounds=23 steps=67 msgs=134 viol=0 final=[5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5] dyn={Crashes:0 Recoveries:0 Heals:0 LastHealRound:-1 MaskedEdgeRounds:0 FrozenAgentRounds:0 Joins:4 AmnesiacResets:0}",
-	"min/ring24+join4ring/pairwise-blocks3/seed2": "conv=true round=45 rounds=45 steps=73 msgs=146 viol=0 final=[5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5] dyn={Crashes:0 Recoveries:0 Heals:0 LastHealRound:-1 MaskedEdgeRounds:0 FrozenAgentRounds:0 Joins:4 AmnesiacResets:0}",
-	"min/ring24+join4ring/pairwise-blocks3/seed3": "conv=true round=29 rounds=29 steps=68 msgs=136 viol=0 final=[5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5] dyn={Crashes:0 Recoveries:0 Heals:0 LastHealRound:-1 MaskedEdgeRounds:0 FrozenAgentRounds:0 Joins:4 AmnesiacResets:0}",
+	"min/ring16+join2ring+amnesiacflap/churn0.9/seed3": "conv=true round=8 rounds=8 steps=4 msgs=98 viol=0 final=[9 9 9 9 9 9 9 9 9 9 9 9 9 9 9 9 9 9] dyn={Crashes:3 Recoveries:3 Heals:0 LastHealRound:-1 MaskedEdgeRounds:0 FrozenAgentRounds:6 Joins:2 AmnesiacResets:3}",
+	"min/ring12/amnesiacflap/pairwise/seed1":           "conv=true round=17 rounds=17 steps=26 msgs=52 viol=0 final=[6 6 6 6 6 6 6 6 6 6 6 6] dyn={Crashes:3 Recoveries:3 Heals:0 LastHealRound:-1 MaskedEdgeRounds:0 FrozenAgentRounds:15 Joins:0 AmnesiacResets:3}",
+	"min/ring12/amnesiacflap/pairwise/seed2":           "conv=true round=17 rounds=17 steps=23 msgs=46 viol=0 final=[6 6 6 6 6 6 6 6 6 6 6 6] dyn={Crashes:3 Recoveries:3 Heals:0 LastHealRound:-1 MaskedEdgeRounds:0 FrozenAgentRounds:15 Joins:0 AmnesiacResets:3}",
+	"min/ring12/amnesiacflap/pairwise/seed3":           "conv=true round=14 rounds=14 steps=21 msgs=42 viol=0 final=[6 6 6 6 6 6 6 6 6 6 6 6] dyn={Crashes:3 Recoveries:3 Heals:0 LastHealRound:-1 MaskedEdgeRounds:0 FrozenAgentRounds:15 Joins:0 AmnesiacResets:3}",
+	"sum/complete12/amnesiacflap-violations/seed1":     "conv=false round=60 rounds=60 steps=13 msgs=26 viol=53 final=[208 0 0 0 0 0 0 0 0 0 0 0] dyn={Crashes:3 Recoveries:3 Heals:0 LastHealRound:-1 MaskedEdgeRounds:0 FrozenAgentRounds:15 Joins:0 AmnesiacResets:3}",
+	"sum/complete12/amnesiacflap-violations/seed2":     "conv=false round=60 rounds=60 steps=12 msgs=24 viol=53 final=[169 0 0 0 0 0 0 0 0 0 0 0] dyn={Crashes:3 Recoveries:3 Heals:0 LastHealRound:-1 MaskedEdgeRounds:0 FrozenAgentRounds:15 Joins:0 AmnesiacResets:3}",
+	"sum/complete12/amnesiacflap-violations/seed3":     "conv=false round=60 rounds=60 steps=12 msgs=24 viol=53 final=[167 0 0 0 0 0 0 0 0 0 0 0] dyn={Crashes:3 Recoveries:3 Heals:0 LastHealRound:-1 MaskedEdgeRounds:0 FrozenAgentRounds:15 Joins:0 AmnesiacResets:3}",
+	"min/ring24+join4ring/pairwise-blocks3/seed1":      "conv=true round=24 rounds=24 steps=65 msgs=130 viol=0 final=[5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5] dyn={Crashes:0 Recoveries:0 Heals:0 LastHealRound:-1 MaskedEdgeRounds:0 FrozenAgentRounds:0 Joins:4 AmnesiacResets:0}",
+	"min/ring24+join4ring/pairwise-blocks3/seed2":      "conv=true round=30 rounds=30 steps=59 msgs=118 viol=0 final=[5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5] dyn={Crashes:0 Recoveries:0 Heals:0 LastHealRound:-1 MaskedEdgeRounds:0 FrozenAgentRounds:0 Joins:4 AmnesiacResets:0}",
+	"min/ring24+join4ring/pairwise-blocks3/seed3":      "conv=true round=43 rounds=43 steps=66 msgs=132 viol=0 final=[5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5] dyn={Crashes:0 Recoveries:0 Heals:0 LastHealRound:-1 MaskedEdgeRounds:0 FrozenAgentRounds:0 Joins:4 AmnesiacResets:0}",
 }
 
 func runJoinGoldenCases(t *testing.T, tweak variant) {

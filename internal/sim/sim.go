@@ -16,12 +16,14 @@
 //     sets of agents can execute the algorithm concurrently" is realized
 //     literally; small rounds run serially, which is cheaper and
 //     bit-for-bit identical because every group steps on a private stream
-//     seeded in group order). In PairwiseMode the groups are the pairs of
-//     a random maximal matching, computed by the partitioned matcher
-//     (engine.PairMatcher): per-block interior matchings fan out across
-//     the pool and a sequential boundary-reconciliation pass completes
-//     maximality, after which the matched pairs step like any other
-//     groups — so the engine's last serial per-round O(E) stage is gone.
+//     keyed on (run seed, round, smallest member) — engine.GroupSeed —
+//     never on its position in a draw order). In PairwiseMode the groups
+//     are the pairs of a random maximal matching, computed by the
+//     partitioned matcher (engine.PairMatcher): per-block interior
+//     matchings fan out across the pool and a sequential
+//     boundary-reconciliation pass completes maximality, after which the
+//     matched pairs step like any other groups — so the engine's last
+//     serial per-round O(E) stage is gone.
 //
 // Self-similarity is structural: a group step sees nothing but the states
 // of the group's own members, and the same GroupStep code runs for every
@@ -34,7 +36,9 @@
 // state, recording the first round at which the state reaches the target.
 // Violations are recorded in the Result and fail tests. The monitor (the
 // run's one judge, convergence included) and the seeding discipline are
-// shared with the asynchronous runtime via internal/engine.
+// shared with the asynchronous runtime via internal/engine: the master
+// stream feeds only the environment step and one matching seed per
+// round, and every group's step stream is keyed on the group itself.
 // Options.OnRound is the one per-round outlet for progress (h, step
 // counts).
 //
@@ -289,6 +293,9 @@ type runner[T any] struct {
 	jobs        []groupJob[T]
 	beforeArena []T
 	stepFn      func(worker, i int)
+	// roundSeed is this round's engine.GroupRoundSeed: a group's step
+	// stream is engine.SubSeed(roundSeed, smallest member).
+	roundSeed int64
 
 	// Changed-id stream scratch: the round's combined touched edge/agent
 	// lists (environment StepDeltas ∪ previous round's dynamics overlay ∪
@@ -299,9 +306,13 @@ type runner[T any] struct {
 	// Pairwise-mode scratch: the partitioned matcher (resolved per run
 	// from the Scratch's cache), the round's pair jobs, and the fixed-size
 	// views handed to classifyStep/applyDelta.
-	matcher     *engine.PairMatcher
-	pairJobs    []pairJob[T]
-	pairStepFn  func(worker, i int)
+	matcher    *engine.PairMatcher
+	pairJobs   []pairJob[T]
+	pairStepFn func(worker, i int)
+	// keepFn is the matcher filter of a core.StutterOnEqual problem: it
+	// keeps only the pairs whose endpoints differ, the ones that can
+	// change.
+	keepFn      func(a, b int) bool
 	pairOld     [2]T
 	pairNew     [2]T
 	pairMembers [2]int
@@ -370,23 +381,21 @@ func NewScratch[T any](rc *engine.RunContext) *Scratch[T] {
 
 // groupJob is one group's step: members and before alias engine scratch
 // and are valid for the current round only; after is produced by the
-// problem's GroupStep.
+// problem's GroupStep on the stream keyed on members[0], the group's
+// smallest member.
 type groupJob[T any] struct {
 	members []int
 	before  []T
 	after   []T
-	seed    int64
 }
 
-// pairJob is one matched pair's step. Like groupJob it carries a child
-// seed drawn from the master stream in deterministic (matching) order, so
-// the PairStep calls can run on any worker in any order without results
-// depending on scheduling.
+// pairJob is one matched pair's step. Like a groupJob it steps on the
+// stream keyed on its smallest member, so the PairStep calls can run on
+// any worker in any order without results depending on scheduling.
 type pairJob[T any] struct {
 	a, b       int
 	oldA, oldB T
 	newA, newB T
-	seed       int64
 }
 
 // Run simulates problem p over environment e from the given initial
@@ -479,12 +488,15 @@ func RunWith[T any](sc *Scratch[T], p core.Problem[T], e env.Environment, initia
 		// per-run fields are rebound above, so they serve every run.
 		r.stepFn = func(worker, i int) {
 			j := &r.jobs[i]
-			j.after = r.p.GroupStep(j.before, r.rc.WorkerRand(worker, j.seed))
+			rng := r.rc.WorkerRand(worker, engine.SubSeed(r.roundSeed, j.members[0]))
+			j.after = r.p.GroupStep(j.before, rng)
 		}
 		r.pairStepFn = func(worker, i int) {
 			j := &r.pairJobs[i]
-			j.newA, j.newB = r.p.PairStep(j.oldA, j.oldB, r.rc.WorkerRand(worker, j.seed))
+			rng := r.rc.WorkerRand(worker, engine.SubSeed(r.roundSeed, min(j.a, j.b)))
+			j.newA, j.newB = r.p.PairStep(j.oldA, j.oldB, rng)
 		}
+		r.keepFn = func(a, b int) bool { return r.cmp(r.states[a], r.states[b]) != 0 }
 	}
 	r.dyn = nil
 	if opts.Dynamics != nil {
@@ -619,6 +631,7 @@ func RunWith[T any](sc *Scratch[T], p core.Problem[T], e env.Environment, initia
 		r.obs.End(obs.PhaseTouched)
 
 		// Agents transition: groups step concurrently.
+		r.roundSeed = engine.GroupRoundSeed(opts.Seed, round)
 		stepsBefore := res.GroupSteps
 		var activeGroups int
 		switch opts.Mode {
@@ -822,16 +835,17 @@ func (r *runner[T]) classifyStep(before, after []T) bool {
 // stepComponents runs one ComponentMode round: every connected component
 // of up agents executes one group step; the worker pool runs components
 // concurrently when the round is large enough (groups are disjoint, so
-// writes never overlap). Under a core.StutterOnEqual problem a component
-// whose members all hold equal states is counted and draws its seed but
-// is not stepped: its step would be a stutter. The return value counts
-// every component of up agents, stepped or not.
+// writes never overlap). Each component steps on the stream keyed on its
+// smallest member (engine.GroupSeed), so its randomness does not depend on
+// the other components. Under a core.StutterOnEqual problem a component
+// whose members all hold equal states is counted but not stepped: its
+// step would be a stutter. The return value counts every component of up
+// agents, stepped or not.
 func (r *runner[T]) stepComponents(es env.State, exact bool) int {
 	// Quiescent-round memo: when the changed-id stream proves no mask
 	// entry moved since the previous round, the partition is byte-for-byte
-	// the previous one — reuse it and skip the O(E) union-find pass. The
-	// per-group seed draws below still happen in the same partition order,
-	// so the master-stream positions (and hence results) are unchanged.
+	// the previous one — reuse it and skip the O(E) union-find pass. Group
+	// seeds are keyed on members, not drawn, so reuse cannot change them.
 	// Component mode's group formation is the partition derivation, so it
 	// times under PhaseMatch (memo hits make it near-free on quiescent
 	// rounds — visible in the phase table as sub-µs match segments).
@@ -855,12 +869,6 @@ func (r *runner[T]) stepComponents(es env.State, exact bool) int {
 			continue
 		}
 		active++
-		// Deterministic per-group randomness independent of worker
-		// scheduling: child seeds are drawn from the master stream in group
-		// order (groups are deterministically ordered by smallest member).
-		// The draw happens even for a group that is then skipped, so the
-		// master-stream positions never depend on which groups step.
-		seed := r.seeder.GroupSeed()
 		if r.stutterOnEqual && r.allEqual(comp) {
 			continue // can only stutter: nothing to step, verify or stage
 		}
@@ -871,7 +879,6 @@ func (r *runner[T]) stepComponents(es env.State, exact bool) int {
 		r.jobs = append(r.jobs, groupJob[T]{
 			members: comp,
 			before:  arena[start:len(arena):len(arena)],
-			seed:    seed,
 		})
 	}
 	r.beforeArena = arena[:0]
@@ -919,41 +926,36 @@ func (r *runner[T]) allEqual(members []int) bool {
 // random maximal matching over the usable edges (per-block interior
 // matchings fan out across the pool, level-scheduled boundary pairs
 // complete maximality — see engine.PairMatcher), then each matched pair
-// executes one PairStep on a private stream seeded in matching order,
-// exactly as component groups do (an equal-state pair of a
-// core.StutterOnEqual problem is skipped after its seed draw, as in
-// stepComponents). Master-stream consumption is one draw for the matching
-// seed plus one child-seed draw per matched pair, independent of the
-// shard count, the pool and the marker, so results are bit-identical for
-// every Shards/ParallelThreshold/GOMAXPROCS combination. The return value
-// is the matched-pair count.
+// executes one PairStep on the stream keyed on its smallest member, as
+// component groups do. Under a core.StutterOnEqual problem the matcher's
+// parallel claim loop drops the equal-state pairs, which can only stutter,
+// so the step phase walks only the pairs that can change: O(changes), not
+// O(matched pairs). Master-stream consumption is the one matching seed,
+// independent of the shard count, the pool and the marker, so results are
+// bit-identical for every Shards/ParallelThreshold/GOMAXPROCS combination.
+// The return value is the matched-pair count, stepped or not.
 func (r *runner[T]) stepPairs(es env.State, rng *rand.Rand, exact bool) int {
 	r.obs.Begin(obs.PhaseMatcherUpdate)
 	r.matcher.Update(es.EdgeUp, es.AgentUp, r.touchedE, r.touchedA, exact)
 	r.obs.End(obs.PhaseMatcherUpdate)
 	r.obs.Begin(obs.PhaseMatch)
-	matched := r.matcher.Match(rng.Int63(), r.pool)
+	var keep func(a, b int) bool
+	if r.stutterOnEqual {
+		keep = r.keepFn
+	}
+	ids, matched := r.matcher.Match(rng.Int63(), r.pool, keep)
 	r.obs.End(obs.PhaseMatch)
 	if r.obs != nil {
-		r.obs.Add(obs.CounterMatchedPairs, int64(len(matched)))
+		r.obs.Add(obs.CounterMatchedPairs, int64(matched))
 	}
 
 	r.obs.Begin(obs.PhaseGroupStep)
 	r.pairJobs = r.pairJobs[:0]
-	for _, id := range matched {
+	for _, id := range ids {
 		e := r.matcher.Edge(id)
-		// Every matched pair draws its child seed in matching order; an
-		// equal-state pair of a core.StutterOnEqual problem can only
-		// stutter and then gets no job at all.
-		seed := r.seeder.GroupSeed()
-		oldA, oldB := r.states[e.A], r.states[e.B]
-		if r.stutterOnEqual && r.cmp(oldA, oldB) == 0 {
-			continue
-		}
 		r.pairJobs = append(r.pairJobs, pairJob[T]{
 			a: e.A, b: e.B,
-			oldA: oldA, oldB: oldB,
-			seed: seed,
+			oldA: r.states[e.A], oldB: r.states[e.B],
 		})
 	}
 
@@ -979,7 +981,7 @@ func (r *runner[T]) stepPairs(es env.State, rng *rand.Rand, exact bool) int {
 		r.states[j.a], r.states[j.b] = j.newA, j.newB
 	}
 	r.obs.End(obs.PhaseGroupStep)
-	return len(matched)
+	return matched
 }
 
 // Converges is a convenience wrapper for tests and experiments: it runs

@@ -6,13 +6,16 @@
 # (the Problem API returns a fresh after-state so callers can never alias
 # internal scratch) plus one-time setup. Min carries core.StutterOnEqual,
 # so components whose members all hold one value (singletons included)
-# are skipped without a step or a copy: the fixed seed measures ~218,
+# are skipped without a step or a copy: the fixed seed measures ~195
+# (~218 before group seeds were keyed on members, which moved the run),
 # down from ~1416 when every component stepped. The budget stays at
 # 1600. BenchmarkSimPairwiseSharded4k pins the sharded pairwise
 # round: the partitioned matcher's buffers are engine-owned and reused
-# and PairStep is allocation-free, so a 4096-agent run sits near 726
-# allocs/op, almost all setup — a regression to even one allocation per
-# matched pair would add ~65k and fail loudly. BenchmarkSweepGrid pins the
+# and PairStep is allocation-free, so a 4096-agent run sits near 710
+# allocs/op (704–710 over repeated runs), almost all setup; the
+# matcher's equal-state filter is a closure built once per Scratch, so
+# it adds none — a regression to even one allocation per matched pair
+# would add ~65k and fail loudly. BenchmarkSweepGrid pins the
 # scenario-grid runner's warm-engine contract: one persistent Runner
 # executes a 24-cell pairwise grid per op, so steady-state cells pay only
 # per-run bookkeeping (~32 allocs/cell — Result, env masks, final-state
@@ -24,7 +27,7 @@
 # BenchmarkSimWithDynamics is BenchmarkSimComponentRing64 with an EMPTY
 # dynamics schedule attached and shares its 1600 budget: the dynamics
 # hook (per-round Begin/EndRound + frozen check) must add ~0 allocs/round
-# — the fixed seed measures ~224 vs ~218 plain, the difference being
+# — the fixed seed measures ~202 vs ~195 plain, the difference being
 # one-time applier setup. A regression that allocates per round (mask
 # copies, per-event garbage) multiplies the number and fails loudly.
 #
@@ -32,7 +35,7 @@
 # path: 64 post-warmup pairwise rounds at N = 10⁵ on a warm sweep worker
 # (availability 0.999, so ~0.1% of edges flip per round and the
 # usable-edge delta index absorbs them incrementally). The fixed seed
-# measures ~33 allocs/op — exclusively per-run bookkeeping (Result,
+# measures ~32 allocs/op — exclusively per-run bookkeeping (Result,
 # environment, initial/final state copies); the 64 delta-indexed
 # rounds themselves are allocation-free (the shard flush hands the pool
 # a prebuilt func, the monitor judges min's rounds from the shards'
@@ -58,7 +61,7 @@
 # shares the 150 budget: the probe's hot path (BeginRound/Begin/End/Add
 # and the counter increments inside the pool, shards, and round loop)
 # must be allocation-free, so probes-on allocs/op equals the unprobed
-# per-run bookkeeping (~32 measured — the same fixed-cost set as
+# per-run bookkeeping (~31 measured — the same fixed-cost set as
 # Delta1e5). A regression that allocates once per round adds 32, and
 # one that allocates per phase sample adds hundreds per op (32 rounds ×
 # 7+ phase brackets); both fail.

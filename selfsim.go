@@ -265,7 +265,8 @@ const (
 // round engine fans group steps out to its persistent worker pool (sized
 // to GOMAXPROCS). Options.ParallelThreshold overrides it; results are
 // bit-for-bit identical either way, because every group steps on a
-// private stream seeded in deterministic group order. See DESIGN.md §2.
+// private stream keyed on (seed, round, smallest member). See DESIGN.md
+// §2.
 const DefaultParallelThreshold = sim.DefaultParallelThreshold
 
 // Simulate runs the round-based engine (the paper's execution model) for
