@@ -287,7 +287,7 @@ func BenchmarkE19Membership(b *testing.B) { benchSection(b, experiments.E19Membe
 // rounds per op. Relative to the join-free warm-cell benchmarks each op
 // adds everything the growable-population path allocates — the clone of
 // the pristine grid graph, the ring splice, the partition extension,
-// matcher/mask/tracker growth, and the joiners' identity-keyed seeder
+// matcher/mask/tracker growth, and the joiners' identity-keyed
 // substreams. scripts/check_alloc_budget.sh pins allocs/op so
 // attachment stays O(joined subgraph + changed edges) and never
 // regresses into a per-round or per-agent rebuild.

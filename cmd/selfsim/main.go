@@ -49,7 +49,7 @@ func main() {
 	}
 	opts := sim.Options{
 		Seed: *seed, StopOnConverged: true, MaxRounds: *maxRounds,
-		CheckSteps: true, HEps: 1e-9,
+		CheckSteps: true,
 	}
 	var hTrace []float64 // the global variant h after every round, under -v
 	if *verbose {

@@ -95,7 +95,7 @@ func ExampleCircumcircle() {
 	pts := []selfsim.Point{{X: 0, Y: 0}, {X: 2, Y: 0}, {X: 2, Y: 2}, {X: 0, Y: 2}}
 	res, err := selfsim.Simulate[selfsim.HullState](selfsim.NewHull(pts),
 		selfsim.Static(selfsim.Ring(4)), selfsim.InitialHulls(pts),
-		selfsim.Options{Seed: 1, StopOnConverged: true, HEps: 1e-9})
+		selfsim.Options{Seed: 1, StopOnConverged: true})
 	if err != nil {
 		panic(err)
 	}

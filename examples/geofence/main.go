@@ -36,7 +36,7 @@ func main() {
 	}
 	res, err := selfsim.Simulate[selfsim.HullState](problem, mobile,
 		selfsim.InitialHulls(positions),
-		selfsim.Options{Seed: 5, StopOnConverged: true, HEps: 1e-9})
+		selfsim.Options{Seed: 5, StopOnConverged: true})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -37,7 +37,7 @@ func main() {
 	// --- Average temperature under power loss ---
 	res, err := selfsim.Simulate[float64](selfsim.NewAverage(1e-6),
 		selfsim.PowerLoss(g, 0.3), temps,
-		selfsim.Options{Seed: 7, StopOnConverged: true, HEps: 1e-9})
+		selfsim.Options{Seed: 7, StopOnConverged: true})
 	if err != nil {
 		log.Fatal(err)
 	}

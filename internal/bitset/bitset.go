@@ -272,6 +272,7 @@ func (s Set) Equal(other Set) bool {
 // ForEach calls fn for every set bit in ascending order, skipping zero
 // words — an unchanged (all-clear) region costs one word test per 64
 // entries.
+//
 //det:hotpath
 func (s Set) ForEach(fn func(i int)) {
 	for wi, w := range s.words {
@@ -293,6 +294,7 @@ func (s Set) Words() []uint64 { return s.words }
 // ascending position order. It is the closure-free form of ForEach used
 // to materialize "the usable subset of this static id list" without
 // allocating.
+//
 //det:hotpath
 func (s Set) AppendSelected(dst []int, ids []int) []int {
 	for wi, w := range s.words {
@@ -309,6 +311,7 @@ func (s Set) AppendSelected(dst []int, ids []int) []int {
 // AppendDiff appends to dst the ascending ids at which s and prev
 // differ — the word-wise XOR change scan the delta consumers use. The
 // two sets must have equal length.
+//
 //det:hotpath
 func (s Set) AppendDiff(prev Set, dst []int) []int {
 	if s.n != prev.n {

@@ -104,42 +104,6 @@ type intoFuncAdapter[T any] struct {
 
 func (f intoFuncAdapter[T]) ApplyInto(dst []T, x ms.Multiset[T]) []T { return f.applyInto(dst, x) }
 
-// SuperIdempotentFunction is an optional marker a Function carries to
-// record the §3.4 structural condition f(X ∪ Y) = f(f(X) ∪ Y) — the
-// classification the checkers in this package and experiment E9
-// establish. It is documentation a caller can query (IsSuperIdempotent);
-// no engine path depends on it: the monitors always evaluate f on the
-// global state, so verdicts are the same for marked and unmarked f.
-// Problems should mark f only when the property is established.
-type SuperIdempotentFunction interface {
-	// SuperIdempotentF is a marker method; it carries no behavior.
-	SuperIdempotentF()
-}
-
-// IsSuperIdempotent reports whether f carries the super-idempotence
-// marker (possibly through MarkSuperIdempotent).
-func IsSuperIdempotent[T any](f Function[T]) bool {
-	_, ok := f.(SuperIdempotentFunction)
-	return ok
-}
-
-// MarkSuperIdempotent wraps f with the SuperIdempotentFunction marker,
-// preserving the IntoFunction fast path when f provides one.
-func MarkSuperIdempotent[T any](f Function[T]) Function[T] {
-	if into, ok := f.(IntoFunction[T]); ok {
-		return superIntoFunc[T]{into}
-	}
-	return superFunc[T]{f}
-}
-
-type superFunc[T any] struct{ Function[T] }
-
-func (superFunc[T]) SuperIdempotentF() {}
-
-type superIntoFunc[T any] struct{ IntoFunction[T] }
-
-func (superIntoFunc[T]) SuperIdempotentF() {}
-
 // StutterOnEqual is an optional marker a Problem carries to promise that
 // a group whose members all hold cmp-equal states can only stutter:
 // GroupStep and PairStep then return their input unchanged and draw no

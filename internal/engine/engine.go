@@ -20,10 +20,10 @@
 //     core.Additive variant it judges a round in O(P + changes) from the
 //     shards' extremes and a running h; every other problem is judged on
 //     the merged global view;
-//   - Seeder and GroupSeed: the run's master stream (environment and
-//     matching draws), per-group step seeds keyed on (run seed, round,
-//     smallest member) so results are independent of goroutine
-//     scheduling and of which groups step, plus the per-agent seed
+//   - GroupSeed, SubSeed and FastRand: per-group step seeds keyed on (run
+//     seed, round, smallest member), so results are independent of
+//     goroutine scheduling and of which groups step; the O(1)-reseed
+//     stream a worker steps a group on; and the per-agent seed
 //     derivation the asynchronous scheduler uses;
 //   - Pool: a persistent worker pool sized to GOMAXPROCS that replaces the
 //     goroutine-per-group-per-round pattern, engaging only above a
@@ -33,11 +33,16 @@ package engine
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/core"
 	ms "repro/internal/multiset"
 )
+
+// HEps is the strict-decrease slack of every engine monitor's D-step and
+// variant-descent checks. It absorbs float noise in the geometric and
+// averaging variants; an integer-valued h moves by at least 1, so for it
+// the slack changes no verdict.
+const HEps = 1e-9
 
 // Monitor judges one run of either engine against its target S*: it
 // watches for violations of the paper's two global invariants, records
@@ -54,12 +59,9 @@ import (
 // global view. Both paths give identical verdicts, h values and first
 // reaches; the tests keep the full path as the consensus path's oracle.
 type Monitor[T any] struct {
-	f     core.Function[T]
-	h     core.Variant[T]
-	equal func(a, b ms.Multiset[T]) bool
-	// hEps is the strict-decrease slack for D-step and descent checking (0
-	// for exact integer variants; geometry problems pass a tolerance).
-	hEps       float64
+	f          core.Function[T]
+	h          core.Variant[T]
+	equal      func(a, b ms.Multiset[T]) bool
 	target     ms.Multiset[T]
 	lastH      float64
 	violations []string
@@ -85,20 +87,20 @@ type Monitor[T any] struct {
 // multiset: the target S* = f(S(0)) is fixed here, the variant baseline
 // is h(S(0)), and an initial state that already equals S* is recorded as
 // reached at index 0.
-func NewMonitor[T any](p core.Problem[T], initial ms.Multiset[T], hEps float64) *Monitor[T] {
+func NewMonitor[T any](p core.Problem[T], initial ms.Multiset[T]) *Monitor[T] {
 	m := &Monitor[T]{}
-	m.Reset(p, initial, hEps)
+	m.Reset(p, initial)
 	return m
 }
 
 // Reset rebinds the monitor to a new run — problem p, initial state
-// multiset, slack — keeping the per-round evaluation buffer fBuf warm, so
+// multiset — keeping the per-round evaluation buffer fBuf warm, so
 // a monitor reused across the cells of a scenario sweep re-pays none of
 // its steady-state scratch. The target multiset and the violations slice
 // are deliberately NOT reused: both are retained by callers through
 // Result, so each run gets fresh storage for them.
-func (m *Monitor[T]) Reset(p core.Problem[T], initial ms.Multiset[T], hEps float64) {
-	m.f, m.h, m.equal, m.hEps = p.F(), p.H(), p.Equal, hEps
+func (m *Monitor[T]) Reset(p core.Problem[T], initial ms.Multiset[T]) {
+	m.f, m.h, m.equal = p.F(), p.H(), p.Equal
 	m.cons, m.add = nil, nil
 	if c, ok := p.(core.Consensus[T]); ok {
 		if a, ok := m.h.(core.Additive[T]); ok {
@@ -167,7 +169,7 @@ func (m *Monitor[T]) FirstReach() (round int, ok bool) { return m.reachRound, m.
 // merged s.View — f through the core.ApplyInto fast path into a
 // monitor-owned buffer, so for functions that provide it the check
 // allocates nothing. Either way verdicts never depend on the shard
-// layout or on whether f carries the super-idempotence marker.
+// layout.
 //
 //det:hotpath
 func (m *Monitor[T]) ObserveRound(round int, s *Shards[T]) float64 {
@@ -190,7 +192,7 @@ func (m *Monitor[T]) ObserveRound(round int, s *Shards[T]) float64 {
 	if !conserved {
 		m.AddViolation("round %d: conservation law violated: f(S) ≠ S*", round)
 	}
-	if nowH > m.lastH+m.hEps {
+	if nowH > m.lastH+HEps {
 		m.AddViolation("round %d: variant increased %g → %g", round, m.lastH, nowH)
 	}
 	m.lastH = nowH
@@ -267,10 +269,10 @@ func (m *Monitor[T]) CheckFrozen(round int, cmp func(a, b T) int, frozen []int, 
 }
 
 // VerifyStep decides whether before → after is a step of the relation D
-// under the monitor's f, h, equality, and slack — proof obligation
+// under the monitor's f, h, equality, and HEps — proof obligation
 // "R implements D" as a runtime check.
 func (m *Monitor[T]) VerifyStep(before, after ms.Multiset[T]) core.StepVerdict {
-	return core.CheckDStep(m.f, m.h, m.equal, before, after, m.hEps)
+	return core.CheckDStep(m.f, m.h, m.equal, before, after, HEps)
 }
 
 // AddViolation records a formatted violation.
@@ -280,30 +282,6 @@ func (m *Monitor[T]) AddViolation(format string, args ...any) {
 
 // Violations returns the violations recorded so far (nil on a clean run).
 func (m *Monitor[T]) Violations() []string { return m.violations }
-
-// Seeder owns a run's master stream, so runs are reproducible bit for bit
-// regardless of scheduling.
-type Seeder struct {
-	master *rand.Rand
-}
-
-// NewSeeder builds a Seeder over the master stream for the given seed.
-func NewSeeder(seed int64) *Seeder {
-	//lint:ignore detrand the sanctioned root: this IS the master stream every substream derives from, constructed once per run; its stdlib source is golden-pinned (swapping it re-pins every golden in the repo)
-	return &Seeder{master: rand.New(rand.NewSource(seed))}
-}
-
-// Reset restarts the master stream at seed, in place. The resulting
-// stream is identical to a fresh NewSeeder(seed) — rand.Rand.Seed
-// rebuilds the source state deterministically — without re-allocating
-// the source's ~5 KiB lagged-Fibonacci table, which matters when a warm
-// engine executes thousands of sweep cells back to back.
-func (s *Seeder) Reset(seed int64) { s.master.Seed(seed) }
-
-// Master returns the master stream: environment transitions and each
-// round's matching seed consume from it in a deterministic order. Group
-// steps never do — each runs on a keyed stream (GroupSeed).
-func (s *Seeder) Master() *rand.Rand { return s.master }
 
 // groupTag separates the group-step substream family from every other
 // use of SubSeed on the same run seed: sweep cells use small indices and

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"math/rand"
 	"runtime"
 	"slices"
 	"strings"
@@ -91,7 +90,7 @@ func observeOneShard(m *Monitor[int], round int, vals ...int) float64 {
 func TestMonitorCleanRound(t *testing.T) {
 	p := problems.NewMin()
 	initial := ms.OfInts(3, 1, 2)
-	m := NewMonitor[int](p, initial, 0)
+	m := NewMonitor[int](p, initial)
 	if !m.Target().Equal(ms.OfInts(1, 1, 1)) {
 		t.Fatalf("target = %v, want {1, 1, 1}", m.Target())
 	}
@@ -110,7 +109,7 @@ func TestMonitorCleanRound(t *testing.T) {
 // it does not conserve.
 func TestMonitorFlagsConservationAndDescent(t *testing.T) {
 	p := problems.NewMin()
-	m := NewMonitor[int](p, ms.OfInts(3, 1, 2), 0)
+	m := NewMonitor[int](p, ms.OfInts(3, 1, 2))
 	observeOneShard(m, 0, 5, 5, 5) // f changed AND h grew
 	v := m.Violations()
 	if len(v) != 2 {
@@ -130,7 +129,7 @@ func TestMonitorFlagsConservationAndDescent(t *testing.T) {
 		{[]int{1, 1, 1}, 0}, // clean final view
 		{[]int{2, 2, 2}, 1}, // f(S) ≠ S*; h(S) = 6 ≤ h(S(0))
 	} {
-		m := NewMonitor[int](p, ms.OfInts(3, 1, 2), 0)
+		m := NewMonitor[int](p, ms.OfInts(3, 1, 2))
 		observeOneShard(m, 7, tc.final...)
 		if v := m.Violations(); len(v) != tc.want {
 			t.Errorf("final %v: violations = %v, want %d", tc.final, v, tc.want)
@@ -142,7 +141,7 @@ func TestMonitorFlagsConservationAndDescent(t *testing.T) {
 
 func TestMonitorCheckFrozen(t *testing.T) {
 	p := problems.NewMin()
-	m := NewMonitor[int](p, ms.OfInts(3, 1, 2), 0)
+	m := NewMonitor[int](p, ms.OfInts(3, 1, 2))
 	cmp := func(a, b int) int { return a - b }
 	want := []int{3, 1, 2}
 	// Frozen agents whose states are untouched: clean.
@@ -160,7 +159,7 @@ func TestMonitorCheckFrozen(t *testing.T) {
 
 func TestMonitorVerifyStep(t *testing.T) {
 	p := problems.NewMin()
-	m := NewMonitor[int](p, ms.OfInts(3, 1, 2), 0)
+	m := NewMonitor[int](p, ms.OfInts(3, 1, 2))
 	if v := m.VerifyStep(ms.OfInts(3, 1), ms.OfInts(1, 1)); !v.OK {
 		t.Errorf("valid D-step rejected: %v", v)
 	}
@@ -216,7 +215,7 @@ func TestMonitorFirstReach(t *testing.T) {
 			target: []int{1, 1, 1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			m := NewMonitor[int](p, ms.OfInts(tc.initial...), 0)
+			m := NewMonitor[int](p, ms.OfInts(tc.initial...))
 			if tc.probe != nil && !m.Reached(ms.OfInts(tc.probe...)) {
 				t.Fatal("Reached must report a state equal to the target")
 			}
@@ -309,8 +308,8 @@ func TestMonitorConsensusPathMatchesFullPath(t *testing.T) {
 			p := problems.NewMin()
 			states := slices.Clone(initial)
 			sh := NewShards(p.Cmp(), states, 2)
-			fast := NewMonitor[int](p, sh.View(), 0)
-			full := NewMonitor[int](consensusHidden{p}, sh.View(), 0)
+			fast := NewMonitor[int](p, sh.View())
+			full := NewMonitor[int](consensusHidden{p}, sh.View())
 			if _, _, ok := fast.ConsensusTarget(); !ok {
 				t.Fatal("min's monitor is not on the consensus path")
 			}
@@ -377,26 +376,6 @@ func TestMonitorConsensusPathMatchesFullPath(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestSeederMatchesRawStream: the master stream, fresh or Reset after
-// use, is exactly the stdlib stream of its seed.
-func TestSeederMatchesRawStream(t *testing.T) {
-	s := NewSeeder(42)
-	check := func(seed int64) {
-		t.Helper()
-		want := rand.New(rand.NewSource(seed))
-		for i := 0; i < 100; i++ {
-			if got, w := s.Master().Int63(), want.Int63(); got != w {
-				t.Fatalf("seed %d, draw %d: Master = %d, want %d", seed, i, got, w)
-			}
-		}
-	}
-	check(42)
-	s.Reset(7)
-	check(7)
-	s.Reset(42)
-	check(42)
 }
 
 // TestGroupSeedKeyed: a group's seed is a pure function of (run seed,
@@ -502,7 +481,7 @@ func BenchmarkObserveRoundConsensus1e6(b *testing.B) {
 	pool := NewPool(1, 1)
 	defer pool.Close()
 	sh := NewShards(p.Cmp(), states, 2)
-	m := NewMonitor[int](p, sh.View(), 0)
+	m := NewMonitor[int](p, sh.View())
 	if _, _, ok := m.ConsensusTarget(); !ok {
 		b.Fatal("min's monitor is not on the consensus path")
 	}

@@ -49,6 +49,7 @@ func NewFastRand(seed int64) *FastRand {
 
 // Reseed restarts the stream at seed in O(1), equivalent to a fresh
 // NewFastRand(seed) without the allocations.
+//
 //det:hotpath
 func (f *FastRand) Reseed(seed int64) { f.src.Seed(seed) }
 
@@ -60,6 +61,7 @@ func (f *FastRand) Reseed(seed int64) { f.src.Seed(seed) }
 // cell's run seed this way, from the cell's index — never from the
 // identity of the worker that happens to execute it, which is what keeps
 // grid results independent of scheduling and worker count).
+//
 //det:hotpath
 func SubSeed(base int64, i int) int64 {
 	s := splitmixSource{state: uint64(base) + uint64(i)*0x9E3779B97F4A7C15}

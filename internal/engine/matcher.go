@@ -250,6 +250,7 @@ func (m *PairMatcher) Grow() {
 // exact=false declares the change set unbounded and forces a full O(E)
 // rescan. The first Update after construction or a cache revival always
 // rescans, so stale index state cannot leak between runs.
+//
 //det:hotpath
 func (m *PairMatcher) Update(edgeUp, agentUp bitset.Set, touchedEdges, touchedAgents []int, exact bool) {
 	if !m.primed || !exact {
@@ -269,6 +270,7 @@ func (m *PairMatcher) Update(edgeUp, agentUp bitset.Set, touchedEdges, touchedAg
 
 // reexamine recomputes edge id's usability and repairs its bucket bit on
 // change. O(1) per call.
+//
 //det:hotpath
 func (m *PairMatcher) reexamine(id int, edgeUp, agentUp bitset.Set) {
 	now := m.usableEdge(id, edgeUp, agentUp)
@@ -302,6 +304,7 @@ func (m *PairMatcher) rebuild(edgeUp, agentUp bitset.Set) {
 // matchBucket calls never race. The claim count is kept in a local and
 // stored once: incrementing the shared per-bucket slice inside the loop
 // would make concurrent buckets false-share its cache lines.
+//
 //det:hotpath
 func (m *PairMatcher) matchBucket(b int, seed int64, keep func(a, b int) bool) {
 	ids := m.bucketBits[b].AppendSelected(m.work[b][:0], m.bucketIDs[b])

@@ -59,7 +59,7 @@ func NewPool(size, threshold int) *Pool {
 func (p *Pool) Size() int { return p.size }
 
 // SetThreshold replaces the engagement threshold. It is for pools that
-// outlive a single run (engine.RunContext): the threshold is per-run
+// outlive a single run (a sim.Scratch's): the threshold is per-run
 // configuration — sim.Options.ParallelThreshold — while the workers are
 // warm state worth keeping, so a reused pool is re-thresholded instead
 // of rebuilt. Must not be called concurrently with Do/DoAll.

@@ -86,30 +86,28 @@ func TestShardsOwnerCoversAllAgents(t *testing.T) {
 }
 
 // secondSmallestProblem overrides Min's f with the §4.3 negative example:
-// idempotent but NOT super-idempotent (and therefore unmarked). Embedding
-// the problem interface drops Min's core.Consensus declaration, which
-// the overridden f does not satisfy.
+// idempotent but NOT super-idempotent. Embedding the problem interface
+// drops Min's core.Consensus declaration, which the overridden f does
+// not satisfy.
 type secondSmallestProblem struct{ core.Problem[int] }
 
 func (secondSmallestProblem) F() core.Function[int] { return problems.SecondSmallestF() }
 
 // TestObserveRoundShardedMatchesUnsharded: a monitor fed the merged view
 // of P shards must produce the same h values and the same violations as a
-// monitor fed a one-shard view, for super-idempotent (marked) and merely
-// idempotent (unmarked) f alike, across a run of random min-adoption pair
-// steps. The unchanged-state case is the one a per-shard partial-image
-// reduction would get wrong for the unmarked f: S = {1,2,3} split {1,2} |
-// {3} gives f(f({1,2}) ∪ f({3})) = f({2,2,3}) = {3,3,3} ≠ f(S) = {2,2,2}.
+// monitor fed a one-shard view, for super-idempotent and merely
+// idempotent f alike, across a run of random min-adoption pair steps.
+// The unchanged-state case is the one a per-shard partial-image
+// reduction would get wrong for the merely idempotent f: S = {1,2,3}
+// split {1,2} | {3} gives f(f({1,2}) ∪ f({3})) = f({2,2,3}) = {3,3,3} ≠
+// f(S) = {2,2,2}.
 func TestObserveRoundShardedMatchesUnsharded(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	random := make([]int, 24)
 	for i := range random {
 		random[i] = rng.Intn(50)
 	}
-	unmarked := secondSmallestProblem{problems.NewMin()}
-	if core.IsSuperIdempotent(unmarked.F()) {
-		t.Fatal("second-smallest must not carry the super-idempotence marker")
-	}
+	secondSmallest := secondSmallestProblem{problems.NewMin()}
 	cases := []struct {
 		name    string
 		p       core.Problem[int]
@@ -120,8 +118,8 @@ func TestObserveRoundShardedMatchesUnsharded(t *testing.T) {
 		clean   bool // no violation expected
 	}{
 		{"min", problems.NewMin(), random, []int{1, 3, 8}, 8, true, true},
-		{"second-smallest-unchanged", unmarked, []int{1, 2, 3}, []int{2}, 1, false, true},
-		{"second-smallest-stepped", unmarked, random, []int{3, 8}, 8, true, false},
+		{"second-smallest-unchanged", secondSmallest, []int{1, 2, 3}, []int{2}, 1, false, true},
+		{"second-smallest-stepped", secondSmallest, random, []int{3, 8}, 8, true, false},
 	}
 	pool := NewPool(4, 1)
 	defer pool.Close()
@@ -131,8 +129,8 @@ func TestObserveRoundShardedMatchesUnsharded(t *testing.T) {
 				cmp := c.p.Cmp()
 				sh := NewShards(cmp, c.states, p)
 				one := NewShards(cmp, c.states, 1)
-				monSharded := NewMonitor(c.p, sh.View(), 0)
-				monPlain := NewMonitor(c.p, one.View(), 0)
+				monSharded := NewMonitor(c.p, sh.View())
+				monPlain := NewMonitor(c.p, one.View())
 				work := append([]int(nil), c.states...)
 				stepRng := rand.New(rand.NewSource(int64(p)))
 				for round := 0; round < c.rounds; round++ {
@@ -176,7 +174,7 @@ func TestObserveRoundShardedDetectsViolation(t *testing.T) {
 	pr := problems.NewMin()
 	states := []int{4, 7, 2, 9, 5, 1}
 	sh := NewShards(pr.Cmp(), states, 3)
-	mon := NewMonitor[int](pr, sh.View(), 0)
+	mon := NewMonitor[int](pr, sh.View())
 	// Agent 5 (last shard) holds the only 1, the global minimum; losing it
 	// changes f(S).
 	sh.Stage(5, 1, 3)
@@ -191,21 +189,11 @@ func TestObserveRoundShardedDetectsViolation(t *testing.T) {
 	}
 }
 
-// TestMarkedFunctionsCarryMarker: the problems the engines run are
-// super-idempotent (machine-checked by E9) and carry the marker that
-// records it; the negative examples do not.
-func TestMarkedFunctionsCarryMarker(t *testing.T) {
-	if !core.IsSuperIdempotent(problems.MinF()) || !core.IsSuperIdempotent(problems.SumF()) ||
-		!core.IsSuperIdempotent(problems.GCDF()) || !core.IsSuperIdempotent(problems.SortF()) ||
-		!core.IsSuperIdempotent(problems.HullF()) || !core.IsSuperIdempotent(problems.MinPairF()) {
-		t.Error("a super-idempotent problem f lost its marker")
-	}
-	if core.IsSuperIdempotent(problems.SecondSmallestF()) || core.IsSuperIdempotent(problems.CircumcircleNaiveF()) {
-		t.Error("a non-super-idempotent f is marked")
-	}
-	// The marker must not strip the ApplyInto fast path.
+// TestMinFKeepsIntoFastPath: min's f provides the core.IntoFunction fast
+// path the full-path monitor evaluates into its reused buffer.
+func TestMinFKeepsIntoFastPath(t *testing.T) {
 	if _, ok := problems.MinF().(core.IntoFunction[int]); !ok {
-		t.Error("marking min dropped its IntoFunction fast path")
+		t.Error("min's f lost its IntoFunction fast path")
 	}
 }
 

@@ -309,6 +309,7 @@ func geometricGap(rng *rand.Rand, logOneMinusQ float64, limit int) int {
 // minority edges for one round: each id independently selected with
 // probability q via geometric gap skipping, consuming one draw per
 // selected id (plus one final overshoot draw).
+//
 //det:hotpath
 func sampleFlips(dst []int, m int, q float64, rng *rand.Rand) []int {
 	dst = dst[:0]

@@ -316,7 +316,7 @@ func E3Fig3(cfg Config) Section {
 	p := problems.NewHull(pts)
 	g := graph.Ring(len(pts))
 	res, err := sim.Run(p, env.NewEdgeChurn(g, 0.4), problems.InitialHulls(pts),
-		sim.Options{ParallelThreshold: -1, Seed: 3, StopOnConverged: true, HEps: 1e-9, MaxRounds: 5000})
+		sim.Options{ParallelThreshold: -1, Seed: 3, StopOnConverged: true, MaxRounds: 5000})
 	if err != nil || !res.Converged {
 		shape = false
 		b.WriteString(fmt.Sprintf("hull run failed: converged=%v err=%v\n", res != nil && res.Converged, err))
@@ -1352,7 +1352,7 @@ func E18RoundCost(cfg Config) Section {
 		}
 		row := []any{c.family, n, cr.Rounds,
 			cr.Duration.Round(time.Millisecond).String(),
-			cr.Duration.Nanoseconds()/int64(rounds), allocs, fmt.Sprintf("%.1f", apr)}
+			cr.Duration.Nanoseconds() / int64(rounds), allocs, fmt.Sprintf("%.1f", apr)}
 		for _, ph := range phaseCols {
 			row = append(row, phases.PhaseNs(ph)/int64(rounds))
 		}
@@ -1793,10 +1793,10 @@ func E19Membership(cfg Config) Section {
 		return sb.String()
 	}
 	type layout struct {
-		name     string
-		shards   int
-		workers  int
-		gomaxp   int // 0 = leave as is
+		name    string
+		shards  int
+		workers int
+		gomaxp  int // 0 = leave as is
 	}
 	layouts := []layout{
 		{"shards=1 workers=1", 1, 1, 0},

@@ -73,6 +73,7 @@ func (g *Graph) LiveM() int { return len(g.edges) - g.retiredCount }
 // EdgeRetired reports whether edge id has been retired by a growth
 // operation. Retired ids keep their Edge entry (masks and partitions stay
 // index-stable) but are skipped by components, matching, and EdgeID.
+//
 //det:hotpath
 func (g *Graph) EdgeRetired(id int) bool {
 	return g.retiredCount != 0 && g.retired.Get(id)

@@ -27,7 +27,7 @@ import (
 // Deterministic code takes a *rand.Rand (or engine.FastRand) value fed
 // from an engine.SubSeed substream; METHOD calls on such values are
 // allowed. The sanctioned constructor sites (engine.FastRand itself,
-// the Seeder's master stream, golden-pinned legacy streams) carry
+// sim.NewScratch's master stream, golden-pinned legacy streams) carry
 // //lint:ignore detrand directives recording why.
 var DetRand = &analysis.Analyzer{
 	Name: "detrand",

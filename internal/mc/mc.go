@@ -42,8 +42,6 @@ type Spec[T any] struct {
 	// Problem supplies f, h, the state order, and equality for
 	// validation.
 	Problem core.Problem[T]
-	// HEps is the strict-decrease slack for D-step validation.
-	HEps float64
 	// MaxStates aborts exploration beyond this many states (guard against
 	// accidental explosion); 0 means 1_000_000.
 	MaxStates int
@@ -144,7 +142,7 @@ func Explore[T any](spec Spec[T]) (*Report, error) {
 				}
 				properOut = true
 				rep.Transitions++
-				if v := core.CheckDStep(f, h, p.Equal, beforeM, afterM, spec.HEps); !v.OK {
+				if v := core.CheckDStep(f, h, p.Equal, beforeM, afterM, 0); !v.OK {
 					rep.NonDSteps = append(rep.NonDSteps,
 						fmt.Sprintf("state %v group %v → %v: %v", cur, group, next, v))
 				}

@@ -58,7 +58,7 @@ func canonicalVertices(v []geom.Point) []geom.Point {
 // super-idempotent: the hull of all points equals the hull of (hull of a
 // subset) ∪ (remaining points) — the geometric argument of Fig. 3.
 func HullF() core.Function[HullState] {
-	return core.MarkSuperIdempotent[HullState](core.FuncOf("convex-hull", func(x ms.Multiset[HullState]) ms.Multiset[HullState] {
+	return core.FuncOf("convex-hull", func(x ms.Multiset[HullState]) ms.Multiset[HullState] {
 		if x.IsEmpty() {
 			return x
 		}
@@ -68,7 +68,7 @@ func HullF() core.Function[HullState] {
 		return x.Map(func(s HullState) HullState {
 			return HullState{Home: s.Home, V: merged}
 		})
-	}))
+	})
 }
 
 // Hull is the §4.5 problem: agents compute the convex hull of all agent

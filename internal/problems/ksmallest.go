@@ -67,7 +67,7 @@ func kSmallestDistinct(k int, values func(yield func(int))) KVec {
 // argument: f keeps the k smallest distinct values, and dropped values
 // can never re-enter the first k when more values are added.
 func KSmallestF(k int) core.Function[KVec] {
-	return core.MarkSuperIdempotent[KVec](core.FuncOf(fmt.Sprintf("%d-smallest", k), func(x ms.Multiset[KVec]) ms.Multiset[KVec] {
+	return core.FuncOf(fmt.Sprintf("%d-smallest", k), func(x ms.Multiset[KVec]) ms.Multiset[KVec] {
 		if x.IsEmpty() {
 			return x
 		}
@@ -79,7 +79,7 @@ func KSmallestF(k int) core.Function[KVec] {
 			})
 		})
 		return x.Map(func(KVec) KVec { return target })
-	}))
+	})
 }
 
 // KSmallest is the k-vector generalization of MinPair, the extension the

@@ -57,7 +57,7 @@ func minPairOf(values func(yield func(int))) (Pair, bool) {
 // f({(2,5),(3,4),(2,7)}) = {(2,3),(2,3),(2,3)};
 // f({(2,2),(2,2)}) = {(2,2),(2,2)}.
 func MinPairF() core.Function[Pair] {
-	return core.MarkSuperIdempotent[Pair](core.FuncOf("min-pair", func(x ms.Multiset[Pair]) ms.Multiset[Pair] {
+	return core.FuncOf("min-pair", func(x ms.Multiset[Pair]) ms.Multiset[Pair] {
 		if x.IsEmpty() {
 			return x
 		}
@@ -68,7 +68,7 @@ func MinPairF() core.Function[Pair] {
 			return x
 		}
 		return x.Map(func(Pair) Pair { return target })
-	}))
+	})
 }
 
 // MinPair is the §4.3 problem: compute both the smallest and the second

@@ -53,7 +53,7 @@ func (*Min) Consensus(lo, _ int) int { return lo }
 // the engines' per-round conservation check can evaluate f without
 // allocating.
 func MinF() core.Function[int] {
-	return core.MarkSuperIdempotent[int](core.FuncOfInto("min",
+	return core.FuncOfInto("min",
 		func(x ms.Multiset[int]) ms.Multiset[int] {
 			m, ok := x.Min()
 			if !ok {
@@ -64,7 +64,7 @@ func MinF() core.Function[int] {
 		func(dst []int, x ms.Multiset[int]) []int {
 			m, ok := x.Min()
 			return fillInto(dst, x.Len(), m, ok)
-		}))
+		})
 }
 
 // F implements core.Problem.
@@ -156,7 +156,7 @@ func (*Max) Consensus(_, hi int) int { return hi }
 
 // MaxF is f for the maximum: all values become the maximum.
 func MaxF() core.Function[int] {
-	return core.MarkSuperIdempotent[int](core.FuncOfInto("max",
+	return core.FuncOfInto("max",
 		func(x ms.Multiset[int]) ms.Multiset[int] {
 			m, ok := x.Max()
 			if !ok {
@@ -167,7 +167,7 @@ func MaxF() core.Function[int] {
 		func(dst []int, x ms.Multiset[int]) []int {
 			m, ok := x.Max()
 			return fillInto(dst, x.Len(), m, ok)
-		}))
+		})
 }
 
 // F implements core.Problem.
@@ -236,7 +236,7 @@ func (*Sum) Equal(a, b ms.Multiset[int]) bool { return eqExact(a, b) }
 // SumF is f for §4.2: the total with multiplicity 1, zero with
 // multiplicity N−1.
 func SumF() core.Function[int] {
-	return core.MarkSuperIdempotent[int](core.FuncOfInto("sum",
+	return core.FuncOfInto("sum",
 		func(x ms.Multiset[int]) ms.Multiset[int] {
 			if x.IsEmpty() {
 				return x
@@ -260,7 +260,7 @@ func SumF() core.Function[int] {
 				dst = append(dst, total)
 			}
 			return dst
-		}))
+		})
 }
 
 // F implements core.Problem.
@@ -361,7 +361,7 @@ func (p *Average) Equal(a, b ms.Multiset[float64]) bool {
 
 // AverageF is f for the mean: every value becomes the mean.
 func AverageF() core.Function[float64] {
-	return core.MarkSuperIdempotent[float64](core.FuncOfInto("average",
+	return core.FuncOfInto("average",
 		func(x ms.Multiset[float64]) ms.Multiset[float64] {
 			if x.IsEmpty() {
 				return x
@@ -375,7 +375,7 @@ func AverageF() core.Function[float64] {
 				mean = ms.SumFloats(x) / float64(x.Len())
 			}
 			return fillInto(dst, x.Len(), mean, !x.IsEmpty())
-		}))
+		})
 }
 
 // F implements core.Problem.
@@ -455,7 +455,7 @@ func GCDF() core.Function[int] {
 		x.ForEach(func(v int) { g = gcd2(g, v) })
 		return g
 	}
-	return core.MarkSuperIdempotent[int](core.FuncOfInto("gcd",
+	return core.FuncOfInto("gcd",
 		func(x ms.Multiset[int]) ms.Multiset[int] {
 			if x.IsEmpty() {
 				return x
@@ -465,7 +465,7 @@ func GCDF() core.Function[int] {
 		},
 		func(dst []int, x ms.Multiset[int]) []int {
 			return fillInto(dst, x.Len(), gcdOf(x), !x.IsEmpty())
-		}))
+		})
 }
 
 // F implements core.Problem.

@@ -46,14 +46,14 @@ func (s Set) String() string {
 // union of all sets. Union is a commutative, associative, idempotent
 // operator, so the §3.4 ◦-operator lemma makes f super-idempotent.
 func SetUnionF() core.Function[Set] {
-	return core.MarkSuperIdempotent[Set](core.FuncOf("set-union", func(x ms.Multiset[Set]) ms.Multiset[Set] {
+	return core.FuncOf("set-union", func(x ms.Multiset[Set]) ms.Multiset[Set] {
 		if x.IsEmpty() {
 			return x
 		}
 		var u Set
 		x.ForEach(func(s Set) { u |= s })
 		return x.Map(func(Set) Set { return u })
-	}))
+	})
 }
 
 // SetUnion is set-union consensus: every agent ends with the union of all

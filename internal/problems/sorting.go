@@ -35,7 +35,7 @@ func CompareItems(a, b Item) int {
 // by a permutation of values w.r.t. indexes, and sorting after a
 // permutation yields the same sorted array.
 func SortF() core.Function[Item] {
-	return core.MarkSuperIdempotent[Item](core.FuncOf("sort", func(x ms.Multiset[Item]) ms.Multiset[Item] {
+	return core.FuncOf("sort", func(x ms.Multiset[Item]) ms.Multiset[Item] {
 		items := x.Elements()
 		idx := make([]int, len(items))
 		vals := make([]int, len(items))
@@ -50,7 +50,7 @@ func SortF() core.Function[Item] {
 			out[i] = Item{idx[i], vals[i]}
 		}
 		return ms.New(CompareItems, out...)
-	}))
+	})
 }
 
 // InversionsH is the Fig. 1 objective: the number of out-of-order pairs,

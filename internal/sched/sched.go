@@ -252,7 +252,7 @@ func Run[T any](p core.Problem[T], g *graph.Graph, initial []T, opts Options) (*
 
 	cmp := p.Cmp()
 	initialM := ms.New(cmp, initial[:n]...)
-	mon := engine.NewMonitor(p, initialM, 0)
+	mon := engine.NewMonitor(p, initialM)
 	res := &Result[T]{Target: mon.Target()}
 	if _, reached := mon.FirstReach(); reached && opts.Dynamics == nil {
 		res.Converged = true

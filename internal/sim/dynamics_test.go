@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dynamics"
-	"repro/internal/engine"
 	"repro/internal/env"
 	"repro/internal/graph"
 	"repro/internal/problems"
@@ -185,9 +184,8 @@ func TestDynamicsWarmReuseMatchesCold(t *testing.T) {
 			MaxRounds: 60_000, Dynamics: dynamicsSchedule(),
 		}
 	}
-	rc := engine.NewRunContext(0)
-	defer rc.Close()
-	sc := NewScratch[int](rc)
+	sc := NewScratch[int]()
+	defer sc.Close()
 	for seed := int64(1); seed <= 4; seed++ {
 		warm, err := RunWith(sc, problems.NewMin(), env.NewEdgeChurn(g, 0.9), vals, opts(seed))
 		if err != nil {

@@ -186,7 +186,7 @@ func goldenCases() []goldenCase {
 		{"hull/ring6/churn0.5", func(seed int64, tweak variant) (string, error) {
 			pts := []geom.Point{{X: 0, Y: 0}, {X: 4, Y: 1}, {X: 2, Y: 5}, {X: 6, Y: 3}, {X: 1, Y: 4}, {X: 5, Y: 5}}
 			return summarize(Run[problems.HullState](problems.NewHull(pts), env.NewEdgeChurn(graph.Ring(6), 0.5),
-				problems.InitialHulls(pts), tweaked(Options{Seed: seed, StopOnConverged: true, HEps: 1e-9, MaxRounds: 10_000}, tweak)))
+				problems.InitialHulls(pts), tweaked(Options{Seed: seed, StopOnConverged: true, MaxRounds: 10_000}, tweak)))
 		}},
 		{"min/ring64/pairwise-blocks4", func(seed int64, tweak variant) (string, error) {
 			// MatchBlocks 4 forces the partitioned matcher's boundary

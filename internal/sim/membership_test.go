@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/dynamics"
-	"repro/internal/engine"
 	"repro/internal/env"
 	"repro/internal/graph"
 	"repro/internal/problems"
@@ -363,9 +362,8 @@ func TestJoinWarmReuseMatchesCold(t *testing.T) {
 			MaxRounds: 60_000, Dynamics: sched,
 		}
 	}
-	rc := engine.NewRunContext(0)
-	defer rc.Close()
-	sc := NewScratch[int](rc)
+	sc := NewScratch[int]()
+	defer sc.Close()
 	for seed := int64(1); seed <= 4; seed++ {
 		warm, err := RunWith(sc, problems.NewMin(), env.NewEdgeChurn(graph.Ring(16), 0.9), vals, opts(seed))
 		if err != nil {

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/env"
 	"repro/internal/graph"
 	ms "repro/internal/multiset"
@@ -27,11 +26,10 @@ func fingerprint(res *Result[int]) string {
 // match an independent single-use Run bit for bit. This is the warm-
 // engine contract the scenario-sweep runner depends on: nothing
 // observable may leak from one run into the next through the reused
-// trackers, matchers, monitor, seeder, or arenas.
+// trackers, matchers, monitor, master stream, or arenas.
 func TestRunWithScratchReuseBitIdentical(t *testing.T) {
-	rc := engine.NewRunContext(0)
-	defer rc.Close()
-	sc := NewScratch[int](rc)
+	sc := NewScratch[int]()
+	defer sc.Close()
 
 	mkVals := func(n int, seed int64) []int {
 		vals := make([]int, n)
@@ -107,9 +105,8 @@ func TestRunWithScratchReuseBitIdentical(t *testing.T) {
 // Result returned by RunWith must stay intact after the Scratch executes
 // another run (Final, Target, and Violations are caller-owned copies).
 func TestRunWithResultsDoNotAliasScratch(t *testing.T) {
-	rc := engine.NewRunContext(0)
-	defer rc.Close()
-	sc := NewScratch[int](rc)
+	sc := NewScratch[int]()
+	defer sc.Close()
 
 	g := graph.Ring(16)
 	vals1 := []int{9, 4, 7, 1, 8, 2, 6, 5, 15, 11, 3, 14, 10, 13, 12, 16}

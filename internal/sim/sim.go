@@ -35,19 +35,24 @@
 // f(S) = S* (§3.2) and the monotone descent of the variant h on the global
 // state, recording the first round at which the state reaches the target.
 // Violations are recorded in the Result and fail tests. The monitor (the
-// run's one judge, convergence included) and the seeding discipline are
-// shared with the asynchronous runtime via internal/engine: the master
+// run's one judge, convergence included) and the keyed group seeds are
+// shared with the asynchronous runtime via internal/engine. The master
 // stream feeds only the environment step and one matching seed per
 // round, and every group's step stream is keyed on the group itself.
 // Options.OnRound is the one per-round outlet for progress (h, step
 // counts).
+//
+// A Scratch is the engine's one warm handle: the worker pool, the
+// per-worker step streams, the master stream and every reusable buffer.
+// Run builds one per call; RunWith reuses a caller's across runs.
 //
 // The round loop is allocation-free in steady state: the global state
 // multiset is kept in an engine.Shards — per-shard multiset.Trackers whose
 // changed members are staged during the round and repaired once at its
 // end instead of re-sorted from scratch — the partition is derived into
 // reusable scratch (graph.ComponentsInto), and all matching and group
-// buffers are engine-owned and reused across rounds.
+// buffers are engine-owned and reused across rounds. Components and
+// matched pairs step through one job list (stepGroups).
 package sim
 
 import (
@@ -129,11 +134,9 @@ type Options struct {
 	// Mode selects component-wide or pairwise steps.
 	Mode Mode
 	// CheckSteps verifies every group step is a D-step (slower; on in
-	// tests, off in benchmarks unless measuring the monitor).
+	// tests, off in benchmarks unless measuring the monitor). The
+	// strict-decrease slack is engine.HEps.
 	CheckSteps bool
-	// HEps is the strict-decrease slack for D-step checking (0 for exact
-	// integer variants; geometry problems pass a small tolerance).
-	HEps float64
 	// StopOnConverged stops as soon as the state multiset equals the
 	// target f(S(0)). When false the run continues to MaxRounds,
 	// verifying stability of the goal state (spec (4)).
@@ -255,11 +258,12 @@ type Result[T any] struct {
 	Dynamics *dynamics.Report
 }
 
-// runner holds the engine state of a run: the shared engine-core pieces
-// (monitor, seeder, pool) plus every scratch buffer the round
-// loop reuses so that steady-state rounds allocate nothing. A runner lives
-// inside a Scratch and survives from one run to the next — RunWith rebinds
-// the per-run fields and hands the warm buffers straight to the next run.
+// runner holds the engine state of a run: the warm execution machinery
+// (worker pool, per-worker step streams, master stream, monitor) plus
+// every scratch buffer the round loop reuses so that steady-state rounds
+// allocate nothing. A runner lives inside a Scratch and survives from one
+// run to the next — RunWith rebinds the per-run fields and hands the warm
+// state straight to the next run.
 type runner[T any] struct {
 	p    core.Problem[T]
 	e    env.Environment
@@ -273,10 +277,16 @@ type runner[T any] struct {
 	// obs is the run's observability probe (nil = off).
 	obs *obs.Probe
 
-	rc     *engine.RunContext
-	mon    *engine.Monitor[T]
-	seeder *engine.Seeder
+	// pool is the persistent worker pool (goroutines survive between runs,
+	// so only the first engaged batch pays start-up); rands holds one
+	// O(1)-reseed step stream per pool worker slot, built on first use;
+	// master is the run's master stream, reseeded with Options.Seed by
+	// every RunWith. The master stream feeds only the environment step
+	// and one matching seed per round.
 	pool   *engine.Pool
+	rands  []*engine.FastRand
+	master *rand.Rand
+	mon    *engine.Monitor[T]
 	// shards holds the state multiset (see Options.Shards); it points into
 	// the Scratch's cache, which persists across runs.
 	shards *engine.Shards[T]
@@ -290,8 +300,15 @@ type runner[T any] struct {
 	compScratch graph.ComponentScratch
 	comps       [][]int
 	compsValid  bool
+
+	// The round's group jobs, in either mode, and the arenas their slices
+	// point into: a component's members alias comps and its before states
+	// are copied into beforeArena; a matched pair takes two slots of each
+	// arena. stepFn steps job i on worker w.
 	jobs        []groupJob[T]
+	memberArena []int
 	beforeArena []T
+	afterArena  []T
 	stepFn      func(worker, i int)
 	// roundSeed is this round's engine.GroupRoundSeed: a group's step
 	// stream is engine.SubSeed(roundSeed, smallest member).
@@ -304,18 +321,11 @@ type runner[T any] struct {
 	prevOverlayE, prevOverlayA []int
 
 	// Pairwise-mode scratch: the partitioned matcher (resolved per run
-	// from the Scratch's cache), the round's pair jobs, and the fixed-size
-	// views handed to classifyStep/applyDelta.
-	matcher    *engine.PairMatcher
-	pairJobs   []pairJob[T]
-	pairStepFn func(worker, i int)
-	// keepFn is the matcher filter of a core.StutterOnEqual problem: it
-	// keeps only the pairs whose endpoints differ, the ones that can
-	// change.
-	keepFn      func(a, b int) bool
-	pairOld     [2]T
-	pairNew     [2]T
-	pairMembers [2]int
+	// from the Scratch's cache) and keepFn, the matcher filter of a
+	// core.StutterOnEqual problem: it keeps only the pairs whose endpoints
+	// differ, the ones that can change.
+	matcher *engine.PairMatcher
+	keepFn  func(a, b int) bool
 
 	// Proper-step detection scratch (sorted copies of a group's before and
 	// after states, compared as zero-copy multiset views).
@@ -349,10 +359,10 @@ type matcherKey struct {
 // eviction comment in RunWith.
 const maxCachedMatchers = 64
 
-// Scratch is the borrowed warm-engine state RunWith executes against: a
-// RunContext (persistent worker pool, per-worker streams) plus every
-// engine-owned buffer a run reuses — the state shard set, the
-// monitor's evaluation buffers, the group/pair job arenas, the component
+// Scratch is the warm engine RunWith executes against: the persistent
+// worker pool, one reusable step stream per worker, the master stream,
+// plus every engine-owned buffer a run reuses — the state shard set, the
+// monitor's evaluation buffers, the group job arenas, the component
 // scratch, and a cache of pairwise matchers keyed by (graph, blocks).
 //
 // One Scratch belongs to one executing goroutine at a time. Handing the
@@ -363,8 +373,7 @@ const maxCachedMatchers = 64
 // one run to the next — every reused structure is Reset to the state a
 // fresh one would have, and all randomness restarts from Options.Seed.
 type Scratch[T any] struct {
-	rc *engine.RunContext
-	r  runner[T]
+	r runner[T]
 
 	// Warm caches the runner binds per run.
 	shards   *engine.Shards[T]
@@ -372,38 +381,40 @@ type Scratch[T any] struct {
 	dyn      *dynamics.Applier
 }
 
-// NewScratch builds an empty Scratch over the given RunContext. The
-// context is borrowed, not owned: Scratches sharing a RunContext must not
-// run concurrently, and closing the context is the caller's job.
-func NewScratch[T any](rc *engine.RunContext) *Scratch[T] {
-	return &Scratch[T]{rc: rc}
+// NewScratch builds an empty Scratch whose pool has GOMAXPROCS worker
+// slots. No goroutines are started until the first engaged batch; Close
+// stops them.
+func NewScratch[T any]() *Scratch[T] {
+	sc := &Scratch[T]{}
+	sc.r.pool = engine.NewPool(0, 1)
+	sc.r.rands = make([]*engine.FastRand, sc.r.pool.Size())
+	//lint:ignore detrand the sanctioned root: this IS the master stream every substream derives from, constructed once per run; its stdlib source is golden-pinned (swapping it re-pins every golden in the repo)
+	sc.r.master = rand.New(rand.NewSource(0))
+	return sc
 }
 
-// groupJob is one group's step: members and before alias engine scratch
-// and are valid for the current round only; after is produced by the
-// problem's GroupStep on the stream keyed on members[0], the group's
-// smallest member.
+// Close stops the Scratch's pool workers. The Scratch must not be used
+// afterwards.
+func (sc *Scratch[T]) Close() { sc.r.pool.Close() }
+
+// groupJob is one group's step — a connected component's or a matched
+// pair's. members and before point into engine scratch and are valid for
+// the current round only; after is produced by the problem's GroupStep
+// (PairStep for a pair) on the stream keyed on members[0], the group's
+// smallest member, so the steps can run on any worker in any order
+// without results depending on scheduling.
 type groupJob[T any] struct {
 	members []int
 	before  []T
 	after   []T
 }
 
-// pairJob is one matched pair's step. Like a groupJob it steps on the
-// stream keyed on its smallest member, so the PairStep calls can run on
-// any worker in any order without results depending on scheduling.
-type pairJob[T any] struct {
-	a, b       int
-	oldA, oldB T
-	newA, newB T
-}
-
 // Run simulates problem p over environment e from the given initial
 // (positional) agent states.
 func Run[T any](p core.Problem[T], e env.Environment, initial []T, opts Options) (*Result[T], error) {
-	rc := engine.NewRunContext(0)
-	defer rc.Close()
-	return RunWith(NewScratch[T](rc), p, e, initial, opts)
+	sc := NewScratch[T]()
+	defer sc.Close()
+	return RunWith(sc, p, e, initial, opts)
 }
 
 // RunWith is Run against borrowed scratch: it executes the identical
@@ -450,7 +461,6 @@ func RunWith[T any](sc *Scratch[T], p core.Problem[T], e env.Environment, initia
 	}
 
 	r := &sc.r
-	r.rc = sc.rc
 	r.p, r.e, r.g, r.opts, r.cmp = p, e, g, opts, p.Cmp()
 	r.stutterOnEqual = core.IsStutterOnEqual(p)
 	r.states = append(r.states[:0], initial[:g.N()]...)
@@ -459,12 +469,10 @@ func RunWith[T any](sc *Scratch[T], p core.Problem[T], e env.Environment, initia
 		r.initVals = append(r.initVals, initial...)
 	}
 	r.growE, r.growA = r.growE[:0], r.growA[:0]
-	if r.seeder == nil {
-		r.seeder = engine.NewSeeder(opts.Seed)
-	} else {
-		r.seeder.Reset(opts.Seed)
-	}
-	r.pool = sc.rc.Pool()
+	// Seed rebuilds the source state deterministically, so the master
+	// stream is identical to a fresh rand.NewSource(opts.Seed) stream
+	// without re-allocating the source's ~5 KiB lagged-Fibonacci table.
+	r.master.Seed(opts.Seed)
 	r.pool.SetThreshold(threshold)
 	// Rebind the observability probe every run: a nil opts.Probe must also
 	// CLEAR any probe a previous run on this warm scratch attached.
@@ -478,9 +486,9 @@ func RunWith[T any](sc *Scratch[T], p core.Problem[T], e env.Environment, initia
 	r.shards = sc.shards
 	r.shards.SetProbe(opts.Probe)
 	if r.mon == nil {
-		r.mon = engine.NewMonitor(p, r.shards.View(), opts.HEps)
+		r.mon = engine.NewMonitor(p, r.shards.View())
 	} else {
-		r.mon.Reset(p, r.shards.View(), opts.HEps)
+		r.mon.Reset(p, r.shards.View())
 	}
 	r.res = &Result[T]{}
 	if r.stepFn == nil {
@@ -488,13 +496,12 @@ func RunWith[T any](sc *Scratch[T], p core.Problem[T], e env.Environment, initia
 		// per-run fields are rebound above, so they serve every run.
 		r.stepFn = func(worker, i int) {
 			j := &r.jobs[i]
-			rng := r.rc.WorkerRand(worker, engine.SubSeed(r.roundSeed, j.members[0]))
-			j.after = r.p.GroupStep(j.before, rng)
-		}
-		r.pairStepFn = func(worker, i int) {
-			j := &r.pairJobs[i]
-			rng := r.rc.WorkerRand(worker, engine.SubSeed(r.roundSeed, min(j.a, j.b)))
-			j.newA, j.newB = r.p.PairStep(j.oldA, j.oldB, rng)
+			rng := r.workerRand(worker, engine.SubSeed(r.roundSeed, j.members[0]))
+			if r.opts.Mode == PairwiseMode {
+				j.after[0], j.after[1] = r.p.PairStep(j.before[0], j.before[1], rng)
+			} else {
+				j.after = r.p.GroupStep(j.before, rng)
+			}
 		}
 		r.keepFn = func(a, b int) bool { return r.cmp(r.states[a], r.states[b]) != 0 }
 	}
@@ -562,7 +569,7 @@ func RunWith[T any](sc *Scratch[T], p core.Problem[T], e env.Environment, initia
 	r.touchedE, r.touchedA = r.touchedE[:0], r.touchedA[:0]
 	r.prevOverlayE, r.prevOverlayA = r.prevOverlayE[:0], r.prevOverlayA[:0]
 
-	rng := r.seeder.Master()
+	rng := r.master
 	round := 0
 	for ; round < maxRounds; round++ {
 		// A converged run with joins still pending keeps going: the join
@@ -882,27 +889,7 @@ func (r *runner[T]) stepComponents(es env.State, exact bool) int {
 		})
 	}
 	r.beforeArena = arena[:0]
-
-	r.pool.Do(len(r.jobs), r.stepFn)
-
-	for i := range r.jobs {
-		j := &r.jobs[i]
-		if r.opts.CheckSteps {
-			beforeM := ms.New(r.cmp, j.before...)
-			afterM := ms.New(r.cmp, j.after...)
-			if v := r.mon.VerifyStep(beforeM, afterM); !v.OK {
-				r.mon.AddViolation("group %v: %v", j.members, v)
-			}
-		}
-		if r.classifyStep(j.before, j.after) {
-			r.res.GroupSteps++
-			r.res.Messages += 2 * (len(j.members) - 1)
-		}
-		r.applyDelta(j.members, j.before, j.after)
-		for idx, a := range j.members {
-			r.states[a] = j.after[idx]
-		}
-	}
+	r.stepGroups()
 	r.obs.End(obs.PhaseGroupStep)
 	return active
 }
@@ -950,38 +937,71 @@ func (r *runner[T]) stepPairs(es env.State, rng *rand.Rand, exact bool) int {
 	}
 
 	r.obs.Begin(obs.PhaseGroupStep)
-	r.pairJobs = r.pairJobs[:0]
-	for _, id := range ids {
-		e := r.matcher.Edge(id)
-		r.pairJobs = append(r.pairJobs, pairJob[T]{
-			a: e.A, b: e.B,
-			oldA: r.states[e.A], oldB: r.states[e.B],
+	n := 2 * len(ids)
+	members := slices.Grow(r.memberArena[:0], n)[:n]
+	before := slices.Grow(r.beforeArena[:0], n)[:n]
+	after := slices.Grow(r.afterArena[:0], n)[:n]
+	r.memberArena, r.beforeArena, r.afterArena = members, before, after
+	r.jobs = r.jobs[:0]
+	for k, id := range ids {
+		e := r.matcher.Edge(id) // canonical: e.A < e.B, so members[0] is the smaller
+		i := 2 * k
+		members[i], members[i+1] = e.A, e.B
+		before[i], before[i+1] = r.states[e.A], r.states[e.B]
+		r.jobs = append(r.jobs, groupJob[T]{
+			members: members[i : i+2 : i+2],
+			before:  before[i : i+2 : i+2],
+			after:   after[i : i+2 : i+2],
 		})
 	}
-
-	r.pool.Do(len(r.pairJobs), r.pairStepFn)
-
-	for i := range r.pairJobs {
-		j := &r.pairJobs[i]
-		if r.opts.CheckSteps {
-			beforeM := ms.New(r.cmp, j.oldA, j.oldB)
-			afterM := ms.New(r.cmp, j.newA, j.newB)
-			if v := r.mon.VerifyStep(beforeM, afterM); !v.OK {
-				r.mon.AddViolation("pair (%d,%d): %v", j.a, j.b, v)
-			}
-		}
-		r.pairOld[0], r.pairOld[1] = j.oldA, j.oldB
-		r.pairNew[0], r.pairNew[1] = j.newA, j.newB
-		r.pairMembers[0], r.pairMembers[1] = j.a, j.b
-		if r.classifyStep(r.pairOld[:], r.pairNew[:]) {
-			r.res.GroupSteps++
-			r.res.Messages += 2
-		}
-		r.applyDelta(r.pairMembers[:], r.pairOld[:], r.pairNew[:])
-		r.states[j.a], r.states[j.b] = j.newA, j.newB
-	}
+	r.stepGroups()
 	r.obs.End(obs.PhaseGroupStep)
 	return matched
+}
+
+// stepGroups runs the round's group jobs — components or matched pairs —
+// and folds their results into the run, in job order: each job steps on
+// the pool, then is verified as a D-step when Options.CheckSteps is set,
+// classified proper or stutter (a proper step costs 2(|B|−1) messages,
+// 2 for a pair), staged with the shards and the monitor, and written
+// back to the positional states.
+func (r *runner[T]) stepGroups() {
+	r.pool.Do(len(r.jobs), r.stepFn)
+	for i := range r.jobs {
+		j := &r.jobs[i]
+		if r.opts.CheckSteps {
+			beforeM := ms.New(r.cmp, j.before...)
+			afterM := ms.New(r.cmp, j.after...)
+			if v := r.mon.VerifyStep(beforeM, afterM); !v.OK {
+				if r.opts.Mode == PairwiseMode {
+					r.mon.AddViolation("pair (%d,%d): %v", j.members[0], j.members[1], v)
+				} else {
+					r.mon.AddViolation("group %v: %v", j.members, v)
+				}
+			}
+		}
+		if r.classifyStep(j.before, j.after) {
+			r.res.GroupSteps++
+			r.res.Messages += 2 * (len(j.members) - 1)
+		}
+		r.applyDelta(j.members, j.before, j.after)
+		for idx, a := range j.members {
+			r.states[a] = j.after[idx]
+		}
+	}
+}
+
+// workerRand returns worker w's reusable step stream, restarted in place
+// at seed. Reseeding is O(1) (see engine.FastRand); distinct worker
+// indices never share an entry, so the only coordination needed is the
+// pool's own batch barrier.
+func (r *runner[T]) workerRand(w int, seed int64) *rand.Rand {
+	if r.rands[w] == nil {
+		r.rands[w] = engine.NewFastRand(seed)
+	} else {
+		r.rands[w].Reseed(seed)
+	}
+	return r.rands[w].Rand
 }
 
 // Converges is a convenience wrapper for tests and experiments: it runs

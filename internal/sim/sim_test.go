@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -250,7 +251,6 @@ func TestAverageConverges(t *testing.T) {
 	vals := []float64{1, 2, 3, 4, 5, 9}
 	p := problems.NewAverage(1e-9)
 	opts := testOpts()
-	opts.HEps = 1e-9
 	res, err := Converges[float64](p, e, vals, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -293,7 +293,6 @@ func TestHullConverges(t *testing.T) {
 	g := graph.Ring(len(pts))
 	e := env.NewEdgeChurn(g, 0.4)
 	opts := testOpts()
-	opts.HEps = 1e-9
 	res, err := Converges[problems.HullState](p, e, problems.InitialHulls(pts), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -870,6 +869,47 @@ func TestShardedSwapStutterStaysConsistent(t *testing.T) {
 			if v != 0 {
 				t.Fatalf("shards=%d: final %v", shards, res.Final)
 			}
+		}
+	}
+}
+
+// sinkingMin is min whose every step loses a unit: the group adopts its
+// minimum minus one, so each step breaks conservation. Its
+// core.StutterOnEqual declaration is Min's.
+type sinkingMin struct{ *problems.Min }
+
+func (sinkingMin) GroupStep(states []int, _ *rand.Rand) []int {
+	out := make([]int, len(states))
+	for i := range out {
+		out[i] = slices.Min(states) - 1
+	}
+	return out
+}
+
+func (sinkingMin) PairStep(a, b int, _ *rand.Rand) (int, int) {
+	m := min(a, b) - 1
+	return m, m
+}
+
+// TestStepViolationTexts pins the first violation a faulty step produces
+// under CheckSteps in each mode: a component names its members as a
+// group, a matched pair names its endpoints as a pair.
+func TestStepViolationTexts(t *testing.T) {
+	vals := []int{3, 1, 4, 1, 5, 9}
+	for _, tc := range []struct {
+		mode Mode
+		want string
+	}{
+		{ComponentMode, "group [0 1 2 3 4 5]: NOT a D-step (conservesF=false decreasesH=true Δh=-23)"},
+		{PairwiseMode, "pair (2,3): NOT a D-step (conservesF=false decreasesH=true Δh=-5)"},
+	} {
+		res, err := Run[int](sinkingMin{problems.NewMin()}, env.NewStatic(graph.Ring(len(vals))), vals,
+			Options{Seed: 1, Mode: tc.mode, CheckSteps: true, MaxRounds: 1})
+		if err != nil {
+			t.Fatalf("%v: %v", tc.mode, err)
+		}
+		if len(res.Violations) == 0 || res.Violations[0] != tc.want {
+			t.Errorf("%v: first violation = %q, want %q", tc.mode, res.Violations, tc.want)
 		}
 	}
 }

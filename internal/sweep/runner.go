@@ -39,13 +39,13 @@ type CellResult struct {
 	Duration time.Duration
 }
 
-// Worker owns one warm engine — an engine.RunContext plus a sim.Scratch
-// — and executes cells sequentially on it. The first cell pays engine
-// set-up (pool, trackers, matcher, arenas); every following cell reuses
-// it all through sim.RunWith. A Worker belongs to one goroutine at a
-// time. Experiments that need per-cell instrumentation (E15 brackets
-// each cell with MemStats reads) drive a Worker directly; grids go
-// through Runner, which keeps one Worker per pool slot.
+// Worker owns one warm engine — a sim.Scratch — and executes cells
+// sequentially on it. The first cell pays engine set-up (pool, streams,
+// trackers, matcher, arenas); every following cell reuses it all through
+// sim.RunWith. A Worker belongs to one goroutine at a time. Experiments
+// that need per-cell instrumentation (E15 brackets each cell with
+// MemStats reads) drive a Worker directly; grids go through Runner,
+// which keeps one Worker per pool slot.
 type Worker struct {
 	// KeepFinal makes Do retain each cell's final states in its
 	// CellResult.
@@ -59,7 +59,6 @@ type Worker struct {
 	// Observe-never-perturb — cell results are byte-identical either way.
 	Probe *obs.Probe
 
-	rc *engine.RunContext
 	sc *sim.Scratch[int]
 	// initRng is reseeded per cell for the initial-state draw —
 	// identical to rand.New(rand.NewSource(InitSeed)) without
@@ -69,9 +68,8 @@ type Worker struct {
 
 // NewWorker builds a warm worker with an empty engine.
 func NewWorker() *Worker {
-	rc := engine.NewRunContext(0)
 	//lint:ignore detrand warm-reuse twin of the cell contract: initial-state draws must be byte-identical to an independent rand.New(rand.NewSource(InitSeed)), so the worker keeps one stdlib Rand and reseeds it per cell
-	return &Worker{rc: rc, sc: sim.NewScratch[int](rc), initRng: rand.New(rand.NewSource(0))}
+	return &Worker{sc: sim.NewScratch[int](), initRng: rand.New(rand.NewSource(0))}
 }
 
 // Do executes one cell on the worker's warm engine and reports its
@@ -119,7 +117,7 @@ func (w *Worker) Do(c Cell) (CellResult, error) {
 		Violations: len(res.Violations),
 		//lint:ignore timenow feeds only the machine-dependent-by-contract Duration field
 		Duration: time.Since(start),
-		Dyn:        res.Dynamics,
+		Dyn:      res.Dynamics,
 	}
 	w.Probe.Cell(c.Index, int64(cr.Duration))
 	if w.KeepFinal {
@@ -129,7 +127,7 @@ func (w *Worker) Do(c Cell) (CellResult, error) {
 }
 
 // Close releases the worker's engine (pool goroutines).
-func (w *Worker) Close() { w.rc.Close() }
+func (w *Worker) Close() { w.sc.Close() }
 
 // Options configures a grid run.
 type Options struct {

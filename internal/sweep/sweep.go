@@ -9,10 +9,10 @@
 // shape — so a scenario matrix is just the engine applied pointwise over
 // a product of axes. The runner exploits that uniformity for throughput:
 //
-//   - Warm engines. Each sweep worker owns one engine.RunContext (a
-//     persistent worker pool and per-worker O(1)-reseed streams) and one
-//     sim.Scratch (state trackers, shard sets, pairwise matchers, group
-//     arenas, monitor buffers), handed from cell to cell via sim.RunWith.
+//   - Warm engines. Each sweep worker owns one sim.Scratch (a persistent
+//     worker pool, per-worker O(1)-reseed streams, the master stream,
+//     state trackers, shard sets, pairwise matchers, group arenas,
+//     monitor buffers), handed from cell to cell via sim.RunWith.
 //     Steady-state cells therefore re-pay none of the engine set-up that
 //     a cold sim.Run performs — BenchmarkSweepGrid and the CI allocation
 //     budget pin this.

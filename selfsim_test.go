@@ -86,7 +86,7 @@ func TestPublicSorting(t *testing.T) {
 func TestPublicHullAndCircle(t *testing.T) {
 	pts := []Point{{X: 0, Y: 0}, {X: 2, Y: 0}, {X: 2, Y: 2}, {X: 0, Y: 2}}
 	res, err := Simulate[HullState](NewHull(pts), Static(Ring(4)), InitialHulls(pts),
-		Options{Seed: 1, StopOnConverged: true, HEps: 1e-9})
+		Options{Seed: 1, StopOnConverged: true})
 	if err != nil || !res.Converged {
 		t.Fatal("hull did not converge")
 	}
