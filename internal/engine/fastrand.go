@@ -28,6 +28,32 @@ func (s *splitmixSource) Uint64() uint64 {
 
 func (s *splitmixSource) Int63() int64 { return int64(s.Uint64() >> 1) }
 
+// shuffle permutes ws in place with exactly the draws and swaps of
+// rand.New(s).Shuffle(len(ws), swap) for len(ws) < 2³¹: a Fisher–Yates
+// walk from the top whose bounded draw is the stdlib's int31n — Lemire's
+// multiply-shift ("Fast Random Integer Generation in an Interval", ACM
+// TOMACS 2019) over Uint32, which for this source is the high half of
+// Uint64, rejecting a low product half below -n % n. Inlining it spares
+// the matcher an interface call per draw and a closure call per swap.
+//
+//det:hotpath
+func (s *splitmixSource) shuffle(ws []uint64) {
+	x := *s
+	for i := len(ws) - 1; i > 0; i-- {
+		n := uint32(i + 1)
+		prod := (x.Uint64() >> 32) * uint64(n)
+		if uint32(prod) < n {
+			thresh := -n % n
+			for uint32(prod) < thresh {
+				prod = (x.Uint64() >> 32) * uint64(n)
+			}
+		}
+		j := prod >> 32
+		ws[i], ws[j] = ws[j], ws[i]
+	}
+	*s = x
+}
+
 // FastRand is a *rand.Rand over a SplitMix64 source plus the O(1) Reseed
 // the engine hot paths need. The zero value is not usable; build with
 // NewFastRand. The source is held by pointer so a FastRand copied by

@@ -1,7 +1,7 @@
 package engine
 
 import (
-	"math/rand"
+	"math/bits"
 
 	"repro/internal/bitset"
 	"repro/internal/graph"
@@ -51,6 +51,26 @@ import (
 // also how a matcher revived from a warm cache self-heals, since its
 // first Update of a run is always a full rescan.
 //
+// Each bucket draws its share of the matching with a cache-resident
+// kernel (matchBucket). One ascending pass over the bucket's usable bits
+// packs every usable edge into one uint64 word, A<<32 | B, with bit 63
+// set when the caller's keep set keeps the edge; the edge list and the
+// keep bits are read in ascending id order, never gathered in shuffled
+// order. The words are then shuffled in place by an inline Fisher–Yates
+// that consumes exactly the draws of rand.Shuffle on the bucket's
+// SplitMix64 substream (Lemire's multiply-shift bounded draw, see
+// splitmixSource.shuffle), so the permutation — and hence the matching —
+// is the one a shuffle of the bucket's edge ids would draw. Finally a
+// branch-free greedy claim walks the words against a per-agent uint8
+// matched array, compacting the claimed words in place. Packing needs
+// both endpoints below 2³¹, so NewPairMatcher and Grow panic on N ≥ 2³¹.
+//
+// The keep set is a bit per edge id (the zero Set keeps every edge). It
+// filters only what Match returns: a dropped edge still claims its
+// endpoints, so the matching, the matched count and Matched are the same
+// for every keep. The sim engine passes its endpoints-differ index here,
+// so only the pairs that can change leave the matcher.
+//
 // All buffers are matcher-owned and reused: after warm-up an
 // Update+Match round allocates nothing.
 type PairMatcher struct {
@@ -58,7 +78,7 @@ type PairMatcher struct {
 	part  *graph.EdgePartition
 	edges []graph.Edge // shared read-only view
 
-	matched []bool // per agent: claimed by the current round's matching
+	matched []uint8 // per agent: 1 when claimed by the current round's matching
 
 	// Usable-edge delta index. Buckets 0..Blocks-1 are the interior
 	// lists; bucket Blocks+k is boundary pair k. bucketOf/bucketPos map
@@ -71,26 +91,23 @@ type PairMatcher struct {
 	bucketIDs  [][]int // static ascending edge ids per bucket (shared with part)
 
 	// Per-bucket scratch (parallel writers touch only their own index):
-	// the materialized+shuffled usable ids, the bucket's kept matched ids,
-	// and its count of claimed pairs (kept or not).
-	work   [][]int
-	found  [][]int
+	// the bucket's packed endpoint words — after matchBucket, its kept
+	// claimed words occupy work[b][:kept[b]] — and its count of claimed
+	// pairs (kept or not).
+	work   [][]uint64
+	kept   []int
 	claims []int
-	// rands[i] is bucket i's reusable substream. FastRand so the
-	// per-round reseed is O(1) — with stdlib sources the O(607) rebuild
-	// per Seed would grow linearly in the bucket count (see fastrand.go).
-	rands []*FastRand
 
 	// gen is the graph growth generation the index was last sized for;
 	// Grow no-ops when it is current (see Grow).
 	gen int
 
-	out []int // final matched edge ids in deterministic order
+	out []graph.Edge // final kept pairs in deterministic order
 
 	// Current-round inputs, stashed so the fan-out closures (built once)
 	// capture no per-round state and the pool fan-out allocates nothing.
 	curSeed  int64
-	curKeep  func(a, b int) bool
+	curKeep  bitset.Set
 	curLevel []int
 	blockFn  func(worker, b int)
 	pairFn   func(worker, i int)
@@ -102,9 +119,22 @@ type PairMatcher struct {
 // in the same style as AgentSeed.
 func matchStreamSeed(seed int64, b int) int64 { return seed + int64(b+1)*104729 }
 
+// endpointMask extracts an endpoint from a packed word A<<32 | B, whose
+// bit 63 marks a kept edge.
+const endpointMask = 1<<31 - 1
+
+// checkPackable panics when the graph's agents no longer fit the packed
+// endpoint words.
+func checkPackable(g *graph.Graph) {
+	if g.N() > endpointMask {
+		panic("engine.PairMatcher: N ≥ 2³¹ agents do not fit the packed endpoint words")
+	}
+}
+
 // NewPairMatcher builds a matcher for g with the given number of
 // contiguous agent blocks (clamped to [1, N]).
 func NewPairMatcher(g *graph.Graph, blocks int) *PairMatcher {
+	checkPackable(g)
 	part := g.PartitionEdges(blocks)
 	nb := part.Blocks + len(part.Pairs)
 	m := &PairMatcher{
@@ -112,15 +142,14 @@ func NewPairMatcher(g *graph.Graph, blocks int) *PairMatcher {
 		part:       part,
 		gen:        g.Gen(),
 		edges:      g.EdgesView(),
-		matched:    make([]bool, g.N()),
+		matched:    make([]uint8, g.N()),
 		bucketOf:   make([]int32, g.M()),
 		bucketPos:  make([]int32, g.M()),
 		bucketBits: make([]bitset.Set, nb),
 		bucketIDs:  make([][]int, nb),
-		work:       make([][]int, nb),
-		found:      make([][]int, nb),
+		work:       make([][]uint64, nb),
+		kept:       make([]int, nb),
 		claims:     make([]int, nb),
-		rands:      make([]*FastRand, nb),
 	}
 	for b := 0; b < part.Blocks; b++ {
 		m.bucketIDs[b] = part.Interior[b]
@@ -143,24 +172,9 @@ func NewPairMatcher(g *graph.Graph, blocks int) *PairMatcher {
 // Blocks returns the block count of the matcher's partition.
 func (m *PairMatcher) Blocks() int { return m.part.Blocks }
 
-// Edge returns the endpoints of the given edge id.
-func (m *PairMatcher) Edge(id int) graph.Edge { return m.edges[id] }
-
 // Matched reports whether the given agent was claimed by the matching of
 // the most recent Match call.
-func (m *PairMatcher) Matched(agent int) bool { return m.matched[agent] }
-
-// stream returns substream i restarted in place for the current round,
-// without allocations after first use. Distinct buckets never share an
-// entry.
-func (m *PairMatcher) stream(i int, seed int64) *rand.Rand {
-	if m.rands[i] == nil {
-		m.rands[i] = NewFastRand(matchStreamSeed(seed, i))
-	} else {
-		m.rands[i].Reseed(matchStreamSeed(seed, i))
-	}
-	return m.rands[i].Rand
-}
+func (m *PairMatcher) Matched(agent int) bool { return m.matched[agent] != 0 }
 
 // usableEdge reports whether edge id can carry a pair step under the
 // given masks (zero masks mean all-up, as in graph.Components). Edges
@@ -200,11 +214,12 @@ func (m *PairMatcher) Grow() {
 	if m.gen == m.g.Gen() {
 		return
 	}
+	checkPackable(m.g)
 	m.gen = m.g.Gen()
 	part := m.part
 	m.edges = m.g.EdgesView()
 	for len(m.matched) < m.g.N() {
-		m.matched = append(m.matched, false)
+		m.matched = append(m.matched, 0)
 	}
 	for len(m.bucketOf) < m.g.M() {
 		m.bucketOf = append(m.bucketOf, 0)
@@ -215,9 +230,8 @@ func (m *PairMatcher) Grow() {
 		m.bucketBits = append(m.bucketBits, bitset.Set{})
 		m.bucketIDs = append(m.bucketIDs, nil)
 		m.work = append(m.work, nil)
-		m.found = append(m.found, nil)
+		m.kept = append(m.kept, 0)
 		m.claims = append(m.claims, 0)
-		m.rands = append(m.rands, nil)
 	}
 	// Refresh every bucket's id-list alias (partition appends may have
 	// reallocated the backing slices) and index the appended tail of each.
@@ -293,62 +307,88 @@ func (m *PairMatcher) rebuild(edgeUp, agentUp bitset.Set) {
 	}
 }
 
-// matchBucket materializes bucket b's usable edge ids (ascending, by
-// word-skip scan of the index), shuffles them on the bucket substream,
-// and claims greedily against the global matched set. A claimed pair is
-// recorded in found[b] only when keep (nil keeps every pair) accepts it;
-// the claim itself never depends on keep, so the matching does not
-// either. Interior buckets of distinct blocks touch disjoint agents;
-// boundary-pair buckets are only run concurrently within one schedule
-// level, whose pairs are block-disjoint by construction — so concurrent
-// matchBucket calls never race. The claim count is kept in a local and
-// stored once: incrementing the shared per-bucket slice inside the loop
-// would make concurrent buckets false-share its cache lines.
+// matchBucket draws bucket b's share of the matching in three passes.
+// The first walks the usable bits in ascending order and packs each
+// usable edge into a word (endpoints, plus bit 63 when keep — the zero
+// Set keeps all — keeps the edge id). The second shuffles the words on
+// the bucket substream with exactly rand.Shuffle's draws. The third
+// claims greedily against the global matched set without a branch: an
+// edge whose endpoints are both free marks them and its word is written
+// back at the compaction cursor, which advances only for a claim; a last
+// loop over the claimed words keeps those carrying bit 63. Keep never
+// touches the claim, so the matching does not depend on it. Interior
+// buckets of distinct blocks touch disjoint agents; boundary-pair buckets
+// are only run concurrently within one schedule level, whose pairs are
+// block-disjoint by construction — so concurrent matchBucket calls never
+// race. The counts are kept in locals and stored once: updating the
+// shared per-bucket slices inside the loops would make concurrent buckets
+// false-share their cache lines.
 //
 //det:hotpath
-func (m *PairMatcher) matchBucket(b int, seed int64, keep func(a, b int) bool) {
-	ids := m.bucketBits[b].AppendSelected(m.work[b][:0], m.bucketIDs[b])
-	rng := m.stream(b, seed)
-	//lint:ignore hotalloc the swap closure captures only ids and never escapes Shuffle, so it stays on the stack; the alloc budget benchmarks pin this path at 0 allocs/round
-	rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
-	found := m.found[b][:0]
-	claims := 0
-	for _, id := range ids {
-		e := m.edges[id]
-		if m.matched[e.A] || m.matched[e.B] {
-			continue
-		}
-		m.matched[e.A], m.matched[e.B] = true, true
-		claims++
-		if keep == nil || keep(e.A, e.B) {
-			found = append(found, id)
+func (m *PairMatcher) matchBucket(b int, seed int64, keep bitset.Set) {
+	ids, edges := m.bucketIDs[b], m.edges
+	keepAll := uint64(0)
+	if keep.IsZero() {
+		keepAll = 1
+	}
+	kw := keep.Words()
+	ws := m.work[b][:0]
+	for wi, word := range m.bucketBits[b].Words() {
+		base := wi << 6
+		for word != 0 {
+			id := ids[base+bits.TrailingZeros64(word)]
+			word &= word - 1
+			kb := keepAll
+			if kb == 0 {
+				kb = kw[id>>6] >> (uint(id) & 63) & 1
+			}
+			e := edges[id]
+			ws = append(ws, kb<<63|uint64(e.A)<<32|uint64(e.B))
 		}
 	}
-	m.work[b] = ids
-	m.found[b] = found
+
+	src := splitmixSource{state: uint64(matchStreamSeed(seed, b))}
+	src.shuffle(ws)
+
+	matched := m.matched
+	claims := 0
+	for _, w := range ws {
+		a, c := w>>32&endpointMask, uint32(w)
+		free := 1 ^ (matched[a] | matched[c])
+		matched[a] |= free
+		matched[c] |= free
+		ws[claims] = w
+		claims += int(free)
+	}
+	kept := 0
+	for _, w := range ws[:claims] {
+		ws[kept] = w
+		kept += int(w >> 63)
+	}
+	m.work[b] = ws
+	m.kept[b] = kept
 	m.claims[b] = claims
 }
 
 // Match computes the round's maximal matching over the edges currently
 // marked usable by the index (call Update first each round). It returns
-// the matched edge ids whose endpoints keep accepts (nil keeps every
-// pair), in a deterministic order (block 0's pairs, block 1's, …, then
-// boundary pair 0's, pair 1's, …), and the number of pairs matched, kept
-// or not. keep filters only what is returned: every usable edge claims
-// exactly as without it, so the matching, matched and Matched are the
-// same for every keep. keep is called concurrently from the pool's
-// workers and must only read. The returned slice aliases matcher-owned
+// the endpoints of the matched edges whose ids keep holds (the zero Set
+// keeps every pair; otherwise keep must span every edge id), in a
+// deterministic order (block 0's pairs, block 1's, …, then boundary pair
+// 0's, pair 1's, …), and the number of pairs matched, kept or not. keep
+// filters only what is returned: every usable edge claims exactly as
+// without it, so the matching, matched and Matched are the same for every
+// keep. keep is read concurrently from the pool's workers and must not
+// change during the call. The returned slice aliases matcher-owned
 // scratch and is valid until the next Match call. seed should be one
 // draw from the engine's master stream; pool parallelizes the per-block
 // pass and each boundary level (results are identical for every pool
 // size).
-func (m *PairMatcher) Match(seed int64, pool *Pool, keep func(a, b int) bool) (ids []int, matched int) {
+func (m *PairMatcher) Match(seed int64, pool *Pool, keep bitset.Set) (pairs []graph.Edge, matched int) {
 	if !m.primed {
 		panic("engine.PairMatcher: Match before Update")
 	}
-	for i := range m.matched {
-		m.matched[i] = false
-	}
+	clear(m.matched)
 	blocks := m.part.Blocks
 	m.curSeed, m.curKeep = seed, keep
 	if blocks == 1 {
@@ -372,7 +412,9 @@ func (m *PairMatcher) Match(seed int64, pool *Pool, keep func(a, b int) bool) (i
 	out := m.out[:0]
 	nb := blocks + len(m.part.Pairs)
 	for b := 0; b < nb; b++ {
-		out = append(out, m.found[b]...)
+		for _, w := range m.work[b][:m.kept[b]] {
+			out = append(out, graph.Edge{A: int(w >> 32 & endpointMask), B: int(uint32(w))})
+		}
 		matched += m.claims[b]
 	}
 	m.out = out

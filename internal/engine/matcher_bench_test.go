@@ -63,3 +63,29 @@ func BenchmarkMatcherUpdateDelta1e5(b *testing.B) {
 		m.Update(edgeUp, agentUp, touched, nil, true)
 	}
 }
+
+// BenchmarkMatcherMatch1e5 measures one near-converged pairwise matching
+// draw at N = 10⁵: Ring(10⁵) with the block count the sim engine derives
+// by default (one block per 4096 agents, so 25), a pool of 2, and a keep
+// set holding one edge in 1024 — the shape of the endpoints-differ index
+// late in a min run. Every usable edge is still packed, shuffled and
+// claimed; only the kept pairs are returned. The kernel's buffers are
+// matcher-owned, so a warm Match allocates nothing (budget 0 in
+// scripts/check_alloc_budget.sh).
+func BenchmarkMatcherMatch1e5(b *testing.B) {
+	g := graph.Ring(100_000)
+	m := NewPairMatcher(g, (g.N()+1<<12-1)>>12)
+	m.Update(bitset.Set{}, bitset.Set{}, nil, nil, false)
+	keep := bitset.New(g.M())
+	for id := 0; id < g.M(); id += 1024 {
+		keep.Set(id)
+	}
+	pool := NewPool(2, 1)
+	defer pool.Close()
+	m.Match(0, pool, keep) // warm-up growth
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Match(int64(i), pool, keep)
+	}
+}

@@ -108,8 +108,8 @@ func TestUsableIndexIncrementalMatchesRebuild(t *testing.T) {
 						}
 					}
 					seed := master.Int63()
-					got, _ := inc.Match(seed, pool, nil)
-					want, _ := ref.Match(seed, pool, nil)
+					got, _ := inc.Match(seed, pool, bitset.Set{})
+					want, _ := ref.Match(seed, pool, bitset.Set{})
 					if !slices.Equal(got, want) {
 						t.Fatalf("%s overlay=%v blocks=%d round %d: incremental matching %v != rebuild %v",
 							sc.name, overlay, blocks, round, got, want)

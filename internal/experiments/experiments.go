@@ -1385,15 +1385,18 @@ func E18RoundCost(cfg Config) Section {
 		"(internal/obs) attached to each measured run: `match` (the matching\n" +
 		"draw over usable edges) is the algorithm's own per-round work and\n" +
 		"carries the round. Min being a core.StutterOnEqual problem, the\n" +
-		"equal-state compare runs inside the matcher's claim loop and times\n" +
-		"under `match`, so `step` costs O(pairs that can change), not O(N).\n" +
+		"matcher returns only the pairs whose endpoints-differ bit is set, so\n" +
+		"`step` costs O(pairs that can change), not O(N); the index's repair\n" +
+		"times under `update`.\n" +
 		"`monitor` is the shard flush plus, min being a consensus problem, an\n" +
 		"O(P) check of the shards' size, minimum and maximum against S* with a\n" +
 		"running h:\n" +
 		"no merged snapshot and no image of f. The O(changes) phases (`env`,\n" +
-		"`update`) stay orders of magnitude below the round, which is the\n" +
-		"delta index's contribution in one row. Attaching the probe changes no\n" +
-		"result bytes. Aggregate timing across the measured cells:\n\n")
+		"`update`) scale with what changed, not with N: these cells start\n" +
+		"from random values, so many agents change every round and `update`,\n" +
+		"mostly the endpoints-differ repair, is a visible share of the round;\n" +
+		"on a near-converged round it is far below it. Attaching the probe\n" +
+		"changes no result bytes. Aggregate timing across the measured cells:\n\n")
 	b.WriteString(probe.Report().PhaseTable().String())
 	return Section{
 		ID:    "E18",

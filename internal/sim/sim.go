@@ -62,6 +62,7 @@ import (
 	goruntime "runtime"
 	"slices"
 
+	"repro/internal/bitset"
 	"repro/internal/core"
 	"repro/internal/dynamics"
 	"repro/internal/engine"
@@ -321,11 +322,17 @@ type runner[T any] struct {
 	prevOverlayE, prevOverlayA []int
 
 	// Pairwise-mode scratch: the partitioned matcher (resolved per run
-	// from the Scratch's cache) and keepFn, the matcher filter of a
-	// core.StutterOnEqual problem: it keeps only the pairs whose endpoints
-	// differ, the ones that can change.
-	matcher *engine.PairMatcher
-	keepFn  func(a, b int) bool
+	// from the Scratch's cache) and, for a core.StutterOnEqual problem
+	// (differOn), the endpoints-differ index the matcher filters with:
+	// bit id of differ is set iff edge id's endpoints hold cmp-different
+	// states, the pairs that can change. It is built in one O(E) pass
+	// before the run's first match (differBuilt) and then repaired before
+	// each match from differDirty, the agents staged since — O(changes).
+	matcher     *engine.PairMatcher
+	differOn    bool
+	differBuilt bool
+	differ      bitset.Set
+	differDirty []int
 
 	// Proper-step detection scratch (sorted copies of a group's before and
 	// after states, compared as zero-copy multiset views).
@@ -492,8 +499,8 @@ func RunWith[T any](sc *Scratch[T], p core.Problem[T], e env.Environment, initia
 	}
 	r.res = &Result[T]{}
 	if r.stepFn == nil {
-		// Built once per Scratch: the closures capture the runner, whose
-		// per-run fields are rebound above, so they serve every run.
+		// Built once per Scratch: the closure captures the runner, whose
+		// per-run fields are rebound above, so it serves every run.
 		r.stepFn = func(worker, i int) {
 			j := &r.jobs[i]
 			rng := r.workerRand(worker, engine.SubSeed(r.roundSeed, j.members[0]))
@@ -503,7 +510,6 @@ func RunWith[T any](sc *Scratch[T], p core.Problem[T], e env.Environment, initia
 				j.after = r.p.GroupStep(j.before, rng)
 			}
 		}
-		r.keepFn = func(a, b int) bool { return r.cmp(r.states[a], r.states[b]) != 0 }
 	}
 	r.dyn = nil
 	if opts.Dynamics != nil {
@@ -522,6 +528,9 @@ func RunWith[T any](sc *Scratch[T], p core.Problem[T], e env.Environment, initia
 	}
 
 	r.matcher = nil
+	r.differOn = r.stutterOnEqual && opts.Mode == PairwiseMode
+	r.differBuilt = false
+	r.differDirty = r.differDirty[:0]
 	if opts.Mode == PairwiseMode {
 		key := matcherKey{g, resolveMatchBlocks(opts.MatchBlocks, g.N())}
 		if sc.matchers == nil {
@@ -760,12 +769,45 @@ func (r *runner[T]) applyDelta(members []int, olds, news []T) {
 	}
 }
 
-// stage records one agent's state change old → new with both consumers
-// of a round's deltas: the owning shard, repaired at the next Flush, and
-// the monitor's running h.
+// stage records one agent's state change old → new with every consumer
+// of a round's deltas: the owning shard, repaired at the next Flush, the
+// monitor's running h and, when it is on, the endpoints-differ index,
+// repaired before the next match.
 func (r *runner[T]) stage(a int, oldV, newV T) {
 	r.shards.Stage(a, oldV, newV)
 	r.mon.Stage(oldV, newV)
+	if r.differOn {
+		r.differDirty = append(r.differDirty, a)
+	}
+}
+
+// syncDiffer brings the endpoints-differ index in line with the states.
+// The run's first call builds it in one ascending pass over the edges;
+// later calls recompute only the edges incident to the agents staged
+// since the previous call.
+func (r *runner[T]) syncDiffer() {
+	edges := r.g.EdgesView()
+	if !r.differBuilt {
+		if r.differ.Len() != len(edges) {
+			r.differ = bitset.New(len(edges))
+		} else {
+			r.differ.ClearAll()
+		}
+		for id, e := range edges {
+			if r.cmp(r.states[e.A], r.states[e.B]) != 0 {
+				r.differ.Set(id)
+			}
+		}
+		r.differBuilt = true
+	} else {
+		for _, a := range r.differDirty {
+			for _, id := range r.g.IncidentEdgeIDs(a) {
+				e := edges[id]
+				r.differ.SetTo(id, r.cmp(r.states[e.A], r.states[e.B]) != 0)
+			}
+		}
+	}
+	r.differDirty = r.differDirty[:0]
 }
 
 // applyGrowth threads one round's population growth through every layer
@@ -788,6 +830,14 @@ func (r *runner[T]) applyGrowth(gr graph.Growth) {
 	}
 	if r.matcher != nil {
 		r.matcher.Grow()
+	}
+	// The new edges come clear and every one of them is incident to a
+	// joiner, so marking the joiners dirty repairs them at the next match.
+	if r.differBuilt {
+		r.differ = r.differ.Resized(r.g.M(), false)
+		for a := gr.FirstAgent; a < gr.FirstAgent+gr.NewAgents; a++ {
+			r.differDirty = append(r.differDirty, a)
+		}
 	}
 	// The run now answers for the FINAL population: the target absorbs
 	// the joiners' values (exact for super-idempotent f), convergence
@@ -914,37 +964,39 @@ func (r *runner[T]) allEqual(members []int) bool {
 // matchings fan out across the pool, level-scheduled boundary pairs
 // complete maximality — see engine.PairMatcher), then each matched pair
 // executes one PairStep on the stream keyed on its smallest member, as
-// component groups do. Under a core.StutterOnEqual problem the matcher's
-// parallel claim loop drops the equal-state pairs, which can only stutter,
-// so the step phase walks only the pairs that can change: O(changes), not
-// O(matched pairs). Master-stream consumption is the one matching seed,
-// independent of the shard count, the pool and the marker, so results are
-// bit-identical for every Shards/ParallelThreshold/GOMAXPROCS combination.
+// component groups do. Under a core.StutterOnEqual problem the staged
+// deltas first repair the endpoints-differ index, and the matcher drops
+// every claimed pair whose bit is clear — an equal-state pair, which can
+// only stutter — so the step phase walks only the pairs that can change:
+// O(changes), not O(matched pairs). Master-stream consumption is the one
+// matching seed, independent of the shard count, the pool and the
+// marker, so results are bit-identical for every
+// Shards/ParallelThreshold/GOMAXPROCS combination.
 // The return value is the matched-pair count, stepped or not.
 func (r *runner[T]) stepPairs(es env.State, rng *rand.Rand, exact bool) int {
 	r.obs.Begin(obs.PhaseMatcherUpdate)
 	r.matcher.Update(es.EdgeUp, es.AgentUp, r.touchedE, r.touchedA, exact)
+	var keep bitset.Set
+	if r.differOn {
+		r.syncDiffer()
+		keep = r.differ
+	}
 	r.obs.End(obs.PhaseMatcherUpdate)
 	r.obs.Begin(obs.PhaseMatch)
-	var keep func(a, b int) bool
-	if r.stutterOnEqual {
-		keep = r.keepFn
-	}
-	ids, matched := r.matcher.Match(rng.Int63(), r.pool, keep)
+	pairs, matched := r.matcher.Match(rng.Int63(), r.pool, keep)
 	r.obs.End(obs.PhaseMatch)
 	if r.obs != nil {
 		r.obs.Add(obs.CounterMatchedPairs, int64(matched))
 	}
 
 	r.obs.Begin(obs.PhaseGroupStep)
-	n := 2 * len(ids)
+	n := 2 * len(pairs)
 	members := slices.Grow(r.memberArena[:0], n)[:n]
 	before := slices.Grow(r.beforeArena[:0], n)[:n]
 	after := slices.Grow(r.afterArena[:0], n)[:n]
 	r.memberArena, r.beforeArena, r.afterArena = members, before, after
 	r.jobs = r.jobs[:0]
-	for k, id := range ids {
-		e := r.matcher.Edge(id) // canonical: e.A < e.B, so members[0] is the smaller
+	for k, e := range pairs { // canonical: e.A < e.B, so members[0] is the smaller
 		i := 2 * k
 		members[i], members[i+1] = e.A, e.B
 		before[i], before[i+1] = r.states[e.A], r.states[e.B]

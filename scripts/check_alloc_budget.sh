@@ -11,11 +11,11 @@
 # down from ~1416 when every component stepped. The budget stays at
 # 1600. BenchmarkSimPairwiseSharded4k pins the sharded pairwise
 # round: the partitioned matcher's buffers are engine-owned and reused
-# and PairStep is allocation-free, so a 4096-agent run sits near 710
-# allocs/op (710–713 over repeated runs), almost all setup; the
-# matcher's equal-state filter is a closure built once per Scratch, so
-# it adds none — a regression to even one allocation per matched pair
-# would add ~65k and fail loudly. BenchmarkSweepGrid pins the
+# and PairStep is allocation-free, so a 4096-agent run sits near 650
+# allocs/op, almost all setup; the matcher's equal-state filter is the
+# run's endpoints-differ bitset, allocated once per run and repaired in
+# place, so rounds add none — a regression to even one allocation per
+# matched pair would add ~65k and fail loudly. BenchmarkSweepGrid pins the
 # scenario-grid runner's warm-engine contract: one persistent Runner
 # executes a 24-cell pairwise grid per op, so steady-state cells pay only
 # per-run bookkeeping (~32 allocs/cell — Result, env masks, final-state
@@ -51,7 +51,7 @@
 # ring splice, the extended cached partition, matcher/mask/tracker
 # growth, and the joiners' identity-keyed substreams — all of
 # which must be O(joined subgraph + changed edges). The fixed seed
-# measures ~151 allocs/op; the budget of 400 sits ~2.5× above, so a
+# measures ~148 allocs/op; the budget of 400 sits ~2.5× above, so a
 # regression that allocates per agent (4096 would blow through it) or
 # per round after the splice fails loudly.
 #
@@ -84,13 +84,21 @@
 # exchange (a boxed message, a heap node) adds tens of thousands and
 # fails loudly.
 #
+# BenchmarkMatcherMatch1e5 (internal/engine) pins the pairwise matching
+# draw of a near-converged 10⁵-agent round: Ring(10⁵), 25 blocks, a pool
+# of 2 and a keep set holding one edge in 1024. Each bucket packs its
+# usable edges into its own reused word buffer, shuffles them in place and
+# compacts the claims into the same buffer, and the kept pairs land in one
+# reused output slice, so a warm Match allocates nothing: 0 allocs/op, and
+# the budget is 0.
+#
 # Benchmarks run one iteration with a fixed seed, so allocs/op is a stable
 # budget number for the simulator and a bounded-noise one for the
 # multi-worker scheduler.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-out=$(go test -run '^$' -bench 'BenchmarkSimComponentRing64$|BenchmarkSimPairwiseSharded4k$|BenchmarkSweepGrid$|BenchmarkSimWithDynamics$|BenchmarkSimPairwiseDelta1e5$|BenchmarkJoinSplice$|BenchmarkSimRoundProbed$|BenchmarkSchedExchange1e4$|BenchmarkObserveRoundConsensus1e6$' -benchtime=1x -benchmem . ./internal/engine)
+out=$(go test -run '^$' -bench 'BenchmarkSimComponentRing64$|BenchmarkSimPairwiseSharded4k$|BenchmarkSweepGrid$|BenchmarkSimWithDynamics$|BenchmarkSimPairwiseDelta1e5$|BenchmarkJoinSplice$|BenchmarkSimRoundProbed$|BenchmarkSchedExchange1e4$|BenchmarkObserveRoundConsensus1e6$|BenchmarkMatcherMatch1e5$' -benchtime=1x -benchmem . ./internal/engine)
 echo "$out"
 
 fail=0
@@ -129,4 +137,5 @@ check BenchmarkJoinSplice 400
 check BenchmarkSimRoundProbed 150
 check BenchmarkSchedExchange1e4 400
 check BenchmarkObserveRoundConsensus1e6 0
+check BenchmarkMatcherMatch1e5 0
 exit $fail
