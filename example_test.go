@@ -41,7 +41,7 @@ func ExampleRoundInfo() {
 	}
 	fmt.Println("h trajectory:", hTrace)
 	// Output:
-	// h trajectory: [42 36 36 35 34 34 25 24 19 19 14 14 14 8]
+	// h trajectory: [41 25 23 14 12 11 11 11 8]
 }
 
 // Non-consensus: one agent collects the sum (§4.2).

@@ -26,8 +26,8 @@ package baseline
 
 import (
 	"fmt"
-	"math/rand"
 
+	"repro/internal/engine"
 	"repro/internal/env"
 )
 
@@ -63,8 +63,7 @@ func Snapshot(e env.Environment, values []int, maxRounds int, seed int64) (*Resu
 	if len(values) != g.N() {
 		return nil, fmt.Errorf("baseline: %d values for %d agents", len(values), g.N())
 	}
-	//lint:ignore detrand reference baseline keeps its own golden-pinned stdlib stream; it exists to be compared AGAINST the engines, not to share their substream discipline
-	rng := rand.New(rand.NewSource(seed))
+	rng := engine.NewFastRand(0)
 	res := &Result{}
 
 	n := g.N()
@@ -81,7 +80,8 @@ func Snapshot(e env.Environment, values []int, maxRounds int, seed int64) (*Resu
 	res.MaxStateSize = 1
 
 	for round := 0; round < maxRounds; round++ {
-		s := e.Step(round, rng)
+		rng.Reseed(engine.EnvSeed(seed, round))
+		s := e.Step(round, rng.Rand)
 
 		// Abort if the environment broke any collected tree edge or took
 		// down a tree member.
@@ -155,8 +155,7 @@ func Flooding(e env.Environment, values []int, maxRounds int, seed int64) (*Resu
 	if len(values) != n {
 		return nil, fmt.Errorf("baseline: %d values for %d agents", len(values), n)
 	}
-	//lint:ignore detrand reference baseline keeps its own golden-pinned stdlib stream; it exists to be compared AGAINST the engines, not to share their substream discipline
-	rng := rand.New(rand.NewSource(seed))
+	rng := engine.NewFastRand(0)
 	res := &Result{}
 
 	know := make([][]bool, n)
@@ -169,7 +168,8 @@ func Flooding(e env.Environment, values []int, maxRounds int, seed int64) (*Resu
 	res.MaxStateSize = 1
 
 	for round := 0; round < maxRounds; round++ {
-		s := e.Step(round, rng)
+		rng.Reseed(engine.EnvSeed(seed, round))
+		s := e.Step(round, rng.Rand)
 		for id, edge := range g.Edges() {
 			if !s.Usable(id, edge.A, edge.B) {
 				continue

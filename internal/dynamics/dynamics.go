@@ -36,11 +36,11 @@
 // Determinism contract. A Schedule is pure data; all per-run state lives
 // in an Applier. Every random draw the applier makes comes from a
 // per-round substream seeded engine.SubSeed(SubSeed(runSeed, seedTag),
-// round) — never from the engine's master stream and never dependent on
-// what previous rounds drew — so dynamics are a pure function of
-// (run seed, round) and results are bit-identical for every state
-// layout (Shards), matcher partition (MatchBlocks), worker count, and
-// GOMAXPROCS. A nil Schedule (sim.Options.Dynamics == nil) leaves the
+// round), tagged apart from the engine's environment, matching and group
+// streams and never dependent on what previous rounds drew — so dynamics
+// are a pure function of (run seed, round) and results are bit-identical
+// for every state layout (Shards), matcher partition (MatchBlocks),
+// worker count, and GOMAXPROCS. A nil Schedule (sim.Options.Dynamics == nil) leaves the
 // engine untouched, and an empty schedule (NewSchedule with no rules)
 // is behaviourally identical to nil — both are pinned by the sim golden
 // matrix.

@@ -283,32 +283,36 @@ func (m *Monitor[T]) AddViolation(format string, args ...any) {
 // Violations returns the violations recorded so far (nil on a clean run).
 func (m *Monitor[T]) Violations() []string { return m.violations }
 
-// groupTag separates the group-step substream family from every other
-// use of SubSeed on the same run seed: sweep cells use small indices and
-// dynamics its own tag, so without it a group's seed could equal a
-// dynamics per-round seed. (The first SHA-256 initial hash word: an
+// groupTag separates the round engine's seeds from every other use of
+// SubSeed on the same run seed: sweep cells use small indices and
+// dynamics its own tag. (The first SHA-256 initial hash word: an
 // arbitrary large constant.)
 const groupTag = 0x6a09_e667
 
-// GroupSeed is the seed of the private step stream of the group whose
-// smallest member is member, in round round of the run seeded runSeed.
-// The seed is keyed on the group's identity, not drawn in group order
-// from the master stream — the counter-based discipline of Salmon et al.,
-// "Parallel Random Numbers: As Easy as 1, 2, 3" (SC 2011) — so a group's
-// randomness does not depend on which other groups exist, which of them
-// step or are skipped, or which worker runs it. The groups of one round
-// are disjoint, so their smallest members, and their streams, are
-// distinct.
-func GroupSeed(runSeed int64, round, member int) int64 {
-	return SubSeed(GroupRoundSeed(runSeed, round), member)
-}
-
-// GroupRoundSeed is GroupSeed's per-round base: GroupSeed(s, r, m) ==
-// SubSeed(GroupRoundSeed(s, r), m), so an engine that steps many groups
-// in one round derives it once per round.
-func GroupRoundSeed(runSeed int64, round int) int64 {
+// RoundSeed is the base of the round engine's seeds in round round of the
+// run seeded runSeed: SubSeed(RoundSeed, i) with i naming the consumer —
+// a group's smallest member (GroupSeed), −1 the environment (EnvSeed), −2
+// the matching (MatchSeed). Every stream is keyed on its consumer, never
+// drawn in order from a shared one — the counter-based discipline of
+// Salmon et al., "Parallel Random Numbers: As Easy as 1, 2, 3" (SC 2011) —
+// so a round is a function of (run seed, round, state at its start).
+func RoundSeed(runSeed int64, round int) int64 {
 	return SubSeed(SubSeed(runSeed, groupTag), round)
 }
+
+// GroupSeed seeds the step stream of the group whose smallest member is
+// member: it does not depend on which other groups exist or step, or on
+// which worker runs it, and the disjoint groups of a round get distinct
+// streams.
+func GroupSeed(runSeed int64, round, member int) int64 {
+	return SubSeed(RoundSeed(runSeed, round), member)
+}
+
+// EnvSeed seeds the environment's stream in round round.
+func EnvSeed(runSeed int64, round int) int64 { return SubSeed(RoundSeed(runSeed, round), -1) }
+
+// MatchSeed seeds the pairwise matching of round round.
+func MatchSeed(runSeed int64, round int) int64 { return SubSeed(RoundSeed(runSeed, round), -2) }
 
 // AgentSeed derives the per-agent stream seed the asynchronous scheduler
 // keys each agent's events on (7919 is prime, so agent streams are spread

@@ -378,37 +378,54 @@ func TestMonitorConsensusPathMatchesFullPath(t *testing.T) {
 	}
 }
 
-// TestGroupSeedKeyed: a group's seed is a pure function of (run seed,
-// round, smallest member), factors through GroupRoundSeed, is distinct
-// over a round × member grid, and never equals a dynamics per-round seed
-// SubSeed(SubSeed(seed, tag), round) of the same run — the group family
-// is tagged apart from it.
+// TestGroupSeedKeyed: a round engine's seeds are pure functions of (run
+// seed, round, consumer). A group's seed factors through RoundSeed and is
+// distinct over a round × member grid; the environment's (EnvSeed) and
+// the matching's (MatchSeed) are distinct from each other and from every
+// group seed with member < 1024; and none of them equals a dynamics
+// per-round seed of the same run — an event seed SubSeed(SubSeed(seed,
+// tag), round) or a growth seed SubSeed(SubSeed(SubSeed(seed, tag),
+// growTag), round).
 func TestGroupSeedKeyed(t *testing.T) {
-	const dynamicsTag = 0x00d1_fa57 // internal/dynamics' seedTag
+	const (
+		dynamicsTag = 0x00d1_fa57  // internal/dynamics' seedTag
+		growTag     = -0x6a01_2e77 // internal/dynamics' growTag
+	)
 	for _, run := range []int64{0, 1, 42, -7} {
-		seen := make(map[int64]bool, 64*1024)
+		seen := make(map[int64]bool, 66*1024)
+		dynBase := SubSeed(run, dynamicsTag)
+		growBase := SubSeed(dynBase, growTag)
 		for round := 0; round < 64; round++ {
-			seen[SubSeed(SubSeed(run, dynamicsTag), round)] = true
+			seen[SubSeed(dynBase, round)] = true
+			seen[SubSeed(growBase, round)] = true
 		}
 		dynamicsSeeds := len(seen)
+		// fresh records the seed of index i (a member, −1 for EnvSeed, −2
+		// for MatchSeed) in round round, computed twice.
+		fresh := func(round, i int, got, again int64) {
+			t.Helper()
+			if again != got {
+				t.Fatalf("run %d round %d index %d: seed not pure: %d then %d", run, round, i, got, again)
+			}
+			if seen[got] {
+				t.Fatalf("run %d round %d index %d: seed %d repeats a group, env, match or dynamics seed", run, round, i, got)
+			}
+			seen[got] = true
+		}
 		for round := 0; round < 64; round++ {
-			base := GroupRoundSeed(run, round)
+			base := RoundSeed(run, round)
 			for member := 0; member < 1024; member++ {
 				got := GroupSeed(run, round, member)
-				if again := GroupSeed(run, round, member); again != got {
-					t.Fatalf("run %d: GroupSeed(%d, %d) not pure: %d then %d", run, round, member, got, again)
-				}
 				if via := SubSeed(base, member); via != got {
-					t.Fatalf("run %d: GroupSeed(%d, %d) = %d, SubSeed(GroupRoundSeed) = %d", run, round, member, got, via)
+					t.Fatalf("run %d: GroupSeed(%d, %d) = %d, SubSeed(RoundSeed) = %d", run, round, member, got, via)
 				}
-				if seen[got] {
-					t.Fatalf("run %d: GroupSeed(%d, %d) = %d repeats a group or dynamics seed", run, round, member, got)
-				}
-				seen[got] = true
+				fresh(round, member, got, GroupSeed(run, round, member))
 			}
+			fresh(round, -1, EnvSeed(run, round), EnvSeed(run, round))
+			fresh(round, -2, MatchSeed(run, round), MatchSeed(run, round))
 		}
-		if len(seen) != dynamicsSeeds+64*1024 {
-			t.Fatalf("run %d: %d distinct seeds, want %d", run, len(seen), dynamicsSeeds+64*1024)
+		if len(seen) != dynamicsSeeds+64*1026 {
+			t.Fatalf("run %d: %d distinct seeds, want %d", run, len(seen), dynamicsSeeds+64*1026)
 		}
 	}
 }

@@ -11,7 +11,7 @@ import (
 // the usable edges of a fixed graph — the group-selection step of
 // pairwise gossip — using a partitioned algorithm so that large rounds
 // fan out across the worker pool instead of running one serial O(E)
-// shuffle on the master stream:
+// shuffle on one stream:
 //
 //  1. the agents are split into contiguous blocks (graph.EdgePartition,
 //     the same blocking rule engine.Shards uses for state); interior
@@ -380,8 +380,8 @@ func (m *PairMatcher) matchBucket(b int, seed int64, keep bitset.Set) {
 // without it, so the matching, matched and Matched are the same for every
 // keep. keep is read concurrently from the pool's workers and must not
 // change during the call. The returned slice aliases matcher-owned
-// scratch and is valid until the next Match call. seed should be one
-// draw from the engine's master stream; pool parallelizes the per-block
+// scratch and is valid until the next Match call. seed is the round's
+// keyed matching seed (MatchSeed); pool parallelizes the per-block
 // pass and each boundary level (results are identical for every pool
 // size).
 func (m *PairMatcher) Match(seed int64, pool *Pool, keep bitset.Set) (pairs []graph.Edge, matched int) {

@@ -118,11 +118,14 @@ func (b *stateBuf) grow(g *graph.Graph, edgeFill bool) {
 }
 
 // Environment produces a sequence of environment states over a fixed
-// communication graph. Implementations are deterministic functions of the
-// supplied random source, so runs are reproducible from a seed. The State
-// returned by Step is owned by the environment and is typically the same
-// buffer repaired in place each round: consumers must finish with (or
-// copy) one round's State before requesting the next.
+// communication graph. The engine hands Step a fresh stream each round,
+// keyed on (run seed, round), and an implementation may draw any number
+// of values from it: a round's state is a function of the round, its
+// stream and the environment's own state, so runs are reproducible from a
+// seed and no other consumer's draws depend on how many Step took. The
+// State returned by Step is owned by the environment and is typically the
+// same buffer repaired in place each round: consumers must finish with
+// (or copy) one round's State before requesting the next.
 type Environment interface {
 	// Name identifies the model in tables.
 	Name() string
@@ -249,26 +252,22 @@ func (e *Static) Grow() {
 // satisfied and the correctness theorem applies — convergence merely slows
 // down as P drops, which experiment E4 measures.
 //
-// Step costs O(1 + M·min(P, 1−P)) expected, not O(M): each round draws
-// one sub-seed from the master stream (so downstream master consumption
-// is fixed) and samples only the MINORITY edges — the ones that deviate
-// from the more likely value — by geometric gap skipping on an internal
-// substream, repairing the previous round's minority entries in place
-// instead of rewriting the whole mask. At P = 0.999 on a 10⁶-edge graph
-// that is ~10³ mask writes per round instead of 10⁶, which is what makes
-// large-N churn rounds affordable (E15). The sampled distribution is
-// exactly iid Bernoulli(P) per edge per round. StepDeltas reports the
-// union of the previous and current minority lists — the only entries
-// whose value can differ between the two rounds.
+// Step costs O(1 + M·min(P, 1−P)) expected, not O(M): each round samples
+// only the MINORITY edges — the ones that deviate from the more likely
+// value — by geometric gap skipping on the round's stream, repairing the
+// previous round's minority entries in place instead of rewriting the
+// whole mask. At P = 0.999 on a 10⁶-edge graph that is ~10³ mask writes
+// per round instead of 10⁶, which is what makes large-N churn rounds
+// affordable (E15). The sampled distribution is exactly iid Bernoulli(P)
+// per edge per round. StepDeltas reports the union of the previous and
+// current minority lists — the only entries whose value can differ
+// between the two rounds.
 type EdgeChurn struct {
 	g *graph.Graph
 	// P is the per-round, per-edge availability probability.
 	P float64
 
 	buf stateBuf
-	// sub is the mask-sampling substream, reseeded each round from the
-	// single master draw.
-	sub *rand.Rand
 	// flips holds the edge ids currently set to the minority value, so
 	// the next round can undo exactly those writes. majority records the
 	// fill value the rest of the mask holds (true when P ≥ 0.5); if P is
@@ -325,16 +324,6 @@ func sampleFlips(dst []int, m int, q float64, rng *rand.Rand) []int {
 
 // Step implements Environment.
 func (e *EdgeChurn) Step(_ int, rng *rand.Rand) State {
-	// One master draw per round, whatever P is: the rest of the engine's
-	// stream consumption never depends on the mask contents.
-	seed := rng.Int63()
-	if e.sub == nil {
-		//lint:ignore detrand churn sub-stream is golden-pinned to the stdlib source: constructed once, reseeded per round via Seed (one O(607) rebuild per ROUND, amortized — unlike the per-group reseeds FastRand replaced); migrating would re-pin every churn golden
-		e.sub = rand.New(rand.NewSource(seed))
-	} else {
-		e.sub.Seed(seed)
-	}
-
 	majority := e.P >= 0.5
 	q := 1 - e.P // minority probability
 	if !majority {
@@ -358,7 +347,7 @@ func (e *EdgeChurn) Step(_ int, rng *rand.Rand) State {
 		}
 	}
 	e.prevFlips = append(e.prevFlips[:0], e.flips...)
-	e.flips = sampleFlips(e.flips, e.g.M(), q, e.sub)
+	e.flips = sampleFlips(e.flips, e.g.M(), q, rng)
 	for _, id := range e.flips {
 		s.EdgeUp.SetTo(id, !majority)
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/bitset"
+	"repro/internal/engine"
 	"repro/internal/graph"
 )
 
@@ -256,25 +257,25 @@ func TestFairnessProbeEmpty(t *testing.T) {
 
 // TestEdgeChurnIncrementalMatchesScratch: the incrementally repaired
 // mask must equal, every round, the mask computed from scratch from the
-// same per-round sub-seed — the regression guard on the undo-then-flip
-// maintenance path (a stale or missed undo would silently skew
-// availability).
+// same per-round stream — a FastRand reseeded each round, as the engine
+// does — the regression guard on the undo-then-flip maintenance path (a
+// stale or missed undo would silently skew availability).
 func TestEdgeChurnIncrementalMatchesScratch(t *testing.T) {
 	g := graph.Complete(14)
 	for _, p := range []float64{0.999, 0.9, 0.5, 0.3, 0.01} {
 		e := NewEdgeChurn(g, p)
-		master := rand.New(rand.NewSource(7))
-		mirror := rand.New(rand.NewSource(7)) // replays the master draws
+		rng := engine.NewFastRand(0)
 		var scratch []int
 		for round := 0; round < 300; round++ {
-			s := e.Step(round, master)
-			seed := mirror.Int63()
+			seed := engine.EnvSeed(7, round)
+			rng.Reseed(seed)
+			s := e.Step(round, rng.Rand)
 			majority := p >= 0.5
 			q := 1 - p
 			if !majority {
 				q = p
 			}
-			scratch = sampleFlips(scratch, g.M(), q, rand.New(rand.NewSource(seed)))
+			scratch = sampleFlips(scratch, g.M(), q, engine.NewFastRand(seed).Rand)
 			want := make([]bool, g.M())
 			for i := range want {
 				want[i] = majority
@@ -288,26 +289,6 @@ func TestEdgeChurnIncrementalMatchesScratch(t *testing.T) {
 						p, round, id, s.EdgeUp.Get(id), want[id])
 				}
 			}
-		}
-	}
-}
-
-// TestEdgeChurnMasterConsumptionFixed: Step must consume exactly one
-// master draw per round, independent of P and of how many edges flipped —
-// the engine's downstream randomness (matching seeds, group seeds) must
-// not shift when churn density changes.
-func TestEdgeChurnMasterConsumptionFixed(t *testing.T) {
-	g := graph.Ring(32)
-	for _, p := range []float64{1.0, 0.7, 0.2, 0.0} {
-		e := NewEdgeChurn(g, p)
-		master := rand.New(rand.NewSource(3))
-		control := rand.New(rand.NewSource(3))
-		for round := 0; round < 50; round++ {
-			e.Step(round, master)
-			control.Int63()
-		}
-		if master.Int63() != control.Int63() {
-			t.Fatalf("p=%g: Step consumed a P-dependent number of master draws", p)
 		}
 	}
 }
@@ -333,16 +314,21 @@ func TestEdgeChurnPCrossesHalf(t *testing.T) {
 }
 
 // TestEdgeChurnStepAllocFree: the steady-state Step must not allocate —
-// the mask buffer, flip list, and substream are all reused.
+// the mask buffer and flip lists are reused, and the engine's per-round
+// reseed of the stream is O(1).
 func TestEdgeChurnStepAllocFree(t *testing.T) {
 	g := graph.Complete(24)
 	e := NewEdgeChurn(g, 0.9)
-	master := rand.New(rand.NewSource(5))
-	e.Step(0, master) // prime mask, substream, and flip-list capacity
-	e.Step(1, master)
+	rng := engine.NewFastRand(0)
+	step := func(round int) {
+		rng.Reseed(engine.EnvSeed(5, round))
+		e.Step(round, rng.Rand)
+	}
+	step(0) // prime mask and flip-list capacity
+	step(1)
 	round := 2
 	allocs := testing.AllocsPerRun(100, func() {
-		e.Step(round, master)
+		step(round)
 		round++
 	})
 	if allocs != 0 {
@@ -359,9 +345,10 @@ func TestEdgeChurnExtremeTinyP(t *testing.T) {
 	g := graph.Complete(8)
 	for _, p := range []float64{1e-300, 1e-20, 1e-16, 1 - 1e-16} {
 		e := NewEdgeChurn(g, p)
-		master := rand.New(rand.NewSource(1))
+		rng := engine.NewFastRand(0)
 		for round := 0; round < 50; round++ {
-			s := e.Step(round, master)
+			rng.Reseed(engine.EnvSeed(1, round))
+			s := e.Step(round, rng.Rand)
 			up := s.UpEdgeCount()
 			if p < 0.5 && up > 1 {
 				t.Fatalf("p=%g round %d: %d edges up", p, round, up)

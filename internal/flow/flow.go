@@ -35,8 +35,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 
+	"repro/internal/engine"
 	"repro/internal/env"
 )
 
@@ -47,7 +47,7 @@ type Options struct {
 	Dt float64
 	// Rounds is the number of environment/flow steps.
 	Rounds int
-	// Seed drives the environment.
+	// Seed drives the environment (round r draws on engine.EnvSeed).
 	Seed int64
 	// Tol is the disagreement threshold for declaring convergence.
 	Tol float64
@@ -73,14 +73,15 @@ type Result struct {
 }
 
 // Disagreement computes Σ_{i<j} (x_i − x_j)², the continuous variant
-// function: n·Σx² − (Σx)².
+// function, as n·Σ(x_i − x̄)²: near consensus n·Σx² − (Σx)² cancels to
+// rounding noise, which the monotone check would count as growth.
 func Disagreement(x []float64) float64 {
-	var sum, sq float64
+	m := Mean(x)
+	var sq float64
 	for _, v := range x {
-		sum += v
-		sq += v * v
+		sq += (v - m) * (v - m)
 	}
-	return float64(len(x))*sq - sum*sum
+	return float64(len(x)) * sq
 }
 
 // Mean returns the arithmetic mean.
@@ -127,8 +128,7 @@ func Run(e env.Environment, x0 []float64, opts Options) (*Result, error) {
 	if opts.Tol <= 0 {
 		opts.Tol = 1e-9
 	}
-	//lint:ignore detrand continuous-flow study keeps its golden-pinned stdlib environment stream; one O(607) construction per run, amortized over all rounds — migration would re-pin every flow experiment for no engine benefit
-	rng := rand.New(rand.NewSource(opts.Seed))
+	rng := engine.NewFastRand(0)
 
 	x := make([]float64, len(x0))
 	copy(x, x0)
@@ -139,7 +139,8 @@ func Run(e env.Environment, x0 []float64, opts Options) (*Result, error) {
 	res.Disagreement = append(res.Disagreement, Disagreement(x))
 
 	for round := 0; round < opts.Rounds; round++ {
-		s := e.Step(round, rng)
+		rng.Reseed(engine.EnvSeed(opts.Seed, round))
+		s := e.Step(round, rng.Rand)
 		for i := range delta {
 			delta[i] = 0
 		}

@@ -136,6 +136,14 @@ func TestDisagreementFormula(t *testing.T) {
 	if d := Disagreement(nil); d != 0 {
 		t.Errorf("empty disagreement = %g", d)
 	}
+	// Near consensus at a large offset the value keeps its digits: for
+	// {c, c+h} it is h², where n·Σx² − (Σx)² gives rounding noise
+	// thousands of times larger.
+	c := 3e4
+	h := (c + 1e-5) - c // the spacing exactly as stored
+	if d := Disagreement([]float64{c, c + h}); math.Abs(d-h*h) > 1e-6*h*h {
+		t.Errorf("near-consensus disagreement = %g, want %g", d, h*h)
+	}
 }
 
 func TestMean(t *testing.T) {

@@ -26,9 +26,9 @@ import (
 //
 // Deterministic code takes a *rand.Rand (or engine.FastRand) value fed
 // from an engine.SubSeed substream; METHOD calls on such values are
-// allowed. The sanctioned constructor sites (engine.FastRand itself,
-// sim.NewScratch's master stream, golden-pinned legacy streams) carry
-// //lint:ignore detrand directives recording why.
+// allowed. The sanctioned constructor sites (engine.FastRand itself and
+// the golden-pinned input streams of the CLIs, experiments and sweep
+// workers) carry //lint:ignore detrand directives recording why.
 var DetRand = &analysis.Analyzer{
 	Name: "detrand",
 	Doc: "flag math/rand package-level calls in deterministic code; randomness " +

@@ -73,9 +73,9 @@ func (stutterRecorder) StutterOnEqual() {}
 // core.StutterOnEqual marker only adds the records of the equal-state
 // groups the marked run skips: the other groups draw exactly as before.
 // Each record's member is recovered by matching its draw against the
-// keyed streams of every agent, so a draw taken from the master stream
-// would find no member, and one keyed on a group's position among the
-// stepped groups would move when the marker is hidden.
+// keyed streams of every agent, so a draw taken from a stream not keyed
+// on a member would find none, and one keyed on a group's position among
+// the stepped groups would move when the marker is hidden.
 func TestGroupStreamsKeyedOnMember(t *testing.T) {
 	old := goruntime.GOMAXPROCS(4)
 	defer goruntime.GOMAXPROCS(old)

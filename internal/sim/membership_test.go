@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"os"
 	goruntime "runtime"
 	"testing"
 
@@ -19,9 +18,10 @@ import (
 // graph in place, so sharing one instance across golden variants would
 // leak topology between runs.
 //
-// Regenerate (only on an INTENTIONAL behavior change) with:
+// Regenerate (only on an INTENTIONAL behavior change) together with the
+// equivalence goldens:
 //
-//	SIM_JOIN_GOLDEN_REGEN=1 go test ./internal/sim -run TestMembershipGolden -v
+//	SIM_GOLDEN_REGEN=1 go test ./internal/sim -run 'TestEngineEquivalenceGolden$' -v
 
 // amnesiacFlap is the schedule the §3.4 classification cases share: k
 // random agents crash at round from, and at round to ALL crashed agents
@@ -58,7 +58,7 @@ func joinGoldenCases() []goldenCase {
 			// Ring splice: 12 founding agents, 4 join at round 6 — the run
 			// must reconverge to the 16-agent minimum.
 			sched := dynamics.NewSchedule(dynamics.Join(4, "ring", 6))
-			return summarizeDyn(Run[int](problemFor[int](problems.NewMin(), tweak), env.NewEdgeChurn(graph.Ring(12), 0.8),
+			return summarizeDyn(Run[int](problemFor[int](problems.NewMin(), tweak), envFor(env.NewEdgeChurn(graph.Ring(12), 0.8), tweak),
 				intVals(16, 3), tweaked(Options{Seed: seed, StopOnConverged: true, CheckSteps: true, MaxRounds: 10_000, Dynamics: sched}, tweak)))
 		}},
 		{"min/complete10+join3pref/pairwise", func(seed int64, tweak variant) (string, error) {
@@ -67,7 +67,7 @@ func joinGoldenCases() []goldenCase {
 			// §4.2 gives sum's pairwise gossip a complete-graph
 			// requirement, and preferential attachment is not complete.
 			sched := dynamics.NewSchedule(dynamics.Join(3, "pref", 4))
-			return summarizeDyn(Run[int](problemFor[int](problems.NewMin(), tweak), env.NewEdgeChurn(graph.Complete(10), 0.7),
+			return summarizeDyn(Run[int](problemFor[int](problems.NewMin(), tweak), envFor(env.NewEdgeChurn(graph.Complete(10), 0.7), tweak),
 				intVals(13, 11), tweaked(Options{Seed: seed, StopOnConverged: true, CheckSteps: true, Mode: PairwiseMode, MaxRounds: 10_000, Dynamics: sched}, tweak)))
 		}},
 		{"gcd/hypercube8+join8cube/static", func(seed int64, tweak variant) (string, error) {
@@ -77,7 +77,7 @@ func joinGoldenCases() []goldenCase {
 			for i := range vals {
 				vals[i] = (vals[i] + 1) * 6
 			}
-			return summarizeDyn(Run[int](problemFor[int](problems.NewGCD(), tweak), env.NewStatic(graph.Hypercube(3)),
+			return summarizeDyn(Run[int](problemFor[int](problems.NewGCD(), tweak), envFor(env.NewStatic(graph.Hypercube(3)), tweak),
 				vals, tweaked(Options{Seed: seed, StopOnConverged: true, CheckSteps: true, MaxRounds: 10_000, Dynamics: sched}, tweak)))
 		}},
 		{"min/ring16+join2ring+amnesiacflap/churn0.9", func(seed int64, tweak variant) (string, error) {
@@ -93,7 +93,7 @@ func joinGoldenCases() []goldenCase {
 				dynamics.Join(2, "ring", 6),
 				dynamics.AmnesiacRejoin(),
 			)
-			return summarizeDyn(Run[int](problemFor[int](problems.NewMin(), tweak), env.NewEdgeChurn(graph.Ring(16), 0.9),
+			return summarizeDyn(Run[int](problemFor[int](problems.NewMin(), tweak), envFor(env.NewEdgeChurn(graph.Ring(16), 0.9), tweak),
 				intVals(18, 7), tweaked(Options{Seed: seed, StopOnConverged: true, CheckSteps: true, MaxRounds: 10_000, Dynamics: sched}, tweak)))
 		}},
 		{"min/ring12/amnesiacflap/pairwise", func(seed int64, tweak variant) (string, error) {
@@ -103,7 +103,7 @@ func joinGoldenCases() []goldenCase {
 			// convergence is slow enough (O(n) rounds) that the flap at
 			// rounds 2–7 fires mid-run instead of after an immediate
 			// component-mode convergence.
-			return summarizeDyn(Run[int](problemFor[int](problems.NewMin(), tweak), env.NewEdgeChurn(graph.Ring(12), 0.8),
+			return summarizeDyn(Run[int](problemFor[int](problems.NewMin(), tweak), envFor(env.NewEdgeChurn(graph.Ring(12), 0.8), tweak),
 				intVals(12, 5), tweaked(Options{Seed: seed, StopOnConverged: true, CheckSteps: true, Mode: PairwiseMode, MaxRounds: 10_000, Dynamics: amnesiacFlap(3, 2, 7)}, tweak)))
 		}},
 		{"sum/complete12/amnesiacflap-violations", func(seed int64, tweak variant) (string, error) {
@@ -112,14 +112,14 @@ func joinGoldenCases() []goldenCase {
 			// mass, and the monitor must DETECT it (viol > 0 is pinned).
 			// MaxRounds is small because the run can never reach its (now
 			// unreachable) target.
-			return summarizeDyn(Run[int](problemFor[int](problems.NewSum(), tweak), env.NewEdgeChurn(graph.Complete(12), 0.8),
+			return summarizeDyn(Run[int](problemFor[int](problems.NewSum(), tweak), envFor(env.NewEdgeChurn(graph.Complete(12), 0.8), tweak),
 				intVals(12, 9), tweaked(Options{Seed: seed, StopOnConverged: true, Mode: PairwiseMode, MaxRounds: 60, Dynamics: amnesiacFlap(3, 2, 7)}, tweak)))
 		}},
 		{"min/ring24+join4ring/pairwise-blocks3", func(seed int64, tweak variant) (string, error) {
 			// Fixed MatchBlocks with a ring splice: the boundary
 			// reconciliation schedule gains pairs mid-run.
 			sched := dynamics.NewSchedule(dynamics.Join(4, "ring", 7))
-			return summarizeDyn(Run[int](problemFor[int](problems.NewMin(), tweak), env.NewEdgeChurn(graph.Ring(24), 0.7),
+			return summarizeDyn(Run[int](problemFor[int](problems.NewMin(), tweak), envFor(env.NewEdgeChurn(graph.Ring(24), 0.7), tweak),
 				intVals(28, 19), tweaked(Options{Seed: seed, StopOnConverged: true, CheckSteps: true, Mode: PairwiseMode, MatchBlocks: 3, MaxRounds: 100_000, Dynamics: sched}, tweak)))
 		}},
 	}
@@ -128,27 +128,27 @@ func joinGoldenCases() []goldenCase {
 // joinGoldens maps "case/seed" to the pinned summary of the join-laden
 // reference runs.
 var joinGoldens = map[string]string{
-	"min/ring12+join4ring/churn0.8/seed1":              "conv=true round=9 rounds=9 steps=5 msgs=76 viol=0 final=[2 2 2 2 2 2 2 2 2 2 2 2 2 2 2 2] dyn={Crashes:0 Recoveries:0 Heals:0 LastHealRound:-1 MaskedEdgeRounds:0 FrozenAgentRounds:0 Joins:4 AmnesiacResets:0}",
-	"min/ring12+join4ring/churn0.8/seed2":              "conv=true round=11 rounds=11 steps=7 msgs=92 viol=0 final=[2 2 2 2 2 2 2 2 2 2 2 2 2 2 2 2] dyn={Crashes:0 Recoveries:0 Heals:0 LastHealRound:-1 MaskedEdgeRounds:0 FrozenAgentRounds:0 Joins:4 AmnesiacResets:0}",
-	"min/ring12+join4ring/churn0.8/seed3":              "conv=true round=12 rounds=12 steps=8 msgs=72 viol=0 final=[2 2 2 2 2 2 2 2 2 2 2 2 2 2 2 2] dyn={Crashes:0 Recoveries:0 Heals:0 LastHealRound:-1 MaskedEdgeRounds:0 FrozenAgentRounds:0 Joins:4 AmnesiacResets:0}",
-	"min/complete10+join3pref/pairwise/seed1":          "conv=true round=6 rounds=6 steps=19 msgs=38 viol=0 final=[4 4 4 4 4 4 4 4 4 4 4 4 4] dyn={Crashes:0 Recoveries:0 Heals:0 LastHealRound:-1 MaskedEdgeRounds:0 FrozenAgentRounds:0 Joins:3 AmnesiacResets:0}",
-	"min/complete10+join3pref/pairwise/seed2":          "conv=true round=8 rounds=8 steps=19 msgs=38 viol=0 final=[4 4 4 4 4 4 4 4 4 4 4 4 4] dyn={Crashes:0 Recoveries:0 Heals:0 LastHealRound:-1 MaskedEdgeRounds:0 FrozenAgentRounds:0 Joins:3 AmnesiacResets:0}",
-	"min/complete10+join3pref/pairwise/seed3":          "conv=true round=15 rounds=15 steps=20 msgs=40 viol=0 final=[4 4 4 4 4 4 4 4 4 4 4 4 4] dyn={Crashes:0 Recoveries:0 Heals:0 LastHealRound:-1 MaskedEdgeRounds:0 FrozenAgentRounds:0 Joins:3 AmnesiacResets:0}",
+	"min/ring12+join4ring/churn0.8/seed1":              "conv=true round=8 rounds=8 steps=4 msgs=80 viol=0 final=[2 2 2 2 2 2 2 2 2 2 2 2 2 2 2 2] dyn={Crashes:0 Recoveries:0 Heals:0 LastHealRound:-1 MaskedEdgeRounds:0 FrozenAgentRounds:0 Joins:4 AmnesiacResets:0}",
+	"min/ring12+join4ring/churn0.8/seed2":              "conv=true round=8 rounds=8 steps=6 msgs=92 viol=0 final=[2 2 2 2 2 2 2 2 2 2 2 2 2 2 2 2] dyn={Crashes:0 Recoveries:0 Heals:0 LastHealRound:-1 MaskedEdgeRounds:0 FrozenAgentRounds:0 Joins:4 AmnesiacResets:0}",
+	"min/ring12+join4ring/churn0.8/seed3":              "conv=true round=10 rounds=10 steps=8 msgs=94 viol=0 final=[2 2 2 2 2 2 2 2 2 2 2 2 2 2 2 2] dyn={Crashes:0 Recoveries:0 Heals:0 LastHealRound:-1 MaskedEdgeRounds:0 FrozenAgentRounds:0 Joins:4 AmnesiacResets:0}",
+	"min/complete10+join3pref/pairwise/seed1":          "conv=true round=8 rounds=8 steps=19 msgs=38 viol=0 final=[4 4 4 4 4 4 4 4 4 4 4 4 4] dyn={Crashes:0 Recoveries:0 Heals:0 LastHealRound:-1 MaskedEdgeRounds:0 FrozenAgentRounds:0 Joins:3 AmnesiacResets:0}",
+	"min/complete10+join3pref/pairwise/seed2":          "conv=true round=13 rounds=13 steps=22 msgs=44 viol=0 final=[4 4 4 4 4 4 4 4 4 4 4 4 4] dyn={Crashes:0 Recoveries:0 Heals:0 LastHealRound:-1 MaskedEdgeRounds:0 FrozenAgentRounds:0 Joins:3 AmnesiacResets:0}",
+	"min/complete10+join3pref/pairwise/seed3":          "conv=true round=11 rounds=11 steps=20 msgs=40 viol=0 final=[4 4 4 4 4 4 4 4 4 4 4 4 4] dyn={Crashes:0 Recoveries:0 Heals:0 LastHealRound:-1 MaskedEdgeRounds:0 FrozenAgentRounds:0 Joins:3 AmnesiacResets:0}",
 	"gcd/hypercube8+join8cube/static/seed1":            "conv=true round=4 rounds=4 steps=2 msgs=44 viol=0 final=[6 6 6 6 6 6 6 6 6 6 6 6 6 6 6 6] dyn={Crashes:0 Recoveries:0 Heals:0 LastHealRound:-1 MaskedEdgeRounds:0 FrozenAgentRounds:0 Joins:8 AmnesiacResets:0}",
 	"gcd/hypercube8+join8cube/static/seed2":            "conv=true round=4 rounds=4 steps=2 msgs=44 viol=0 final=[6 6 6 6 6 6 6 6 6 6 6 6 6 6 6 6] dyn={Crashes:0 Recoveries:0 Heals:0 LastHealRound:-1 MaskedEdgeRounds:0 FrozenAgentRounds:0 Joins:8 AmnesiacResets:0}",
 	"gcd/hypercube8+join8cube/static/seed3":            "conv=true round=4 rounds=4 steps=2 msgs=44 viol=0 final=[6 6 6 6 6 6 6 6 6 6 6 6 6 6 6 6] dyn={Crashes:0 Recoveries:0 Heals:0 LastHealRound:-1 MaskedEdgeRounds:0 FrozenAgentRounds:0 Joins:8 AmnesiacResets:0}",
-	"min/ring16+join2ring+amnesiacflap/churn0.9/seed1": "conv=true round=7 rounds=7 steps=3 msgs=94 viol=0 final=[9 9 9 9 9 9 9 9 9 9 9 9 9 9 9 9 9 9] dyn={Crashes:3 Recoveries:3 Heals:0 LastHealRound:-1 MaskedEdgeRounds:0 FrozenAgentRounds:6 Joins:2 AmnesiacResets:3}",
-	"min/ring16+join2ring+amnesiacflap/churn0.9/seed2": "conv=true round=7 rounds=7 steps=4 msgs=122 viol=0 final=[9 9 9 9 9 9 9 9 9 9 9 9 9 9 9 9 9 9] dyn={Crashes:3 Recoveries:3 Heals:0 LastHealRound:-1 MaskedEdgeRounds:0 FrozenAgentRounds:6 Joins:2 AmnesiacResets:3}",
-	"min/ring16+join2ring+amnesiacflap/churn0.9/seed3": "conv=true round=8 rounds=8 steps=4 msgs=98 viol=0 final=[9 9 9 9 9 9 9 9 9 9 9 9 9 9 9 9 9 9] dyn={Crashes:3 Recoveries:3 Heals:0 LastHealRound:-1 MaskedEdgeRounds:0 FrozenAgentRounds:6 Joins:2 AmnesiacResets:3}",
-	"min/ring12/amnesiacflap/pairwise/seed1":           "conv=true round=17 rounds=17 steps=26 msgs=52 viol=0 final=[6 6 6 6 6 6 6 6 6 6 6 6] dyn={Crashes:3 Recoveries:3 Heals:0 LastHealRound:-1 MaskedEdgeRounds:0 FrozenAgentRounds:15 Joins:0 AmnesiacResets:3}",
-	"min/ring12/amnesiacflap/pairwise/seed2":           "conv=true round=17 rounds=17 steps=23 msgs=46 viol=0 final=[6 6 6 6 6 6 6 6 6 6 6 6] dyn={Crashes:3 Recoveries:3 Heals:0 LastHealRound:-1 MaskedEdgeRounds:0 FrozenAgentRounds:15 Joins:0 AmnesiacResets:3}",
-	"min/ring12/amnesiacflap/pairwise/seed3":           "conv=true round=14 rounds=14 steps=21 msgs=42 viol=0 final=[6 6 6 6 6 6 6 6 6 6 6 6] dyn={Crashes:3 Recoveries:3 Heals:0 LastHealRound:-1 MaskedEdgeRounds:0 FrozenAgentRounds:15 Joins:0 AmnesiacResets:3}",
-	"sum/complete12/amnesiacflap-violations/seed1":     "conv=false round=60 rounds=60 steps=13 msgs=26 viol=53 final=[208 0 0 0 0 0 0 0 0 0 0 0] dyn={Crashes:3 Recoveries:3 Heals:0 LastHealRound:-1 MaskedEdgeRounds:0 FrozenAgentRounds:15 Joins:0 AmnesiacResets:3}",
-	"sum/complete12/amnesiacflap-violations/seed2":     "conv=false round=60 rounds=60 steps=12 msgs=24 viol=53 final=[169 0 0 0 0 0 0 0 0 0 0 0] dyn={Crashes:3 Recoveries:3 Heals:0 LastHealRound:-1 MaskedEdgeRounds:0 FrozenAgentRounds:15 Joins:0 AmnesiacResets:3}",
-	"sum/complete12/amnesiacflap-violations/seed3":     "conv=false round=60 rounds=60 steps=12 msgs=24 viol=53 final=[167 0 0 0 0 0 0 0 0 0 0 0] dyn={Crashes:3 Recoveries:3 Heals:0 LastHealRound:-1 MaskedEdgeRounds:0 FrozenAgentRounds:15 Joins:0 AmnesiacResets:3}",
-	"min/ring24+join4ring/pairwise-blocks3/seed1":      "conv=true round=24 rounds=24 steps=65 msgs=130 viol=0 final=[5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5] dyn={Crashes:0 Recoveries:0 Heals:0 LastHealRound:-1 MaskedEdgeRounds:0 FrozenAgentRounds:0 Joins:4 AmnesiacResets:0}",
-	"min/ring24+join4ring/pairwise-blocks3/seed2":      "conv=true round=30 rounds=30 steps=59 msgs=118 viol=0 final=[5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5] dyn={Crashes:0 Recoveries:0 Heals:0 LastHealRound:-1 MaskedEdgeRounds:0 FrozenAgentRounds:0 Joins:4 AmnesiacResets:0}",
-	"min/ring24+join4ring/pairwise-blocks3/seed3":      "conv=true round=43 rounds=43 steps=66 msgs=132 viol=0 final=[5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5] dyn={Crashes:0 Recoveries:0 Heals:0 LastHealRound:-1 MaskedEdgeRounds:0 FrozenAgentRounds:0 Joins:4 AmnesiacResets:0}",
+	"min/ring16+join2ring+amnesiacflap/churn0.9/seed1": "conv=true round=7 rounds=7 steps=3 msgs=92 viol=0 final=[9 9 9 9 9 9 9 9 9 9 9 9 9 9 9 9 9 9] dyn={Crashes:3 Recoveries:3 Heals:0 LastHealRound:-1 MaskedEdgeRounds:0 FrozenAgentRounds:6 Joins:2 AmnesiacResets:3}",
+	"min/ring16+join2ring+amnesiacflap/churn0.9/seed2": "conv=true round=7 rounds=7 steps=6 msgs=102 viol=0 final=[9 9 9 9 9 9 9 9 9 9 9 9 9 9 9 9 9 9] dyn={Crashes:3 Recoveries:3 Heals:0 LastHealRound:-1 MaskedEdgeRounds:0 FrozenAgentRounds:6 Joins:2 AmnesiacResets:3}",
+	"min/ring16+join2ring+amnesiacflap/churn0.9/seed3": "conv=true round=7 rounds=7 steps=6 msgs=112 viol=0 final=[9 9 9 9 9 9 9 9 9 9 9 9 9 9 9 9 9 9] dyn={Crashes:3 Recoveries:3 Heals:0 LastHealRound:-1 MaskedEdgeRounds:0 FrozenAgentRounds:6 Joins:2 AmnesiacResets:3}",
+	"min/ring12/amnesiacflap/pairwise/seed1":           "conv=true round=20 rounds=20 steps=27 msgs=54 viol=0 final=[6 6 6 6 6 6 6 6 6 6 6 6] dyn={Crashes:3 Recoveries:3 Heals:0 LastHealRound:-1 MaskedEdgeRounds:0 FrozenAgentRounds:15 Joins:0 AmnesiacResets:3}",
+	"min/ring12/amnesiacflap/pairwise/seed2":           "conv=true round=11 rounds=11 steps=18 msgs=36 viol=0 final=[6 6 6 6 6 6 6 6 6 6 6 6] dyn={Crashes:3 Recoveries:3 Heals:0 LastHealRound:-1 MaskedEdgeRounds:0 FrozenAgentRounds:15 Joins:0 AmnesiacResets:3}",
+	"min/ring12/amnesiacflap/pairwise/seed3":           "conv=true round=14 rounds=14 steps=20 msgs=40 viol=0 final=[6 6 6 6 6 6 6 6 6 6 6 6] dyn={Crashes:3 Recoveries:3 Heals:0 LastHealRound:-1 MaskedEdgeRounds:0 FrozenAgentRounds:15 Joins:0 AmnesiacResets:3}",
+	"sum/complete12/amnesiacflap-violations/seed1":     "conv=false round=60 rounds=60 steps=13 msgs=26 viol=53 final=[169 0 0 0 0 0 0 0 0 0 0 0] dyn={Crashes:3 Recoveries:3 Heals:0 LastHealRound:-1 MaskedEdgeRounds:0 FrozenAgentRounds:15 Joins:0 AmnesiacResets:3}",
+	"sum/complete12/amnesiacflap-violations/seed2":     "conv=false round=60 rounds=60 steps=12 msgs=24 viol=53 final=[167 0 0 0 0 0 0 0 0 0 0 0] dyn={Crashes:3 Recoveries:3 Heals:0 LastHealRound:-1 MaskedEdgeRounds:0 FrozenAgentRounds:15 Joins:0 AmnesiacResets:3}",
+	"sum/complete12/amnesiacflap-violations/seed3":     "conv=false round=60 rounds=60 steps=13 msgs=26 viol=53 final=[199 0 0 0 0 0 0 0 0 0 0 0] dyn={Crashes:3 Recoveries:3 Heals:0 LastHealRound:-1 MaskedEdgeRounds:0 FrozenAgentRounds:15 Joins:0 AmnesiacResets:3}",
+	"min/ring24+join4ring/pairwise-blocks3/seed1":      "conv=true round=26 rounds=26 steps=58 msgs=116 viol=0 final=[5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5] dyn={Crashes:0 Recoveries:0 Heals:0 LastHealRound:-1 MaskedEdgeRounds:0 FrozenAgentRounds:0 Joins:4 AmnesiacResets:0}",
+	"min/ring24+join4ring/pairwise-blocks3/seed2":      "conv=true round=31 rounds=31 steps=62 msgs=124 viol=0 final=[5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5] dyn={Crashes:0 Recoveries:0 Heals:0 LastHealRound:-1 MaskedEdgeRounds:0 FrozenAgentRounds:0 Joins:4 AmnesiacResets:0}",
+	"min/ring24+join4ring/pairwise-blocks3/seed3":      "conv=true round=36 rounds=36 steps=70 msgs=140 viol=0 final=[5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5 5] dyn={Crashes:0 Recoveries:0 Heals:0 LastHealRound:-1 MaskedEdgeRounds:0 FrozenAgentRounds:0 Joins:4 AmnesiacResets:0}",
 }
 
 func runJoinGoldenCases(t *testing.T, tweak variant) {
@@ -163,7 +163,7 @@ func runJoinGoldenCases(t *testing.T, tweak variant) {
 				}
 				want, ok := joinGoldens[key]
 				if !ok {
-					t.Fatalf("no golden recorded for %s; run with SIM_JOIN_GOLDEN_REGEN=1", key)
+					t.Fatalf("no golden recorded for %s; run with SIM_GOLDEN_REGEN=1", key)
 				}
 				if got != want {
 					t.Errorf("join-laden run diverged\n got: %s\nwant: %s", got, want)
@@ -174,20 +174,6 @@ func runJoinGoldenCases(t *testing.T, tweak variant) {
 }
 
 func TestMembershipGolden(t *testing.T) {
-	if os.Getenv("SIM_JOIN_GOLDEN_REGEN") != "" {
-		fmt.Println("var joinGoldens = map[string]string{")
-		for _, c := range joinGoldenCases() {
-			for _, s := range []int64{1, 2, 3} {
-				got, err := c.run(s, variant{})
-				if err != nil {
-					t.Fatalf("%s/seed%d: %v", c.name, s, err)
-				}
-				fmt.Printf("\t%q: %q,\n", fmt.Sprintf("%s/seed%d", c.name, s), got)
-			}
-		}
-		fmt.Println("}")
-		return
-	}
 	runJoinGoldenCases(t, variant{})
 }
 

@@ -26,7 +26,7 @@ func fingerprint(res *Result[int]) string {
 // match an independent single-use Run bit for bit. This is the warm-
 // engine contract the scenario-sweep runner depends on: nothing
 // observable may leak from one run into the next through the reused
-// trackers, matchers, monitor, master stream, or arenas.
+// trackers, matchers, monitor, streams, or arenas.
 func TestRunWithScratchReuseBitIdentical(t *testing.T) {
 	sc := NewScratch[int]()
 	defer sc.Close()

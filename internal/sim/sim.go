@@ -35,16 +35,15 @@
 // f(S) = S* (§3.2) and the monotone descent of the variant h on the global
 // state, recording the first round at which the state reaches the target.
 // Violations are recorded in the Result and fail tests. The monitor (the
-// run's one judge, convergence included) and the keyed group seeds are
-// shared with the asynchronous runtime via internal/engine. The master
-// stream feeds only the environment step and one matching seed per
-// round, and every group's step stream is keyed on the group itself.
-// Options.OnRound is the one per-round outlet for progress (h, step
-// counts).
+// run's one judge, convergence included) and the keyed seeds are shared
+// with the asynchronous runtime via internal/engine. The environment, the
+// matching and every group draw on streams keyed on (seed, round) and
+// themselves (engine.RoundSeed). Options.OnRound is the one per-round
+// outlet for progress (h, step counts).
 //
-// A Scratch is the engine's one warm handle: the worker pool, the
-// per-worker step streams, the master stream and every reusable buffer.
-// Run builds one per call; RunWith reuses a caller's across runs.
+// A Scratch is the engine's one warm handle: the worker pool, the step
+// and environment streams and every reusable buffer. Run builds one per
+// call; RunWith reuses a caller's across runs.
 //
 // The round loop is allocation-free in steady state: the global state
 // multiset is kept in an engine.Shards — per-shard multiset.Trackers whose
@@ -129,7 +128,7 @@ const DefaultMatchBlockAgents = 1 << 12
 type Options struct {
 	// MaxRounds bounds the run; 0 means the DefaultMaxRounds.
 	MaxRounds int
-	// Seed drives all randomness (environment and steps); runs are
+	// Seed drives all randomness, keyed on (Seed, round); runs are
 	// reproducible bit for bit.
 	Seed int64
 	// Mode selects component-wide or pairwise steps.
@@ -185,8 +184,8 @@ type Options struct {
 	// internal/dynamics. The schedule's masks are overlaid between the
 	// environment step and group formation each round (groups form over
 	// the EFFECTIVE masks), its randomness comes from
-	// engine.SubSeed substreams of (Seed, round) — never from the master
-	// stream — so results are bit-identical for every Shards, MatchBlocks,
+	// engine.SubSeed substreams of (Seed, round), tagged apart from the
+	// engine's own, so results are bit-identical for every Shards, MatchBlocks,
 	// ParallelThreshold, and GOMAXPROCS, and the frozen-state conservation
 	// contract is checked by the monitor every round. nil (and an empty
 	// schedule) leave the engine bit-identical to the pre-dynamics
@@ -204,8 +203,8 @@ type Options struct {
 	// probe's timer methods are driven from the run's goroutine — give
 	// concurrent runs their own probes and merge the reports.
 	Probe *obs.Probe
-	// AdversaryFeedback, when the environment is an *env.Adversary, wires
-	// the adversary's usefulness oracle to live agent state: an edge is
+	// AdversaryFeedback, when the environment has a SetUseful oracle (an
+	// *env.Adversary), wires it to live agent state: an edge is
 	// "useful" (and therefore cut first) exactly when its endpoints
 	// currently hold different states. This realizes the paper's
 	// strongest opponent — one that watches the computation — while the
@@ -260,7 +259,7 @@ type Result[T any] struct {
 }
 
 // runner holds the engine state of a run: the warm execution machinery
-// (worker pool, per-worker step streams, master stream, monitor) plus
+// (worker pool, per-worker step streams, environment stream, monitor) plus
 // every scratch buffer the round loop reuses so that steady-state rounds
 // allocate nothing. A runner lives inside a Scratch and survives from one
 // run to the next — RunWith rebinds the per-run fields and hands the warm
@@ -281,13 +280,12 @@ type runner[T any] struct {
 	// pool is the persistent worker pool (goroutines survive between runs,
 	// so only the first engaged batch pays start-up); rands holds one
 	// O(1)-reseed step stream per pool worker slot, built on first use;
-	// master is the run's master stream, reseeded with Options.Seed by
-	// every RunWith. The master stream feeds only the environment step
-	// and one matching seed per round.
-	pool   *engine.Pool
-	rands  []*engine.FastRand
-	master *rand.Rand
-	mon    *engine.Monitor[T]
+	// envRand is the environment's, reseeded with engine.EnvSeed each
+	// round.
+	pool    *engine.Pool
+	rands   []*engine.FastRand
+	envRand *engine.FastRand
+	mon     *engine.Monitor[T]
 	// shards holds the state multiset (see Options.Shards); it points into
 	// the Scratch's cache, which persists across runs.
 	shards *engine.Shards[T]
@@ -311,8 +309,8 @@ type runner[T any] struct {
 	beforeArena []T
 	afterArena  []T
 	stepFn      func(worker, i int)
-	// roundSeed is this round's engine.GroupRoundSeed: a group's step
-	// stream is engine.SubSeed(roundSeed, smallest member).
+	// roundSeed is this round's engine.RoundSeed: a group's step stream
+	// is engine.SubSeed(roundSeed, smallest member).
 	roundSeed int64
 
 	// Changed-id stream scratch: the round's combined touched edge/agent
@@ -367,10 +365,11 @@ type matcherKey struct {
 const maxCachedMatchers = 64
 
 // Scratch is the warm engine RunWith executes against: the persistent
-// worker pool, one reusable step stream per worker, the master stream,
-// plus every engine-owned buffer a run reuses — the state shard set, the
-// monitor's evaluation buffers, the group job arenas, the component
-// scratch, and a cache of pairwise matchers keyed by (graph, blocks).
+// worker pool, one reusable step stream per worker, the environment
+// stream, plus every engine-owned buffer a run reuses — the state shard
+// set, the monitor's evaluation buffers, the group job arenas, the
+// component scratch, and a cache of pairwise matchers keyed by (graph,
+// blocks).
 //
 // One Scratch belongs to one executing goroutine at a time. Handing the
 // same Scratch to a sequence of runs (the scenario-sweep runner's warm
@@ -378,7 +377,8 @@ const maxCachedMatchers = 64
 // set-up allocations entirely; results are bit-identical to independent
 // Run calls with the same Options, because nothing observable leaks from
 // one run to the next — every reused structure is Reset to the state a
-// fresh one would have, and all randomness restarts from Options.Seed.
+// fresh one would have, and every stream is reseeded from (Options.Seed,
+// round) before it is drawn from.
 type Scratch[T any] struct {
 	r runner[T]
 
@@ -395,8 +395,7 @@ func NewScratch[T any]() *Scratch[T] {
 	sc := &Scratch[T]{}
 	sc.r.pool = engine.NewPool(0, 1)
 	sc.r.rands = make([]*engine.FastRand, sc.r.pool.Size())
-	//lint:ignore detrand the sanctioned root: this IS the master stream every substream derives from, constructed once per run; its stdlib source is golden-pinned (swapping it re-pins every golden in the repo)
-	sc.r.master = rand.New(rand.NewSource(0))
+	sc.r.envRand = engine.NewFastRand(0)
 	return sc
 }
 
@@ -476,10 +475,6 @@ func RunWith[T any](sc *Scratch[T], p core.Problem[T], e env.Environment, initia
 		r.initVals = append(r.initVals, initial...)
 	}
 	r.growE, r.growA = r.growE[:0], r.growA[:0]
-	// Seed rebuilds the source state deterministically, so the master
-	// stream is identical to a fresh rand.NewSource(opts.Seed) stream
-	// without re-allocating the source's ~5 KiB lagged-Fibonacci table.
-	r.master.Seed(opts.Seed)
 	r.pool.SetThreshold(threshold)
 	// Rebind the observability probe every run: a nil opts.Probe must also
 	// CLEAR any probe a previous run on this warm scratch attached.
@@ -556,7 +551,9 @@ func RunWith[T any](sc *Scratch[T], p core.Problem[T], e env.Environment, initia
 	}
 
 	if opts.AdversaryFeedback {
-		if ad, ok := e.(*env.Adversary); ok {
+		if ad, ok := e.(interface {
+			SetUseful(func(graph.Edge) float64)
+		}); ok {
 			ad.SetUseful(func(edge graph.Edge) float64 {
 				if r.cmp(r.states[edge.A], r.states[edge.B]) != 0 {
 					return 1
@@ -578,7 +575,6 @@ func RunWith[T any](sc *Scratch[T], p core.Problem[T], e env.Environment, initia
 	r.touchedE, r.touchedA = r.touchedE[:0], r.touchedA[:0]
 	r.prevOverlayE, r.prevOverlayA = r.prevOverlayE[:0], r.prevOverlayA[:0]
 
-	rng := r.master
 	round := 0
 	for ; round < maxRounds; round++ {
 		// A converged run with joins still pending keeps going: the join
@@ -605,7 +601,8 @@ func RunWith[T any](sc *Scratch[T], p core.Problem[T], e env.Environment, initia
 		// undoes exactly those writes before the environment's next
 		// Step). Groups therefore form over the effective masks.
 		r.obs.Begin(obs.PhaseEnvStep)
-		es := e.Step(round, rng)
+		r.envRand.Reseed(engine.EnvSeed(opts.Seed, round))
+		es := e.Step(round, r.envRand.Rand)
 		exact := false
 		var envE, envA []int
 		if delta != nil {
@@ -647,12 +644,12 @@ func RunWith[T any](sc *Scratch[T], p core.Problem[T], e env.Environment, initia
 		r.obs.End(obs.PhaseTouched)
 
 		// Agents transition: groups step concurrently.
-		r.roundSeed = engine.GroupRoundSeed(opts.Seed, round)
+		r.roundSeed = engine.RoundSeed(opts.Seed, round)
 		stepsBefore := res.GroupSteps
 		var activeGroups int
 		switch opts.Mode {
 		case PairwiseMode:
-			activeGroups = r.stepPairs(es, rng, exact)
+			activeGroups = r.stepPairs(es, round, exact)
 		default:
 			activeGroups = r.stepComponents(es, exact)
 		}
@@ -968,12 +965,12 @@ func (r *runner[T]) allEqual(members []int) bool {
 // deltas first repair the endpoints-differ index, and the matcher drops
 // every claimed pair whose bit is clear — an equal-state pair, which can
 // only stutter — so the step phase walks only the pairs that can change:
-// O(changes), not O(matched pairs). Master-stream consumption is the one
-// matching seed, independent of the shard count, the pool and the
-// marker, so results are bit-identical for every
+// O(changes), not O(matched pairs). The matching is drawn on the round's
+// keyed seed (engine.MatchSeed), independent of the shard count, the pool
+// and the marker, so results are bit-identical for every
 // Shards/ParallelThreshold/GOMAXPROCS combination.
 // The return value is the matched-pair count, stepped or not.
-func (r *runner[T]) stepPairs(es env.State, rng *rand.Rand, exact bool) int {
+func (r *runner[T]) stepPairs(es env.State, round int, exact bool) int {
 	r.obs.Begin(obs.PhaseMatcherUpdate)
 	r.matcher.Update(es.EdgeUp, es.AgentUp, r.touchedE, r.touchedA, exact)
 	var keep bitset.Set
@@ -983,7 +980,7 @@ func (r *runner[T]) stepPairs(es env.State, rng *rand.Rand, exact bool) int {
 	}
 	r.obs.End(obs.PhaseMatcherUpdate)
 	r.obs.Begin(obs.PhaseMatch)
-	pairs, matched := r.matcher.Match(rng.Int63(), r.pool, keep)
+	pairs, matched := r.matcher.Match(engine.MatchSeed(r.opts.Seed, round), r.pool, keep)
 	r.obs.End(obs.PhaseMatch)
 	if r.obs != nil {
 		r.obs.Add(obs.CounterMatchedPairs, int64(matched))

@@ -10,8 +10,8 @@
 // a product of axes. The runner exploits that uniformity for throughput:
 //
 //   - Warm engines. Each sweep worker owns one sim.Scratch (a persistent
-//     worker pool, per-worker O(1)-reseed streams, the master stream,
-//     state trackers, shard sets, pairwise matchers, group arenas,
+//     worker pool, per-worker O(1)-reseed streams, the environment
+//     stream, state trackers, shard sets, pairwise matchers, group arenas,
 //     monitor buffers), handed from cell to cell via sim.RunWith.
 //     Steady-state cells therefore re-pay none of the engine set-up that
 //     a cold sim.Run performs — BenchmarkSweepGrid and the CI allocation

@@ -6,8 +6,9 @@
 # (the Problem API returns a fresh after-state so callers can never alias
 # internal scratch) plus one-time setup. Min carries core.StutterOnEqual,
 # so components whose members all hold one value (singletons included)
-# are skipped without a step or a copy: the fixed seed measures ~191
-# (~218 before group seeds were keyed on members, which moved the run),
+# are skipped without a step or a copy: the fixed seed measures ~226
+# (34 rounds, 112 proper steps; ~191 over 27 rounds and 81 steps before
+# the environment's stream was keyed on the round, which moved the run),
 # down from ~1416 when every component stepped. The budget stays at
 # 1600. BenchmarkSimPairwiseSharded4k pins the sharded pairwise
 # round: the partitioned matcher's buffers are engine-owned and reused
@@ -19,14 +20,14 @@
 # scenario-grid runner's warm-engine contract: one persistent Runner
 # executes a 24-cell pairwise grid per op, so steady-state cells pay only
 # per-run bookkeeping (~32 allocs/cell — Result, env masks, final-state
-# copy; ~715 allocs/op measured, budget 1200, far below the
+# copy; ~690 allocs/op measured, budget 1200, far below the
 # several-thousand a grid whose cells re-paid engine set-up — tracker,
-# matcher, pool, master-stream source — would cost).
+# matcher, pool, stream sources — would cost).
 #
 # BenchmarkSimWithDynamics is BenchmarkSimComponentRing64 with an EMPTY
 # dynamics schedule attached and shares its 1600 budget: the dynamics
 # hook (per-round Begin/EndRound + frozen check) must add ~0 allocs/round
-# — the fixed seed measures ~198 vs ~191 plain, the difference being
+# — the fixed seed measures ~232 vs ~226 plain, the difference being
 # one-time applier setup. A regression that allocates per round (mask
 # copies, per-event garbage) multiplies the number and fails loudly.
 #
