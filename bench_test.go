@@ -142,12 +142,10 @@ func BenchmarkSimShardedRing10k(b *testing.B) {
 }
 
 // BenchmarkSimPairwiseSharded4k measures the sharded pairwise round end
-// to end: min gossip on a 4096-agent hypercube at 99% availability with
-// the partitioned matcher forced to 4 blocks (so the boundary
-// reconciliation pass is on the hot path), 4 state shards, fixed seed.
-// The per-round matching buffers are matcher-owned and reused, so
-// allocs/op is a stable budget number like the component path's
-// (enforced by scripts/check_alloc_budget.sh).
+// to end: min gossip on a 4096-agent hypercube at 99% availability, 4
+// state shards, fixed seed. The matcher's memo, query stacks and outputs
+// are matcher-owned and reused, so allocs/op is a stable budget number
+// like the component path's (enforced by scripts/check_alloc_budget.sh).
 func BenchmarkSimPairwiseSharded4k(b *testing.B) {
 	g := Hypercube(12)
 	vals := rand.New(rand.NewSource(9)).Perm(4 * g.N())[:g.N()]
@@ -156,7 +154,7 @@ func BenchmarkSimPairwiseSharded4k(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res, err := Simulate[int](NewMin(), EdgeChurn(g, 0.99), vals,
 			Options{Seed: 9, StopOnConverged: true, MaxRounds: 200_000,
-				Mode: PairwiseMode, Shards: 4, MatchBlocks: 4})
+				Mode: PairwiseMode, Shards: 4})
 		if err != nil || !res.Converged {
 			b.Fatal("run failed")
 		}
@@ -167,9 +165,8 @@ func BenchmarkSimPairwiseSharded4k(b *testing.B) {
 // persistent warm sweep worker: a FIXED number of rounds per iteration
 // (StopOnConverged off), so ns/op ÷ rounds and allocs/op ÷ rounds are
 // per-round numbers. Availability 0.999 puts the system in the sparse
-// regime the delta index targets — ~0.1% of edges flip per round, so a
-// round's index maintenance is O(changes) while the matching draw itself
-// remains the algorithm's O(usable edges).
+// regime — ~0.1% of edges flip per round — and min's endpoints-differ
+// index keeps the match and the step at O(pairs that can change).
 func benchWarmPairwiseCell(b *testing.B, w *sweep.Worker, g *Graph, rounds int) {
 	benchWarmPairwiseCellProbed(b, w, g, rounds, nil)
 }
@@ -239,7 +236,7 @@ func BenchmarkSimRoundScale(b *testing.B) {
 // BenchmarkSimPairwiseDelta1e5 is the steady-state allocation-budget
 // benchmark for the O(changes) round path at N = 10⁵ (64 rounds per op
 // on a warm engine — post-warmup, so engine set-up is off the meter and
-// allocs/op pins per-run bookkeeping plus 64 delta-indexed rounds). Its
+// allocs/op pins per-run bookkeeping plus 64 O(changes) rounds). Its
 // hard budget lives in scripts/check_alloc_budget.sh.
 func BenchmarkSimPairwiseDelta1e5(b *testing.B) {
 	w := sweep.NewWorker()
@@ -274,7 +271,7 @@ func BenchmarkE16ScenarioMatrix(b *testing.B) { benchSection(b, experiments.E16S
 func BenchmarkE17Dynamics(b *testing.B) { benchSection(b, experiments.E17Dynamics) }
 
 // BenchmarkE18RoundCost regenerates the steady-state round-cost study —
-// fixed-round pairwise cells at N up to 10⁶ on the delta-indexed engine.
+// fixed-round pairwise cells at N up to 10⁶ on the warm engine.
 func BenchmarkE18RoundCost(b *testing.B) { benchSection(b, experiments.E18RoundCost) }
 
 // BenchmarkE19Membership regenerates the growable-population study: the

@@ -11,8 +11,8 @@
 //   - iteration skips zero words entirely (a fully-masked region costs
 //     one word test per 64 entries), and
 //   - round-over-round change detection is a word-wise XOR that yields
-//     exactly the flipped ids — the primitive the usable-edge delta
-//     index and the fairness probe's Observe are built on.
+//     exactly the flipped ids — the primitive the fairness probe's
+//     Observe is built on.
 //
 // The zero value Set{} is "absent": Len() == 0 and IsZero() reports
 // true. Call sites that accepted a nil []bool to mean "everything up"

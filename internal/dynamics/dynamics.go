@@ -39,8 +39,8 @@
 // round), tagged apart from the engine's environment, matching and group
 // streams and never dependent on what previous rounds drew — so dynamics
 // are a pure function of (run seed, round) and results are bit-identical
-// for every state layout (Shards), matcher partition (MatchBlocks),
-// worker count, and GOMAXPROCS. A nil Schedule (sim.Options.Dynamics == nil) leaves the
+// for every state layout (Shards), worker count, and GOMAXPROCS. A nil
+// Schedule (sim.Options.Dynamics == nil) leaves the
 // engine untouched, and an empty schedule (NewSchedule with no rules)
 // is behaviourally identical to nil — both are pinned by the sim golden
 // matrix.

@@ -118,9 +118,7 @@ func (s *Shards[T]) P() int { return len(s.trackers) }
 
 // Owner returns the shard owning the given agent index. Agents appended
 // by population growth (indices at or beyond P·blockSize) clamp to the
-// last shard — the same grow-the-last-block rule graph.EdgePartition.Block
-// uses, so state sharding and edge blocking never disagree about an
-// agent's home.
+// last shard, so growth never moves an existing agent's home.
 func (s *Shards[T]) Owner(agent int) int {
 	if sh := agent / s.blockSize; sh < len(s.trackers) {
 		return sh

@@ -1139,10 +1139,10 @@ func E13Continuous(cfg Config) Section {
 // sharded state layout (per-shard trackers with per-round staged deltas,
 // a P-way merged snapshot, and the sharded monitor reduction — see
 // engine.Shards) makes large-N component rounds affordable, and the
-// partitioned pairwise matcher (per-block interior matchings fanned out
-// across the pool, sequential boundary reconciliation — see
-// engine.PairMatcher) plus the sparse-churn environment step and the
-// O(1)-reseed group streams do the same for pairwise gossip, so this
+// keyed-priority pairwise matcher (local queries for the pairs that can
+// change, fanned out across the pool — see engine.PairMatcher) plus the
+// sparse-churn environment step and the O(1)-reseed group streams do the
+// same for pairwise gossip, so this
 // experiment records what the paper's prose promises implicitly: the
 // methodology has no small-N assumption at either granularity extreme.
 // Component cells scale availability with N so components stay a fixed
@@ -1230,7 +1230,7 @@ func E15Scaling(cfg Config) Section {
 	}
 	b.WriteString("Minimum consensus at scale, state split into P = 4 shards (results are\n" +
 		"bit-identical for every shard count, P = 1 included — pinned by the sharded\n" +
-		"golden equivalence tests, for the pairwise rows with the partitioned\n" +
+		"golden equivalence tests, for the pairwise rows with the keyed-priority\n" +
 		"matcher included), all cells executed on one warm sweep worker. One\n" +
 		"seed per cell; wall-clock and alloc columns are environment-dependent\n" +
 		"and indicative, rounds are exact:\n\n")
@@ -1239,10 +1239,11 @@ func E15Scaling(cfg Config) Section {
 		"per-shard buffers, repairs each shard tracker once per round, draws\n" +
 		"pairwise matchings into matcher-owned buffers, and the monitors\n" +
 		"evaluate f through reusable ApplyInto buffers — so heap traffic tracks\n" +
-		"rounds, not agents × rounds. The pairwise rows are the ones PR 3\n" +
-		"unblocks: the matcher partitions the O(E) matching across blocks, the\n" +
-		"environment samples only flipped edges per round, and group streams\n" +
-		"reseed in O(1), so a 10⁵-agent gossip round costs milliseconds.\n")
+		"rounds, not agents × rounds. In the pairwise rows the matcher answers\n" +
+		"local queries only for the pairs that can change and fans them out\n" +
+		"across the pool, the environment samples only flipped edges per round,\n" +
+		"and group streams reseed in O(1), so a 10⁵-agent gossip round costs\n" +
+		"milliseconds.\n")
 	return Section{
 		ID:    "E15",
 		Title: "Scaling study — 10⁴–10⁵ agents on the sharded engine, both interaction patterns",
@@ -1260,16 +1261,14 @@ func E15Scaling(cfg Config) Section {
 // warm. Every cell runs a FIXED number of pairwise rounds at 99.9%
 // availability — the sparse regime where ~0.1% of edges flip per round —
 // on one warm sweep worker, recording wall-clock/round and heap
-// allocs/round. The usable-edge delta index (engine.PairMatcher.Update
-// fed by the environment's flip lists and the dynamics overlay logs)
-// and the bitset masks make index maintenance proportional to changes,
-// so allocs/round must stay FLAT from 10⁴ to 10⁶ (heap traffic tracks
-// changes and per-run bookkeeping, never agents or edges) while ns/round grows only with the matching
-// draw itself — the algorithm's per-round O(usable edges) work, not an
-// artifact of the harness. The quiescent extreme is pinned separately by
-// the matcher benchmarks (a zero-change Update is ~10⁵× cheaper than the
-// O(E) rescan it replaces) and the scaling row is recorded per commit by
-// scripts/bench_record.sh.
+// allocs/round. The matcher answers local queries only for the pairs
+// whose endpoints differ (engine.PairMatcher), and the endpoints-differ
+// index is repaired from the agents staged each round, so allocs/round
+// must stay FLAT from 10⁴ to 10⁶ (heap traffic tracks changes and
+// per-run bookkeeping, never agents or edges) while ns/round grows only
+// with the pairs that can change. The sparse extreme is pinned
+// separately by BenchmarkMatcherMatch1e5 (one candidate in 1024) and the
+// scaling row is recorded per commit by scripts/bench_record.sh.
 func E18RoundCost(cfg Config) Section {
 	var b strings.Builder
 	rounds := 64
@@ -1320,7 +1319,7 @@ func E18RoundCost(cfg Config) Section {
 		}
 		// Steady state is the subject: the first (untimed) run pays the
 		// one-time engine growth for this size — trackers, masks, the
-		// matcher's O(blocks) index — and the measured second run is the
+		// matcher's memo — and the measured second run is the
 		// warm regime the benchmarks pin.
 		if _, err := w.Do(cellSpec); err != nil {
 			shape = false
@@ -1368,39 +1367,36 @@ func E18RoundCost(cfg Config) Section {
 	}
 	b.WriteString("Steady-state pairwise round cost at 99.9% availability, fixed round\n" +
 		"budget per cell, all cells on one warm sweep worker (engine scratch,\n" +
-		"trackers, matcher index handed between cells). One seed per cell;\n" +
+		"trackers, matcher memo handed between cells). One seed per cell;\n" +
 		"wall-clock and alloc columns are environment-dependent and\n" +
 		"indicative:\n\n")
 	b.WriteString(t.String())
 	b.WriteString("\nAllocs/round is flat from 10⁴ to 10⁶ agents: the round loop touches\n" +
-		"reused buffers only, and the delta index absorbs the ~0.1% of edges\n" +
-		"that flip per round in O(changes) — the masks' word-level diff yields\n" +
-		"exactly the flipped ids, and the matcher reexamines only those edges'\n" +
-		"buckets.\n" +
-		"Ns/round grows with N because a pairwise round genuinely draws a\n" +
-		"random maximal matching over every usable edge — the algorithm's own\n" +
-		"work, which the tree-ordered parallel reconciliation fans out across\n" +
-		"blocks without changing a single drawn bit.\n")
+		"reused buffers only, and the matcher's memo, query stacks and outputs\n" +
+		"are matcher-owned.\n" +
+		"Ns/round grows with N because these cells start from random values:\n" +
+		"most pairs can change, so the matcher answers a query for nearly every\n" +
+		"usable edge — the algorithm's own work, fanned out across the pool\n" +
+		"without changing a single drawn bit.\n")
 	b.WriteString("\nThe ns_per_phase columns come from the observability probe\n" +
-		"(internal/obs) attached to each measured run: `match` (the matching\n" +
-		"draw over usable edges) is the algorithm's own per-round work and\n" +
-		"carries the round. Min being a core.StutterOnEqual problem, the\n" +
-		"matcher returns only the pairs whose endpoints-differ bit is set, so\n" +
-		"`step` costs O(pairs that can change), not O(N); the index's repair\n" +
-		"times under `update`.\n" +
+		"(internal/obs) attached to each measured run. Min being a\n" +
+		"core.StutterOnEqual problem, the matcher is asked only about the\n" +
+		"pairs whose endpoints-differ bit is set, so `match` and `step` cost\n" +
+		"O(pairs that can change), not O(N); the index's build and repair are\n" +
+		"all of `update`.\n" +
 		"`monitor` is the shard flush plus, min being a consensus problem, an\n" +
 		"O(P) check of the shards' size, minimum and maximum against S* with a\n" +
 		"running h:\n" +
 		"no merged snapshot and no image of f. The O(changes) phases (`env`,\n" +
 		"`update`) scale with what changed, not with N: these cells start\n" +
-		"from random values, so many agents change every round and `update`,\n" +
-		"mostly the endpoints-differ repair, is a visible share of the round;\n" +
-		"on a near-converged round it is far below it. Attaching the probe\n" +
+		"from random values, so many agents change every round and `update`\n" +
+		"is a visible share of the round; on a near-converged round it is\n" +
+		"far below it. Attaching the probe\n" +
 		"changes no result bytes. Aggregate timing across the measured cells:\n\n")
 	b.WriteString(probe.Report().PhaseTable().String())
 	return Section{
 		ID:    "E18",
-		Title: "Round-cost study — O(changes) delta-indexed rounds at 10⁶ agents",
+		Title: "Round-cost study — O(changes) rounds at 10⁶ agents",
 		Claim: "§1/§2.1: the methodology has no small-N assumption — a million-agent system is steppable interactively because steady-state round cost tracks what changed, not the size of the graph.",
 		Body:  b.String(), ShapeHolds: shape,
 	}
@@ -1654,10 +1650,8 @@ func E17Dynamics(cfg Config) Section {
 // amnesiac flaps against min/max/gcd/sum, counting injected resets and
 // detected violations; (2) the join determinism matrix — join-laden grids
 // over all three attachment families replayed across engine layouts
-// (state shards × matcher blocks × sweep workers × GOMAXPROCS), where
-// results must be bit-identical within each matcher-block setting (the
-// block count is part of the algorithm, like a seed; shards, workers, and
-// GOMAXPROCS are layout only and must be invisible).
+// (state shards × sweep workers × GOMAXPROCS), where results must be
+// bit-identical: layouts must be invisible.
 func E19Membership(cfg Config) Section {
 	var b strings.Builder
 	shape := true
@@ -1761,7 +1755,7 @@ func E19Membership(cfg Config) Section {
 	// --- Half 2: join determinism across engine layouts ---
 	gn := 24
 	joinSeeds := 3
-	mkGrid := func(topo sweep.Topo, dyns []dynamics.Desc, shards, blocks int) (*sweep.Grid, error) {
+	mkGrid := func(topo sweep.Topo, dyns []dynamics.Desc, shards int) (*sweep.Grid, error) {
 		a := sweep.Axes{
 			Envs:      []env.Desc{env.ChurnDesc(0.9)},
 			Problems:  []problems.Desc{problems.MinDesc()},
@@ -1772,8 +1766,8 @@ func E19Membership(cfg Config) Section {
 			Seeds:     joinSeeds,
 			BaseSeed:  19,
 			MaxRounds: 60_000,
+			Shards:    shards,
 		}
-		a.Shards, a.MatchBlocks = shards, blocks
 		return a.Grid()
 	}
 	ringDyns := []dynamics.Desc{
@@ -1807,8 +1801,7 @@ func E19Membership(cfg Config) Section {
 		{"shards=4 workers=all", 4, 0, 0},
 		{"shards=1 workers=2 GOMAXPROCS=2", 1, 2, 2},
 	}
-	dt := metrics.NewTable("grid", "matcher blocks", "cells", "joins injected",
-		"layouts bit-identical")
+	dt := metrics.NewTable("grid", "cells", "joins injected", "layouts bit-identical")
 	grids := []struct {
 		name string
 		topo sweep.Topo
@@ -1818,77 +1811,64 @@ func E19Membership(cfg Config) Section {
 		{"hypercube dimension fill", sweep.HypercubeTopo(), cubeDyns},
 	}
 	for _, gspec := range grids {
-		for _, blocks := range []int{0, 3} {
-			var ref string
-			identical := true
-			cells, joins := 0, 0
-			for _, l := range layouts {
-				grid, err := mkGrid(gspec.topo, gspec.dyns, l.shards, blocks)
-				if err != nil {
-					return Section{ID: "E19", Title: "membership", Body: "error: " + err.Error()}
-				}
-				var res *sweep.Result
-				if l.gomaxp > 0 {
-					old := runtime.GOMAXPROCS(l.gomaxp)
-					res, err = sweep.Run(grid, sweep.Options{Workers: l.workers, KeepFinal: true})
-					runtime.GOMAXPROCS(old)
-				} else {
-					res, err = sweep.Run(grid, sweep.Options{Workers: l.workers, KeepFinal: true})
-				}
-				if err != nil {
-					return Section{ID: "E19", Title: "membership", Body: "error: " + err.Error()}
-				}
-				fp := fingerprint(res)
-				if ref == "" {
-					ref = fp
-					cells = len(res.Cells)
-					for _, c := range res.Cells {
-						if c.Violations != 0 || !c.Converged {
-							shape = false
-						}
-						if c.Dyn != nil {
-							joins += c.Dyn.Joins
-						}
-					}
-					if joins == 0 {
+		var ref string
+		identical := true
+		cells, joins := 0, 0
+		for _, l := range layouts {
+			grid, err := mkGrid(gspec.topo, gspec.dyns, l.shards)
+			if err != nil {
+				return Section{ID: "E19", Title: "membership", Body: "error: " + err.Error()}
+			}
+			var res *sweep.Result
+			if l.gomaxp > 0 {
+				old := runtime.GOMAXPROCS(l.gomaxp)
+				res, err = sweep.Run(grid, sweep.Options{Workers: l.workers, KeepFinal: true})
+				runtime.GOMAXPROCS(old)
+			} else {
+				res, err = sweep.Run(grid, sweep.Options{Workers: l.workers, KeepFinal: true})
+			}
+			if err != nil {
+				return Section{ID: "E19", Title: "membership", Body: "error: " + err.Error()}
+			}
+			fp := fingerprint(res)
+			if ref == "" {
+				ref = fp
+				cells = len(res.Cells)
+				for _, c := range res.Cells {
+					if c.Violations != 0 || !c.Converged {
 						shape = false
 					}
-				} else if fp != ref {
-					identical = false
+					if c.Dyn != nil {
+						joins += c.Dyn.Joins
+					}
+				}
+				if joins == 0 {
 					shape = false
 				}
+			} else if fp != ref {
+				identical = false
+				shape = false
 			}
-			dt.AddRowf(gspec.name, blockLabel(blocks), cells, joins, identical)
 		}
+		dt.AddRowf(gspec.name, cells, joins, identical)
 	}
 	b.WriteString(fmt.Sprintf("Join-laden grids (all three attachment families: ring splice,\n"+
 		"hypercube dimension fill, preferential attachment; N = %d founding\n"+
 		"agents, %d seeds, component and pairwise modes) replayed across engine\n"+
-		"layouts — state shards × sweep workers × GOMAXPROCS — per matcher\n"+
-		"block setting:\n\n", gn, joinSeeds))
+		"layouts — state shards × sweep workers × GOMAXPROCS:\n\n", gn, joinSeeds))
 	b.WriteString(dt.String())
 	b.WriteString("\nEvery layout produced byte-identical cell results, dynamics reports,\n" +
 		"and final states: joiners append to the last shard without rebalancing,\n" +
-		"substreams key on stable agent identity, and the matcher's grown\n" +
-		"buckets keep their indices — so membership changes are as invisible to\n" +
-		"the machine layout as any other event. The matcher block count is part\n" +
-		"of the algorithm (a different block count draws a different, equally\n" +
-		"valid matching, exactly like a different seed), so identity is asserted\n" +
-		"within each block setting, never across.\n")
+		"substreams key on stable agent identity, and the pairwise matching is\n" +
+		"a function of the round's keyed edge ranks and masks alone — so\n" +
+		"membership changes are as invisible to the machine layout as any\n" +
+		"other event.\n")
 	return Section{
 		ID:    "E19",
 		Title: "Growable populations — JOIN events and the amnesiac-rejoin classification",
 		Claim: "§3.4: f(f(X) ∪ Y) = f(X ∪ Y) makes incremental admission exact — and under amnesiac rejoin, duplicate-insensitive functions (min, max, gcd) keep the conservation law while sum's violations are detected, never masked.",
 		Body:  b.String(), ShapeHolds: shape,
 	}
-}
-
-// blockLabel renders a MatchBlocks setting for the E19 table.
-func blockLabel(blocks int) string {
-	if blocks == 0 {
-		return "auto"
-	}
-	return fmt.Sprint(blocks)
 }
 
 // --- E14: the escape postulate (§2.1) ---

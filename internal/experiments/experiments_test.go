@@ -100,7 +100,7 @@ func TestNestedSweepRespectsWorkerBudget(t *testing.T) {
 	forEachSeed(8, func(s int) {
 		res, err := sim.Run[int](problems.NewMin(), env.NewEdgeChurn(g, 0.6), initialValues(64, int64(s)+1),
 			sim.Options{Seed: int64(s) + 1, StopOnConverged: true, MaxRounds: 60_000,
-				Shards: 4, ParallelThreshold: 1, Mode: sim.PairwiseMode, MatchBlocks: 4})
+				Shards: 4, ParallelThreshold: 1, Mode: sim.PairwiseMode})
 		if err != nil || !res.Converged {
 			t.Errorf("seed %d: err=%v converged=%v", s, err, res != nil && res.Converged)
 		}

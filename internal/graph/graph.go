@@ -18,7 +18,6 @@ import (
 	mathbits "math/bits"
 	"math/rand"
 	"sort"
-	"sync"
 
 	"repro/internal/bitset"
 )
@@ -50,25 +49,11 @@ type Graph struct {
 
 	// Growth state (see grow.go). Edge ids are append-only and stable:
 	// sortedM is the length of the canonically sorted prefix EdgeID can
-	// binary-search (edges appended by growth land on the tail), retired
-	// marks ids removed from the live topology (never reused), gen
-	// counts growth operations so index structures built over the graph
-	// can detect staleness cheaply, and baseN is the founding population —
-	// the N the graph was constructed with, which block sizing is keyed to
-	// so partitions computed before and after growth agree.
-	gen          int
-	baseN        int
+	// binary-search (edges appended by growth land on the tail), and
+	// retired marks ids removed from the live topology (never reused).
 	sortedM      int
 	retired      bitset.Set
 	retiredCount int
-
-	// Edge partitions are pure functions of (edge set, blocks), so they are
-	// computed once per block count and cached on the graph. Graphs are
-	// shared across sweep workers; the mutex makes the cache safe there.
-	// Growth extends every cached partition in place (grow.go), so the
-	// shared pointers stay valid.
-	partMu sync.Mutex
-	parts  map[int]*EdgePartition
 }
 
 // New builds a graph over n vertices with the given edges. Duplicate and
@@ -105,7 +90,7 @@ func New(name string, n int, edges []Edge) (*Graph, error) {
 			return nil, fmt.Errorf("graph: duplicate edge %v", canon[i])
 		}
 	}
-	g := &Graph{n: n, edges: canon, name: name, baseN: n, sortedM: len(canon)}
+	g := &Graph{n: n, edges: canon, name: name, sortedM: len(canon)}
 	// Counted two-pass adjacency build over one flat backing array.
 	deg := make([]int, n+1)
 	for _, e := range canon {
@@ -156,14 +141,13 @@ func (g *Graph) Edges() []Edge {
 
 // EdgesView returns the graph's edge list without copying. The returned
 // slice is shared and MUST NOT be modified; use it for read-only scans
-// where the O(E) copy of Edges would dominate (delta index rebuilds,
-// per-round mask derivations).
+// where the O(E) copy of Edges would dominate (index builds, per-round
+// matching queries).
 func (g *Graph) EdgesView() []Edge { return g.edges }
 
-// IncidentEdgeIDs returns the ids of the edges incident to v, ascending.
-// The returned slice is shared and MUST NOT be modified; it is the
-// primitive the usable-edge delta index uses to re-examine exactly the
-// edges an agent flip can affect.
+// IncidentEdgeIDs returns the ids of the live edges incident to v. The
+// returned slice is shared and MUST NOT be modified; it is the primitive
+// the matcher's local queries and the endpoints-differ repair walk.
 func (g *Graph) IncidentEdgeIDs(v int) []int { return g.adj[v] }
 
 // Edge returns the edge with the given id.
@@ -341,182 +325,6 @@ func (g *Graph) ComponentsInto(edgeUp, agentUp bitset.Set, cs *ComponentScratch)
 		comps[c] = members[offsets[c]:offsets[c+1]:offsets[c+1]]
 	}
 	return comps
-}
-
-// EdgePartition is the edge-side view of a contiguous agent blocking: the
-// agents 0..N-1 are split into Blocks blocks of BlockSize consecutive
-// indices (the same blocking rule engine.Shards uses for state), and every
-// edge is classified as either *interior* to the block holding both of its
-// endpoints or as a *boundary* edge between two blocks. It is the static
-// index a partitioned per-round algorithm (the sharded pairwise matcher)
-// needs: interior edges of distinct blocks never share an endpoint, so
-// per-block passes over Interior are embarrassingly parallel, while the
-// Boundary list is the part that needs cross-block reconciliation.
-type EdgePartition struct {
-	// Blocks is the number of agent blocks (≥ 1).
-	Blocks int
-	// BlockSize is the number of consecutive agent indices per block
-	// (the last block may be shorter).
-	BlockSize int
-	// Interior[b] lists, in ascending order, the ids of edges whose two
-	// endpoints both lie in block b.
-	Interior [][]int
-	// Boundary lists, in ascending order, the ids of edges whose
-	// endpoints lie in distinct blocks.
-	Boundary []int
-	// Pairs groups the boundary edges by their (ordered) block pair,
-	// sorted by (BI, BJ). Every boundary edge appears in exactly one pair.
-	Pairs []BoundaryPair
-	// Levels is a deterministic schedule for reconciling boundary pairs
-	// in parallel: each entry lists indices into Pairs, and within one
-	// level no two pairs share a block — so the pairs of a level can
-	// claim matches concurrently without touching the same agents. The
-	// schedule is a greedy edge coloring of the block-pair multigraph,
-	// a pure function of (edge set, blocks): it never depends on worker
-	// count, masks, or seeds, which is what keeps parallel reconciliation
-	// bit-identical across GOMAXPROCS and pool sizes.
-	Levels [][]int
-}
-
-// BoundaryPair is the set of boundary edges between one pair of blocks.
-type BoundaryPair struct {
-	BI, BJ int   // owning blocks, BI < BJ
-	Edges  []int // ascending edge ids with one endpoint in each block
-}
-
-// Block returns the block owning the given agent index. Agents appended
-// by population growth (indices at or beyond Blocks·BlockSize) clamp to
-// the last block — the "grow the last shard" rule; rebalancing happens
-// only when an explicit epoch rebuilds the partition.
-func (p *EdgePartition) Block(agent int) int {
-	if b := agent / p.BlockSize; b < p.Blocks {
-		return b
-	}
-	return p.Blocks - 1
-}
-
-// PartitionEdges returns the EdgePartition of the graph's edge set for the
-// given number of contiguous agent blocks (clamped to [1, baseN] where
-// baseN is the founding population). Every edge id appears in exactly one
-// of the Interior lists or in Boundary, and with blocks == 1 every edge is
-// interior.
-//
-// The result is computed once per block count and cached on the graph
-// (partitions depend only on the edge history), so warm matcher rebuilds
-// and repeated sweep cells skip the O(E) split. The returned partition is
-// shared — callers must treat it as read-only. Block sizing is keyed to
-// the founding population and growth-appended edges are applied as an
-// ordered tail on top of the founding build, so a partition computed
-// fresh after growth is identical — field for field, order for order — to
-// one built before growth and extended incrementally.
-func (g *Graph) PartitionEdges(blocks int) *EdgePartition {
-	n := g.baseN
-	if blocks < 1 {
-		blocks = 1
-	}
-	if blocks > n && n > 0 {
-		blocks = n
-	}
-	g.partMu.Lock()
-	defer g.partMu.Unlock()
-	if p, ok := g.parts[blocks]; ok {
-		return p
-	}
-	bs := 1
-	if n > 0 {
-		bs = (n + blocks - 1) / blocks
-	}
-	p := &EdgePartition{Blocks: blocks, BlockSize: bs, Interior: make([][]int, blocks)}
-	// Founding prefix: canonically sorted, every endpoint within baseN.
-	for id, e := range g.edges[:g.sortedM] {
-		ba, bb := e.A/bs, e.B/bs
-		if ba == bb {
-			p.Interior[ba] = append(p.Interior[ba], id)
-		} else {
-			p.Boundary = append(p.Boundary, id)
-		}
-	}
-	g.buildPairSchedule(p)
-	// Growth tail: replay appended edges in id order through the same
-	// extension path incremental growth uses, so fresh and extended
-	// builds coincide exactly.
-	for id := g.sortedM; id < len(g.edges); id++ {
-		g.extendPartitionLocked(p, id)
-	}
-	if g.sortedM < len(g.edges) {
-		colorPairs(p)
-	}
-	if g.parts == nil {
-		g.parts = make(map[int]*EdgePartition)
-	}
-	g.parts[blocks] = p
-	return p
-}
-
-// buildPairSchedule groups p.Boundary by block pair and colors the pair
-// multigraph greedily: pairs are visited in ascending (BI, BJ) order and
-// each takes the smallest level not already holding either of its blocks.
-// By Vizing-style greedy bounds the level count is at most 2·Δ−1 where Δ
-// is the largest number of partner blocks any block has.
-func (g *Graph) buildPairSchedule(p *EdgePartition) {
-	if len(p.Boundary) == 0 {
-		return
-	}
-	bs := p.BlockSize
-	type key struct{ bi, bj int }
-	groups := make(map[key]int, 16) // pair -> index in p.Pairs
-	for _, id := range p.Boundary {
-		e := g.edges[id]
-		k := key{e.A / bs, e.B / bs}
-		pi, ok := groups[k]
-		if !ok {
-			pi = len(p.Pairs)
-			groups[k] = pi
-			p.Pairs = append(p.Pairs, BoundaryPair{BI: k.bi, BJ: k.bj})
-		}
-		p.Pairs[pi].Edges = append(p.Pairs[pi].Edges, id)
-	}
-	sort.Slice(p.Pairs, func(i, j int) bool {
-		if p.Pairs[i].BI != p.Pairs[j].BI {
-			return p.Pairs[i].BI < p.Pairs[j].BI
-		}
-		return p.Pairs[i].BJ < p.Pairs[j].BJ
-	})
-	colorPairs(p)
-}
-
-// colorPairs (re)derives p.Levels by greedy coloring over the stored pair
-// order: each pair takes the smallest level not already holding either of
-// its blocks. The coloring is a pure deterministic function of the pair
-// sequence, and because it is greedy in order, appending pairs at the end
-// of p.Pairs and recoloring reproduces the existing prefix's levels
-// exactly — which is what lets population growth extend a partition
-// without disturbing the schedule already compiled into warm matchers.
-func colorPairs(p *EdgePartition) {
-	p.Levels = nil
-	blockLevels := make([][]bool, p.Blocks) // blockLevels[b][l]: block b busy at level l
-	free := func(b, l int) bool {
-		return l >= len(blockLevels[b]) || !blockLevels[b][l]
-	}
-	occupy := func(b, l int) {
-		for len(blockLevels[b]) <= l {
-			blockLevels[b] = append(blockLevels[b], false)
-		}
-		blockLevels[b][l] = true
-	}
-	for pi := range p.Pairs {
-		bi, bj := p.Pairs[pi].BI, p.Pairs[pi].BJ
-		l := 0
-		for !free(bi, l) || !free(bj, l) {
-			l++
-		}
-		occupy(bi, l)
-		occupy(bj, l)
-		for len(p.Levels) <= l {
-			p.Levels = append(p.Levels, nil)
-		}
-		p.Levels[l] = append(p.Levels[l], pi)
-	}
 }
 
 // Connected reports whether the graph (with all edges enabled) is a single

@@ -361,72 +361,3 @@ func TestBinaryTree(t *testing.T) {
 		t.Error("single-node tree has edges")
 	}
 }
-
-// TestPartitionEdgesTiles: every edge id lands in exactly one interior
-// list or the boundary list, interior endpoints share a block, boundary
-// endpoints do not, and all lists stay ascending.
-func TestPartitionEdgesTiles(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	for trial := 0; trial < 60; trial++ {
-		g := ErdosRenyi(1+rng.Intn(24), 0.4, rng)
-		blocks := 1 + rng.Intn(6)
-		p := g.PartitionEdges(blocks)
-		if p.Blocks < 1 || (g.N() > 0 && p.Blocks > g.N()) {
-			t.Fatalf("blocks=%d clamped to %d for n=%d", blocks, p.Blocks, g.N())
-		}
-		seen := make([]int, g.M())
-		ascending := func(ids []int) bool {
-			for i := 1; i < len(ids); i++ {
-				if ids[i-1] >= ids[i] {
-					return false
-				}
-			}
-			return true
-		}
-		for b, ids := range p.Interior {
-			if !ascending(ids) {
-				t.Fatalf("interior[%d] not ascending: %v", b, ids)
-			}
-			for _, id := range ids {
-				seen[id]++
-				e := g.Edge(id)
-				if p.Block(e.A) != b || p.Block(e.B) != b {
-					t.Fatalf("edge %v listed interior to block %d (blocks %d/%d)",
-						e, b, p.Block(e.A), p.Block(e.B))
-				}
-			}
-		}
-		if !ascending(p.Boundary) {
-			t.Fatalf("boundary not ascending: %v", p.Boundary)
-		}
-		for _, id := range p.Boundary {
-			seen[id]++
-			e := g.Edge(id)
-			if p.Block(e.A) == p.Block(e.B) {
-				t.Fatalf("edge %v listed boundary but both endpoints in block %d", e, p.Block(e.A))
-			}
-		}
-		for id, c := range seen {
-			if c != 1 {
-				t.Fatalf("edge %d classified %d times", id, c)
-			}
-		}
-	}
-}
-
-// TestPartitionEdgesSingleBlock: blocks=1 (and any value ≤ 1) makes every
-// edge interior — the serial special case of the sharded matcher.
-func TestPartitionEdgesSingleBlock(t *testing.T) {
-	g := Complete(9)
-	for _, blocks := range []int{1, 0, -3} {
-		p := g.PartitionEdges(blocks)
-		if p.Blocks != 1 || len(p.Boundary) != 0 || len(p.Interior[0]) != g.M() {
-			t.Fatalf("blocks=%d: got %d blocks, %d boundary, %d interior",
-				blocks, p.Blocks, len(p.Boundary), len(p.Interior[0]))
-		}
-	}
-	// And more blocks than agents clamps.
-	if p := g.PartitionEdges(100); p.Blocks != 9 {
-		t.Fatalf("overclamped blocks = %d", p.Blocks)
-	}
-}

@@ -3,15 +3,14 @@
 // The paper's agents "come and go" (§1.1); this file is the "come" half.
 // A Graph can grow mid-run: new agents are appended at the top of the
 // index space and new edges are appended at the tail of the edge list, so
-// every existing agent index, edge id, adjacency list prefix, and cached
-// partition position stays valid. Three attachment families are provided,
-// mirroring the static constructors:
+// every existing agent index and edge id stays valid. Three attachment
+// families are provided, mirroring the static constructors:
 //
 //   - SpliceRing: open the ring at its closing edge {0, N-1} and splice
 //     the newcomers into the gap, so the result is semantically
 //     Ring(N+k). The only id ever removed from the live topology is the
 //     closing edge, which is *retired* — its id is never reused, and all
-//     mask/partition consumers skip it via EdgeRetired.
+//     mask consumers skip it via EdgeRetired.
 //   - GrowHypercube: dimension fill — each new vertex v links down to
 //     every v with one set bit cleared, so growing 2^d → 2^(d+1) yields
 //     exactly Hypercube(d+1). Purely additive.
@@ -20,13 +19,8 @@
 //     caller's deterministic substream. Purely additive.
 //
 // Each operation returns a Growth delta (new agent range, appended edge
-// ids, retired edge ids) and extends every cached EdgePartition in place:
-// new edges are classified and appended to the touched Interior list or
-// boundary pair, new pairs go at the end, and the level schedule is
-// re-derived by the same order-greedy coloring — which preserves the
-// existing prefix's levels, so a warm matcher only has to append buckets,
-// never remap them. That is how PR 6's O(changes) round cost survives
-// joins: a growth op invalidates only what it touches.
+// ids, retired edge ids), so the engine catches up in O(growth): a growth
+// op invalidates only what it touches.
 package graph
 
 import (
@@ -56,23 +50,13 @@ type Growth struct {
 	RetiredEdgeIDs []int
 }
 
-// Gen returns the graph's growth generation: 0 at construction,
-// incremented by every growth operation. Index structures built over the
-// graph compare generations to detect staleness cheaply.
-func (g *Graph) Gen() int { return g.gen }
-
-// BaseN returns the founding population — the N the graph was constructed
-// with, before any growth. Block sizing (PartitionEdges, engine shards)
-// is keyed to BaseN so layouts agree before and after joins.
-func (g *Graph) BaseN() int { return g.baseN }
-
 // LiveM returns the number of live (non-retired) edges. M() counts every
 // id ever issued, including retired ones.
 func (g *Graph) LiveM() int { return len(g.edges) - g.retiredCount }
 
 // EdgeRetired reports whether edge id has been retired by a growth
-// operation. Retired ids keep their Edge entry (masks and partitions stay
-// index-stable) but are skipped by components, matching, and EdgeID.
+// operation. Retired ids keep their Edge entry (masks stay index-stable)
+// but are skipped by components, matching, and EdgeID.
 //
 //det:hotpath
 func (g *Graph) EdgeRetired(id int) bool {
@@ -80,16 +64,13 @@ func (g *Graph) EdgeRetired(id int) bool {
 }
 
 // Clone returns a deep copy of the graph sharing no mutable state with
-// the original. The partition cache is not copied — partitions are pure
-// functions of the edge history, so the clone rebuilds identical ones on
-// demand. Sweep workers clone the shared pristine graph before running a
-// join-laden cell, so repeated runs always grow from the same base.
+// the original. Sweep workers clone the shared pristine graph before
+// running a join-laden cell, so repeated runs always grow from the same
+// base.
 func (g *Graph) Clone() *Graph {
 	c := &Graph{
 		n:            g.n,
 		name:         g.name,
-		gen:          g.gen,
-		baseN:        g.baseN,
 		sortedM:      g.sortedM,
 		retired:      g.retired.Clone(),
 		retiredCount: g.retiredCount,
@@ -139,7 +120,6 @@ func (g *Graph) SpliceRing(k int) (Growth, error) {
 		prev = v
 	}
 	gr.NewEdgeIDs = append(gr.NewEdgeIDs, g.addEdge(0, prev))
-	g.finishGrow(&gr)
 	return gr, nil
 }
 
@@ -165,7 +145,6 @@ func (g *Graph) GrowHypercube(k int) (Growth, error) {
 			}
 		}
 	}
-	g.finishGrow(&gr)
 	return gr, nil
 }
 
@@ -225,7 +204,6 @@ func (g *Graph) AttachPreferential(k, m int, rng Intner) (Growth, error) {
 			gr.NewEdgeIDs = append(gr.NewEdgeIDs, g.addEdge(u, v))
 		}
 	}
-	g.finishGrow(&gr)
 	return gr, nil
 }
 
@@ -256,8 +234,8 @@ func (g *Graph) addEdge(a, b int) int {
 }
 
 // retireEdge removes edge id from the live topology: its bit is set in
-// the retired mask (the id and Edge entry survive so masks and partition
-// indices stay stable) and it is dropped from both adjacency lists.
+// the retired mask (the id and Edge entry survive so masks stay stable)
+// and it is dropped from both adjacency lists.
 func (g *Graph) retireEdge(id int) {
 	if g.retired.IsZero() {
 		g.retired = bitset.New(len(g.edges))
@@ -276,60 +254,4 @@ func removeID(ids []int, id int) []int {
 		}
 	}
 	return ids
-}
-
-// finishGrow bumps the generation and extends every cached partition in
-// place with the operation's new edges, so shared *EdgePartition pointers
-// held by warm matchers stay valid and current.
-func (g *Graph) finishGrow(gr *Growth) {
-	g.gen++
-	g.partMu.Lock()
-	defer g.partMu.Unlock()
-	if len(g.parts) == 0 {
-		return
-	}
-	keys := make([]int, 0, len(g.parts))
-	//lint:ignore mapiter key collection only — the keys are sorted before any partition is touched, so visit order cannot reach the extended lists
-	for k := range g.parts {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys) // fixed order: partitions are independent, but keep the walk deterministic
-	for _, k := range keys {
-		p := g.parts[k]
-		for _, id := range gr.NewEdgeIDs {
-			g.extendPartitionLocked(p, id)
-		}
-		colorPairs(p)
-	}
-}
-
-// extendPartitionLocked classifies one appended edge into partition p:
-// interior edges append to their block's Interior list, boundary edges
-// append to Boundary and to their block pair (new pairs go at the END of
-// p.Pairs so existing pair indices — matcher bucket numbers — never
-// shift). Callers re-derive Levels with colorPairs afterwards; the
-// order-greedy coloring reproduces the prefix exactly. Must hold partMu.
-func (g *Graph) extendPartitionLocked(p *EdgePartition, id int) {
-	e := g.edges[id]
-	ba, bb := p.Block(e.A), p.Block(e.B)
-	if ba == bb {
-		p.Interior[ba] = append(p.Interior[ba], id)
-		return
-	}
-	if ba > bb {
-		ba, bb = bb, ba
-	}
-	p.Boundary = append(p.Boundary, id)
-	pi := -1
-	for i := range p.Pairs {
-		if p.Pairs[i].BI == ba && p.Pairs[i].BJ == bb {
-			pi = i
-			break
-		}
-	}
-	if pi < 0 {
-		pi = len(p.Pairs)
-		p.Pairs = append(p.Pairs, BoundaryPair{BI: ba, BJ: bb})
-	}
-	p.Pairs[pi].Edges = append(p.Pairs[pi].Edges, id)
 }

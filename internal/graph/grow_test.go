@@ -80,67 +80,6 @@ func checkSameTopology(t *testing.T, grown, fresh *Graph) {
 	}
 }
 
-// checkPartitionCoverage asserts the partition invariant on a possibly
-// grown graph: every LIVE edge id appears exactly once across the
-// Interior lists and the boundary Pairs, interior edges have both
-// endpoints in their block, and the level schedule covers every pair
-// once with no block repeated inside a level.
-func checkPartitionCoverage(t *testing.T, g *Graph, blocks int) {
-	t.Helper()
-	p := g.PartitionEdges(blocks)
-	seen := make(map[int]int)
-	for b, ids := range p.Interior {
-		for _, id := range ids {
-			seen[id]++
-			e := g.Edge(id)
-			if p.Block(e.A) != b || p.Block(e.B) != b {
-				t.Fatalf("blocks=%d: interior edge %d (%v) listed in block %d", blocks, id, e, b)
-			}
-		}
-	}
-	for _, pr := range p.Pairs {
-		for _, id := range pr.Edges {
-			seen[id]++
-			e := g.Edge(id)
-			ba, bb := p.Block(e.A), p.Block(e.B)
-			if ba > bb {
-				ba, bb = bb, ba
-			}
-			if ba != pr.BI || bb != pr.BJ {
-				t.Fatalf("blocks=%d: boundary edge %d (%v) in pair (%d,%d), endpoints in (%d,%d)", blocks, id, e, pr.BI, pr.BJ, ba, bb)
-			}
-		}
-	}
-	for id := 0; id < g.M(); id++ {
-		if g.EdgeRetired(id) {
-			continue
-		}
-		if seen[id] != 1 {
-			t.Fatalf("blocks=%d: live edge %d appears %d times in the partition", blocks, id, seen[id])
-		}
-	}
-	// Retired ids may linger in founding Interior/Boundary lists (masks
-	// skip them); they must not be double counted.
-	covered := make(map[int]bool)
-	for lvl, idxs := range p.Levels {
-		used := make(map[int]bool)
-		for _, k := range idxs {
-			if covered[k] {
-				t.Fatalf("blocks=%d: pair %d scheduled twice", blocks, k)
-			}
-			covered[k] = true
-			pr := p.Pairs[k]
-			if used[pr.BI] || used[pr.BJ] {
-				t.Fatalf("blocks=%d: level %d reuses a block for pair (%d,%d)", blocks, lvl, pr.BI, pr.BJ)
-			}
-			used[pr.BI], used[pr.BJ] = true, true
-		}
-	}
-	if len(covered) != len(p.Pairs) {
-		t.Fatalf("blocks=%d: level schedule covers %d of %d pairs", blocks, len(covered), len(p.Pairs))
-	}
-}
-
 // TestSpliceRingMatchesFreshRing: splicing k agents into Ring(n) denotes
 // exactly Ring(n+k).
 func TestSpliceRingMatchesFreshRing(t *testing.T) {
@@ -157,9 +96,6 @@ func TestSpliceRingMatchesFreshRing(t *testing.T) {
 			t.Fatalf("ring splice retired %d edges, want 1 (the closing edge)", len(gr.RetiredEdgeIDs))
 		}
 		checkSameTopology(t, g, Ring(tc.n+tc.k))
-		for _, b := range []int{1, 2, 3} {
-			checkPartitionCoverage(t, g, b)
-		}
 	}
 }
 
@@ -174,16 +110,14 @@ func TestGrowHypercubeMatchesFreshHypercube(t *testing.T) {
 			t.Fatalf("GrowHypercube(%d) on Hypercube(%d): %v", n, d, err)
 		}
 		checkSameTopology(t, g, Hypercube(d+1))
-		checkPartitionCoverage(t, g, 2)
 
-		// Partial fill: grow one vertex at a time; every step stays
-		// consistent and the end state still matches the fresh cube.
+		// Partial fill: grow one vertex at a time; the end state still
+		// matches the fresh cube.
 		h := Hypercube(d)
 		for i := 0; i < n; i++ {
 			if _, err := h.GrowHypercube(1); err != nil {
 				t.Fatalf("step %d: %v", i, err)
 			}
-			checkPartitionCoverage(t, h, 3)
 		}
 		checkSameTopology(t, h, Hypercube(d+1))
 	}
@@ -191,7 +125,7 @@ func TestGrowHypercubeMatchesFreshHypercube(t *testing.T) {
 
 // TestAttachPreferentialMatchesFreshBuild: a preferentially grown graph
 // denotes the same topology as a from-scratch graph constructed over its
-// final live edge set, and the partition invariant holds throughout.
+// final live edge set.
 func TestAttachPreferentialMatchesFreshBuild(t *testing.T) {
 	g := Complete(6)
 	rng := rand.New(rand.NewSource(42))
@@ -207,9 +141,6 @@ func TestAttachPreferentialMatchesFreshBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkSameTopology(t, g, fresh)
-	for _, b := range []int{1, 2, 4} {
-		checkPartitionCoverage(t, g, b)
-	}
 
 	// Same seed, same draws: the attachment is a pure function of
 	// (graph, k, m, rng state).
@@ -219,35 +150,6 @@ func TestAttachPreferentialMatchesFreshBuild(t *testing.T) {
 	}
 	if !reflect.DeepEqual(liveEdges(g), liveEdges(g2)) {
 		t.Fatal("same-seed preferential attachments diverged")
-	}
-}
-
-// TestPartitionExtendMatchesFreshBuild is the incremental-index half of
-// the attachment contract: a partition cached BEFORE growth and extended
-// in place by the growth op must equal — field for field, order for
-// order — a partition built from scratch AFTER the same growth. This is
-// what keeps warm matchers (which alias the partition's id lists) valid
-// across joins.
-func TestPartitionExtendMatchesFreshBuild(t *testing.T) {
-	grow := []func(g *Graph) error{
-		func(g *Graph) error { _, err := g.SpliceRing(3); return err },
-		func(g *Graph) error { _, err := g.SpliceRing(2); return err },
-	}
-	for _, blocks := range []int{1, 2, 3, 4} {
-		a, b := Ring(12), Ring(12)
-		pa := a.PartitionEdges(blocks) // cached pre-growth, extended in place
-		for i, op := range grow {
-			if err := op(a); err != nil {
-				t.Fatalf("blocks=%d op %d: %v", blocks, i, err)
-			}
-			if err := op(b); err != nil {
-				t.Fatalf("blocks=%d op %d: %v", blocks, i, err)
-			}
-		}
-		pb := b.PartitionEdges(blocks) // built fresh post-growth
-		if !reflect.DeepEqual(pa, pb) {
-			t.Fatalf("blocks=%d: extended partition differs from fresh build\n ext:   %+v\n fresh: %+v", blocks, pa, pb)
-		}
 	}
 }
 
@@ -262,8 +164,8 @@ func TestCloneIsolation(t *testing.T) {
 	if _, err := c.SpliceRing(4); err != nil {
 		t.Fatal(err)
 	}
-	if g.N() != wantN || g.M() != wantM || g.Gen() != 0 {
-		t.Fatalf("growing the clone mutated the original: N=%d M=%d gen=%d", g.N(), g.M(), g.Gen())
+	if g.N() != wantN || g.M() != wantM {
+		t.Fatalf("growing the clone mutated the original: N=%d M=%d", g.N(), g.M())
 	}
 	if !reflect.DeepEqual(liveEdges(g), wantEdges) {
 		t.Fatal("original edge set changed")

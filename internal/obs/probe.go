@@ -23,12 +23,12 @@ const (
 	// PhaseTouched is touched-set assembly: collecting flipped edges and
 	// agents into the round's changed-id stream.
 	PhaseTouched
-	// PhaseMatcherUpdate is the usable-edge delta index repair inside
-	// PairMatcher.Update (pairwise mode only).
+	// PhaseMatcherUpdate is the endpoints-differ index's build and repair
+	// before the match (pairwise mode, core.StutterOnEqual problems only).
 	PhaseMatcherUpdate
-	// PhaseMatch is group formation: the random maximal matching draw in
-	// pairwise mode, or the component-partition derivation (memo hit or
-	// recompute) in component mode.
+	// PhaseMatch is group formation: the matcher's queries for the pairs
+	// to step in pairwise mode, or the component-partition derivation
+	// (memo hit or recompute) in component mode.
 	PhaseMatch
 	// PhaseGroupStep is group execution: building group jobs, the pool
 	// fan-out running Step/PairStep, and applying the resulting states.
@@ -64,10 +64,13 @@ type Counter uint8
 const (
 	// CounterRounds counts engine rounds observed via BeginRound.
 	CounterRounds Counter = iota
-	// CounterGroups counts agent groups formed (components or matched
-	// pairs plus solo fallbacks, per the engine's accounting).
+	// CounterGroups counts the round's groups: in component mode every
+	// component of up agents, stepped or skipped; in pairwise mode the
+	// pairs the matcher returned, which are the pairs stepped.
 	CounterGroups
-	// CounterMatchedPairs counts pairs drawn by the maximal matching.
+	// CounterMatchedPairs counts the pairs the matcher returned, which
+	// are the pairs stepped: for a core.StutterOnEqual problem only the
+	// matched pairs whose endpoints differ, not the full matching.
 	CounterMatchedPairs
 	// CounterTouchedEdges / CounterTouchedAgents count the per-round
 	// touched sets — the O(changes) work the delta path is sized by.

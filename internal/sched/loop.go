@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"runtime"
 	"slices"
 	"time"
 
@@ -53,14 +54,19 @@ func (r *run[T]) worker(w int) {
 		}
 		r.maybeCheckQuiescence()
 
+		// The event starts before the claim: a worker descheduled between
+		// claiming an agent and processing it holds that agent too.
+		r.inflight[w].tick.Store(r.ops.Load())
 		a, ok := r.next(own, w)
 		if !ok {
+			r.inflight[w].tick.Store(idleTick)
 			if !r.sleep(own) {
 				break
 			}
 			continue
 		}
 		r.process(a, rng)
+		r.inflight[w].tick.Store(idleTick)
 	}
 	r.sp.mu.Lock()
 	r.sp.exited++
@@ -442,6 +448,16 @@ func (r *run[T]) initiate(a int32, rng *engine.FastRand) (outcome, int64) {
 		r.budgetOut.Store(true)
 		return outPark, 0
 	}
+	if n%heldEvery == 0 && r.held(n) {
+		// Refund the op and draw nothing: the agent retries later. While
+		// the stall lasts, the next initiator draws this n again and is
+		// held again, so the run stops within about heldEvery ops of the
+		// bound; the yield lets a worker the Go runtime descheduled
+		// finish its event.
+		r.ops.Add(-1)
+		runtime.Gosched()
+		return outRequeue, 0
+	}
 	r.advance(n)
 	if r.ap != nil && n >= r.nextEpochAt.Load() {
 		// Crossing an epoch boundary requests a safepoint; whichever
@@ -478,6 +494,28 @@ func (r *run[T]) initiate(a int32, rng *engine.FastRand) (outcome, int64) {
 	r.awaiting[a] = true
 	r.deliver(pick.agent, message[T]{from: a, kind: msgRequest, state: r.states[a]})
 	return outPark, 0
+}
+
+// held reports whether some worker's event started more than maxSkew
+// initiations before op n: a round of N, or skewPerWorker·Workers when
+// that is larger. Such a worker has been descheduled mid-event, holding
+// its agent — and with it every exchange aimed at that agent. Letting
+// the others run on would spend the op budget and move the virtual
+// clock on without it, turning a stall of the host into a stall of a
+// simulated agent; held bounds how far the run gets ahead of any event
+// in flight. One worker never holds itself back, so Workers=1 runs are
+// unaffected.
+func (r *run[T]) held(n int64) bool {
+	if len(r.inflight) < 2 {
+		return false
+	}
+	bound := n - r.maxSkew
+	for i := range r.inflight {
+		if r.inflight[i].tick.Load() < bound {
+			return true
+		}
+	}
+	return false
 }
 
 // maybeCheckQuiescence runs the rate-limited convergence check: only

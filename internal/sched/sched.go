@@ -81,6 +81,7 @@ package sched
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -396,6 +397,12 @@ type run[T any] struct {
 	nextEpochAt atomic.Int64
 	epoch       int // next epoch to apply; safepoint-requester-owned
 
+	// inflight[w] is the op count at which worker w began its current
+	// scheduling event, or idleTick between events. Initiations hold
+	// back while any event is more than maxSkew ops old (see held).
+	inflight []inflightTick
+	maxSkew  int64
+
 	// runnable counts agents that are queued, deferred, or running; the
 	// transition to zero means nothing can ever happen again.
 	runnable atomic.Int64
@@ -420,6 +427,27 @@ type run[T any] struct {
 	sleepers atomic.Int64
 }
 
+// inflightTick is one worker's event start, padded to its own cache
+// line: its worker writes it twice per event.
+type inflightTick struct {
+	tick atomic.Int64
+	_    [56]byte
+}
+
+// idleTick marks a worker that is between events: never old.
+const idleTick = math.MaxInt64
+
+// skewPerWorker is the least skew, per worker, that held tolerates. An
+// event takes microseconds, so in a healthy run the other workers start
+// a handful of initiations during it; only a worker the OS or the Go
+// runtime has descheduled mid-event falls this far behind.
+const skewPerWorker = 64
+
+// heldEvery is how often, in initiations, the gate is consulted: the
+// check reads every worker's line, so it runs on every heldEvery-th op
+// only.
+const heldEvery = 32
+
 // safepoint is the stop-the-world barrier dynamics epochs run under.
 type safepoint struct {
 	mu         sync.Mutex
@@ -435,6 +463,13 @@ func (r *run[T]) setup(n int) {
 	P := r.opts.Workers
 	r.blockSize = (n + P - 1) / P
 	r.shards = make([]shard[T], P)
+	r.inflight = make([]inflightTick, P)
+	for w := range r.inflight {
+		r.inflight[w].tick.Store(idleTick)
+	}
+	// One round — every agent's fair share of one initiation — and never
+	// less than skewPerWorker per worker.
+	r.maxSkew = int64(max(n, skewPerWorker*P))
 	r.states = append([]T(nil), r.initVals[:n]...)
 	r.frozenVals = make([]T, n)
 	r.flags = make([]uint8, n)

@@ -330,6 +330,35 @@ func TestSchedStealNoLostWakeup(t *testing.T) {
 	}
 }
 
+// TestSchedHeldBoundsSkew pins the initiation gate: a worker whose event
+// began more than maxSkew ops ago holds initiations back, an idle worker
+// never does, and a single worker never holds itself. maxSkew is a round
+// of N initiations, or skewPerWorker per worker when that is larger.
+func TestSchedHeldBoundsSkew(t *testing.T) {
+	for _, c := range []struct {
+		agents, workers int
+		start           int64 // worker 0's event start; the others are idle
+		want            bool
+	}{
+		{8, 2, idleTick, false},
+		{8, 2, 10_000 - 2*skewPerWorker, false},
+		{8, 2, 10_000 - 2*skewPerWorker - 1, true},
+		{8, 8, 10_000 - 8*skewPerWorker, false},
+		{8, 8, 0, true},
+		{4096, 2, 10_000 - 4096, false},
+		{4096, 2, 10_000 - 4097, true},
+		{8, 1, 0, false},
+	} {
+		vals := make([]int, c.agents)
+		r := &run[int]{g: graph.Ring(c.agents), opts: Options{Workers: c.workers}, initVals: vals}
+		r.setup(c.agents)
+		r.inflight[0].tick.Store(c.start)
+		if got := r.held(10_000); got != c.want {
+			t.Errorf("agents=%d workers=%d start=%d: held(10000) = %v, want %v", c.agents, c.workers, c.start, got, c.want)
+		}
+	}
+}
+
 func TestSchedStealsHappen(t *testing.T) {
 	// Sanity for the steal path itself: some run in this configuration
 	// must actually record steals (if none ever occur the lost-wakeup

@@ -19,13 +19,14 @@ import (
 // through the blind wrapper is the reference a delta run is pinned to.
 type deltaBlind struct{ env.Environment }
 
-// TestDeltaStreamMatchesDeltaBlind is the end-to-end half of the delta
-// contract (the matcher-level half is internal/engine's
-// TestUsableIndexIncrementalMatchesRebuild): complete runs through the
-// incremental path — env flip lists plus the dynamics Applier's overlay
-// logs feeding matcher.Update and the quiescent component memo — must be bit-identical to the same runs with the delta
-// stream hidden, across environment kind × dynamics schedule
-// (partition/heal, crash/recover, burst) × mode × MatchBlocks.
+// TestDeltaStreamMatchesDeltaBlind is the delta contract end to end:
+// complete runs through the incremental path — env flip lists plus the
+// dynamics Applier's overlay logs feeding the quiescent component memo —
+// must be bit-identical to the same runs with the delta stream hidden,
+// across environment kind × dynamics schedule (partition/heal,
+// crash/recover, burst) × mode × Shards {1, 3}. Pairwise runs read no
+// delta stream, so for them the comparison pins that hiding it changes
+// nothing.
 func TestDeltaStreamMatchesDeltaBlind(t *testing.T) {
 	mkEnv := map[string]func(g *graph.Graph) env.Environment{
 		"churn0.6": func(g *graph.Graph) env.Environment { return env.NewEdgeChurn(g, 0.6) },
@@ -45,11 +46,8 @@ func TestDeltaStreamMatchesDeltaBlind(t *testing.T) {
 		for envName, mk := range mkEnv {
 			for dynName, mkd := range mkDyn {
 				for _, mode := range []Mode{ComponentMode, PairwiseMode} {
-					for _, blocks := range []int{0, 1, 3} {
-						if mode == ComponentMode && blocks != 0 {
-							continue // MatchBlocks is pairwise-only
-						}
-						name := fmt.Sprintf("%s/%s/%s/%v/blocks=%d", topoName, envName, dynName, mode, blocks)
+					for _, shards := range []int{1, 3} {
+						name := fmt.Sprintf("%s/%s/%s/%v/shards=%d", topoName, envName, dynName, mode, shards)
 						t.Run(name, func(t *testing.T) {
 							vals := make([]int, g.N())
 							rng := rand.New(rand.NewSource(17))
@@ -57,7 +55,7 @@ func TestDeltaStreamMatchesDeltaBlind(t *testing.T) {
 								vals[i] = rng.Intn(5 * g.N())
 							}
 							opts := Options{
-								Seed: 7, Mode: mode, MatchBlocks: blocks,
+								Seed: 7, Mode: mode, Shards: shards,
 								MaxRounds: 400, CheckSteps: true,
 								Dynamics: mkd(),
 							}

@@ -40,10 +40,11 @@ func differMismatches(sc *Scratch[int]) (bad []int, differing int) {
 	return bad, differing
 }
 
-// TestDifferIndexTracksStates pins the endpoints-differ index the
-// pairwise matcher filters with: after every round of pairwise min, max
-// and gcd runs — under a crash window, an amnesiac flap and a ring-splice
-// join, × Shards {1, 3} × MatchBlocks {1, 4} — each live edge's bit, as
+// TestDifferIndexTracksStates pins the endpoints-differ index whose edges
+// are the pairwise matcher's candidates: after every round of pairwise
+// min, max and gcd runs — under a crash window, an amnesiac flap and a
+// ring-splice join, × Shards {1, 3} × serial or pooled group steps —
+// each live edge's bit, as
 // the round's match read it, must equal whether its endpoints hold
 // different states (edges of agents the round stepped wait for the next
 // round's repair, see differMismatches). The amnesiac resets
@@ -67,8 +68,11 @@ func TestDifferIndexTracksStates(t *testing.T) {
 	for _, pname := range []string{"min", "max", "gcd"} {
 		for _, sname := range []string{"crash", "amnesiac", "join"} {
 			for _, shards := range []int{1, 3} {
-				for _, blocks := range []int{1, 4} {
-					name := fmt.Sprintf("%s/%s/shards=%d/blocks=%d", pname, sname, shards, blocks)
+				for _, pool := range []struct {
+					name      string
+					threshold int
+				}{{"serial", -1}, {"pooled", 1}} {
+					name := fmt.Sprintf("%s/%s/shards=%d/%s", pname, sname, shards, pool.name)
 					t.Run(name, func(t *testing.T) {
 						sched := scheds[sname]()
 						rng := rand.New(rand.NewSource(23))
@@ -80,7 +84,7 @@ func TestDifferIndexTracksStates(t *testing.T) {
 						defer sc.Close()
 						checked, sawDiffer := 0, false
 						opts := Options{
-							Seed: 29, Mode: PairwiseMode, Shards: shards, MatchBlocks: blocks,
+							Seed: 29, Mode: PairwiseMode, Shards: shards, ParallelThreshold: pool.threshold,
 							MaxRounds: 10_000, StopOnConverged: true, CheckSteps: true,
 							Dynamics: sched,
 							OnRound: func(ri RoundInfo) {

@@ -29,7 +29,7 @@ func TestEngineEquivalenceGoldenEmptyDynamics(t *testing.T) {
 
 // dynamicsOpts is the dynamics-heavy configuration the determinism
 // matrix reuses: random crashes, a partition cycle, and a churn burst
-// all at once, over a pairwise run with the partitioned matcher.
+// all at once, over a pairwise run.
 func dynamicsSchedule() *dynamics.Schedule {
 	return dynamics.NewSchedule(
 		dynamics.RandomCrashes(0.03, 6),
@@ -77,7 +77,6 @@ func TestDynamicsDeterministicAcrossLayouts(t *testing.T) {
 				func(o *Options) { o.Shards = 1 },
 				func(o *Options) { o.Shards = 4 },
 				func(o *Options) { o.ParallelThreshold = 1; o.Shards = 3 },
-				func(o *Options) { o.MatchBlocks = 0 },
 			} {
 				o := base
 				tweak(&o)

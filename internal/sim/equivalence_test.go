@@ -6,6 +6,7 @@ import (
 	"os"
 	goruntime "runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -46,7 +47,16 @@ import (
 // or PairwiseMode moved; every cell still converges with zero violations
 // (the amnesiac sum cell still reports its violations), and each cell's
 // rounds-to-converge over 200 seeds stays within 3 standard errors of
-// the previous engine's.
+// the previous engine's. Re-recorded once more, with the membership
+// goldens, for the keyed-priority matching: each round's matching is the
+// greedy maximal matching of the usable edges in ascending
+// (SubSeed(MatchSeed, e), e), answered by local queries, instead of a
+// per-block shuffle with a boundary pass, and the cells that forced a
+// block count became plain pairwise cells. Only PairwiseMode cells
+// moved; every cell still converges with zero violations (the amnesiac
+// sum cell still reports its violations), and each cell's
+// rounds-to-converge over 200 seeds stays within 3 standard errors of
+// the previous engine's run of the same cell.
 //
 // Regenerate (only when an INTENTIONAL behavior change is made) with:
 //
@@ -246,18 +256,17 @@ func goldenCases() []goldenCase {
 			return summarize(Run[problems.HullState](problems.NewHull(pts), envFor(env.NewEdgeChurn(graph.Ring(6), 0.5), tweak),
 				problems.InitialHulls(pts), tweaked(Options{Seed: seed, StopOnConverged: true, MaxRounds: 10_000}, tweak)))
 		}},
-		{"min/ring64/pairwise-blocks4", func(seed int64, tweak variant) (string, error) {
-			// MatchBlocks 4 forces the partitioned matcher's boundary
-			// reconciliation on a small system, so the golden matrix pins
-			// the interior/boundary split across every layout variant.
+		{"min/ring64/pairwise", func(seed int64, tweak variant) (string, error) {
+			// Pairwise min with CheckSteps: the stepped pairs are the
+			// differ candidates the matcher returns.
 			return summarize(Run[int](problemFor[int](problems.NewMin(), tweak), envFor(env.NewEdgeChurn(graph.Ring(64), 0.6), tweak),
-				intVals(64, 19), tweaked(Options{Seed: seed, StopOnConverged: true, CheckSteps: true, Mode: PairwiseMode, MatchBlocks: 4, MaxRounds: 100_000}, tweak)))
+				intVals(64, 19), tweaked(Options{Seed: seed, StopOnConverged: true, CheckSteps: true, Mode: PairwiseMode, MaxRounds: 100_000}, tweak)))
 		}},
-		{"sum/complete24/pairwise-blocks3", func(seed int64, tweak variant) (string, error) {
-			// Complete graph: most edges are boundary edges, so the
-			// sequential reconciliation pass carries the round.
+		{"sum/complete24/pairwise", func(seed int64, tweak variant) (string, error) {
+			// Sum carries no StutterOnEqual marker, so every usable edge
+			// is a candidate: the matcher answers the whole matching.
 			return summarize(Run[int](problems.NewSum(), envFor(env.NewEdgeChurn(graph.Complete(24), 0.7), tweak),
-				intVals(24, 21), tweaked(Options{Seed: seed, StopOnConverged: true, Mode: PairwiseMode, MatchBlocks: 3, MaxRounds: 10_000}, tweak)))
+				intVals(24, 21), tweaked(Options{Seed: seed, StopOnConverged: true, Mode: PairwiseMode, MaxRounds: 10_000}, tweak)))
 		}},
 		{"min/ring16/no-stop-stability", func(seed int64, tweak variant) (string, error) {
 			// StopOnConverged off: the run continues to MaxRounds and the
@@ -283,14 +292,14 @@ var engineGoldens = map[string]string{
 	"partialmin/ring12/powerloss/seed1":      "conv=true round=7 rounds=7 steps=12 msgs=72 viol=0 final=[10 10 10 10 10 10 10 10 10 10 10 10]",
 	"partialmin/ring12/powerloss/seed2":      "conv=true round=12 rounds=12 steps=13 msgs=96 viol=0 final=[10 10 10 10 10 10 10 10 10 10 10 10]",
 	"partialmin/ring12/powerloss/seed3":      "conv=true round=13 rounds=13 steps=15 msgs=106 viol=0 final=[10 10 10 10 10 10 10 10 10 10 10 10]",
-	"sum/complete10/pairwise/seed1":          "conv=true round=15 rounds=15 steps=9 msgs=18 viol=0 final=[325 0 0 0 0 0 0 0 0 0]",
-	"sum/complete10/pairwise/seed2":          "conv=true round=4 rounds=4 steps=9 msgs=18 viol=0 final=[325 0 0 0 0 0 0 0 0 0]",
-	"sum/complete10/pairwise/seed3":          "conv=true round=13 rounds=13 steps=9 msgs=18 viol=0 final=[325 0 0 0 0 0 0 0 0 0]",
+	"sum/complete10/pairwise/seed1":          "conv=true round=6 rounds=6 steps=9 msgs=18 viol=0 final=[325 0 0 0 0 0 0 0 0 0]",
+	"sum/complete10/pairwise/seed2":          "conv=true round=47 rounds=47 steps=9 msgs=18 viol=0 final=[325 0 0 0 0 0 0 0 0 0]",
+	"sum/complete10/pairwise/seed3":          "conv=true round=11 rounds=11 steps=9 msgs=18 viol=0 final=[325 0 0 0 0 0 0 0 0 0]",
 	"gcd/star9/roundrobin/seed1":             "conv=true round=8 rounds=8 steps=8 msgs=16 viol=0 final=[6 6 6 6 6 6 6 6 6]",
 	"gcd/star9/roundrobin/seed2":             "conv=true round=8 rounds=8 steps=8 msgs=16 viol=0 final=[6 6 6 6 6 6 6 6 6]",
 	"gcd/star9/roundrobin/seed3":             "conv=true round=8 rounds=8 steps=8 msgs=16 viol=0 final=[6 6 6 6 6 6 6 6 6]",
-	"sorting/line8/pairwise/seed1":           "conv=true round=13 rounds=13 steps=17 msgs=34 viol=0 final=[0:0 1:1 2:2 3:3 4:4 5:5 6:6 7:7]",
-	"sorting/line8/pairwise/seed2":           "conv=true round=13 rounds=13 steps=17 msgs=34 viol=0 final=[0:0 1:1 2:2 3:3 4:4 5:5 6:6 7:7]",
+	"sorting/line8/pairwise/seed1":           "conv=true round=19 rounds=19 steps=17 msgs=34 viol=0 final=[0:0 1:1 2:2 3:3 4:4 5:5 6:6 7:7]",
+	"sorting/line8/pairwise/seed2":           "conv=true round=17 rounds=17 steps=17 msgs=34 viol=0 final=[0:0 1:1 2:2 3:3 4:4 5:5 6:6 7:7]",
 	"sorting/line8/pairwise/seed3":           "conv=true round=19 rounds=19 steps=17 msgs=34 viol=0 final=[0:0 1:1 2:2 3:3 4:4 5:5 6:6 7:7]",
 	"sorting/complete8/component/seed1":      "conv=true round=1 rounds=1 steps=1 msgs=14 viol=0 final=[0:0 1:1 2:2 3:3 4:4 5:5 6:6 7:7]",
 	"sorting/complete8/component/seed2":      "conv=true round=1 rounds=1 steps=1 msgs=14 viol=0 final=[0:0 1:1 2:2 3:3 4:4 5:5 6:6 7:7]",
@@ -301,12 +310,12 @@ var engineGoldens = map[string]string{
 	"hull/ring6/churn0.5/seed1":              "conv=true round=8 rounds=8 steps=4 msgs=26 viol=0 final=[agent@(0, 0) hull|6| agent@(4, 1) hull|6| agent@(2, 5) hull|6| agent@(6, 3) hull|6| agent@(1, 4) hull|6| agent@(5, 5) hull|6|]",
 	"hull/ring6/churn0.5/seed2":              "conv=true round=6 rounds=6 steps=3 msgs=16 viol=0 final=[agent@(0, 0) hull|6| agent@(4, 1) hull|6| agent@(2, 5) hull|6| agent@(6, 3) hull|6| agent@(1, 4) hull|6| agent@(5, 5) hull|6|]",
 	"hull/ring6/churn0.5/seed3":              "conv=true round=4 rounds=4 steps=5 msgs=24 viol=0 final=[agent@(0, 0) hull|6| agent@(4, 1) hull|6| agent@(2, 5) hull|6| agent@(6, 3) hull|6| agent@(1, 4) hull|6| agent@(5, 5) hull|6|]",
-	"min/ring64/pairwise-blocks4/seed1":      "conv=true round=99 rounds=99 steps=204 msgs=408 viol=0 final=[1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1]",
-	"min/ring64/pairwise-blocks4/seed2":      "conv=true round=85 rounds=85 steps=211 msgs=422 viol=0 final=[1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1]",
-	"min/ring64/pairwise-blocks4/seed3":      "conv=true round=85 rounds=85 steps=194 msgs=388 viol=0 final=[1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1]",
-	"sum/complete24/pairwise-blocks3/seed1":  "conv=true round=425 rounds=425 steps=23 msgs=46 viol=0 final=[1380 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0]",
-	"sum/complete24/pairwise-blocks3/seed2":  "conv=true round=67 rounds=67 steps=23 msgs=46 viol=0 final=[1380 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0]",
-	"sum/complete24/pairwise-blocks3/seed3":  "conv=true round=95 rounds=95 steps=23 msgs=46 viol=0 final=[1380 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0]",
+	"min/ring64/pairwise/seed1":              "conv=true round=70 rounds=70 steps=198 msgs=396 viol=0 final=[1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1]",
+	"min/ring64/pairwise/seed2":              "conv=true round=90 rounds=90 steps=214 msgs=428 viol=0 final=[1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1]",
+	"min/ring64/pairwise/seed3":              "conv=true round=86 rounds=86 steps=207 msgs=414 viol=0 final=[1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1]",
+	"sum/complete24/pairwise/seed1":          "conv=true round=31 rounds=31 steps=23 msgs=46 viol=0 final=[1380 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0]",
+	"sum/complete24/pairwise/seed2":          "conv=true round=57 rounds=57 steps=23 msgs=46 viol=0 final=[1380 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0]",
+	"sum/complete24/pairwise/seed3":          "conv=true round=23 rounds=23 steps=23 msgs=46 viol=0 final=[1380 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0]",
 	"min/ring16/no-stop-stability/seed1":     "conv=true round=2 rounds=120 steps=2 msgs=40 viol=0 final=[1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1]",
 	"min/ring16/no-stop-stability/seed2":     "conv=true round=3 rounds=120 steps=5 msgs=64 viol=0 final=[1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1]",
 	"min/ring16/no-stop-stability/seed3":     "conv=true round=3 rounds=120 steps=6 msgs=76 viol=0 final=[1 1 1 1 1 1 1 1 1 1 1 1 1 1 1 1]",
@@ -419,7 +428,10 @@ func TestEngineEquivalenceGoldenShardedParallel(t *testing.T) {
 // problem carries core.StutterOnEqual with the marker hidden, so every
 // group steps in full instead of equal-state groups being skipped. The
 // skip must be invisible: both runs match the recorded golden and report
-// the same per-round RoundInfo stream.
+// the same per-round RoundInfo stream. The one exception is a pairwise
+// cell's ActiveGroups, which counts the pairs stepped: the marked run
+// steps only the matched pairs whose endpoints differ, so it may count
+// fewer, never more.
 func TestEngineEquivalenceGoldenStutterHidden(t *testing.T) {
 	marked := []string{
 		"min/ring16/churn0.5", // component mode with CheckSteps
@@ -427,7 +439,7 @@ func TestEngineEquivalenceGoldenStutterHidden(t *testing.T) {
 		"min/complete8/adversary-feedback",
 		"partialmin/ring12/powerloss",
 		"gcd/star9/roundrobin",
-		"min/ring64/pairwise-blocks4", // pairwise with CheckSteps
+		"min/ring64/pairwise", // pairwise with CheckSteps
 		"min/ring16/no-stop-stability",
 	}
 	found := 0
@@ -456,6 +468,16 @@ func TestEngineEquivalenceGoldenStutterHidden(t *testing.T) {
 				if gotSkipped != want || gotFull != want {
 					t.Errorf("diverged from the golden\nmarked: %s\nhidden: %s\n  want: %s", gotSkipped, gotFull, want)
 				}
+				if strings.Contains(c.name, "pairwise") {
+					for i := range skipped {
+						if i < len(full) && skipped[i].ActiveGroups > full[i].ActiveGroups {
+							t.Fatalf("round %d: marked run stepped %d pairs, hidden run %d", i, skipped[i].ActiveGroups, full[i].ActiveGroups)
+						}
+						if i < len(full) {
+							skipped[i].ActiveGroups = full[i].ActiveGroups
+						}
+					}
+				}
 				if !slices.Equal(skipped, full) {
 					t.Errorf("RoundInfo streams differ\nmarked: %v\nhidden: %v", skipped, full)
 				}
@@ -480,13 +502,13 @@ func TestEngineEquivalenceGoldenConsensusHidden(t *testing.T) {
 		"min/complete12/partitioner",
 		"min/complete8/adversary-feedback",
 		"partialmin/ring12/powerloss",
-		"min/ring64/pairwise-blocks4",
+		"min/ring64/pairwise",
 		"min/ring16/no-stop-stability",
 		"min/ring12+join4ring/churn0.8",
 		"min/complete10+join3pref/pairwise",
 		"min/ring16+join2ring+amnesiacflap/churn0.9", // amnesia rebase and join
 		"min/ring12/amnesiacflap/pairwise",
-		"min/ring24+join4ring/pairwise-blocks3",
+		"min/ring24+join4ring/pairwise",
 	}
 	record := func(dst *[]RoundInfo, shards int) func(*Options) {
 		return func(o *Options) {

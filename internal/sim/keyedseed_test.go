@@ -80,8 +80,8 @@ func TestGroupStreamsKeyedOnMember(t *testing.T) {
 	old := goruntime.GOMAXPROCS(4)
 	defer goruntime.GOMAXPROCS(old)
 	cells := map[string]int{
-		"min/ring16/churn0.5":         16, // component mode: GroupStep
-		"min/ring64/pairwise-blocks4": 64, // pairwise, boundary pairs: PairStep
+		"min/ring16/churn0.5": 16, // component mode: GroupStep
+		"min/ring64/pairwise": 64, // pairwise mode: PairStep
 	}
 	found := 0
 	for _, c := range goldenCases() {

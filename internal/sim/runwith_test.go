@@ -61,7 +61,7 @@ func TestRunWithScratchReuseBitIdentical(t *testing.T) {
 			mkVals(64, 5), Options{Seed: 5, StopOnConverged: true, MaxRounds: 60_000, Shards: 4, ParallelThreshold: 1}},
 		{"sum/k16/pairwise", problems.NewSum(),
 			func() env.Environment { return env.NewEdgeChurn(k16, 0.8) },
-			mkVals(16, 7), Options{Seed: 7, StopOnConverged: true, MaxRounds: 60_000, Mode: PairwiseMode, MatchBlocks: 2}},
+			mkVals(16, 7), Options{Seed: 7, StopOnConverged: true, MaxRounds: 60_000, Mode: PairwiseMode}},
 		{"gcd/ring32/component", problems.NewGCD(),
 			func() env.Environment { return env.NewEdgeChurn(ring32, 0.5) },
 			func() []int {
@@ -77,7 +77,7 @@ func TestRunWithScratchReuseBitIdentical(t *testing.T) {
 			func() env.Environment { return env.NewEdgeChurn(ring32, 0.6) },
 			mkVals(32, 11), Options{Seed: 11, StopOnConverged: true, MaxRounds: 60_000}},
 		// Pairwise min on the ring the component runs used: the matcher
-		// cache must key on (graph, blocks), not just last use.
+		// cache must key on the graph, not just last use.
 		{"min/ring32/pairwise", problems.NewMin(),
 			func() env.Environment { return env.NewEdgeChurn(ring32, 0.9) },
 			mkVals(32, 13), Options{Seed: 13, StopOnConverged: true, MaxRounds: 60_000, Mode: PairwiseMode}},

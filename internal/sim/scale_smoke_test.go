@@ -9,12 +9,10 @@ import (
 )
 
 // TestMillionAgentPairwiseSmoke drives a handful of pairwise rounds on a
-// 10⁶-agent ring at 99.9% availability — the regime the usable-edge
-// delta index targets. It is a liveness/scale smoke, not a convergence
-// test (a 10⁶-ring needs ~N rounds to converge): the system must build,
-// step, match, and observe at that size in seconds, with the delta path
-// engaged (EdgeChurn reports exact flip lists, so each round's index
-// maintenance is O(changes), not O(E)). Skipped under -short.
+// 10⁶-agent ring at 99.9% availability. It is a liveness/scale smoke, not
+// a convergence test (a 10⁶-ring needs ~N rounds to converge): the system
+// must build, step, match, and observe at that size in seconds. Skipped
+// under -short.
 func TestMillionAgentPairwiseSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10⁶-agent smoke cell skipped in -short mode")

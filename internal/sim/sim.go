@@ -18,12 +18,10 @@
 //     bit-for-bit identical because every group steps on a private stream
 //     keyed on (run seed, round, smallest member) — engine.GroupSeed —
 //     never on its position in a draw order). In PairwiseMode the groups
-//     are the pairs of a random maximal matching, computed by the
-//     partitioned matcher (engine.PairMatcher): per-block interior
-//     matchings fan out across the pool and a sequential
-//     boundary-reconciliation pass completes maximality, after which the
-//     matched pairs step like any other groups — so the engine's last
-//     serial per-round O(E) stage is gone.
+//     are the pairs of a random maximal matching: the greedy matching of
+//     the usable edges in an order keyed on (seed, round), answered by
+//     local queries from the pairs that can change (engine.PairMatcher),
+//     after which the matched pairs step like any other groups.
 //
 // Self-similarity is structural: a group step sees nothing but the states
 // of the group's own members, and the same GroupStep code runs for every
@@ -83,10 +81,10 @@ const (
 	// over the available edges, one PairStep per matched edge: classic
 	// gossip, the minimal refinement. Used by the ablation experiments
 	// and by problems (like sum) whose environment assumptions are
-	// stated pairwise. The matching is computed by the partitioned
-	// matcher (see Options.MatchBlocks) and the pair steps run on
-	// private seeded streams, so pairwise rounds parallelize exactly
-	// like component rounds.
+	// stated pairwise. The matching is the greedy maximal matching of the
+	// usable edges in ascending engine.MatchSeed rank (engine.PairMatcher),
+	// and the pair steps run on private seeded streams, so pairwise
+	// rounds parallelize exactly like component rounds.
 	PairwiseMode
 )
 
@@ -114,15 +112,6 @@ const DefaultParallelThreshold = 32
 // would only add merge overhead. Results are bit-identical for every shard
 // count.
 const DefaultShardThreshold = 1 << 14
-
-// DefaultMatchBlockAgents is the agent-block size of the pairwise
-// matcher's partition when Options.MatchBlocks is 0: systems below it use
-// a single block (one shuffle, no boundary pass); a 10⁵-agent system gets
-// ~25 blocks whose interior matchings fan out across the pool. Unlike the
-// shard count, the block count is derived from the system size only —
-// never from GOMAXPROCS — because it selects which matching is drawn (see
-// Options.MatchBlocks) and results must not depend on the machine.
-const DefaultMatchBlockAgents = 1 << 12
 
 // Options configures a simulation run.
 type Options struct {
@@ -157,20 +146,6 @@ type Options struct {
 	// conservation law S_{B∪C} = S_B ∪ S_C holds for any partition of the
 	// agent multiset, which is exactly the paper's license to shard.
 	Shards int
-	// MatchBlocks configures the pairwise matcher's partition: the agent
-	// array is split into that many contiguous blocks; each block computes
-	// a maximal matching over its interior edges on its own deterministic
-	// substream (pool-parallel), and a sequential reconciliation pass then
-	// matches the boundary edges between blocks, so the combined matching
-	// is maximal (see engine.PairMatcher). 0 means auto — one block per
-	// DefaultMatchBlockAgents agents; > 0 forces that many blocks (clamped
-	// to the agent count); negative forces a single block. The block count
-	// is part of the algorithm: like the seed, it selects WHICH random
-	// maximal matching is drawn each round, so different values give
-	// different (equally valid) runs — but for a fixed value results are
-	// bit-identical for every Shards setting, every ParallelThreshold, and
-	// every GOMAXPROCS. Ignored outside PairwiseMode.
-	MatchBlocks int
 	// OnRound, when non-nil, is called after every round with live
 	// progress — the engine's one per-round outlet: examples, the CLI and
 	// the experiment harness collect what they need of it (an h
@@ -185,7 +160,7 @@ type Options struct {
 	// environment step and group formation each round (groups form over
 	// the EFFECTIVE masks), its randomness comes from
 	// engine.SubSeed substreams of (Seed, round), tagged apart from the
-	// engine's own, so results are bit-identical for every Shards, MatchBlocks,
+	// engine's own, so results are bit-identical for every Shards,
 	// ParallelThreshold, and GOMAXPROCS, and the frozen-state conservation
 	// contract is checked by the monitor every round. nil (and an empty
 	// schedule) leave the engine bit-identical to the pre-dynamics
@@ -216,9 +191,13 @@ type Options struct {
 type RoundInfo struct {
 	// Round is the round just executed (0-based).
 	Round int
-	// ActiveGroups is the number of groups (components or matched pairs)
-	// that could act this round, counting groups the engine skipped
-	// because they could only stutter.
+	// ActiveGroups is the number of groups that could act this round. In
+	// ComponentMode it counts every component of up agents, including the
+	// ones the engine skipped because they could only stutter. In
+	// PairwiseMode it counts the pairs the matcher returned, which are the
+	// pairs stepped: for a core.StutterOnEqual problem only the matched
+	// pairs whose endpoints differ, since a round that asks only about
+	// those never learns the full matching's size.
 	ActiveGroups int
 	// ProperSteps is how many of them changed state.
 	ProperSteps int
@@ -319,9 +298,9 @@ type runner[T any] struct {
 	touchedE, touchedA         []int
 	prevOverlayE, prevOverlayA []int
 
-	// Pairwise-mode scratch: the partitioned matcher (resolved per run
-	// from the Scratch's cache) and, for a core.StutterOnEqual problem
-	// (differOn), the endpoints-differ index the matcher filters with:
+	// Pairwise-mode scratch: the matcher (resolved per run from the
+	// Scratch's cache) and, for a core.StutterOnEqual problem (differOn),
+	// the endpoints-differ index whose edges are the matcher's candidates:
 	// bit id of differ is set iff edge id's endpoints hold cmp-different
 	// states, the pairs that can change. It is built in one O(E) pass
 	// before the run's first match (differBuilt) and then repaired before
@@ -352,14 +331,6 @@ type runner[T any] struct {
 	growE, growA []int
 }
 
-// matcherKey identifies a cached PairMatcher: the matching it draws is a
-// function of the graph and the block count, so one matcher serves every
-// run over that pair.
-type matcherKey struct {
-	g      *graph.Graph
-	blocks int
-}
-
 // maxCachedMatchers bounds a Scratch's pairwise-matcher cache; see the
 // eviction comment in RunWith.
 const maxCachedMatchers = 64
@@ -368,8 +339,7 @@ const maxCachedMatchers = 64
 // worker pool, one reusable step stream per worker, the environment
 // stream, plus every engine-owned buffer a run reuses — the state shard
 // set, the monitor's evaluation buffers, the group job arenas, the
-// component scratch, and a cache of pairwise matchers keyed by (graph,
-// blocks).
+// component scratch, and a cache of pairwise matchers keyed by graph.
 //
 // One Scratch belongs to one executing goroutine at a time. Handing the
 // same Scratch to a sequence of runs (the scenario-sweep runner's warm
@@ -384,7 +354,7 @@ type Scratch[T any] struct {
 
 	// Warm caches the runner binds per run.
 	shards   *engine.Shards[T]
-	matchers map[matcherKey]*engine.PairMatcher
+	matchers map[*graph.Graph]*engine.PairMatcher
 	dyn      *dynamics.Applier
 }
 
@@ -527,27 +497,22 @@ func RunWith[T any](sc *Scratch[T], p core.Problem[T], e env.Environment, initia
 	r.differBuilt = false
 	r.differDirty = r.differDirty[:0]
 	if opts.Mode == PairwiseMode {
-		key := matcherKey{g, resolveMatchBlocks(opts.MatchBlocks, g.N())}
 		if sc.matchers == nil {
-			sc.matchers = make(map[matcherKey]*engine.PairMatcher)
+			sc.matchers = make(map[*graph.Graph]*engine.PairMatcher)
 		}
-		if sc.matchers[key] == nil {
+		if sc.matchers[g] == nil {
 			// The cache is bounded: a long-lived Scratch sweeping many
-			// distinct graphs must not retain an O(E) matcher (and pin its
-			// graph) per key forever. Eviction is wholesale — cache misses
+			// distinct graphs must not retain an O(N) matcher (and pin its
+			// graph) per graph forever. Eviction is wholesale — cache misses
 			// change set-up cost only, never results — and the bound is
-			// far above the distinct (graph, blocks) pairs of any one
-			// scenario grid, so steady-state sweeps never evict.
+			// far above the distinct graphs of any one scenario grid, so
+			// steady-state sweeps never evict.
 			if len(sc.matchers) >= maxCachedMatchers {
 				clear(sc.matchers)
 			}
-			sc.matchers[key] = engine.NewPairMatcher(key.g, key.blocks)
+			sc.matchers[g] = engine.NewPairMatcher(g)
 		}
-		r.matcher = sc.matchers[key]
-		// A cached matcher may have been built before its graph last grew
-		// (a previous run's join); Grow is a generation-checked no-op when
-		// it is current.
-		r.matcher.Grow()
+		r.matcher = sc.matchers[g]
 	}
 
 	if opts.AdversaryFeedback {
@@ -567,9 +532,8 @@ func RunWith[T any](sc *Scratch[T], p core.Problem[T], e env.Environment, initia
 
 	// Delta-capable environments report which mask entries each Step may
 	// have changed; the engine folds those ids with the dynamics overlay
-	// logs into one changed-id stream that drives the matcher's usable-edge
-	// index and the quiescent-partition reuse —
-	// keeping steady-state round overhead proportional to what changed.
+	// logs into one changed-id stream that drives component mode's
+	// quiescent-partition reuse.
 	delta, _ := e.(env.DeltaEnvironment)
 	r.compsValid = false
 	r.touchedE, r.touchedA = r.touchedE[:0], r.touchedA[:0]
@@ -649,7 +613,7 @@ func RunWith[T any](sc *Scratch[T], p core.Problem[T], e env.Environment, initia
 		var activeGroups int
 		switch opts.Mode {
 		case PairwiseMode:
-			activeGroups = r.stepPairs(es, round, exact)
+			activeGroups = r.stepPairs(es, round)
 		default:
 			activeGroups = r.stepComponents(es, exact)
 		}
@@ -707,19 +671,6 @@ func RunWith[T any](sc *Scratch[T], p core.Problem[T], e env.Environment, initia
 		res.Dynamics = &rep
 	}
 	return res, nil
-}
-
-// resolveMatchBlocks maps Options.MatchBlocks to the pairwise matcher's
-// block count for n agents (n ≥ 1; the matcher clamps to [1, n]).
-func resolveMatchBlocks(opt, n int) int {
-	switch {
-	case opt < 0:
-		return 1
-	case opt > 0:
-		return opt
-	default:
-		return (n + DefaultMatchBlockAgents - 1) / DefaultMatchBlockAgents
-	}
 }
 
 // resolveShards maps Options.Shards to a shard count for n agents.
@@ -810,8 +761,9 @@ func (r *runner[T]) syncDiffer() {
 // applyGrowth threads one round's population growth through every layer
 // that was sized to the old population: the environment's masks, the
 // positional state array and its incremental snapshot (appended, never
-// rebuilt — last-shard rule), the pairwise matcher's buckets, and the
+// rebuilt — last-shard rule), the endpoints-differ index, and the
 // monitor's target (§3.4), first-reach record and variant baseline. The
+// matcher sizes itself to the graph on its next match. The
 // graph itself already grew —
 // the applier's GrowthFor mutated it through the incremental attachment
 // paths — so this is purely the engine-side catch-up, O(growth), not
@@ -824,9 +776,6 @@ func (r *runner[T]) applyGrowth(gr graph.Growth) {
 	var zero T
 	for len(r.frozenVals) < r.g.N() {
 		r.frozenVals = append(r.frozenVals, zero)
-	}
-	if r.matcher != nil {
-		r.matcher.Grow()
 	}
 	// The new edges come clear and every one of them is incident to a
 	// joiner, so marking the joiners dirty repairs them at the next match.
@@ -954,36 +903,32 @@ func (r *runner[T]) allEqual(members []int) bool {
 	return true
 }
 
-// stepPairs runs one PairwiseMode round: the round's changed-id stream
-// repairs the matcher's usable-edge index (O(changes) when the stream is
-// exact, one O(E) rescan otherwise), then the partitioned matcher draws a
-// random maximal matching over the usable edges (per-block interior
-// matchings fan out across the pool, level-scheduled boundary pairs
-// complete maximality — see engine.PairMatcher), then each matched pair
-// executes one PairStep on the stream keyed on its smallest member, as
-// component groups do. Under a core.StutterOnEqual problem the staged
-// deltas first repair the endpoints-differ index, and the matcher drops
-// every claimed pair whose bit is clear — an equal-state pair, which can
-// only stutter — so the step phase walks only the pairs that can change:
-// O(changes), not O(matched pairs). The matching is drawn on the round's
-// keyed seed (engine.MatchSeed), independent of the shard count, the pool
-// and the marker, so results are bit-identical for every
-// Shards/ParallelThreshold/GOMAXPROCS combination.
-// The return value is the matched-pair count, stepped or not.
-func (r *runner[T]) stepPairs(es env.State, round int, exact bool) int {
-	r.obs.Begin(obs.PhaseMatcherUpdate)
-	r.matcher.Update(es.EdgeUp, es.AgentUp, r.touchedE, r.touchedA, exact)
-	var keep bitset.Set
+// stepPairs runs one PairwiseMode round: the matcher returns the pairs of
+// the round's matching — the greedy maximal matching of the usable edges
+// in ascending engine.MatchSeed rank, see engine.PairMatcher — and each
+// returned pair executes one PairStep on the stream keyed on its smallest
+// member, as component groups do. Under a core.StutterOnEqual problem the
+// staged deltas first repair the endpoints-differ index, and only its
+// edges are asked about: an equal-state pair can only stutter, so the
+// match and the step cost O(pairs that can change), not O(E). Without
+// the marker every usable edge is asked about. Either way a returned pair
+// is in the one matching the round's keyed ranks define, independent of
+// the shard count, the pool and the marker, so results are bit-identical
+// for every Shards/ParallelThreshold/GOMAXPROCS combination. The return
+// value is the number of pairs returned, which are the pairs stepped.
+func (r *runner[T]) stepPairs(es env.State, round int) int {
+	var candidates bitset.Set
 	if r.differOn {
+		r.obs.Begin(obs.PhaseMatcherUpdate)
 		r.syncDiffer()
-		keep = r.differ
+		candidates = r.differ
+		r.obs.End(obs.PhaseMatcherUpdate)
 	}
-	r.obs.End(obs.PhaseMatcherUpdate)
 	r.obs.Begin(obs.PhaseMatch)
-	pairs, matched := r.matcher.Match(engine.MatchSeed(r.opts.Seed, round), r.pool, keep)
+	pairs := r.matcher.Match(engine.MatchSeed(r.opts.Seed, round), es.EdgeUp, es.AgentUp, candidates, r.pool)
 	r.obs.End(obs.PhaseMatch)
 	if r.obs != nil {
-		r.obs.Add(obs.CounterMatchedPairs, int64(matched))
+		r.obs.Add(obs.CounterMatchedPairs, int64(len(pairs)))
 	}
 
 	r.obs.Begin(obs.PhaseGroupStep)
@@ -1005,7 +950,7 @@ func (r *runner[T]) stepPairs(es env.State, round int, exact bool) int {
 	}
 	r.stepGroups()
 	r.obs.End(obs.PhaseGroupStep)
-	return matched
+	return len(pairs)
 }
 
 // stepGroups runs the round's group jobs — components or matched pairs —

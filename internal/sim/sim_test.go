@@ -901,7 +901,7 @@ func TestStepViolationTexts(t *testing.T) {
 		want string
 	}{
 		{ComponentMode, "group [0 1 2 3 4 5]: NOT a D-step (conservesF=false decreasesH=true Δh=-23)"},
-		{PairwiseMode, "pair (0,1): NOT a D-step (conservesF=false decreasesH=true Δh=-4)"},
+		{PairwiseMode, "pair (0,5): NOT a D-step (conservesF=false decreasesH=true Δh=-8)"},
 	} {
 		res, err := Run[int](sinkingMin{problems.NewMin()}, env.NewStatic(graph.Ring(len(vals))), vals,
 			Options{Seed: 1, Mode: tc.mode, CheckSteps: true, MaxRounds: 1})

@@ -134,9 +134,9 @@ type Axes struct {
 	BaseSeed int64
 	// MaxRounds caps each cell (0 = sim.DefaultMaxRounds).
 	MaxRounds int
-	// Shards, MatchBlocks, ParallelThreshold are forwarded to every
-	// cell's sim.Options (zero = auto, as in sim).
-	Shards, MatchBlocks, ParallelThreshold int
+	// Shards and ParallelThreshold are forwarded to every cell's
+	// sim.Options (zero = auto, as in sim).
+	Shards, ParallelThreshold int
 }
 
 // Cell is one fully resolved grid point: everything an independent
@@ -254,7 +254,6 @@ func (a Axes) Grid() (*Grid, error) {
 										MaxRounds:         a.MaxRounds,
 										StopOnConverged:   true,
 										Shards:            a.Shards,
-										MatchBlocks:       a.MatchBlocks,
 										ParallelThreshold: a.ParallelThreshold,
 										Dynamics:          sched,
 									},

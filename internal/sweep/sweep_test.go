@@ -157,7 +157,6 @@ func TestSweepNestedShardedRespectsBudget(t *testing.T) {
 		BaseSeed:          7,
 		MaxRounds:         60_000,
 		Shards:            4,
-		MatchBlocks:       4,
 		ParallelThreshold: 1,
 	}
 	grid, err := a.Grid()
@@ -486,8 +485,8 @@ func TestSweepMembershipDeterministicAcrossWorkers(t *testing.T) {
 		}
 	}
 	for _, c := range grid.Cells {
-		if c.Graph.Gen() != 0 || c.Graph.N() != 24 {
-			t.Fatalf("cell %d mutated the shared pristine graph: gen=%d n=%d", c.Index, c.Graph.Gen(), c.Graph.N())
+		if c.Graph.N() != 24 || c.Graph.M() != 24 {
+			t.Fatalf("cell %d mutated the shared pristine graph: n=%d m=%d", c.Index, c.Graph.N(), c.Graph.M())
 		}
 	}
 	sawJoin := false

@@ -10,9 +10,9 @@
 # so a bench_test.go retune cannot silently skew the recorded per-round
 # numbers. CI uploads the file as a build artifact, so the scaling row is
 # recorded per commit; the claim to watch is allocs/round staying flat in
-# N (the delta-indexed round path heaps per change and per round, never
-# per agent or per edge), while ns/round grows with the matching draw's
-# O(usable edges).
+# N (the O(changes) round path heaps per change and per round, never
+# per agent or per edge), while ns/round grows with the pairs that can
+# change.
 #
 # The file also records the sched engine's scaling row: BenchmarkSchedScale
 # runs min over the hypercube at N = 2^10, 2^13, 2^17 on the sharded

@@ -11,9 +11,9 @@
 # the environment's stream was keyed on the round, which moved the run),
 # down from ~1416 when every component stepped. The budget stays at
 # 1600. BenchmarkSimPairwiseSharded4k pins the sharded pairwise
-# round: the partitioned matcher's buffers are engine-owned and reused
-# and PairStep is allocation-free, so a 4096-agent run sits near 650
-# allocs/op, almost all setup; the matcher's equal-state filter is the
+# round: the matcher's memo, query stacks and outputs are engine-owned
+# and reused and PairStep is allocation-free, so a 4096-agent run sits
+# near 650 allocs/op, almost all setup; the matcher's candidates are the
 # run's endpoints-differ bitset, allocated once per run and repaired in
 # place, so rounds add none — a regression to even one allocation per
 # matched pair would add ~65k and fail loudly. BenchmarkSweepGrid pins the
@@ -33,10 +33,10 @@
 #
 # BenchmarkSimPairwiseDelta1e5 pins the O(changes) steady-state round
 # path: 64 post-warmup pairwise rounds at N = 10⁵ on a warm sweep worker
-# (availability 0.999, so ~0.1% of edges flip per round and the
-# usable-edge delta index absorbs them incrementally). The fixed seed
+# (availability 0.999, so ~0.1% of edges flip per round and the matcher
+# reads them straight from the masks). The fixed seed
 # measures ~31 allocs/op — exclusively per-run bookkeeping (Result,
-# environment, initial/final state copies); the 64 delta-indexed
+# environment, initial/final state copies); the 64 O(changes)
 # rounds themselves are allocation-free (the shard flush hands the pool
 # a prebuilt func, the monitor judges min's rounds from the shards'
 # extremes and a running h without merging or evaluating f, and
@@ -49,8 +49,8 @@
 # warm worker runs a Ring(4096) pairwise cell that splices 8 agents in
 # at round 4 (32 fixed rounds per op). Each op pays per-run bookkeeping
 # plus the join machinery — the clone of the pristine grid graph, the
-# ring splice, the extended cached partition, matcher/mask/tracker
-# growth, and the joiners' identity-keyed substreams — all of
+# ring splice, matcher-memo/mask/tracker growth, and the joiners'
+# identity-keyed substreams — all of
 # which must be O(joined subgraph + changed edges). The fixed seed
 # measures ~148 allocs/op; the budget of 400 sits ~2.5× above, so a
 # regression that allocates per agent (4096 would blow through it) or
@@ -86,12 +86,12 @@
 # fails loudly.
 #
 # BenchmarkMatcherMatch1e5 (internal/engine) pins the pairwise matching
-# draw of a near-converged 10⁵-agent round: Ring(10⁵), 25 blocks, a pool
-# of 2 and a keep set holding one edge in 1024. Each bucket packs its
-# usable edges into its own reused word buffer, shuffles them in place and
-# compacts the claims into the same buffer, and the kept pairs land in one
-# reused output slice, so a warm Match allocates nothing: 0 allocs/op, and
-# the budget is 0.
+# of a near-converged 10⁵-agent round: Ring(10⁵), a pool of 2 and a
+# candidate set holding one edge in 1024. The per-agent memo is stamped
+# per call, each worker's query stack and arena are reused, and the
+# returned pairs land in reused per-range outputs and one reused output
+# slice, so a warm Match allocates nothing: 0 allocs/op, and the budget
+# is 0.
 #
 # Benchmarks run one iteration with a fixed seed, so allocs/op is a stable
 # budget number for the simulator and a bounded-noise one for the
