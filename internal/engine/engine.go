@@ -107,10 +107,19 @@ func (m *Monitor[T]) Reset(p core.Problem[T], initial ms.Multiset[T]) {
 			m.cons, m.add = c, a
 		}
 	}
-	m.target = m.f.Apply(initial)
+	m.target = m.fix(initial)
 	m.lastH = m.resyncH(initial)
 	m.violations = nil
 	m.reached, m.reachRound = m.equal(initial, m.target), 0
+}
+
+// fix evaluates a target f(x) in one fill through the core.ApplyInto
+// fast path when f provides it — no Map copy and no re-sort — into a
+// fresh buffer presized to |x|: Result.Target retains the target, so it
+// must not share storage with the next run's.
+func (m *Monitor[T]) fix(x ms.Multiset[T]) ms.Multiset[T] {
+	target, _ := core.ApplyInto(m.f, make([]T, 0, x.Len()), x)
+	return target
 }
 
 // resyncH returns h(now), first recomputing the consensus path's running
@@ -227,7 +236,7 @@ func (m *Monitor[T]) Stage(oldV, newV T) {
 func (m *Monitor[T]) AdmitJoin(joined []T, now ms.Multiset[T]) {
 	if len(joined) > 0 {
 		y := ms.New(m.target.Cmp(), joined...)
-		m.target = m.f.Apply(m.target.Union(y))
+		m.target = m.fix(m.target.Union(y))
 	}
 	m.reached, m.reachRound = false, 0
 	m.lastH = m.resyncH(now)

@@ -19,13 +19,13 @@ import (
 //
 // The scalability win is twofold. Deltas are STAGED per shard over a
 // whole round and each shard's tracker is repaired once per round — one
-// O(k log(n/P) + n/P) merge pass per shard instead of one O(n) pass per
-// group step, which is what makes 10⁶-agent rounds affordable. And the P
-// repairs are independent, so Flush fans them out across the worker
-// pool.
+// O(k log(n/P) + edited span) repair per shard instead of one O(n) pass
+// per group step, which is what makes 10⁶-agent rounds affordable. And
+// the P repairs are independent, so Flush fans them out across the
+// worker pool, as Reset does the P sorts of a new population.
 //
 // Shards is not safe for concurrent use except where documented: Flush
-// parallelizes internally over disjoint shards.
+// and Reset parallelize internally over disjoint shards.
 type Shards[T any] struct {
 	cmp       ms.Cmp[T]
 	blockSize int
@@ -36,8 +36,11 @@ type Shards[T any] struct {
 	views  []ms.Multiset[T]
 	merger *ms.Merger[T]
 	probe  *obs.Probe
-	// flushFn is Flush's per-shard repair, built once in Reset.
-	flushFn func(worker, i int)
+	// flushFn is Flush's per-shard repair and resetFn Reset's per-shard
+	// rebuild from resetStates (set for the duration of one Reset), both
+	// built once in the first Reset.
+	flushFn, resetFn func(worker, i int)
+	resetStates      []T
 }
 
 // SetProbe attaches (or, with nil, detaches) an observability probe
@@ -47,10 +50,11 @@ type Shards[T any] struct {
 func (s *Shards[T]) SetProbe(probe *obs.Probe) { s.probe = probe }
 
 // NewShards builds a sharded snapshot of the given positional states
-// split into p contiguous blocks (p is clamped to [1, len(states)]).
+// split into p contiguous blocks (p is clamped to [1, len(states)]),
+// sorting the blocks one after another (a one-slot pool never fans out).
 func NewShards[T any](cmp ms.Cmp[T], states []T, p int) *Shards[T] {
 	s := &Shards[T]{}
-	s.Reset(cmp, states, p)
+	s.Reset(cmp, states, p, NewPool(1, 1))
 	return s
 }
 
@@ -58,10 +62,12 @@ func NewShards[T any](cmp ms.Cmp[T], states []T, p int) *Shards[T] {
 // blocks, reusing the per-shard trackers, staging buffers, and merger
 // whenever the shard count is unchanged; a different p (or a first use)
 // rebuilds the tracker array but still reuses the merger and staging
-// slices where possible. The resulting state is identical to
-// NewShards(cmp, states, p) — the warm-engine contract for sweeps whose
-// cells share a layout.
-func (s *Shards[T]) Reset(cmp ms.Cmp[T], states []T, p int) {
+// slices where possible. The P per-shard sorts are independent, so they
+// fan out across pool as Flush's repairs do. A stable sort's output is
+// fixed by its input and cmp, so the resulting state is identical to
+// NewShards(cmp, states, p) whatever the pool — the warm-engine contract
+// for sweeps whose cells share a layout.
+func (s *Shards[T]) Reset(cmp ms.Cmp[T], states []T, p int, pool *Pool) {
 	n := len(states)
 	if p < 1 {
 		p = 1
@@ -95,22 +101,21 @@ func (s *Shards[T]) Reset(cmp ms.Cmp[T], states []T, p int) {
 			s.news[i] = s.news[i][:0]
 		}
 	}
-	for i := 0; i < p; i++ {
-		lo, hi := i*bs, (i+1)*bs
-		if lo > n {
-			lo = n
+	if s.resetFn == nil {
+		s.resetFn = func(_, i int) {
+			n := len(s.resetStates)
+			lo, hi := min(i*s.blockSize, n), min((i+1)*s.blockSize, n)
+			if s.trackers[i] == nil {
+				s.trackers[i] = new(ms.Tracker[T])
+			}
+			s.trackers[i].Reset(s.cmp, s.resetStates[lo:hi])
+			s.olds[i] = s.olds[i][:0]
+			s.news[i] = s.news[i][:0]
 		}
-		if hi > n {
-			hi = n
-		}
-		if s.trackers[i] == nil {
-			s.trackers[i] = ms.NewTracker(cmp, states[lo:hi])
-		} else {
-			s.trackers[i].Reset(cmp, states[lo:hi])
-		}
-		s.olds[i] = s.olds[i][:0]
-		s.news[i] = s.news[i][:0]
 	}
+	s.resetStates = states
+	pool.DoAll(p, s.resetFn)
+	s.resetStates = nil // the caller owns states; do not pin them
 }
 
 // P returns the shard count.

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -220,34 +221,75 @@ func TestPoolDoAllBypassesThreshold(t *testing.T) {
 }
 
 // TestApplyIntoFastPaths: the IntoFunction fast paths must agree with
-// Apply on randomized inputs and allocate nothing once warm.
+// Apply bit for bit — the monitor builds S* from ApplyInto, so a fast
+// path that merely compared Equal could still move a golden — on
+// randomized inputs and on the empty multiset, and allocate nothing once
+// warm. It covers all five fast paths: min, max, sum and gcd over int,
+// and the average over float64.
 func TestApplyIntoFastPaths(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
-	fns := []core.Function[int]{problems.MinF(), problems.MaxF(), problems.SumF(), problems.GCDF()}
-	for _, f := range fns {
-		if _, ok := f.(core.IntoFunction[int]); !ok {
-			t.Errorf("%s does not implement the IntoFunction fast path", f.Name())
-			continue
+	for _, f := range []core.Function[int]{problems.MinF(), problems.MaxF(), problems.SumF(), problems.GCDF()} {
+		checkApplyInto(t, f, ms.OrderedCmp[int](), func(a, b int) bool { return a == b },
+			func() int { return rng.Intn(61) - 30 })
+	}
+	checkApplyInto(t, problems.AverageF(), ms.OrderedCmp[float64](),
+		func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) },
+		func() float64 { return rng.NormFloat64() * 1e3 })
+
+	// Result.Target retains S*, so each Reset of a warm monitor must fill
+	// the target into fresh storage: a reused buffer would overwrite the
+	// previous run's target in place.
+	t.Run("monitor targets do not alias", func(t *testing.T) {
+		p := problems.NewMin()
+		m := NewMonitor[int](p, ms.OfInts(5, 3, 9, 4))
+		first := m.Target()
+		m.Reset(p, ms.OfInts(8, 7, 6, 9))
+		if want := ms.OfInts(3, 3, 3, 3); !first.Equal(want) {
+			t.Fatalf("the first run's target became %v after a Reset, want %v", first, want)
 		}
-		var buf []int
-		for trial := 0; trial < 100; trial++ {
-			vals := make([]int, 1+rng.Intn(10))
-			for i := range vals {
-				vals[i] = rng.Intn(30)
+		if want := ms.OfInts(6, 6, 6, 6); !m.Target().Equal(want) {
+			t.Fatalf("second target = %v, want %v", m.Target(), want)
+		}
+	})
+}
+
+// checkApplyInto is TestApplyIntoFastPaths for one f: same is bit
+// equality on T and draw one random element.
+func checkApplyInto[T any](t *testing.T, f core.Function[T], cmp ms.Cmp[T], same func(a, b T) bool, draw func() T) {
+	t.Helper()
+	if _, ok := f.(core.IntoFunction[T]); !ok {
+		t.Errorf("%s does not implement the IntoFunction fast path", f.Name())
+		return
+	}
+	identical := func(a, b ms.Multiset[T]) bool {
+		if a.Len() != b.Len() {
+			return false
+		}
+		for i := 0; i < a.Len(); i++ {
+			if !same(a.At(i), b.At(i)) {
+				return false
 			}
-			x := ms.OfInts(vals...)
-			var got ms.Multiset[int]
-			got, buf = core.ApplyInto(f, buf, x)
-			if want := f.Apply(x); !got.Equal(want) {
-				t.Fatalf("%s: ApplyInto(%v) = %v, want %v", f.Name(), x, got, want)
-			}
 		}
-		x := ms.OfInts(3, 1, 4, 1, 5)
-		allocs := testing.AllocsPerRun(100, func() {
-			_, buf = core.ApplyInto(f, buf, x)
-		})
-		if allocs != 0 {
-			t.Errorf("%s: warm ApplyInto allocated %.0f times per run", f.Name(), allocs)
+		return true
+	}
+	var buf []T
+	for trial := 0; trial < 100; trial++ {
+		vals := make([]T, trial%11) // trial%11 == 0: the empty multiset
+		for i := range vals {
+			vals[i] = draw()
 		}
+		x := ms.New(cmp, vals...)
+		var got ms.Multiset[T]
+		got, buf = core.ApplyInto(f, buf, x)
+		if want := f.Apply(x); !identical(got, want) {
+			t.Fatalf("%s: ApplyInto(%v) = %v, want %v", f.Name(), x, got, want)
+		}
+	}
+	x := ms.New(cmp, draw(), draw(), draw(), draw(), draw())
+	allocs := testing.AllocsPerRun(100, func() {
+		_, buf = core.ApplyInto(f, buf, x)
+	})
+	if allocs != 0 {
+		t.Errorf("%s: warm ApplyInto allocated %.0f times per run", f.Name(), allocs)
 	}
 }

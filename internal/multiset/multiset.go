@@ -41,8 +41,8 @@ type Multiset[T any] struct {
 	// own their storage; the exceptions are View and Tracker.View, which
 	// deliberately alias caller- or tracker-owned buffers for the engine
 	// hot path — such views are invalidated by the next mutation of the
-	// underlying buffer (Tracker.Replace recycles its old array as merge
-	// scratch) and must not be retained across it.
+	// underlying buffer (Tracker.Replace rewrites its array in place or
+	// recycles it as merge scratch) and must not be retained across it.
 	elems []T
 }
 
@@ -273,14 +273,17 @@ func View[T any](cmp Cmp[T], sorted []T) Multiset[T] {
 // values that mutates in small increments — the engine-side "incremental
 // snapshot". Where ms.New costs an allocation plus an O(n log n) sort per
 // call, a Tracker owns one sorted buffer for the lifetime of a run and
-// Replace repairs it after a group step using O(k log n) comparisons (k =
-// changed values) and a single linear merge pass, allocating nothing once
-// its scratch buffers have grown to a steady state.
+// Replace repairs it after a group step: O(k log n) comparisons (k =
+// changed values) to place the edits, then a rewrite of the edited
+// span only — from the first to the last index an edit touches — plus,
+// when the population grows or shrinks, one shift of the tail behind it.
+// Replace allocates nothing once its scratch buffers have grown to a
+// steady state.
 type Tracker[T any] struct {
 	cmp   Cmp[T]
 	elems []T // sorted by cmp
 	// Reusable scratch: sorted copies of the change set, removal indices,
-	// insertion positions, and the merge output buffer (swapped with elems).
+	// insertion positions, and the edited span's merge output.
 	oldBuf, newBuf []T
 	remIdx, insPos []int
 	mergeBuf       []T
@@ -288,10 +291,9 @@ type Tracker[T any] struct {
 
 // NewTracker builds a Tracker over a copy of the given population.
 func NewTracker[T any](cmp Cmp[T], elems []T) *Tracker[T] {
-	own := make([]T, len(elems))
-	copy(own, elems)
-	slices.SortStableFunc(own, cmp)
-	return &Tracker[T]{cmp: cmp, elems: own}
+	t := &Tracker[T]{}
+	t.Reset(cmp, elems)
+	return t
 }
 
 // Reset rebinds the tracker to a fresh population, reusing its sorted
@@ -300,10 +302,34 @@ func NewTracker[T any](cmp Cmp[T], elems []T) *Tracker[T] {
 // sort, same canonical order — so a tracker handed from one run to the
 // next (the scenario-sweep warm-engine contract) is observationally a
 // new one. Any views of the previous population are invalidated.
+//
+// An int population is first sorted by < without cmp calls. That is
+// already the stable order under cmp whenever cmp ranks every pair of
+// adjacent distinct values strictly ascending: each of cmp's equal runs
+// then holds copies of one value, so no order within a run is visible.
+// One pass checks it; otherwise the input is restored and sorted stably.
 func (t *Tracker[T]) Reset(cmp Cmp[T], elems []T) {
 	t.cmp = cmp
 	t.elems = append(t.elems[:0], elems...)
+	if ints, ok := any(t.elems).([]int); ok {
+		slices.Sort(ints)
+		if strictlyAscending(ints, any(cmp).(Cmp[int])) {
+			return
+		}
+		copy(t.elems, elems)
+	}
 	slices.SortStableFunc(t.elems, cmp)
+}
+
+// strictlyAscending reports whether cmp ranks every adjacent pair of
+// distinct values in ints strictly ascending.
+func strictlyAscending(ints []int, cmp Cmp[int]) bool {
+	for i := 1; i < len(ints); i++ {
+		if ints[i-1] != ints[i] && cmp(ints[i-1], ints[i]) >= 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // Len reports the tracked population size.
@@ -319,6 +345,18 @@ func (t *Tracker[T]) View() Multiset[T] { return Multiset[T]{cmp: t.cmp, elems: 
 // old value is not present — a corrupted snapshot would silently poison
 // every downstream monitor, so the failure is loud. olds and news may have
 // different lengths and are not mutated.
+//
+// The placement rules fix the result element for element, ties included:
+// a run of c equal removals claims the first c slots of that value's
+// equal run, and every insertion goes at its lower bound in the original
+// coordinates, after the insertions placed before it in sorted order.
+// Under those rules no element before the first edit index moves, and
+// when len(olds) == len(news) no element after the last one moves either,
+// so only that span is merged and written back in place; unequal lengths
+// also shift the tail behind it. When the span is most of the array (edits
+// spread over the whole population), the untouched elements are fewer
+// than the rewritten ones, and Replace merges the whole population into
+// its scratch buffer and swaps the two: one pass, the cost of a full merge.
 func (t *Tracker[T]) Replace(olds, news []T) {
 	if len(olds) == 0 && len(news) == 0 {
 		return
@@ -357,17 +395,43 @@ func (t *Tracker[T]) Replace(olds, news []T) {
 			sort.Search(len(t.elems), func(j int) bool { return t.cmp(t.elems[j], v) >= 0 }))
 	}
 
-	// Single merge pass: bulk-copy each run of surviving elements up to
-	// the next edit index, skip removed indices, emit inserted values at
-	// their positions. Index comparisons only — no further cmp calls.
+	// The edited span [lo, hi] of original indices: both index lists are
+	// ascending, so its ends are their first and last entries. An
+	// insertion at hi lands before elems[hi], which stays in the tail.
+	lo, hi := len(t.elems), 0
+	if len(t.remIdx) > 0 {
+		lo, hi = t.remIdx[0], t.remIdx[len(t.remIdx)-1]+1
+	}
+	if len(t.insPos) > 0 {
+		lo, hi = min(lo, t.insPos[0]), max(hi, t.insPos[len(t.insPos)-1])
+	}
+
+	// Writing the merged span back costs its length, plus the tail when
+	// the lengths differ; merging the whole population into the scratch
+	// and swapping the buffers costs the prefix and the tail instead. Take
+	// the cheaper: a dense round's span is most of the array.
+	n, d := len(t.elems), len(t.newBuf)-len(t.oldBuf)
+	keep := lo + n - hi // elements outside the span
+	moved := hi - lo + d
+	if d != 0 {
+		moved += n - hi
+	}
+	whole := keep < moved
+
+	// Merge the span: bulk-copy each run of surviving elements up to the
+	// next edit index, skip removed indices, emit inserted values at their
+	// positions. Index comparisons only — no further cmp calls.
 	out := t.mergeBuf[:0]
+	if whole {
+		out = append(out, t.elems[:lo]...)
+	}
 	ri, ni := 0, 0
-	for i := 0; ; {
+	for i := lo; ; {
 		for ni < len(t.insPos) && t.insPos[ni] == i {
 			out = append(out, t.newBuf[ni])
 			ni++
 		}
-		if i == len(t.elems) {
+		if i == hi {
 			break
 		}
 		if ri < len(t.remIdx) && t.remIdx[ri] == i {
@@ -375,7 +439,7 @@ func (t *Tracker[T]) Replace(olds, news []T) {
 			i++
 			continue
 		}
-		next := len(t.elems)
+		next := hi
 		if ri < len(t.remIdx) {
 			next = t.remIdx[ri]
 		}
@@ -385,16 +449,31 @@ func (t *Tracker[T]) Replace(olds, news []T) {
 		out = append(out, t.elems[i:next]...)
 		i = next
 	}
-	t.mergeBuf = t.elems[:0]
-	t.elems = out
+	if whole {
+		t.mergeBuf, t.elems = t.elems[:0], append(out, t.elems[hi:]...)
+		return
+	}
+	t.mergeBuf = out[:0]
+
+	// Write the span back. The original span is no longer read, so the
+	// tail may move first; copy is overlap-safe in either direction.
+	grown := n + d
+	if d > 0 {
+		t.elems = slices.Grow(t.elems, d)
+	}
+	t.elems = t.elems[:max(n, grown)]
+	copy(t.elems[lo+len(out):grown], t.elems[hi:n])
+	copy(t.elems[lo:], out)
+	clear(t.elems[grown:]) // a shrink leaves no stale values behind
+	t.elems = t.elems[:grown]
 }
 
 // Append inserts the given values into the tracked multiset — the
 // population-growth path: joining agents extend the bag without touching
 // any existing element, so incremental snapshots (and any positional
 // bookkeeping keyed to existing agents) stay valid. It is Replace with an
-// empty removal set; sorted order is repaired by the same O(k log n)
-// merge.
+// empty removal set: the span from the first insertion point to the last
+// is rewritten and the tail behind it shifts up by len(vals).
 func (t *Tracker[T]) Append(vals []T) { t.Replace(nil, vals) }
 
 // Merger performs repeated P-way multiset unions into reusable merge

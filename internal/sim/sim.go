@@ -303,13 +303,15 @@ type runner[T any] struct {
 	// the endpoints-differ index whose edges are the matcher's candidates:
 	// bit id of differ is set iff edge id's endpoints hold cmp-different
 	// states, the pairs that can change. It is built in one O(E) pass
-	// before the run's first match (differBuilt) and then repaired before
+	// before the run's first match (differBuilt), its differChunk-edge
+	// ranges fanned out on the pool by buildFn, and then repaired before
 	// each match from differDirty, the agents staged since — O(changes).
 	matcher     *engine.PairMatcher
 	differOn    bool
 	differBuilt bool
 	differ      bitset.Set
 	differDirty []int
+	buildFn     func(worker, k int)
 
 	// Proper-step detection scratch (sorted copies of a group's before and
 	// after states, compared as zero-copy multiset views).
@@ -450,11 +452,10 @@ func RunWith[T any](sc *Scratch[T], p core.Problem[T], e env.Environment, initia
 	// CLEAR any probe a previous run on this warm scratch attached.
 	r.obs = opts.Probe
 	r.pool.SetProbe(opts.Probe)
-	if shardCount := resolveShards(opts.Shards, g.N()); sc.shards == nil {
-		sc.shards = engine.NewShards(r.cmp, r.states, shardCount)
-	} else {
-		sc.shards.Reset(r.cmp, r.states, shardCount)
+	if sc.shards == nil {
+		sc.shards = new(engine.Shards[T])
 	}
+	sc.shards.Reset(r.cmp, r.states, resolveShards(opts.Shards, g.N()), r.pool)
 	r.shards = sc.shards
 	r.shards.SetProbe(opts.Probe)
 	if r.mon == nil {
@@ -729,10 +730,15 @@ func (r *runner[T]) stage(a int, oldV, newV T) {
 	}
 }
 
+// differChunk is the width of the edge-id range one pool item of the
+// endpoints-differ build covers: a multiple of 64, so no two items write
+// one bitset word.
+const differChunk = 4096
+
 // syncDiffer brings the endpoints-differ index in line with the states.
-// The run's first call builds it in one ascending pass over the edges;
-// later calls recompute only the edges incident to the agents staged
-// since the previous call.
+// The run's first call builds it over the pool, one differChunk range of
+// edge ids per item; later calls recompute only the edges incident to
+// the agents staged since the previous call.
 func (r *runner[T]) syncDiffer() {
 	edges := r.g.EdgesView()
 	if !r.differBuilt {
@@ -741,11 +747,20 @@ func (r *runner[T]) syncDiffer() {
 		} else {
 			r.differ.ClearAll()
 		}
-		for id, e := range edges {
-			if r.cmp(r.states[e.A], r.states[e.B]) != 0 {
-				r.differ.Set(id)
+		if r.buildFn == nil {
+			// Built once per Scratch, like stepFn: it reads the run's
+			// graph, states and index through the runner.
+			r.buildFn = func(_, k int) {
+				edges := r.g.EdgesView()
+				lo, hi := k*differChunk, min((k+1)*differChunk, len(edges))
+				for id, e := range edges[lo:hi] {
+					if r.cmp(r.states[e.A], r.states[e.B]) != 0 {
+						r.differ.Set(lo + id)
+					}
+				}
 			}
 		}
+		r.pool.Do((len(edges)+differChunk-1)/differChunk, r.buildFn)
 		r.differBuilt = true
 	} else {
 		for _, a := range r.differDirty {
