@@ -208,7 +208,7 @@ func benchWarmPairwiseCellProbed(b *testing.B, w *sweep.Worker, g *Graph, rounds
 		rep := probe.Report()
 		total := float64(rounds) * float64(b.N)
 		for _, ph := range []obs.Phase{
-			obs.PhaseEnvStep, obs.PhaseTouched, obs.PhaseMatcherUpdate,
+			obs.PhaseEnvStep, obs.PhaseMatcherUpdate,
 			obs.PhaseMatch, obs.PhaseGroupStep, obs.PhaseMonitor,
 		} {
 			b.ReportMetric(float64(rep.PhaseNs(ph))/total, "ns_"+ph.String()+"/round")

@@ -127,9 +127,6 @@ func (s *Schedule) TotalJoiners() int {
 	return k
 }
 
-// HasJoins reports whether the schedule contains any Join rule.
-func (s *Schedule) HasJoins() bool { return s.TotalJoiners() > 0 }
-
 // Horizon returns the last round at which one of the schedule's
 // one-shot rules still fires or changes scripted state: the latest At
 // round, window end, or Join round (−1 for an empty schedule or one
@@ -830,8 +827,6 @@ func (a *Applier) growthSlow(round int) (graph.Growth, bool) {
 			total, any = gr, true
 		} else {
 			total.NewAgents += gr.NewAgents
-			total.NewEdgeIDs = append(total.NewEdgeIDs, gr.NewEdgeIDs...)
-			total.RetiredEdgeIDs = append(total.RetiredEdgeIDs, gr.RetiredEdgeIDs...)
 		}
 		a.joinsLeft -= r.joinK
 		a.rep.Joins += r.joinK
@@ -988,19 +983,6 @@ func (a *Applier) EndRound() {
 	a.edgeUndo, a.agentUndo = a.edgeUndo[:0], a.agentUndo[:0]
 	a.curEdgeUp, a.curAgentUp = bitset.Set{}, bitset.Set{}
 }
-
-// OverlayEdges returns the edge ids the most recent BeginRound forced
-// down (entries the environment had up that the overlay cleared). Valid
-// until EndRound; callers that need the list across the round boundary —
-// the engine's changed-id stream does — must copy it. Together with the
-// environment's own StepDeltas, the previous round's overlay list, and
-// this one, a consumer has a superset of every mask entry that can
-// differ between consecutive effective states.
-func (a *Applier) OverlayEdges() []int { return a.edgeUndo }
-
-// OverlayAgents is OverlayEdges for the agent mask (the currently frozen
-// agents that the environment had up).
-func (a *Applier) OverlayAgents() []int { return a.agentUndo }
 
 func (a *Applier) allTrueEdges() bitset.Set {
 	if a.edgeUpBuf.IsZero() {

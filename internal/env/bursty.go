@@ -22,7 +22,6 @@ type MarkovLinks struct {
 
 	inited bool
 	buf    stateBuf
-	deltaState
 }
 
 // NewMarkovLinks builds a bursty-churn environment. The stationary
@@ -51,12 +50,10 @@ func (e *MarkovLinks) Name() string {
 func (e *MarkovLinks) Graph() *graph.Graph { return e.g }
 
 // Step implements Environment. The chain state lives directly in the
-// state buffer; the per-edge transition loop records the exact flip list,
-// so StepDeltas is exact from the second round on.
+// state buffer, which each round's transition loop repairs in place.
 func (e *MarkovLinks) Step(_ int, rng *rand.Rand) State {
 	m := e.g.M()
 	var s State
-	steady := e.inited
 	if !e.inited {
 		s = e.buf.allUp(e.g)
 		avail := e.StationaryAvailability()
@@ -67,19 +64,15 @@ func (e *MarkovLinks) Step(_ int, rng *rand.Rand) State {
 	} else {
 		s = e.buf.s
 	}
-	edges := e.edges[:0]
 	for i := 0; i < m; i++ {
 		if s.EdgeUp.Get(i) {
 			if rng.Float64() < e.PUpToDown {
 				s.EdgeUp.Clear(i)
-				edges = append(edges, i)
 			}
 		} else if rng.Float64() < e.PDownToUp {
 			s.EdgeUp.Set(i)
-			edges = append(edges, i)
 		}
 	}
-	e.deltaState = deltaState{edges: edges, ok: steady}
 	return s
 }
 
@@ -95,7 +88,6 @@ type DayNight struct {
 	buf     stateBuf
 	primed  bool
 	prevDay bool
-	deltaState
 }
 
 // NewDayNight builds the periodic environment.
@@ -123,10 +115,8 @@ func (e *DayNight) Day(round int) bool {
 	return round%period < e.DayRounds
 }
 
-// Step implements Environment. Within a phase nothing changes (exact
-// empty deltas); on a phase transition every edge flips, which StepDeltas
-// reports as ok=false so consumers do the one full rescan the transition
-// genuinely costs.
+// Step implements Environment. Within a phase nothing changes; a phase
+// transition rewrites the whole edge mask.
 func (e *DayNight) Step(round int, _ *rand.Rand) State {
 	day := e.Day(round)
 	var s State
@@ -138,14 +128,11 @@ func (e *DayNight) Step(round int, _ *rand.Rand) State {
 			s = e.buf.edgesDown(e.g)
 		}
 		e.primed = true
-		e.deltaState = deltaState{ok: false}
 	case day != e.prevDay:
 		s = e.buf.s
 		s.EdgeUp.FillValue(day)
-		e.deltaState = deltaState{ok: false}
 	default:
 		s = e.buf.s
-		e.deltaState = deltaState{ok: true}
 	}
 	e.prevDay = day
 	return s
@@ -157,7 +144,6 @@ func (e *DayNight) Step(round int, _ *rand.Rand) State {
 type Compose struct {
 	layers []Environment
 	out    State
-	deltaState
 }
 
 // NewCompose builds the conjunction of the given environments, which must
@@ -192,10 +178,7 @@ func (e *Compose) Name() string {
 func (e *Compose) Graph() *graph.Graph { return e.layers[0].Graph() }
 
 // Step implements Environment. The conjunction is word-level AND over
-// the layer masks. A layer flip need not flip the conjunction, but the
-// "may have changed" contract of StepDeltas permits a superset, so the
-// composite delta is simply the concatenation of the layer deltas — and
-// it is only valid (ok) when every layer reported a valid delta.
+// the layer masks.
 func (e *Compose) Step(round int, rng *rand.Rand) State {
 	first := e.layers[0].Step(round, rng)
 	if e.out.EdgeUp.IsZero() {
@@ -205,30 +188,11 @@ func (e *Compose) Step(round int, rng *rand.Rand) State {
 		e.out.AgentUp.Copy(first.AgentUp)
 	}
 	out := e.out
-	edges, agents := e.edges[:0], e.agents[:0]
-	allOK := true
-	collect := func(l Environment) {
-		de, isDelta := l.(DeltaEnvironment)
-		if !isDelta {
-			allOK = false
-			return
-		}
-		ed, ag, ok := de.StepDeltas()
-		if !ok {
-			allOK = false
-			return
-		}
-		edges = append(edges, ed...)
-		agents = append(agents, ag...)
-	}
-	collect(e.layers[0])
 	for _, l := range e.layers[1:] {
 		s := l.Step(round, rng)
 		out.EdgeUp.And(s.EdgeUp)
 		out.AgentUp.And(s.AgentUp)
-		collect(l)
 	}
-	e.deltaState = deltaState{edges: edges, agents: agents, ok: allOK}
 	return out
 }
 

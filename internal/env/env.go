@@ -16,11 +16,11 @@
 // whether the run actually satisfied (2) — so experiments can correlate
 // convergence with the assumption the correctness theorem needs.
 //
-// Masks are bit-packed (internal/bitset), and environments whose
-// transitions are sparse additionally implement DeltaEnvironment: they
-// report, per Step, exactly which mask entries may have changed since the
-// previous Step. Engines use that changed-id stream to keep round cost
-// proportional to what changed rather than to graph size.
+// Masks are bit-packed (internal/bitset), and environments with sparse
+// transitions repair one buffer in place each round. Environments do not
+// report which entries flipped: a consumer that needs to know whether a
+// round's masks moved compares them with a copy it kept (the round
+// engine's partition memo does, in O(E/64) words).
 package env
 
 import (
@@ -137,23 +137,6 @@ type Environment interface {
 	Step(round int, rng *rand.Rand) State
 }
 
-// DeltaEnvironment is implemented by environments whose per-round mask
-// transitions are sparse. StepDeltas reports the ids whose mask entries
-// MAY have changed between the previous Step's State and the most recent
-// one — a superset of the actual flips is allowed (consumers recompute
-// the listed entries), a miss is not. The returned slices are owned by
-// the environment and valid only until the next Step.
-//
-// ok is false when the environment cannot bound the change set for the
-// round just produced (the first Step of a run, a phase that rewrote the
-// whole mask, a mid-run parameter change): consumers must then fall back
-// to a full rescan. Environments with inherently dense transitions
-// (Adversary, Mobile) simply do not implement the interface.
-type DeltaEnvironment interface {
-	Environment
-	StepDeltas() (edges, agents []int, ok bool)
-}
-
 // Growable is implemented by environments that support population growth
 // mid-run. Grow is called after the underlying graph gained agents and/or
 // edges (the graph is already grown when Grow runs): the environment must
@@ -170,49 +153,14 @@ type Growable interface {
 	Grow()
 }
 
-// deltaState is the StepDeltas bookkeeping shared by the delta-capable
-// environments: each Step records its change lists here.
-type deltaState struct {
-	edges, agents []int
-	ok            bool
-}
-
-func (d *deltaState) StepDeltas() (edges, agents []int, ok bool) {
-	return d.edges, d.agents, d.ok
-}
-
-// mergeUnion appends to dst the ascending union of two ascending id lists.
-func mergeUnion(dst, a, b []int) []int {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			dst = append(dst, a[i])
-			i++
-		case a[i] > b[j]:
-			dst = append(dst, b[j])
-			j++
-		default:
-			dst = append(dst, a[i])
-			i++
-			j++
-		}
-	}
-	dst = append(dst, a[i:]...)
-	dst = append(dst, b[j:]...)
-	return dst
-}
-
 // --- Static: the benign environment ---
 
 // Static keeps every edge and agent up forever: the "benign conditions"
 // under which the paper's problems are easy and the algorithms run at full
 // speed.
 type Static struct {
-	g      *graph.Graph
-	s      State
-	primed bool
-	deltaState
+	g *graph.Graph
+	s State
 }
 
 // NewStatic builds a Static environment over g.
@@ -225,13 +173,7 @@ func (e *Static) Name() string { return "static" }
 func (e *Static) Graph() *graph.Graph { return e.g }
 
 // Step implements Environment.
-func (e *Static) Step(int, *rand.Rand) State {
-	// Nothing ever changes: deltas are exact and empty from the second
-	// Step on (the first Step has no predecessor to be a delta against).
-	e.deltaState = deltaState{ok: e.primed}
-	e.primed = true
-	return e.s
-}
+func (e *Static) Step(int, *rand.Rand) State { return e.s }
 
 // Grow implements Growable: the all-up masks simply extend, all-up.
 func (e *Static) Grow() {
@@ -259,9 +201,7 @@ func (e *Static) Grow() {
 // whole mask. At P = 0.999 on a 10⁶-edge graph that is ~10³ mask writes
 // per round instead of 10⁶, which is what makes large-N churn rounds
 // affordable (E15). The sampled distribution is exactly iid Bernoulli(P)
-// per edge per round. StepDeltas reports the union of the previous and
-// current minority lists — the only entries whose value can differ
-// between the two rounds.
+// per edge per round.
 type EdgeChurn struct {
 	g *graph.Graph
 	// P is the per-round, per-edge availability probability.
@@ -273,10 +213,8 @@ type EdgeChurn struct {
 	// fill value the rest of the mask holds (true when P ≥ 0.5); if P is
 	// changed mid-run across 0.5 the mask is refilled once.
 	flips      []int
-	prevFlips  []int
 	majority   bool
 	maskPrimed bool
-	deltaState
 }
 
 // NewEdgeChurn builds an EdgeChurn environment over g.
@@ -330,7 +268,6 @@ func (e *EdgeChurn) Step(_ int, rng *rand.Rand) State {
 		q = e.P
 	}
 	var s State
-	steady := true
 	if !e.maskPrimed || majority != e.majority {
 		// First round (or P crossed ½): fill the whole mask once.
 		s = e.buf.allUp(e.g)
@@ -338,7 +275,6 @@ func (e *EdgeChurn) Step(_ int, rng *rand.Rand) State {
 		e.majority = majority
 		e.maskPrimed = true
 		e.flips = e.flips[:0]
-		steady = false
 	} else {
 		// Steady state: undo only last round's minority entries.
 		s = e.buf.s
@@ -346,23 +282,16 @@ func (e *EdgeChurn) Step(_ int, rng *rand.Rand) State {
 			s.EdgeUp.SetTo(id, majority)
 		}
 	}
-	e.prevFlips = append(e.prevFlips[:0], e.flips...)
 	e.flips = sampleFlips(e.flips, e.g.M(), q, rng)
 	for _, id := range e.flips {
 		s.EdgeUp.SetTo(id, !majority)
-	}
-	e.deltaState = deltaState{
-		edges: mergeUnion(e.edges[:0], e.prevFlips, e.flips),
-		ok:    steady,
 	}
 	return s
 }
 
 // Grow implements Growable. New edge entries take the majority value and
 // new agents come up; the very next Step samples the new edges iid like
-// every other (sampleFlips ranges over the grown M), and the engine's
-// join-touched stream covers the new ids, so downstream indices see their
-// post-Step values.
+// every other (sampleFlips ranges over the grown M).
 func (e *EdgeChurn) Grow() { e.buf.grow(e.g, e.majority) }
 
 // --- PowerLoss: agents go down and come back ---
@@ -370,17 +299,13 @@ func (e *EdgeChurn) Grow() { e.buf.grow(e.g, e.majority) }
 // PowerLoss disables each agent independently with probability P each round
 // (battery exhaustion, duty cycling). A disabled agent takes no steps and
 // keeps its state, exactly as §1.1 prescribes. Edges are up, but an edge is
-// unusable unless both endpoints are up. The per-agent Bernoulli draws are
-// compared against the previous round's mask entry, so StepDeltas reports
-// the exact set of agents whose up-ness flipped.
+// unusable unless both endpoints are up.
 type PowerLoss struct {
 	g *graph.Graph
 	// P is the per-round, per-agent outage probability.
 	P float64
 
-	buf    stateBuf
-	primed bool
-	deltaState
+	buf stateBuf
 }
 
 // NewPowerLoss builds a PowerLoss environment over g.
@@ -394,28 +319,14 @@ func (e *PowerLoss) Graph() *graph.Graph { return e.g }
 
 // Step implements Environment.
 func (e *PowerLoss) Step(_ int, rng *rand.Rand) State {
-	var s State
-	if !e.primed {
+	s := e.buf.s
+	if s.EdgeUp.IsZero() {
 		s = e.buf.allUp(e.g)
-		n := s.AgentUp.Len()
-		for i := 0; i < n; i++ {
-			s.AgentUp.SetTo(i, rng.Float64() >= e.P)
-		}
-		e.primed = true
-		e.deltaState = deltaState{ok: false}
-		return s
 	}
-	s = e.buf.s
-	agents := e.agents[:0]
 	n := s.AgentUp.Len()
 	for i := 0; i < n; i++ {
-		v := rng.Float64() >= e.P
-		if v != s.AgentUp.Get(i) {
-			s.AgentUp.SetTo(i, v)
-			agents = append(agents, i)
-		}
+		s.AgentUp.SetTo(i, rng.Float64() >= e.P)
 	}
-	e.deltaState = deltaState{agents: agents, ok: true}
 	return s
 }
 
@@ -435,9 +346,8 @@ func (e *PowerLoss) Grow() { e.buf.grow(e.g, true) }
 // self-similarity made observable (experiment E5).
 //
 // The inter-block cut set is static, so it is computed once as a bitset:
-// phase transitions are two word-level mask operations and StepDeltas
-// reports the cut list exactly on transition rounds and nothing within a
-// phase.
+// phase transitions are two word-level mask operations, and rounds within
+// a phase write nothing.
 type Partitioner struct {
 	g *graph.Graph
 	// Parts is the number of blocks during the partitioned phase (≥ 2).
@@ -447,10 +357,8 @@ type Partitioner struct {
 
 	buf      stateBuf
 	cutMask  bitset.Set
-	cutIDs   []int
 	prevPart bool
 	primed   bool
-	deltaState
 }
 
 // NewPartitioner builds a Partitioner with the given phase structure.
@@ -495,7 +403,6 @@ func (e *Partitioner) ensureCut() {
 	for id, edge := range e.g.EdgesView() {
 		if e.Block(edge.A) != e.Block(edge.B) {
 			e.cutMask.Set(id)
-			e.cutIDs = append(e.cutIDs, id)
 		}
 	}
 }
@@ -511,7 +418,6 @@ func (e *Partitioner) Step(round int, _ *rand.Rand) State {
 			s.EdgeUp.AndNot(e.cutMask)
 		}
 		e.primed = true
-		e.deltaState = deltaState{ok: false}
 	} else {
 		s = e.buf.s
 		if part != e.prevPart {
@@ -520,9 +426,6 @@ func (e *Partitioner) Step(round int, _ *rand.Rand) State {
 			} else {
 				s.EdgeUp.Or(e.cutMask)
 			}
-			e.deltaState = deltaState{edges: e.cutIDs, ok: true}
-		} else {
-			e.deltaState = deltaState{ok: true}
 		}
 	}
 	e.prevPart = part
@@ -540,8 +443,7 @@ func (e *Partitioner) Step(round int, _ *rand.Rand) State {
 // and lets the adversary starve edges forever — the configuration used to
 // demonstrate what happens when (2) is violated (experiment E12).
 //
-// The adversary rescoring is inherently O(M) per round (it re-ranks every
-// edge), so it does not implement DeltaEnvironment.
+// The adversary rescores and re-ranks every edge each round.
 type Adversary struct {
 	g *graph.Graph
 	// CutFraction in [0,1] is the fraction of edges cut each round.
@@ -651,7 +553,6 @@ type Starver struct {
 	starved []int
 	buf     stateBuf
 	primed  bool
-	deltaState
 }
 
 // NewStarver builds a Starver that permanently disables the given edge ids.
@@ -680,10 +581,8 @@ func (e *Starver) Step(int, *rand.Rand) State {
 			s.EdgeUp.Clear(id)
 		}
 		e.primed = true
-		e.deltaState = deltaState{ok: false}
 		return s
 	}
-	e.deltaState = deltaState{ok: true}
 	return e.buf.s
 }
 
@@ -693,16 +592,14 @@ func (e *Starver) Step(int, *rand.Rand) State {
 // list. It is the weakest environment satisfying (2) over the whole graph:
 // every Q_e holds infinitely often, but only one group of two agents can
 // collaborate at a time. It bounds the slow extreme of the adaptivity
-// spectrum in E4/E11. StepDeltas is exact: at most the previous and the
-// current enabled edge change per round.
+// spectrum in E4/E11. Each round writes at most two mask entries: the
+// previous and the current enabled edge.
 type RoundRobin struct {
 	g   *graph.Graph
 	buf stateBuf
 
 	prevEdge int
 	primed   bool
-	deltaBuf [2]int
-	deltaState
 }
 
 // NewRoundRobin builds a RoundRobin environment over g.
@@ -734,7 +631,6 @@ func (e *RoundRobin) Step(round int, _ *rand.Rand) State {
 			s.EdgeUp.Set(cur)
 		}
 		e.primed = true
-		e.deltaState = deltaState{ok: false}
 	} else {
 		s = e.buf.s
 		if e.prevEdge >= 0 && e.prevEdge != cur {
@@ -743,18 +639,6 @@ func (e *RoundRobin) Step(round int, _ *rand.Rand) State {
 		if cur >= 0 {
 			s.EdgeUp.Set(cur)
 		}
-		d := e.deltaBuf[:0]
-		lo, hi := e.prevEdge, cur
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		if lo >= 0 {
-			d = append(d, lo)
-		}
-		if hi >= 0 && hi != lo {
-			d = append(d, hi)
-		}
-		e.deltaState = deltaState{edges: d, ok: true}
 	}
 	e.prevEdge = cur
 	return s
@@ -767,8 +651,7 @@ func (e *RoundRobin) Step(round int, _ *rand.Rand) State {
 // Radius of each other. The underlying graph must be complete — edges
 // correspond to agent pairs — and availability is derived from positions,
 // so connectivity waxes and wanes as agents travel. Every pairwise
-// distance is recomputed per round, so Mobile does not implement
-// DeltaEnvironment.
+// distance is recomputed per round.
 type Mobile struct {
 	g      *graph.Graph
 	Radius float64

@@ -18,9 +18,9 @@
 //     m distinct existing vertices with probability ∝ degree+1 on the
 //     caller's deterministic substream. Purely additive.
 //
-// Each operation returns a Growth delta (new agent range, appended edge
-// ids, retired edge ids), so the engine catches up in O(growth): a growth
-// op invalidates only what it touches.
+// Each operation returns a Growth record (the new agent range); the new
+// edges are the ids from the old M up, so the engine catches up in
+// O(growth): a growth op invalidates only what it touches.
 package graph
 
 import (
@@ -36,18 +36,13 @@ import (
 // engine's FastRand, without this package importing either.
 type Intner interface{ Intn(n int) int }
 
-// Growth is the delta produced by one population-growth operation.
+// Growth records the agents one population-growth operation appended.
 type Growth struct {
 	// FirstAgent is the index of the first appended agent (== N before
 	// the operation); the new agents are FirstAgent..FirstAgent+NewAgents-1.
 	FirstAgent int
 	// NewAgents is the number of agents appended.
 	NewAgents int
-	// NewEdgeIDs lists the ids of the edges appended, ascending.
-	NewEdgeIDs []int
-	// RetiredEdgeIDs lists the ids retired (removed from the live
-	// topology) by the operation, if any.
-	RetiredEdgeIDs []int
 }
 
 // LiveM returns the number of live (non-retired) edges. M() counts every
@@ -112,14 +107,13 @@ func (g *Graph) SpliceRing(k int) (Growth, error) {
 	oldN := g.n
 	gr := Growth{FirstAgent: oldN, NewAgents: k}
 	g.retireEdge(closing)
-	gr.RetiredEdgeIDs = append(gr.RetiredEdgeIDs, closing)
 	g.addAgents(k)
 	prev := oldN - 1
 	for v := oldN; v < oldN+k; v++ {
-		gr.NewEdgeIDs = append(gr.NewEdgeIDs, g.addEdge(prev, v))
+		g.addEdge(prev, v)
 		prev = v
 	}
-	gr.NewEdgeIDs = append(gr.NewEdgeIDs, g.addEdge(0, prev))
+	g.addEdge(0, prev)
 	return gr, nil
 }
 
@@ -141,7 +135,7 @@ func (g *Graph) GrowHypercube(k int) (Growth, error) {
 	for v := oldN; v < oldN+k; v++ {
 		for b := 0; b < mathbits.Len(uint(v)); b++ {
 			if v&(1<<uint(b)) != 0 {
-				gr.NewEdgeIDs = append(gr.NewEdgeIDs, g.addEdge(v&^(1<<uint(b)), v))
+				g.addEdge(v&^(1<<uint(b)), v)
 			}
 		}
 	}
@@ -201,25 +195,23 @@ func (g *Graph) AttachPreferential(k, m int, rng Intner) (Growth, error) {
 		}
 		sort.Ints(chosen)
 		for _, u := range chosen {
-			gr.NewEdgeIDs = append(gr.NewEdgeIDs, g.addEdge(u, v))
+			g.addEdge(u, v)
 		}
 	}
 	return gr, nil
 }
 
-// addAgents appends k isolated vertices and returns the first new index.
-func (g *Graph) addAgents(k int) int {
-	first := g.n
+// addAgents appends k isolated vertices.
+func (g *Graph) addAgents(k int) {
 	g.n += k
 	g.adj = append(g.adj, make([][]int, k)...)
-	return first
 }
 
-// addEdge appends the live edge {a,b} at the tail of the edge list and
-// returns its id. Callers guarantee the endpoints are in range and the
+// addEdge appends the live edge {a,b} at the tail of the edge list, as
+// id M. Callers guarantee the endpoints are in range and the
 // edge is not already live (attachment constructions satisfy this by
 // always wiring a brand-new vertex).
-func (g *Graph) addEdge(a, b int) int {
+func (g *Graph) addEdge(a, b int) {
 	e := NewEdge(a, b)
 	id := len(g.edges)
 	g.edges = append(g.edges, e)
@@ -230,7 +222,6 @@ func (g *Graph) addEdge(a, b int) int {
 	}
 	g.adj[e.A] = append(g.adj[e.A], id)
 	g.adj[e.B] = append(g.adj[e.B], id)
-	return id
 }
 
 // retireEdge removes edge id from the live topology: its bit is set in

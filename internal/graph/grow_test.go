@@ -92,8 +92,8 @@ func TestSpliceRingMatchesFreshRing(t *testing.T) {
 		if gr.FirstAgent != tc.n || gr.NewAgents != tc.k {
 			t.Fatalf("growth record %+v, want FirstAgent=%d NewAgents=%d", gr, tc.n, tc.k)
 		}
-		if len(gr.RetiredEdgeIDs) != 1 {
-			t.Fatalf("ring splice retired %d edges, want 1 (the closing edge)", len(gr.RetiredEdgeIDs))
+		if retired := g.M() - g.LiveM(); retired != 1 {
+			t.Fatalf("ring splice retired %d edges, want 1 (the closing edge)", retired)
 		}
 		checkSameTopology(t, g, Ring(tc.n+tc.k))
 	}
@@ -129,12 +129,14 @@ func TestGrowHypercubeMatchesFreshHypercube(t *testing.T) {
 func TestAttachPreferentialMatchesFreshBuild(t *testing.T) {
 	g := Complete(6)
 	rng := rand.New(rand.NewSource(42))
+	m0 := g.M()
 	gr, err := g.AttachPreferential(5, 2, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gr.NewAgents != 5 || len(gr.NewEdgeIDs) != 10 || len(gr.RetiredEdgeIDs) != 0 {
-		t.Fatalf("growth record %+v, want 5 agents x 2 links, nothing retired", gr)
+	if gr.NewAgents != 5 || g.M()-m0 != 10 || g.LiveM() != g.M() {
+		t.Fatalf("growth record %+v with %d new edges, %d retired; want 5 agents x 2 links, nothing retired",
+			gr, g.M()-m0, g.M()-g.LiveM())
 	}
 	fresh, err := New("fresh", g.N(), liveEdges(g))
 	if err != nil {

@@ -13,15 +13,17 @@ import (
 type Phase uint8
 
 const (
-	// PhaseEnvStep is the environment transition: Step plus the delta
-	// stream's StepDeltas.
+	// PhaseEnvStep is the environment transition (Environment.Step).
 	PhaseEnvStep Phase = iota
 	// PhaseDynamics covers the scripted dynamics schedule: growth
 	// application, overlay begin (crash/partition/churn masks), amnesia,
 	// the frozen-state check, and end-of-round overlay release.
 	PhaseDynamics
-	// PhaseTouched is touched-set assembly: collecting flipped edges and
-	// agents into the round's changed-id stream.
+	// PhaseTouched once timed the assembly of a per-round changed-id
+	// stream. The round engine no longer builds one — component mode's
+	// partition memo compares the effective masks instead — so no engine
+	// records this phase and it reads zero; the constant stays so that
+	// reports and benchmark harnesses naming it keep their layout.
 	PhaseTouched
 	// PhaseMatcherUpdate is the endpoints-differ index's build and repair
 	// before the match (pairwise mode, core.StutterOnEqual problems only).
@@ -72,8 +74,9 @@ const (
 	// are the pairs stepped: for a core.StutterOnEqual problem only the
 	// matched pairs whose endpoints differ, not the full matching.
 	CounterMatchedPairs
-	// CounterTouchedEdges / CounterTouchedAgents count the per-round
-	// touched sets — the O(changes) work the delta path is sized by.
+	// CounterTouchedEdges / CounterTouchedAgents once counted the
+	// changed-id stream's ids. Like PhaseTouched, no engine produces them
+	// any more; they read zero and stay for report layout.
 	CounterTouchedEdges
 	CounterTouchedAgents
 	// CounterShardFlushes counts Shards.Flush calls; CounterStagedDeltas

@@ -150,9 +150,8 @@ func envFor(e env.Environment, tweak variant) env.Environment {
 }
 
 // extraDraws steps its inner environment, then takes k more draws from
-// the round's stream. It forwards the deltas, growth and the usefulness
-// oracle, so only the stream's consumption differs from the inner
-// environment's.
+// the round's stream. It forwards growth and the usefulness oracle, so
+// only the stream's consumption differs from the inner environment's.
 type extraDraws struct {
 	env.Environment
 	k int
@@ -164,13 +163,6 @@ func (e extraDraws) Step(round int, rng *rand.Rand) env.State {
 		rng.Int63()
 	}
 	return s
-}
-
-func (e extraDraws) StepDeltas() (edges, agents []int, ok bool) {
-	if d, isDelta := e.Environment.(env.DeltaEnvironment); isDelta {
-		return d.StepDeltas()
-	}
-	return nil, nil, false
 }
 
 func (e extraDraws) Grow() { e.Environment.(env.Growable).Grow() }

@@ -168,13 +168,13 @@ type Options struct {
 	Dynamics *dynamics.Schedule
 	// Probe, when non-nil, attaches the observability layer (internal/obs):
 	// the round loop brackets each phase — environment step, dynamics
-	// apply, touched-set assembly, matcher update, match, group step,
-	// monitor — with probe timers, and the engine's work counters (groups,
-	// matched pairs, touched ids, shard flushes, pool fan-out) accumulate
-	// into the probe's RoundReport. The contract is observe-never-perturb:
-	// the probe never draws from or reorders the seeded streams, so an
-	// attached probe changes NO result bytes (pinned by the probed golden
-	// replay tests); a nil probe costs one pointer check per site. The
+	// apply, matcher update, match, group step, monitor — with probe
+	// timers, and the engine's work counters (groups, matched pairs, shard
+	// flushes, pool fan-out) accumulate into the probe's RoundReport. The
+	// contract is observe-never-perturb: the probe never draws from or
+	// reorders the seeded streams, so an attached probe changes NO result
+	// bytes (pinned by the probed golden replay tests); a nil probe costs
+	// one pointer check per site. The
 	// probe's timer methods are driven from the run's goroutine — give
 	// concurrent runs their own probes and merge the reports.
 	Probe *obs.Probe
@@ -272,12 +272,14 @@ type runner[T any] struct {
 	states []T
 	res    *Result[T]
 
-	// Component-mode scratch. comps caches the most recent partition π;
-	// compsValid marks it reusable for a quiescent round (no mask entry
-	// changed), which skips the O(E) union-find pass entirely.
-	compScratch graph.ComponentScratch
-	comps       [][]int
-	compsValid  bool
+	// Component-mode scratch. comps is the most recent partition π and
+	// compEdgeUp/compAgentUp are copies of the effective masks it was
+	// derived from (see partition); compsValid is cleared at run start and
+	// by growth, whose graph the kept partition no longer describes.
+	compScratch             graph.ComponentScratch
+	comps                   [][]int
+	compEdgeUp, compAgentUp bitset.Set
+	compsValid              bool
 
 	// The round's group jobs, in either mode, and the arenas their slices
 	// point into: a component's members alias comps and its before states
@@ -291,12 +293,6 @@ type runner[T any] struct {
 	// roundSeed is this round's engine.RoundSeed: a group's step stream
 	// is engine.SubSeed(roundSeed, smallest member).
 	roundSeed int64
-
-	// Changed-id stream scratch: the round's combined touched edge/agent
-	// lists (environment StepDeltas ∪ previous round's dynamics overlay ∪
-	// this round's overlay) and the saved copies of the overlay logs.
-	touchedE, touchedA         []int
-	prevOverlayE, prevOverlayA []int
 
 	// Pairwise-mode scratch: the matcher (resolved per run from the
 	// Scratch's cache) and, for a core.StutterOnEqual problem (differOn),
@@ -327,10 +323,8 @@ type runner[T any] struct {
 	// Membership state, populated only when the schedule joins agents or
 	// wakes them amnesiacally: the full initial-state array (founding
 	// population followed by joiners in join order — joiner values and
-	// amnesiac resets both read it positionally) and the growth-touched id
-	// scratch folded into the round's changed-id stream.
-	initVals     []T
-	growE, growA []int
+	// amnesiac resets both read it positionally).
+	initVals []T
 }
 
 // maxCachedMatchers bounds a Scratch's pairwise-matcher cache; see the
@@ -446,7 +440,6 @@ func RunWith[T any](sc *Scratch[T], p core.Problem[T], e env.Environment, initia
 	if joiners > 0 || (opts.Dynamics != nil && opts.Dynamics.Amnesiac()) {
 		r.initVals = append(r.initVals, initial...)
 	}
-	r.growE, r.growA = r.growE[:0], r.growA[:0]
 	r.pool.SetThreshold(threshold)
 	// Rebind the observability probe every run: a nil opts.Probe must also
 	// CLEAR any probe a previous run on this warm scratch attached.
@@ -530,15 +523,7 @@ func RunWith[T any](sc *Scratch[T], p core.Problem[T], e env.Environment, initia
 	}
 
 	res := r.res
-
-	// Delta-capable environments report which mask entries each Step may
-	// have changed; the engine folds those ids with the dynamics overlay
-	// logs into one changed-id stream that drives component mode's
-	// quiescent-partition reuse.
-	delta, _ := e.(env.DeltaEnvironment)
 	r.compsValid = false
-	r.touchedE, r.touchedA = r.touchedE[:0], r.touchedA[:0]
-	r.prevOverlayE, r.prevOverlayA = r.prevOverlayE[:0], r.prevOverlayA[:0]
 
 	round := 0
 	for ; round < maxRounds; round++ {
@@ -568,11 +553,6 @@ func RunWith[T any](sc *Scratch[T], p core.Problem[T], e env.Environment, initia
 		r.obs.Begin(obs.PhaseEnvStep)
 		r.envRand.Reseed(engine.EnvSeed(opts.Seed, round))
 		es := e.Step(round, r.envRand.Rand)
-		exact := false
-		var envE, envA []int
-		if delta != nil {
-			envE, envA, exact = delta.StepDeltas()
-		}
 		r.obs.End(obs.PhaseEnvStep)
 		if r.dyn != nil {
 			r.obs.Begin(obs.PhaseDynamics)
@@ -590,23 +570,6 @@ func RunWith[T any](sc *Scratch[T], p core.Problem[T], e env.Environment, initia
 			}
 			r.obs.End(obs.PhaseDynamics)
 		}
-		r.obs.Begin(obs.PhaseTouched)
-		// Combined touched ids for the effective (post-overlay) masks: the
-		// environment's own flips, plus everything the previous round's
-		// overlay restored at EndRound, plus everything this round's
-		// overlay just suppressed, plus this round's growth (new and
-		// retired edges, new agents). Only meaningful when exact.
-		r.touchedE, r.touchedA = r.touchedE[:0], r.touchedA[:0]
-		if exact {
-			r.touchedE = append(append(append(append(r.touchedE, envE...), r.prevOverlayE...), r.curOverlayE()...), r.growE...)
-			r.touchedA = append(append(append(append(r.touchedA, envA...), r.prevOverlayA...), r.curOverlayA()...), r.growA...)
-		}
-		r.growE, r.growA = r.growE[:0], r.growA[:0]
-		if r.obs != nil {
-			r.obs.Add(obs.CounterTouchedEdges, int64(len(r.touchedE)))
-			r.obs.Add(obs.CounterTouchedAgents, int64(len(r.touchedA)))
-		}
-		r.obs.End(obs.PhaseTouched)
 
 		// Agents transition: groups step concurrently.
 		r.roundSeed = engine.RoundSeed(opts.Seed, round)
@@ -616,7 +579,7 @@ func RunWith[T any](sc *Scratch[T], p core.Problem[T], e env.Environment, initia
 		case PairwiseMode:
 			activeGroups = r.stepPairs(es, round)
 		default:
-			activeGroups = r.stepComponents(es, exact)
+			activeGroups = r.stepComponents(es)
 		}
 		if r.obs != nil {
 			r.obs.Add(obs.CounterGroups, int64(activeGroups))
@@ -638,11 +601,6 @@ func RunWith[T any](sc *Scratch[T], p core.Problem[T], e env.Environment, initia
 			// every group and matching this round, so its state must still
 			// equal its crash-time snapshot.
 			r.mon.CheckFrozen(round, r.cmp, r.dyn.Frozen(), r.frozenVals, r.states)
-			// EndRound is about to undo this round's overlay writes; copy
-			// the logs first so next round's touched set can cover the
-			// restored entries (the overlay buffers are reused).
-			r.prevOverlayE = append(r.prevOverlayE[:0], r.dyn.OverlayEdges()...)
-			r.prevOverlayA = append(r.prevOverlayA[:0], r.dyn.OverlayAgents()...)
 			r.dyn.EndRound()
 			r.obs.End(obs.PhaseDynamics)
 		}
@@ -684,24 +642,6 @@ func resolveShards(opt, n int) int {
 	default:
 		return 1
 	}
-}
-
-// curOverlayE returns this round's dynamics overlay edge log (the edge
-// ids whose up-entries the overlay just suppressed), or nil without a
-// schedule. Valid until EndRound.
-func (r *runner[T]) curOverlayE() []int {
-	if r.dyn == nil {
-		return nil
-	}
-	return r.dyn.OverlayEdges()
-}
-
-// curOverlayA is curOverlayE for agents.
-func (r *runner[T]) curOverlayA() []int {
-	if r.dyn == nil {
-		return nil
-	}
-	return r.dyn.OverlayAgents()
 }
 
 // applyDelta stages a group step's changes for the end-of-round repair
@@ -805,12 +745,7 @@ func (r *runner[T]) applyGrowth(gr graph.Growth) {
 	// restarts against the new target, and the variant baseline restarts
 	// from the grown state (fresh input may legitimately raise h).
 	r.mon.AdmitJoin(joined, r.shards.View())
-	// Feed the structural delta into this round's changed-id stream and
-	// drop the cached partition — growth touched it.
-	r.growE = append(append(r.growE, gr.NewEdgeIDs...), gr.RetiredEdgeIDs...)
-	for a := gr.FirstAgent; a < gr.FirstAgent+gr.NewAgents; a++ {
-		r.growA = append(r.growA, a)
-	}
+	// The kept partition describes the old graph.
 	r.compsValid = false
 }
 
@@ -859,20 +794,11 @@ func (r *runner[T]) classifyStep(before, after []T) bool {
 // whose members all hold equal states is counted but not stepped: its
 // step would be a stutter. The return value counts every component of up
 // agents, stepped or not.
-func (r *runner[T]) stepComponents(es env.State, exact bool) int {
-	// Quiescent-round memo: when the changed-id stream proves no mask
-	// entry moved since the previous round, the partition is byte-for-byte
-	// the previous one — reuse it and skip the O(E) union-find pass. Group
-	// seeds are keyed on members, not drawn, so reuse cannot change them.
+func (r *runner[T]) stepComponents(es env.State) int {
 	// Component mode's group formation is the partition derivation, so it
-	// times under PhaseMatch (memo hits make it near-free on quiescent
-	// rounds — visible in the phase table as sub-µs match segments).
+	// times under PhaseMatch (memo hits cost a mask compare).
 	r.obs.Begin(obs.PhaseMatch)
-	if !exact || len(r.touchedE) > 0 || len(r.touchedA) > 0 || !r.compsValid {
-		r.comps = r.g.ComponentsInto(es.EdgeUp, es.AgentUp, &r.compScratch)
-		r.compsValid = true
-	}
-	comps := r.comps
+	comps := r.partition(es)
 	r.obs.End(obs.PhaseMatch)
 
 	r.obs.Begin(obs.PhaseGroupStep)
@@ -903,6 +829,44 @@ func (r *runner[T]) stepComponents(es env.State, exact bool) int {
 	r.stepGroups()
 	r.obs.End(obs.PhaseGroupStep)
 	return active
+}
+
+// partition returns the round's π: the connected components of the
+// enabled subgraph under the effective masks es. π is a function of the
+// graph and those two masks alone (§2.1), so the runner keeps copies of
+// the masks it last partitioned and re-derives π only when one differs —
+// an O(E/64)-word compare — or growth cleared compsValid; otherwise it
+// reuses the kept partition and skips the O(E) union-find pass. Group
+// seeds are keyed on members, not drawn, so reuse cannot change a result.
+//
+//det:hotpath
+func (r *runner[T]) partition(es env.State) [][]int {
+	sameE := keepMask(&r.compEdgeUp, es.EdgeUp)
+	sameA := keepMask(&r.compAgentUp, es.AgentUp)
+	if !sameE || !sameA || !r.compsValid {
+		r.comps = r.g.ComponentsInto(es.EdgeUp, es.AgentUp, &r.compScratch)
+		r.compsValid = true
+	}
+	return r.comps
+}
+
+// keepMask reports whether kept already holds m's bits and, when it does
+// not, copies m into it: in place when the lengths match, so a steady
+// run's re-derivations allocate nothing, and into a fresh set only when
+// the length changed (growth, or a warm scratch's first run on a graph of
+// another size).
+//
+//det:hotpath
+func keepMask(kept *bitset.Set, m bitset.Set) bool {
+	if kept.Equal(m) {
+		return true
+	}
+	if kept.Len() == m.Len() {
+		kept.Copy(m)
+	} else {
+		*kept = m.Clone()
+	}
+	return false
 }
 
 // allEqual reports whether every member of a group holds a state cmp-equal

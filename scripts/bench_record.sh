@@ -5,7 +5,7 @@
 # on a warm sweep worker — see bench_test.go) plus its probes-ON twin
 # BenchmarkSimRoundProbed, and writes per-N ns/round and allocs/round
 # plus a phase_split row breaking one probed cell's round into engine
-# phases (env/touched/update/match/step/monitor). The round count is
+# phases (env/update/match/step/monitor). The round count is
 # parsed from each benchmark's rounds/op metric — never hardcoded here —
 # so a bench_test.go retune cannot silently skew the recorded per-round
 # numbers. CI uploads the file as a build artifact, so the scaling row is
