@@ -566,13 +566,14 @@ func BenchmarkAblationGreedyVsPartialMin(b *testing.B) {
 
 // BenchmarkSchedExchange1e4 pins the sharded scheduler's per-exchange
 // allocation contract at N = 8192 (min over Hypercube(13), 60·N
-// initiation budget, ~15k exchanges to convergence): mailbox rings, run
-// queues, and deferred heaps are preallocated, so a whole run costs only
-// its O(shards + population arrays) setup allocations — allocs/op stays
-// in the hundreds for half a million available initiations, and
-// scripts/check_alloc_budget.sh enforces a hard budget on it. A
-// regression that allocates per exchange (one message box, one heap node)
-// adds tens of thousands and fails loudly.
+// initiation budget, ~15k exchanges to convergence): message slots and
+// inbox chains, run queues, and deferred heaps are preallocated, so a
+// whole run costs only its O(shards + population arrays) setup
+// allocations — allocs/op stays in the hundreds for half a million
+// available initiations, and scripts/check_alloc_budget.sh enforces hard
+// allocs/op and B/op budgets on it. A regression that allocates per
+// exchange (one message box, one heap node) adds tens of thousands and
+// fails loudly; one that sizes mailboxes by degree again doubles B/op.
 func BenchmarkSchedExchange1e4(b *testing.B) {
 	const dim = 13
 	const n = 1 << dim

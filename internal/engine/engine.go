@@ -33,6 +33,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	ms "repro/internal/multiset"
@@ -76,30 +77,43 @@ type Monitor[T any] struct {
 	fBuf []T
 	// cons and add are set together exactly on the consensus path, and
 	// hSum is the running Σ Term — h of the state the caller's shards
-	// hold, kept current by Stage and resynced from a full view by Reset,
-	// AdmitJoin, RebaseVariant and SyncVariant.
+	// hold, kept current by Stage, summed shard by shard by Reset and
+	// resynced from a full view by AdmitJoin, RebaseVariant and
+	// SyncVariant.
 	cons core.Consensus[T]
 	add  core.Additive[T]
 	hSum int64
+	// sums, sumOf and sumFn are Reset's per-shard sum scratch: the
+	// partial sums, the shards being summed, and the pool callback.
+	sums  []int64
+	sumOf *Shards[T]
+	sumFn func(worker, i int)
 }
 
-// NewMonitor builds a Monitor for problem p from the initial state
-// multiset: the target S* = f(S(0)) is fixed here, the variant baseline
-// is h(S(0)), and an initial state that already equals S* is recorded as
-// reached at index 0.
-func NewMonitor[T any](p core.Problem[T], initial ms.Multiset[T]) *Monitor[T] {
+// NewMonitor builds a Monitor for problem p from the initial state the
+// shards hold: the target S* = f(S(0)) is fixed here, the variant
+// baseline is h(S(0)), and an initial state that already equals S* is
+// recorded as reached at index 0. pool runs the consensus path's
+// per-shard sums.
+func NewMonitor[T any](p core.Problem[T], initial *Shards[T], pool *Pool) *Monitor[T] {
 	m := &Monitor[T]{}
-	m.Reset(p, initial)
+	m.Reset(p, initial, pool)
 	return m
 }
 
-// Reset rebinds the monitor to a new run — problem p, initial state
-// multiset — keeping the per-round evaluation buffer fBuf warm, so
-// a monitor reused across the cells of a scenario sweep re-pays none of
-// its steady-state scratch. The target multiset and the violations slice
-// are deliberately NOT reused: both are retained by callers through
-// Result, so each run gets fresh storage for them.
-func (m *Monitor[T]) Reset(p core.Problem[T], initial ms.Multiset[T]) {
+// Reset rebinds the monitor to a new run — problem p, initial state held
+// by the shards — keeping the per-round evaluation buffer fBuf and the
+// per-shard sum scratch warm, so a monitor reused across the cells of a
+// scenario sweep re-pays none of its steady-state scratch. The target
+// multiset and the violations slice are deliberately NOT reused: both are
+// retained by callers through Result, so each run gets fresh storage for
+// them.
+//
+// On the consensus path nothing is merged: S* is |S| copies of
+// Consensus(min S, max S), read from initial.Extremes, and h is summed
+// shard by shard on pool. The full path evaluates f and h on the merged
+// initial.View. Both give the same target, h and first reach.
+func (m *Monitor[T]) Reset(p core.Problem[T], initial *Shards[T], pool *Pool) {
 	m.f, m.h, m.equal = p.F(), p.H(), p.Equal
 	m.cons, m.add = nil, nil
 	if c, ok := p.(core.Consensus[T]); ok {
@@ -107,10 +121,52 @@ func (m *Monitor[T]) Reset(p core.Problem[T], initial ms.Multiset[T]) {
 			m.cons, m.add = c, a
 		}
 	}
-	m.target = m.fix(initial)
-	m.lastH = m.resyncH(initial)
 	m.violations = nil
-	m.reached, m.reachRound = m.equal(initial, m.target), 0
+	m.reachRound = 0
+	if m.cons == nil {
+		view := initial.View()
+		m.target = m.fix(view)
+		m.lastH = m.h.Value(view)
+		m.reached = m.equal(view, m.target)
+		return
+	}
+	n, lo, hi := initial.Extremes()
+	c := m.cons.Consensus(lo, hi)
+	target := make([]T, n)
+	for i := range target {
+		target[i] = c
+	}
+	m.target = ms.View(initial.cmp, target)
+	m.hSum = m.sumTerms(initial, pool)
+	m.lastH = float64(m.hSum)
+	m.reached = n == 0 || initial.cmp(lo, c) == 0 && initial.cmp(hi, c) == 0
+}
+
+// sumTerms returns Σ Term over every state s holds, one partial sum per
+// shard fanned out on pool. Integer addition is associative, so the
+// total does not depend on the shard layout or the pool.
+func (m *Monitor[T]) sumTerms(s *Shards[T], pool *Pool) int64 {
+	if m.sumFn == nil {
+		// Built once: it captures only m, so a warm monitor hands the pool
+		// the same func value every Reset.
+		m.sumFn = func(_, i int) {
+			v := m.sumOf.ShardView(i)
+			var sum int64
+			for j := 0; j < v.Len(); j++ {
+				sum += m.add.Term(v.At(j))
+			}
+			m.sums[i] = sum
+		}
+	}
+	m.sums = slices.Grow(m.sums[:0], s.P())[:s.P()]
+	m.sumOf = s
+	pool.DoAll(s.P(), m.sumFn)
+	m.sumOf = nil // the caller owns s; do not pin it
+	var h int64
+	for _, v := range m.sums {
+		h += v
+	}
+	return h
 }
 
 // fix evaluates a target f(x) in one fill through the core.ApplyInto

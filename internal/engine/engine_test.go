@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"fmt"
+	"math/rand"
 	"runtime"
 	"slices"
 	"strings"
@@ -87,10 +89,15 @@ func observeOneShard(m *Monitor[int], round int, vals ...int) float64 {
 	return m.ObserveRound(round, s)
 }
 
+// monitorOf builds a monitor whose initial state is a one-shard layout
+// of vals.
+func monitorOf(p core.Problem[int], vals ...int) *Monitor[int] {
+	return NewMonitor(p, NewShards(p.Cmp(), vals, 1), NewPool(1, 1))
+}
+
 func TestMonitorCleanRound(t *testing.T) {
 	p := problems.NewMin()
-	initial := ms.OfInts(3, 1, 2)
-	m := NewMonitor[int](p, initial)
+	m := monitorOf(p, 3, 1, 2)
 	if !m.Target().Equal(ms.OfInts(1, 1, 1)) {
 		t.Fatalf("target = %v, want {1, 1, 1}", m.Target())
 	}
@@ -109,7 +116,7 @@ func TestMonitorCleanRound(t *testing.T) {
 // it does not conserve.
 func TestMonitorFlagsConservationAndDescent(t *testing.T) {
 	p := problems.NewMin()
-	m := NewMonitor[int](p, ms.OfInts(3, 1, 2))
+	m := monitorOf(p, 3, 1, 2)
 	observeOneShard(m, 0, 5, 5, 5) // f changed AND h grew
 	v := m.Violations()
 	if len(v) != 2 {
@@ -129,7 +136,7 @@ func TestMonitorFlagsConservationAndDescent(t *testing.T) {
 		{[]int{1, 1, 1}, 0}, // clean final view
 		{[]int{2, 2, 2}, 1}, // f(S) ≠ S*; h(S) = 6 ≤ h(S(0))
 	} {
-		m := NewMonitor[int](p, ms.OfInts(3, 1, 2))
+		m := monitorOf(p, 3, 1, 2)
 		observeOneShard(m, 7, tc.final...)
 		if v := m.Violations(); len(v) != tc.want {
 			t.Errorf("final %v: violations = %v, want %d", tc.final, v, tc.want)
@@ -141,7 +148,7 @@ func TestMonitorFlagsConservationAndDescent(t *testing.T) {
 
 func TestMonitorCheckFrozen(t *testing.T) {
 	p := problems.NewMin()
-	m := NewMonitor[int](p, ms.OfInts(3, 1, 2))
+	m := monitorOf(p, 3, 1, 2)
 	cmp := func(a, b int) int { return a - b }
 	want := []int{3, 1, 2}
 	// Frozen agents whose states are untouched: clean.
@@ -159,7 +166,7 @@ func TestMonitorCheckFrozen(t *testing.T) {
 
 func TestMonitorVerifyStep(t *testing.T) {
 	p := problems.NewMin()
-	m := NewMonitor[int](p, ms.OfInts(3, 1, 2))
+	m := monitorOf(p, 3, 1, 2)
 	if v := m.VerifyStep(ms.OfInts(3, 1), ms.OfInts(1, 1)); !v.OK {
 		t.Errorf("valid D-step rejected: %v", v)
 	}
@@ -215,7 +222,7 @@ func TestMonitorFirstReach(t *testing.T) {
 			target: []int{1, 1, 1}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			m := NewMonitor[int](p, ms.OfInts(tc.initial...))
+			m := monitorOf(p, tc.initial...)
 			if tc.probe != nil && !m.Reached(ms.OfInts(tc.probe...)) {
 				t.Fatal("Reached must report a state equal to the target")
 			}
@@ -308,8 +315,8 @@ func TestMonitorConsensusPathMatchesFullPath(t *testing.T) {
 			p := problems.NewMin()
 			states := slices.Clone(initial)
 			sh := NewShards(p.Cmp(), states, 2)
-			fast := NewMonitor[int](p, sh.View())
-			full := NewMonitor[int](consensusHidden{p}, sh.View())
+			fast := NewMonitor[int](p, sh, pool)
+			full := NewMonitor[int](consensusHidden{p}, sh, pool)
 			if _, _, ok := fast.ConsensusTarget(); !ok {
 				t.Fatal("min's monitor is not on the consensus path")
 			}
@@ -375,6 +382,59 @@ func TestMonitorConsensusPathMatchesFullPath(t *testing.T) {
 				t.Errorf("FirstReach = %d, want %d", got, tc.reach)
 			}
 		})
+	}
+}
+
+// TestMonitorResetConsensusPathMatchesFullPath replays Reset on both
+// paths over populations that are spread out, already converged, a
+// single agent and empty, for min and max, split into 1, 3 and 7 shards
+// and summed on a serial and a four-slot pool. One warm monitor per path
+// is Reset through the whole sequence, so the per-shard sum scratch is
+// reused across shard counts. The full path, which merges the shards and
+// evaluates f and h on the merged view, is the oracle: target, h and
+// first reach must be identical.
+func TestMonitorResetConsensusPathMatchesFullPath(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	spread := make([]int, 1000)
+	for i := range spread {
+		spread[i] = 1 + rng.Intn(60)
+	}
+	pops := [][]int{spread, slices.Repeat([]int{7}, 40), {9}, {}}
+	var fast, full *Monitor[int]
+	for _, ps := range []int{1, 4} {
+		pool := NewPool(ps, 1)
+		for _, p := range []core.Problem[int]{problems.NewMin(), problems.NewMax(64)} {
+			for _, P := range []int{1, 3, 7} {
+				for _, vals := range pops {
+					sh := NewShards(p.Cmp(), vals, P)
+					if fast == nil {
+						fast, full = NewMonitor(p, sh, pool), NewMonitor[int](consensusHidden{p}, sh, pool)
+					} else {
+						fast.Reset(p, sh, pool)
+						full.Reset(consensusHidden{p}, sh, pool)
+					}
+					if _, _, ok := fast.ConsensusTarget(); !ok {
+						t.Fatalf("%s's monitor is not on the consensus path", p.Name())
+					}
+					name := fmt.Sprintf("%s/P=%d/pool=%d/n=%d", p.Name(), P, ps, len(vals))
+					if got, want := fast.Target().String(), full.Target().String(); got != want {
+						t.Errorf("%s: consensus target %s, full %s", name, got, want)
+					}
+					if fast.lastH != full.lastH || float64(fast.hSum) != full.lastH {
+						t.Errorf("%s: consensus h %g (running %d), full %g", name, fast.lastH, fast.hSum, full.lastH)
+					}
+					rF, okF := fast.FirstReach()
+					rS, okS := full.FirstReach()
+					if rF != rS || okF != okS {
+						t.Errorf("%s: FirstReach consensus (%d, %v), full (%d, %v)", name, rF, okF, rS, okS)
+					}
+					if hF, hS := fast.ObserveRound(0, sh), full.ObserveRound(0, sh); hF != hS || len(fast.Violations()) != 0 || len(full.Violations()) != 0 {
+						t.Errorf("%s: observing the initial state: h %g vs %g, violations %q vs %q", name, hF, hS, fast.Violations(), full.Violations())
+					}
+				}
+			}
+		}
+		pool.Close()
 	}
 }
 
@@ -498,7 +558,7 @@ func BenchmarkObserveRoundConsensus1e6(b *testing.B) {
 	pool := NewPool(1, 1)
 	defer pool.Close()
 	sh := NewShards(p.Cmp(), states, 2)
-	m := NewMonitor[int](p, sh.View())
+	m := NewMonitor[int](p, sh, pool)
 	if _, _, ok := m.ConsensusTarget(); !ok {
 		b.Fatal("min's monitor is not on the consensus path")
 	}

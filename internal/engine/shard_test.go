@@ -130,8 +130,8 @@ func TestObserveRoundShardedMatchesUnsharded(t *testing.T) {
 				cmp := c.p.Cmp()
 				sh := NewShards(cmp, c.states, p)
 				one := NewShards(cmp, c.states, 1)
-				monSharded := NewMonitor(c.p, sh.View())
-				monPlain := NewMonitor(c.p, one.View())
+				monSharded := NewMonitor(c.p, sh, pool)
+				monPlain := NewMonitor(c.p, one, pool)
 				work := append([]int(nil), c.states...)
 				stepRng := rand.New(rand.NewSource(int64(p)))
 				for round := 0; round < c.rounds; round++ {
@@ -175,7 +175,7 @@ func TestObserveRoundShardedDetectsViolation(t *testing.T) {
 	pr := problems.NewMin()
 	states := []int{4, 7, 2, 9, 5, 1}
 	sh := NewShards(pr.Cmp(), states, 3)
-	mon := NewMonitor[int](pr, sh.View())
+	mon := NewMonitor[int](pr, sh, pool)
 	// Agent 5 (last shard) holds the only 1, the global minimum; losing it
 	// changes f(S).
 	sh.Stage(5, 1, 3)
@@ -241,9 +241,9 @@ func TestApplyIntoFastPaths(t *testing.T) {
 	// previous run's target in place.
 	t.Run("monitor targets do not alias", func(t *testing.T) {
 		p := problems.NewMin()
-		m := NewMonitor[int](p, ms.OfInts(5, 3, 9, 4))
+		m := monitorOf(p, 5, 3, 9, 4)
 		first := m.Target()
-		m.Reset(p, ms.OfInts(8, 7, 6, 9))
+		m.Reset(p, NewShards(p.Cmp(), []int{8, 7, 6, 9}, 1), NewPool(1, 1))
 		if want := ms.OfInts(3, 3, 3, 3); !first.Equal(want) {
 			t.Fatalf("the first run's target became %v after a Reset, want %v", first, want)
 		}

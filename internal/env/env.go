@@ -24,6 +24,7 @@
 package env
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -443,7 +444,8 @@ func (e *Partitioner) Step(round int, _ *rand.Rand) State {
 // and lets the adversary starve edges forever — the configuration used to
 // demonstrate what happens when (2) is violated (experiment E12).
 //
-// The adversary rescores and re-ranks every edge each round.
+// The adversary rescores and re-ranks every edge each round, in
+// O(M log M).
 type Adversary struct {
 	g *graph.Graph
 	// CutFraction in [0,1] is the fraction of edges cut each round.
@@ -465,6 +467,14 @@ type Adversary struct {
 type adversaryScore struct {
 	id    int
 	score float64
+}
+
+// scoreDesc orders scores highest first, equal scores by ascending id.
+func scoreDesc(a, b adversaryScore) int {
+	if c := cmp.Compare(b.score, a.score); c != 0 {
+		return c
+	}
+	return a.id - b.id
 }
 
 // NewAdversary builds an Adversary cutting the given fraction of edges with
@@ -511,16 +521,13 @@ func (e *Adversary) Step(round int, rng *rand.Rand) State {
 		}
 		order[id] = adversaryScore{id, sc}
 	}
-	// Partial selection of the top `cut` by score.
-	for i := 0; i < cut; i++ {
-		best := i
-		for j := i + 1; j < m; j++ {
-			if order[j].score > order[best].score {
-				best = j
-			}
+	// Cut the `cut` highest scores. Every score is drawn above, so the
+	// ranking never moves the stream; equal scores rank by edge id.
+	if cut > 0 {
+		slices.SortFunc(order, scoreDesc)
+		for _, o := range order[:cut] {
+			s.EdgeUp.Clear(o.id)
 		}
-		order[i], order[best] = order[best], order[i]
-		s.EdgeUp.Clear(order[i].id)
 	}
 	// Fairness budget: re-enable any edge starved past the window.
 	if e.Window > 0 {

@@ -2,6 +2,7 @@ package env
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/bitset"
@@ -355,6 +356,87 @@ func TestEdgeChurnExtremeTinyP(t *testing.T) {
 			}
 			if p > 0.5 && up < g.M()-1 {
 				t.Fatalf("p=%g round %d: only %d/%d edges up", p, round, up, g.M())
+			}
+		}
+	}
+}
+
+// selectCutOracle is the adversary's former O(cut·M) ranking, kept as the
+// reference: a selection sort of the top cut scores. It returns the ids
+// it cuts.
+func selectCutOracle(scores []float64, cut int) []int {
+	order := make([]adversaryScore, len(scores))
+	for id, sc := range scores {
+		order[id] = adversaryScore{id, sc}
+	}
+	ids := make([]int, 0, cut)
+	for i := 0; i < cut; i++ {
+		best := i
+		for j := i + 1; j < len(order); j++ {
+			if order[j].score > order[best].score {
+				best = j
+			}
+		}
+		order[i], order[best] = order[best], order[i]
+		ids = append(ids, order[i].id)
+	}
+	return ids
+}
+
+// TestAdversaryCutMatchesSelectionOracle: over random graphs, seeds and
+// cut ∈ {0, 1, M/2, M}, with and without a usefulness hook, each round's
+// cut set equals the selection sort's over the same scores, and Step
+// leaves the stream where the oracle's replay of the score draws does.
+func TestAdversaryCutMatchesSelectionOracle(t *testing.T) {
+	gr := rand.New(rand.NewSource(11))
+	graphs := []*graph.Graph{
+		graph.Ring(12), graph.Complete(9), graph.Hypercube(5),
+		graph.ConnectedErdosRenyi(40, 0.2, gr), graph.ConnectedErdosRenyi(64, 0.1, gr),
+	}
+	for gi, g := range graphs {
+		m := g.M()
+		states := make([]int, g.N())
+		for i := range states {
+			states[i] = gr.Intn(2)
+		}
+		disagree := func(e graph.Edge) float64 {
+			if states[e.A] != states[e.B] {
+				return 1
+			}
+			return 0
+		}
+		for _, cut := range []int{0, 1, m / 2, m} {
+			for _, useful := range []func(graph.Edge) float64{nil, disagree} {
+				for seed := int64(1); seed <= 4; seed++ {
+					e := NewAdversary(g, float64(cut)/float64(m), 0)
+					e.SetUseful(useful)
+					rng, replay := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+					for round := 0; round < 3; round++ {
+						s := e.Step(round, rng)
+						scores := make([]float64, m)
+						for id := range scores {
+							scores[id] = replay.Float64()
+							if useful != nil {
+								scores[id] += 1000 * useful(g.Edge(id))
+							}
+						}
+						want := selectCutOracle(scores, cut)
+						slices.Sort(want)
+						var got []int
+						for id := 0; id < m; id++ {
+							if !s.EdgeUp.Get(id) {
+								got = append(got, id)
+							}
+						}
+						if !slices.Equal(got, want) {
+							t.Fatalf("graph %d, cut %d, useful %v, seed %d, round %d: cut %v, oracle %v",
+								gi, cut, useful != nil, seed, round, got, want)
+						}
+					}
+					if a, b := rng.Int63(), replay.Int63(); a != b {
+						t.Fatalf("graph %d, cut %d, seed %d: Step moved the stream differently from the score draws", gi, cut, seed)
+					}
+				}
 			}
 		}
 	}

@@ -2022,7 +2022,7 @@ func E20SchedScale(cfg Config) Section {
 	}
 
 	// Allocation bar: allocs/exchange must stay flat as N grows — the
-	// mailbox rings, run queues, and deferred heaps are all preallocated,
+	// message slots, run queues, and deferred heaps are all preallocated,
 	// so the per-exchange cost cannot scale with the population. "Flat" =
 	// max within 2× of min, or under an absolute floor where the ratio is
 	// just measurement noise.

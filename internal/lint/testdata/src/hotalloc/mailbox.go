@@ -1,10 +1,10 @@
-// Fixture for the sched mailbox-ring contract: internal/sched's
-// per-agent mailboxes are fixed-capacity rings over a preallocated
-// per-shard slab, so push and pop on the exchange hot path write into
-// existing slots and allocate nothing. The clean pair below mirrors
-// sched's pushMsg/popMsg and must pass; the boxed variant is the
-// regression the analyzer exists to catch — a per-message heap object
-// turns 10⁵-agent runs into allocation storms.
+// Fixture for the sched mailbox contract: internal/sched's messages live
+// in preallocated slots (one per agent, chained into per-agent inboxes),
+// so push and pop on the exchange hot path write into existing slots and
+// allocate nothing. The clean pair below has that shape — slot writes
+// into caller-owned storage, here a ring over a slab — and must pass;
+// the boxed variant is the regression the analyzer exists to catch — a
+// per-message heap object turns 10⁵-agent runs into allocation storms.
 package hotalloc
 
 type msg struct {
@@ -18,8 +18,8 @@ type mring struct {
 	head, tail uint32
 }
 
-// pushSlab mirrors sched.pushMsg: slot write into a caller-owned slab,
-// monotonic tail, no allocation — clean on the hot path.
+// pushSlab is a clean push like sched.pushMsg: slot write into a
+// caller-owned slab, monotonic tail, no allocation.
 //
 //det:hotpath
 func pushSlab(r *mring, slab []msg, m msg) {
@@ -30,8 +30,8 @@ func pushSlab(r *mring, slab []msg, m msg) {
 	r.tail++
 }
 
-// popSlab mirrors sched.popMsg: indexed read, monotonic head, the zero
-// value returned by value — clean on the hot path.
+// popSlab is a clean pop like sched.popMsg: indexed read, monotonic
+// head, the zero value returned by value.
 //
 //det:hotpath
 func popSlab(r *mring, slab []msg) (msg, bool) {

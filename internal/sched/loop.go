@@ -212,14 +212,16 @@ func (r *run[T]) cancelSleep(own *shard[T]) {
 	}
 }
 
-// deliver pushes m into agent to's mailbox and makes to runnable. The
-// push and the flag transition share to's home shard critical section.
+// deliver writes m into the message slot of the exchange it belongs to
+// (its initiator's), links the slot into agent to's inbox and makes to
+// runnable. The push and the flag transition share to's home shard
+// critical section.
 //
 //det:hotpath
-func (r *run[T]) deliver(to int32, m message[T]) {
+func (r *run[T]) deliver(to, slot int32, m message[T]) {
 	sh := r.home(to)
 	sh.mu.Lock()
-	pushMsg(&r.rings[to], sh.slab, m)
+	r.pushMsg(to, slot, m)
 	r.enqueueLocked(sh, to)
 }
 
@@ -282,7 +284,7 @@ func (r *run[T]) process(a int32, rng *engine.FastRand) {
 
 	for {
 		sh.mu.Lock()
-		m, ok := popMsg(&r.rings[a], sh.slab)
+		m, ok := r.popMsg(a)
 		sh.mu.Unlock()
 		if !ok {
 			break
@@ -302,7 +304,7 @@ func (r *run[T]) process(a int32, rng *engine.FastRand) {
 			to := r.sendTo[a]
 			r.sendTo[a] = -1
 			r.awaiting[a] = true
-			r.deliver(to, message[T]{from: a, kind: msgRequest, state: r.states[a]})
+			r.deliver(to, a, message[T]{from: a, kind: msgRequest, state: r.states[a]})
 		} else {
 			out, due = outDefer, r.sendDue[a]
 		}
@@ -375,7 +377,7 @@ func (r *run[T]) handle(a int32, m message[T], rng *engine.FastRand) {
 			// agent admits no second exchange while its half is in
 			// flight — both reject, so two initiators aimed at each
 			// other can never deadlock.
-			r.deliver(m.from, message[T]{from: a, kind: msgReplyBusy})
+			r.deliver(m.from, m.from, message[T]{from: a, kind: msgReplyBusy})
 			return
 		}
 		// The pair transition, atomic at the partner: adopt our half,
@@ -386,7 +388,7 @@ func (r *run[T]) handle(a int32, m message[T], rng *engine.FastRand) {
 			r.states[a] = nb
 			r.post(a, nb)
 		}
-		r.deliver(m.from, message[T]{from: a, kind: msgReplyOK, state: na})
+		r.deliver(m.from, m.from, message[T]{from: a, kind: msgReplyOK, state: na})
 	case msgReplyOK:
 		r.awaiting[a] = false
 		r.backoff[a].OnSuccess()
@@ -492,7 +494,7 @@ func (r *run[T]) initiate(a int32, rng *engine.FastRand) (outcome, int64) {
 		}
 	}
 	r.awaiting[a] = true
-	r.deliver(pick.agent, message[T]{from: a, kind: msgRequest, state: r.states[a]})
+	r.deliver(pick.agent, a, message[T]{from: a, kind: msgRequest, state: r.states[a]})
 	return outPark, 0
 }
 
@@ -687,9 +689,9 @@ func (r *run[T]) applyEpoch(e int) {
 
 // applyGrowth extends every run structure for joiners arriving at a
 // safepoint: states and board, the scheduling arrays, the last shard's
-// block (the engine.Shards append rule), CSR and mailboxes (degrees may
-// change anywhere), and the shared monitor's target — the sim applyGrowth
-// protocol on the sched runtime.
+// block (the engine.Shards append rule), CSR (degrees may change
+// anywhere), one empty inbox and one slot per joiner, and the shared
+// monitor's target — the sim applyGrowth protocol on the sched runtime.
 func (r *run[T]) applyGrowth(gr graph.Growth) {
 	n0 := len(r.states)
 	joined := r.initVals[gr.FirstAgent : gr.FirstAgent+gr.NewAgents]
@@ -720,7 +722,7 @@ func (r *run[T]) applyGrowth(gr graph.Growth) {
 	last := &r.shards[len(r.shards)-1]
 	last.hi = n
 	r.buildCSR()
-	r.buildMailboxes()
+	r.growMailboxes(n)
 
 	// The run now answers for the final population: the target absorbs
 	// the joiners (exact for super-idempotent f, §3.4), convergence

@@ -1,5 +1,7 @@
 package sched
 
+import "slices"
+
 // Message kinds of the push-pull/busy-guard protocol (see the package
 // comment): a request carries the initiator's state to the
 // partner; an OK reply carries the initiator's half of the PairStep back;
@@ -12,63 +14,85 @@ const (
 	msgReplyBusy
 )
 
-// message is one protocol message. Messages live in the per-shard mailbox
-// slab — never on the heap — so an exchange allocates nothing.
+// message is one protocol message. Messages live in the run's message
+// slots — never on the heap — so an exchange allocates nothing.
 type message[T any] struct {
 	from  int32
 	kind  msgKind
 	state T
 }
 
-// ring is one agent's mailbox: a fixed-capacity power-of-two ring of slab
-// slots. The protocol bounds occupancy by construction — at most one
-// request per live neighbour plus one in-flight reply — so the capacity
-// (next power of two ≥ degree+2) can never be exceeded on a correct run;
-// overflow is an invariant breach and panics. head and tail are monotonic
-// (length = tail − head); off is the ring's base slot in its home shard's
-// slab. All pushes and pops happen under the home shard's lock.
-type ring struct {
-	off        int32
-	mask       uint32
-	head, tail uint32
+// Link values. A slot's link is notLinked while it sits in no inbox, and
+// endOfChain while it is the last slot of one; an inbox's head and tail
+// are endOfChain while it is empty.
+const (
+	endOfChain int32 = -1
+	notLinked  int32 = -2
+)
+
+// inbox is one agent's mailbox: a FIFO chain of message slots, threaded
+// through run.link from the oldest slot (head) to the newest (tail).
+//
+// Slot s belongs to the exchange agent s initiated. Its request is
+// written there, and so is the OK or busy reply that answers it. The
+// protocol allows an agent one exchange at a time (it admits no other
+// while its half is in flight) and each exchange one message in flight
+// (the request, then its reply), so N slots hold every message a run can
+// have, and a slot never sits in two inboxes at once: pushing into a
+// linked slot is an invariant breach and panics. All pushes and pops on
+// an inbox happen under its agent's home shard lock.
+type inbox struct {
+	head, tail int32
 }
 
-// pushMsg appends m to the ring backed by slab (a free function rather
-// than a method because ring is deliberately not generic: one flat []ring
-// indexed by agent id, one slab per shard). Caller holds the home shard's
-// lock.
+// pushMsg writes m into slot and links the slot at the tail of agent
+// to's inbox. Caller holds to's home shard lock.
 //
 //det:hotpath
-func pushMsg[T any](r *ring, slab []message[T], m message[T]) {
-	if r.tail-r.head > r.mask {
-		panic("sched: mailbox overflow (protocol invariant breach: more than degree+2 messages in flight to one agent)")
+func (r *run[T]) pushMsg(to, slot int32, m message[T]) {
+	if r.link[slot] != notLinked {
+		panic("sched: second message in flight for one exchange (protocol invariant breach)")
 	}
-	slab[uint32(r.off)+(r.tail&r.mask)] = m
-	r.tail++
+	r.msg[slot] = m
+	r.link[slot] = endOfChain
+	in := &r.inboxes[to]
+	if in.tail == endOfChain {
+		in.head = slot
+	} else {
+		r.link[in.tail] = slot
+	}
+	in.tail = slot
 }
 
-// popMsg removes and returns the oldest message, reporting false on an
-// empty ring. Caller holds the home shard's lock.
+// popMsg unlinks and returns the oldest message in agent a's inbox,
+// reporting false on an empty inbox. Caller holds a's home shard lock.
 //
 //det:hotpath
-func popMsg[T any](r *ring, slab []message[T]) (message[T], bool) {
-	if r.head == r.tail {
+func (r *run[T]) popMsg(a int32) (message[T], bool) {
+	in := &r.inboxes[a]
+	s := in.head
+	if s == endOfChain {
 		var zero message[T]
 		return zero, false
 	}
-	m := slab[uint32(r.off)+(r.head&r.mask)]
-	r.head++
-	return m, true
+	in.head = r.link[s]
+	if in.head == endOfChain {
+		in.tail = endOfChain
+	}
+	r.link[s] = notLinked
+	return r.msg[s], true
 }
 
-// ringCap returns the power-of-two mailbox capacity for an agent of the
-// given degree: the protocol bound (one request per neighbour, one reply)
-// plus slack rounded up so the index mask is a single AND.
-func ringCap(degree int) uint32 {
-	need := uint32(degree + 2)
-	c := uint32(1)
-	for c < need {
-		c <<= 1
+// growMailboxes gives agents [len(r.msg), n) an empty inbox and a free
+// slot. Existing slots and chains are untouched, so messages in flight
+// when joiners arrive stay where they are.
+func (r *run[T]) growMailboxes(n int) {
+	r.msg = slices.Grow(r.msg, n-len(r.msg))
+	r.link = slices.Grow(r.link, n-len(r.link))
+	r.inboxes = slices.Grow(r.inboxes, n-len(r.inboxes))
+	for len(r.msg) < n {
+		r.msg = append(r.msg, message[T]{})
+		r.link = append(r.link, notLinked)
+		r.inboxes = append(r.inboxes, inbox{head: endOfChain, tail: endOfChain})
 	}
-	return c
 }

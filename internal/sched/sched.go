@@ -36,13 +36,14 @@
 //
 //   - N agents are split into P contiguous blocks (the engine.Shards
 //     block-sizing convention; joiners home on the LAST shard). Each
-//     shard owns its agents' mailboxes — fixed-capacity message rings
-//     carved from one per-shard slab, no per-exchange channel or heap
-//     allocation — plus a FIFO run queue and a deferred min-heap, and is
-//     drained by one worker goroutine. Workers whose queue runs dry
-//     steal runnable agents from other shards (one agent per steal, so
-//     every scheduling-flag mutation happens under the agent's home
-//     shard lock).
+//     shard's lock guards its agents' inboxes — FIFO chains through one
+//     message slot per agent, since an exchange has at most one message
+//     in flight and an agent initiates one exchange at a time, so no
+//     per-exchange channel or heap allocation — plus a FIFO run queue
+//     and a deferred min-heap, and the shard is drained by one worker
+//     goroutine. Workers whose queue runs dry steal runnable agents
+//     from other shards (one agent per steal, so every scheduling-flag
+//     mutation happens under the agent's home shard lock).
 //
 //   - Time is virtual: the global initiation counter. The AIMD window is
 //     ADMISSION CONTROL: a rejected agent is pushed on its home deferred
@@ -252,8 +253,7 @@ func Run[T any](p core.Problem[T], g *graph.Graph, initial []T, opts Options) (*
 	}
 
 	cmp := p.Cmp()
-	initialM := ms.New(cmp, initial[:n]...)
-	mon := engine.NewMonitor(p, initialM)
+	mon := engine.NewMonitor(p, engine.NewShards(cmp, initial[:n], 1), engine.NewPool(1, 1))
 	res := &Result[T]{Target: mon.Target()}
 	if _, reached := mon.FirstReach(); reached && opts.Dynamics == nil {
 		res.Converged = true
@@ -375,7 +375,14 @@ type run[T any] struct {
 	sendDue      []int64
 	actDue       []int64 // admission deadline in virtual ticks
 	backoff      []AIMD
-	rings        []ring
+
+	// Mailboxes: msg[s] is the message slot of the exchange agent s
+	// initiated, link threads the slots into per-agent FIFO inboxes
+	// (mailbox.go). Guarded by the home shard lock of the inbox a slot
+	// sits in.
+	msg     []message[T]
+	link    []int32
+	inboxes []inbox
 
 	// CSR neighbour lists, rebuilt at join safepoints.
 	nbrOff []int32
@@ -501,7 +508,7 @@ func (r *run[T]) setup(n int) {
 		}
 		sh.wake = make(chan struct{}, 1)
 	}
-	r.buildMailboxes()
+	r.growMailboxes(n)
 	r.sp.cond = sync.NewCond(&r.sp.mu)
 	r.nextEpochAt.Store(int64(r.opts.OpsPerEpoch))
 	// Seed the adoption cursor one behind so the first rate-limit window
@@ -568,47 +575,6 @@ func (r *run[T]) buildCSR() {
 	}
 }
 
-// buildMailboxes (re)builds every shard's mailbox slab and every agent's
-// ring, preserving pending messages. O(N+E); setup and join safepoints
-// only.
-func (r *run[T]) buildMailboxes() {
-	n := r.g.N()
-	oldRings := r.rings
-	newRings := make([]ring, n)
-	for s := range r.shards {
-		sh := &r.shards[s]
-		total := int32(0)
-		for a := sh.lo; a < sh.hi; a++ {
-			deg := int(r.nbrOff[a+1] - r.nbrOff[a])
-			if a < len(oldRings) {
-				// A rebuild may shrink an agent's degree (retired edges)
-				// below its pending backlog; size for both.
-				if pending := int(oldRings[a].tail - oldRings[a].head); pending > deg {
-					deg = pending
-				}
-			}
-			c := ringCap(deg)
-			newRings[a] = ring{off: total, mask: c - 1}
-			total += int32(c)
-		}
-		fresh := make([]message[T], total)
-		if oldRings != nil {
-			for a := sh.lo; a < sh.hi && a < len(oldRings); a++ {
-				or := &oldRings[a]
-				for {
-					m, ok := popMsg(or, sh.slab)
-					if !ok {
-						break
-					}
-					pushMsg(&newRings[a], fresh, m)
-				}
-			}
-		}
-		sh.slab = fresh
-	}
-	r.rings = newRings
-}
-
 // home returns the agent's home shard index: contiguous blocks of the
 // founding block size, with every overflow id (joiners) homed on the
 // last shard — the engine.Shards append convention.
@@ -642,15 +608,14 @@ func (r *run[T]) halt() {
 }
 
 // settle completes the exchanges a halt cut short, once every worker has
-// stopped. An OK reply still in its initiator's mailbox carries one half
+// stopped. An OK reply still in its initiator's inbox carries one half
 // of a pair transition whose other half the partner has already adopted,
 // so the initiator adopts it here; unserved requests and busy replies
 // changed no state and are dropped.
 func (r *run[T]) settle() {
-	for a := range r.rings {
-		sh := r.home(int32(a))
+	for a := range r.inboxes {
 		for {
-			m, ok := popMsg(&r.rings[a], sh.slab)
+			m, ok := r.popMsg(int32(a))
 			if !ok {
 				break
 			}

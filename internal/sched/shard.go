@@ -29,10 +29,10 @@ type deferEntry struct {
 	agent int32
 }
 
-// shard owns a contiguous agent block [lo, hi): their mailboxes (one slab,
-// one ring each), their run-queue membership, and their deferred heap. One
-// worker goroutine drains it; idle workers steal from other shards'
-// queues.
+// shard owns a contiguous agent block [lo, hi): its lock guards their
+// inboxes (mailbox.go), their run-queue membership, and their deferred
+// heap. One worker goroutine drains it; idle workers steal from other
+// shards' queues.
 type shard[T any] struct {
 	mu sync.Mutex
 
@@ -45,9 +45,6 @@ type shard[T any] struct {
 	rqLen  int
 	// deferred is a binary min-heap ordered by (due, agent).
 	deferred []deferEntry
-
-	// slab backs the mailbox rings of every agent homed here.
-	slab []message[T]
 
 	// sleeping marks the shard's worker as blocked on wake; set under mu,
 	// cleared by the waker before the (capacity-1) send.

@@ -389,6 +389,16 @@ func Run[T any](p core.Problem[T], e env.Environment, initial []T, opts Options)
 	return RunWith(sc, p, e, initial, opts)
 }
 
+// CheckGrowth reports the error RunWith returns for a dynamics schedule
+// that adds joiners agents to an environment that cannot grow
+// (env.Growable), and nil when the pair can run.
+func CheckGrowth(e env.Environment, joiners int) error {
+	if _, ok := e.(env.Growable); joiners > 0 && !ok {
+		return fmt.Errorf("sim: dynamics schedule adds %d agents but environment %q cannot grow (env.Growable)", joiners, e.Name())
+	}
+	return nil
+}
+
 // RunWith is Run against borrowed scratch: it executes the identical
 // algorithm — results are bit-for-bit what Run returns for the same
 // arguments — but reuses the Scratch's warm engine state (pool workers,
@@ -412,10 +422,8 @@ func RunWith[T any](sc *Scratch[T], p core.Problem[T], e env.Environment, initia
 		}
 		return nil, fmt.Errorf("sim: %d initial states for %d agents", len(initial), g.N())
 	}
-	if joiners > 0 {
-		if _, ok := e.(env.Growable); !ok {
-			return nil, fmt.Errorf("sim: dynamics schedule adds %d agents but environment %q cannot grow (env.Growable)", joiners, e.Name())
-		}
+	if err := CheckGrowth(e, joiners); err != nil {
+		return nil, err
 	}
 	if g.N() == 0 {
 		return nil, errors.New("sim: empty system")
@@ -452,9 +460,9 @@ func RunWith[T any](sc *Scratch[T], p core.Problem[T], e env.Environment, initia
 	r.shards = sc.shards
 	r.shards.SetProbe(opts.Probe)
 	if r.mon == nil {
-		r.mon = engine.NewMonitor(p, r.shards.View())
+		r.mon = engine.NewMonitor(p, r.shards, r.pool)
 	} else {
-		r.mon.Reset(p, r.shards.View())
+		r.mon.Reset(p, r.shards, r.pool)
 	}
 	r.res = &Result[T]{}
 	if r.stepFn == nil {

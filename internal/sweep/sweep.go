@@ -176,10 +176,12 @@ type Grid struct {
 	Cells []Cell
 }
 
-// Grid expands the axes into the full cell list. It validates the axes
-// and builds each (topology, size) graph exactly once, so cells of the
-// same family and size share a graph instance — which is also what lets
-// a warm worker reuse its cached pairwise matcher across them.
+// Grid expands the axes into the full cell list. It validates the axes —
+// including that every environment paired with a join schedule can grow
+// (sim.CheckGrowth) — and builds each (topology, size) graph exactly
+// once, so cells of the same family and size share a graph instance —
+// which is also what lets a warm worker reuse its cached pairwise
+// matcher across them.
 func (a Axes) Grid() (*Grid, error) {
 	switch {
 	case len(a.Envs) == 0:
@@ -236,6 +238,13 @@ func (a Axes) Grid() (*Grid, error) {
 						// against the cell's actual graph so partition cuts
 						// and agent ids resolve correctly.
 						sched := dyn.New(graphs[k])
+						if sched != nil && sched.TotalJoiners() > 0 {
+							// Refuse the grid before any cell runs: a cell
+							// that cannot grow would abort it mid-sweep.
+							if err := sim.CheckGrowth(e.New(graphs[k]), sched.TotalJoiners()); err != nil {
+								return nil, fmt.Errorf("sweep: environment %s with dynamics %s: %w", e.Name, dyn.Name, err)
+							}
+						}
 						for _, mode := range modes {
 							for rep := 0; rep < seeds; rep++ {
 								g.Cells = append(g.Cells, Cell{

@@ -247,6 +247,33 @@ func TestTableEmitters(t *testing.T) {
 	}
 }
 
+// TestGridRejectsJoinOnFixedEnvironment: the adversary cannot grow
+// (env.Growable), so pairing it with a join schedule must fail in Grid —
+// with sim's message, before any cell runs — and not abort the sweep at
+// the first join cell. The same environment without the join expands.
+func TestGridRejectsJoinOnFixedEnvironment(t *testing.T) {
+	adv, err := env.ParseDesc("adversary:0.5:4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	join, err := dynamics.ParseDesc("join:4:ring:8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := quickAxes()
+	a.Envs = []env.Desc{env.StaticDesc(), adv}
+	a.Dynamics = []dynamics.Desc{dynamics.NoneDesc(), join}
+	_, err = a.Grid()
+	if err == nil || !strings.Contains(err.Error(), "sim: dynamics schedule adds 4 agents but environment") ||
+		!strings.Contains(err.Error(), "cannot grow (env.Growable)") {
+		t.Fatalf("Grid error = %v, want sim's cannot-grow error", err)
+	}
+	a.Dynamics = a.Dynamics[:1]
+	if _, err := a.Grid(); err != nil {
+		t.Fatalf("adversary without a join: %v", err)
+	}
+}
+
 // TestAxesValidation: empty axes and degenerate sizes must fail loudly.
 func TestAxesValidation(t *testing.T) {
 	base := quickAxes()

@@ -77,13 +77,18 @@
 # BenchmarkSchedExchange1e4 pins the asynchronous engine (the sharded
 # actor scheduler behind SimulateAsync) and its per-exchange allocation
 # contract: an 8192-agent hypercube min cell with
-# a 60·N (~500k) initiation budget runs to convergence in ~65 allocs/op —
-# exclusively setup (shard structs, mailbox slab, CSR arrays, run
-# queues); the event loop's push/pop/steal/defer hot path is
-# allocation-free by the detlint hotalloc contract. The budget of 400
+# a 60·N (~500k) initiation budget runs to convergence in ~75 allocs/op —
+# exclusively setup (shard structs, the message slots and inbox chains,
+# CSR arrays, run queues); the event loop's push/pop/steal/defer hot path
+# is allocation-free by the detlint hotalloc contract. The budget of 400
 # sits ~5× above setup: a regression that allocates even one object per
 # exchange (a boxed message, a heap node) adds tens of thousands and
-# fails loudly.
+# fails loudly. Its bytes are budgeted too (B/op): the mailboxes
+# are one 16-byte message slot and one link per agent, since an exchange
+# has at most one message in flight, and the run measures ~2.22 MB/op.
+# The budget of 3,000,000 B/op sits ~1.35× above that and below the
+# ~4.22 MB/op that per-agent rings of next-pow2(degree+2) slots cost, so
+# reintroducing per-degree mailbox storage fails.
 #
 # BenchmarkMatcherMatch1e5 (internal/engine) pins the pairwise matching
 # of a near-converged 10⁵-agent round: Ring(10⁵), a pool of 2 and a
@@ -109,29 +114,34 @@ out=$(go test -run '^$' -bench 'BenchmarkSimComponentRing64$|BenchmarkSimPairwis
 echo "$out"
 
 fail=0
+# check NAME BUDGET [UNIT] fails unless NAME's UNIT column — allocs/op by
+# default, or B/op — is at most BUDGET.
 check() {
-  local name=$1 budget=$2 line allocs unit
+  local name=$1 budget=$2 unit=${3:-allocs/op} off=0 line value got
+  if [ "$unit" = "B/op" ]; then
+    off=2
+  fi
   line=$(echo "$out" | awk -v n="^$name" '$1 ~ n {print; exit}')
   if [ -z "$line" ]; then
     echo "BUDGET FAIL: $name: no benchmark output (renamed? build failure swallowed?)" >&2
     fail=1
     return
   fi
-  allocs=$(echo "$line" | awk '{print $(NF-1)}')
-  unit=$(echo "$line" | awk '{print $NF}')
+  value=$(echo "$line" | awk -v o="$off" '{print $(NF-o-1)}')
+  got=$(echo "$line" | awk -v o="$off" '{print $(NF-o)}')
   # Parse defensively: a format drift (missing -benchmem columns, a
-  # non-integer in the allocs field) must fail the budget, not slip
+  # non-integer in the value field) must fail the budget, not slip
   # through an arithmetic-test error as a pass.
-  if [ "$unit" != "allocs/op" ] || ! [[ "$allocs" =~ ^[0-9]+$ ]]; then
-    echo "BUDGET FAIL: $name: unparseable benchmark line (want '<n> allocs/op' tail): $line" >&2
+  if [ "$got" != "$unit" ] || ! [[ "$value" =~ ^[0-9]+$ ]]; then
+    echo "BUDGET FAIL: $name: unparseable benchmark line (want '<n> B/op <n> allocs/op' tail): $line" >&2
     fail=1
     return
   fi
-  if [ "$allocs" -gt "$budget" ]; then
-    echo "BUDGET FAIL: $name: $allocs allocs/op > budget $budget" >&2
+  if [ "$value" -gt "$budget" ]; then
+    echo "BUDGET FAIL: $name: $value $unit > budget $budget" >&2
     fail=1
   else
-    echo "BUDGET OK: $name: $allocs allocs/op <= $budget"
+    echo "BUDGET OK: $name: $value $unit <= $budget"
   fi
 }
 
@@ -143,6 +153,7 @@ check BenchmarkSimPairwiseDelta1e5 150
 check BenchmarkJoinSplice 400
 check BenchmarkSimRoundProbed 150
 check BenchmarkSchedExchange1e4 400
+check BenchmarkSchedExchange1e4 3000000 B/op
 check BenchmarkObserveRoundConsensus1e6 0
 check BenchmarkMatcherMatch1e5 0
 check BenchmarkTrackerReplaceSparse 0
