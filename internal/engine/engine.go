@@ -26,9 +26,9 @@
 //     stream a worker steps a group on; and the per-agent seed
 //     derivation the asynchronous scheduler uses;
 //   - Pool: a persistent worker pool sized to GOMAXPROCS that replaces the
-//     goroutine-per-group-per-round pattern, engaging only above a
-//     group-count threshold so small systems run serially and
-//     allocation-free.
+//     goroutine-per-group-per-round pattern, engaging only at a
+//     group-count threshold fixed when it is built, so small systems run
+//     serially and allocation-free.
 package engine
 
 import (

@@ -47,7 +47,8 @@ type poolBatch struct {
 
 // NewPool builds a pool of size workers (≤ 0 means GOMAXPROCS) that
 // engages when a batch has at least threshold items (≤ 0 means always
-// engage). No goroutines are started until the first engaged batch.
+// engage) for its whole life. No goroutines are started until the first
+// engaged batch.
 func NewPool(size, threshold int) *Pool {
 	if size <= 0 {
 		size = runtime.GOMAXPROCS(0)
@@ -58,18 +59,12 @@ func NewPool(size, threshold int) *Pool {
 // Size returns the number of worker slots (including the caller's slot 0).
 func (p *Pool) Size() int { return p.size }
 
-// SetThreshold replaces the engagement threshold. It is for pools that
-// outlive a single run (a sim.Scratch's): the threshold is per-run
-// configuration — sim.Options.ParallelThreshold — while the workers are
-// warm state worth keeping, so a reused pool is re-thresholded instead
-// of rebuilt. Must not be called concurrently with Do/DoAll.
-func (p *Pool) SetThreshold(threshold int) { p.threshold = threshold }
-
 // SetProbe attaches (or, with nil, detaches) an observability probe
 // recording fan-out occupancy: engaged batches, items spanned, serial
-// fallbacks, and extra worker slots granted. Like SetThreshold it is
-// per-run configuration on a possibly warm pool; must not be called
-// concurrently with Do/DoAll. Probes observe scheduling, never alter it.
+// fallbacks, and extra worker slots granted. It is per-run configuration
+// on a possibly warm pool (a sim.Scratch's outlives its runs); must not
+// be called concurrently with Do/DoAll. Probes observe scheduling, never
+// alter it.
 func (p *Pool) SetProbe(probe *obs.Probe) { p.probe = probe }
 
 // Do runs fn(worker, i) for every i in [0, n) and returns when all calls

@@ -316,7 +316,7 @@ func E3Fig3(cfg Config) Section {
 	p := problems.NewHull(pts)
 	g := graph.Ring(len(pts))
 	res, err := sim.Run(p, env.NewEdgeChurn(g, 0.4), problems.InitialHulls(pts),
-		sim.Options{ParallelThreshold: -1, Seed: 3, StopOnConverged: true, MaxRounds: 5000})
+		sim.Options{Seed: 3, StopOnConverged: true, MaxRounds: 5000})
 	if err != nil || !res.Converged {
 		shape = false
 		b.WriteString(fmt.Sprintf("hull run failed: converged=%v err=%v\n", res != nil && res.Converged, err))
@@ -371,7 +371,7 @@ func E4Adaptivity(cfg Config) Section {
 			med, rate, err := medianRounds[int](cfg, func(seed int64) (*sim.Result[int], error) {
 				g := family.mk()
 				return sim.Run[int](problems.NewMin(), env.NewEdgeChurn(g, p), initialValues(n, seed),
-					sim.Options{ParallelThreshold: -1, Seed: seed, StopOnConverged: true, MaxRounds: 60_000})
+					sim.Options{Seed: seed, StopOnConverged: true, MaxRounds: 60_000})
 			})
 			if err != nil {
 				return Section{ID: "E4", Title: "adaptivity", Body: "error: " + err.Error()}
@@ -412,7 +412,7 @@ func E5Partition(cfg Config) Section {
 
 	// Permanent partition into 3 blocks.
 	e := env.NewPartitioner(g, 3, 0, 1<<30)
-	res, err := sim.Run[int](problems.NewMin(), e, vals, sim.Options{ParallelThreshold: -1, Seed: 1, MaxRounds: 30})
+	res, err := sim.Run[int](problems.NewMin(), e, vals, sim.Options{Seed: 1, MaxRounds: 30})
 	shape := err == nil && !res.Converged
 	blocks := metrics.NewTable("block", "members", "block minimum", "all members agree?")
 	per := (n + 2) / 3
@@ -450,7 +450,7 @@ func E5Partition(cfg Config) Section {
 	// the next period has length 0 — so use healthy=5).
 	healEnv := func() env.Environment { return env.NewPartitioner(g, 3, 5, 60) }
 	_ = heal
-	resHeal, err2 := sim.Run[int](problems.NewMin(), healEnv(), vals, sim.Options{ParallelThreshold: -1, Seed: 2, StopOnConverged: true, MaxRounds: 1000})
+	resHeal, err2 := sim.Run[int](problems.NewMin(), healEnv(), vals, sim.Options{Seed: 2, StopOnConverged: true, MaxRounds: 1000})
 	if err2 != nil || !resHeal.Converged {
 		shape = false
 	}
@@ -507,11 +507,11 @@ func E6Scale(cfg Config) Section {
 
 	addRow("min / ring, churn 0.5", func(n int, seed int64) (*sim.Result[int], error) {
 		return sim.Run[int](problems.NewMin(), env.NewEdgeChurn(graph.Ring(n), 0.5), initialValues(n, seed),
-			sim.Options{ParallelThreshold: -1, Seed: seed, StopOnConverged: true, MaxRounds: 60_000})
+			sim.Options{Seed: seed, StopOnConverged: true, MaxRounds: 60_000})
 	})
 	addRow("min / complete, churn 0.5", func(n int, seed int64) (*sim.Result[int], error) {
 		return sim.Run[int](problems.NewMin(), env.NewEdgeChurn(graph.Complete(n), 0.5), initialValues(n, seed),
-			sim.Options{ParallelThreshold: -1, Seed: seed, StopOnConverged: true, MaxRounds: 60_000})
+			sim.Options{Seed: seed, StopOnConverged: true, MaxRounds: 60_000})
 	})
 	addRow("min / hypercube, churn 0.5", func(n int, seed int64) (*sim.Result[int], error) {
 		d := 0
@@ -521,11 +521,11 @@ func E6Scale(cfg Config) Section {
 		g := graph.Hypercube(d)
 		vals := initialValues(g.N(), seed)
 		return sim.Run[int](problems.NewMin(), env.NewEdgeChurn(g, 0.5), vals,
-			sim.Options{ParallelThreshold: -1, Seed: seed, StopOnConverged: true, MaxRounds: 60_000})
+			sim.Options{Seed: seed, StopOnConverged: true, MaxRounds: 60_000})
 	})
 	addRow("min / binary tree, churn 0.5", func(n int, seed int64) (*sim.Result[int], error) {
 		return sim.Run[int](problems.NewMin(), env.NewEdgeChurn(graph.BinaryTree(n), 0.5), initialValues(n, seed),
-			sim.Options{ParallelThreshold: -1, Seed: seed, StopOnConverged: true, MaxRounds: 60_000})
+			sim.Options{Seed: seed, StopOnConverged: true, MaxRounds: 60_000})
 	})
 	addRow("gcd / ring, churn 0.5", func(n int, seed int64) (*sim.Result[int], error) {
 		vals := initialValues(n, seed)
@@ -533,11 +533,11 @@ func E6Scale(cfg Config) Section {
 			vals[i] = (vals[i] + 1) * 6
 		}
 		return sim.Run[int](problems.NewGCD(), env.NewEdgeChurn(graph.Ring(n), 0.5), vals,
-			sim.Options{ParallelThreshold: -1, Seed: seed, StopOnConverged: true, MaxRounds: 60_000})
+			sim.Options{Seed: seed, StopOnConverged: true, MaxRounds: 60_000})
 	})
 	addRow("sum / complete, pairwise, churn 0.5", func(n int, seed int64) (*sim.Result[int], error) {
 		return sim.Run[int](problems.NewSum(), env.NewEdgeChurn(graph.Complete(n), 0.5), initialValues(n, seed),
-			sim.Options{ParallelThreshold: -1, Seed: seed, StopOnConverged: true, MaxRounds: 60_000, Mode: sim.PairwiseMode})
+			sim.Options{Seed: seed, StopOnConverged: true, MaxRounds: 60_000, Mode: sim.PairwiseMode})
 	})
 
 	b.WriteString(fmt.Sprintf("Median rounds to convergence (%d seeds), by system size N:\n\n", cfg.Seeds))
@@ -583,7 +583,7 @@ func E7Sum(cfg Config) Section {
 	} {
 		med, rate, err := medianRounds[int](cfg, func(seed int64) (*sim.Result[int], error) {
 			return sim.Run[int](problems.NewSum(), env.NewEdgeChurn(fam.g, 0.8), vals,
-				sim.Options{ParallelThreshold: -1, Seed: seed, StopOnConverged: true, MaxRounds: 3000, Mode: sim.PairwiseMode})
+				sim.Options{Seed: seed, StopOnConverged: true, MaxRounds: 3000, Mode: sim.PairwiseMode})
 		})
 		if err != nil {
 			shape = false
@@ -633,14 +633,14 @@ func E8Sort(cfg Config) Section {
 		}
 		medLine, rateLine, err := medianRounds[problems.Item](cfg, func(seed int64) (*sim.Result[problems.Item], error) {
 			return sim.Run[problems.Item](pLine, env.NewEdgeChurn(graph.Line(n), 0.8), problems.InitialItems(vals),
-				sim.Options{ParallelThreshold: -1, Seed: seed, StopOnConverged: true, MaxRounds: 200_000, Mode: sim.PairwiseMode})
+				sim.Options{Seed: seed, StopOnConverged: true, MaxRounds: 200_000, Mode: sim.PairwiseMode})
 		})
 		if err != nil || rateLine < 1 {
 			shape = false
 		}
 		medFull, rateFull, err := medianRounds[problems.Item](cfg, func(seed int64) (*sim.Result[problems.Item], error) {
 			return sim.Run[problems.Item](pLine, env.NewEdgeChurn(graph.Complete(n), 0.8), problems.InitialItems(vals),
-				sim.Options{ParallelThreshold: -1, Seed: seed, StopOnConverged: true, MaxRounds: 200_000})
+				sim.Options{Seed: seed, StopOnConverged: true, MaxRounds: 200_000})
 		})
 		if err != nil || rateFull < 1 {
 			shape = false
@@ -887,7 +887,7 @@ func E11Ablation(cfg Config) Section {
 		results := make([]*sim.Result[int], cfg.Seeds)
 		forEachSeed(cfg.Seeds, func(s int) {
 			res, err := sim.Run[int](problems.NewMin(), env.NewEdgeChurn(g, 0.5), initialValues(n, int64(s)),
-				sim.Options{ParallelThreshold: -1, Seed: int64(s), StopOnConverged: true, MaxRounds: 60_000, Mode: row.mode})
+				sim.Options{Seed: int64(s), StopOnConverged: true, MaxRounds: 60_000, Mode: row.mode})
 			if err == nil {
 				results[s] = res
 			}
@@ -923,7 +923,7 @@ func E11Ablation(cfg Config) Section {
 			floods[s] = fr
 		}
 		if sr, err := sim.Run[int](problems.NewMin(), env.NewEdgeChurn(g, 0.3), initialValues(n, int64(s)),
-			sim.Options{ParallelThreshold: -1, Seed: int64(s), StopOnConverged: true, MaxRounds: 60_000}); err == nil {
+			sim.Options{Seed: int64(s), StopOnConverged: true, MaxRounds: 60_000}); err == nil {
 			selfs[s] = sr
 		}
 	})
@@ -978,10 +978,10 @@ func E12Fairness(cfg Config) Section {
 		sumSeed := make([]bool, cfg.Seeds)
 		forEachSeed(cfg.Seeds, func(s int) {
 			r1, err := sim.Run[int](problems.NewMin(), e(), vals,
-				sim.Options{ParallelThreshold: -1, Seed: int64(s), StopOnConverged: true, MaxRounds: 4000})
+				sim.Options{Seed: int64(s), StopOnConverged: true, MaxRounds: 4000})
 			minSeed[s] = err == nil && r1.Converged
 			r2, err := sim.Run[int](problems.NewSum(), e(), vals,
-				sim.Options{ParallelThreshold: -1, Seed: int64(s), StopOnConverged: true, MaxRounds: 4000, Mode: sim.PairwiseMode})
+				sim.Options{Seed: int64(s), StopOnConverged: true, MaxRounds: 4000, Mode: sim.PairwiseMode})
 			sumSeed[s] = err == nil && r2.Converged
 		})
 		minOK, sumOK := true, true
@@ -1021,7 +1021,7 @@ func E12Fairness(cfg Config) Section {
 		okSeed := make([]bool, cfg.Seeds)
 		forEachSeed(cfg.Seeds, func(s int) {
 			r, err := sim.Run[int](problems.NewMin(), env.NewAdversary(g, 1.0, window), vals,
-				sim.Options{ParallelThreshold: -1, Seed: int64(s), StopOnConverged: true, MaxRounds: 4000, AdversaryFeedback: true})
+				sim.Options{Seed: int64(s), StopOnConverged: true, MaxRounds: 4000, AdversaryFeedback: true})
 			okSeed[s] = err == nil && r.Converged
 		})
 		for _, ok := range okSeed {

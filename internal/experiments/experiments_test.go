@@ -88,10 +88,11 @@ func TestParallelSweepBitIdentical(t *testing.T) {
 }
 
 // TestNestedSweepRespectsWorkerBudget: a seed sweep whose bodies run
-// sharded, pool-parallel simulations must never hold more than
-// GOMAXPROCS−1 extra worker slots in total — the sweep workers and every
-// nested engine pool draw from the same process-wide budget, so workers ×
-// shards cannot oversubscribe the machine.
+// four-shard simulations, whose repair fans out on each run's pool
+// (DoAll) every round, must never hold more than GOMAXPROCS−1 extra
+// worker slots in total — the sweep workers and every nested engine pool
+// draw from the same process-wide budget, so workers × shards cannot
+// oversubscribe the machine.
 func TestNestedSweepRespectsWorkerBudget(t *testing.T) {
 	old := goruntime.GOMAXPROCS(4)
 	defer goruntime.GOMAXPROCS(old)
@@ -100,7 +101,7 @@ func TestNestedSweepRespectsWorkerBudget(t *testing.T) {
 	forEachSeed(8, func(s int) {
 		res, err := sim.Run[int](problems.NewMin(), env.NewEdgeChurn(g, 0.6), initialValues(64, int64(s)+1),
 			sim.Options{Seed: int64(s) + 1, StopOnConverged: true, MaxRounds: 60_000,
-				Shards: 4, ParallelThreshold: 1, Mode: sim.PairwiseMode})
+				Shards: 4, Mode: sim.PairwiseMode})
 		if err != nil || !res.Converged {
 			t.Errorf("seed %d: err=%v converged=%v", s, err, res != nil && res.Converged)
 		}

@@ -16,31 +16,50 @@ import (
 // across worker counts and oversubscribed hosts.
 
 // TestSchedQuiescenceIsEventDriven: convergence is detected promptly
-// after the last adoption, and the adoption bound on quiescence checks (at
-// most one per adoption, two adoptions per exchange) holds whatever the
-// worker count, with CheckEvery at its most eager setting. A detector
-// polling on wall-clock time would break the bound on a slow machine.
+// after the last adoption, and the quiescence checks keep both of their
+// bounds whatever the worker count: at most one per adoption (two
+// adoptions per exchange), and at most one per max(64, N/2) initiations,
+// the engine's rate limit, so the check that detects convergence comes
+// no earlier than that many initiations into the run. A detector polling
+// on wall-clock time would break the first bound on a slow machine; one
+// that checked on every adoption would break the second. The ring's
+// N/2 = 128 sits above the floor of 64, which the complete graph's
+// N = 10 exercises.
 func TestSchedQuiescenceIsEventDriven(t *testing.T) {
-	g := graph.Complete(10)
-	vals := []int{19, 4, 17, 11, 8, 12, 6, 15, 10, 13}
-	for _, w := range []int{1, 2, 4} {
-		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
-			o := topts()
-			o.Workers = w
-			o.CheckEvery = 1
-			start := time.Now()
-			res := converged(t, problems.NewMin(), g, vals, o)
-			if el := time.Since(start); el > 2*time.Second {
-				t.Errorf("quiescence took %v, near the %v safety-net timeout", el, o.Timeout)
-			}
-			if res.QuiescenceChecks == 0 {
-				t.Error("no quiescence checks recorded on a converging run")
-			}
-			if limit := 2*res.Ops + 1; res.QuiescenceChecks > limit {
-				t.Errorf("QuiescenceChecks = %d exceeds the adoption bound %d (ops=%d)",
-					res.QuiescenceChecks, limit, res.Ops)
-			}
-		})
+	ring := make([]int, 256)
+	for i := range ring {
+		ring[i] = (i*97 + 31) % 1000
+	}
+	for _, c := range []struct {
+		g    *graph.Graph
+		vals []int
+	}{
+		{graph.Complete(10), []int{19, 4, 17, 11, 8, 12, 6, 15, 10, 13}},
+		{graph.Ring(256), ring},
+	} {
+		n := c.g.N()
+		for _, w := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("n=%d/workers=%d", n, w), func(t *testing.T) {
+				o := topts()
+				o.Workers = w
+				start := time.Now()
+				res := converged(t, problems.NewMin(), c.g, c.vals, o)
+				if el := time.Since(start); el > 2*time.Second {
+					t.Errorf("quiescence took %v, near the %v safety-net timeout", el, o.Timeout)
+				}
+				if res.QuiescenceChecks == 0 {
+					t.Error("no quiescence checks recorded on a converging run")
+				}
+				if limit := 2*res.Ops + 1; res.QuiescenceChecks > limit {
+					t.Errorf("QuiescenceChecks = %d exceeds the adoption bound %d (ops=%d)",
+						res.QuiescenceChecks, limit, res.Ops)
+				}
+				if every := max(64, n/2); res.QuiescenceChecks > res.Ops/every+1 || res.Ops < every {
+					t.Errorf("QuiescenceChecks = %d after %d ops breaks the rate limit of one check per %d ops",
+						res.QuiescenceChecks, res.Ops, every)
+				}
+			})
+		}
 	}
 }
 

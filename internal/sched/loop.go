@@ -521,17 +521,17 @@ func (r *run[T]) held(n int64) bool {
 }
 
 // maybeCheckQuiescence runs the rate-limited convergence check: only
-// when some agent adopted since the last check AND at least CheckEvery
-// initiations have passed since it. Checks stay event-driven and
-// op-bounded — never more than one per adoption, never on a wall-clock
-// schedule — and a 10⁵-agent run does not pay a board scan per
-// adoption.
+// when some agent adopted since the last check AND at least checkEvery
+// = max(64, N/2) initiations have passed since it, N the founding
+// population. Checks stay event-driven and op-bounded — never more than
+// one per adoption, never on a wall-clock schedule — and a 10⁵-agent run
+// does not pay a board scan per adoption.
 func (r *run[T]) maybeCheckQuiescence() {
 	ad := r.adoptions.Load()
 	if ad == r.checkedAdopt.Load() {
 		return
 	}
-	if r.ops.Load()-r.lastCheckOps.Load() < int64(r.opts.CheckEvery) {
+	if r.ops.Load()-r.lastCheckOps.Load() < r.checkEvery {
 		return
 	}
 	if !r.checkMu.TryLock() {

@@ -128,12 +128,6 @@ type Options struct {
 	// OpsPerEpoch is the epoch length in initiations (default N): the
 	// sched analogue of a round for Dynamics schedules.
 	OpsPerEpoch int
-	// CheckEvery rate-limits quiescence checks: the board is re-examined
-	// only after at least CheckEvery initiations since the last check
-	// (default max(64, N/2)), and only when some agent adopted since.
-	// Checks stay event-driven and op-bounded — at most one per adoption —
-	// but a 10⁵-agent run does not pay an O(N log N) snapshot per event.
-	CheckEvery int
 	// Probe records the exchange lifecycle and the scheduler's own
 	// counters (enqueues, queue-depth samples, steals, admissions, parks)
 	// on the observability layer. Counters only; never consulted for
@@ -234,12 +228,6 @@ func Run[T any](p core.Problem[T], g *graph.Graph, initial []T, opts Options) (*
 	if opts.OpsPerEpoch <= 0 {
 		opts.OpsPerEpoch = n
 	}
-	if opts.CheckEvery <= 0 {
-		opts.CheckEvery = n / 2
-		if opts.CheckEvery < 64 {
-			opts.CheckEvery = 64
-		}
-	}
 	if opts.Faults != nil {
 		if err := opts.Faults.Validate(); err != nil {
 			return nil, fmt.Errorf("sched: %w", err)
@@ -263,12 +251,13 @@ func Run[T any](p core.Problem[T], g *graph.Graph, initial []T, opts Options) (*
 	}
 
 	r := &run[T]{
-		p:        p,
-		g:        g,
-		cmp:      cmp,
-		opts:     opts,
-		mon:      mon,
-		initVals: initial,
+		p:          p,
+		g:          g,
+		cmp:        cmp,
+		opts:       opts,
+		mon:        mon,
+		initVals:   initial,
+		checkEvery: int64(max(64, n/2)),
 	}
 	r.setup(n)
 
@@ -425,6 +414,7 @@ type run[T any] struct {
 	adoptions    atomic.Int64
 	checkedAdopt atomic.Int64 // adoptions count consumed by the last check
 	lastCheckOps atomic.Int64
+	checkEvery   int64 // least initiations between checks: max(64, N/2)
 	checkMu      sync.Mutex
 	viewBuf      []T // board copy for a non-consensus problem's check
 

@@ -78,7 +78,7 @@ func TestDifferIndexTracksStates(t *testing.T) {
 					for _, pool := range []struct {
 						name      string
 						threshold int
-					}{{"serial", -1}, {"pooled", 1}} {
+					}{{"serial", neverEngage}, {"pooled", 1}} {
 						name := fmt.Sprintf("%s/%s/shards=%d/%s", pname, sname, shards, pool.name)
 						if n > 48 { // the small ring's cases go unprefixed
 							name = fmt.Sprintf("n=%d/%s", n, name)
@@ -96,11 +96,11 @@ func TestDifferIndexTracksStates(t *testing.T) {
 							for i := range vals {
 								vals[i] = 6 * (1 + rng.Intn(4*n))
 							}
-							sc := NewScratch[int]()
+							sc := newScratchWithThreshold[int](pool.threshold)
 							defer sc.Close()
 							checked, sawDiffer := 0, false
 							opts := Options{
-								Seed: 29, Mode: PairwiseMode, Shards: shards, ParallelThreshold: pool.threshold,
+								Seed: 29, Mode: PairwiseMode, Shards: shards,
 								MaxRounds: maxRounds, StopOnConverged: true, CheckSteps: true,
 								Dynamics: sched,
 								OnRound: func(ri RoundInfo) {

@@ -56,13 +56,13 @@ func TestDynamicsDeterministicAcrossLayouts(t *testing.T) {
 				Seed: 5, Mode: mode, StopOnConverged: true, MaxRounds: 60_000,
 				CheckSteps: true, Dynamics: dynamicsSchedule(),
 			}
-			run := func(o Options) string {
+			run := func(tweak variant) string {
 				g := graph.Ring(48)
 				vals := make([]int, 48)
 				for i := range vals {
 					vals[i] = (i*37 + 11) % 192
 				}
-				res, err := Run[int](problems.NewMin(), env.NewEdgeChurn(g, 0.8), vals, o)
+				res, err := runVariant[int](tweak, problems.NewMin(), env.NewEdgeChurn(g, 0.8), vals, tweaked(base, tweak))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -72,15 +72,13 @@ func TestDynamicsDeterministicAcrossLayouts(t *testing.T) {
 				}
 				return fmt.Sprintf("%s dyn=%+v", s, *res.Dynamics)
 			}
-			want := run(base)
-			for _, tweak := range []func(*Options){
-				func(o *Options) { o.Shards = 1 },
-				func(o *Options) { o.Shards = 4 },
-				func(o *Options) { o.ParallelThreshold = 1; o.Shards = 3 },
+			want := run(variant{})
+			for _, tweak := range []variant{
+				{opts: func(o *Options) { o.Shards = 1 }},
+				{opts: func(o *Options) { o.Shards = 4 }},
+				{opts: func(o *Options) { o.Shards = 3 }, threshold: 1},
 			} {
-				o := base
-				tweak(&o)
-				if got := run(o); got != want {
+				if got := run(tweak); got != want {
 					t.Fatalf("layout variant diverged\n got: %s\nwant: %s", got, want)
 				}
 			}

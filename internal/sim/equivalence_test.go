@@ -73,9 +73,13 @@ type goldenCase struct {
 // variant is how a golden re-run differs from the reference run, in ways
 // that must not change any result.
 type variant struct {
-	// opts mutates the run's Options (nil: none): forcing the worker pool
-	// on, sharding, attaching a probe or an empty dynamics schedule.
+	// opts mutates the run's Options (nil: none): sharding, attaching a
+	// probe or an empty dynamics schedule.
 	opts func(*Options)
+	// threshold, when nonzero, runs the case on a scratch whose pool
+	// engages at that many items (newScratchWithThreshold): 1 forces the
+	// worker pool on, neverEngage keeps every batch serial.
+	threshold int
 	// hideStutter runs the case's problem with every optional declaration
 	// hidden, the core.StutterOnEqual marker included, so groups that can
 	// only stutter step in full instead of being skipped; hideConsensus
@@ -99,6 +103,17 @@ func tweaked(opts Options, tweak variant) Options {
 		tweak.opts(&opts)
 	}
 	return opts
+}
+
+// runVariant is Run on the scratch the variant's threshold selects: a
+// default one, or a test-only one whose pool engages at the threshold.
+func runVariant[T any](tweak variant, p core.Problem[T], e env.Environment, initial []T, opts Options) (*Result[T], error) {
+	if tweak.threshold == 0 {
+		return Run(p, e, initial, opts)
+	}
+	sc := newScratchWithThreshold[T](tweak.threshold)
+	defer sc.Close()
+	return RunWith(sc, p, e, initial, opts)
 }
 
 // declsHidden embeds a problem's interface, which promotes every
@@ -193,23 +208,23 @@ func goldenCases() []goldenCase {
 	}
 	return []goldenCase{
 		{"min/ring16/churn0.5", func(seed int64, tweak variant) (string, error) {
-			return summarize(Run[int](problemFor[int](problems.NewMin(), tweak), envFor(env.NewEdgeChurn(graph.Ring(16), 0.5), tweak),
+			return summarize(runVariant[int](tweak, problemFor[int](problems.NewMin(), tweak), envFor(env.NewEdgeChurn(graph.Ring(16), 0.5), tweak),
 				intVals(16, 3), tweaked(Options{Seed: seed, StopOnConverged: true, CheckSteps: true, MaxRounds: 10_000}, tweak)))
 		}},
 		{"min/complete12/partitioner", func(seed int64, tweak variant) (string, error) {
-			return summarize(Run[int](problemFor[int](problems.NewMin(), tweak), envFor(env.NewPartitioner(graph.Complete(12), 3, 5, 20), tweak),
+			return summarize(runVariant[int](tweak, problemFor[int](problems.NewMin(), tweak), envFor(env.NewPartitioner(graph.Complete(12), 3, 5, 20), tweak),
 				intVals(12, 5), tweaked(Options{Seed: seed, StopOnConverged: true, MaxRounds: 10_000}, tweak)))
 		}},
 		{"min/complete8/adversary-feedback", func(seed int64, tweak variant) (string, error) {
-			return summarize(Run[int](problemFor[int](problems.NewMin(), tweak), envFor(env.NewAdversary(graph.Complete(8), 0.9, 6), tweak),
+			return summarize(runVariant[int](tweak, problemFor[int](problems.NewMin(), tweak), envFor(env.NewAdversary(graph.Complete(8), 0.9, 6), tweak),
 				intVals(8, 7), tweaked(Options{Seed: seed, StopOnConverged: true, AdversaryFeedback: true, MaxRounds: 10_000}, tweak)))
 		}},
 		{"partialmin/ring12/powerloss", func(seed int64, tweak variant) (string, error) {
-			return summarize(Run[int](problemFor[int](&problems.Min{Partial: true}, tweak), envFor(env.NewPowerLoss(graph.Ring(12), 0.3), tweak),
+			return summarize(runVariant[int](tweak, problemFor[int](&problems.Min{Partial: true}, tweak), envFor(env.NewPowerLoss(graph.Ring(12), 0.3), tweak),
 				intVals(12, 9), tweaked(Options{Seed: seed, StopOnConverged: true, MaxRounds: 60_000}, tweak)))
 		}},
 		{"sum/complete10/pairwise", func(seed int64, tweak variant) (string, error) {
-			return summarize(Run[int](problems.NewSum(), envFor(env.NewEdgeChurn(graph.Complete(10), 0.7), tweak),
+			return summarize(runVariant[int](tweak, problems.NewSum(), envFor(env.NewEdgeChurn(graph.Complete(10), 0.7), tweak),
 				intVals(10, 11), tweaked(Options{Seed: seed, StopOnConverged: true, CheckSteps: true, Mode: PairwiseMode, MaxRounds: 10_000}, tweak)))
 		}},
 		{"gcd/star9/roundrobin", func(seed int64, tweak variant) (string, error) {
@@ -217,7 +232,7 @@ func goldenCases() []goldenCase {
 			for i := range vals {
 				vals[i] = (vals[i] + 1) * 6
 			}
-			return summarize(Run[int](problemFor[int](problems.NewGCD(), tweak), envFor(env.NewRoundRobin(graph.Star(9)), tweak),
+			return summarize(runVariant[int](tweak, problemFor[int](problems.NewGCD(), tweak), envFor(env.NewRoundRobin(graph.Star(9)), tweak),
 				vals, tweaked(Options{Seed: seed, StopOnConverged: true, MaxRounds: 10_000}, tweak)))
 		}},
 		{"sorting/line8/pairwise", func(seed int64, tweak variant) (string, error) {
@@ -226,7 +241,7 @@ func goldenCases() []goldenCase {
 			if err != nil {
 				return "", err
 			}
-			return summarize(Run[problems.Item](p, envFor(env.NewEdgeChurn(graph.Line(8), 0.8), tweak),
+			return summarize(runVariant[problems.Item](tweak, p, envFor(env.NewEdgeChurn(graph.Line(8), 0.8), tweak),
 				problems.InitialItems(vals), tweaked(Options{Seed: seed, StopOnConverged: true, Mode: PairwiseMode, MaxRounds: 100_000}, tweak)))
 		}},
 		{"sorting/complete8/component", func(seed int64, tweak variant) (string, error) {
@@ -235,36 +250,36 @@ func goldenCases() []goldenCase {
 			if err != nil {
 				return "", err
 			}
-			return summarize(Run[problems.Item](p, envFor(env.NewEdgeChurn(graph.Complete(8), 0.6), tweak),
+			return summarize(runVariant[problems.Item](tweak, p, envFor(env.NewEdgeChurn(graph.Complete(8), 0.6), tweak),
 				problems.InitialItems(vals), tweaked(Options{Seed: seed, StopOnConverged: true, CheckSteps: true, MaxRounds: 100_000}, tweak)))
 		}},
 		{"minpair/complete6/churn0.6", func(seed int64, tweak variant) (string, error) {
 			vals := []int{5, 2, 4, 1, 3, 0}
-			return summarize(Run[problems.Pair](problems.NewMinPair(6, 8), envFor(env.NewEdgeChurn(graph.Complete(6), 0.6), tweak),
+			return summarize(runVariant[problems.Pair](tweak, problems.NewMinPair(6, 8), envFor(env.NewEdgeChurn(graph.Complete(6), 0.6), tweak),
 				problems.InitialPairs(vals), tweaked(Options{Seed: seed, StopOnConverged: true, MaxRounds: 10_000}, tweak)))
 		}},
 		{"hull/ring6/churn0.5", func(seed int64, tweak variant) (string, error) {
 			pts := []geom.Point{{X: 0, Y: 0}, {X: 4, Y: 1}, {X: 2, Y: 5}, {X: 6, Y: 3}, {X: 1, Y: 4}, {X: 5, Y: 5}}
-			return summarize(Run[problems.HullState](problems.NewHull(pts), envFor(env.NewEdgeChurn(graph.Ring(6), 0.5), tweak),
+			return summarize(runVariant[problems.HullState](tweak, problems.NewHull(pts), envFor(env.NewEdgeChurn(graph.Ring(6), 0.5), tweak),
 				problems.InitialHulls(pts), tweaked(Options{Seed: seed, StopOnConverged: true, MaxRounds: 10_000}, tweak)))
 		}},
 		{"min/ring64/pairwise", func(seed int64, tweak variant) (string, error) {
 			// Pairwise min with CheckSteps: the stepped pairs are the
 			// differ candidates the matcher returns.
-			return summarize(Run[int](problemFor[int](problems.NewMin(), tweak), envFor(env.NewEdgeChurn(graph.Ring(64), 0.6), tweak),
+			return summarize(runVariant[int](tweak, problemFor[int](problems.NewMin(), tweak), envFor(env.NewEdgeChurn(graph.Ring(64), 0.6), tweak),
 				intVals(64, 19), tweaked(Options{Seed: seed, StopOnConverged: true, CheckSteps: true, Mode: PairwiseMode, MaxRounds: 100_000}, tweak)))
 		}},
 		{"sum/complete24/pairwise", func(seed int64, tweak variant) (string, error) {
 			// Sum carries no StutterOnEqual marker, so every usable edge
 			// is a candidate: the matcher answers the whole matching.
-			return summarize(Run[int](problems.NewSum(), envFor(env.NewEdgeChurn(graph.Complete(24), 0.7), tweak),
+			return summarize(runVariant[int](tweak, problems.NewSum(), envFor(env.NewEdgeChurn(graph.Complete(24), 0.7), tweak),
 				intVals(24, 21), tweaked(Options{Seed: seed, StopOnConverged: true, Mode: PairwiseMode, MaxRounds: 10_000}, tweak)))
 		}},
 		{"min/ring16/no-stop-stability", func(seed int64, tweak variant) (string, error) {
 			// StopOnConverged off: the run continues to MaxRounds and the
 			// goal state must be stable (spec (4)); exercises the full-length
 			// round loop and snapshot maintenance after convergence.
-			return summarize(Run[int](problemFor[int](problems.NewMin(), tweak), envFor(env.NewEdgeChurn(graph.Ring(16), 0.8), tweak),
+			return summarize(runVariant[int](tweak, problemFor[int](problems.NewMin(), tweak), envFor(env.NewEdgeChurn(graph.Ring(16), 0.8), tweak),
 				intVals(16, 17), tweaked(Options{Seed: seed, MaxRounds: 120}, tweak)))
 		}},
 	}
@@ -387,7 +402,7 @@ func TestEngineEquivalenceGoldenExtraEnvDraws(t *testing.T) {
 func TestEngineEquivalenceGoldenParallel(t *testing.T) {
 	old := goruntime.GOMAXPROCS(4)
 	defer goruntime.GOMAXPROCS(old)
-	runGoldenCases(t, variant{opts: func(o *Options) { o.ParallelThreshold = 1 }})
+	runGoldenCases(t, variant{threshold: 1})
 }
 
 // TestEngineEquivalenceGoldenSharded re-runs every golden cell with the
@@ -410,10 +425,10 @@ func TestEngineEquivalenceGoldenSharded(t *testing.T) {
 func TestEngineEquivalenceGoldenShardedParallel(t *testing.T) {
 	old := goruntime.GOMAXPROCS(4)
 	defer goruntime.GOMAXPROCS(old)
-	runGoldenCases(t, variant{opts: func(o *Options) {
-		o.Shards = 3 // deliberately not a divisor of any case's agent count
-		o.ParallelThreshold = 1
-	}})
+	runGoldenCases(t, variant{
+		opts:      func(o *Options) { o.Shards = 3 }, // deliberately not a divisor of any case's agent count
+		threshold: 1,
+	})
 }
 
 // TestEngineEquivalenceGoldenStutterHidden re-runs every golden cell whose

@@ -93,12 +93,15 @@ func TestGroupStreamsKeyedOnMember(t *testing.T) {
 		for _, seed := range []int64{1, 2, 3} {
 			key := fmt.Sprintf("%s/seed%d", c.name, seed)
 			t.Run(key, func(t *testing.T) {
-				run := func(hide bool, opts func(*Options)) []stepDraw {
+				run := func(hide bool, layout variant) []stepDraw {
 					log := &drawLog{}
 					got, err := c.run(seed, variant{
 						hideStutter: hide,
+						threshold:   layout.threshold,
 						opts: func(o *Options) {
-							opts(o)
+							if layout.opts != nil {
+								layout.opts(o)
+							}
 							o.OnRound = func(ri RoundInfo) { log.round = ri.Round + 1 }
 						},
 						wrap: func(p core.Problem[int]) core.Problem[int] {
@@ -117,20 +120,20 @@ func TestGroupStreamsKeyedOnMember(t *testing.T) {
 					}
 					return keyedDraws(t, seed, agents, log)
 				}
-				ref := run(false, func(*Options) {})
+				ref := run(false, variant{})
 				if len(ref) == 0 {
 					t.Fatal("no group stepped")
 				}
 				for _, v := range []struct {
-					name string
-					opts func(*Options)
+					name   string
+					layout variant
 				}{
-					{"shards=1", func(o *Options) { o.Shards = 1 }},
-					{"shards=3", func(o *Options) { o.Shards = 3 }},
-					{"serial", func(o *Options) { o.ParallelThreshold = -1 }},
-					{"pooled", func(o *Options) { o.ParallelThreshold = 1 }},
+					{"shards=1", variant{opts: func(o *Options) { o.Shards = 1 }}},
+					{"shards=3", variant{opts: func(o *Options) { o.Shards = 3 }}},
+					{"serial", variant{threshold: neverEngage}},
+					{"pooled", variant{threshold: 1}},
 				} {
-					if got := run(false, v.opts); !slices.Equal(got, ref) {
+					if got := run(false, v.layout); !slices.Equal(got, ref) {
 						t.Errorf("%s: step records differ from the reference run\n got: %v\nwant: %v", v.name, got, ref)
 					}
 				}
@@ -139,7 +142,7 @@ func TestGroupStreamsKeyedOnMember(t *testing.T) {
 						t.Fatalf("marked run stepped an equal-state group: %v", d)
 					}
 				}
-				full := run(true, func(*Options) {})
+				full := run(true, variant{})
 				stepped := slices.DeleteFunc(slices.Clone(full), func(d stepDraw) bool { return d.equal })
 				if !slices.Equal(stepped, ref) {
 					t.Errorf("marker hidden: records of the groups that can change differ\n got: %v\nwant: %v", stepped, ref)

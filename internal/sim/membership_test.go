@@ -58,7 +58,7 @@ func joinGoldenCases() []goldenCase {
 			// Ring splice: 12 founding agents, 4 join at round 6 — the run
 			// must reconverge to the 16-agent minimum.
 			sched := dynamics.NewSchedule(dynamics.Join(4, "ring", 6))
-			return summarizeDyn(Run[int](problemFor[int](problems.NewMin(), tweak), envFor(env.NewEdgeChurn(graph.Ring(12), 0.8), tweak),
+			return summarizeDyn(runVariant[int](tweak, problemFor[int](problems.NewMin(), tweak), envFor(env.NewEdgeChurn(graph.Ring(12), 0.8), tweak),
 				intVals(16, 3), tweaked(Options{Seed: seed, StopOnConverged: true, CheckSteps: true, MaxRounds: 10_000, Dynamics: sched}, tweak)))
 		}},
 		{"min/complete10+join3pref/pairwise", func(seed int64, tweak variant) (string, error) {
@@ -67,7 +67,7 @@ func joinGoldenCases() []goldenCase {
 			// §4.2 gives sum's pairwise gossip a complete-graph
 			// requirement, and preferential attachment is not complete.
 			sched := dynamics.NewSchedule(dynamics.Join(3, "pref", 4))
-			return summarizeDyn(Run[int](problemFor[int](problems.NewMin(), tweak), envFor(env.NewEdgeChurn(graph.Complete(10), 0.7), tweak),
+			return summarizeDyn(runVariant[int](tweak, problemFor[int](problems.NewMin(), tweak), envFor(env.NewEdgeChurn(graph.Complete(10), 0.7), tweak),
 				intVals(13, 11), tweaked(Options{Seed: seed, StopOnConverged: true, CheckSteps: true, Mode: PairwiseMode, MaxRounds: 10_000, Dynamics: sched}, tweak)))
 		}},
 		{"gcd/hypercube8+join8cube/static", func(seed int64, tweak variant) (string, error) {
@@ -77,7 +77,7 @@ func joinGoldenCases() []goldenCase {
 			for i := range vals {
 				vals[i] = (vals[i] + 1) * 6
 			}
-			return summarizeDyn(Run[int](problemFor[int](problems.NewGCD(), tweak), envFor(env.NewStatic(graph.Hypercube(3)), tweak),
+			return summarizeDyn(runVariant[int](tweak, problemFor[int](problems.NewGCD(), tweak), envFor(env.NewStatic(graph.Hypercube(3)), tweak),
 				vals, tweaked(Options{Seed: seed, StopOnConverged: true, CheckSteps: true, MaxRounds: 10_000, Dynamics: sched}, tweak)))
 		}},
 		{"min/ring16+join2ring+amnesiacflap/churn0.9", func(seed int64, tweak variant) (string, error) {
@@ -93,7 +93,7 @@ func joinGoldenCases() []goldenCase {
 				dynamics.Join(2, "ring", 6),
 				dynamics.AmnesiacRejoin(),
 			)
-			return summarizeDyn(Run[int](problemFor[int](problems.NewMin(), tweak), envFor(env.NewEdgeChurn(graph.Ring(16), 0.9), tweak),
+			return summarizeDyn(runVariant[int](tweak, problemFor[int](problems.NewMin(), tweak), envFor(env.NewEdgeChurn(graph.Ring(16), 0.9), tweak),
 				intVals(18, 7), tweaked(Options{Seed: seed, StopOnConverged: true, CheckSteps: true, MaxRounds: 10_000, Dynamics: sched}, tweak)))
 		}},
 		{"min/ring12/amnesiacflap/pairwise", func(seed int64, tweak variant) (string, error) {
@@ -103,7 +103,7 @@ func joinGoldenCases() []goldenCase {
 			// convergence is slow enough (O(n) rounds) that the flap at
 			// rounds 2–7 fires mid-run instead of after an immediate
 			// component-mode convergence.
-			return summarizeDyn(Run[int](problemFor[int](problems.NewMin(), tweak), envFor(env.NewEdgeChurn(graph.Ring(12), 0.8), tweak),
+			return summarizeDyn(runVariant[int](tweak, problemFor[int](problems.NewMin(), tweak), envFor(env.NewEdgeChurn(graph.Ring(12), 0.8), tweak),
 				intVals(12, 5), tweaked(Options{Seed: seed, StopOnConverged: true, CheckSteps: true, Mode: PairwiseMode, MaxRounds: 10_000, Dynamics: amnesiacFlap(3, 2, 7)}, tweak)))
 		}},
 		{"sum/complete12/amnesiacflap-violations", func(seed int64, tweak variant) (string, error) {
@@ -112,14 +112,14 @@ func joinGoldenCases() []goldenCase {
 			// mass, and the monitor must DETECT it (viol > 0 is pinned).
 			// MaxRounds is small because the run can never reach its (now
 			// unreachable) target.
-			return summarizeDyn(Run[int](problemFor[int](problems.NewSum(), tweak), envFor(env.NewEdgeChurn(graph.Complete(12), 0.8), tweak),
+			return summarizeDyn(runVariant[int](tweak, problemFor[int](problems.NewSum(), tweak), envFor(env.NewEdgeChurn(graph.Complete(12), 0.8), tweak),
 				intVals(12, 9), tweaked(Options{Seed: seed, StopOnConverged: true, Mode: PairwiseMode, MaxRounds: 60, Dynamics: amnesiacFlap(3, 2, 7)}, tweak)))
 		}},
 		{"min/ring24+join4ring/pairwise", func(seed int64, tweak variant) (string, error) {
 			// A ring splice mid-run: the matcher grows its memo with the
 			// graph and never matches the retired closing edge.
 			sched := dynamics.NewSchedule(dynamics.Join(4, "ring", 7))
-			return summarizeDyn(Run[int](problemFor[int](problems.NewMin(), tweak), envFor(env.NewEdgeChurn(graph.Ring(24), 0.7), tweak),
+			return summarizeDyn(runVariant[int](tweak, problemFor[int](problems.NewMin(), tweak), envFor(env.NewEdgeChurn(graph.Ring(24), 0.7), tweak),
 				intVals(28, 19), tweaked(Options{Seed: seed, StopOnConverged: true, CheckSteps: true, Mode: PairwiseMode, MaxRounds: 100_000, Dynamics: sched}, tweak)))
 		}},
 	}
@@ -182,7 +182,7 @@ func TestMembershipGolden(t *testing.T) {
 func TestMembershipGoldenParallel(t *testing.T) {
 	old := goruntime.GOMAXPROCS(4)
 	defer goruntime.GOMAXPROCS(old)
-	runJoinGoldenCases(t, variant{opts: func(o *Options) { o.ParallelThreshold = 1 }})
+	runJoinGoldenCases(t, variant{threshold: 1})
 }
 
 // TestMembershipGoldenSharded replays the join matrix under the sharded
@@ -201,10 +201,7 @@ func TestMembershipGoldenSharded(t *testing.T) {
 func TestMembershipGoldenShardedParallel(t *testing.T) {
 	old := goruntime.GOMAXPROCS(4)
 	defer goruntime.GOMAXPROCS(old)
-	runJoinGoldenCases(t, variant{opts: func(o *Options) {
-		o.Shards = 3
-		o.ParallelThreshold = 1
-	}})
+	runJoinGoldenCases(t, variant{opts: func(o *Options) { o.Shards = 3 }, threshold: 1})
 }
 
 // TestEngineEquivalenceGoldenDormantMembership is the dormant-schedule

@@ -71,24 +71,28 @@ func requireEngaged(t *testing.T, rep obs.RoundReport) {
 // result bytes.
 func TestEngineEquivalenceGoldenProbed(t *testing.T) {
 	variants := []struct {
-		name string
-		base func(*Options)
+		name      string
+		base      func(*Options)
+		threshold int
 	}{
-		{"serial", nil},
-		{"parallel", func(o *Options) { o.ParallelThreshold = 1 }},
-		{"sharded", func(o *Options) { o.Shards = 4 }},
+		{"serial", nil, 0},
+		{"parallel", nil, 1},
+		{"sharded", func(o *Options) { o.Shards = 4 }, 0},
 		{"sharded-parallel", func(o *Options) {
 			o.Shards = 3 // deliberately not a divisor of any case's agent count
-			o.ParallelThreshold = 1
-		}},
+		}, 1},
 	}
 	old := goruntime.GOMAXPROCS(4)
 	defer goruntime.GOMAXPROCS(old)
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
 			tweak, collect := withProbe(v.base)
-			runGoldenCases(t, variant{opts: tweak})
-			requireEngaged(t, collect())
+			runGoldenCases(t, variant{opts: tweak, threshold: v.threshold})
+			rep := collect()
+			requireEngaged(t, rep)
+			if v.threshold == 1 && rep.Counters[obs.CounterPoolBatches] == 0 {
+				t.Fatal("pooled variant never engaged the worker pool")
+			}
 		})
 	}
 }
@@ -102,13 +106,12 @@ func TestMembershipGoldenProbed(t *testing.T) {
 	defer goruntime.GOMAXPROCS(old)
 	for _, p := range []int{0, 3} {
 		t.Run(fmt.Sprintf("shards=%d", p), func(t *testing.T) {
-			tweak, collect := withProbe(func(o *Options) {
-				if p != 0 {
-					o.Shards = p
-					o.ParallelThreshold = 1
-				}
-			})
-			runJoinGoldenCases(t, variant{opts: tweak})
+			tweak, collect := withProbe(func(o *Options) { o.Shards = p })
+			v := variant{opts: tweak}
+			if p != 0 {
+				v.threshold = 1
+			}
+			runJoinGoldenCases(t, v)
 			requireEngaged(t, collect())
 		})
 	}

@@ -58,7 +58,7 @@ func TestRunWithScratchReuseBitIdentical(t *testing.T) {
 			mkVals(32, 3), Options{Seed: 3, StopOnConverged: true, MaxRounds: 60_000}},
 		{"min/ring64/sharded", problems.NewMin(),
 			func() env.Environment { return env.NewEdgeChurn(ring64, 0.7) },
-			mkVals(64, 5), Options{Seed: 5, StopOnConverged: true, MaxRounds: 60_000, Shards: 4, ParallelThreshold: 1}},
+			mkVals(64, 5), Options{Seed: 5, StopOnConverged: true, MaxRounds: 60_000, Shards: 4}},
 		{"sum/k16/pairwise", problems.NewSum(),
 			func() env.Environment { return env.NewEdgeChurn(k16, 0.8) },
 			mkVals(16, 7), Options{Seed: 7, StopOnConverged: true, MaxRounds: 60_000, Mode: PairwiseMode}},

@@ -100,11 +100,13 @@ func (m Mode) String() string {
 	}
 }
 
-// DefaultParallelThreshold is the group count at which a round's group
-// steps fan out to the worker pool; below it they run serially on the
-// caller's goroutine. Group steps on the small systems the experiments
-// sweep are far cheaper than a hand-off, so the threshold is high.
-const DefaultParallelThreshold = 32
+// parallelThreshold is the group count at which a round's group steps
+// fan out to the worker pool; below it they run serially on the caller's
+// goroutine. Group steps on the small systems the experiments sweep are
+// far cheaper than a hand-off, so the threshold is high. Results do not
+// depend on it: every group steps on a stream keyed on (seed, round,
+// smallest member).
+const parallelThreshold = 32
 
 // DefaultShardThreshold is the agent count at which Options.Shards == 0
 // splits the state into GOMAXPROCS shards; below it the state is one
@@ -130,11 +132,6 @@ type Options struct {
 	// target f(S(0)). When false the run continues to MaxRounds,
 	// verifying stability of the goal state (spec (4)).
 	StopOnConverged bool
-	// ParallelThreshold overrides DefaultParallelThreshold: the minimum
-	// number of groups in a round before group steps fan out to the
-	// persistent worker pool. 0 means the default; negative forces serial
-	// execution of group steps. Results are identical either way.
-	ParallelThreshold int
 	// Shards sets the shard count P of the state: the agent array is split
 	// into P contiguous shards, each owning its own multiset tracker with
 	// deltas staged per round; the monitor reads the shards' extremes for
@@ -161,7 +158,7 @@ type Options struct {
 	// the EFFECTIVE masks), its randomness comes from
 	// engine.SubSeed substreams of (Seed, round), tagged apart from the
 	// engine's own, so results are bit-identical for every Shards,
-	// ParallelThreshold, and GOMAXPROCS, and the frozen-state conservation
+	// worker pool, and GOMAXPROCS, and the frozen-state conservation
 	// contract is checked by the monitor every round. nil (and an empty
 	// schedule) leave the engine bit-identical to the pre-dynamics
 	// goldens.
@@ -355,11 +352,11 @@ type Scratch[T any] struct {
 }
 
 // NewScratch builds an empty Scratch whose pool has GOMAXPROCS worker
-// slots. No goroutines are started until the first engaged batch; Close
-// stops them.
+// slots and engages at parallelThreshold items. No goroutines are
+// started until the first engaged batch; Close stops them.
 func NewScratch[T any]() *Scratch[T] {
 	sc := &Scratch[T]{}
-	sc.r.pool = engine.NewPool(0, 1)
+	sc.r.pool = engine.NewPool(0, parallelThreshold)
 	sc.r.rands = make([]*engine.FastRand, sc.r.pool.Size())
 	sc.r.envRand = engine.NewFastRand(0)
 	return sc
@@ -432,14 +429,6 @@ func RunWith[T any](sc *Scratch[T], p core.Problem[T], e env.Environment, initia
 	if maxRounds <= 0 {
 		maxRounds = DefaultMaxRounds
 	}
-	threshold := opts.ParallelThreshold
-	switch {
-	case threshold == 0:
-		threshold = DefaultParallelThreshold
-	case threshold < 0:
-		threshold = int(^uint(0) >> 1) // never engage: serial rounds
-	}
-
 	r := &sc.r
 	r.p, r.e, r.g, r.opts, r.cmp = p, e, g, opts, p.Cmp()
 	r.stutterOnEqual = core.IsStutterOnEqual(p)
@@ -448,7 +437,6 @@ func RunWith[T any](sc *Scratch[T], p core.Problem[T], e env.Environment, initia
 	if joiners > 0 || (opts.Dynamics != nil && opts.Dynamics.Amnesiac()) {
 		r.initVals = append(r.initVals, initial...)
 	}
-	r.pool.SetThreshold(threshold)
 	// Rebind the observability probe every run: a nil opts.Probe must also
 	// CLEAR any probe a previous run on this warm scratch attached.
 	r.obs = opts.Probe
@@ -901,7 +889,7 @@ func (r *runner[T]) allEqual(members []int) bool {
 // the marker every usable edge is asked about. Either way a returned pair
 // is in the one matching the round's keyed ranks define, independent of
 // the shard count, the pool and the marker, so results are bit-identical
-// for every Shards/ParallelThreshold/GOMAXPROCS combination. The return
+// for every shard count, pool engagement and GOMAXPROCS. The return
 // value is the number of pairs returned, which are the pairs stepped.
 func (r *runner[T]) stepPairs(es env.State, round int) int {
 	var candidates bitset.Set

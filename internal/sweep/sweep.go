@@ -134,9 +134,10 @@ type Axes struct {
 	BaseSeed int64
 	// MaxRounds caps each cell (0 = sim.DefaultMaxRounds).
 	MaxRounds int
-	// Shards and ParallelThreshold are forwarded to every cell's
-	// sim.Options (zero = auto, as in sim).
-	Shards, ParallelThreshold int
+	// Shards is forwarded to every cell's sim.Options (zero = auto, as
+	// in sim). Whether a cell's groups fan out to the worker pool is sim's
+	// own rule, not an axis: it never changes a result.
+	Shards int
 }
 
 // Cell is one fully resolved grid point: everything an independent
@@ -258,13 +259,12 @@ func (a Axes) Grid() (*Grid, error) {
 									Replica:  rep,
 									InitSeed: engine.SubSeed(a.BaseSeed, 2*idx+1),
 									Opts: sim.Options{
-										Seed:              engine.SubSeed(a.BaseSeed, 2*idx),
-										Mode:              mode,
-										MaxRounds:         a.MaxRounds,
-										StopOnConverged:   true,
-										Shards:            a.Shards,
-										ParallelThreshold: a.ParallelThreshold,
-										Dynamics:          sched,
+										Seed:            engine.SubSeed(a.BaseSeed, 2*idx),
+										Mode:            mode,
+										MaxRounds:       a.MaxRounds,
+										StopOnConverged: true,
+										Shards:          a.Shards,
+										Dynamics:        sched,
 									},
 								})
 								idx++

@@ -138,26 +138,26 @@ func TestSweepSeedsAreSubstreams(t *testing.T) {
 	}
 }
 
-// TestSweepNestedShardedRespectsBudget: a grid whose cells force the
-// sharded, pool-parallel layout must keep the process-wide extra-worker
-// count within the engine.AcquireSlots budget — sweep workers and the
-// pools nested inside their cells draw from the same pot.
+// TestSweepNestedShardedRespectsBudget: a grid whose cells force four
+// shards, whose repair fans out on each cell's pool (DoAll) every round,
+// must keep the process-wide extra-worker count within the
+// engine.AcquireSlots budget — sweep workers and the pools nested inside
+// their cells draw from the same pot.
 func TestSweepNestedShardedRespectsBudget(t *testing.T) {
 	old := goruntime.GOMAXPROCS(4)
 	defer goruntime.GOMAXPROCS(old)
 	engine.ResetSlotPeak()
 
 	a := Axes{
-		Envs:              []env.Desc{env.ChurnDesc(0.6)},
-		Problems:          []problems.Desc{problems.MinDesc()},
-		Topos:             []Topo{RingTopo()},
-		Sizes:             []int{64},
-		Modes:             []sim.Mode{sim.ComponentMode, sim.PairwiseMode},
-		Seeds:             4,
-		BaseSeed:          7,
-		MaxRounds:         60_000,
-		Shards:            4,
-		ParallelThreshold: 1,
+		Envs:      []env.Desc{env.ChurnDesc(0.6)},
+		Problems:  []problems.Desc{problems.MinDesc()},
+		Topos:     []Topo{RingTopo()},
+		Sizes:     []int{64},
+		Modes:     []sim.Mode{sim.ComponentMode, sim.PairwiseMode},
+		Seeds:     4,
+		BaseSeed:  7,
+		MaxRounds: 60_000,
+		Shards:    4,
 	}
 	grid, err := a.Grid()
 	if err != nil {

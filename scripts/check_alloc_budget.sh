@@ -107,10 +107,26 @@
 # Benchmarks run one iteration with a fixed seed, so allocs/op is a stable
 # budget number for the simulator and a bounded-noise one for the
 # multi-worker scheduler.
+#
+# Each package runs in its own `go test` process, one after the other:
+# one `go test` call over several packages runs their benchmark binaries
+# side by side, so the root package's 10⁵–10⁶-agent cells load the CPU
+# under the zero budgets. A loaded CPU costs a zero budget allocations
+# that are not the code's: when ReadMemStats (b.ResetTimer, b.StopTimer)
+# restarts the world with a P idle, the runtime may start an OS thread
+# for it, and that thread's m and g structs (5 objects, 5248 B) land in
+# the timed op. internal/multiset's Replace runs on one goroutine, so its
+# process runs at GOMAXPROCS=1 (-cpu=1), where no P is idle and the code
+# measured is the same.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-out=$(go test -run '^$' -bench 'BenchmarkSimComponentRing64$|BenchmarkSimPairwiseSharded4k$|BenchmarkSweepGrid$|BenchmarkSimWithDynamics$|BenchmarkSimPairwiseDelta1e5$|BenchmarkJoinSplice$|BenchmarkSimRoundProbed$|BenchmarkSchedExchange1e4$|BenchmarkObserveRoundConsensus1e6$|BenchmarkMatcherMatch1e5$|BenchmarkTrackerReplaceSparse$' -benchtime=1x -benchmem . ./internal/engine ./internal/multiset)
+bench='BenchmarkSimComponentRing64$|BenchmarkSimPairwiseSharded4k$|BenchmarkSweepGrid$|BenchmarkSimWithDynamics$|BenchmarkSimPairwiseDelta1e5$|BenchmarkJoinSplice$|BenchmarkSimRoundProbed$|BenchmarkSchedExchange1e4$|BenchmarkObserveRoundConsensus1e6$|BenchmarkMatcherMatch1e5$|BenchmarkTrackerReplaceSparse$'
+out=
+for pkg in . ./internal/engine '-cpu=1 ./internal/multiset'; do
+  # $pkg is unquoted so that the multiset entry splits into flag and path.
+  out+=$(go test -run '^$' -bench "$bench" -benchtime=1x -benchmem $pkg)$'\n'
+done
 echo "$out"
 
 fail=0

@@ -261,14 +261,6 @@ const (
 	PairwiseMode  = sim.PairwiseMode
 )
 
-// DefaultParallelThreshold is the per-round group count at which the
-// round engine fans group steps out to its persistent worker pool (sized
-// to GOMAXPROCS). Options.ParallelThreshold overrides it; results are
-// bit-for-bit identical either way, because every group steps on a
-// private stream keyed on (seed, round, smallest member). See DESIGN.md
-// §2.
-const DefaultParallelThreshold = sim.DefaultParallelThreshold
-
 // Simulate runs the round-based engine (the paper's execution model) for
 // problem p over environment e from the given initial states.
 func Simulate[T any](p Problem[T], e Environment, initial []T, opts Options) (*Result[T], error) {
@@ -291,7 +283,7 @@ func SimulateAsync[T any](p Problem[T], g *Graph, initial []T, opts AsyncOptions
 }
 
 // DefaultAsyncOptions returns sensible asynchronous defaults: one worker
-// per core, static links, stealing on, 10s timeout.
+// per core, static links, 10s timeout.
 func DefaultAsyncOptions(seed int64) AsyncOptions {
 	return AsyncOptions{Seed: seed, LinkUpProbability: 1, Timeout: 10 * time.Second}
 }
