@@ -24,7 +24,8 @@ import (
 // on wall-clock time would break the first bound on a slow machine; one
 // that checked on every adoption would break the second. The ring's
 // N/2 = 128 sits above the floor of 64, which the complete graph's
-// N = 10 exercises.
+// N = 10 exercises. At this rate the second bound implies the first;
+// TestSchedQuiescenceGatedOnAdoption pins the adoption gate on its own.
 func TestSchedQuiescenceIsEventDriven(t *testing.T) {
 	ring := make([]int, 256)
 	for i := range ring {
@@ -60,6 +61,51 @@ func TestSchedQuiescenceIsEventDriven(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestSchedQuiescenceGatedOnAdoption: a quiescence check runs only after
+// some agent adopted a new state since the last one. Min on two disjoint
+// rings never reaches the global target, so the run spends its op budget
+// (a worker may stop one initiation short of it); each ring settles early and then adopts nothing more. Every
+// adoption strictly lowers an agent's value to another initial value,
+// so a run makes at most N·(N-1) adoptions and, with the gate, at most
+// that many checks. Without it the rate limit alone would check once per
+// max(64, N/2) = 64 initiations, about MaxOps/64 = 1000 times.
+func TestSchedQuiescenceGatedOnAdoption(t *testing.T) {
+	const half = 8
+	edges := make([]graph.Edge, 0, 2*half)
+	for _, off := range []int{0, half} {
+		for i := 0; i < half; i++ {
+			edges = append(edges, graph.NewEdge(off+i, off+(i+1)%half))
+		}
+	}
+	g, err := graph.New("two-rings", 2*half, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals := make([]int, 2*half)
+	for i := range vals {
+		vals[i] = (i*7 + 3) % (2 * half)
+	}
+	n := g.N()
+	for _, w := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
+			o := topts()
+			o.Workers = w
+			o.MaxOps = 64 * 1000
+			res, err := Run[int](problems.NewMin(), g, vals, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Converged || res.Ops < o.MaxOps/2 {
+				t.Fatalf("disconnected min run halted early: converged=%v ops=%d of %d", res.Converged, res.Ops, o.MaxOps)
+			}
+			if limit := n * (n - 1); res.QuiescenceChecks == 0 || res.QuiescenceChecks > limit {
+				t.Errorf("QuiescenceChecks = %d over %d ops, want 1..%d (one per adoption at most)",
+					res.QuiescenceChecks, res.Ops, limit)
+			}
+		})
 	}
 }
 

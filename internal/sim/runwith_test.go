@@ -26,9 +26,11 @@ func fingerprint(res *Result[int]) string {
 // match an independent single-use Run bit for bit. This is the warm-
 // engine contract the scenario-sweep runner depends on: nothing
 // observable may leak from one run into the next through the reused
-// trackers, matchers, monitor, streams, or arenas.
+// trackers, matchers, monitor, streams, or arenas. The warm scratch's
+// pool engages at one item, so its group steps, per-worker streams and
+// differ builds run on the pool while the cold runs step serially.
 func TestRunWithScratchReuseBitIdentical(t *testing.T) {
-	sc := NewScratch[int]()
+	sc := newScratchWithThreshold[int](1)
 	defer sc.Close()
 
 	mkVals := func(n int, seed int64) []int {
