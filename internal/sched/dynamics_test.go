@@ -1,9 +1,11 @@
 package sched
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/dynamics"
 	"repro/internal/graph"
 	ms "repro/internal/multiset"
@@ -129,12 +131,10 @@ func TestSchedJoin(t *testing.T) {
 	}
 }
 
-// TestSchedJoinAmnesiacFlap composes everything E19 throws at a run —
-// crashes, amnesiac re-entry, and joins — on min, which is insensitive
-// to re-introduced initial values (§3.4 positive case): zero violations
-// is pinned.
-func TestSchedJoinAmnesiacFlap(t *testing.T) {
-	g := graph.Ring(16)
+// flapRun is the E19 composition on a 16-ring: crashes, amnesiac
+// re-entry, and two joiners, the global minimum among them. It returns
+// the founding and joiner states and the options that schedule them.
+func flapRun() ([]int, Options) {
 	initial := make([]int, 18)
 	for i := range initial {
 		initial[i] = 7 + (i*5)%23
@@ -142,7 +142,7 @@ func TestSchedJoinAmnesiacFlap(t *testing.T) {
 	initial[9] = 2 // founding minimum
 	initial[16] = 1
 	initial[17] = 3 // joiners: the global minimum joins late
-	res, err := Run[int](problems.NewMin(), g, initial, Options{
+	return initial, Options{
 		Seed: 21, Timeout: 30 * time.Second,
 		OpsPerEpoch: 48,
 		Dynamics: dynamics.NewSchedule(
@@ -151,7 +151,15 @@ func TestSchedJoinAmnesiacFlap(t *testing.T) {
 			dynamics.Join(2, "ring", 6),
 			dynamics.AmnesiacRejoin(),
 		),
-	})
+	}
+}
+
+// TestSchedJoinAmnesiacFlap runs flapRun's schedule on min, which is
+// insensitive to re-introduced initial values (§3.4 positive case):
+// zero violations is pinned.
+func TestSchedJoinAmnesiacFlap(t *testing.T) {
+	initial, o := flapRun()
+	res, err := Run[int](problems.NewMin(), graph.Ring(16), initial, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,6 +172,31 @@ func TestSchedJoinAmnesiacFlap(t *testing.T) {
 	for _, v := range res.Final {
 		if v != 1 {
 			t.Fatalf("final = %v, want all 1", res.Final)
+		}
+	}
+}
+
+// TestSchedChecksRaceEpochSafepoints runs flapRun's schedule on several
+// workers, so quiescence checks and dynamics epochs ask for safepoints
+// concurrently and one safepoint may answer both. gcd declares no
+// core.Consensus, so its checks copy and sort the stopped states; min
+// scans them. Both are insensitive to re-introduced initial values
+// (§3.4), so the run must converge cleanly onto the join-extended
+// target, with the check that halted it run at a safepoint.
+func TestSchedChecksRaceEpochSafepoints(t *testing.T) {
+	for _, p := range []core.Problem[int]{problems.NewMin(), problems.NewGCD()} {
+		for _, w := range []int{2, 4} {
+			t.Run(fmt.Sprintf("%s/workers=%d", p.Name(), w), func(t *testing.T) {
+				initial, o := flapRun()
+				o.Workers = w
+				res := converged(t, p, graph.Ring(16), initial, o)
+				if final := ms.New(p.Cmp(), res.Final...); !final.Equal(res.Target) {
+					t.Errorf("final %v != target %v", final, res.Target)
+				}
+				if res.QuiescenceChecks < 1 {
+					t.Error("no quiescence check ran")
+				}
+			})
 		}
 	}
 }

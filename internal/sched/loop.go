@@ -386,7 +386,7 @@ func (r *run[T]) handle(a int32, m message[T], rng *engine.FastRand) {
 		na, nb := r.p.PairStep(m.state, r.states[a], rng.Rand)
 		if r.cmp(r.states[a], nb) != 0 {
 			r.states[a] = nb
-			r.post(a, nb)
+			r.adoptions.Add(1)
 		}
 		r.deliver(m.from, m.from, message[T]{from: a, kind: msgReplyOK, state: na})
 	case msgReplyOK:
@@ -395,7 +395,7 @@ func (r *run[T]) handle(a int32, m message[T], rng *engine.FastRand) {
 		r.opts.Probe.Add(obs.CounterExchDeliver, 1)
 		if r.cmp(r.states[a], m.state) != 0 {
 			r.states[a] = m.state
-			r.post(a, m.state)
+			r.adoptions.Add(1)
 			r.properSteps.Add(1)
 		}
 		r.settleCrash(a)
@@ -520,82 +520,77 @@ func (r *run[T]) held(n int64) bool {
 	return false
 }
 
-// maybeCheckQuiescence runs the rate-limited convergence check: only
-// when some agent adopted since the last check AND at least checkEvery
-// = max(64, N/2) initiations have passed since it, N the founding
-// population. Checks stay event-driven and op-bounded — never more than
-// one per adoption, never on a wall-clock schedule — and a 10⁵-agent run
-// does not pay a board scan per adoption.
+// maybeCheckQuiescence requests the rate-limited convergence check:
+// only when some agent adopted since the last check AND at least
+// checkEvery = max(64, N/2) initiations have passed since it, N the
+// founding population. Checks stay event-driven and op-bounded — never
+// more than one per adoption, never on a wall-clock schedule — and a
+// 10⁵-agent run does not stop the world per adoption. The check itself
+// runs at a safepoint, where states is authoritative.
 func (r *run[T]) maybeCheckQuiescence() {
-	ad := r.adoptions.Load()
-	if ad == r.checkedAdopt.Load() {
-		return
-	}
-	if r.ops.Load()-r.lastCheckOps.Load() < r.checkEvery {
-		return
-	}
-	if !r.checkMu.TryLock() {
-		return
-	}
-	defer r.checkMu.Unlock()
-	ad = r.adoptions.Load()
-	if ad == r.checkedAdopt.Load() {
-		return
-	}
-	r.checkedAdopt.Store(ad)
-	r.lastCheckOps.Store(r.ops.Load())
-	r.checks.Add(1)
-
-	if r.boardReached() {
-		if r.ap != nil && r.ap.PendingJoins() {
-			return // joins outstanding: the target will still move
-		}
-		r.halt()
+	if r.checkGates() {
+		r.sp.want.Store(true)
+		r.barrier()
 	}
 }
 
-// boardReached reports whether the board equals the target. For a
-// consensus problem S* is |S*| copies of c*, so the board is scanned slot
-// by slot under its lock and the scan stops at the first slot ≠ c*;
-// any other problem copies the board under the slot locks and sorts it
-// for the monitor's multiset comparison. Both verdicts are the
-// monitor's Reached on the same snapshot.
-func (r *run[T]) boardReached() bool {
+// checkGates reports whether both check gates pass: an adoption since
+// the last check, and checkEvery initiations since it.
+func (r *run[T]) checkGates() bool {
+	return r.adoptions.Load() != r.checkedAdopt && r.ops.Load()-r.lastCheckOps >= r.checkEvery
+}
+
+// quiescent runs the check with the world stopped and reports whether
+// the run may halt: states equals the target and no join is
+// outstanding. It runs at every safepoint whose gates pass, whether a
+// check or an epoch asked for the safepoint, and several workers may
+// have asked for the one safepoint, so the gates are re-read here.
+func (r *run[T]) quiescent() bool {
+	if !r.checkGates() {
+		return false
+	}
+	r.checkedAdopt = r.adoptions.Load()
+	r.lastCheckOps = r.ops.Load()
+	r.checks++
+	if !r.reached() {
+		return false
+	}
+	return r.ap == nil || !r.ap.PendingJoins() // joins outstanding: the target will still move
+}
+
+// reached reports whether states equals the target. For a consensus
+// problem S* is |S*| copies of c*, so the scan stops at the first agent
+// ≠ c*; any other problem copies and sorts the states for the monitor's
+// multiset comparison. Both verdicts are the monitor's Reached on the
+// same states. No lock is taken: every worker is parked.
+func (r *run[T]) reached() bool {
 	if c, n, ok := r.mon.ConsensusTarget(); ok {
-		if len(r.board) != n {
+		if len(r.states) != n {
 			return false
 		}
-		for i := range r.board {
-			sl := &r.board[i]
-			sl.mu.Lock()
-			eq := r.cmp(sl.v, c) == 0
-			sl.mu.Unlock()
-			if !eq {
+		for _, v := range r.states {
+			if r.cmp(v, c) != 0 {
 				return false
 			}
 		}
 		return true
 	}
-	r.viewBuf = r.viewBuf[:0]
-	for i := range r.board {
-		sl := &r.board[i]
-		sl.mu.Lock()
-		r.viewBuf = append(r.viewBuf, sl.v)
-		sl.mu.Unlock()
-	}
+	r.viewBuf = append(r.viewBuf[:0], r.states...)
 	slices.SortFunc(r.viewBuf, r.cmp)
 	return r.mon.Reached(ms.View(r.cmp, r.viewBuf))
 }
 
-// barrier parks the calling worker for a dynamics safepoint. The first
-// worker to arrive conducts: it waits for every other live worker to
-// park or exit, applies every epoch whose boundary has passed, and
-// releases the fleet.
+// barrier parks the calling worker for a safepoint. The first worker to
+// arrive conducts: it waits for every other live worker to park or
+// exit, applies every dynamics epoch whose boundary has passed, runs the
+// quiescence check, and releases the fleet. A check that finds
+// the target halts the run once the conductor has let go of sp.mu, which
+// halt takes.
 func (r *run[T]) barrier() {
 	sp := &r.sp
 	sp.mu.Lock()
-	defer sp.mu.Unlock()
 	if !sp.want.Load() {
+		sp.mu.Unlock()
 		return
 	}
 	if sp.conducting {
@@ -605,6 +600,7 @@ func (r *run[T]) barrier() {
 			sp.cond.Wait()
 		}
 		sp.parked--
+		sp.mu.Unlock()
 		return
 	}
 	sp.conducting = true
@@ -623,17 +619,25 @@ func (r *run[T]) barrier() {
 	for sp.parked+sp.exited < len(r.shards)-1 && !r.stop.Load() {
 		sp.cond.Wait()
 	}
+	done := false
 	if !r.stop.Load() {
-		now := r.ops.Load()
-		for r.nextEpochAt.Load() <= now {
-			r.epoch++
-			r.applyEpoch(r.epoch)
-			r.nextEpochAt.Add(int64(r.opts.OpsPerEpoch))
+		if r.ap != nil {
+			now := r.ops.Load()
+			for r.nextEpochAt.Load() <= now {
+				r.epoch++
+				r.applyEpoch(r.epoch)
+				r.nextEpochAt.Add(int64(r.opts.OpsPerEpoch))
+			}
 		}
+		done = r.quiescent()
 	}
 	sp.conducting = false
 	sp.want.Store(false)
 	sp.cond.Broadcast()
+	sp.mu.Unlock()
+	if done {
+		r.halt()
+	}
 }
 
 // applyEpoch applies dynamics epoch e while every other worker is parked
@@ -675,7 +679,7 @@ func (r *run[T]) applyEpoch(e int) {
 			// which problems survive it, and the monitor reports
 			// exactly that at quiescence).
 			r.states[a] = r.initVals[a]
-			r.post(a, r.states[a])
+			r.adoptions.Add(1)
 			reset = true
 		}
 		sh := r.home(a)
@@ -688,7 +692,7 @@ func (r *run[T]) applyEpoch(e int) {
 }
 
 // applyGrowth extends every run structure for joiners arriving at a
-// safepoint: states and board, the scheduling arrays, the last shard's
+// safepoint: states, the scheduling arrays, the last shard's
 // block (the engine.Shards append rule), CSR (degrees may change
 // anywhere), one empty inbox and one slot per joiner, and the shared
 // monitor's target — the sim applyGrowth protocol on the sched runtime.
@@ -710,15 +714,6 @@ func (r *run[T]) applyGrowth(gr graph.Growth) {
 		r.actDue = append(r.actDue, 0)
 		r.backoff = append(r.backoff, AIMD{})
 	}
-	board := make([]boardSlot[T], n)
-	for i := 0; i < n0; i++ {
-		board[i].v = r.board[i].v
-	}
-	for a := n0; a < n; a++ {
-		board[a].v = r.states[a]
-	}
-	r.board = board
-
 	last := &r.shards[len(r.shards)-1]
 	last.hi = n
 	r.buildCSR()

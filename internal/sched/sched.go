@@ -30,7 +30,10 @@
 // been adopted and the other is in flight, so conservation and variant
 // descent are asserted at quiescence — via the same engine.Monitor the
 // round-based engine uses — against authoritative states gathered after
-// every worker has stopped.
+// every worker has stopped. The convergence check that decides when to
+// stop reads the same states array, at a safepoint with the world
+// stopped, so every agent-state read outside a worker happens with no
+// worker running.
 //
 // Architecture:
 //
@@ -63,14 +66,17 @@
 //     replay pin the 1-worker golden holds (with one shard there is
 //     nothing to steal).
 //
-//   - Dynamics run at EPOCH SAFEPOINTS: every OpsPerEpoch initiations the
-//     crossing worker requests a stop-the-world pause, all workers park
-//     at a barrier, and the requester applies one dynamics "round" —
-//     graph growth (Join), crash/wake with amnesiac resets, and the
-//     partition/burst edge-mask overlay, reusing dynamics.Applier
-//     verbatim — then resumes the fleet. A crash landing on an agent
-//     whose exchange half is in flight is DEFERRED until the reply is
-//     adopted, so the pair transition is never torn by a fault.
+//   - Dynamics and convergence checks run at SAFEPOINTS: every
+//     OpsPerEpoch initiations the crossing worker requests a
+//     stop-the-world pause, all workers park at a barrier, and the
+//     first to arrive applies one dynamics "round" — graph growth
+//     (Join), crash/wake with amnesiac resets, and the partition/burst
+//     edge-mask overlay, reusing dynamics.Applier verbatim — then
+//     resumes the fleet. A rate-limited quiescence check requests the
+//     same pause and compares the stopped states with the target. A
+//     crash landing on an agent whose exchange half is in flight is
+//     DEFERRED until the reply is adopted, so the pair transition is
+//     never torn by a fault.
 //
 // Link availability is a per-initiation Bernoulli draw on the
 // initiator's stream (an O(E) link-table refresh does not scale to 10⁶
@@ -154,7 +160,8 @@ type Result[T any] struct {
 	// Target is f(S(0)), extended by any scheduled joiners.
 	Target ms.Multiset[T]
 	// QuiescenceChecks counts how many times the quiescence detector
-	// examined the observation board. Checks are adoption-gated — at most
+	// compared the agent states, stopped at a safepoint, with the
+	// target. Checks are adoption-gated — at most
 	// one per adoption, never on a wall-clock schedule — so this is
 	// bounded by the number of adoptions (at most 2·Ops), never by run
 	// duration.
@@ -287,7 +294,7 @@ func Run[T any](p core.Problem[T], g *graph.Graph, initial []T, opts Options) (*
 	res.Rejections = int(r.rejections.Load())
 	res.Lost = int(r.lost.Load())
 	res.Steals = int(r.steals.Load())
-	res.QuiescenceChecks = int(r.checks.Load())
+	res.QuiescenceChecks = r.checks
 	res.Target = mon.Target()
 	// Conservation and net variant descent are judged once, on the final
 	// state, at the epoch index CheckFrozen uses. Converged is whether that
@@ -319,14 +326,6 @@ func Run[T any](p core.Problem[T], g *graph.Graph, initial []T, opts Options) (*
 	return res, nil
 }
 
-// boardSlot is one agent's cell on the observation board: the last state
-// it adopted, posted after every adoption and snapshot by the quiescence
-// check. A flat slice (not pointers) keeps the board to one allocation.
-type boardSlot[T any] struct {
-	mu sync.Mutex
-	v  T
-}
-
 // nbEntry is one CSR neighbour record: the peer agent and the connecting
 // edge id (for the dynamics edge-mask check).
 type nbEntry struct {
@@ -350,7 +349,7 @@ type run[T any] struct {
 	// Agent arrays, indexed by id. Scheduling flags live in flags under
 	// the home shard lock; everything else is owned by the worker
 	// currently processing the agent (ownership transfers through the
-	// queue locks) or by the safepoint requester (all workers parked).
+	// queue locks) or by the safepoint conductor (all workers parked).
 	states       []T
 	initVals     []T // founding + joiners, the amnesiac reset source
 	frozenVals   []T
@@ -407,16 +406,15 @@ type run[T any] struct {
 	rejections  atomic.Int64
 	lost        atomic.Int64
 	steals      atomic.Int64
-	checks      atomic.Int64
 
-	// Observation board and quiescence-check state.
-	board        []boardSlot[T]
+	// Quiescence-check state. All but adoptions is written only by a
+	// safepoint conductor, so workers read it unlocked.
 	adoptions    atomic.Int64
-	checkedAdopt atomic.Int64 // adoptions count consumed by the last check
-	lastCheckOps atomic.Int64
+	checks       int
+	checkedAdopt int64 // adoptions count consumed by the last check
+	lastCheckOps int64
 	checkEvery   int64 // least initiations between checks: max(64, N/2)
-	checkMu      sync.Mutex
-	viewBuf      []T // board copy for a non-consensus problem's check
+	viewBuf      []T   // sorted states copy for a non-consensus problem's check
 
 	// Stop machinery and the safepoint barrier.
 	stop     atomic.Bool
@@ -445,7 +443,8 @@ const skewPerWorker = 64
 // only.
 const heldEvery = 32
 
-// safepoint is the stop-the-world barrier dynamics epochs run under.
+// safepoint is the stop-the-world barrier dynamics epochs and
+// quiescence checks run under.
 type safepoint struct {
 	mu         sync.Mutex
 	cond       *sync.Cond
@@ -479,11 +478,9 @@ func (r *run[T]) setup(n int) {
 	r.sendDue = make([]int64, n)
 	r.actDue = make([]int64, n)
 	r.backoff = make([]AIMD, n)
-	r.board = make([]boardSlot[T], n)
 	for a := 0; a < n; a++ {
 		r.seedBase[a] = engine.AgentSeed(r.opts.Seed, a)
 		r.sendTo[a] = -1
-		r.board[a].v = r.states[a]
 	}
 	r.buildCSR()
 	for s := range r.shards {
@@ -504,7 +501,7 @@ func (r *run[T]) setup(n int) {
 	// Seed the adoption cursor one behind so the first rate-limit window
 	// always produces a check even if no agent ever adopts (an initial
 	// state already at the target under a dynamics schedule).
-	r.checkedAdopt.Store(-1)
+	r.checkedAdopt = -1
 
 	// Every agent starts runnable, enqueued on its home shard in id
 	// order.
@@ -614,17 +611,6 @@ func (r *run[T]) settle() {
 			}
 		}
 	}
-}
-
-// post publishes agent a's newly adopted state on the observation board.
-//
-//det:hotpath
-func (r *run[T]) post(a int32, v T) {
-	sl := &r.board[a]
-	sl.mu.Lock()
-	sl.v = v
-	sl.mu.Unlock()
-	r.adoptions.Add(1)
 }
 
 // advance moves the virtual clock forward to at least tick (monotonic

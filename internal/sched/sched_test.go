@@ -247,11 +247,11 @@ func TestSchedGoldenSingleWorker(t *testing.T) {
 
 // consensusHidden embeds a problem's interface, which promotes every
 // core.Problem method but not the core.Consensus declaration, so the
-// quiescence check copies and sorts the board instead of scanning it.
+// quiescence check copies and sorts the states instead of scanning them.
 type consensusHidden struct{ core.Problem[int] }
 
 // TestSchedConsensusHidden: with Workers=1 a run is a pure function of
-// the seed, so the consensus board scan must reproduce the copy-and-sort
+// the seed, so the consensus state scan must reproduce the copy-and-sort
 // check exactly — the same halts, hence the same ops, QuiescenceChecks,
 // final state and violations — for min and max, with and without a
 // join-and-amnesiac-flap schedule.
@@ -289,7 +289,7 @@ func TestSchedConsensusHidden(t *testing.T) {
 			marked, mv := run(p)
 			hidden, hv := run(consensusHidden{p})
 			if marked != hidden || !slices.Equal(mv, hv) {
-				t.Errorf("%s (dynamics %v): board scan %+v %q != copy-and-sort %+v %q", p.Name(), dyn, marked, mv, hidden, hv)
+				t.Errorf("%s (dynamics %v): state scan %+v %q != copy-and-sort %+v %q", p.Name(), dyn, marked, mv, hidden, hv)
 			}
 			if marked.checks == 0 {
 				t.Errorf("%s (dynamics %v): no quiescence check ran", p.Name(), dyn)

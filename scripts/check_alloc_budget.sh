@@ -85,9 +85,11 @@
 # exchange (a boxed message, a heap node) adds tens of thousands and
 # fails loudly. Its bytes are budgeted too (B/op): the mailboxes
 # are one 16-byte message slot and one link per agent, since an exchange
-# has at most one message in flight, and the run measures ~2.22 MB/op.
-# The budget of 3,000,000 B/op sits ~1.35× above that and below the
-# ~4.22 MB/op that per-agent rings of next-pow2(degree+2) slots cost, so
+# has at most one message in flight, and the agent states are kept
+# once, since the quiescence check reads them at a stop-the-world
+# safepoint: the run measures ~2.09 MB/op. The budget
+# of 3,000,000 B/op sits ~1.43× above that and below the ~4.22 MB/op
+# that per-agent rings of next-pow2(degree+2) slots cost, so
 # reintroducing per-degree mailbox storage fails.
 #
 # BenchmarkMatcherMatch1e5 (internal/engine) pins the pairwise matching
@@ -115,18 +117,25 @@
 # that are not the code's: when ReadMemStats (b.ResetTimer, b.StopTimer)
 # restarts the world with a P idle, the runtime may start an OS thread
 # for it, and that thread's m and g structs (5 objects, 5248 B) land in
-# the timed op. internal/multiset's Replace runs on one goroutine, so its
-# process runs at GOMAXPROCS=1 (-cpu=1), where no P is idle and the code
-# measured is the same.
+# the timed op. A zero-budget benchmark whose code runs on one goroutine
+# therefore runs in a process of its own at GOMAXPROCS=1 (-cpu=1), where
+# no P is idle and the code measured is the same: internal/multiset's
+# Replace, and BenchmarkObserveRoundConsensus1e6, whose monitor flushes
+# through a one-worker pool. BenchmarkMatcherMatch1e5 measures a pool of
+# two, so it keeps GOMAXPROCS=2.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-bench='BenchmarkSimComponentRing64$|BenchmarkSimPairwiseSharded4k$|BenchmarkSweepGrid$|BenchmarkSimWithDynamics$|BenchmarkSimPairwiseDelta1e5$|BenchmarkJoinSplice$|BenchmarkSimRoundProbed$|BenchmarkSchedExchange1e4$|BenchmarkObserveRoundConsensus1e6$|BenchmarkMatcherMatch1e5$|BenchmarkTrackerReplaceSparse$'
 out=
-for pkg in . ./internal/engine '-cpu=1 ./internal/multiset'; do
-  # $pkg is unquoted so that the multiset entry splits into flag and path.
-  out+=$(go test -run '^$' -bench "$bench" -benchtime=1x -benchmem $pkg)$'\n'
-done
+# bench REGEXP [FLAGS...] PKG appends one `go test` process's benchmark
+# output to $out.
+bench() {
+  out+=$(go test -run '^$' -bench "$1" -benchtime=1x -benchmem "${@:2}")$'\n'
+}
+bench 'BenchmarkSimComponentRing64$|BenchmarkSimPairwiseSharded4k$|BenchmarkSweepGrid$|BenchmarkSimWithDynamics$|BenchmarkSimPairwiseDelta1e5$|BenchmarkJoinSplice$|BenchmarkSimRoundProbed$|BenchmarkSchedExchange1e4$' .
+bench 'BenchmarkMatcherMatch1e5$' ./internal/engine
+bench 'BenchmarkObserveRoundConsensus1e6$' -cpu=1 ./internal/engine
+bench 'BenchmarkTrackerReplaceSparse$' -cpu=1 ./internal/multiset
 echo "$out"
 
 fail=0
