@@ -3,7 +3,6 @@
 // experiment report.
 //
 //	experiments                  # run everything, print markdown to stdout
-//	experiments -e 4             # run one experiment by number
 //	experiments -only E15        # run one section by ID
 //	experiments -only E4,E8,E17  # re-run a subset without the full suite
 //	experiments -quick           # reduced scale
@@ -21,7 +20,6 @@ import (
 )
 
 func main() {
-	one := flag.Int("e", 0, "experiment number to run (1–20; 0 = all)")
 	only := flag.String("only", "", "comma-separated section IDs to run (e.g. E15 or E4,E8); empty = all")
 	quick := flag.Bool("quick", false, "reduced scale (fewer seeds, smaller sweeps)")
 	out := flag.String("o", "", "write markdown to this file instead of stdout")
@@ -51,18 +49,7 @@ func main() {
 		cfg.Obs = obs.NewProbe(obs.Config{Trace: tw, PprofLabels: *pprofLabels})
 	}
 
-	all := []func(experiments.Config) experiments.Section{
-		experiments.E1Fig1, experiments.E2Fig2, experiments.E3Fig3,
-		experiments.E4Adaptivity, experiments.E5Partition, experiments.E6Scale,
-		experiments.E7Sum, experiments.E8Sort, experiments.E9Classification,
-		experiments.E10ModelCheck, experiments.E11Ablation, experiments.E12Fairness,
-		experiments.E13Continuous, experiments.E14EscapePostulate,
-		experiments.E15Scaling, experiments.E16ScenarioMatrix,
-		experiments.E17Dynamics, experiments.E18RoundCost,
-		experiments.E19Membership, experiments.E20SchedScale,
-	}
-
-	selected, err := selectSections(all, *one, *only)
+	selected, err := selectSections(experiments.Sections(), *only)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(2)
@@ -136,21 +123,11 @@ func main() {
 	}
 }
 
-// selectSections resolves the -e / -only filters against the section
-// list: -only takes section IDs ("E15", case-insensitive, comma
-// separated) in the order E1…E16 regardless of how the filter lists
-// them; -e keeps its historical numeric form. Using both is an error, as
-// is an unknown ID.
-func selectSections(all []func(experiments.Config) experiments.Section, one int, only string) ([]func(experiments.Config) experiments.Section, error) {
-	if one != 0 && only != "" {
-		return nil, fmt.Errorf("-e and -only are mutually exclusive")
-	}
-	if one != 0 {
-		if one < 1 || one > len(all) {
-			return nil, fmt.Errorf("-e must be 0–%d", len(all))
-		}
-		return all[one-1 : one], nil
-	}
+// selectSections resolves the -only filter against the section list:
+// it takes section IDs ("E15", case-insensitive, comma separated) and
+// keeps report order (E1…E20) regardless of how the filter lists them.
+// An unknown ID is an error.
+func selectSections(all []func(experiments.Config) experiments.Section, only string) ([]func(experiments.Config) experiments.Section, error) {
 	if only == "" {
 		return all, nil
 	}

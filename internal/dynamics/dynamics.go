@@ -63,7 +63,6 @@ package dynamics
 
 import (
 	"fmt"
-	"math"
 	"slices"
 
 	"repro/internal/bitset"
@@ -902,12 +901,16 @@ func (a *Applier) BeginRound(round int, es env.State) env.State {
 			anyCut = anyCut || want
 		case ruleBurst:
 			if r.activeAt(round) {
-				a.burstIDs = sampleIDs(a.burstIDs, a.g.M(), r.q, a.rng)
+				a.burstIDs = env.SampleBernoulli(a.burstIDs, a.g.M(), r.q, a.rng.Rand)
 			}
 		case ruleRandomCrashes:
 			// Crashes: geometric gap skipping over the agent ids, so the
 			// draw count is O(1 + n·rate); already-crashed hits are no-ops.
-			a.sampleCrashes(r.rate)
+			// The crash ids borrow the recoveries' scratch slice.
+			a.wakeScratch = env.SampleBernoulli(a.wakeScratch[:0], a.g.N(), r.rate, a.rng.Rand)
+			for _, ag := range a.wakeScratch {
+				a.crash(ag)
+			}
 			// Recoveries: one draw per crashed agent, ascending order.
 			a.wakeScratch = a.wakeScratch[:0]
 			for _, ag := range a.frozen {
@@ -961,16 +964,6 @@ func (a *Applier) BeginRound(round int, es env.State) env.State {
 	return env.State{EdgeUp: eu, AgentUp: au}
 }
 
-// sampleCrashes samples this round's random crashes with probability
-// rate per agent id via geometric gap skipping.
-func (a *Applier) sampleCrashes(rate float64) {
-	n := a.g.N()
-	l := math.Log1p(-rate)
-	for id := geometricGap(a.rng, l, n); id < n; id += 1 + geometricGap(a.rng, l, n) {
-		a.crash(id)
-	}
-}
-
 // EndRound undoes BeginRound's overlay writes, restoring the
 // environment's buffers to exactly the values its Step produced.
 func (a *Applier) EndRound() {
@@ -1020,31 +1013,3 @@ func (a *Applier) Frozen() []int { return a.frozen }
 
 // Report returns the dynamics observables accumulated so far.
 func (a *Applier) Report() Report { return a.rep }
-
-// geometricGap returns the number of skipped ids before the next
-// selected one: Geometric(q) on {0, 1, …} via inversion, with gaps at or
-// beyond limit saturating to limit (same derivation as env's churn
-// sampler; logOneMinusQ is the precomputed log1p(−q), nonzero for every
-// q in (0, 1]).
-func geometricGap(rng *engine.FastRand, logOneMinusQ float64, limit int) int {
-	u := 1 - rng.Float64()
-	g := math.Log(u) / logOneMinusQ
-	if !(g < float64(limit)) { // catches +Inf and NaN too
-		return limit
-	}
-	return int(g)
-}
-
-// sampleIDs appends to dst the ascending ids in [0, m) selected
-// independently with probability q, consuming one draw per selected id
-// plus one overshoot draw.
-func sampleIDs(dst []int, m int, q float64, rng *engine.FastRand) []int {
-	if q <= 0 || m == 0 {
-		return dst
-	}
-	l := math.Log1p(-q)
-	for id := geometricGap(rng, l, m); id < m; id += 1 + geometricGap(rng, l, m) {
-		dst = append(dst, id)
-	}
-	return dst
-}

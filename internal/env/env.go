@@ -227,8 +227,27 @@ func (e *EdgeChurn) Name() string { return fmt.Sprintf("edge-churn(p=%.2f)", e.P
 // Graph implements Environment.
 func (e *EdgeChurn) Graph() *graph.Graph { return e.g }
 
-// geometricGap returns the number of majority-valued edges preceding the
-// next minority edge: Geometric(q) on {0, 1, …} via inversion. 1−U is in
+// SampleBernoulli appends to dst the ascending ids in [0, m), each
+// selected independently with probability q, by geometric gap skipping:
+// it draws one Float64 per selected id plus one final overshoot draw, so a
+// call costs O(1 + m·q) rather than O(m). q ≤ 0 or m = 0 selects nothing
+// and draws nothing. It is the one Bernoulli sampler behind EdgeChurn's
+// minority edges and the dynamics schedule's bursts and random crashes.
+//
+//det:hotpath
+func SampleBernoulli(dst []int, m int, q float64, rng *rand.Rand) []int {
+	if q <= 0 || m == 0 {
+		return dst
+	}
+	l := math.Log1p(-q)
+	for id := geometricGap(rng, l, m); id < m; id += 1 + geometricGap(rng, l, m) {
+		dst = append(dst, id)
+	}
+	return dst
+}
+
+// geometricGap returns the number of unselected ids preceding the next
+// selected one: Geometric(q) on {0, 1, …} via inversion. 1−U is in
 // (0, 1], so its logarithm is finite; logOneMinusQ is the precomputed
 // log1p(−q), which is nonzero for every q in (0, 1] — including denormal
 // q, where log(1−q) would round to log(1.0) = 0 and the division would
@@ -241,24 +260,6 @@ func geometricGap(rng *rand.Rand, logOneMinusQ float64, limit int) int {
 		return limit
 	}
 	return int(g)
-}
-
-// sampleFlips appends to dst[:0] the ascending ids in [0, m) of the
-// minority edges for one round: each id independently selected with
-// probability q via geometric gap skipping, consuming one draw per
-// selected id (plus one final overshoot draw).
-//
-//det:hotpath
-func sampleFlips(dst []int, m int, q float64, rng *rand.Rand) []int {
-	dst = dst[:0]
-	if q <= 0 || m == 0 {
-		return dst
-	}
-	l := math.Log1p(-q)
-	for id := geometricGap(rng, l, m); id < m; id += 1 + geometricGap(rng, l, m) {
-		dst = append(dst, id)
-	}
-	return dst
 }
 
 // Step implements Environment.
@@ -283,7 +284,7 @@ func (e *EdgeChurn) Step(_ int, rng *rand.Rand) State {
 			s.EdgeUp.SetTo(id, majority)
 		}
 	}
-	e.flips = sampleFlips(e.flips, e.g.M(), q, rng)
+	e.flips = SampleBernoulli(e.flips[:0], e.g.M(), q, rng)
 	for _, id := range e.flips {
 		s.EdgeUp.SetTo(id, !majority)
 	}
@@ -292,7 +293,7 @@ func (e *EdgeChurn) Step(_ int, rng *rand.Rand) State {
 
 // Grow implements Growable. New edge entries take the majority value and
 // new agents come up; the very next Step samples the new edges iid like
-// every other (sampleFlips ranges over the grown M).
+// every other (SampleBernoulli ranges over the grown M).
 func (e *EdgeChurn) Grow() { e.buf.grow(e.g, e.majority) }
 
 // --- PowerLoss: agents go down and come back ---

@@ -276,7 +276,7 @@ func TestEdgeChurnIncrementalMatchesScratch(t *testing.T) {
 			if !majority {
 				q = p
 			}
-			scratch = sampleFlips(scratch, g.M(), q, engine.NewFastRand(seed).Rand)
+			scratch = SampleBernoulli(scratch[:0], g.M(), q, engine.NewFastRand(seed).Rand)
 			want := make([]bool, g.M())
 			for i := range want {
 				want[i] = majority

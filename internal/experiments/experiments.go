@@ -59,7 +59,7 @@ func QuickConfig() Config { return Config{Seeds: 3, Quick: true} }
 
 // Section is one rendered experiment.
 type Section struct {
-	// ID is the experiment identifier (E1…E12).
+	// ID is the experiment identifier (E1…E20).
 	ID string
 	// Title names the experiment.
 	Title string
@@ -72,15 +72,14 @@ type Section struct {
 	ShapeHolds bool
 }
 
-// All runs every experiment.
-func All(cfg Config) []Section {
-	return []Section{
-		E1Fig1(cfg), E2Fig2(cfg), E3Fig3(cfg), E4Adaptivity(cfg),
-		E5Partition(cfg), E6Scale(cfg), E7Sum(cfg), E8Sort(cfg),
-		E9Classification(cfg), E10ModelCheck(cfg), E11Ablation(cfg),
-		E12Fairness(cfg), E13Continuous(cfg), E14EscapePostulate(cfg),
-		E15Scaling(cfg), E16ScenarioMatrix(cfg), E17Dynamics(cfg),
-		E18RoundCost(cfg), E19Membership(cfg), E20SchedScale(cfg),
+// Sections lists every experiment in report order: entry i renders
+// section E(i+1).
+func Sections() []func(Config) Section {
+	return []func(Config) Section{
+		E1Fig1, E2Fig2, E3Fig3, E4Adaptivity, E5Partition, E6Scale, E7Sum,
+		E8Sort, E9Classification, E10ModelCheck, E11Ablation, E12Fairness,
+		E13Continuous, E14EscapePostulate, E15Scaling, E16ScenarioMatrix,
+		E17Dynamics, E18RoundCost, E19Membership, E20SchedScale,
 	}
 }
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	goruntime "runtime"
 	"strings"
 	"sync/atomic"
@@ -15,11 +16,15 @@ import (
 
 // TestAllShapesHold runs every experiment at quick scale and asserts the
 // paper's qualitative shape is observed — the headline integration test
-// of the reproduction.
+// of the reproduction. Entry i of Sections must render section E(i+1):
+// cmd/experiments selects by that position.
 func TestAllShapesHold(t *testing.T) {
-	for _, sec := range All(QuickConfig()) {
-		sec := sec
+	for i, run := range Sections() {
+		sec := run(QuickConfig())
 		t.Run(sec.ID, func(t *testing.T) {
+			if want := fmt.Sprintf("E%d", i+1); sec.ID != want {
+				t.Errorf("Sections()[%d] renders %s, want %s", i, sec.ID, want)
+			}
 			if !sec.ShapeHolds {
 				t.Errorf("%s (%s): shape does not hold\n%s", sec.ID, sec.Title, sec.Body)
 			}

@@ -5,16 +5,21 @@
 //
 // Problems implemented:
 //
+//   - Semilattice: consensus under any commutative, associative,
+//     idempotent operator ⊕ — the §3.4 ◦-operator lemma as one generic
+//     problem (f = |X| copies of ⊕X, h = Σ term(xa)). Min, Max, GCD and
+//     SetUnion are its instances.
 //   - Min (§4.1): consensus on the minimum; h(S) = Σ xa.
 //   - Max: the mirror image of Min (an obvious extension the paper's
 //     methodology covers; h uses an upper bound on values).
+//   - GCD: consensus on the greatest common divisor; h(S) = Σ xa.
+//   - SetUnion: consensus on the union of ≤64-element sets;
+//     h(S) = Σ (64 − |sa|).
 //   - Sum (§4.2): non-consensus; one agent ends with the sum, the rest
 //     with zero; h(S) = (Σ xa)² − Σ xa².
 //   - Average: consensus on the mean over float states — the paper's §3.1
 //     motivating example of a sensor-network f; a continuous-state case
 //     (§1.2) whose variant is well-founded only up to a tolerance.
-//   - GCD: consensus on the greatest common divisor (another
-//     super-idempotent ◦-operator instance, per the §3.4 lemma).
 //   - SecondSmallest (naive, §4.3): idempotent but NOT super-idempotent;
 //     provided as a Function for the checkers.
 //   - MinPair (§4.3): the (smallest, second-smallest) generalization that
@@ -49,8 +54,8 @@ func copyStates[T any](states []T) []T {
 }
 
 // fillInto appends n copies of v to dst — the shared shape of the
-// core.IntoFunction fast paths of the consensus functions (min, max, gcd,
-// average), whose image is a constant multiset and therefore trivially in
+// core.IntoFunction fast paths of the consensus functions (Semilattice
+// and average), whose image is a constant multiset and therefore trivially in
 // canonical order. When ok is false (the empty multiset has no
 // representative) nothing is appended.
 func fillInto[T any](dst []T, n int, v T, ok bool) []T {

@@ -15,194 +15,98 @@ import (
 // multiset of the same cardinality in which every value is the minimum;
 // h(S) = Σ xa (summation form, well-founded over the non-negative
 // integers); any connected graph satisfies the environment obligation (9).
+// It is the Semilattice of the operator min.
 type Min struct {
+	Semilattice[int]
 	// Partial, when true, makes GroupStep move each agent to a random
 	// value between the group minimum and its current value instead of
 	// jumping to the minimum — the paper's "update their value to any
 	// value between their current value and the minimum of the group".
 	// Used by the ablation experiments; the default full jump is the
-	// fastest refinement of D.
+	// fastest refinement of D. It draws only for members above the
+	// minimum, so an equal group still stutters without drawing.
 	Partial bool
 }
 
 // NewMin returns the minimum-consensus problem with greedy steps.
-func NewMin() *Min { return &Min{} }
+func NewMin() *Min {
+	return &Min{Semilattice: Semilattice[int]{name: "minimum", fname: "min", hname: "Σx",
+		cmp: ms.OrderedCmp[int](), op: func(a, b int) int { return min(a, b) }, term: valueTerm}}
+}
 
-// Name implements core.Problem.
-func (*Min) Name() string { return "minimum" }
+// NewPartialMin returns the minimum-consensus problem with Partial steps.
+func NewPartialMin() *Min {
+	p := NewMin()
+	p.Partial = true
+	return p
+}
 
-// Cmp implements core.Problem.
-func (*Min) Cmp() ms.Cmp[int] { return ms.OrderedCmp[int]() }
-
-// Requirement implements core.Problem.
-func (*Min) Requirement() core.Requirement { return core.AnyConnected }
-
-// Equal implements core.Problem.
-func (*Min) Equal(a, b ms.Multiset[int]) bool { return eqExact(a, b) }
-
-// StutterOnEqual implements core.StutterOnEqual: a group whose members
-// all hold the minimum keeps it, and Partial draws only for members above
-// the minimum.
-func (*Min) StutterOnEqual() {}
+// valueTerm is the per-agent term xa of h(S) = Σ xa.
+func valueTerm(v int) int64 { return int64(v) }
 
 // Consensus implements core.Consensus: f gives every agent the minimum.
 func (*Min) Consensus(lo, _ int) int { return lo }
 
 // MinF is the paper's f for §4.1: all values become the minimum.
-// f({3,5,3,7}) = {3,3,3,3}. It carries the core.IntoFunction fast path so
-// the engines' per-round conservation check can evaluate f without
-// allocating.
-func MinF() core.Function[int] {
-	return core.FuncOfInto("min",
-		func(x ms.Multiset[int]) ms.Multiset[int] {
-			m, ok := x.Min()
-			if !ok {
-				return x
-			}
-			return x.Map(func(int) int { return m })
-		},
-		func(dst []int, x ms.Multiset[int]) []int {
-			m, ok := x.Min()
-			return fillInto(dst, x.Len(), m, ok)
-		})
-}
-
-// F implements core.Problem.
-func (*Min) F() core.Function[int] { return MinF() }
-
-// H implements core.Problem: h(S) = Σ xa.
-func (*Min) H() core.Variant[int] {
-	return core.IntSummationVariant[int]("Σx", func(v int) int64 { return int64(v) })
-}
+// f({3,5,3,7}) = {3,3,3,3}.
+func MinF() core.Function[int] { return NewMin().F() }
 
 // GroupStep implements core.Problem: every member adopts the group
 // minimum (or, when Partial, a value between its own and the minimum).
 func (p *Min) GroupStep(states []int, rng *rand.Rand) []int {
-	out := copyStates(states)
-	m := states[0]
-	for _, v := range states {
-		if v < m {
-			m = v
-		}
-	}
-	for i, v := range out {
-		switch {
-		case v == m:
-			// already at the group minimum
-		case p.Partial && rng != nil:
-			out[i] = m + rng.Intn(v-m) // uniform in [m, v)
-		default:
-			out[i] = m
+	out := p.Semilattice.GroupStep(states, rng)
+	if p.Partial && rng != nil {
+		m := out[0]
+		for i, v := range states {
+			if v != m {
+				out[i] = m + rng.Intn(v-m) // uniform in [m, v)
+			}
 		}
 	}
 	return out
 }
 
-// PairStep implements core.Problem. It is GroupStep on {a, b} unrolled
-// to avoid the two slice allocations per matched pair — at 10⁵ agents a
-// pairwise round executes ~5·10⁴ pair steps, so the hot path must not
-// allocate. Draw order matches GroupStep exactly (a's draw before b's),
-// so Partial results are unchanged.
+// PairStep implements core.Problem: GroupStep on {a, b} without its
+// slice allocations. Draw order matches GroupStep exactly (a's draw
+// before b's), so Partial results are unchanged.
 func (p *Min) PairStep(a, b int, rng *rand.Rand) (int, int) {
-	m := a
-	if b < m {
-		m = b
+	if !p.Partial || rng == nil {
+		return p.Semilattice.PairStep(a, b, rng)
 	}
+	m := min(a, b)
 	na, nb := m, m
-	if p.Partial && rng != nil {
-		if a != m {
-			na = m + rng.Intn(a-m)
-		}
-		if b != m {
-			nb = m + rng.Intn(b-m)
-		}
+	if a != m {
+		na = m + rng.Intn(a-m)
+	}
+	if b != m {
+		nb = m + rng.Intn(b-m)
 	}
 	return na, nb
 }
 
 // --- Max ---
 
-// Max is the mirror of Min: consensus on the maximum. It is not in the
-// paper but follows from the methodology unchanged: f is a ◦-operator
-// multiset function (§3.4 lemma) and therefore super-idempotent. The
-// variant needs an upper bound to stay non-negative: h(S) = Σ (Bound −
-// xa), which is summation form with the global constant Bound (the paper's
-// §4.5 h uses the global constant P in the same way).
-type Max struct {
-	// Bound is a strict upper bound on every initial value.
-	Bound int
-}
+// Max is the mirror of Min: consensus on the maximum, the Semilattice of
+// the operator max. It is not in the paper but follows from the
+// methodology unchanged. The variant needs an upper bound to stay
+// non-negative: h(S) = Σ (B − xa), which is summation form with the
+// global constant B (the paper's §4.5 h uses the global constant P in the
+// same way).
+type Max struct{ Semilattice[int] }
 
 // NewMax returns the maximum-consensus problem for values < bound.
-func NewMax(bound int) *Max { return &Max{Bound: bound} }
-
-// Name implements core.Problem.
-func (*Max) Name() string { return "maximum" }
-
-// Cmp implements core.Problem.
-func (*Max) Cmp() ms.Cmp[int] { return ms.OrderedCmp[int]() }
-
-// Requirement implements core.Problem.
-func (*Max) Requirement() core.Requirement { return core.AnyConnected }
-
-// Equal implements core.Problem.
-func (*Max) Equal(a, b ms.Multiset[int]) bool { return eqExact(a, b) }
-
-// StutterOnEqual implements core.StutterOnEqual: max(x, …, x) = x.
-func (*Max) StutterOnEqual() {}
+func NewMax(bound int) *Max {
+	return &Max{Semilattice[int]{name: "maximum", fname: "max", hname: "Σ(B−x)",
+		cmp: ms.OrderedCmp[int](), op: func(a, b int) int { return max(a, b) },
+		term: func(v int) int64 { return int64(bound - v) }}}
+}
 
 // Consensus implements core.Consensus: f gives every agent the maximum.
 func (*Max) Consensus(_, hi int) int { return hi }
 
-// MaxF is f for the maximum: all values become the maximum.
-func MaxF() core.Function[int] {
-	return core.FuncOfInto("max",
-		func(x ms.Multiset[int]) ms.Multiset[int] {
-			m, ok := x.Max()
-			if !ok {
-				return x
-			}
-			return x.Map(func(int) int { return m })
-		},
-		func(dst []int, x ms.Multiset[int]) []int {
-			m, ok := x.Max()
-			return fillInto(dst, x.Len(), m, ok)
-		})
-}
-
-// F implements core.Problem.
-func (*Max) F() core.Function[int] { return MaxF() }
-
-// H implements core.Problem: h(S) = Σ (Bound − xa).
-func (p *Max) H() core.Variant[int] {
-	bound := p.Bound
-	return core.IntSummationVariant[int]("Σ(B−x)", func(v int) int64 { return int64(bound - v) })
-}
-
-// GroupStep implements core.Problem.
-func (*Max) GroupStep(states []int, _ *rand.Rand) []int {
-	out := copyStates(states)
-	m := states[0]
-	for _, v := range states {
-		if v > m {
-			m = v
-		}
-	}
-	for i := range out {
-		out[i] = m
-	}
-	return out
-}
-
-// PairStep implements core.Problem: GroupStep on {a, b} unrolled so the
-// pairwise hot path never allocates (see Min.PairStep).
-func (*Max) PairStep(a, b int, _ *rand.Rand) (int, int) {
-	m := a
-	if b > m {
-		m = b
-	}
-	return m, m
-}
+// MaxF is f for the maximum: all values become the maximum. f does not
+// depend on the variant's bound.
+func MaxF() core.Function[int] { return NewMax(0).F() }
 
 // --- Sum (§4.2) ---
 
@@ -416,30 +320,14 @@ func (*Average) PairStep(a, b float64, _ *rand.Rand) (float64, float64) {
 
 // --- GCD ---
 
-// GCD is consensus on the greatest common divisor of positive integers.
-// It is not in the paper, but gcd is a commutative associative idempotent
-// operator, so the §3.4 lemma makes its consensus f super-idempotent; the
-// variant is the same Σ xa as for Min. Included to demonstrate that the
-// methodology is a recipe, not a case list.
-type GCD struct{}
-
-// NewGCD returns the gcd-consensus problem (values must be ≥ 1).
-func NewGCD() *GCD { return &GCD{} }
-
-// Name implements core.Problem.
-func (*GCD) Name() string { return "gcd" }
-
-// Cmp implements core.Problem.
-func (*GCD) Cmp() ms.Cmp[int] { return ms.OrderedCmp[int]() }
-
-// Requirement implements core.Problem.
-func (*GCD) Requirement() core.Requirement { return core.AnyConnected }
-
-// Equal implements core.Problem.
-func (*GCD) Equal(a, b ms.Multiset[int]) bool { return eqExact(a, b) }
-
-// StutterOnEqual implements core.StutterOnEqual: gcd(x, …, x) = x.
-func (*GCD) StutterOnEqual() {}
+// NewGCD returns consensus on the greatest common divisor of positive
+// integers (values must be ≥ 1). It is not in the paper, but gcd is a
+// semilattice join, so the §3.4 lemma makes its f super-idempotent; the
+// variant is the same Σ xa as for Min.
+func NewGCD() *Semilattice[int] {
+	return &Semilattice[int]{name: "gcd", fname: "gcd", hname: "Σx",
+		cmp: ms.OrderedCmp[int](), op: gcd2, term: valueTerm}
+}
 
 func gcd2(a, b int) int {
 	for b != 0 {
@@ -449,51 +337,7 @@ func gcd2(a, b int) int {
 }
 
 // GCDF is f for gcd-consensus: all values become the gcd.
-func GCDF() core.Function[int] {
-	gcdOf := func(x ms.Multiset[int]) int {
-		g := 0
-		x.ForEach(func(v int) { g = gcd2(g, v) })
-		return g
-	}
-	return core.FuncOfInto("gcd",
-		func(x ms.Multiset[int]) ms.Multiset[int] {
-			if x.IsEmpty() {
-				return x
-			}
-			g := gcdOf(x)
-			return x.Map(func(int) int { return g })
-		},
-		func(dst []int, x ms.Multiset[int]) []int {
-			return fillInto(dst, x.Len(), gcdOf(x), !x.IsEmpty())
-		})
-}
-
-// F implements core.Problem.
-func (*GCD) F() core.Function[int] { return GCDF() }
-
-// H implements core.Problem: h(S) = Σ xa.
-func (*GCD) H() core.Variant[int] {
-	return core.IntSummationVariant[int]("Σx", func(v int) int64 { return int64(v) })
-}
-
-// GroupStep implements core.Problem: everyone adopts the group gcd.
-func (*GCD) GroupStep(states []int, _ *rand.Rand) []int {
-	out := copyStates(states)
-	g := 0
-	for _, v := range states {
-		g = gcd2(g, v)
-	}
-	for i := range out {
-		out[i] = g
-	}
-	return out
-}
-
-// PairStep implements core.Problem.
-func (*GCD) PairStep(a, b int, _ *rand.Rand) (int, int) {
-	g := gcd2(a, b)
-	return g, g
-}
+func GCDF() core.Function[int] { return NewGCD().F() }
 
 // --- Second smallest, naive (§4.3 negative example) ---
 

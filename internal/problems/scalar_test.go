@@ -71,7 +71,7 @@ func TestMinGroupStep(t *testing.T) {
 }
 
 func TestMinPartialStepsAreDSteps(t *testing.T) {
-	p := &Min{Partial: true}
+	p := NewPartialMin()
 	checkGroupStepIsDStep(t, p, func(rng *rand.Rand) []int {
 		n := 1 + rng.Intn(6)
 		vals := make([]int, n)
@@ -356,10 +356,11 @@ func TestAverageVariantIsPairwiseSquares(t *testing.T) {
 	}
 }
 
-// TestStutterOnEqualMarker: exactly min (greedy and Partial), max and gcd
-// carry core.StutterOnEqual, and every marked problem keeps its promise:
-// on a group of k copies of one state, PairStep and GroupStep return the
-// input unchanged without drawing from the stream.
+// TestStutterOnEqualMarker: exactly the Semilattice instances — min
+// (greedy and Partial), max, gcd and set-union — carry
+// core.StutterOnEqual, and every marked problem keeps its promise: on a
+// group of k copies of one state, PairStep and GroupStep return the input
+// unchanged without drawing from the stream.
 func TestStutterOnEqualMarker(t *testing.T) {
 	sorting, err := NewSorting([]int{2, 0, 1})
 	if err != nil {
@@ -372,7 +373,7 @@ func TestStutterOnEqualMarker(t *testing.T) {
 	}
 	cases := []markerCase{
 		{"min", NewMin(), true},
-		{"partial-min", &Min{Partial: true}, true},
+		{"partial-min", NewPartialMin(), true},
 		{"max", NewMax(1000), true},
 		{"gcd", NewGCD(), true},
 		{"sum", NewSum(), false},
@@ -382,7 +383,7 @@ func TestStutterOnEqualMarker(t *testing.T) {
 		{"min-pair", NewMinPair(4, 100), false},
 		{"k-smallest", NewKSmallest(3, 4, 100), false},
 		{"sorting", sorting, false},
-		{"set-union", NewSetUnion(), false},
+		{"set-union", NewSetUnion(), true},
 	}
 	// Every registered family is in the table, under its registry name,
 	// with the marker the table expects.
@@ -404,30 +405,43 @@ func TestStutterOnEqualMarker(t *testing.T) {
 		if !c.want {
 			continue
 		}
-		p := c.p.(core.Problem[int])
-		for trial := 0; trial < 200; trial++ {
-			x := 1 + rng.Intn(999)
-			seed := rng.Int63()
-			stream, fresh := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
-			if a, b := p.PairStep(x, x, stream); a != x || b != x {
-				t.Fatalf("%s: PairStep(%d, %d) = (%d, %d)", c.name, x, x, a, b)
+		switch p := c.p.(type) {
+		case core.Problem[int]:
+			checkEqualStutters(t, c.name, p, func(r *rand.Rand) int { return 1 + r.Intn(999) }, rng)
+		case core.Problem[Set]:
+			checkEqualStutters(t, c.name, p, func(r *rand.Rand) Set { return Set(r.Uint64()) }, rng)
+		default:
+			t.Fatalf("%s: no stutter check for %T", c.name, c.p)
+		}
+	}
+}
+
+// checkEqualStutters steps groups of copies of one random state and
+// fails unless each step returns them unchanged without drawing.
+func checkEqualStutters[T comparable](t *testing.T, name string, p core.Problem[T], elem core.ElemGen[T], rng *rand.Rand) {
+	t.Helper()
+	for trial := 0; trial < 200; trial++ {
+		x := elem(rng)
+		seed := rng.Int63()
+		stream, fresh := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		if a, b := p.PairStep(x, x, stream); a != x || b != x {
+			t.Fatalf("%s: PairStep(%v, %v) = (%v, %v)", name, x, x, a, b)
+		}
+		group := make([]T, 1+rng.Intn(6))
+		for i := range group {
+			group[i] = x
+		}
+		out := p.GroupStep(group, stream)
+		if len(out) != len(group) {
+			t.Fatalf("%s: GroupStep(%v) returned %d states", name, group, len(out))
+		}
+		for i, v := range out {
+			if v != x || group[i] != x {
+				t.Fatalf("%s: GroupStep(%v) = %v", name, group, out)
 			}
-			group := make([]int, 1+rng.Intn(6))
-			for i := range group {
-				group[i] = x
-			}
-			out := p.GroupStep(group, stream)
-			if len(out) != len(group) {
-				t.Fatalf("%s: GroupStep(%v) returned %d states", c.name, group, len(out))
-			}
-			for i, v := range out {
-				if v != x || group[i] != x {
-					t.Fatalf("%s: GroupStep(%v) = %v", c.name, group, out)
-				}
-			}
-			if stream.Int63() != fresh.Int63() {
-				t.Fatalf("%s: an equal-state step consumed the stream", c.name)
-			}
+		}
+		if stream.Int63() != fresh.Int63() {
+			t.Fatalf("%s: an equal-state step consumed the stream", name)
 		}
 	}
 }
@@ -444,7 +458,7 @@ func TestConsensusDeclaration(t *testing.T) {
 		}
 	}
 	rng := rand.New(rand.NewSource(43))
-	for _, p := range []core.Problem[int]{NewMin(), &Min{Partial: true}, NewMax(1000)} {
+	for _, p := range []core.Problem[int]{NewMin(), NewPartialMin(), NewMax(1000)} {
 		c := p.(core.Consensus[int])
 		var buf []int
 		for trial := 0; trial < 500; trial++ {

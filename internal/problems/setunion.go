@@ -1,9 +1,9 @@
 package problems
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
-	"math/rand"
 	"strings"
 
 	"repro/internal/core"
@@ -42,80 +42,16 @@ func (s Set) String() string {
 	return "{" + strings.Join(parts, ",") + "}"
 }
 
-// SetUnionF is f for set-union consensus: every agent's set becomes the
-// union of all sets. Union is a commutative, associative, idempotent
-// operator, so the §3.4 ◦-operator lemma makes f super-idempotent.
-func SetUnionF() core.Function[Set] {
-	return core.FuncOf("set-union", func(x ms.Multiset[Set]) ms.Multiset[Set] {
-		if x.IsEmpty() {
-			return x
-		}
-		var u Set
-		x.ForEach(func(s Set) { u |= s })
-		return x.Map(func(Set) Set { return u })
-	})
-}
-
-// SetUnion is set-union consensus: every agent ends with the union of all
-// initial sets. Not in the paper, but the most common gossip aggregate in
-// practice; another instance of the ◦-operator recipe. The variant is
-// h(S) = Σ (64 − |sa|), summation form, well-founded, strictly decreasing
-// whenever any agent learns an element.
-type SetUnion struct{}
-
-// NewSetUnion returns the set-union consensus problem.
-func NewSetUnion() *SetUnion { return &SetUnion{} }
-
-// Name implements core.Problem.
-func (*SetUnion) Name() string { return "set-union" }
-
-// Cmp implements core.Problem.
-func (*SetUnion) Cmp() ms.Cmp[Set] {
-	return func(a, b Set) int {
-		switch {
-		case a < b:
-			return -1
-		case a > b:
-			return 1
-		default:
-			return 0
-		}
-	}
-}
-
-// Requirement implements core.Problem.
-func (*SetUnion) Requirement() core.Requirement { return core.AnyConnected }
-
-// Equal implements core.Problem.
-func (*SetUnion) Equal(a, b ms.Multiset[Set]) bool { return a.Equal(b) }
-
-// F implements core.Problem.
-func (*SetUnion) F() core.Function[Set] { return SetUnionF() }
-
-// H implements core.Problem: h(S) = Σ (64 − |sa|).
-func (*SetUnion) H() core.Variant[Set] {
-	return core.SummationVariant[Set]("Σ(64−|s|)", func(s Set) float64 {
-		return float64(64 - s.Card())
-	})
-}
-
-// GroupStep implements core.Problem: everyone adopts the group union.
-func (*SetUnion) GroupStep(states []Set, _ *rand.Rand) []Set {
-	var u Set
-	for _, s := range states {
-		u |= s
-	}
-	out := make([]Set, len(states))
-	for i := range out {
-		out[i] = u
-	}
-	return out
-}
-
-// PairStep implements core.Problem.
-func (*SetUnion) PairStep(a, b Set, _ *rand.Rand) (Set, Set) {
-	u := a | b
-	return u, u
+// NewSetUnion returns set-union consensus: every agent ends with the
+// union of all initial sets. Not in the paper, but the most common gossip
+// aggregate in practice; union is a semilattice join, so this is another
+// instance of the §3.4 recipe. The variant is h(S) = Σ (64 − |sa|),
+// summation form, well-founded, strictly decreasing whenever any agent
+// learns an element.
+func NewSetUnion() *Semilattice[Set] {
+	return &Semilattice[Set]{name: "set-union", fname: "set-union", hname: "Σ(64−|s|)",
+		cmp: cmp.Compare[Set], op: func(a, b Set) Set { return a | b },
+		term: func(s Set) int64 { return int64(64 - s.Card()) }}
 }
 
 // --- Median: a designer's would-be f that the checkers reject ---

@@ -220,7 +220,7 @@ func goldenCases() []goldenCase {
 				intVals(8, 7), tweaked(Options{Seed: seed, StopOnConverged: true, AdversaryFeedback: true, MaxRounds: 10_000}, tweak)))
 		}},
 		{"partialmin/ring12/powerloss", func(seed int64, tweak variant) (string, error) {
-			return summarize(runVariant[int](tweak, problemFor[int](&problems.Min{Partial: true}, tweak), envFor(env.NewPowerLoss(graph.Ring(12), 0.3), tweak),
+			return summarize(runVariant[int](tweak, problemFor[int](problems.NewPartialMin(), tweak), envFor(env.NewPowerLoss(graph.Ring(12), 0.3), tweak),
 				intVals(12, 9), tweaked(Options{Seed: seed, StopOnConverged: true, MaxRounds: 60_000}, tweak)))
 		}},
 		{"sum/complete10/pairwise", func(seed int64, tweak variant) (string, error) {

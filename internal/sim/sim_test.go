@@ -448,7 +448,7 @@ func TestPartialMinStillConverges(t *testing.T) {
 	// The lazy refinement ("any value between current and minimum") also
 	// converges — the algorithm-class point of §4.1.
 	g := graph.Ring(6)
-	p := &problems.Min{Partial: true}
+	p := problems.NewPartialMin()
 	res, err := Converges[int](p, env.NewEdgeChurn(g, 0.6), []int{9, 4, 7, 1, 8, 2}, testOpts())
 	if err != nil {
 		t.Fatal(err)

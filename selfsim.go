@@ -105,7 +105,7 @@ func NewMin() Problem[int] { return problems.NewMin() }
 // NewPartialMin returns minimum consensus with lazy steps (agents move to
 // any value between their own and the group minimum), the slow end of the
 // §4.1 algorithm class.
-func NewPartialMin() Problem[int] { return &problems.Min{Partial: true} }
+func NewPartialMin() Problem[int] { return problems.NewPartialMin() }
 
 // NewMax returns maximum consensus for values strictly below bound.
 func NewMax(bound int) Problem[int] { return problems.NewMax(bound) }
