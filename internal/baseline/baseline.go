@@ -93,7 +93,7 @@ func Snapshot(e env.Environment, values []int, maxRounds int, seed int64) (*Resu
 				break
 			}
 		}
-		if !s.AgentIsUp(0) {
+		if !s.AgentUp.Get(0) {
 			broken = true
 		}
 		if broken {

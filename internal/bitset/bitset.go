@@ -14,20 +14,22 @@
 //     exactly the flipped ids — the primitive the fairness probe's
 //     Observe is built on.
 //
-// The zero value Set{} is "absent": Len() == 0 and IsZero() reports
-// true. Call sites that accepted a nil []bool to mean "everything up"
-// (graph.ComponentsInto, the pair matcher, the dynamics overlay) accept
-// a zero Set the same way. A non-zero Set never changes length; bits
-// outside [0, Len()) are kept zero by every operation, so Count and
-// word-level scans never see tail garbage.
+// The zero value Set{} is unallocated: Len() == 0, IsZero() reports
+// true, and it holds no bits, so it means nothing about availability.
+// "Everything up" is a Set sized to what it masks with every bit set
+// (NewAllSet); env.State's masks are always sized to their graph. Code
+// that fills a buffer lazily may test IsZero to see whether it has been
+// allocated yet. A non-zero Set never changes length; bits outside
+// [0, Len()) are kept zero by every operation, so Count and word-level
+// scans never see tail garbage.
 package bitset
 
 import "math/bits"
 
 const wordBits = 64
 
-// Set is a fixed-length bit vector. The zero value is the absent set
-// (see the package comment); build real sets with New. Set is a small
+// Set is a fixed-length bit vector. The zero value is unallocated (see
+// the package comment); build real sets with New or NewAllSet. Set is a small
 // header — pass it by value; the words are shared, so mutations through
 // any copy are visible through all of them (exactly like a slice).
 type Set struct {
@@ -50,8 +52,8 @@ func NewAllSet(n int) Set {
 	return s
 }
 
-// FromBools returns a Set with bit i set iff b[i]; nil yields the absent
-// zero value. The bridge from the legacy []bool mask representation.
+// FromBools returns a Set with bit i set iff b[i]; nil yields the zero
+// value. The bridge from the legacy []bool mask representation.
 func FromBools(b []bool) Set {
 	if b == nil {
 		return Set{}
@@ -68,13 +70,12 @@ func FromBools(b []bool) Set {
 // Len returns the number of bits (0 for the zero value).
 func (s Set) Len() int { return s.n }
 
-// IsZero reports whether s is the absent zero value. Note a Set of
+// IsZero reports whether s is the unallocated zero value. Note a Set of
 // length 0 built with New(0) is NOT zero — it is an empty mask.
 func (s Set) IsZero() bool { return s.words == nil && s.n == 0 }
 
 // Get reports bit i. Panics when i is out of range (in particular on
-// the zero value — callers honouring the "absent means all up"
-// convention must test IsZero first).
+// the zero value, which has no bits).
 func (s Set) Get(i int) bool {
 	if i < 0 || i >= s.n {
 		panic("bitset: index out of range")
@@ -196,14 +197,12 @@ func (s Set) Clone() Set {
 
 // Resized returns a Set of length n that preserves s's bits in
 // [0, min(n, s.Len())) and fills any bits beyond the old length with
-// fill. The zero (absent) value stays absent when n matches its length
-// convention would be ambiguous, so resizing the zero value is a panic —
-// callers growing a mask decide first whether the mask is materialized
-// (the zero value already means "all up" at every length). Shrinking is
-// allowed; the result shares no storage with s.
+// fill. Resizing the zero value panics: it is unallocated, so a caller
+// growing it has a buffer it never filled. Shrinking is allowed; the
+// result shares no storage with s.
 func (s Set) Resized(n int, fill bool) Set {
 	if s.IsZero() {
-		panic("bitset: Resized on the absent zero value")
+		panic("bitset: Resized on the unallocated zero value")
 	}
 	if n < 0 {
 		panic("bitset: negative length")

@@ -145,14 +145,14 @@ func TestWordOpsAgainstReference(t *testing.T) {
 func TestZeroValueConvention(t *testing.T) {
 	var z Set
 	if !z.IsZero() || z.Len() != 0 {
-		t.Fatal("zero value should be absent with Len 0")
+		t.Fatal("zero value should be unallocated with Len 0")
 	}
 	if !z.Clone().IsZero() {
 		t.Fatal("Clone of zero should be zero")
 	}
 	e := New(0)
 	if e.IsZero() {
-		t.Fatal("New(0) must be an empty mask, not the absent zero value")
+		t.Fatal("New(0) must be an empty mask, not the unallocated zero value")
 	}
 	if !e.All() || !e.None() || e.Count() != 0 {
 		t.Fatal("New(0) invariants")

@@ -586,12 +586,6 @@ type Applier struct {
 
 	burstIDs []int // this round's burst-dropped edge ids
 
-	// All-true fallback masks, used only when the environment hands out
-	// absent (zero) EdgeUp/AgentUp masks — meaning "all up" — and the
-	// overlay needs something to write into. The undo pass restores them
-	// to all-true.
-	edgeUpBuf, agentUpBuf bitset.Set
-
 	// Overlay undo logs: exactly the mask entries BeginRound set false.
 	curEdgeUp, curAgentUp bitset.Set
 	edgeUndo, agentUndo   []int
@@ -636,7 +630,6 @@ func (a *Applier) Reset(s *Schedule, g *graph.Graph, runSeed int64) {
 	a.burstIDs = a.burstIDs[:0]
 	a.edgeUndo, a.agentUndo = a.edgeUndo[:0], a.agentUndo[:0]
 	a.curEdgeUp, a.curAgentUp = bitset.Set{}, bitset.Set{}
-	a.edgeUpBuf, a.agentUpBuf = bitset.Set{}, bitset.Set{} // re-materialized on demand for the new graph
 
 	if cap(a.winActive) < len(s.rules) {
 		a.winActive = make([]bool, len(s.rules))
@@ -837,12 +830,10 @@ func (a *Applier) growthSlow(round int) (graph.Growth, bool) {
 	for len(a.live) < a.g.N() {
 		a.live = append(a.live, true)
 	}
-	// Graph-sized caches were built for the smaller topology: drop the
-	// all-true fallback masks (re-materialized at the new size on demand)
-	// and the block-partition cut lists, whose block size is a function
-	// of the current population (explicit CutEdges lists are untouched —
-	// they name founding edges by id, and ids are stable).
-	a.edgeUpBuf, a.agentUpBuf = bitset.Set{}, bitset.Set{}
+	// The block-partition cut lists were built for the smaller
+	// topology: their block size is a function of the current population
+	// (explicit CutEdges lists are untouched — they name founding edges
+	// by id, and ids are stable).
 	for i := range a.winCut {
 		if a.s.rules[i].kind == ruleCutWindow && a.s.rules[i].cutIDs == nil {
 			a.winCut[i] = nil
@@ -859,9 +850,9 @@ func (a *Applier) PendingJoins() bool { return a.joinsLeft > 0 }
 // events (updating the live set and window states incrementally), then
 // overlays the dynamics masks onto the environment state by writing
 // false to exactly the up entries being suppressed, and returns the
-// effective state. The returned State aliases the input's buffers (or
-// the applier's all-true fallbacks when the input masks are nil);
-// EndRound MUST be called after the round's masks have been consumed and
+// effective state. The input masks must be sized to the current graph
+// (env.State's contract); the returned State aliases them, and EndRound
+// MUST be called after the round's masks have been consumed and
 // before the environment's next Step, to undo the overlay writes.
 func (a *Applier) BeginRound(round int, es env.State) env.State {
 	if round < 0 {
@@ -926,9 +917,6 @@ func (a *Applier) BeginRound(round int, es env.State) env.State {
 
 	// Overlay: edges first.
 	eu := es.EdgeUp
-	if eu.IsZero() && (anyCut || len(a.burstIDs) > 0) {
-		eu = a.allTrueEdges()
-	}
 	if anyCut {
 		for i := range a.s.rules {
 			if a.s.rules[i].kind == ruleCutWindow && a.winActive[i] {
@@ -949,9 +937,6 @@ func (a *Applier) BeginRound(round int, es env.State) env.State {
 	}
 	// Then the live set.
 	au := es.AgentUp
-	if au.IsZero() && len(a.frozen) > 0 {
-		au = a.allTrueAgents()
-	}
 	for _, ag := range a.frozen {
 		if au.Get(ag) {
 			au.Clear(ag)
@@ -975,20 +960,6 @@ func (a *Applier) EndRound() {
 	}
 	a.edgeUndo, a.agentUndo = a.edgeUndo[:0], a.agentUndo[:0]
 	a.curEdgeUp, a.curAgentUp = bitset.Set{}, bitset.Set{}
-}
-
-func (a *Applier) allTrueEdges() bitset.Set {
-	if a.edgeUpBuf.IsZero() {
-		a.edgeUpBuf = bitset.NewAllSet(a.g.M())
-	}
-	return a.edgeUpBuf
-}
-
-func (a *Applier) allTrueAgents() bitset.Set {
-	if a.agentUpBuf.IsZero() {
-		a.agentUpBuf = bitset.NewAllSet(a.g.N())
-	}
-	return a.agentUpBuf
 }
 
 // JustCrashed returns the agents crashed by the most recent BeginRound —

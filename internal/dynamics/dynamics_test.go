@@ -243,26 +243,6 @@ func TestEmptyScheduleIsTransparent(t *testing.T) {
 	}
 }
 
-// TestNilMaskFallback: environments may hand out nil masks (meaning
-// all-up); the applier must materialize its own buffers and keep them
-// all-true between rounds.
-func TestNilMaskFallback(t *testing.T) {
-	g := graph.Ring(6)
-	a := NewSchedule(At(0, CrashAgents(3)), Partition(2, 0, 2)).NewApplier(g, 9)
-	for round := 0; round < 4; round++ {
-		eff := a.BeginRound(round, env.State{})
-		if round < 2 {
-			if eff.AgentUp.IsZero() || eff.AgentUp.Get(3) {
-				t.Fatalf("round %d: crashed agent not masked under absent AgentUp", round)
-			}
-			if eff.EdgeUp.IsZero() || eff.EdgeUp.Count() == eff.EdgeUp.Len() {
-				t.Fatalf("round %d: no edges masked under absent EdgeUp", round)
-			}
-		}
-		a.EndRound()
-	}
-}
-
 // TestCrashRandomExactCount: CrashRandom(k) crashes exactly k live
 // agents whenever at least k are live — even when most of the
 // population is already down — and everyone when fewer are.

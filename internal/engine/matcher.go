@@ -18,9 +18,8 @@ import (
 // sequential greedy builds when it walks the usable edges in ascending
 // rank and claims every edge whose endpoints are both still free. An
 // edge is usable when it is not retired, edgeUp holds it and agentUp
-// holds both endpoints; a zero mask means all up. Usability is read
-// straight from the masks, so there is no index to keep in step with
-// them.
+// holds both endpoints. Usability is read straight from the masks, so
+// there is no index to keep in step with them.
 //
 // Match never runs that greedy. It answers, for each candidate edge,
 // whether the edge is in M by a local query (Nguyen & Onak, FOCS 2008):
@@ -120,12 +119,13 @@ func NewPairMatcher(g *graph.Graph) *PairMatcher {
 
 // Match returns, in ascending edge id, the candidate edges that are in
 // the round's matching: the greedy maximal matching of the usable edges
-// (under edgeUp and agentUp) in ascending (SubSeed(seed, e), e). The zero
-// candidates Set means every edge; otherwise candidates must span every
-// edge id. seed is the round's MatchSeed. The masks and candidates are
-// read concurrently by the pool's workers and must not change during the
-// call. The returned slice aliases matcher-owned scratch and is valid
-// until the next Match.
+// (under edgeUp and agentUp) in ascending (SubSeed(seed, e), e). The
+// masks are sized to the graph (one bit per edge, one per agent). The
+// zero candidates Set means every edge; otherwise candidates must span
+// every edge id. seed is the round's MatchSeed. The masks and
+// candidates are read concurrently by the pool's workers and must not
+// change during the call. The returned slice aliases matcher-owned
+// scratch and is valid until the next Match.
 //
 //det:hotpath
 func (m *PairMatcher) Match(seed int64, edgeUp, agentUp, candidates bitset.Set, pool *Pool) []graph.Edge {
@@ -203,11 +203,8 @@ func (m *PairMatcher) matchChunk(worker, k int) {
 //
 //det:hotpath
 func (m *PairMatcher) usable(id int) bool {
-	if m.g.EdgeRetired(id) || !m.edgeUp.IsZero() && !m.edgeUp.Get(id) {
+	if m.g.EdgeRetired(id) || !m.edgeUp.Get(id) {
 		return false
-	}
-	if m.agentUp.IsZero() {
-		return true
 	}
 	e := m.edges[id]
 	return m.agentUp.Get(e.A) && m.agentUp.Get(e.B)

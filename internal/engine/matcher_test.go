@@ -12,21 +12,19 @@ import (
 	"repro/internal/graph"
 )
 
-// randomMasks draws edge/agent availability masks (sometimes nil, the
-// all-up convention).
+// randomMasks draws edge/agent availability masks, each all up one
+// time in four.
 func randomMasks(g *graph.Graph, rng *rand.Rand) (edgeUp, agentUp []bool) {
-	if rng.Intn(4) != 0 {
-		edgeUp = make([]bool, g.M())
-		for i := range edgeUp {
-			edgeUp[i] = rng.Float64() < 0.7
+	draw := func(n int, p float64) []bool {
+		mask := make([]bool, n)
+		all := rng.Intn(4) == 0
+		for i := range mask {
+			mask[i] = all || rng.Float64() < p
 		}
+		return mask
 	}
-	if rng.Intn(4) != 0 {
-		agentUp = make([]bool, g.N())
-		for i := range agentUp {
-			agentUp[i] = rng.Float64() < 0.8
-		}
-	}
+	edgeUp = draw(g.M(), 0.7)
+	agentUp = draw(g.N(), 0.8)
 	return edgeUp, agentUp
 }
 
@@ -42,8 +40,7 @@ func greedyReference(g *graph.Graph, edgeUp, agentUp []bool, seed int64) []bool 
 	var order []int
 	for id := 0; id < g.M(); id++ {
 		e := g.Edge(id)
-		if !g.EdgeRetired(id) && (edgeUp == nil || edgeUp[id]) &&
-			(agentUp == nil || agentUp[e.A] && agentUp[e.B]) {
+		if !g.EdgeRetired(id) && edgeUp[id] && agentUp[e.A] && agentUp[e.B] {
 			order = append(order, id)
 		}
 	}
@@ -172,8 +169,7 @@ func checkValidMaximal(t *testing.T, g *graph.Graph, edgeUp, agentUp []bool, pai
 	t.Helper()
 	usable := func(id int) bool {
 		e := g.Edge(id)
-		return !g.EdgeRetired(id) && (edgeUp == nil || edgeUp[id]) &&
-			(agentUp == nil || (agentUp[e.A] && agentUp[e.B]))
+		return !g.EdgeRetired(id) && edgeUp[id] && agentUp[e.A] && agentUp[e.B]
 	}
 	claimed := make([]bool, g.N())
 	for _, e := range pairs {
@@ -228,7 +224,11 @@ func TestPairMatcherPoolIndependent(t *testing.T) {
 			for i := range edgeUp {
 				edgeUp[i] = maskRng.Float64() < 0.8
 			}
-			got = append(got, slices.Clone(match(m, edgeUp, nil, seed, pool)))
+			agentUp := make([]bool, g.N())
+			for i := range agentUp {
+				agentUp[i] = true
+			}
+			got = append(got, slices.Clone(match(m, edgeUp, agentUp, seed, pool)))
 		}
 		if want == nil {
 			want = got
@@ -256,6 +256,7 @@ func TestPairMatcherAllocFree(t *testing.T) {
 	for i := 0; i < g.M(); i++ {
 		edgeUp.SetTo(i, i%3 != 0)
 	}
+	agentUp := bitset.NewAllSet(g.N())
 	cands := bitset.New(g.M())
 	for i := 0; i < g.M(); i += 5 {
 		cands.Set(i)
@@ -265,11 +266,11 @@ func TestPairMatcherAllocFree(t *testing.T) {
 		set  bitset.Set
 	}{{"all", bitset.Set{}}, {"candidates", cands}} {
 		seed := int64(0)
-		m.Match(seed, edgeUp, bitset.Set{}, c.set, pool) // warm-up growth
+		m.Match(seed, edgeUp, agentUp, c.set, pool) // warm-up growth
 		allocs := testing.AllocsPerRun(50, func() {
 			seed++
 			edgeUp.SetTo(0, seed%2 == 0)
-			m.Match(seed, edgeUp, bitset.Set{}, c.set, pool)
+			m.Match(seed, edgeUp, agentUp, c.set, pool)
 		})
 		if allocs != 0 {
 			t.Errorf("%s: warm Match allocated %.0f times per run", c.name, allocs)

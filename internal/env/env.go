@@ -16,6 +16,10 @@
 // whether the run actually satisfied (2) — so experiments can correlate
 // convergence with the assumption the correctness theorem needs.
 //
+// Every State is sized to its graph: EdgeUp has one bit per edge id and
+// AgentUp one bit per agent, and "all up" is a mask with every bit set
+// (AllUp). There is no second encoding of it.
+//
 // Masks are bit-packed (internal/bitset), and environments with sparse
 // transitions repair one buffer in place each round. Environments do not
 // report which entries flipped: a consumer that needs to know whether a
@@ -38,8 +42,9 @@ import (
 // State is one environment state G restricted to what affects agents: which
 // edges are available and which agents are enabled. Masks are owned by the
 // environment and must be treated as read-only by consumers; engines copy
-// what they retain. A zero EdgeUp/AgentUp mask means "everything up" —
-// the same absent-mask convention graph.ComponentsInto uses.
+// what they retain. Both masks are sized to the graph:
+// EdgeUp.Len() == g.M() and AgentUp.Len() == g.N(). A zero mask is not a
+// state; consumers read the masks with Get and do not guard for it.
 type State struct {
 	EdgeUp  bitset.Set // indexed by edge id of the underlying graph
 	AgentUp bitset.Set // indexed by agent id
@@ -50,16 +55,22 @@ func AllUp(g *graph.Graph) State {
 	return State{EdgeUp: bitset.NewAllSet(g.M()), AgentUp: bitset.NewAllSet(g.N())}
 }
 
-// EdgeIsUp reports whether edge id is up (absent mask means all up).
-func (s State) EdgeIsUp(id int) bool { return s.EdgeUp.IsZero() || s.EdgeUp.Get(id) }
-
-// AgentIsUp reports whether agent a is up (absent mask means all up).
-func (s State) AgentIsUp(a int) bool { return s.AgentUp.IsZero() || s.AgentUp.Get(a) }
+// CheckSized returns an error unless both masks are sized to g: one
+// EdgeUp bit per edge and one AgentUp bit per agent. The round engine
+// and the flow check every State they step, so a custom Environment that
+// breaks the contract fails its run with an error instead of a panic.
+func (s State) CheckSized(g *graph.Graph) error {
+	if s.EdgeUp.Len() != g.M() || s.AgentUp.Len() != g.N() {
+		return fmt.Errorf("state masks sized %d edges, %d agents; the graph has %d, %d",
+			s.EdgeUp.Len(), s.AgentUp.Len(), g.M(), g.N())
+	}
+	return nil
+}
 
 // Usable reports whether edge id with endpoints a and b can carry an
 // interaction: the edge and both endpoints are up.
 func (s State) Usable(id, a, b int) bool {
-	return s.EdgeIsUp(id) && s.AgentIsUp(a) && s.AgentIsUp(b)
+	return s.EdgeUp.Get(id) && s.AgentUp.Get(a) && s.AgentUp.Get(b)
 }
 
 // Clone deep-copies the state.
@@ -134,7 +145,8 @@ type Environment interface {
 	Graph() *graph.Graph
 	// Step returns the environment state for the given round. Successive
 	// calls model the environment's own state transitions; implementations
-	// may keep internal state (e.g. mobility positions).
+	// may keep internal state (e.g. mobility positions). Both masks of
+	// the returned State are sized to Graph() as it is at that round.
 	Step(round int, rng *rand.Rand) State
 }
 
@@ -791,16 +803,6 @@ func (p *FairnessProbe) transition(id int, nowUp bool, r int) {
 func (p *FairnessProbe) Observe(s State) {
 	p.rounds++
 	r := p.rounds
-	if s.EdgeUp.IsZero() {
-		// Absent mask: everything up. Flip any edge currently tracked down.
-		for id := 0; id < p.prev.Len(); id++ {
-			if !p.prev.Get(id) {
-				p.transition(id, true, r)
-				p.prev.Set(id)
-			}
-		}
-		return
-	}
 	p.diffScratch = s.EdgeUp.AppendDiff(p.prev, p.diffScratch[:0])
 	for _, id := range p.diffScratch {
 		p.transition(id, s.EdgeUp.Get(id), r)

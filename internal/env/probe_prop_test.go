@@ -2,6 +2,7 @@ package env
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/bitset"
@@ -15,19 +16,14 @@ import (
 // still-open gap folded in), same starvation verdicts.
 type boolProbe struct {
 	m       int
-	history [][]bool // history[r][id]; nil row = absent mask, all up
+	history [][]bool // history[r][id]
 }
 
 func (p *boolProbe) observe(mask []bool) {
-	var row []bool
-	if mask != nil {
-		row = make([]bool, p.m)
-		copy(row, mask)
-	}
-	p.history = append(p.history, row)
+	p.history = append(p.history, slices.Clone(mask))
 }
 
-func (p *boolProbe) up(r, id int) bool { return p.history[r] == nil || p.history[r][id] }
+func (p *boolProbe) up(r, id int) bool { return p.history[r][id] }
 
 func (p *boolProbe) upFraction(id int) float64 {
 	if len(p.history) == 0 {
@@ -112,26 +108,25 @@ func TestFairnessProbeMatchesBoolReference(t *testing.T) {
 		ref := &boolProbe{m: m}
 		prev := make([]bool, m) // the previous round's mask; initially all down
 		for round := 1; round <= 120; round++ {
-			var mask []bool
+			mask := make([]bool, m)
 			switch rng.Intn(5) {
-			case 0: // absent mask round: everything up
+			case 0: // everything up
+				for i := range mask {
+					mask[i] = true
+				}
 			case 1: // sticky: keep most of the previous round's mask
-				mask = make([]bool, m)
 				copy(mask, prev)
 				for k := 0; k < 2; k++ {
 					id := rng.Intn(m)
 					mask[id] = !mask[id]
 				}
 			default:
-				mask = make([]bool, m)
 				for i := range mask {
 					// Edge 0 starves until late: never up before round 90.
 					mask[i] = rng.Float64() < 0.6 && (i != 0 || round > 90)
 				}
 			}
-			for id := 0; id < m; id++ {
-				prev[id] = mask == nil || mask[id]
-			}
+			copy(prev, mask)
 
 			probe.Observe(State{EdgeUp: bitset.FromBools(mask)})
 			ref.observe(mask)

@@ -141,6 +141,9 @@ func Run(e env.Environment, x0 []float64, opts Options) (*Result, error) {
 	for round := 0; round < opts.Rounds; round++ {
 		rng.Reseed(engine.EnvSeed(opts.Seed, round))
 		s := e.Step(round, rng.Rand)
+		if err := s.CheckSized(g); err != nil {
+			return nil, fmt.Errorf("flow: environment %q round %d: %w", e.Name(), round, err)
+		}
 		for i := range delta {
 			delta[i] = 0
 		}

@@ -2,6 +2,8 @@ package flow
 
 import (
 	"math"
+	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/env"
@@ -29,6 +31,22 @@ func TestConvergesStatic(t *testing.T) {
 		if math.Abs(v-want) > 1e-4 {
 			t.Errorf("final value %g far from mean %g", v, want)
 		}
+	}
+}
+
+// zeroState is a custom environment that hands out the zero State.
+type zeroState struct{ *env.Static }
+
+func (zeroState) Name() string                   { return "zero" }
+func (zeroState) Step(int, *rand.Rand) env.State { return env.State{} }
+
+// TestRunRejectsUnsizedMasks: a State's masks are sized to the graph, so
+// a custom environment returning the zero State fails the run with an
+// error naming the environment and the round.
+func TestRunRejectsUnsizedMasks(t *testing.T) {
+	_, err := Run(zeroState{env.NewStatic(graph.Ring(8))}, make([]float64, 8), Options{Dt: 0.2, Rounds: 3, Seed: 1})
+	if err == nil || !strings.Contains(err.Error(), `"zero" round 0`) {
+		t.Fatalf("err = %v, want one naming the environment and round 0", err)
 	}
 }
 

@@ -16,16 +16,18 @@ func TestComponentsIntoMatchesComponents(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		n := 1 + rng.Intn(20)
 		g := ConnectedErdosRenyi(n, 0.3, rng)
-		edgeUp := make([]bool, g.M())
-		agentUp := make([]bool, g.N())
+		edgeUp, edgeAll := make([]bool, g.M()), make([]bool, g.M())
+		agentUp, agentAll := make([]bool, g.N()), make([]bool, g.N())
 		for i := range edgeUp {
 			edgeUp[i] = rng.Float64() < 0.6
+			edgeAll[i] = true
 		}
 		for i := range agentUp {
 			agentUp[i] = rng.Float64() < 0.8
+			agentAll[i] = true
 		}
 		for _, masks := range []struct{ e, a []bool }{
-			{edgeUp, agentUp}, {nil, agentUp}, {edgeUp, nil}, {nil, nil},
+			{edgeUp, agentUp}, {edgeAll, agentUp}, {edgeUp, agentAll}, {edgeAll, agentAll},
 		} {
 			eb, ab := bitset.FromBools(masks.e), bitset.FromBools(masks.a)
 			want := g.Components(eb, ab)
@@ -49,11 +51,11 @@ func TestComponentsEmptyGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := g.Components(bitset.Set{}, bitset.Set{}); len(got) != 0 {
+	if got := g.Components(bitset.New(0), bitset.New(0)); len(got) != 0 {
 		t.Fatalf("empty graph components = %v", got)
 	}
 	var cs ComponentScratch
-	if got := g.ComponentsInto(bitset.Set{}, bitset.Set{}, &cs); len(got) != 0 {
+	if got := g.ComponentsInto(bitset.New(0), bitset.New(0), &cs); len(got) != 0 {
 		t.Fatalf("empty graph ComponentsInto = %v", got)
 	}
 }

@@ -200,8 +200,8 @@ func (g *Graph) Degree(v int) int { return len(g.adj[v]) }
 // that are marked disabled (they "execute no actions and do not change
 // state").
 //
-// edgeUp may be the zero Set (all edges enabled); agentUp may be the zero
-// Set (all agents up). An edge is usable only when both endpoints are up.
+// edgeUp must have one bit per edge and agentUp one bit per agent. An
+// edge is usable only when both endpoints are up.
 // Each component's member list is sorted; components are ordered by their
 // smallest member, so output is deterministic.
 func (g *Graph) Components(edgeUp, agentUp bitset.Set) [][]int {
@@ -248,42 +248,23 @@ func (g *Graph) ComponentsInto(edgeUp, agentUp bitset.Set, cs *ComponentScratch)
 		}
 		return x
 	}
-	allAgents := agentUp.IsZero()
-	union := func(e Edge) {
-		if allAgents || (agentUp.Get(e.A) && agentUp.Get(e.B)) {
-			ra, rb := find(e.A), find(e.B)
-			if ra != rb {
-				parent[ra] = rb
+	// Word-skip scan: a fully-down region costs one word test per 64
+	// edges, so the union pass is O(up edges + E/64) instead of O(E).
+	// Retired edges are skipped even when the mask still carries their
+	// bit — environments are not required to clear retired ids.
+	for wi, w := range edgeUp.Words() {
+		base := wi << 6
+		for w != 0 {
+			id := base + mathbits.TrailingZeros64(w)
+			w &= w - 1
+			if g.retiredCount != 0 && g.retired.Get(id) {
+				continue
 			}
-		}
-	}
-	if edgeUp.IsZero() {
-		if g.retiredCount == 0 {
-			for _, e := range g.edges {
-				union(e)
-			}
-		} else {
-			for id, e := range g.edges {
-				if g.retired.Get(id) {
-					continue
+			if e := g.edges[id]; agentUp.Get(e.A) && agentUp.Get(e.B) {
+				ra, rb := find(e.A), find(e.B)
+				if ra != rb {
+					parent[ra] = rb
 				}
-				union(e)
-			}
-		}
-	} else {
-		// Word-skip scan: a fully-down region costs one word test per 64
-		// edges, so the union pass is O(up edges + E/64) instead of O(E).
-		// Retired edges are skipped even when the mask still carries their
-		// bit — environments are not required to clear retired ids.
-		for wi, w := range edgeUp.Words() {
-			base := wi << 6
-			for w != 0 {
-				id := base + mathbits.TrailingZeros64(w)
-				w &= w - 1
-				if g.retiredCount != 0 && g.retired.Get(id) {
-					continue
-				}
-				union(g.edges[id])
 			}
 		}
 	}
@@ -329,12 +310,13 @@ func (g *Graph) ComponentsInto(edgeUp, agentUp bitset.Set, cs *ComponentScratch)
 
 // Connected reports whether the graph (with all edges enabled) is a single
 // connected component. The empty graph is connected vacuously; a graph
-// with no edges and ≥2 vertices is not.
+// with no edges and ≥2 vertices is not. It builds two all-set masks per
+// call, so it belongs in set-up code, not in a round loop.
 func (g *Graph) Connected() bool {
 	if g.n == 0 {
 		return true
 	}
-	return len(g.Components(bitset.Set{}, bitset.Set{})) == 1
+	return len(g.Components(bitset.NewAllSet(g.M()), bitset.NewAllSet(g.N()))) == 1
 }
 
 // Diameter returns the maximum over vertices of shortest-path hop distance,

@@ -131,7 +131,7 @@ func TestNeighbors(t *testing.T) {
 
 func TestComponentsAllUp(t *testing.T) {
 	g := Line(4)
-	comps := g.Components(bitset.Set{}, bitset.Set{})
+	comps := g.Components(bitset.NewAllSet(g.M()), bitset.NewAllSet(g.N()))
 	if len(comps) != 1 || len(comps[0]) != 4 {
 		t.Errorf("components = %v", comps)
 	}
@@ -140,7 +140,7 @@ func TestComponentsAllUp(t *testing.T) {
 func TestComponentsEdgeMask(t *testing.T) {
 	g := Line(4) // edges: 0-1, 1-2, 2-3
 	mask := []bool{true, false, true}
-	comps := g.Components(bitset.FromBools(mask), bitset.Set{})
+	comps := g.Components(bitset.FromBools(mask), bitset.NewAllSet(g.N()))
 	if len(comps) != 2 {
 		t.Fatalf("components = %v", comps)
 	}
@@ -152,7 +152,7 @@ func TestComponentsEdgeMask(t *testing.T) {
 func TestComponentsAgentDown(t *testing.T) {
 	g := Line(3) // 0-1, 1-2
 	agentUp := []bool{true, false, true}
-	comps := g.Components(bitset.Set{}, bitset.FromBools(agentUp))
+	comps := g.Components(bitset.NewAllSet(g.M()), bitset.FromBools(agentUp))
 	// Agent 1 down: all three are singletons (down agents form their own
 	// groups; edges through them are unusable).
 	if len(comps) != 3 {
@@ -166,7 +166,7 @@ func TestComponentsDeterministicOrder(t *testing.T) {
 	// Enable only 4—5.
 	id, _ := g.EdgeID(4, 5)
 	mask[id] = true
-	comps := g.Components(bitset.FromBools(mask), bitset.Set{})
+	comps := g.Components(bitset.FromBools(mask), bitset.NewAllSet(g.N()))
 	if len(comps) != 5 {
 		t.Fatalf("components = %v", comps)
 	}
@@ -287,7 +287,7 @@ func TestPropComponentsMonotone(t *testing.T) {
 		for i := range mask {
 			mask[i] = rng.Float64() < 0.3
 		}
-		before := len(g.Components(bitset.FromBools(mask), bitset.Set{}))
+		before := len(g.Components(bitset.FromBools(mask), bitset.NewAllSet(g.N())))
 		// Enable one more edge (if any disabled).
 		for i := range mask {
 			if !mask[i] {
@@ -295,7 +295,7 @@ func TestPropComponentsMonotone(t *testing.T) {
 				break
 			}
 		}
-		after := len(g.Components(bitset.FromBools(mask), bitset.Set{}))
+		after := len(g.Components(bitset.FromBools(mask), bitset.NewAllSet(g.N())))
 		if after > before {
 			t.Fatalf("trial %d: components grew %d -> %d", trial, before, after)
 		}

@@ -57,7 +57,7 @@ func checkSameTopology(t *testing.T, grown, fresh *Graph) {
 	if !reflect.DeepEqual(neighborSets(grown), neighborSets(fresh)) {
 		t.Fatal("adjacency neighbor sets differ")
 	}
-	if got, want := grown.Components(bitset.Set{}, bitset.Set{}), fresh.Components(bitset.Set{}, bitset.Set{}); !reflect.DeepEqual(got, want) {
+	if got, want := grown.Components(bitset.NewAllSet(grown.M()), bitset.NewAllSet(grown.N())), fresh.Components(bitset.NewAllSet(fresh.M()), bitset.NewAllSet(fresh.N())); !reflect.DeepEqual(got, want) {
 		t.Fatalf("components differ\n grown: %v\n fresh: %v", got, want)
 	}
 	// Every live edge resolves by endpoints in both graphs; every retired

@@ -20,11 +20,6 @@
 //     literals, make/new, fmt calls, append to an unsized local slice)
 //     are flagged — the static counterpart of
 //     scripts/check_alloc_budget.sh.
-//   - maskconv: env.State's EdgeUp/AgentUp masks use the bitset
-//     zero-value = all-up convention; indexing them directly (.Get,
-//     .Len, .Count) outside internal/env bypasses the convention and
-//     misreads an absent mask as all-down. Use State.EdgeIsUp /
-//     AgentIsUp / Usable, or guard with IsZero in the same statement.
 //   - timenow: wall-clock reads (time.Now, time.Since) in library
 //     packages make results machine-dependent; they belong in tests,
 //     benchmarks, and CLI reporting (package main) only.
@@ -47,7 +42,7 @@ import (
 // directive grammar itself) but is not a valid target for an ignore
 // directive.
 func AnalyzerNames() []string {
-	return []string{"detrand", "mapiter", "hotalloc", "maskconv", "timenow"}
+	return []string{"detrand", "mapiter", "hotalloc", "timenow"}
 }
 
 // All returns the full suite, directives checker included — the list
@@ -58,7 +53,6 @@ func All() []*analysis.Analyzer {
 		DetRand,
 		MapIter,
 		HotAlloc,
-		MaskConv,
 		TimeNow,
 	}
 }

@@ -16,7 +16,6 @@ import (
 func TestDetRand(t *testing.T)  { linttest.Run(t, "testdata", lint.DetRand, "detrand") }
 func TestMapIter(t *testing.T)  { linttest.Run(t, "testdata", lint.MapIter, "mapiter") }
 func TestHotAlloc(t *testing.T) { linttest.Run(t, "testdata", lint.HotAlloc, "hotalloc") }
-func TestMaskConv(t *testing.T) { linttest.Run(t, "testdata", lint.MaskConv, "maskconv") }
 func TestTimeNow(t *testing.T)  { linttest.Run(t, "testdata", lint.TimeNow, "timenow") }
 
 // TestDirectives pins the directive grammar itself: no analyzer name,

@@ -9,9 +9,8 @@
 // third_party/golang.org/x/tools/README.vendored.md. This harness
 // reimplements the slice of analysistest the suite needs:
 //
-//   - fixture layout testdata/src/<pkg>/*.go, with fixture packages
-//     importable from one another by bare path (maskconv's fixtures
-//     import an `env` stand-in package);
+//   - fixture layout testdata/src/<pkg>/*.go, each fixture package
+//     standalone (it imports the standard library only);
 //   - stdlib imports type-checked from $GOROOT/src via the source
 //     importer (no compiled export data needed);
 //   - the analyzer's Requires DAG (inspect, the directive index) run in
@@ -77,46 +76,24 @@ type pkgInfo struct {
 	info  *types.Info
 }
 
-// loader loads fixture packages by path, delegating non-fixture imports
-// to the source importer (stdlib from $GOROOT/src).
+// loader loads fixture packages by path, type-checking their imports
+// with the source importer (stdlib from $GOROOT/src).
 type loader struct {
-	root   string
-	fset   *token.FileSet
-	loaded map[string]*pkgInfo
-	std    types.ImporterFrom
+	root string
+	fset *token.FileSet
+	std  types.Importer
 }
 
 func newLoader(root string) *loader {
 	fset := token.NewFileSet()
 	return &loader{
-		root:   root,
-		fset:   fset,
-		loaded: make(map[string]*pkgInfo),
-		std:    importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
+		root: root,
+		fset: fset,
+		std:  importer.ForCompiler(fset, "source", nil),
 	}
-}
-
-// Import implements types.Importer for the type-checker: fixture
-// packages win, everything else falls through to the source importer.
-func (ld *loader) Import(path string) (*types.Package, error) {
-	if fi, err := os.Stat(filepath.Join(ld.root, path)); err == nil && fi.IsDir() {
-		info, err := ld.load(path)
-		if err != nil {
-			return nil, err
-		}
-		return info.pkg, nil
-	}
-	return ld.std.Import(path)
-}
-
-func (ld *loader) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
-	return ld.Import(path)
 }
 
 func (ld *loader) load(path string) (*pkgInfo, error) {
-	if info, ok := ld.loaded[path]; ok {
-		return info, nil
-	}
 	pkgDir := filepath.Join(ld.root, path)
 	entries, err := os.ReadDir(pkgDir)
 	if err != nil {
@@ -145,14 +122,12 @@ func (ld *loader) load(path string) (*pkgInfo, error) {
 		Scopes:     make(map[ast.Node]*types.Scope),
 		Instances:  make(map[*ast.Ident]types.Instance),
 	}
-	conf := types.Config{Importer: ld}
+	conf := types.Config{Importer: ld.std}
 	pkg, err := conf.Check(path, ld.fset, files, info)
 	if err != nil {
 		return nil, fmt.Errorf("type-checking %s: %w", path, err)
 	}
-	pi := &pkgInfo{pkg: pkg, files: files, info: info}
-	ld.loaded[path] = pi
-	return pi, nil
+	return &pkgInfo{pkg: pkg, files: files, info: info}, nil
 }
 
 // runAnalyzer executes a and its Requires closure over one package,

@@ -139,9 +139,6 @@ func (*Sorting) F() core.Function[Item] { return SortF() }
 // H implements core.Problem: the squared-displacement variant.
 func (p *Sorting) H() core.Variant[Item] { return DisplacementH(p.ord) }
 
-// BadH returns the Fig. 1 out-of-order-pairs variant for this instance.
-func (*Sorting) BadH() core.Variant[Item] { return InversionsH() }
-
 // GroupStep implements core.Problem: sort the group's values among the
 // group's indexes (or, in Adjacent mode, swap one out-of-order pair of
 // index-adjacent members).

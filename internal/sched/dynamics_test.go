@@ -229,6 +229,48 @@ func TestSchedAmnesiacSumViolates(t *testing.T) {
 	}
 }
 
+// TestSchedJoinDuringPartition: two joiners splice into a 16-ring while
+// a two-block partition is cutting it. The epoch that grows the graph
+// must undo the previous epoch's overlay first: growing the all-up base
+// copies its bits, and cut bits still cleared in it would stay cleared
+// after the heal. The ring visits its agents alternately from the two
+// blocks (0, 8, 1, 9, …, 7, 15), so every founding link crosses the cut,
+// and the global minimum at agent 12 leaves its neighbourhood only over
+// links the partition cut: the run converges onto the join-extended
+// target only if they all came back.
+func TestSchedJoinDuringPartition(t *testing.T) {
+	const n = 16
+	at := func(i int) int { return i%2*(n/2) + i/2 } // the agent at ring position i
+	var edges []graph.Edge
+	for i := range n {
+		edges = append(edges, graph.NewEdge(at(i), at((i+1)%n)))
+	}
+	initial := make([]int, n+2)
+	for i := range initial {
+		initial[i] = 30 + i
+	}
+	initial[12] = 1
+	for _, w := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
+			g, err := graph.New("interleaved-ring", n, edges)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res := converged(t, problems.NewMin(), g, initial, Options{
+				Seed: 17, Workers: w, Timeout: 30 * time.Second,
+				OpsPerEpoch: 24, MaxOps: 50_000,
+				Dynamics: dynamics.NewSchedule(dynamics.Partition(2, 2, 8), dynamics.Join(2, "ring", 4)),
+			})
+			if final := ms.New(res.Target.Cmp(), res.Final...); !final.Equal(res.Target) {
+				t.Errorf("final %v != target %v", res.Final, res.Target)
+			}
+			if res.Dynamics == nil || res.Dynamics.Joins != 2 || res.Dynamics.Heals != 1 {
+				t.Errorf("dynamics report: %+v, want 2 joins and 1 heal", res.Dynamics)
+			}
+		})
+	}
+}
+
 // TestSchedPartition runs an edge-mask window (the partition shape) on
 // sched: during the masked epochs the spanning edges are down and
 // initiations across them requeue; after healing the run converges

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/env"
 	"repro/internal/graph"
 	ms "repro/internal/multiset"
 	"repro/internal/obs"
@@ -470,7 +469,7 @@ func (r *run[T]) initiate(a int32, rng *engine.FastRand) (outcome, int64) {
 
 	r.reseed(a, rng)
 	pick := r.nbrs[int(lo)+rng.Intn(int(hi-lo))]
-	if !r.es.EdgeIsUp(int(pick.edge)) {
+	if !r.es.EdgeUp.Get(int(pick.edge)) {
 		return outRequeue, 0 // dynamics masked the link this epoch
 	}
 	if p := r.opts.LinkUpProbability; p < 1 && rng.Float64() >= p {
@@ -643,13 +642,16 @@ func (r *run[T]) barrier() {
 // applyEpoch applies dynamics epoch e while every other worker is parked
 // (or, for epoch 0, before any has started): growth first, then the
 // epoch's events and mask overlay — the sim round protocol with
-// initiations as the clock.
+// initiations as the clock. The previous epoch's overlay is undone
+// before growth: growth copies the base masks, and bits the overlay
+// cleared would be carried into the copy with nothing left to restore
+// them.
 func (r *run[T]) applyEpoch(e int) {
+	r.ap.EndRound()
 	if gr, ok := r.ap.GrowthFor(e); ok {
 		r.applyGrowth(gr)
 	}
-	r.ap.EndRound()
-	r.es = r.ap.BeginRound(e, env.State{})
+	r.es = r.ap.BeginRound(e, r.base)
 	for _, ag := range r.ap.JustCrashed() {
 		a := int32(ag)
 		if r.awaiting[a] {
@@ -694,8 +696,9 @@ func (r *run[T]) applyEpoch(e int) {
 // applyGrowth extends every run structure for joiners arriving at a
 // safepoint: states, the scheduling arrays, the last shard's
 // block (the engine.Shards append rule), CSR (degrees may change
-// anywhere), one empty inbox and one slot per joiner, and the shared
-// monitor's target — the sim applyGrowth protocol on the sched runtime.
+// anywhere), the all-up base masks, one empty inbox and one slot per
+// joiner, and the shared monitor's target — the sim applyGrowth
+// protocol on the sched runtime.
 func (r *run[T]) applyGrowth(gr graph.Growth) {
 	n0 := len(r.states)
 	joined := r.initVals[gr.FirstAgent : gr.FirstAgent+gr.NewAgents]
@@ -717,6 +720,8 @@ func (r *run[T]) applyGrowth(gr graph.Growth) {
 	last := &r.shards[len(r.shards)-1]
 	last.hi = n
 	r.buildCSR()
+	r.base.EdgeUp = r.base.EdgeUp.Resized(r.g.M(), true)
+	r.base.AgentUp = r.base.AgentUp.Resized(r.g.N(), true)
 	r.growMailboxes(n)
 
 	// The run now answers for the final population: the target absorbs

@@ -376,9 +376,11 @@ type run[T any] struct {
 	nbrOff []int32
 	nbrs   []nbEntry
 
-	// es holds the dynamics edge/agent mask overlay for the current
-	// epoch; written only at safepoints, read by workers.
-	es env.State
+	// base is the all-up edge/agent masks, grown with the graph; es is
+	// the current epoch's effective masks — base under the dynamics
+	// overlay, or base itself without a schedule. Both are written only
+	// at safepoints; workers read es.
+	base, es env.State
 
 	// Virtual time and budget: ops is the global initiation counter and
 	// vnow the virtual clock. vnow advances with ops AND with
@@ -483,6 +485,8 @@ func (r *run[T]) setup(n int) {
 		r.sendTo[a] = -1
 	}
 	r.buildCSR()
+	r.base = env.AllUp(r.g)
+	r.es = r.base
 	for s := range r.shards {
 		sh := &r.shards[s]
 		sh.lo = s * r.blockSize

@@ -550,6 +550,9 @@ func RunWith[T any](sc *Scratch[T], p core.Problem[T], e env.Environment, initia
 		r.envRand.Reseed(engine.EnvSeed(opts.Seed, round))
 		es := e.Step(round, r.envRand.Rand)
 		r.obs.End(obs.PhaseEnvStep)
+		if err := es.CheckSized(r.g); err != nil {
+			return nil, fmt.Errorf("sim: environment %q round %d: %w", e.Name(), round, err)
+		}
 		if r.dyn != nil {
 			r.obs.Begin(obs.PhaseDynamics)
 			es = r.dyn.BeginRound(round, es)
@@ -805,7 +808,7 @@ func (r *runner[T]) stepComponents(es env.State) int {
 		// Disabled agents form singleton components that take no action;
 		// any component containing a down agent is necessarily that
 		// singleton (components never join down agents).
-		if len(comp) == 1 && !es.AgentUp.IsZero() && !es.AgentUp.Get(comp[0]) {
+		if len(comp) == 1 && !es.AgentUp.Get(comp[0]) {
 			continue
 		}
 		active++

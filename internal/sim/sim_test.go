@@ -3,6 +3,7 @@ package sim
 import (
 	"math/rand"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -402,6 +403,66 @@ func TestRunValidation(t *testing.T) {
 	empty := graph.Line(0)
 	if _, err := Run[int](problems.NewMin(), env.NewStatic(empty), nil, Options{}); err == nil {
 		t.Error("empty system accepted")
+	}
+}
+
+// unsizedMasks is a custom environment that steps a Static one but, from
+// round from on, hands out a State whose masks are not sized to the
+// graph: the zero State, or one with AgentUp left out.
+type unsizedMasks struct {
+	*env.Static
+	from      int
+	edgesOnly bool
+}
+
+func (e unsizedMasks) Name() string { return "unsized" }
+
+func (e unsizedMasks) Step(round int, rng *rand.Rand) env.State {
+	s := e.Static.Step(round, rng)
+	switch {
+	case round < e.from:
+		return s
+	case e.edgesOnly:
+		return env.State{EdgeUp: s.EdgeUp}
+	default:
+		return env.State{}
+	}
+}
+
+// TestRunRejectsUnsizedMasks: a State's masks are sized to the graph, so
+// a custom environment that returns the zero State (or drops one mask)
+// fails the run with an error naming the environment and the round,
+// in both modes, and the scratch it failed on still runs the next cell
+// as a fresh one would.
+func TestRunRejectsUnsizedMasks(t *testing.T) {
+	g := graph.Ring(8)
+	vals := []int{9, 4, 7, 1, 8, 2, 6, 5}
+	sc := NewScratch[int]()
+	defer sc.Close()
+	for _, mode := range []Mode{ComponentMode, PairwiseMode} {
+		for _, edgesOnly := range []bool{false, true} {
+			opts := testOpts()
+			opts.Mode, opts.StopOnConverged, opts.MaxRounds = mode, false, 10
+			e := unsizedMasks{Static: env.NewStatic(g), from: 2, edgesOnly: edgesOnly}
+			_, err := RunWith[int](sc, problems.NewMin(), e, vals, opts)
+			if err == nil {
+				t.Fatalf("%v edgesOnly=%v: unsized masks accepted", mode, edgesOnly)
+			}
+			if msg := err.Error(); !strings.Contains(msg, `"unsized"`) || !strings.Contains(msg, "round 2") {
+				t.Errorf("%v edgesOnly=%v: error %q names neither the environment nor the round", mode, edgesOnly, msg)
+			}
+			got, err := RunWith[int](sc, problems.NewMin(), env.NewStatic(g), vals, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := Run[int](problems.NewMin(), env.NewStatic(g), vals, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Rounds != want.Rounds || !slices.Equal(got.Final, want.Final) || got.GroupSteps != want.GroupSteps {
+				t.Errorf("%v edgesOnly=%v: run after the error differs from a fresh run", mode, edgesOnly)
+			}
+		}
 	}
 }
 

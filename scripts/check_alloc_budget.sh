@@ -93,7 +93,8 @@
 # reintroducing per-degree mailbox storage fails.
 #
 # BenchmarkMatcherMatch1e5 (internal/engine) pins the pairwise matching
-# of a near-converged 10⁵-agent round: Ring(10⁵), a pool of 2 and a
+# of a near-converged 10⁵-agent round: Ring(10⁵) with all-up masks
+# sized to the graph (every env.State is), a pool of 2 and a
 # candidate set holding one edge in 1024. The per-agent memo is stamped
 # per call, each worker's query stack and arena are reused, and the
 # returned pairs land in reused per-range outputs and one reused output
@@ -122,7 +123,8 @@
 # no P is idle and the code measured is the same: internal/multiset's
 # Replace, and BenchmarkObserveRoundConsensus1e6, whose monitor flushes
 # through a one-worker pool. BenchmarkMatcherMatch1e5 measures a pool of
-# two, so it keeps GOMAXPROCS=2.
+# two, so it keeps GOMAXPROCS=2; its warm-up stops the world a few times
+# (runtime.ReadMemStats) so the spare thread is started before timing.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

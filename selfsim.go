@@ -205,6 +205,10 @@ func RandomConnected(n int, p float64, seed int64) *Graph {
 // --- Environments (the adversary) ---
 
 // Environment produces per-round edge/agent availability over a graph.
+// Each State it returns has one EdgeUp bit per edge and one AgentUp bit
+// per agent; Simulate and RunFlow return an error naming the environment
+// and the round when a State is sized otherwise (the zero State
+// included).
 type Environment = env.Environment
 
 // Static keeps everything up: the benign environment.
