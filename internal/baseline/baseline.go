@@ -108,7 +108,7 @@ func Snapshot(e env.Environment, values []int, maxRounds int, seed int64) (*Resu
 		// is frozen so propagation takes one round per hop.
 		frontier := make([]bool, n)
 		copy(frontier, inTree)
-		for id, edge := range g.Edges() {
+		for id, edge := range g.EdgesView() {
 			if !s.Usable(id, edge.A, edge.B) {
 				continue
 			}
@@ -170,7 +170,7 @@ func Flooding(e env.Environment, values []int, maxRounds int, seed int64) (*Resu
 	for round := 0; round < maxRounds; round++ {
 		rng.Reseed(engine.EnvSeed(seed, round))
 		s := e.Step(round, rng.Rand)
-		for id, edge := range g.Edges() {
+		for id, edge := range g.EdgesView() {
 			if !s.Usable(id, edge.A, edge.B) {
 				continue
 			}

@@ -183,6 +183,10 @@ func SummationVariant[T any](name string, ha func(T) float64) Variant[T] {
 // per-agent terms are integers: h(X) = Σ_{x∈X} Term(x), accumulated in
 // int64. An engine can then maintain h under a state change old → new by
 // adding Term(new) − Term(old), without revisiting the bag.
+//
+// Term must be constant on cmp-equal values (cmp(x, y) = 0 implies
+// Term(x) = Term(y)): an engine sums h over a sorted bag one run of equal
+// values at a time, as runLen × Term(x).
 type Additive[T any] interface {
 	Variant[T]
 	// Term is one agent's contribution ha(x) to h.

@@ -63,6 +63,7 @@ package dynamics
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"repro/internal/bitset"
@@ -473,7 +474,7 @@ func (e crashRandom) fire(a *Applier, _ int) {
 	liveCount := n - len(a.frozen)
 	if liveCount <= e.k {
 		for ag := 0; ag < n; ag++ {
-			if a.live[ag] {
+			if a.live.Get(ag) {
 				a.crash(ag)
 			}
 		}
@@ -484,8 +485,8 @@ func (e crashRandom) fire(a *Applier, _ int) {
 	// pick, deterministic given (seed, round) and the live set. All k
 	// draws come first; each rank is shifted past the earlier picks at or
 	// below it (ascending) to give its rank in the original live order,
-	// O(k²) in all. One scan then maps the sorted ranks to agents, and the
-	// agents crash in pick order.
+	// O(k²) in all. One pass over the live set's words then maps the
+	// sorted ranks to agents, and the agents crash in pick order.
 	picks, sorted := a.pickRanks[:0], a.pickSorted[:0]
 	for picked := 0; picked < e.k; picked++ {
 		r := a.rng.Intn(liveCount - picked)
@@ -499,16 +500,7 @@ func (e crashRandom) fire(a *Applier, _ int) {
 		i, _ := slices.BinarySearch(sorted, r)
 		sorted = slices.Insert(sorted, i, r)
 	}
-	agents := a.pickAgents[:0]
-	for ag, rank := 0, 0; ag < n && len(agents) < len(sorted); ag++ {
-		if !a.live[ag] {
-			continue
-		}
-		if rank == sorted[len(agents)] {
-			agents = append(agents, ag)
-		}
-		rank++
-	}
+	agents := appendRanked(a.pickAgents[:0], a.live.Words(), sorted)
 	for _, r := range picks {
 		i, _ := slices.BinarySearch(sorted, r)
 		a.crash(agents[i])
@@ -516,6 +508,27 @@ func (e crashRandom) fire(a *Applier, _ int) {
 	a.pickRanks, a.pickSorted, a.pickAgents = picks, sorted, agents
 }
 func (e crashRandom) String() string { return fmt.Sprintf("crash-random(%d)", e.k) }
+
+// appendRanked appends to dst the position of the r-th set bit of words
+// (counting from 0) for each r in ranks, which must be ascending and
+// below the number of set bits. Whole words below the next rank are
+// skipped by their popcount, so the pass costs one popcount per word
+// plus a select inside the word of each rank.
+func appendRanked(dst []int, words []uint64, ranks []int) []int {
+	wi, below := 0, 0 // below: set bits in words[:wi]
+	for _, r := range ranks {
+		for c := bits.OnesCount64(words[wi]); below+c <= r; c = bits.OnesCount64(words[wi]) {
+			below += c
+			wi++
+		}
+		w := words[wi]
+		for j := r - below; j > 0; j-- {
+			w &= w - 1 // drop the lowest set bit
+		}
+		dst = append(dst, wi<<6|bits.TrailingZeros64(w))
+	}
+	return dst
+}
 
 type recoverAll struct{}
 
@@ -564,7 +577,7 @@ type Applier struct {
 	g    *graph.Graph
 	base int64
 
-	live        []bool
+	live        bitset.Set
 	frozen      []int // crashed agents, ascending — the frozen-check list
 	justCrashed []int // agents crashed by the current BeginRound
 	justWoken   []int // agents woken by the current BeginRound
@@ -616,13 +629,10 @@ func (a *Applier) Reset(s *Schedule, g *graph.Graph, runSeed int64) {
 	a.amnesiac = s.Amnesiac()
 	a.validate()
 
-	n := g.N()
-	if cap(a.live) < n {
-		a.live = make([]bool, n)
-	}
-	a.live = a.live[:n]
-	for i := range a.live {
-		a.live[i] = true
+	if n := g.N(); a.live.Len() == n {
+		a.live.SetAll()
+	} else {
+		a.live = bitset.NewAllSet(n)
 	}
 	a.frozen = a.frozen[:0]
 	a.justCrashed = a.justCrashed[:0]
@@ -684,13 +694,13 @@ func checkAgentIDs(what string, ids []int, n int) {
 
 // crash freezes agent ag (no-op when already crashed).
 func (a *Applier) crash(ag int) {
-	if ag >= len(a.live) {
-		panic(fmt.Sprintf("dynamics: crash of agent %d scheduled before it joins (population is %d)", ag, len(a.live)))
+	if ag >= a.live.Len() {
+		panic(fmt.Sprintf("dynamics: crash of agent %d scheduled before it joins (population is %d)", ag, a.live.Len()))
 	}
-	if !a.live[ag] {
+	if !a.live.Get(ag) {
 		return
 	}
-	a.live[ag] = false
+	a.live.Clear(ag)
 	a.frozen = insertSorted(a.frozen, ag)
 	a.justCrashed = append(a.justCrashed, ag)
 	a.rep.Crashes++
@@ -698,13 +708,13 @@ func (a *Applier) crash(ag int) {
 
 // wake unfreezes agent ag (no-op when live).
 func (a *Applier) wake(ag int) {
-	if ag >= len(a.live) {
-		panic(fmt.Sprintf("dynamics: recovery of agent %d scheduled before it joins (population is %d)", ag, len(a.live)))
+	if ag >= a.live.Len() {
+		panic(fmt.Sprintf("dynamics: recovery of agent %d scheduled before it joins (population is %d)", ag, a.live.Len()))
 	}
-	if a.live[ag] {
+	if a.live.Get(ag) {
 		return
 	}
-	a.live[ag] = true
+	a.live.Set(ag)
 	a.frozen = removeSorted(a.frozen, ag)
 	a.justWoken = append(a.justWoken, ag)
 	a.rep.Recoveries++
@@ -827,9 +837,7 @@ func (a *Applier) growthSlow(round int) (graph.Growth, bool) {
 		return graph.Growth{}, false
 	}
 	// Joiners arrive live.
-	for len(a.live) < a.g.N() {
-		a.live = append(a.live, true)
-	}
+	a.live = a.live.Resized(a.g.N(), true)
 	// The block-partition cut lists were built for the smaller
 	// topology: their block size is a function of the current population
 	// (explicit CutEdges lists are untouched — they name founding edges

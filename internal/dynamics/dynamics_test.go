@@ -289,7 +289,11 @@ func TestCrashRandomExactCount(t *testing.T) {
 		es := env.AllUp(g)
 		a.BeginRound(0, es)
 		a.EndRound()
-		want := crashRandomReference(slices.Clone(a.live), k, engine.NewFastRand(engine.SubSeed(a.base, 1)))
+		live := make([]bool, a.live.Len())
+		for ag := range live {
+			live[ag] = a.live.Get(ag)
+		}
+		want := crashRandomReference(live, k, engine.NewFastRand(engine.SubSeed(a.base, 1)))
 		crashesBefore := a.Report().Crashes
 		a.BeginRound(1, es)
 		if got := a.JustCrashed(); !slices.Equal(got, want) {
@@ -302,6 +306,55 @@ func TestCrashRandomExactCount(t *testing.T) {
 			t.Fatalf("trial %d: frozen list %v not ascending", trial, a.Frozen())
 		}
 		a.EndRound()
+	}
+}
+
+// TestApplierReuseMatchesFresh: one Applier reused across populations of
+// different sizes — Ring(200) → Ring(100) → Ring(300) — reports, round
+// for round, the same crashes, wakes, frozen list and Report as a fresh
+// applier on each run. The join grows each run by 200 agents, so the
+// third run starts at the size the second one ended at: its Reset keeps
+// the live set's words and must clear the crashes the second run left.
+func TestApplierReuseMatchesFresh(t *testing.T) {
+	sched := NewSchedule(
+		At(1, CrashRandom(40)),
+		Join(200, "ring", 2),
+		At(3, CrashRandom(70)),
+		Every(5, RecoverAll()),
+		Every(6, CrashRandom(9)),
+	)
+	trace := func(a *Applier, g *graph.Graph) string {
+		var b strings.Builder
+		es := env.AllUp(g)
+		for round := 0; round < 14; round++ {
+			if _, ok := a.GrowthFor(round); ok {
+				es = env.AllUp(g)
+			}
+			a.BeginRound(round, es)
+			fmt.Fprintf(&b, "r%d crashed=%v woken=%v frozen=%v\n", round, a.JustCrashed(), a.JustWoken(), a.Frozen())
+			a.EndRound()
+		}
+		fmt.Fprintf(&b, "%+v\n", a.Report())
+		return b.String()
+	}
+	var reused *Applier
+	for i, n := range []int{200, 100, 300} {
+		seed := int64(90 + i)
+		fresh := graph.Ring(n)
+		want := trace(sched.NewApplier(fresh, seed), fresh)
+		g := graph.Ring(n)
+		if reused == nil {
+			reused = sched.NewApplier(g, seed)
+		} else {
+			words := reused.live.Words()
+			reused.Reset(sched, g, seed)
+			if kept := &reused.live.Words()[0] == &words[0]; kept != (n == 300) {
+				t.Fatalf("Ring(%d): Reset kept the live set's words = %v", n, kept)
+			}
+		}
+		if got := trace(reused, g); got != want {
+			t.Fatalf("Ring(%d): reused applier diverged from a fresh one:\n%s\nvs\n%s", n, got, want)
+		}
 	}
 }
 

@@ -34,6 +34,7 @@ package engine
 import (
 	"fmt"
 	"slices"
+	"sort"
 
 	"repro/internal/core"
 	ms "repro/internal/multiset"
@@ -133,8 +134,12 @@ func (m *Monitor[T]) Reset(p core.Problem[T], initial *Shards[T], pool *Pool) {
 	n, lo, hi := initial.Extremes()
 	c := m.cons.Consensus(lo, hi)
 	target := make([]T, n)
-	for i := range target {
-		target[i] = c
+	if n > 0 {
+		// Fill by doubling copies: log₂ n bulk moves, not n stores.
+		target[0] = c
+		for k := 1; k < n; k *= 2 {
+			copy(target[k:], target[:k])
+		}
 	}
 	m.target = ms.View(initial.cmp, target)
 	m.hSum = m.sumTerms(initial, pool)
@@ -149,14 +154,7 @@ func (m *Monitor[T]) sumTerms(s *Shards[T], pool *Pool) int64 {
 	if m.sumFn == nil {
 		// Built once: it captures only m, so a warm monitor hands the pool
 		// the same func value every Reset.
-		m.sumFn = func(_, i int) {
-			v := m.sumOf.ShardView(i)
-			var sum int64
-			for j := 0; j < v.Len(); j++ {
-				sum += m.add.Term(v.At(j))
-			}
-			m.sums[i] = sum
-		}
+		m.sumFn = func(_, i int) { m.sums[i] = m.runSum(m.sumOf.ShardView(i)) }
 	}
 	m.sums = slices.Grow(m.sums[:0], s.P())[:s.P()]
 	m.sumOf = s
@@ -167,6 +165,30 @@ func (m *Monitor[T]) sumTerms(s *Shards[T], pool *Pool) int64 {
 		h += v
 	}
 	return h
+}
+
+// runSum returns Σ Term over the sorted v one run of cmp-equal values at
+// a time: it gallops to the end of each run and adds runLen × Term(v),
+// which core.Additive makes exact (Term is constant on cmp-equal values).
+// A near-converged view of n states in d runs costs O(d log n) compares
+// and d Term calls, not n. The int64 sum wraps like the per-element sum
+// does, so the two agree bit for bit.
+func (m *Monitor[T]) runSum(v ms.Multiset[T]) int64 {
+	cmp, n := v.Cmp(), v.Len()
+	var sum int64
+	for i := 0; i < n; {
+		x := v.At(i)
+		// Gallop: probe i+1, i+2, i+4, … while they equal x, then binary
+		// search between the last equal probe and the first that is not.
+		eq, probe := i, i+1
+		for probe < n && cmp(v.At(probe), x) == 0 {
+			eq, probe = probe, i+2*(probe-i)
+		}
+		end := eq + 1 + sort.Search(min(probe, n)-eq-1, func(j int) bool { return cmp(v.At(eq+1+j), x) != 0 })
+		sum += int64(end-i) * m.add.Term(x)
+		i = end
+	}
+	return sum
 }
 
 // fix evaluates a target f(x) in one fill through the core.ApplyInto
@@ -184,10 +206,7 @@ func (m *Monitor[T]) resyncH(now ms.Multiset[T]) float64 {
 	if m.add == nil {
 		return m.h.Value(now)
 	}
-	m.hSum = 0
-	for i := 0; i < now.Len(); i++ {
-		m.hSum += m.add.Term(now.At(i))
-	}
+	m.hSum = m.runSum(now)
 	return float64(m.hSum)
 }
 

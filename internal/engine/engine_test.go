@@ -438,6 +438,54 @@ func TestMonitorResetConsensusPathMatchesFullPath(t *testing.T) {
 	}
 }
 
+// TestSumTermsRunsMatchesPlain: the run-length h sum equals the plain
+// per-element sum Σ Term over all-equal, all-distinct, near-converged and
+// random-duplicate states split into 1, 2 and 3 shards, for a term whose
+// products wrap int64 as well as a small one: the two sums must agree
+// bit for bit.
+func TestSumTermsRunsMatchesPlain(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	const n = 3000
+	distinct, near, dups := make([]int, n), slices.Repeat([]int{4}, n), make([]int, n)
+	for i := range distinct {
+		distinct[i] = n - 3*i
+		dups[i] = rng.Intn(40) - 20
+	}
+	for range 25 {
+		near[rng.Intn(n)] = 5 + rng.Intn(3)
+	}
+	terms := []struct {
+		name string
+		term func(int) int64
+	}{
+		{"small", func(x int) int64 { return int64(x*x - 3*x) }},
+		{"wrapping", func(x int) int64 { return int64(x) * 0x1234_5678_9abc_def1 }},
+	}
+	states := []struct {
+		name string
+		vals []int
+	}{
+		{"all-equal", slices.Repeat([]int{-9}, n)}, {"all-distinct", distinct},
+		{"near-converged", near}, {"random-duplicate", dups}, {"single", []int{3}}, {"empty", nil},
+	}
+	pool := NewPool(2, 1)
+	defer pool.Close()
+	for _, tc := range terms {
+		m := &Monitor[int]{add: core.IntSummationVariant("h", tc.term).(core.Additive[int])}
+		for _, sc := range states {
+			var want int64
+			for _, v := range sc.vals {
+				want += tc.term(v)
+			}
+			for _, P := range []int{1, 2, 3} {
+				if got := m.sumTerms(NewShards(ms.OrderedCmp[int](), sc.vals, P), pool); got != want {
+					t.Errorf("%s/%s/P=%d: run-length sum %d, plain sum %d", tc.name, sc.name, P, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestGroupSeedKeyed: a round engine's seeds are pure functions of (run
 // seed, round, consumer). A group's seed factors through RoundSeed and is
 // distinct over a round × member grid; the environment's (EnvSeed) and

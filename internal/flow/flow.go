@@ -147,7 +147,7 @@ func Run(e env.Environment, x0 []float64, opts Options) (*Result, error) {
 		for i := range delta {
 			delta[i] = 0
 		}
-		for id, edge := range g.Edges() {
+		for id, edge := range g.EdgesView() {
 			if !s.Usable(id, edge.A, edge.B) {
 				continue
 			}

@@ -189,3 +189,25 @@ func TestPowerLossConserves(t *testing.T) {
 		t.Error("did not converge under power loss")
 	}
 }
+
+// TestRunAllocsFlatInRounds: a static run allocates nothing per round
+// beyond its result, so 10 and 20 rounds of Ring(1000) allocate the same:
+// the per-round edge scan reads the graph's edge list in place.
+func TestRunAllocsFlatInRounds(t *testing.T) {
+	g := graph.Ring(1000)
+	e := env.NewStatic(g)
+	x0 := make([]float64, g.N())
+	for i := range x0 {
+		x0[i] = float64(i % 7)
+	}
+	allocs := func(rounds int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, err := Run(e, x0, Options{Dt: 0.2, Rounds: rounds, Seed: 1}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if a10, a20 := allocs(10), allocs(20); a10 != a20 {
+		t.Errorf("Ring(1000) static flow: %v allocs for 10 rounds, %v for 20", a10, a20)
+	}
+}

@@ -433,7 +433,7 @@ func (r *run[T]) settleCrash(a int32) {
 //
 //det:hotpath
 func (r *run[T]) reseed(a int32, rng *engine.FastRand) {
-	rng.Reseed(engine.SubSeed(r.seedBase[a], int(r.eventSeq[a])))
+	rng.Reseed(engine.SubSeed(engine.AgentSeed(r.opts.Seed, int(a)), int(r.eventSeq[a])))
 	r.eventSeq[a]++
 }
 
@@ -707,7 +707,6 @@ func (r *run[T]) applyGrowth(gr graph.Growth) {
 	for a := n0; a < n; a++ {
 		r.frozenVals = append(r.frozenVals, r.states[a])
 		r.flags = append(r.flags, 0)
-		r.seedBase = append(r.seedBase, engine.AgentSeed(r.opts.Seed, a))
 		r.eventSeq = append(r.eventSeq, 0)
 		r.awaiting = append(r.awaiting, false)
 		r.crashed = append(r.crashed, false)

@@ -354,7 +354,6 @@ type run[T any] struct {
 	initVals     []T // founding + joiners, the amnesiac reset source
 	frozenVals   []T
 	flags        []uint8
-	seedBase     []int64
 	eventSeq     []uint32
 	awaiting     []bool
 	crashed      []bool
@@ -471,7 +470,6 @@ func (r *run[T]) setup(n int) {
 	r.states = append([]T(nil), r.initVals[:n]...)
 	r.frozenVals = make([]T, n)
 	r.flags = make([]uint8, n)
-	r.seedBase = make([]int64, n)
 	r.eventSeq = make([]uint32, n)
 	r.awaiting = make([]bool, n)
 	r.crashed = make([]bool, n)
@@ -481,7 +479,6 @@ func (r *run[T]) setup(n int) {
 	r.actDue = make([]int64, n)
 	r.backoff = make([]AIMD, n)
 	for a := 0; a < n; a++ {
-		r.seedBase[a] = engine.AgentSeed(r.opts.Seed, a)
 		r.sendTo[a] = -1
 	}
 	r.buildCSR()

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/dynamics"
@@ -591,4 +592,19 @@ func TestSchedLargeHypercube(t *testing.T) {
 	}
 	t.Logf("n=%d converged in %v: ops=%d proper=%d steals=%d checks=%d (%.0f proper/s)",
 		n, el, res.Ops, res.ProperSteps, res.Steals, res.QuiescenceChecks, res.ProperStepsPerSec())
+}
+
+// TestShardLayoutPadded: on a 64-bit platform a shard fills a whole
+// number of 128-byte line pairs, so neighbouring shards in run.shards
+// never share one, and a worker's tick is alone on its cache line.
+func TestShardLayoutPadded(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("layout pinned for 64-bit platforms")
+	}
+	if sz := unsafe.Sizeof(shard[int]{}); sz%128 != 0 {
+		t.Errorf("shard is %d bytes, not a multiple of 128", sz)
+	}
+	if sz := unsafe.Sizeof(inflightTick{}); sz != 64 {
+		t.Errorf("inflightTick is %d bytes, want 64", sz)
+	}
 }

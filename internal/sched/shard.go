@@ -32,7 +32,9 @@ type deferEntry struct {
 // shard owns a contiguous agent block [lo, hi): its lock guards their
 // inboxes (mailbox.go), their run-queue membership, and their deferred
 // heap. One worker goroutine drains it; idle workers steal from other
-// shards' queues.
+// shards' queues. It is padded to 128 bytes, a pair of cache lines, so
+// one shard's lock never shares a line (or the adjacent line the
+// hardware prefetches with it) with a neighbour's run queue.
 type shard[T any] struct {
 	mu sync.Mutex
 
@@ -50,6 +52,8 @@ type shard[T any] struct {
 	// cleared by the waker before the (capacity-1) send.
 	sleeping bool
 	wake     chan struct{}
+
+	_ [24]byte
 }
 
 // signal hands the shard's worker its wake token. The caller has just
