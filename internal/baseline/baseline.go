@@ -78,6 +78,7 @@ func Snapshot(e env.Environment, values []int, maxRounds int, seed int64) (*Resu
 	}
 	reset()
 	res.MaxStateSize = 1
+	frontier := make([]bool, n)
 
 	for round := 0; round < maxRounds; round++ {
 		rng.Reseed(engine.EnvSeed(seed, round))
@@ -106,7 +107,6 @@ func Snapshot(e env.Environment, values []int, maxRounds int, seed int64) (*Resu
 		// an available edge) to an agent that was a member at the start
 		// of the round joins (request+reply = 2 messages). The frontier
 		// is frozen so propagation takes one round per hop.
-		frontier := make([]bool, n)
 		copy(frontier, inTree)
 		for id, edge := range g.EdgesView() {
 			if !s.Usable(id, edge.A, edge.B) {

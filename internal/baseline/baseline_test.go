@@ -36,6 +36,25 @@ func TestSnapshotStatic(t *testing.T) {
 	}
 }
 
+// TestSnapshotRoundsAllocateNothing: the frozen frontier is one buffer
+// refilled every round, so a run's allocations do not grow with its
+// length. A static Ring(1000) needs 500 rounds to converge, so both runs
+// stop at their round cap.
+func TestSnapshotRoundsAllocateNothing(t *testing.T) {
+	e := env.NewStatic(graph.Ring(1000))
+	v := vals(1000)
+	allocs := func(rounds int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, err := Snapshot(e, v, rounds, 1); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if a10, a20 := allocs(10), allocs(20); a20 != a10 {
+		t.Errorf("Snapshot allocates %v times for 10 rounds and %v for 20, want the same", a10, a20)
+	}
+}
+
 func TestSnapshotStallsOnPartition(t *testing.T) {
 	g := graph.Complete(6)
 	e := env.NewPartitioner(g, 2, 0, 1_000_000) // permanent partition

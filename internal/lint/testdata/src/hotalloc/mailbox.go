@@ -30,7 +30,7 @@ func pushSlab(r *mring, slab []msg, m msg) {
 	r.tail++
 }
 
-// popSlab is a clean pop like sched.popMsg: indexed read, monotonic
+// popSlab is a clean pop like sched.takeMsg: indexed read, monotonic
 // head, the zero value returned by value.
 //
 //det:hotpath

@@ -6,8 +6,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/dynamics"
 	"repro/internal/graph"
 	ms "repro/internal/multiset"
+	"repro/internal/obs"
 	"repro/internal/problems"
 )
 
@@ -165,6 +167,50 @@ func TestSchedCountersBounded(t *testing.T) {
 		}
 		if res.Lost != 0 {
 			t.Errorf("seed %d: Lost = %d without a fault layer", seed, res.Lost)
+		}
+	}
+}
+
+// TestSchedCountersSumAcrossWorkers: each worker counts on its own
+// record and Result sums them. With four workers and loss faults the
+// sums must keep Result's ordering, and each must equal the probe's
+// tally of the same events, which every worker adds to one shared
+// counter.
+func TestSchedCountersSumAcrossWorkers(t *testing.T) {
+	g := graph.Hypercube(8)
+	vals := make([]int, g.N())
+	for i := range vals {
+		vals[i] = 1000 - 3*i
+	}
+	for seed := int64(0); seed < 3; seed++ {
+		o := topts()
+		o.Seed = seed
+		o.Workers = 4
+		o.Faults = &dynamics.Faults{LossP: 0.2}
+		probe := obs.NewProbe(obs.Config{})
+		o.Probe = probe
+		res := converged(t, problems.NewMin(), g, vals, o)
+		if res.Lost == 0 {
+			t.Errorf("seed %d: Lost = 0 under LossP 0.2", seed)
+		}
+		if res.Steals < 0 {
+			t.Errorf("seed %d: Steals = %d", seed, res.Steals)
+		}
+		if sum := res.ProperSteps + res.Rejections + res.Lost; sum > res.Ops {
+			t.Errorf("seed %d: ProperSteps+Rejections+Lost = %d > Ops = %d", seed, sum, res.Ops)
+		}
+		c := probe.Report().Counters
+		for _, x := range []struct {
+			name       string
+			got, probe int
+		}{
+			{"Lost", res.Lost, int(c[obs.CounterExchLost])},
+			{"Rejections", res.Rejections, int(c[obs.CounterExchBusy])},
+			{"Steals", res.Steals, int(c[obs.CounterSchedSteals])},
+		} {
+			if x.got != x.probe {
+				t.Errorf("seed %d: %s = %d, the probe counted %d", seed, x.name, x.got, x.probe)
+			}
 		}
 	}
 }

@@ -41,7 +41,7 @@ func ticks(d time.Duration) int64 {
 // this order is the total event order of the run — a pure function of
 // the seed — which is exactly the determinism pin the golden holds.
 func (r *run[T]) worker(w int) {
-	rng := engine.NewFastRand(r.opts.Seed)
+	me := &r.workers[w]
 	own := &r.shards[w]
 	for {
 		if r.stop.Load() {
@@ -56,7 +56,7 @@ func (r *run[T]) worker(w int) {
 		// The event starts before the claim: a worker descheduled between
 		// claiming an agent and processing it holds that agent too.
 		r.inflight[w].tick.Store(r.ops.Load())
-		a, ok := r.next(own, w)
+		a, chain, ok := r.next(own, w)
 		if !ok {
 			r.inflight[w].tick.Store(idleTick)
 			if !r.sleep(own) {
@@ -64,7 +64,7 @@ func (r *run[T]) worker(w int) {
 			}
 			continue
 		}
-		r.process(a, rng)
+		r.process(a, chain, me)
 		r.inflight[w].tick.Store(idleTick)
 	}
 	r.sp.mu.Lock()
@@ -73,23 +73,24 @@ func (r *run[T]) worker(w int) {
 	r.sp.mu.Unlock()
 }
 
-// next claims one runnable agent for worker w, or reports none. Every
-// flag transition happens under the claimed agent's home shard lock —
-// one agent per steal, so a thief never moves scheduling state out from
+// next claims one runnable agent for worker w, with the inbox chain it
+// detached in the same critical section, or reports none. Every flag
+// transition happens under the claimed agent's home shard lock — one
+// agent per steal, so a thief never moves scheduling state out from
 // under its home lock.
-func (r *run[T]) next(own *shard[T], w int) (int32, bool) {
-	now := r.vnow.Load()
+func (r *run[T]) next(own *shard[T], w int) (int32, int32, bool) {
+	now := r.now()
 	own.mu.Lock()
 	for len(own.deferred) > 0 && own.deferred[0].due <= now {
 		e, _ := own.heapPop()
-		if r.claimLocked(e.agent, flagDeferred) {
+		if chain, ok := r.claimLocked(e.agent, flagDeferred); ok {
 			own.mu.Unlock()
-			return e.agent, true
+			return e.agent, chain, true
 		}
 	}
-	if a, ok := r.claimQueuedLocked(own); ok {
+	if a, chain, ok := r.claimQueuedLocked(own); ok {
 		own.mu.Unlock()
-		return a, true
+		return a, chain, true
 	}
 	own.mu.Unlock()
 
@@ -98,11 +99,11 @@ func (r *run[T]) next(own *shard[T], w int) (int32, bool) {
 	for i := 1; i < P; i++ {
 		v := &r.shards[(w+i)%P]
 		v.mu.Lock()
-		if a, ok := r.claimQueuedLocked(v); ok {
+		if a, chain, ok := r.claimQueuedLocked(v); ok {
 			v.mu.Unlock()
-			r.steals.Add(1)
+			r.workers[w].steals++
 			r.opts.Probe.Add(obs.CounterSchedSteals, 1)
-			return a, true
+			return a, chain, true
 		}
 		v.mu.Unlock()
 	}
@@ -116,49 +117,51 @@ func (r *run[T]) next(own *shard[T], w int) (int32, bool) {
 	own.mu.Lock()
 	for len(own.deferred) > 0 {
 		e, _ := own.heapPop()
-		if r.claimLocked(e.agent, flagDeferred) {
+		if chain, ok := r.claimLocked(e.agent, flagDeferred); ok {
 			own.mu.Unlock()
 			r.advance(e.due)
-			return e.agent, true
+			return e.agent, chain, true
 		}
 	}
 	own.mu.Unlock()
-	return 0, false
+	return 0, 0, false
 }
 
 // claimQueuedLocked claims the first agent on sh's run queue that no
-// other worker is running. The caller holds sh.mu.
+// other worker is running, and detaches its inbox. The caller holds
+// sh.mu.
 //
 //det:hotpath
-func (r *run[T]) claimQueuedLocked(sh *shard[T]) (int32, bool) {
+func (r *run[T]) claimQueuedLocked(sh *shard[T]) (int32, int32, bool) {
 	for {
 		a, ok := sh.rqPop()
 		if !ok {
-			return 0, false
+			return 0, 0, false
 		}
 		r.opts.Probe.Add(obs.CounterSchedDepthSum, int64(sh.rqLen))
-		if r.claimLocked(a, flagQueued) {
-			return a, true
+		if chain, ok := r.claimLocked(a, flagQueued); ok {
+			return a, chain, true
 		}
 	}
 }
 
 // claimLocked marks agent a, just popped from the container its flag
-// from names (flagQueued or flagDeferred), as running. An agent can sit
-// in its run queue and its deferred heap at once — a message woke it
-// while it was deferred — so the second pop may find another worker
-// already running it: the pop then becomes a repoll for that worker and
-// claimLocked reports false. The caller holds a's home shard lock.
+// from names (flagQueued or flagDeferred), as running, and detaches its
+// inbox for the claiming worker. An agent can sit in its run queue and
+// its deferred heap at once — a message woke it while it was deferred —
+// so the second pop may find another worker already running it: the
+// pop then becomes a repoll for that worker and claimLocked reports
+// false. The caller holds a's home shard lock.
 //
 //det:hotpath
-func (r *run[T]) claimLocked(a int32, from uint8) bool {
+func (r *run[T]) claimLocked(a int32, from uint8) (int32, bool) {
 	f := r.flags[a] &^ from
 	if f&flagRunning != 0 {
 		r.flags[a] = f | flagRepoll
-		return false
+		return 0, false
 	}
 	r.flags[a] = f | flagRunning
-	return true
+	return r.detachLocked(a), true
 }
 
 // sleep blocks the worker until new work can exist for it. Returns false
@@ -272,23 +275,22 @@ func (r *run[T]) wakeThief() {
 	}
 }
 
-// process runs one scheduling event for agent a: drain the mailbox, then
-// initiate, complete a delayed send, or park/defer; finally settle the
-// scheduling flags. The worker owns a's non-scheduling state for the
-// whole call — ownership transferred through the queue pop.
-func (r *run[T]) process(a int32, rng *engine.FastRand) {
+// process runs one scheduling event for agent a: serve the inbox chain
+// detached at the claim, then initiate, complete a delayed send, or
+// park/defer; finally settle the scheduling flags. The worker owns a's
+// non-scheduling state and the chain's slots for the whole call —
+// ownership transferred through the claim. A message that arrives
+// meanwhile sets flagRepoll, so finish does not park a: its next event,
+// requeued or deferred, serves the message.
+func (r *run[T]) process(a, chain int32, me *workerRec) {
 	sh := r.home(a)
 	out := outPark
 	var due int64
 
-	for {
-		sh.mu.Lock()
-		m, ok := r.popMsg(a)
-		sh.mu.Unlock()
-		if !ok {
-			break
-		}
-		r.handle(a, m, rng)
+	for s := chain; s != endOfChain; {
+		var m message[T]
+		m, s = r.takeMsg(s)
+		r.handle(a, m, me)
 	}
 
 	switch {
@@ -299,7 +301,7 @@ func (r *run[T]) process(a int32, rng *engine.FastRand) {
 	case r.sendTo[a] >= 0:
 		// A delayed request is pending; the agent stays receptive until
 		// the send tick, then commits its CURRENT state.
-		if now := r.vnow.Load(); now >= r.sendDue[a] {
+		if r.now() >= r.sendDue[a] {
 			to := r.sendTo[a]
 			r.sendTo[a] = -1
 			r.awaiting[a] = true
@@ -310,10 +312,10 @@ func (r *run[T]) process(a int32, rng *engine.FastRand) {
 	case r.budgetOut.Load():
 		// Budget drained: keep serving peers (above), initiate nothing.
 	default:
-		if now := r.vnow.Load(); r.actDue[a] > now {
+		if r.actDue[a] > r.now() {
 			out, due = outDefer, r.actDue[a]
 		} else {
-			out, due = r.initiate(a, rng)
+			out, due = r.initiate(a, me)
 		}
 	}
 
@@ -367,8 +369,9 @@ func (r *run[T]) finish(sh *shard[T], a int32, out outcome, due int64) {
 	}
 }
 
-// handle serves one mailbox message for agent a.
-func (r *run[T]) handle(a int32, m message[T], rng *engine.FastRand) {
+// handle serves one mailbox message for agent a, counting on worker
+// record me.
+func (r *run[T]) handle(a int32, m message[T], me *workerRec) {
 	switch m.kind {
 	case msgRequest:
 		if r.crashed[a] || r.awaiting[a] {
@@ -381,11 +384,11 @@ func (r *run[T]) handle(a int32, m message[T], rng *engine.FastRand) {
 		}
 		// The pair transition, atomic at the partner: adopt our half,
 		// return the initiator's.
-		r.reseed(a, rng)
-		na, nb := r.p.PairStep(m.state, r.states[a], rng.Rand)
+		r.reseed(a, me.rng)
+		na, nb := r.p.PairStep(m.state, r.states[a], me.rng.Rand)
 		if r.cmp(r.states[a], nb) != 0 {
 			r.states[a] = nb
-			r.adoptions.Add(1)
+			me.adoptions.Add(1)
 		}
 		r.deliver(m.from, m.from, message[T]{from: a, kind: msgReplyOK, state: na})
 	case msgReplyOK:
@@ -394,20 +397,20 @@ func (r *run[T]) handle(a int32, m message[T], rng *engine.FastRand) {
 		r.opts.Probe.Add(obs.CounterExchDeliver, 1)
 		if r.cmp(r.states[a], m.state) != 0 {
 			r.states[a] = m.state
-			r.adoptions.Add(1)
-			r.properSteps.Add(1)
+			me.adoptions.Add(1)
+			me.properSteps++
 		}
 		r.settleCrash(a)
 	case msgReplyBusy:
 		r.awaiting[a] = false
-		r.rejections.Add(1)
+		me.rejections++
 		r.opts.Probe.Add(obs.CounterExchBusy, 1)
 		// Admission control: the AIMD window becomes a virtual-tick
 		// deadline before which this agent may serve but not re-initiate.
 		window := r.backoff[a].OnRejected()
-		r.reseed(a, rng)
-		jitter := 1 + rng.Int63n(ticks(window))
-		r.actDue[a] = r.vnow.Load() + jitter
+		r.reseed(a, me.rng)
+		jitter := 1 + me.rng.Int63n(ticks(window))
+		r.actDue[a] = r.now() + jitter
 		r.opts.Probe.Add(obs.CounterSchedAdmits, 1)
 		r.opts.Probe.Add(obs.CounterExchBackoffs, 1)
 		r.opts.Probe.Add(obs.CounterExchBackoffNs, jitter*int64(time.Microsecond))
@@ -437,8 +440,10 @@ func (r *run[T]) reseed(a int32, rng *engine.FastRand) {
 	r.eventSeq[a]++
 }
 
-// initiate spends one op on a push-pull exchange attempt by agent a.
-func (r *run[T]) initiate(a int32, rng *engine.FastRand) (outcome, int64) {
+// initiate spends one op on a push-pull exchange attempt by agent a. The
+// op's add to ops is also its move of the virtual clock (now).
+func (r *run[T]) initiate(a int32, me *workerRec) (outcome, int64) {
+	rng := me.rng
 	lo, hi := r.nbrOff[a], r.nbrOff[a+1]
 	if lo == hi {
 		return outPark, 0 // isolated agent: nothing to gossip with, ever
@@ -459,7 +464,6 @@ func (r *run[T]) initiate(a int32, rng *engine.FastRand) (outcome, int64) {
 		runtime.Gosched()
 		return outRequeue, 0
 	}
-	r.advance(n)
 	if r.ap != nil && n >= r.nextEpochAt.Load() {
 		// Crossing an epoch boundary requests a safepoint; whichever
 		// worker reaches the barrier first conducts it.
@@ -478,7 +482,7 @@ func (r *run[T]) initiate(a int32, rng *engine.FastRand) (outcome, int64) {
 	if f := r.opts.Faults; f != nil {
 		if f.LossP > 0 && rng.Float64() < f.LossP {
 			// Lost in transit: the initiation is spent, nothing happens.
-			r.lost.Add(1)
+			me.lost++
 			r.opts.Probe.Add(obs.CounterExchLost, 1)
 			return outRequeue, 0
 		}
@@ -486,7 +490,7 @@ func (r *run[T]) initiate(a int32, rng *engine.FastRand) (outcome, int64) {
 			// In-flight delay: commit to the send at a future tick; the
 			// agent serves its mailbox in the meantime.
 			d := 1 + rng.Int63n(ticks(f.DelayMax))
-			due := r.vnow.Load() + d
+			due := r.now() + d
 			r.sendTo[a] = pick.agent
 			r.sendDue[a] = due
 			return outDefer, due
@@ -533,10 +537,13 @@ func (r *run[T]) maybeCheckQuiescence() {
 	}
 }
 
-// checkGates reports whether both check gates pass: an adoption since
-// the last check, and checkEvery initiations since it.
+// checkGates reports whether both check gates pass: checkEvery
+// initiations since the last check, and an adoption since it. The ops
+// gate goes first: it fails on all but about one loop iteration per
+// checkEvery ops, so the adoption sum, which reads every worker's
+// record, is rarely taken.
 func (r *run[T]) checkGates() bool {
-	return r.adoptions.Load() != r.checkedAdopt && r.ops.Load()-r.lastCheckOps >= r.checkEvery
+	return r.ops.Load()-r.lastCheckOps >= r.checkEvery && r.adoptions() != r.checkedAdopt
 }
 
 // quiescent runs the check with the world stopped and reports whether
@@ -548,7 +555,7 @@ func (r *run[T]) quiescent() bool {
 	if !r.checkGates() {
 		return false
 	}
-	r.checkedAdopt = r.adoptions.Load()
+	r.checkedAdopt = r.adoptions()
 	r.lastCheckOps = r.ops.Load()
 	r.checks++
 	if !r.reached() {
@@ -681,7 +688,7 @@ func (r *run[T]) applyEpoch(e int) {
 			// which problems survive it, and the monitor reports
 			// exactly that at quiescence).
 			r.states[a] = r.initVals[a]
-			r.adoptions.Add(1)
+			r.workers[0].adoptions.Add(1) // the world is stopped
 			reset = true
 		}
 		sh := r.home(a)

@@ -39,8 +39,10 @@ const (
 // while its half is in flight) and each exchange one message in flight
 // (the request, then its reply), so N slots hold every message a run can
 // have, and a slot never sits in two inboxes at once: pushing into a
-// linked slot is an invariant breach and panics. All pushes and pops on
-// an inbox happen under its agent's home shard lock.
+// linked slot is an invariant breach and panics. A push, and the detach
+// that hands a whole chain to the worker claiming its agent, happen
+// under the agent's home shard lock; the claiming worker walks the
+// detached chain with no lock held (takeMsg).
 type inbox struct {
 	head, tail int32
 }
@@ -64,23 +66,29 @@ func (r *run[T]) pushMsg(to, slot int32, m message[T]) {
 	in.tail = slot
 }
 
-// popMsg unlinks and returns the oldest message in agent a's inbox,
-// reporting false on an empty inbox. Caller holds a's home shard lock.
+// detachLocked empties agent a's inbox and returns the head of the chain
+// it held (endOfChain when it was empty). The caller holds a's home shard
+// lock and has just claimed a, so the detached chain belongs to the
+// claiming worker: nothing else reaches its slots until takeMsg frees
+// them, and a message that arrives meanwhile starts a fresh chain.
 //
 //det:hotpath
-func (r *run[T]) popMsg(a int32) (message[T], bool) {
+func (r *run[T]) detachLocked(a int32) int32 {
 	in := &r.inboxes[a]
 	s := in.head
-	if s == endOfChain {
-		var zero message[T]
-		return zero, false
-	}
-	in.head = r.link[s]
-	if in.head == endOfChain {
-		in.tail = endOfChain
-	}
+	in.head, in.tail = endOfChain, endOfChain
+	return s
+}
+
+// takeMsg frees slot s of a detached chain and returns its message and
+// the next slot of the chain. The slot is free once takeMsg returns, so
+// the message's answer may be pushed into it. No lock is held.
+//
+//det:hotpath
+func (r *run[T]) takeMsg(s int32) (message[T], int32) {
+	next := r.link[s]
 	r.link[s] = notLinked
-	return r.msg[s], true
+	return r.msg[s], next
 }
 
 // growMailboxes gives agents [len(r.msg), n) an empty inbox and a free

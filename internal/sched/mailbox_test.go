@@ -39,7 +39,7 @@ func request(from int32, tag int) message[int] {
 	return message[int]{from: from, kind: msgRequest, state: tag}
 }
 
-// slotOf names the slot message m, popped from agent a's inbox, was
+// slotOf names the slot message m, taken from agent a's inbox, was
 // pushed into: a request sits in its sender's slot, a reply in the slot
 // of the initiator it answers.
 func slotOf(a int32, m message[int]) int32 {
@@ -49,16 +49,25 @@ func slotOf(a int32, m message[int]) int32 {
 	return a
 }
 
-// drain pops agent a's whole inbox and returns the slots in pop order.
+// drainMsgs detaches agent a's inbox and walks the chain the way a
+// worker does, returning the messages in chain order.
+func drainMsgs(r *run[int], a int32) []message[int] {
+	var got []message[int]
+	for s := r.detachLocked(a); s != endOfChain; {
+		var m message[int]
+		m, s = r.takeMsg(s)
+		got = append(got, m)
+	}
+	return got
+}
+
+// drain empties agent a's inbox and returns the slots in chain order.
 func drain(r *run[int], a int32) []int32 {
 	var got []int32
-	for {
-		m, ok := r.popMsg(a)
-		if !ok {
-			return got
-		}
+	for _, m := range drainMsgs(r, a) {
 		got = append(got, slotOf(a, m))
 	}
+	return got
 }
 
 // TestInboxFIFOAcrossGrowth: two join epochs land while messages are in
@@ -99,11 +108,7 @@ func TestInboxFIFOAcrossGrowth(t *testing.T) {
 	want := map[int32][]int32{0: {3, 1, 2, 9, 11}, 6: {6}, 7: {5, 4}, 9: {8, 0, 10}}
 	for a := int32(0); a < int32(len(r.inboxes)); a++ {
 		var got []int32
-		for {
-			m, ok := r.popMsg(a)
-			if !ok {
-				break
-			}
+		for _, m := range drainMsgs(r, a) {
 			slot := slotOf(a, m)
 			if m.state != 100+int(slot) {
 				t.Errorf("agent %d: message of slot %d carries %d, want %d", a, slot, m.state, 100+slot)
@@ -148,6 +153,44 @@ func TestInboxSecondMessagePanics(t *testing.T) {
 	}
 }
 
+// TestMessageToRunningAgentServedNextEvent: a claim detaches the
+// agent's whole inbox, so a message pushed while the agent runs starts a
+// fresh chain and marks the agent for a repoll. finish must requeue the
+// agent, and the next claim of it must hand over that message.
+func TestMessageToRunningAgentServedNextEvent(t *testing.T) {
+	r := newTestRun(problems.NewMin(), graph.Ring(4), []int{4, 3, 2, 1}, Options{Seed: 1, Workers: 1})
+	own := &r.shards[0]
+	a, chain, ok := r.next(own, 0)
+	if !ok || a != 0 || chain != endOfChain {
+		t.Fatalf("first claim: agent %d chain %d ok %v, want agent 0 with an empty inbox", a, chain, ok)
+	}
+	r.deliver(0, 1, request(1, 7))
+	if r.flags[0]&flagRepoll == 0 {
+		t.Fatal("a message to a running agent did not set its repoll flag")
+	}
+	r.finish(own, 0, outPark, 0)
+	if r.flags[0]&flagQueued == 0 {
+		t.Fatal("finish parked an agent with a message waiting")
+	}
+	for {
+		a, chain, ok = r.next(own, 0)
+		if !ok {
+			t.Fatal("agent 0 was never claimed again")
+		}
+		if a == 0 {
+			break
+		}
+		if chain != endOfChain {
+			t.Fatalf("agent %d claimed with a message it was never sent", a)
+		}
+		r.finish(own, a, outPark, 0)
+	}
+	m, rest := r.takeMsg(chain)
+	if m != request(1, 7) || rest != endOfChain {
+		t.Errorf("second claim of agent 0 handed over %+v (next %d), want the request from 1 alone", m, rest)
+	}
+}
+
 // TestSettleAdoptsReplyMidChain: a halt leaves agent 0's OK reply behind
 // an unserved request and in front of another. settle must walk the
 // whole chain, drop both requests and adopt the reply — the partner has
@@ -162,7 +205,7 @@ func TestSettleAdoptsReplyMidChain(t *testing.T) {
 	if r.states[0] != 0 || r.awaiting[0] {
 		t.Errorf("agent 0 after settle: state %d awaiting %v, want the reply's 0 adopted", r.states[0], r.awaiting[0])
 	}
-	if got := r.properSteps.Load(); got != 1 {
+	if got := r.totals().properSteps; got != 1 {
 		t.Errorf("settle counted %d proper steps, want 1", got)
 	}
 	if got := r.states[1] + r.states[3]; got != 4 {

@@ -46,9 +46,14 @@
 //     and a deferred min-heap, and the shard is drained by one worker
 //     goroutine. Workers whose queue runs dry steal runnable agents
 //     from other shards (one agent per steal, so every scheduling-flag
-//     mutation happens under the agent's home shard lock).
+//     mutation happens under the agent's home shard lock). Claiming an
+//     agent detaches its whole inbox in the same critical section, so
+//     an event locks the agent's shard twice — claim and finish — however
+//     many messages it serves; a message arriving mid-event starts a
+//     fresh chain, which the agent's next event serves.
 //
-//   - Time is virtual: the global initiation counter. The AIMD window is
+//   - Time is virtual: the global initiation counter, or a later
+//     deadline that a fast-forward jumped to. The AIMD window is
 //     ADMISSION CONTROL: a rejected agent is pushed on its home deferred
 //     heap with a deadline in virtual ticks and the worker moves on. A
 //     worker with no due or queued work fast-forwards its earliest
@@ -60,7 +65,9 @@
 //     scheduling: every event that draws randomness (an initiation, a
 //     served request, a busy-reply jitter) reseeds the worker's FastRand
 //     with engine.SubSeed(engine.AgentSeed(seed, agent), eventIndex) —
-//     O(1) reseeds, no per-agent generator state beyond a counter. With
+//     O(1) reseeds, no per-agent generator state beyond a counter. Each
+//     worker's stream and counters sit on its own padded record, so
+//     counting an event dirties no line another worker writes. With
 //     Workers=1 the whole run — pops, steals (none), deferrals,
 //     convergence checks — is a pure function of the seed, which is the
 //     replay pin the 1-worker golden holds (with one shard there is
@@ -290,10 +297,11 @@ func Run[T any](p core.Problem[T], g *graph.Graph, initial []T, opts Options) (*
 
 	res.Final = r.states
 	res.Ops = int(r.ops.Load())
-	res.ProperSteps = int(r.properSteps.Load())
-	res.Rejections = int(r.rejections.Load())
-	res.Lost = int(r.lost.Load())
-	res.Steals = int(r.steals.Load())
+	t := r.totals()
+	res.ProperSteps = int(t.properSteps)
+	res.Rejections = int(t.rejections)
+	res.Lost = int(t.lost)
+	res.Steals = int(t.steals)
 	res.QuiescenceChecks = r.checks
 	res.Target = mon.Target()
 	// Conservation and net variant descent are judged once, on the final
@@ -366,7 +374,7 @@ type run[T any] struct {
 	// Mailboxes: msg[s] is the message slot of the exchange agent s
 	// initiated, link threads the slots into per-agent FIFO inboxes
 	// (mailbox.go). Guarded by the home shard lock of the inbox a slot
-	// sits in.
+	// sits in, or owned by the worker that detached the slot's chain.
 	msg     []message[T]
 	link    []int32
 	inboxes []inbox
@@ -381,12 +389,14 @@ type run[T any] struct {
 	// at safepoints; workers read es.
 	base, es env.State
 
-	// Virtual time and budget: ops is the global initiation counter and
-	// vnow the virtual clock. vnow advances with ops AND with
-	// fast-forwarded deferrals — without the latter, a moment where every
-	// agent is deferred (a busy storm, an all-delayed epoch) would freeze
-	// the clock the deferrals are waiting on: nobody initiates, ops never
-	// moves, the system spins until the wall-clock net. vnow ≥ ops always.
+	// Virtual time and budget: ops is the global initiation counter, and
+	// the virtual clock is now() = max(ops, vnow), where vnow holds only
+	// the deadlines of fast-forwarded deferrals. Without them a moment
+	// where every agent is deferred (a busy storm, an all-delayed epoch)
+	// would freeze the clock the deferrals are waiting on: nobody
+	// initiates, ops never moves, the system spins until the wall-clock
+	// net. An initiation moves the clock by its add to ops alone, so it
+	// costs no second write to a shared line.
 	ops         atomic.Int64
 	vnow        atomic.Int64
 	budgetOut   atomic.Bool
@@ -403,14 +413,13 @@ type run[T any] struct {
 	// transition to zero means nothing can ever happen again.
 	runnable atomic.Int64
 
-	properSteps atomic.Int64
-	rejections  atomic.Int64
-	lost        atomic.Int64
-	steals      atomic.Int64
+	// workers[w] is worker w's stream and counters. Result and the
+	// quiescence check sum the records; a safepoint conductor, with
+	// every other worker parked, counts on workers[0].
+	workers []workerRec
 
-	// Quiescence-check state. All but adoptions is written only by a
-	// safepoint conductor, so workers read it unlocked.
-	adoptions    atomic.Int64
+	// Quiescence-check state, written only by a safepoint conductor, so
+	// workers read it unlocked.
 	checks       int
 	checkedAdopt int64 // adoptions count consumed by the last check
 	lastCheckOps int64
@@ -421,6 +430,24 @@ type run[T any] struct {
 	stop     atomic.Bool
 	sp       safepoint
 	sleepers atomic.Int64
+}
+
+// workerRec is one worker's random stream and counters, padded to 128
+// bytes, a pair of cache lines: no other worker writes it, so counting
+// an event keeps its line in the worker's own cache. adoptions is atomic
+// because every worker's quiescence gate sums it, about once per
+// checkEvery ops; the other counters are read once the workers have
+// stopped.
+type workerRec struct {
+	rng *engine.FastRand
+	tally
+	adoptions atomic.Int64
+	_         [128 - 48]byte
+}
+
+// tally is the counters a Result reports, kept per worker and summed.
+type tally struct {
+	properSteps, rejections, lost, steals int64
 }
 
 // inflightTick is one worker's event start, padded to its own cache
@@ -461,8 +488,10 @@ func (r *run[T]) setup(n int) {
 	r.blockSize = (n + P - 1) / P
 	r.shards = make([]shard[T], P)
 	r.inflight = make([]inflightTick, P)
+	r.workers = make([]workerRec, P)
 	for w := range r.inflight {
 		r.inflight[w].tick.Store(idleTick)
+		r.workers[w].rng = engine.NewFastRand(r.opts.Seed)
 	}
 	// One round — every agent's fair share of one initiation — and never
 	// less than skewPerWorker per worker.
@@ -602,19 +631,47 @@ func (r *run[T]) halt() {
 // changed no state and are dropped.
 func (r *run[T]) settle() {
 	for a := range r.inboxes {
-		for {
-			m, ok := r.popMsg(int32(a))
-			if !ok {
-				break
-			}
+		for s := r.detachLocked(int32(a)); s != endOfChain; {
+			var m message[T]
+			m, s = r.takeMsg(s)
 			if m.kind == msgReplyOK {
-				r.handle(int32(a), m, nil) // adopting a reply draws nothing
+				r.handle(int32(a), m, &r.workers[0]) // adopting a reply draws nothing
 			}
 		}
 	}
 }
 
-// advance moves the virtual clock forward to at least tick (monotonic
+// totals sums the workers' counters.
+func (r *run[T]) totals() tally {
+	var t tally
+	for w := range r.workers {
+		c := &r.workers[w].tally
+		t.properSteps += c.properSteps
+		t.rejections += c.rejections
+		t.lost += c.lost
+		t.steals += c.steals
+	}
+	return t
+}
+
+// adoptions sums the workers' adoption counts.
+func (r *run[T]) adoptions() int64 {
+	var n int64
+	for w := range r.workers {
+		n += r.workers[w].adoptions.Load()
+	}
+	return n
+}
+
+// now reads the virtual clock: the initiation count, or a later
+// fast-forwarded deadline.
+//
+//det:hotpath
+func (r *run[T]) now() int64 {
+	return max(r.ops.Load(), r.vnow.Load())
+}
+
+// advance moves the fast-forward clock to at least tick (monotonic
 // CAS-max; concurrent advances commute).
 //
 //det:hotpath

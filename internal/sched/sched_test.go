@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"slices"
 	"testing"
@@ -243,6 +245,56 @@ func TestSchedGoldenSingleWorker(t *testing.T) {
 	rep := probe.Report()
 	if rep.Counters[obs.CounterSchedEnqueues] == 0 {
 		t.Error("probe recorded no sched enqueues")
+	}
+}
+
+// TestSchedWorkers1Pin pins the Workers=1 event order at a size the
+// 12-agent golden misses: 512 agents under the benchmark workload's
+// schedule (a partition window, 64 crashes, a recovery), flaky links and
+// loss plus delay faults. Delayed sends, admission deferrals and
+// fast-forwards all read the virtual clock, so a change to how the clock
+// moves shows here. A delay of up to 2000 ticks, about four rounds of
+// initiations, often leaves every agent waiting on a deadline, so
+// fast-forwards move the clock thousands of times in this run; with
+// delays under a round they never do. The figures are pinned, not just
+// self-consistent.
+func TestSchedWorkers1Pin(t *testing.T) {
+	g := graph.Hypercube(9)
+	n := g.N()
+	vals := make([]int, n)
+	for a := range vals {
+		vals[a] = 2 + (a*7919)%100_003
+	}
+	vals[n/3] = 1
+	res, err := Run[int](problems.NewMin(), g, vals, Options{
+		Seed: 13, Workers: 1, LinkUpProbability: 0.9, MaxOps: 60 * n, Timeout: 20 * time.Second,
+		Faults: &dynamics.Faults{LossP: 0.05, DelayMax: 2 * time.Millisecond},
+		Dynamics: dynamics.NewSchedule(
+			dynamics.Partition(2, 2, 6),
+			dynamics.At(3, dynamics.CrashRandom(64)),
+			dynamics.At(8, dynamics.RecoverAll()),
+		),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Converged || len(res.Violations) != 0 {
+		t.Fatalf("converged=%v violations=%v", res.Converged, res.Violations)
+	}
+	h := fnv.New64a()
+	var b [8]byte
+	for _, v := range res.Final {
+		binary.LittleEndian.PutUint64(b[:], uint64(v))
+		h.Write(b[:])
+	}
+	type pin struct {
+		ops, proper, rejections, lost, checks int
+		final                                 uint64
+	}
+	got := pin{res.Ops, res.ProperSteps, res.Rejections, res.Lost, res.QuiescenceChecks, h.Sum64()}
+	want := pin{ops: 5888, proper: 1037, rejections: 246, lost: 251, checks: 23, final: 0x70a6ee0ac1b14325}
+	if got != want {
+		t.Errorf("Workers=1 event order moved:\n got %+v\nwant %+v", got, want)
 	}
 }
 
@@ -596,7 +648,8 @@ func TestSchedLargeHypercube(t *testing.T) {
 
 // TestShardLayoutPadded: on a 64-bit platform a shard fills a whole
 // number of 128-byte line pairs, so neighbouring shards in run.shards
-// never share one, and a worker's tick is alone on its cache line.
+// never share one, a worker's tick is alone on its cache line, and a
+// worker's counters fill a line pair of their own.
 func TestShardLayoutPadded(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("layout pinned for 64-bit platforms")
@@ -606,5 +659,8 @@ func TestShardLayoutPadded(t *testing.T) {
 	}
 	if sz := unsafe.Sizeof(inflightTick{}); sz != 64 {
 		t.Errorf("inflightTick is %d bytes, want 64", sz)
+	}
+	if sz := unsafe.Sizeof(workerRec{}); sz != 128 {
+		t.Errorf("workerRec is %d bytes, want 128", sz)
 	}
 }
