@@ -109,8 +109,9 @@ const (
 	CounterExchBackoffNs
 	// CounterSchedEnqueues / CounterSchedDepthSum / CounterSchedSteals /
 	// CounterSchedAdmits / CounterSchedParks count the sharded scheduler's
-	// event loop: agents made runnable, run-queue depth sampled at each
-	// pop (divide by pops for mean depth), agents stolen by idle workers,
+	// event loop: pushes onto a run or mail queue, the depth each queue
+	// pop leaves (divided by the pushes, which match the pops, it is the
+	// mean depth a pop sees), agents stolen by idle workers,
 	// busy-rejected agents re-admitted with an AIMD deadline, and workers
 	// parked on an empty system.
 	CounterSchedEnqueues

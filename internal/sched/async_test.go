@@ -3,9 +3,11 @@ package sched
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/dynamics"
 	"repro/internal/graph"
 	ms "repro/internal/multiset"
@@ -224,5 +226,165 @@ func TestSchedWorkerCountsAgree(t *testing.T) {
 		o := topts()
 		o.Workers = w
 		allEqual(t, converged(t, problems.NewMin(), g, vals, o).Final, 3)
+	}
+}
+
+// TestSchedYieldUnderOneThread runs the Ring(256) cells of
+// TestSchedQuiescenceIsEventDriven with several workers on one OS thread
+// (GOMAXPROCS(1)). The agents at a shard boundary exchange across it,
+// so their requests wait on the other shards; a worker whose own queues
+// never empty neither steals nor sleeps, and unless it yields every
+// yieldEvery events the others run only when the runtime preempts it,
+// and the boundaries stall while it spends the op budget.
+func TestSchedYieldUnderOneThread(t *testing.T) {
+	old := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(old)
+
+	g := graph.Ring(256)
+	vals := make([]int, g.N())
+	for i := range vals {
+		vals[i] = (i*97 + 31) % 1000
+	}
+	for _, w := range []int{2, 4} {
+		for seed := int64(1); seed <= 3; seed++ {
+			o := topts()
+			o.Seed = seed
+			o.Workers = w
+			allEqual(t, converged(t, problems.NewMin(), g, vals, o).Final, slices.Min(vals))
+		}
+	}
+}
+
+// TestSchedExchangePathsAgree: an exchange completes inside the
+// initiator's event when its partner shares the initiator's shard and
+// is idle, and through the partner's inbox otherwise. Whichever path
+// each exchange takes — Workers=1 takes the first for every undelayed
+// exchange, more workers mix the two — the protocol's guarantees hold:
+// min, max and gcd reach f(S(0)), sum keeps its total with a clean
+// monitor (it reaches f only on the complete graph), and every counted
+// outcome is one initiation.
+func TestSchedExchangePathsAgree(t *testing.T) {
+	// Sum reaches f only on the complete graph, so its other cells spend
+	// their whole budget; 100·N initiations exercise both paths enough.
+	problemsUnder := []struct {
+		p      core.Problem[int]
+		unit   int
+		budget int // initiations per agent
+	}{
+		{problems.NewMin(), 1, 2000},
+		{problems.NewMax(1 << 20), 1, 2000},
+		{problems.NewGCD(), 6, 2000},
+		{problems.NewSum(), 1, 100},
+	}
+	for _, pu := range problemsUnder {
+		for _, g := range []*graph.Graph{graph.Ring(64), graph.Hypercube(6), graph.Complete(12)} {
+			for _, w := range []int{1, 2, 4} {
+				for _, lossy := range []bool{false, true} {
+					name := fmt.Sprintf("%s/%s/workers=%d/lossy=%v", pu.p.Name(), g.Name(), w, lossy)
+					t.Run(name, func(t *testing.T) {
+						vals := spread(g.N(), pu.unit)
+						for seed := int64(1); seed <= 5; seed++ {
+							o := topts()
+							o.Seed = seed
+							o.Workers = w
+							o.MaxOps = pu.budget * g.N()
+							if lossy {
+								o.Faults = &dynamics.Faults{LossP: 0.1}
+							}
+							checkPaths(t, pu.p, g, vals, o)
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
+// spread returns n distinct-ish multiples of unit, so gcd's answer is
+// unit and every consensus problem has work to do.
+func spread(n, unit int) []int {
+	vals := make([]int, n)
+	for i := range vals {
+		vals[i] = unit * (1 + (i*37+11)%101)
+	}
+	return vals
+}
+
+// checkPaths runs one TestSchedExchangePathsAgree cell.
+func checkPaths(t *testing.T, p core.Problem[int], g *graph.Graph, vals []int, o Options) {
+	t.Helper()
+	res, err := Run(p, g, vals, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Violations) != 0 {
+		t.Fatalf("seed %d: violations %v", o.Seed, res.Violations)
+	}
+	if sum := res.ProperSteps + res.Rejections + res.Lost; sum > res.Ops {
+		t.Errorf("seed %d: ProperSteps+Rejections+Lost = %d > Ops = %d", o.Seed, sum, res.Ops)
+	}
+	if p.Name() == "sum" {
+		total, want := 0, 0
+		for a := range vals {
+			total += res.Final[a]
+			want += vals[a]
+		}
+		if total != want {
+			t.Errorf("seed %d: sum holds %d, want %d", o.Seed, total, want)
+		}
+		return
+	}
+	if !res.Converged || !ms.OfInts(res.Final...).Equal(res.Target) {
+		t.Errorf("seed %d: converged=%v final %v, want the target %v", o.Seed, res.Converged, res.Final, res.Target)
+	}
+}
+
+// TestSchedFewBusyRejects: with two workers on Hypercube(10) nine of an
+// agent's ten neighbours share its shard, so almost every exchange
+// completes inside its initiator's event, and the rest wait only for the
+// mail ahead of them, not for a pass of the run queue. An initiator is
+// thus rarely awaiting its reply when a request reaches it, and busy
+// rejections stay under 5% of initiations (~3% here). When every request
+// and reply waited behind a shard's whole run queue, 0.51–0.53 were
+// rejected here. The workers share one thread (GOMAXPROCS(1)), so the
+// Go scheduler's yields, not the host, set when a cross-shard request is
+// served: on a loaded host two threads let one worker run on while the
+// other is descheduled, its shard's mail unserved, and the ratio then
+// follows the host's load (0.05 was seen under a parallel -race run).
+func TestSchedFewBusyRejects(t *testing.T) {
+	old := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(old)
+
+	g := graph.Hypercube(10)
+	vals := spread(g.N(), 1)
+	for seed := int64(1); seed <= 3; seed++ {
+		o := topts()
+		o.Seed = seed
+		o.Workers = 2
+		res := converged(t, problems.NewMin(), g, vals, o)
+		if ratio := float64(res.Rejections) / float64(res.Ops); ratio >= 0.05 {
+			t.Errorf("seed %d: Rejections/Ops = %d/%d = %.3f, want < 0.05", seed, res.Rejections, res.Ops, ratio)
+		}
+	}
+}
+
+// TestSchedQueueDepthBounded: every push onto a run or mail queue counts
+// as an enqueue and every pop adds the depth it leaves, so their ratio,
+// the mean depth a pop sees, lies in [0, N]. A queue whose pushes went
+// uncounted would push it far above N.
+func TestSchedQueueDepthBounded(t *testing.T) {
+	g := graph.Hypercube(10)
+	n := g.N()
+	for _, w := range []int{1, 2} {
+		o := topts()
+		o.Workers = w
+		o.Probe = obs.NewProbe(obs.Config{})
+		o.Faults = &dynamics.Faults{DelayMax: 200 * time.Microsecond}
+		converged(t, problems.NewMin(), g, spread(n, 1), o)
+		c := o.Probe.Report().Counters
+		enq, depth := c[obs.CounterSchedEnqueues], c[obs.CounterSchedDepthSum]
+		if enq == 0 || depth < 0 || depth > int64(n)*enq {
+			t.Errorf("workers=%d: depth sum %d over %d enqueues, want a mean in [0, %d]", w, depth, enq, n)
+		}
 	}
 }

@@ -18,7 +18,11 @@ const (
 	// outPark: the agent waits for an external event (a reply, a wake, a
 	// delivery); nothing re-runs it until one arrives.
 	outPark outcome = iota
-	// outRequeue: the agent goes straight back on its home run queue.
+	// outRequeue: the agent goes back to the tail of its home run queue,
+	// unless it already sits there. A deferred agent goes there too: its
+	// deferral waits for its home worker, which may be off the processor,
+	// while a thief can take the run-queue entry, which initiates once
+	// the deadline has passed.
 	outRequeue
 	// outDefer: the agent goes on its home deferred heap until the due
 	// tick (admission control or a delayed send).
@@ -36,10 +40,14 @@ func ticks(d time.Duration) int64 {
 	return t
 }
 
-// worker drains shard w: due deferrals first, then the run queue, then a
-// steal sweep, then a fast-forwarded deferral, then sleep. At Workers=1
-// this order is the total event order of the run — a pure function of
-// the seed — which is exactly the determinism pin the golden holds.
+// worker drains shard w: due deferrals first, then the mail queue, then
+// the run queue, then a steal sweep, then a fast-forwarded deferral,
+// then sleep. At Workers=1 this order is the total event order of the
+// run — a pure function of the seed — which is exactly the determinism
+// pin the golden holds. Every yieldEvery events the worker yields its
+// thread, so on an oversubscribed host a worker whose queues never empty
+// cannot keep the others, and the messages waiting on their shards, off
+// the processor until the runtime preempts it.
 func (r *run[T]) worker(w int) {
 	me := &r.workers[w]
 	own := &r.shards[w]
@@ -56,7 +64,7 @@ func (r *run[T]) worker(w int) {
 		// The event starts before the claim: a worker descheduled between
 		// claiming an agent and processing it holds that agent too.
 		r.inflight[w].tick.Store(r.ops.Load())
-		a, chain, ok := r.next(own, w)
+		a, chain, mail, ok := r.next(own, w)
 		if !ok {
 			r.inflight[w].tick.Store(idleTick)
 			if !r.sleep(own) {
@@ -64,8 +72,11 @@ func (r *run[T]) worker(w int) {
 			}
 			continue
 		}
-		r.process(a, chain, me)
+		r.process(a, chain, mail, me)
 		r.inflight[w].tick.Store(idleTick)
+		if me.events++; me.events%yieldEvery == 0 {
+			runtime.Gosched()
+		}
 	}
 	r.sp.mu.Lock()
 	r.sp.exited++
@@ -74,38 +85,51 @@ func (r *run[T]) worker(w int) {
 }
 
 // next claims one runnable agent for worker w, with the inbox chain it
-// detached in the same critical section, or reports none. Every flag
-// transition happens under the claimed agent's home shard lock — one
-// agent per steal, so a thief never moves scheduling state out from
-// under its home lock.
-func (r *run[T]) next(own *shard[T], w int) (int32, int32, bool) {
+// detached in the same critical section, or reports none; mail reports a
+// claim from a mail queue. Every flag transition happens under the
+// claimed agent's home shard lock — one agent per steal, so a thief
+// never moves scheduling state out from under its home lock.
+func (r *run[T]) next(own *shard[T], w int) (a, chain int32, mail, ok bool) {
 	now := r.now()
 	own.mu.Lock()
 	for len(own.deferred) > 0 && own.deferred[0].due <= now {
 		e, _ := own.heapPop()
 		if chain, ok := r.claimLocked(e.agent, flagDeferred); ok {
 			own.mu.Unlock()
-			return e.agent, chain, true
+			return e.agent, chain, false, true
 		}
 	}
-	if a, chain, ok := r.claimQueuedLocked(own); ok {
+	if a, chain, ok := r.claimQueuedLocked(&own.mailq, flagMail); ok {
 		own.mu.Unlock()
-		return a, chain, true
+		return a, chain, true, true
+	}
+	if a, chain, ok := r.claimQueuedLocked(&own.runq, flagQueued); ok {
+		own.mu.Unlock()
+		return a, chain, false, true
 	}
 	own.mu.Unlock()
 
 	// Steal: a deterministic round-robin sweep starting one shard up.
+	// A thief takes from a victim's run queue before its mail queue: the
+	// victim's worker serves its own mail first, so a thief that took
+	// mail first would leave the run queue of a shard whose worker is
+	// off the processor without an initiation.
 	P := len(r.shards)
 	for i := 1; i < P; i++ {
 		v := &r.shards[(w+i)%P]
 		v.mu.Lock()
-		if a, chain, ok := r.claimQueuedLocked(v); ok {
-			v.mu.Unlock()
-			r.workers[w].steals++
-			r.opts.Probe.Add(obs.CounterSchedSteals, 1)
-			return a, chain, true
+		a, chain, ok := r.claimQueuedLocked(&v.runq, flagQueued)
+		mail := false
+		if !ok {
+			a, chain, ok = r.claimQueuedLocked(&v.mailq, flagMail)
+			mail = ok
 		}
 		v.mu.Unlock()
+		if ok {
+			r.workers[w].steals++
+			r.opts.Probe.Add(obs.CounterSchedSteals, 1)
+			return a, chain, mail, true
+		}
 	}
 
 	// Fast-forward: nothing is ready anywhere this worker may look, so
@@ -120,38 +144,39 @@ func (r *run[T]) next(own *shard[T], w int) (int32, int32, bool) {
 		if chain, ok := r.claimLocked(e.agent, flagDeferred); ok {
 			own.mu.Unlock()
 			r.advance(e.due)
-			return e.agent, chain, true
+			return e.agent, chain, false, true
 		}
 	}
 	own.mu.Unlock()
-	return 0, 0, false
+	return 0, 0, false, false
 }
 
-// claimQueuedLocked claims the first agent on sh's run queue that no
-// other worker is running, and detaches its inbox. The caller holds
-// sh.mu.
+// claimQueuedLocked claims the first agent on queue q that no other
+// worker is running, and detaches its inbox; from is the queue's flag
+// (flagQueued for a run queue, flagMail for a mail queue). The caller
+// holds the lock of the shard that owns q.
 //
 //det:hotpath
-func (r *run[T]) claimQueuedLocked(sh *shard[T]) (int32, int32, bool) {
+func (r *run[T]) claimQueuedLocked(q *ring, from uint8) (int32, int32, bool) {
 	for {
-		a, ok := sh.rqPop()
+		a, ok := q.pop()
 		if !ok {
 			return 0, 0, false
 		}
-		r.opts.Probe.Add(obs.CounterSchedDepthSum, int64(sh.rqLen))
-		if chain, ok := r.claimLocked(a, flagQueued); ok {
+		r.opts.Probe.Add(obs.CounterSchedDepthSum, int64(q.n))
+		if chain, ok := r.claimLocked(a, from); ok {
 			return a, chain, true
 		}
 	}
 }
 
 // claimLocked marks agent a, just popped from the container its flag
-// from names (flagQueued or flagDeferred), as running, and detaches its
-// inbox for the claiming worker. An agent can sit in its run queue and
-// its deferred heap at once — a message woke it while it was deferred —
-// so the second pop may find another worker already running it: the
-// pop then becomes a repoll for that worker and claimLocked reports
-// false. The caller holds a's home shard lock.
+// from names (flagQueued, flagMail or flagDeferred), as running, and
+// detaches its inbox for the claiming worker. An agent can sit in its
+// run queue, its mail queue and its deferred heap at once, so a later
+// pop may find another worker already running it: the pop then becomes
+// a repoll for that worker and claimLocked reports false. The caller
+// holds a's home shard lock.
 //
 //det:hotpath
 func (r *run[T]) claimLocked(a int32, from uint8) (int32, bool) {
@@ -172,7 +197,7 @@ func (r *run[T]) claimLocked(a int32, from uint8) (int32, bool) {
 // runnable==0 check closes the termination one.
 func (r *run[T]) sleep(own *shard[T]) bool {
 	own.mu.Lock()
-	if own.rqLen > 0 || len(own.deferred) > 0 {
+	if own.runq.n > 0 || own.mailq.n > 0 || len(own.deferred) > 0 {
 		own.mu.Unlock()
 		return true
 	}
@@ -215,40 +240,47 @@ func (r *run[T]) cancelSleep(own *shard[T]) {
 }
 
 // deliver writes m into the message slot of the exchange it belongs to
-// (its initiator's), links the slot into agent to's inbox and makes to
-// runnable. The push and the flag transition share to's home shard
-// critical section.
+// (its initiator's), links the slot into agent to's inbox and puts to on
+// its home mail queue. The push and the flag transition share to's home
+// shard critical section.
 //
 //det:hotpath
 func (r *run[T]) deliver(to, slot int32, m message[T]) {
 	sh := r.home(to)
 	sh.mu.Lock()
 	r.pushMsg(to, slot, m)
-	r.enqueueLocked(sh, to)
+	r.enqueueLocked(sh, to, flagMail)
 }
 
-// enqueueLocked makes agent a runnable. The caller holds sh.mu (a's home
-// shard); enqueueLocked releases it.
+// enqueueLocked puts agent a on the queue of sh that flag into names
+// (flagQueued: the run queue, flagMail: the mail queue), unless it sits
+// there already; a running agent is marked for a repoll instead, which
+// its finishing worker turns into a mail-queue push. The caller holds
+// sh.mu (a's home shard); enqueueLocked releases it.
 //
 //det:hotpath
-func (r *run[T]) enqueueLocked(sh *shard[T], a int32) {
+func (r *run[T]) enqueueLocked(sh *shard[T], a int32, into uint8) {
 	f := r.flags[a]
 	if f&flagRunning != 0 {
 		r.flags[a] = f | flagRepoll
 		sh.mu.Unlock()
 		return
 	}
-	if f&flagQueued != 0 {
+	if f&into != 0 {
 		sh.mu.Unlock()
 		return
 	}
-	r.flags[a] = f | flagQueued
-	if f&flagDeferred == 0 {
+	r.flags[a] = f | into
+	if f&(flagQueued|flagMail|flagDeferred) == 0 {
 		r.runnable.Add(1)
 	}
-	sh.rqPush(a)
+	q := &sh.runq
+	if into == flagMail {
+		q = &sh.mailq
+	}
+	q.push(a)
 	r.opts.Probe.Add(obs.CounterSchedEnqueues, 1)
-	depth := sh.rqLen
+	depth := q.n
 	wake := sh.sleeping
 	sh.sleeping = false
 	sh.mu.Unlock()
@@ -276,13 +308,15 @@ func (r *run[T]) wakeThief() {
 }
 
 // process runs one scheduling event for agent a: serve the inbox chain
-// detached at the claim, then initiate, complete a delayed send, or
-// park/defer; finally settle the scheduling flags. The worker owns a's
-// non-scheduling state and the chain's slots for the whole call —
-// ownership transferred through the claim. A message that arrives
-// meanwhile sets flagRepoll, so finish does not park a: its next event,
-// requeued or deferred, serves the message.
-func (r *run[T]) process(a, chain int32, me *workerRec) {
+// detached at the claim, then — for an event from the run queue or the
+// deferred heap — initiate, complete a delayed send, or park/defer;
+// finally settle the scheduling flags. A mail event (mail) initiates
+// nothing: it returns an idle agent to its run queue, so each agent
+// initiates once per pass of its run queue however much mail it serves.
+// The worker owns a's non-scheduling state and the chain's slots for the
+// whole call — ownership transferred through the claim. A message that
+// arrives meanwhile sets flagRepoll, and finish puts a on its mail queue.
+func (r *run[T]) process(a, chain int32, mail bool, me *workerRec) {
 	sh := r.home(a)
 	out := outPark
 	var due int64
@@ -294,10 +328,12 @@ func (r *run[T]) process(a, chain int32, me *workerRec) {
 	}
 
 	switch {
+	case mail:
+		out = r.afterMail(a)
 	case r.crashed[a]:
 		// Frozen: served busy above, initiates nothing, parks.
 	case r.awaiting[a]:
-		// Mid-exchange: the reply will re-enqueue us.
+		// Mid-exchange: the reply will put us on the mail queue.
 	case r.sendTo[a] >= 0:
 		// A delayed request is pending; the agent stays receptive until
 		// the send tick, then commits its CURRENT state.
@@ -322,25 +358,40 @@ func (r *run[T]) process(a, chain int32, me *workerRec) {
 	r.finish(sh, a, out, due)
 }
 
+// afterMail is the outcome of a mail event for agent a: an agent free to
+// initiate goes back to its run queue; a crashed one, one mid-exchange,
+// and every agent once the budget is spent park.
+func (r *run[T]) afterMail(a int32) outcome {
+	if r.crashed[a] || r.awaiting[a] || r.budgetOut.Load() {
+		return outPark
+	}
+	return outRequeue
+}
+
 // finish settles agent a's scheduling flags after one processing event
-// and detects the drained-system termination condition.
+// and detects the drained-system termination condition. A repoll puts a
+// on its mail queue whatever the outcome.
 //
 //det:hotpath
 func (r *run[T]) finish(sh *shard[T], a int32, out outcome, due int64) {
 	sh.mu.Lock()
 	f := r.flags[a] &^ flagRunning
+	pushed := false
 	if f&flagRepoll != 0 {
 		f &^= flagRepoll
-		if out == outPark {
-			out = outRequeue
+		if f&flagMail == 0 {
+			f |= flagMail
+			sh.mailq.push(a)
+			r.opts.Probe.Add(obs.CounterSchedEnqueues, 1)
+			pushed = true
 		}
 	}
-	pushed := false
 	switch out {
 	case outRequeue:
 		if f&flagQueued == 0 {
 			f |= flagQueued
-			sh.rqPush(a)
+			sh.runq.push(a)
+			r.opts.Probe.Add(obs.CounterSchedEnqueues, 1)
 			pushed = true
 		}
 	case outDefer:
@@ -362,7 +413,7 @@ func (r *run[T]) finish(sh *shard[T], a int32, out outcome, due int64) {
 	if wake {
 		sh.signal()
 	}
-	if f&(flagQueued|flagDeferred) == 0 {
+	if f&(flagQueued|flagMail|flagDeferred) == 0 {
 		if r.runnable.Add(-1) == 0 {
 			r.halt()
 		}
@@ -374,23 +425,7 @@ func (r *run[T]) finish(sh *shard[T], a int32, out outcome, due int64) {
 func (r *run[T]) handle(a int32, m message[T], me *workerRec) {
 	switch m.kind {
 	case msgRequest:
-		if r.crashed[a] || r.awaiting[a] {
-			// The busy guard: a crashed agent is frozen, an awaiting
-			// agent admits no second exchange while its half is in
-			// flight — both reject, so two initiators aimed at each
-			// other can never deadlock.
-			r.deliver(m.from, m.from, message[T]{from: a, kind: msgReplyBusy})
-			return
-		}
-		// The pair transition, atomic at the partner: adopt our half,
-		// return the initiator's.
-		r.reseed(a, me.rng)
-		na, nb := r.p.PairStep(m.state, r.states[a], me.rng.Rand)
-		if r.cmp(r.states[a], nb) != 0 {
-			r.states[a] = nb
-			me.adoptions.Add(1)
-		}
-		r.deliver(m.from, m.from, message[T]{from: a, kind: msgReplyOK, state: na})
+		r.deliver(m.from, m.from, r.answer(a, m, me))
 	case msgReplyOK:
 		r.awaiting[a] = false
 		r.backoff[a].OnSuccess()
@@ -416,6 +451,24 @@ func (r *run[T]) handle(a int32, m message[T], me *workerRec) {
 		r.opts.Probe.Add(obs.CounterExchBackoffNs, jitter*int64(time.Microsecond))
 		r.settleCrash(a)
 	}
+}
+
+// answer serves request m at partner a and returns the reply. The busy
+// guard: a crashed agent is frozen, an awaiting agent admits no second
+// exchange while its half is in flight — both reject, so two initiators
+// aimed at each other can never deadlock. Otherwise the pair transition
+// is atomic at the partner: adopt our half, return the initiator's.
+func (r *run[T]) answer(a int32, m message[T], me *workerRec) message[T] {
+	if r.crashed[a] || r.awaiting[a] {
+		return message[T]{from: a, kind: msgReplyBusy}
+	}
+	r.reseed(a, me.rng)
+	na, nb := r.p.PairStep(m.state, r.states[a], me.rng.Rand)
+	if r.cmp(r.states[a], nb) != 0 {
+		r.states[a] = nb
+		me.adoptions.Add(1)
+	}
+	return message[T]{from: a, kind: msgReplyOK, state: na}
 }
 
 // settleCrash applies a crash that a dynamics epoch deferred because the
@@ -496,9 +549,45 @@ func (r *run[T]) initiate(a int32, me *workerRec) (outcome, int64) {
 			return outDefer, due
 		}
 	}
+	if r.exchangeInEvent(a, pick.agent, me) {
+		return outRequeue, 0
+	}
 	r.awaiting[a] = true
 	r.deliver(pick.agent, a, message[T]{from: a, kind: msgRequest, state: r.states[a]})
 	return outPark, 0
+}
+
+// exchangeInEvent completes initiator a's exchange with partner b inside
+// a's event, when b shares a's home shard and is idle: no worker runs it
+// (so no repoll is pending), it is not on its mail queue and its inbox is
+// empty. The worker claims b under the shard lock, runs b's mail event
+// for a's request — the pair step, or busy — settles b as any mail event
+// would, and serves b's reply to a at once: one event instead of a
+// request and a reply, each waiting its turn in a queue while a rejects
+// every request as busy. When b does not qualify it reports false and
+// touches nothing; the request then goes through b's inbox, which keeps
+// inbox FIFO order and one message per slot.
+func (r *run[T]) exchangeInEvent(a, b int32, me *workerRec) bool {
+	sh := r.home(a)
+	if r.home(b) != sh {
+		return false
+	}
+	sh.mu.Lock()
+	f := r.flags[b]
+	if f&(flagRunning|flagMail) != 0 || r.inboxes[b].head != endOfChain {
+		sh.mu.Unlock()
+		return false
+	}
+	if f&(flagQueued|flagDeferred) == 0 {
+		r.runnable.Add(1) // a running agent counts; finish uncounts it
+	}
+	r.flags[b] = f | flagRunning
+	sh.mu.Unlock()
+
+	reply := r.answer(b, message[T]{from: a, kind: msgRequest, state: r.states[a]}, me)
+	r.finish(sh, b, r.afterMail(b), 0)
+	r.handle(a, reply, me)
+	return true
 }
 
 // held reports whether some worker's event started more than maxSkew
@@ -693,7 +782,7 @@ func (r *run[T]) applyEpoch(e int) {
 		}
 		sh := r.home(a)
 		sh.mu.Lock()
-		r.enqueueLocked(sh, a)
+		r.enqueueLocked(sh, a, flagQueued)
 	}
 	if reset {
 		r.mon.RebaseVariant(ms.New(r.cmp, r.states...))
@@ -738,6 +827,6 @@ func (r *run[T]) applyGrowth(gr graph.Growth) {
 
 	for a := n0; a < n; a++ {
 		last.mu.Lock()
-		r.enqueueLocked(last, int32(a))
+		r.enqueueLocked(last, int32(a), flagQueued)
 	}
 }

@@ -155,35 +155,27 @@ func TestInboxSecondMessagePanics(t *testing.T) {
 
 // TestMessageToRunningAgentServedNextEvent: a claim detaches the
 // agent's whole inbox, so a message pushed while the agent runs starts a
-// fresh chain and marks the agent for a repoll. finish must requeue the
-// agent, and the next claim of it must hand over that message.
+// fresh chain and marks the agent for a repoll. finish must put the
+// agent on its mail queue, ahead of the run queue, and the next claim
+// must be a mail event that hands over that message.
 func TestMessageToRunningAgentServedNextEvent(t *testing.T) {
 	r := newTestRun(problems.NewMin(), graph.Ring(4), []int{4, 3, 2, 1}, Options{Seed: 1, Workers: 1})
 	own := &r.shards[0]
-	a, chain, ok := r.next(own, 0)
-	if !ok || a != 0 || chain != endOfChain {
-		t.Fatalf("first claim: agent %d chain %d ok %v, want agent 0 with an empty inbox", a, chain, ok)
+	a, chain, mail, ok := r.next(own, 0)
+	if !ok || a != 0 || chain != endOfChain || mail {
+		t.Fatalf("first claim: agent %d chain %d mail %v ok %v, want agent 0 from the run queue with an empty inbox", a, chain, mail, ok)
 	}
 	r.deliver(0, 1, request(1, 7))
 	if r.flags[0]&flagRepoll == 0 {
 		t.Fatal("a message to a running agent did not set its repoll flag")
 	}
 	r.finish(own, 0, outPark, 0)
-	if r.flags[0]&flagQueued == 0 {
+	if r.flags[0]&flagMail == 0 {
 		t.Fatal("finish parked an agent with a message waiting")
 	}
-	for {
-		a, chain, ok = r.next(own, 0)
-		if !ok {
-			t.Fatal("agent 0 was never claimed again")
-		}
-		if a == 0 {
-			break
-		}
-		if chain != endOfChain {
-			t.Fatalf("agent %d claimed with a message it was never sent", a)
-		}
-		r.finish(own, a, outPark, 0)
+	a, chain, mail, ok = r.next(own, 0)
+	if !ok || a != 0 || !mail {
+		t.Fatalf("second claim: agent %d mail %v ok %v, want agent 0 from the mail queue", a, mail, ok)
 	}
 	m, rest := r.takeMsg(chain)
 	if m != request(1, 7) || rest != endOfChain {

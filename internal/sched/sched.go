@@ -42,15 +42,34 @@
 //     shard's lock guards its agents' inboxes — FIFO chains through one
 //     message slot per agent, since an exchange has at most one message
 //     in flight and an agent initiates one exchange at a time, so no
-//     per-exchange channel or heap allocation — plus a FIFO run queue
-//     and a deferred min-heap, and the shard is drained by one worker
-//     goroutine. Workers whose queue runs dry steal runnable agents
-//     from other shards (one agent per steal, so every scheduling-flag
-//     mutation happens under the agent's home shard lock). Claiming an
-//     agent detaches its whole inbox in the same critical section, so
-//     an event locks the agent's shard twice — claim and finish — however
-//     many messages it serves; a message arriving mid-event starts a
-//     fresh chain, which the agent's next event serves.
+//     per-exchange channel or heap allocation — plus two FIFO queues, a
+//     run queue of agents waiting to initiate and a mail queue of agents
+//     with a message to serve, and a deferred min-heap; the shard is
+//     drained by one worker goroutine, due deferrals first, then mail,
+//     then initiations. A delivery puts its target on the mail queue, so
+//     a message waits for the mail ahead of it, not for a pass of the
+//     run queue, and a mail event returns an idle agent to the run queue
+//     instead of initiating, so each agent initiates once per pass.
+//     Claiming an agent detaches its whole inbox in the same critical
+//     section, so an event locks the agent's shard twice — claim and
+//     finish — however many messages it serves; a message arriving
+//     mid-event starts a fresh chain, and the agent goes on its mail
+//     queue when the event ends.
+//
+//   - An exchange whose partner shares the initiator's shard and is
+//     idle — not running, not on its mail queue, inbox empty —
+//     completes inside the initiator's event: the worker claims the
+//     partner, runs its mail event for the request and serves the reply
+//     at once, so nobody waits on it and nobody is rejected busy meanwhile.
+//     Every other exchange, and every delayed send, goes through the
+//     partner's inbox.
+//
+//   - Workers whose queues run dry steal runnable agents from other
+//     shards, a victim's run queue before its mail queue (one agent per
+//     steal, so every scheduling-flag mutation happens under the agent's
+//     home shard lock), and every worker yields its thread every
+//     yieldEvery events, so an oversubscribed host cannot starve the
+//     shards whose workers are off the processor.
 //
 //   - Time is virtual: the global initiation counter, or a later
 //     deadline that a fast-forward jumped to. The AIMD window is
@@ -442,7 +461,9 @@ type workerRec struct {
 	rng *engine.FastRand
 	tally
 	adoptions atomic.Int64
-	_         [128 - 48]byte
+	// events counts the worker's events, for the yield every yieldEvery.
+	events int64
+	_      [128 - 56]byte
 }
 
 // tally is the counters a Result reports, kept per worker and summed.
@@ -470,6 +491,13 @@ const skewPerWorker = 64
 // check reads every worker's line, so it runs on every heldEvery-th op
 // only.
 const heldEvery = 32
+
+// yieldEvery is how often, in events, a worker yields its thread with
+// runtime.Gosched. With more workers than threads a worker whose queues
+// never empty never steals and never sleeps, so without the yield the
+// other workers — and the mail waiting on their shards — run only when
+// the Go runtime preempts it, every 10 ms.
+const yieldEvery = 256
 
 // safepoint is the stop-the-world barrier dynamics epochs and
 // quiescence checks run under.
@@ -538,12 +566,12 @@ func (r *run[T]) setup(n int) {
 	r.runnable.Store(int64(n))
 	for s := range r.shards {
 		sh := &r.shards[s]
-		if c := pow2(sh.hi - sh.lo); c > 0 {
-			sh.runq = make([]int32, c)
-		}
+		c := pow2(sh.hi - sh.lo)
+		sh.runq.buf = make([]int32, c)
+		sh.mailq.buf = make([]int32, c)
 		for a := sh.lo; a < sh.hi; a++ {
 			r.flags[a] = flagQueued
-			sh.rqPush(int32(a))
+			sh.runq.push(int32(a))
 		}
 		if cap(sh.deferred) == 0 {
 			sh.deferred = make([]deferEntry, 0, sh.hi-sh.lo+1)

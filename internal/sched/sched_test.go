@@ -231,8 +231,8 @@ func TestSchedGoldenSingleWorker(t *testing.T) {
 	// The golden: pinned values, not just self-consistency. If a change
 	// moves these on purpose (protocol or seeding change), re-pin and say
 	// so in the commit.
-	if base.ops != 129 || base.proper != 11 || base.final != "BBBBBBBBBBBB" {
-		t.Errorf("1-worker golden moved: ops=%d proper=%d final=%q (expected ops=129 proper=11 final=BBBBBBBBBBBB)",
+	if base.ops != 65 || base.proper != 9 || base.final != "BBBBBBBBBBBB" {
+		t.Errorf("1-worker golden moved: ops=%d proper=%d final=%q (expected ops=65 proper=9 final=BBBBBBBBBBBB)",
 			base.ops, base.proper, base.final)
 	}
 	if again := run(nil); again != base {
@@ -292,7 +292,7 @@ func TestSchedWorkers1Pin(t *testing.T) {
 		final                                 uint64
 	}
 	got := pin{res.Ops, res.ProperSteps, res.Rejections, res.Lost, res.QuiescenceChecks, h.Sum64()}
-	want := pin{ops: 5888, proper: 1037, rejections: 246, lost: 251, checks: 23, final: 0x70a6ee0ac1b14325}
+	want := pin{ops: 5888, proper: 1052, rejections: 238, lost: 245, checks: 23, final: 0x70a6ee0ac1b14325}
 	if got != want {
 		t.Errorf("Workers=1 event order moved:\n got %+v\nwant %+v", got, want)
 	}

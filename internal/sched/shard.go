@@ -6,18 +6,21 @@ import "sync"
 // agent's home shard never changes (joiners home on the last shard, the
 // engine.Shards append convention), so there is exactly one lock per
 // agent's scheduling state and stealing cannot race it: a thief locks the
-// victim shard — the home of every agent in the victim's queue — for the
+// victim shard — the home of every agent in the victim's queues — for the
 // pop, and ownership of the agent's non-scheduling state (value, stream
 // epoch, backoff controller) transfers through that critical section.
 const (
 	// flagQueued: the agent sits in its home run queue.
 	flagQueued uint8 = 1 << iota
+	// flagMail: the agent sits in its home mail queue.
+	flagMail
 	// flagDeferred: the agent has an entry in its home deferred heap.
 	flagDeferred
 	// flagRunning: a worker is processing the agent right now.
 	flagRunning
 	// flagRepoll: a message arrived while the agent was running; the
-	// finishing worker must requeue it so the message is served.
+	// finishing worker must put it on the mail queue so the message is
+	// served.
 	flagRepoll
 )
 
@@ -30,21 +33,20 @@ type deferEntry struct {
 }
 
 // shard owns a contiguous agent block [lo, hi): its lock guards their
-// inboxes (mailbox.go), their run-queue membership, and their deferred
-// heap. One worker goroutine drains it; idle workers steal from other
-// shards' queues. It is padded to 128 bytes, a pair of cache lines, so
-// one shard's lock never shares a line (or the adjacent line the
-// hardware prefetches with it) with a neighbour's run queue.
+// inboxes (mailbox.go), their queue membership, and their deferred heap.
+// One worker goroutine drains it; idle workers steal from other shards'
+// queues. It is padded to 256 bytes, two pairs of cache lines, so one
+// shard's lock never shares a line (or the adjacent line the hardware
+// prefetches with it) with a neighbour's queues.
 type shard[T any] struct {
 	mu sync.Mutex
 
 	lo, hi int // agent block (hi grows when joiners home here)
 
-	// runq is a FIFO ring deque of agent ids (head/tail indices, grow on
-	// wrap when full). Only agents homed on this shard appear in it.
-	runq   []int32
-	rqHead int
-	rqLen  int
+	// runq holds the agents waiting to initiate, mailq the agents with a
+	// message to serve. Only agents homed on this shard appear in them,
+	// each at most once per queue.
+	runq, mailq ring
 	// deferred is a binary min-heap ordered by (due, agent).
 	deferred []deferEntry
 
@@ -53,7 +55,7 @@ type shard[T any] struct {
 	sleeping bool
 	wake     chan struct{}
 
-	_ [24]byte
+	_ [112]byte
 }
 
 // signal hands the shard's worker its wake token. The caller has just
@@ -66,45 +68,52 @@ func (s *shard[T]) signal() {
 	}
 }
 
-// rqPush appends a to the run queue. Caller holds mu.
-//
-//det:hotpath
-func (s *shard[T]) rqPush(a int32) {
-	if s.rqLen == len(s.runq) {
-		s.rqGrow()
-	}
-	s.runq[(s.rqHead+s.rqLen)&(len(s.runq)-1)] = a
-	s.rqLen++
+// ring is a FIFO ring deque of agent ids (head index and length over a
+// power-of-two buffer that doubles when full). Its shard's lock guards
+// it.
+type ring struct {
+	buf     []int32
+	head, n int
 }
 
-// rqPop removes the oldest queued agent; the bool is false when empty.
-// Caller holds mu.
+// push appends a.
 //
 //det:hotpath
-func (s *shard[T]) rqPop() (int32, bool) {
-	if s.rqLen == 0 {
+func (q *ring) push(a int32) {
+	if q.n == len(q.buf) {
+		q.grow()
+	}
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = a
+	q.n++
+}
+
+// pop removes the oldest agent; the bool is false when empty.
+//
+//det:hotpath
+func (q *ring) pop() (int32, bool) {
+	if q.n == 0 {
 		return 0, false
 	}
-	a := s.runq[s.rqHead]
-	s.rqHead = (s.rqHead + 1) & (len(s.runq) - 1)
-	s.rqLen--
+	a := q.buf[q.head]
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.n--
 	return a, true
 }
 
-// rqGrow doubles the queue storage (setup-rare: the queue is preallocated
-// to the shard's block size and an agent appears at most once).
-func (s *shard[T]) rqGrow() {
-	old := s.runq
+// grow doubles the storage (setup-rare: the queue is preallocated to the
+// shard's block size and an agent appears in it at most once).
+func (q *ring) grow() {
+	old := q.buf
 	n := len(old) * 2
 	if n == 0 {
 		n = 8
 	}
 	fresh := make([]int32, n)
-	for i := 0; i < s.rqLen; i++ {
-		fresh[i] = old[(s.rqHead+i)&(len(old)-1)]
+	for i := 0; i < q.n; i++ {
+		fresh[i] = old[(q.head+i)&(len(old)-1)]
 	}
-	s.runq = fresh
-	s.rqHead = 0
+	q.buf = fresh
+	q.head = 0
 }
 
 // heapPush inserts e into the deferred heap. Caller holds mu.

@@ -77,9 +77,9 @@
 # BenchmarkSchedExchange1e4 pins the asynchronous engine (the sharded
 # actor scheduler behind SimulateAsync) and its per-exchange allocation
 # contract: an 8192-agent hypercube min cell with
-# a 60·N (~500k) initiation budget runs to convergence in ~75 allocs/op —
+# a 60·N (~500k) initiation budget runs to convergence in ~83 allocs/op —
 # exclusively setup (shard structs, the message slots and inbox chains,
-# CSR arrays, run queues); the event loop's push/pop/steal/defer hot path
+# CSR arrays, run and mail queues); the event loop's push/pop/steal/defer hot path
 # is allocation-free by the detlint hotalloc contract. The budget of 400
 # sits ~5× above setup: a regression that allocates even one object per
 # exchange (a boxed message, a heap node) adds tens of thousands and
@@ -87,7 +87,7 @@
 # are one 16-byte message slot and one link per agent, since an exchange
 # has at most one message in flight, and the agent states are kept
 # once, since the quiescence check reads them at a stop-the-world
-# safepoint: the run measures ~2.09 MB/op. The budget
+# safepoint: the run measures ~2.07 MB/op. The budget
 # of 3,000,000 B/op sits ~1.43× above that and below the ~4.22 MB/op
 # that per-agent rings of next-pow2(degree+2) slots cost, so
 # reintroducing per-degree mailbox storage fails.
