@@ -109,14 +109,18 @@ func (r *run[T]) next(own *shard[T], w int) (a, chain int32, mail, ok bool) {
 	}
 	own.mu.Unlock()
 
-	// Steal: a deterministic round-robin sweep starting one shard up.
-	// A thief takes from a victim's run queue before its mail queue: the
-	// victim's worker serves its own mail first, so a thief that took
-	// mail first would leave the run queue of a shard whose worker is
-	// off the processor without an initiation.
+	// Steal: a round-robin sweep over the other shards that starts one
+	// past the last victim, so thieves spread over every shard whose
+	// worker is off the processor instead of serving the ones just above
+	// their own. A thief takes from a victim's run queue before its mail
+	// queue: the victim's worker serves its own mail first, so a thief
+	// that took mail first would leave the run queue of a shard whose
+	// worker is off the processor without an initiation.
 	P := len(r.shards)
-	for i := 1; i < P; i++ {
-		v := &r.shards[(w+i)%P]
+	me := &r.workers[w]
+	for i := 0; i < P-1; i++ {
+		off := 1 + (int(me.sweep)+i)%(P-1)
+		v := &r.shards[(w+off)%P]
 		v.mu.Lock()
 		a, chain, ok := r.claimQueuedLocked(&v.runq, flagQueued)
 		mail := false
@@ -126,7 +130,8 @@ func (r *run[T]) next(own *shard[T], w int) (a, chain int32, mail, ok bool) {
 		}
 		v.mu.Unlock()
 		if ok {
-			r.workers[w].steals++
+			me.sweep = int32(off % (P - 1))
+			me.steals++
 			r.opts.Probe.Add(obs.CounterSchedSteals, 1)
 			return a, chain, mail, true
 		}
@@ -493,27 +498,44 @@ func (r *run[T]) reseed(a int32, rng *engine.FastRand) {
 	r.eventSeq[a]++
 }
 
-// initiate spends one op on a push-pull exchange attempt by agent a. The
-// op's add to ops is also its move of the virtual clock (now).
+// ticket hands worker me its next initiation number. When its block is
+// spent it reserves the next r.block numbers from ops with one add,
+// which also moves the virtual clock (now). A refused ticket goes back
+// with me.tick--, so the worker draws it again and tickets stay unique.
+//
+//det:hotpath
+func (r *run[T]) ticket(me *workerRec) int64 {
+	if me.tick == me.end {
+		me.end = r.ops.Add(r.block)
+		me.tick = me.end - r.block
+	}
+	me.tick++
+	return me.tick
+}
+
+// initiate spends one op on a push-pull exchange attempt by agent a,
+// numbered by the worker's next ticket: the budget, the skew gate and
+// the epoch trigger read that ticket, not the shared count.
 func (r *run[T]) initiate(a int32, me *workerRec) (outcome, int64) {
 	rng := me.rng
 	lo, hi := r.nbrOff[a], r.nbrOff[a+1]
 	if lo == hi {
 		return outPark, 0 // isolated agent: nothing to gossip with, ever
 	}
-	n := r.ops.Add(1)
+	n := r.ticket(me)
 	if n > int64(r.opts.MaxOps) {
-		r.ops.Add(-1)
+		me.tick--
 		r.budgetOut.Store(true)
 		return outPark, 0
 	}
 	if n%heldEvery == 0 && r.held(n) {
-		// Refund the op and draw nothing: the agent retries later. While
-		// the stall lasts, the next initiator draws this n again and is
-		// held again, so the run stops within about heldEvery ops of the
-		// bound; the yield lets a worker the Go runtime descheduled
-		// finish its event.
-		r.ops.Add(-1)
+		// Return the ticket and draw nothing: the agent retries later.
+		// While the stall lasts, this worker draws n again and is held
+		// again, and every other worker is held at its next multiple of
+		// heldEvery, so the run stops within about heldEvery+block ops per
+		// worker of the bound; the yield lets a worker the Go runtime
+		// descheduled finish its event.
+		me.tick--
 		runtime.Gosched()
 		return outRequeue, 0
 	}
@@ -591,7 +613,7 @@ func (r *run[T]) exchangeInEvent(a, b int32, me *workerRec) bool {
 }
 
 // held reports whether some worker's event started more than maxSkew
-// initiations before op n: a round of N, or skewPerWorker·Workers when
+// initiations before ticket n: a round of N, or skewPerWorker·Workers when
 // that is larger. Such a worker has been descheduled mid-event, holding
 // its agent — and with it every exchange aimed at that agent. Letting
 // the others run on would spend the op budget and move the virtual
@@ -626,26 +648,37 @@ func (r *run[T]) maybeCheckQuiescence() {
 	}
 }
 
-// checkGates reports whether both check gates pass: checkEvery
-// initiations since the last check, and an adoption since it. The ops
-// gate goes first: it fails on all but about one loop iteration per
-// checkEvery ops, so the adoption sum, which reads every worker's
-// record, is rarely taken.
+// checkGates reports whether both check gates may pass: the reserved
+// ticket count has reached checkAt, and some agent adopted since the
+// last check. The ops gate goes first: it fails on all but about one
+// loop iteration per checkEvery ops, so the adoption sum, which reads
+// every worker's record, is rarely taken. Reserved tickets run ahead of
+// initiations made, so quiescent re-gates on the exact count.
 func (r *run[T]) checkGates() bool {
-	return r.ops.Load()-r.lastCheckOps >= r.checkEvery && r.adoptions() != r.checkedAdopt
+	return r.ops.Load() >= r.checkAt && r.adoptions() != r.checkedAdopt
 }
 
 // quiescent runs the check with the world stopped and reports whether
 // the run may halt: states equals the target and no join is
 // outstanding. It runs at every safepoint whose gates pass, whether a
 // check or an epoch asked for the safepoint, and several workers may
-// have asked for the one safepoint, so the gates are re-read here.
+// have asked for the one safepoint, so the gates are re-read here, the
+// ops gate on the exact initiation count: at least checkEvery
+// initiations made since the last check. When tickets reserved and not
+// yet used hold the exact count short, the workers ask again once a
+// fresh block is reserved, not at every loop iteration until then.
 func (r *run[T]) quiescent() bool {
 	if !r.checkGates() {
 		return false
 	}
+	n := r.exactOps()
+	if n-r.lastCheckOps < r.checkEvery {
+		r.checkAt = r.ops.Load() + 1
+		return false
+	}
 	r.checkedAdopt = r.adoptions()
-	r.lastCheckOps = r.ops.Load()
+	r.lastCheckOps = n
+	r.checkAt = n + r.checkEvery
 	r.checks++
 	if !r.reached() {
 		return false
@@ -717,6 +750,9 @@ func (r *run[T]) barrier() {
 	done := false
 	if !r.stop.Load() {
 		if r.ap != nil {
+			// Boundaries are read off the clock, the reserved count, which
+			// covers every ticket drawn: the one that asked for this
+			// safepoint always finds its epoch applied.
 			now := r.ops.Load()
 			for r.nextEpochAt.Load() <= now {
 				r.epoch++

@@ -65,17 +65,23 @@
 //     partner's inbox.
 //
 //   - Workers whose queues run dry steal runnable agents from other
-//     shards, a victim's run queue before its mail queue (one agent per
-//     steal, so every scheduling-flag mutation happens under the agent's
-//     home shard lock), and every worker yields its thread every
-//     yieldEvery events, so an oversubscribed host cannot starve the
-//     shards whose workers are off the processor.
+//     shards, each sweep starting one past the worker's last victim, a
+//     victim's run queue before its mail queue (one agent per steal, so
+//     every scheduling-flag mutation happens under the agent's home
+//     shard lock), and every worker yields its thread every yieldEvery
+//     events, so an oversubscribed host cannot starve the shards whose
+//     workers are off the processor.
 //
-//   - Time is virtual: the global initiation counter, or a later
-//     deadline that a fast-forward jumped to. The AIMD window is
-//     ADMISSION CONTROL: a rejected agent is pushed on its home deferred
-//     heap with a deadline in virtual ticks and the worker moves on. A
-//     worker with no due or queued work fast-forwards its earliest
+//   - Time is virtual: the count of initiation tickets the workers have
+//     reserved, or a later deadline that a fast-forward jumped to. A
+//     worker reserves tickets in blocks — one at Workers=1, up to 64
+//     above it — and numbers each initiation by one, so most initiations
+//     write no shared line. The exact initiation count, which Result.Ops
+//     and the quiescence rate limit read, is the reserved count less the
+//     tickets not yet used, read with the world stopped. The AIMD window
+//     is ADMISSION CONTROL: a rejected agent is pushed on its home
+//     deferred heap with a deadline in virtual ticks and the worker moves
+//     on. A worker with no due or queued work fast-forwards its earliest
 //     deferral rather than sleeping, so deadlines shape interleaving
 //     without ever costing wall-clock, and a run on a dead-quiet system
 //     terminates immediately.
@@ -143,7 +149,11 @@ type Options struct {
 	// (1.0 = static network). Drawn per initiation on the initiator's
 	// stream — see the package comment for the divergence note.
 	LinkUpProbability float64
-	// MaxOps bounds initiated exchanges (default max(1e6, 100·N)).
+	// MaxOps bounds initiated exchanges (default max(1e6, 100·N)). With
+	// Workers > 1 the workers draw initiation tickets in blocks of
+	// B = min(64, max(1, N/(64·Workers))), and a run that drains the
+	// budget may leave tickets below it unused: MaxOps − Ops < Workers·B.
+	// At Workers = 1 a drained run makes exactly MaxOps initiations.
 	MaxOps int
 	// Timeout bounds wall-clock time (default 30s). Virtual time makes
 	// this a safety net, not a scheduling instrument.
@@ -172,7 +182,9 @@ type Options struct {
 type Result[T any] struct {
 	// Converged reports whether the final multiset equals the target.
 	Converged bool
-	// Ops counts initiated exchanges (including busy rejections).
+	// Ops counts initiated exchanges (including busy rejections), exactly:
+	// the tickets the workers drew and used, never the ones they reserved
+	// and left unused. Ops ≤ MaxOps.
 	Ops int
 	// ProperSteps counts exchanges that changed the initiator's state.
 	ProperSteps int
@@ -315,7 +327,7 @@ func Run[T any](p core.Problem[T], g *graph.Graph, initial []T, opts Options) (*
 	r.settle()
 
 	res.Final = r.states
-	res.Ops = int(r.ops.Load())
+	res.Ops = int(r.exactOps())
 	t := r.totals()
 	res.ProperSteps = int(t.properSteps)
 	res.Rejections = int(t.rejections)
@@ -408,15 +420,18 @@ type run[T any] struct {
 	// at safepoints; workers read es.
 	base, es env.State
 
-	// Virtual time and budget: ops is the global initiation counter, and
+	// Virtual time and budget: ops is the count of initiation tickets the
+	// workers have reserved, block initiations at a time (see ticket), and
 	// the virtual clock is now() = max(ops, vnow), where vnow holds only
 	// the deadlines of fast-forwarded deferrals. Without them a moment
 	// where every agent is deferred (a busy storm, an all-delayed epoch)
 	// would freeze the clock the deferrals are waiting on: nobody
 	// initiates, ops never moves, the system spins until the wall-clock
-	// net. An initiation moves the clock by its add to ops alone, so it
-	// costs no second write to a shared line.
+	// net. A worker writes ops once per block, so an initiation writes no
+	// shared line; ops runs at most Workers·block ahead of the
+	// initiations made, whose exact count is exactOps.
 	ops         atomic.Int64
+	block       int64 // tickets per reservation (ticketBlock rule)
 	vnow        atomic.Int64
 	budgetOut   atomic.Bool
 	nextEpochAt atomic.Int64
@@ -441,7 +456,8 @@ type run[T any] struct {
 	// workers read it unlocked.
 	checks       int
 	checkedAdopt int64 // adoptions count consumed by the last check
-	lastCheckOps int64
+	lastCheckOps int64 // exact initiation count at the last check
+	checkAt      int64 // reserved count at which workers next ask for a check
 	checkEvery   int64 // least initiations between checks: max(64, N/2)
 	viewBuf      []T   // sorted states copy for a non-consensus problem's check
 
@@ -451,19 +467,26 @@ type run[T any] struct {
 	sleepers atomic.Int64
 }
 
-// workerRec is one worker's random stream and counters, padded to 128
-// bytes, a pair of cache lines: no other worker writes it, so counting
-// an event keeps its line in the worker's own cache. adoptions is atomic
-// because every worker's quiescence gate sums it, about once per
-// checkEvery ops; the other counters are read once the workers have
-// stopped.
+// workerRec is one worker's random stream, counters and initiation
+// tickets, padded to 128 bytes, a pair of cache lines: no other worker
+// writes it, so counting an event or drawing a ticket keeps its line in
+// the worker's own cache. adoptions is atomic because every worker's
+// quiescence gate sums it, about once per checkEvery ops; the tickets
+// are read by a safepoint conductor with the world stopped, and the
+// other counters once the workers have stopped.
 type workerRec struct {
 	rng *engine.FastRand
 	tally
 	adoptions atomic.Int64
 	// events counts the worker's events, for the yield every yieldEvery.
 	events int64
-	_      [128 - 56]byte
+	// tick is the last ticket handed out and end the last of the block
+	// reserved from ops; end − tick tickets are reserved and unused.
+	tick, end int64
+	// sweep is where the next steal sweep starts: an offset from the
+	// worker's own shard, less one.
+	sweep int32
+	_     [128 - 76]byte
 }
 
 // tally is the counters a Result reports, kept per worker and summed.
@@ -491,6 +514,14 @@ const skewPerWorker = 64
 // check reads every worker's line, so it runs on every heldEvery-th op
 // only.
 const heldEvery = 32
+
+// ticketBlock bounds the tickets a worker reserves from ops at once.
+// Above one worker the block is min(ticketBlock, N/(ticketBlock·Workers)),
+// and at least one, so all the workers' blocks together stay under N/64
+// tickets, far below checkEvery and maxSkew. At Workers=1 it is one
+// ticket: the single worker adds to ops once per initiation, and its
+// event order does not depend on the block rule.
+const ticketBlock = 64
 
 // yieldEvery is how often, in events, a worker yields its thread with
 // runtime.Gosched. With more workers than threads a worker whose queues
@@ -520,6 +551,10 @@ func (r *run[T]) setup(n int) {
 	for w := range r.inflight {
 		r.inflight[w].tick.Store(idleTick)
 		r.workers[w].rng = engine.NewFastRand(r.opts.Seed)
+	}
+	r.block = 1
+	if P > 1 {
+		r.block = int64(max(1, min(ticketBlock, n/(ticketBlock*P))))
 	}
 	// One round — every agent's fair share of one initiation — and never
 	// less than skewPerWorker per worker.
@@ -556,6 +591,7 @@ func (r *run[T]) setup(n int) {
 	r.growMailboxes(n)
 	r.sp.cond = sync.NewCond(&r.sp.mu)
 	r.nextEpochAt.Store(int64(r.opts.OpsPerEpoch))
+	r.checkAt = r.checkEvery
 	// Seed the adoption cursor one behind so the first rate-limit window
 	// always produces a check even if no agent ever adopts (an initial
 	// state already at the target under a dynamics schedule).
@@ -682,6 +718,17 @@ func (r *run[T]) totals() tally {
 	return t
 }
 
+// exactOps is the number of initiations made: the reserved tickets less
+// the ones the workers hold unused. It reads every worker's block, so
+// the world must be stopped (a safepoint, or after the run).
+func (r *run[T]) exactOps() int64 {
+	n := r.ops.Load()
+	for w := range r.workers {
+		n -= r.workers[w].end - r.workers[w].tick
+	}
+	return n
+}
+
 // adoptions sums the workers' adoption counts.
 func (r *run[T]) adoptions() int64 {
 	var n int64
@@ -691,8 +738,9 @@ func (r *run[T]) adoptions() int64 {
 	return n
 }
 
-// now reads the virtual clock: the initiation count, or a later
-// fast-forwarded deadline.
+// now reads the virtual clock: the reserved ticket count, or a later
+// fast-forwarded deadline. ops changes once per block, so the read
+// mostly hits the reader's cache.
 //
 //det:hotpath
 func (r *run[T]) now() int64 {

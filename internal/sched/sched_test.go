@@ -2,6 +2,7 @@ package sched
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 	"math"
 	"slices"
@@ -408,6 +409,104 @@ func TestSchedHeldBoundsSkew(t *testing.T) {
 		r.inflight[0].tick.Store(c.start)
 		if got := r.held(10_000); got != c.want {
 			t.Errorf("agents=%d workers=%d start=%d: held(10000) = %v, want %v", c.agents, c.workers, c.start, got, c.want)
+		}
+	}
+}
+
+// TestSchedStealSweepRotates: a thief's sweep starts one past its last
+// victim, so with agents queued on two other shards its steals alternate
+// between them instead of draining the shard just above its own first.
+func TestSchedStealSweepRotates(t *testing.T) {
+	const n, workers = 24, 3
+	r := &run[int]{g: graph.Ring(n), opts: Options{Workers: workers}, initVals: make([]int, n)}
+	r.setup(n)
+	own := &r.shards[0]
+	for {
+		a, ok := own.runq.pop()
+		if !ok {
+			break
+		}
+		r.flags[a] = 0
+	}
+	var got []int
+	for range 6 {
+		a, _, mail, ok := r.next(own, 0)
+		if !ok || mail {
+			t.Fatalf("next(shard 0) = %d, mail=%v, ok=%v; want a stolen run-queue agent", a, mail, ok)
+		}
+		got = append(got, int(a)/r.blockSize)
+	}
+	if want := []int{1, 2, 1, 2, 1, 2}; !slices.Equal(got, want) {
+		t.Errorf("victim shards = %v, want %v", got, want)
+	}
+}
+
+// TestSchedTicketsExact: above one worker the workers draw initiation
+// tickets in blocks — 32 at Workers=2 and 16 at Workers=4 on 4096
+// agents — and the counts a run reports stay exact. Result.Ops is the
+// number of initiations the probe saw; a drained budget leaves fewer
+// than Workers·block tickets unused; and the benchmark's epoch schedule
+// lands whole. The quiescence rate limit holds on the exact count: the
+// k-th check needs k·max(64, N/2) initiations made, so the bound has no
+// +1. A check gated on the reserved count can run while unused tickets
+// hold the exact count below that, and then breaks it.
+func TestSchedTicketsExact(t *testing.T) {
+	g := graph.Hypercube(12)
+	n := g.N()
+	minVals := make([]int, n)
+	sumVals := make([]int, n)
+	for a := range minVals {
+		minVals[a] = 2 + (a*7919)%100_003
+		sumVals[a] = 1 + a%5
+	}
+	minVals[n/3] = 1
+	every := max(64, n/2)
+	for _, c := range []struct{ workers, block int }{{2, 32}, {4, 16}} {
+		for seed := int64(0); seed < 3; seed++ {
+			t.Run(fmt.Sprintf("workers=%d/seed=%d", c.workers, seed), func(t *testing.T) {
+				probe := obs.NewProbe(obs.Config{})
+				res := converged(t, problems.NewMin(), g, minVals, Options{
+					Seed: seed, Workers: c.workers, LinkUpProbability: 0.9,
+					MaxOps: 60 * n, Timeout: 20 * time.Second, Probe: probe,
+					Dynamics: dynamics.NewSchedule(
+						dynamics.Partition(2, 2, 6),
+						dynamics.At(3, dynamics.CrashRandom(64)),
+						dynamics.At(8, dynamics.RecoverAll()),
+					),
+				})
+				if got := probe.Report().Counters[obs.CounterExchInitiate]; int64(res.Ops) != got {
+					t.Errorf("min: Ops = %d, probe counted %d initiations", res.Ops, got)
+				}
+				if res.QuiescenceChecks > res.Ops/every {
+					t.Errorf("min: QuiescenceChecks = %d after %d ops breaks the rate limit of one check per %d ops",
+						res.QuiescenceChecks, res.Ops, every)
+				}
+				if d := res.Dynamics; d == nil || d.Crashes != 64 || d.Recoveries != 64 {
+					t.Errorf("min: dynamics report %+v, want 64 crashes and 64 recoveries", d)
+				}
+
+				probe = obs.NewProbe(obs.Config{})
+				const budget = 3000
+				res, err := Run[int](problems.NewSum(), g, sumVals, Options{
+					Seed: seed, Workers: c.workers, MaxOps: budget, Timeout: 20 * time.Second, Probe: probe,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Converged {
+					t.Fatalf("sum converged in %d ops; the run should drain its budget of %d", res.Ops, budget)
+				}
+				if got := probe.Report().Counters[obs.CounterExchInitiate]; int64(res.Ops) != got {
+					t.Errorf("sum: Ops = %d, probe counted %d initiations", res.Ops, got)
+				}
+				if res.Ops > budget || budget-res.Ops >= c.workers*c.block {
+					t.Errorf("sum: Ops = %d, want within %d below the budget of %d", res.Ops, c.workers*c.block, budget)
+				}
+				if res.QuiescenceChecks > res.Ops/every {
+					t.Errorf("sum: QuiescenceChecks = %d after %d ops breaks the rate limit of one check per %d ops",
+						res.QuiescenceChecks, res.Ops, every)
+				}
+			})
 		}
 	}
 }
