@@ -256,8 +256,8 @@ func TestSchedYieldUnderOneThread(t *testing.T) {
 }
 
 // TestSchedExchangePathsAgree: an exchange completes inside the
-// initiator's event when its partner shares the initiator's shard and
-// is idle, and through the partner's inbox otherwise. Whichever path
+// initiator's event when its partner is idle, on whichever shard it
+// homes, and through the partner's inbox otherwise. Whichever path
 // each exchange takes — Workers=1 takes the first for every undelayed
 // exchange, more workers mix the two — the protocol's guarantees hold:
 // min, max and gcd reach f(S(0)), sum keeps its total with a clean

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -299,4 +300,65 @@ func TestSchedPartition(t *testing.T) {
 	if res.Dynamics == nil || res.Dynamics.MaskedEdgeRounds == 0 {
 		t.Errorf("partition masked no edges: %+v", res.Dynamics)
 	}
+}
+
+// TestSchedRandomRegular runs min on a random graph of low locality: 2¹²
+// agents joined by 8 random Hamiltonian cycles, about 16 neighbours each,
+// so most partners home on another shard. At 2 and 4 workers, with 10%
+// message loss and the benchmark's partition, 64-agent crash and
+// recovery, exchanges finish in the initiator's event across shards and
+// through inboxes side by side, and the run must still converge clean
+// with every agent at the minimum.
+func TestSchedRandomRegular(t *testing.T) {
+	g := randomCycles(1<<12, 8, 1)
+	n := g.N()
+	vals := make([]int, n)
+	for a := range vals {
+		vals[a] = 2 + (a*7919)%100_003
+	}
+	vals[n/3] = 1
+	for _, w := range []int{2, 4} {
+		for seed := int64(0); seed < 2; seed++ {
+			t.Run(fmt.Sprintf("workers=%d/seed=%d", w, seed), func(t *testing.T) {
+				res := converged(t, problems.NewMin(), g, vals, Options{
+					Seed: seed, Workers: w, MaxOps: 60 * n, Timeout: 20 * time.Second,
+					Faults: &dynamics.Faults{LossP: 0.1},
+					Dynamics: dynamics.NewSchedule(
+						dynamics.Partition(2, 2, 6),
+						dynamics.At(3, dynamics.CrashRandom(64)),
+						dynamics.At(8, dynamics.RecoverAll()),
+					),
+				})
+				allEqual(t, res.Final, 1)
+				t.Logf("ops=%d proper=%d busy=%d lost=%d steals=%d", res.Ops, res.ProperSteps, res.Rejections, res.Lost, res.Steals)
+				if d := res.Dynamics; d == nil || d.Crashes != 64 || d.Recoveries != 64 {
+					t.Errorf("dynamics report %+v, want 64 crashes and 64 recoveries", d)
+				}
+			})
+		}
+	}
+}
+
+// randomCycles returns the union of k random Hamiltonian cycles over n
+// agents, each a uniform permutation closed into a ring, drawn from seed.
+// An edge two cycles share appears once, so degrees are at most 2k.
+func randomCycles(n, k int, seed int64) *graph.Graph {
+	rng := rand.New(rand.NewSource(seed))
+	seen := make(map[graph.Edge]bool, n*k)
+	edges := make([]graph.Edge, 0, n*k)
+	for range k {
+		p := rng.Perm(n)
+		for i, v := range p {
+			e := graph.NewEdge(v, p[(i+1)%n])
+			if !seen[e] {
+				seen[e] = true
+				edges = append(edges, e)
+			}
+		}
+	}
+	g, err := graph.New(fmt.Sprintf("cycles(%d,%d)", n, k), n, edges)
+	if err != nil {
+		panic(err)
+	}
+	return g
 }

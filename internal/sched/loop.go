@@ -19,10 +19,10 @@ const (
 	// delivery); nothing re-runs it until one arrives.
 	outPark outcome = iota
 	// outRequeue: the agent goes back to the tail of its home run queue,
-	// unless it already sits there. A deferred agent goes there too: its
-	// deferral waits for its home worker, which may be off the processor,
-	// while a thief can take the run-queue entry, which initiates once
-	// the deadline has passed.
+	// unless it already sits there. A deferred agent goes there too: a
+	// thief takes its deferral only once due and only when the victim's
+	// queues are empty, while the run-queue entry is served in turn and
+	// initiates once the deadline has passed.
 	outRequeue
 	// outDefer: the agent goes on its home deferred heap until the due
 	// tick (admission control or a delayed send).
@@ -62,7 +62,11 @@ func (r *run[T]) worker(w int) {
 		r.maybeCheckQuiescence()
 
 		// The event starts before the claim: a worker descheduled between
-		// claiming an agent and processing it holds that agent too.
+		// claiming an agent and processing it holds that agent too. The
+		// tick stands until the next event starts, so a worker descheduled
+		// between events holds its shard's queues, which nobody steals
+		// while the other shards stay busy; only a worker with nothing to
+		// do is idle.
 		r.inflight[w].tick.Store(r.ops.Load())
 		a, chain, mail, ok := r.next(own, w)
 		if !ok {
@@ -73,7 +77,6 @@ func (r *run[T]) worker(w int) {
 			continue
 		}
 		r.process(a, chain, mail, me)
-		r.inflight[w].tick.Store(idleTick)
 		if me.events++; me.events%yieldEvery == 0 {
 			runtime.Gosched()
 		}
@@ -92,12 +95,9 @@ func (r *run[T]) worker(w int) {
 func (r *run[T]) next(own *shard[T], w int) (a, chain int32, mail, ok bool) {
 	now := r.now()
 	own.mu.Lock()
-	for len(own.deferred) > 0 && own.deferred[0].due <= now {
-		e, _ := own.heapPop()
-		if chain, ok := r.claimLocked(e.agent, flagDeferred); ok {
-			own.mu.Unlock()
-			return e.agent, chain, false, true
-		}
+	if a, chain, ok := r.claimDueLocked(own, now); ok {
+		own.mu.Unlock()
+		return a, chain, false, true
 	}
 	if a, chain, ok := r.claimQueuedLocked(&own.mailq, flagMail); ok {
 		own.mu.Unlock()
@@ -115,7 +115,9 @@ func (r *run[T]) next(own *shard[T], w int) (a, chain int32, mail, ok bool) {
 	// their own. A thief takes from a victim's run queue before its mail
 	// queue: the victim's worker serves its own mail first, so a thief
 	// that took mail first would leave the run queue of a shard whose
-	// worker is off the processor without an initiation.
+	// worker is off the processor without an initiation. With both empty
+	// it takes a due deferral, which would otherwise wait for that worker
+	// past its deadline. A thief never fast-forwards a victim's heap.
 	P := len(r.shards)
 	me := &r.workers[w]
 	for i := 0; i < P-1; i++ {
@@ -127,6 +129,9 @@ func (r *run[T]) next(own *shard[T], w int) (a, chain int32, mail, ok bool) {
 		if !ok {
 			a, chain, ok = r.claimQueuedLocked(&v.mailq, flagMail)
 			mail = ok
+		}
+		if !ok {
+			a, chain, ok = r.claimDueLocked(v, now)
 		}
 		v.mu.Unlock()
 		if ok {
@@ -173,6 +178,21 @@ func (r *run[T]) claimQueuedLocked(q *ring, from uint8) (int32, int32, bool) {
 			return a, chain, true
 		}
 	}
+}
+
+// claimDueLocked claims the earliest deferral of shard sh whose due tick
+// is at or before now and that no other worker is running, and detaches
+// its inbox. The caller holds sh.mu.
+//
+//det:hotpath
+func (r *run[T]) claimDueLocked(sh *shard[T], now int64) (int32, int32, bool) {
+	for len(sh.deferred) > 0 && sh.deferred[0].due <= now {
+		e, _ := sh.heapPop()
+		if chain, ok := r.claimLocked(e.agent, flagDeferred); ok {
+			return e.agent, chain, true
+		}
+	}
+	return 0, 0, false
 }
 
 // claimLocked marks agent a, just popped from the container its flag
@@ -407,9 +427,11 @@ func (r *run[T]) finish(sh *shard[T], a int32, out outcome, due int64) {
 		}
 	}
 	r.flags[a] = f
-	// A thief finishing a stolen agent pushes onto the agent's home
-	// shard, whose worker may be asleep; thieves never take deferrals, so
-	// without this wake a deferred agent could wait forever.
+	// A thief finishing a stolen agent, or a worker settling the partner
+	// of an in-event exchange, pushes onto the agent's home shard, whose
+	// worker may be asleep; a thief takes a deferral only once it is due
+	// and only when its own queues are dry, so without this wake a
+	// deferred agent could wait well past its deadline.
 	wake := pushed && sh.sleeping
 	if wake {
 		sh.sleeping = false
@@ -514,30 +536,29 @@ func (r *run[T]) ticket(me *workerRec) int64 {
 }
 
 // initiate spends one op on a push-pull exchange attempt by agent a,
-// numbered by the worker's next ticket: the budget, the skew gate and
-// the epoch trigger read that ticket, not the shared count.
+// numbered by the worker's next ticket: the budget and the epoch
+// trigger read that ticket, not the shared count, and the skew gate
+// reads it before it is drawn.
 func (r *run[T]) initiate(a int32, me *workerRec) (outcome, int64) {
 	rng := me.rng
 	lo, hi := r.nbrOff[a], r.nbrOff[a+1]
 	if lo == hi {
 		return outPark, 0 // isolated agent: nothing to gossip with, ever
 	}
+	if r.gated(me) {
+		// Draw nothing: the agent retries later. While the stall lasts,
+		// this worker is held again at the same ticket, and every other
+		// worker at its next multiple of heldEvery, so the run stops
+		// within about heldEvery+block ops per worker of the bound; the
+		// yield lets a worker the Go runtime descheduled run.
+		runtime.Gosched()
+		return outRequeue, 0
+	}
 	n := r.ticket(me)
 	if n > int64(r.opts.MaxOps) {
 		me.tick--
 		r.budgetOut.Store(true)
 		return outPark, 0
-	}
-	if n%heldEvery == 0 && r.held(n) {
-		// Return the ticket and draw nothing: the agent retries later.
-		// While the stall lasts, this worker draws n again and is held
-		// again, and every other worker is held at its next multiple of
-		// heldEvery, so the run stops within about heldEvery+block ops per
-		// worker of the bound; the yield lets a worker the Go runtime
-		// descheduled finish its event.
-		me.tick--
-		runtime.Gosched()
-		return outRequeue, 0
 	}
 	if r.ap != nil && n >= r.nextEpochAt.Load() {
 		// Crossing an epoch boundary requests a safepoint; whichever
@@ -580,20 +601,18 @@ func (r *run[T]) initiate(a int32, me *workerRec) (outcome, int64) {
 }
 
 // exchangeInEvent completes initiator a's exchange with partner b inside
-// a's event, when b shares a's home shard and is idle: no worker runs it
-// (so no repoll is pending), it is not on its mail queue and its inbox is
-// empty. The worker claims b under the shard lock, runs b's mail event
-// for a's request — the pair step, or busy — settles b as any mail event
-// would, and serves b's reply to a at once: one event instead of a
-// request and a reply, each waiting its turn in a queue while a rejects
-// every request as busy. When b does not qualify it reports false and
-// touches nothing; the request then goes through b's inbox, which keeps
-// inbox FIFO order and one message per slot.
+// a's event, when b is idle, whatever shard it homes on: no worker runs
+// it (so no repoll is pending), it is not on its mail queue and its inbox
+// is empty. The worker claims b under b's home shard lock, holding no
+// other lock, as a thief claims a stolen agent; runs b's mail event for
+// a's request — the pair step, or busy — settles b on its home shard as
+// any mail event would, and serves b's reply to a at once: one event
+// instead of a request and a reply, each waiting its turn in a queue
+// while a rejects every request as busy. When b does not qualify it
+// reports false and touches nothing; the request then goes through b's
+// inbox, which keeps inbox FIFO order and one message per slot.
 func (r *run[T]) exchangeInEvent(a, b int32, me *workerRec) bool {
-	sh := r.home(a)
-	if r.home(b) != sh {
-		return false
-	}
+	sh := r.home(b)
 	sh.mu.Lock()
 	f := r.flags[b]
 	if f&(flagRunning|flagMail) != 0 || r.inboxes[b].head != endOfChain {
@@ -612,15 +631,36 @@ func (r *run[T]) exchangeInEvent(a, b int32, me *workerRec) bool {
 	return true
 }
 
-// held reports whether some worker's event started more than maxSkew
-// initiations before ticket n: a round of N, or skewPerWorker·Workers when
-// that is larger. Such a worker has been descheduled mid-event, holding
-// its agent — and with it every exchange aimed at that agent. Letting
-// the others run on would spend the op budget and move the virtual
-// clock on without it, turning a stall of the host into a stall of a
-// simulated agent; held bounds how far the run gets ahead of any event
-// in flight. One worker never holds itself back, so Workers=1 runs are
-// unaffected.
+// gated reports whether the skew gate holds back the ticket worker me
+// would draw next — the next of its block, or one past the reserved
+// count when the block is spent — read on every heldEvery-th ticket and
+// before the draw. A worker held after drawing would keep a reserved
+// ticket meanwhile, and a thief finishing the worker's agents after
+// another worker spends the rest of the budget would park them, leaving
+// that ticket unused and the run short of its budget.
+func (r *run[T]) gated(me *workerRec) bool {
+	if len(r.inflight) < 2 {
+		return false
+	}
+	n := me.tick + 1
+	if me.tick == me.end {
+		n = r.ops.Load() + 1
+	}
+	return n%heldEvery == 0 && r.held(n)
+}
+
+// held reports whether some worker's latest event started more than
+// maxSkew initiations before ticket n: a round of N, or
+// skewPerWorker·Workers when that is larger. Such a worker has been
+// descheduled, mid-event, holding its agent — and with it every exchange
+// aimed at that agent — or between events, or before its first, holding
+// its shard's queues: with exchanges finishing inside the initiator's
+// event the other workers' shards rarely run dry, so nobody steals them.
+// Letting the others run on would spend the op budget and move the
+// virtual clock on without it, turning a stall of the host into a stall
+// of simulated agents; held bounds how far the run gets ahead of any
+// worker that has work. One worker never holds itself back, so Workers=1
+// runs are unaffected.
 func (r *run[T]) held(n int64) bool {
 	if len(r.inflight) < 2 {
 		return false

@@ -56,21 +56,24 @@
 //     mid-event starts a fresh chain, and the agent goes on its mail
 //     queue when the event ends.
 //
-//   - An exchange whose partner shares the initiator's shard and is
-//     idle — not running, not on its mail queue, inbox empty —
-//     completes inside the initiator's event: the worker claims the
-//     partner, runs its mail event for the request and serves the reply
-//     at once, so nobody waits on it and nobody is rejected busy meanwhile.
-//     Every other exchange, and every delayed send, goes through the
-//     partner's inbox.
+//   - An exchange whose partner is idle — not running, not on its mail
+//     queue, inbox empty — completes inside the initiator's event,
+//     whatever shard the partner homes on: the worker claims the partner
+//     under the partner's home shard lock, as a thief would, runs its
+//     mail event for the request, settles it on its home shard and
+//     serves the reply at once, so nobody waits on it and nobody is
+//     rejected busy meanwhile. A busy partner's exchange, and every
+//     delayed send, goes through the partner's inbox.
 //
 //   - Workers whose queues run dry steal runnable agents from other
 //     shards, each sweep starting one past the worker's last victim, a
-//     victim's run queue before its mail queue (one agent per steal, so
-//     every scheduling-flag mutation happens under the agent's home
-//     shard lock), and every worker yields its thread every yieldEvery
-//     events, so an oversubscribed host cannot starve the shards whose
-//     workers are off the processor.
+//     victim's run queue, then its mail queue, then its earliest due
+//     deferral (one agent per steal, so every scheduling-flag mutation
+//     happens under the agent's home shard lock). Every worker yields
+//     its thread every yieldEvery events, and no worker initiates more
+//     than a round ahead of another that has work but is off the
+//     processor, so an oversubscribed host cannot starve the shards
+//     whose workers it has descheduled.
 //
 //   - Time is virtual: the count of initiation tickets the workers have
 //     reserved, or a later deadline that a fast-forward jumped to. A
@@ -315,6 +318,11 @@ func Run[T any](p core.Problem[T], g *graph.Graph, initial []T, opts Options) (*
 	timer := time.AfterFunc(opts.Timeout, r.halt)
 	defer timer.Stop()
 
+	// Every worker starts at op 0: one the runtime has not yet scheduled
+	// holds the others back once they are a round ahead (held).
+	for w := range r.inflight {
+		r.inflight[w].tick.Store(0)
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < opts.Workers; w++ {
 		wg.Add(1)
@@ -437,9 +445,10 @@ type run[T any] struct {
 	nextEpochAt atomic.Int64
 	epoch       int // next epoch to apply; safepoint-requester-owned
 
-	// inflight[w] is the op count at which worker w began its current
-	// scheduling event, or idleTick between events. Initiations hold
-	// back while any event is more than maxSkew ops old (see held).
+	// inflight[w] is the op count at which worker w began its latest
+	// scheduling event, or idleTick while it finds nothing to do.
+	// Initiations hold back while any is more than maxSkew ops old (see
+	// held).
 	inflight []inflightTick
 	maxSkew  int64
 
@@ -495,19 +504,19 @@ type tally struct {
 }
 
 // inflightTick is one worker's event start, padded to its own cache
-// line: its worker writes it twice per event.
+// line: its worker writes it once per event.
 type inflightTick struct {
 	tick atomic.Int64
 	_    [56]byte
 }
 
-// idleTick marks a worker that is between events: never old.
+// idleTick marks a worker that found nothing to do: never old.
 const idleTick = math.MaxInt64
 
 // skewPerWorker is the least skew, per worker, that held tolerates. An
 // event takes microseconds, so in a healthy run the other workers start
 // a handful of initiations during it; only a worker the OS or the Go
-// runtime has descheduled mid-event falls this far behind.
+// runtime has descheduled falls this far behind.
 const skewPerWorker = 64
 
 // heldEvery is how often, in initiations, the gate is consulted: the
@@ -615,45 +624,33 @@ func (r *run[T]) setup(n int) {
 	}
 }
 
-// buildCSR (re)builds the flat neighbour lists from the graph, skipping
-// retired edges. O(N+E); called at setup and join safepoints.
+// buildCSR (re)builds the flat neighbour lists from the graph's live
+// incidence lists, in one pass: each list is in ascending edge-id order,
+// and retiring an edge keeps that order, so agent v's neighbours come
+// out in edge-id order. O(N+E); called at setup and join safepoints.
 func (r *run[T]) buildCSR() {
 	n := r.g.N()
 	if cap(r.nbrOff) < n+1 {
 		r.nbrOff = make([]int32, n+1)
 	}
 	r.nbrOff = r.nbrOff[:n+1]
-	for i := range r.nbrOff {
-		r.nbrOff[i] = 0
+	if live := 2 * r.g.LiveM(); cap(r.nbrs) < live {
+		r.nbrs = make([]nbEntry, 0, live)
 	}
+	r.nbrs = r.nbrs[:0]
 	edges := r.g.EdgesView()
-	live := 0
-	for id := range edges {
-		if r.g.EdgeRetired(id) {
-			continue
+	for v := 0; v < n; v++ {
+		r.nbrOff[v] = int32(len(r.nbrs))
+		for _, id := range r.g.IncidentEdgeIDs(v) {
+			e := edges[id]
+			peer := e.A
+			if peer == v {
+				peer = e.B
+			}
+			r.nbrs = append(r.nbrs, nbEntry{agent: int32(peer), edge: int32(id)})
 		}
-		r.nbrOff[edges[id].A+1]++
-		r.nbrOff[edges[id].B+1]++
-		live++
 	}
-	for i := 1; i <= n; i++ {
-		r.nbrOff[i] += r.nbrOff[i-1]
-	}
-	if cap(r.nbrs) < 2*live {
-		r.nbrs = make([]nbEntry, 2*live)
-	}
-	r.nbrs = r.nbrs[:2*live]
-	fill := make([]int32, n)
-	for id := range edges {
-		if r.g.EdgeRetired(id) {
-			continue
-		}
-		e := edges[id]
-		r.nbrs[r.nbrOff[e.A]+fill[e.A]] = nbEntry{agent: int32(e.B), edge: int32(id)}
-		fill[e.A]++
-		r.nbrs[r.nbrOff[e.B]+fill[e.B]] = nbEntry{agent: int32(e.A), edge: int32(id)}
-		fill[e.B]++
-	}
+	r.nbrOff[n] = int32(len(r.nbrs))
 }
 
 // home returns the agent's home shard index: contiguous blocks of the

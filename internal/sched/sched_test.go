@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
 	"time"
@@ -439,6 +440,239 @@ func TestSchedStealSweepRotates(t *testing.T) {
 	if want := []int{1, 2, 1, 2, 1, 2}; !slices.Equal(got, want) {
 		t.Errorf("victim shards = %v, want %v", got, want)
 	}
+}
+
+// TestSchedStealTakesDueDeferral: a thief whose own shard is empty takes
+// a due deferral from a shard whose worker never runs, and leaves one not
+// yet due there: it never fast-forwards another shard's heap.
+func TestSchedStealTakesDueDeferral(t *testing.T) {
+	const n, workers = 16, 2
+	r := &run[int]{g: graph.Ring(n), opts: Options{Workers: workers}, initVals: make([]int, n)}
+	r.setup(n)
+	for s := range r.shards {
+		for {
+			a, ok := r.shards[s].runq.pop()
+			if !ok {
+				break
+			}
+			r.flags[a] = 0
+		}
+	}
+	const due, late = int32(12), int32(9)
+	victim := &r.shards[1]
+	r.ops.Store(3)
+	victim.heapPush(deferEntry{due: 3, agent: due})
+	victim.heapPush(deferEntry{due: 5, agent: late})
+	r.flags[due], r.flags[late] = flagDeferred, flagDeferred
+
+	a, _, mail, ok := r.next(&r.shards[0], 0)
+	if !ok || mail || a != due {
+		t.Fatalf("next(shard 0) = %d, mail=%v, ok=%v; want the due deferral %d stolen", a, mail, ok, due)
+	}
+	if r.flags[due] != flagRunning || r.workers[0].steals != 1 {
+		t.Errorf("stolen deferral: flags %b, steals %d; want running and one steal", r.flags[due], r.workers[0].steals)
+	}
+	if a, _, _, ok := r.next(&r.shards[0], 0); ok {
+		t.Fatalf("next(shard 0) claimed %d; the deferral left is due at 5, after now = 3", a)
+	}
+	if len(victim.deferred) != 1 || victim.deferred[0].agent != late || r.flags[late] != flagDeferred {
+		t.Errorf("victim heap %v, flags[%d] = %b; want the late deferral untouched", victim.deferred, late, r.flags[late])
+	}
+}
+
+// TestInEventExchangeAcrossShards: an exchange whose idle partner homes
+// on the other shard completes inside the initiator's event. Both agents
+// end in PairStep's post-states, and the partner settles on its own home
+// shard: an agent waiting to initiate keeps its one run-queue entry, and
+// a deferred one gains a run-queue entry there and wakes that shard's
+// worker. The initiator's shard, runnable and the message slots are left
+// as they were. A partner that is running, waits on its mail queue or
+// holds mail answers through its inbox instead: exchangeInEvent reports
+// false and writes nothing.
+func TestInEventExchangeAcrossShards(t *testing.T) {
+	const a, b = int32(0), int32(7) // Ring(8) at Workers=2: shards [0,4) and [4,8)
+	vals := []int{5, 1, 1, 1, 1, 1, 1, 3}
+	fresh := func(t *testing.T) *run[int] {
+		t.Helper()
+		r := newTestRun(problems.NewSum(), graph.Ring(8), vals, Options{Seed: 1, Workers: 2})
+		if got, _, _, ok := r.next(&r.shards[0], 0); !ok || got != a {
+			t.Fatalf("initiator claim = %d, %v; want agent %d", got, ok, a)
+		}
+		if r.home(b) == r.home(a) {
+			t.Fatal("partner shares the initiator's shard")
+		}
+		return r
+	}
+	wantA, wantB := problems.NewSum().PairStep(vals[a], vals[b], nil)
+
+	for _, c := range []struct {
+		name      string
+		prepare   func(r *run[int])
+		wantFlags uint8
+		wantRunq  []int32
+		wake      bool
+	}{
+		{"queued", func(r *run[int]) {}, flagQueued, []int32{4, 5, 6, 7}, false},
+		{"deferred", func(r *run[int]) {
+			sh := &r.shards[1]
+			for {
+				x, ok := sh.runq.pop()
+				if !ok {
+					break
+				}
+				r.flags[x] = 0
+				r.runnable.Add(-1)
+			}
+			sh.heapPush(deferEntry{due: 1000, agent: b})
+			r.flags[b] = flagDeferred
+			r.runnable.Add(1)
+			sh.sleeping = true
+		}, flagQueued | flagDeferred, []int32{b}, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			r := fresh(t)
+			c.prepare(r)
+			own := shardState(&r.shards[0])
+			runnable := r.runnable.Load()
+			if !r.exchangeInEvent(a, b, &r.workers[0]) {
+				t.Fatal("exchangeInEvent = false for an idle partner on the other shard")
+			}
+			if r.states[a] != wantA || r.states[b] != wantB || r.awaiting[a] {
+				t.Errorf("states (%d, %d) awaiting %v; want PairStep's (%d, %d), not awaiting",
+					r.states[a], r.states[b], r.awaiting[a], wantA, wantB)
+			}
+			if r.flags[a] != flagRunning || r.flags[b] != c.wantFlags {
+				t.Errorf("flags: initiator %b, partner %b; want %b and %b", r.flags[a], r.flags[b], flagRunning, c.wantFlags)
+			}
+			sh := &r.shards[1]
+			if got := queued(&sh.runq); !slices.Equal(got, c.wantRunq) || sh.mailq.n != 0 {
+				t.Errorf("partner's shard: run queue %v, mail queue length %d; want %v and 0", got, sh.mailq.n, c.wantRunq)
+			}
+			if woke := len(sh.wake) == 1 && !sh.sleeping; woke != c.wake {
+				t.Errorf("partner's shard worker woken = %v, want %v", woke, c.wake)
+			}
+			if got := shardState(&r.shards[0]); got != own {
+				t.Errorf("initiator's shard changed: %s, was %s", got, own)
+			}
+			if got := r.runnable.Load(); got != runnable {
+				t.Errorf("runnable = %d, was %d", got, runnable)
+			}
+			for s, l := range r.link {
+				if l != notLinked {
+					t.Errorf("slot %d left linked (%d)", s, l)
+				}
+			}
+		})
+	}
+
+	for _, c := range []struct {
+		name    string
+		prepare func(r *run[int])
+	}{
+		{"running", func(r *run[int]) { r.flags[b] |= flagRunning }},
+		{"mail-queued", func(r *run[int]) {
+			r.flags[b] |= flagMail
+			r.shards[1].mailq.push(b)
+		}},
+		{"inbox", func(r *run[int]) { r.pushMsg(b, 6, request(6, 9)) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			r := fresh(t)
+			c.prepare(r)
+			before := runState(r)
+			if r.exchangeInEvent(a, b, &r.workers[0]) {
+				t.Fatal("exchangeInEvent = true for a partner that is not idle")
+			}
+			if got := runState(r); got != before {
+				t.Errorf("exchangeInEvent wrote to the run:\n got %s\nwant %s", got, before)
+			}
+		})
+	}
+}
+
+// queued lists q's agents from oldest to newest.
+func queued(q *ring) []int32 {
+	got := make([]int32, 0, q.n)
+	for i := 0; i < q.n; i++ {
+		got = append(got, q.buf[(q.head+i)&(len(q.buf)-1)])
+	}
+	return got
+}
+
+// shardState renders a shard's queues, heap and sleeping mark.
+func shardState(sh *shard[int]) string {
+	return fmt.Sprint(queued(&sh.runq), queued(&sh.mailq), sh.deferred, sh.sleeping, len(sh.wake))
+}
+
+// runState renders every part of a run that an exchange could write.
+func runState(r *run[int]) string {
+	s := fmt.Sprint(r.states, r.flags, r.eventSeq, r.awaiting, r.actDue, r.backoff,
+		r.msg, r.link, r.inboxes, r.runnable.Load(), r.workers[0].tally, r.workers[0].adoptions.Load())
+	for i := range r.shards {
+		s += " " + shardState(&r.shards[i])
+	}
+	return s
+}
+
+// TestBuildCSRMatchesEdgeOrder: buildCSR reads each agent's incidence
+// list in one pass. The table must equal the one built in edge order —
+// count the live degrees, then place every live edge at both endpoints —
+// on static families, after hypercube growth, and after a ring splice
+// has retired its closing edge.
+func TestBuildCSRMatchesEdgeOrder(t *testing.T) {
+	grown := graph.Hypercube(6)
+	if _, err := grown.GrowHypercube(37); err != nil {
+		t.Fatal(err)
+	}
+	spliced := graph.Ring(12)
+	for range 2 {
+		if _, err := spliced.SpliceRing(5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, g := range []*graph.Graph{
+		graph.Hypercube(10),
+		graph.Ring(100),
+		graph.ErdosRenyi(200, 0.05, rand.New(rand.NewSource(7))),
+		grown,
+		spliced,
+	} {
+		r := &run[int]{g: g}
+		r.buildCSR()
+		off, nbrs := edgeOrderCSR(g)
+		if !slices.Equal(r.nbrOff, off) || !slices.Equal(r.nbrs, nbrs) {
+			t.Errorf("%s: buildCSR differs from the edge-order build", g.Name())
+		}
+	}
+}
+
+// edgeOrderCSR is the reference CSR build: a pass over the live edges to
+// count degrees, then a second that places each edge at both endpoints.
+func edgeOrderCSR(g *graph.Graph) ([]int32, []nbEntry) {
+	n := g.N()
+	off := make([]int32, n+1)
+	edges := g.EdgesView()
+	for id, e := range edges {
+		if !g.EdgeRetired(id) {
+			off[e.A+1]++
+			off[e.B+1]++
+		}
+	}
+	for i := 1; i <= n; i++ {
+		off[i] += off[i-1]
+	}
+	nbrs := make([]nbEntry, off[n])
+	fill := make([]int32, n)
+	for id, e := range edges {
+		if g.EdgeRetired(id) {
+			continue
+		}
+		nbrs[off[e.A]+fill[e.A]] = nbEntry{agent: int32(e.B), edge: int32(id)}
+		fill[e.A]++
+		nbrs[off[e.B]+fill[e.B]] = nbEntry{agent: int32(e.A), edge: int32(id)}
+		fill[e.B]++
+	}
+	return off, nbrs
 }
 
 // TestSchedTicketsExact: above one worker the workers draw initiation
